@@ -3,7 +3,8 @@
 Reports are single JSON objects per line on stdout; diagnostics go to
 stderr.  Exit codes: 0 success or all checkers passing, 1 checker
 failure, 2 simulation fault or exhausted round budget, 3 usage or I/O
-trouble.  Seeds are always explicit so every published number replays.
+trouble, 4 internal error (an unexpected exception, reported in one
+line).  Seeds are always explicit so every published number replays.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_SIM_FAILED = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -244,6 +246,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a crash must never read as "checker rejected"
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

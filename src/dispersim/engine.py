@@ -13,6 +13,16 @@ Subrounds are globally synchronous; robots whose round decision is
 already latched stay silent while another node's election continues.
 The whole simulation is deterministic: per-robot coins come from
 generators seeded with (run seed, robot index).
+
+Cost model: a round's work follows the robots that still move, not k.
+The world keeps an ascending list of live movers (alive and not
+settled); settling and dying remove a robot from it for good, so a round
+starts from that list, and the only other robots a subround touches are
+the settlers at nodes where something was broadcast.  Each node's
+broadcasts are tallied once per subround into a ``NodeInbox``, and every
+robot there reads its view as those totals minus its own contribution,
+so an election among g co-located robots costs O(g) per subround, not
+O(g^2).
 """
 
 from __future__ import annotations
@@ -25,9 +35,11 @@ from enum import Enum
 from .graph import PortLabeledGraph
 from .robot import (
     Decision,
+    EMPTY_INBOX,
     LePhase,
     Message,
     Move,
+    NodeInbox,
     ProtocolViolation,
     Query,
     Role,
@@ -43,7 +55,6 @@ from .robot import (
     step_explore,
     step_return,
     step_settled,
-    summarize,
 )
 
 
@@ -206,13 +217,15 @@ class World:
         self.positions = [config.root] * config.k
         self.states = [initial_state() for _ in range(config.k)]
         self.alive = [True] * config.k
+        # alive robots that are not settled, ascending; settling and dying
+        # are final, so it only ever shrinks
+        self.live = list(range(config.k))
         self.rngs = [random.Random(f"{config.seed}:{i}") for i in range(config.k)]
         self.node_settler: dict[int, int] = {}
         self.round = 0
         self.t1: int | None = None
         self.t2: int | None = None
         self.v_l: int | None = None
-        self.r_l: int | None = None
         self.repair_fired = False
 
     # -- round machinery --------------------------------------------------
@@ -224,21 +237,23 @@ class World:
         round: settles, role changes, applied control messages, deaths.
         """
         g = self.graph
-        movers = [i for i in range(self.k) if self.alive[i] and self.states[i].role is not Role.SETTLED]
+        movers = list(self.live)
         decisions: dict[int, Decision] = {}
         settled_kill: set[int] = set()
         pending: list[tuple[int, int, Message]] = []
 
         # subround 1: queries out, done-role robots decide immediately
+        undecided: list[int] = []
         for i in movers:
             if self.states[i].role is Role.DONE:
                 _, _, dec = step_done(self.states[i])
                 decisions[i] = dec
             else:
+                undecided.append(i)
                 pending.append((self.positions[i], i, Query()))
 
         subround = 1
-        while pending or len(decisions) < len(movers):
+        while pending or undecided:
             subround += 1
             if subround > self.max_subrounds:
                 raise _Fault(
@@ -248,8 +263,11 @@ class World:
             for node, sender, msg in pending:
                 by_node.setdefault(node, []).append((sender, msg))
             pending = []
+            inboxes = {node: NodeInbox(msgs) for node, msgs in by_node.items()}
 
-            actors = [i for i in movers if i not in decisions]
+            # movers act from subround 3 on, once the reply to their query
+            # has landed; before that only settlers hear anything
+            actors = list(undecided) if subround > 2 else []
             for node in by_node:
                 settler = self.node_settler.get(node)
                 if settler is not None:
@@ -257,7 +275,8 @@ class World:
             for i in sorted(actors):
                 st = self.states[i]
                 node = self.positions[i]
-                summary = summarize(by_node.get(node, []), receiver=i)
+                inbox = inboxes.get(node)
+                summary = EMPTY_INBOX if inbox is None else inbox.view(i)
                 if st.role is Role.SETTLED:
                     if summary.set_child is not None:
                         events.append(f"set_child:{i}={summary.set_child}")
@@ -269,8 +288,6 @@ class World:
                     if isinstance(dec, TerminateSelf):
                         settled_kill.add(i)
                     continue
-                if subround == 2:
-                    continue  # the reply is still in flight; movers act from 3 on
                 if subround == 3:
                     reply = summary.settled_reply
                     if st.role is Role.RETURN:
@@ -313,6 +330,7 @@ class World:
                     st2, msgs, dec = step_explore(st, None, le_out, g.degree(node))
                     pending.extend((node, i, m) for m in msgs)
                     self._finish_mover(i, st, st2, dec, decisions, events)
+            undecided = [i for i in undecided if i not in decisions]
 
         # round end: simultaneous movement, then deaths
         for i in movers:
@@ -345,13 +363,13 @@ class World:
                 if node in self.node_settler:
                     raise _Fault(f"two settled robots at node {node}")
                 self.node_settler[node] = i
+                self.live.remove(i)
                 events.append(f"settle:{i}@{node}")
             elif after.role is Role.RETURN:
                 events.append(f"to_return:{i}")
                 if self.t1 is None:
                     self.t1 = self.round
                     self.v_l = node
-                    self.r_l = i
             elif after.role is Role.ACKNOWLEDGE:
                 events.append(f"to_acknowledge:{i}")
                 if self.t2 is None:
@@ -363,6 +381,8 @@ class World:
 
     def _kill(self, i: int, events: list[str]) -> None:
         self.alive[i] = False
+        if i in self.live:
+            self.live.remove(i)
         events.append(f"terminate:{i}")
         node = self.positions[i]
         if self.node_settler.get(node) == i:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 
 class Role(Enum):
@@ -193,7 +194,6 @@ class InboxSummary:
 
     settled_reply: SettledReply | None = None
     saw_any: bool = False
-    saw_start: bool = False
     saw_heads: bool = False
     has_query: bool = False
     set_child: int | None = None
@@ -203,6 +203,106 @@ class InboxSummary:
 
 EMPTY_INBOX = InboxSummary()
 
+# tally slots of a NodeInbox; every message counts toward _ANY, and the
+# types an InboxSummary reports as presence bits also count in their own slot
+_ANY, _QUERY, _HEADS, _SET_VISITED, _TERMINATE = range(5)
+_SLOT = {Query: _QUERY, LeHeads: _HEADS, SetVisited: _SET_VISITED, Terminate: _TERMINATE}
+_SILENT = [0] * 5  # the own tallies of a robot that sent nothing
+
+
+# summaries are interned by value, so equal views share one object: a
+# bounded cache for views that carry a reply or a child port, and one
+# prebuilt summary per presence mask for those that carry neither
+@lru_cache(maxsize=4096)
+def _flag_summary(mask: int, reply: SettledReply | None = None,
+                  set_child: int | None = None) -> InboxSummary:
+    return InboxSummary(
+        settled_reply=reply,
+        saw_any=bool(mask & 1 << _ANY),
+        saw_heads=bool(mask & 1 << _HEADS),
+        has_query=bool(mask & 1 << _QUERY),
+        set_child=set_child,
+        set_visited=bool(mask & 1 << _SET_VISITED),
+        terminate=bool(mask & 1 << _TERMINATE),
+    )
+
+
+_BY_MASK = (EMPTY_INBOX, *(_flag_summary(mask) for mask in range(1, 1 << 5)))
+
+
+class NodeInbox:
+    """Every (sender, message) broadcast at one node in one subround,
+    tallied once so that a receiver's view costs O(1) plus the node's
+    replies and child ports, not a scan of every message.
+
+    The digest keeps per-slot totals, the replies and child ports with
+    their senders, and each sender's own per-slot tallies; a receiver's
+    view is the totals minus its own contribution.
+    """
+
+    __slots__ = ("totals", "own", "replies", "set_children", "_foreign")
+
+    def __init__(self, messages: list[tuple[int, Message]]):
+        totals = [0] * 5
+        own: dict[int, list[int]] = {}
+        replies: list[tuple[int, SettledReply]] = []
+        set_children: list[tuple[int, int]] = []
+        for sender, msg in messages:
+            mine = own.get(sender)
+            if mine is None:
+                mine = own[sender] = [0] * 5
+            totals[_ANY] += 1
+            mine[_ANY] += 1
+            kind = type(msg)
+            slot = _SLOT.get(kind)
+            if slot is not None:
+                totals[slot] += 1
+                mine[slot] += 1
+            elif kind is SettledReply:
+                replies.append((sender, msg))
+            elif kind is SetChild:
+                set_children.append((sender, msg.port))
+            # LeStart and anything else only count toward _ANY
+        self.totals = totals
+        self.own = own
+        self.replies = replies
+        self.set_children = set_children
+        self._foreign: InboxSummary | None = None
+
+    def view(self, receiver: int) -> InboxSummary:
+        """What ``receiver`` hears: everything but its own broadcasts."""
+        mine = self.own.get(receiver)
+        if mine is not None:
+            return self._summary(receiver, mine)
+        # a robot that sent nothing hears everything; that view is shared
+        if self._foreign is None:
+            self._foreign = self._summary(receiver, _SILENT)
+        return self._foreign
+
+    def _summary(self, receiver: int, mine: list[int]) -> InboxSummary:
+        t = self.totals
+        mask = (
+            (t[_ANY] > mine[_ANY]) << _ANY
+            | (t[_QUERY] > mine[_QUERY]) << _QUERY
+            | (t[_HEADS] > mine[_HEADS]) << _HEADS
+            | (t[_SET_VISITED] > mine[_SET_VISITED]) << _SET_VISITED
+            | (t[_TERMINATE] > mine[_TERMINATE]) << _TERMINATE
+        )
+        reply: SettledReply | None = None
+        for sender, msg in self.replies:
+            if sender != receiver:
+                if reply is not None:
+                    raise MultipleRepliesError("two settled replies at one node")
+                reply = msg
+        set_child: int | None = None
+        for sender, port in reversed(self.set_children):
+            if sender != receiver:
+                set_child = port
+                break
+        if reply is None and set_child is None:
+            return _BY_MASK[mask]
+        return _flag_summary(mask, reply, set_child)
+
 
 def summarize(messages: list[tuple[int, Message]], receiver: int) -> InboxSummary:
     """Digest (sender, message) pairs from one node and subround.
@@ -210,40 +310,7 @@ def summarize(messages: list[tuple[int, Message]], receiver: int) -> InboxSummar
     The receiver's own broadcast is excluded: broadcasting and hearing
     silence is how both aloneness and leadership are detected.
     """
-    reply: SettledReply | None = None
-    saw_any = saw_start = saw_heads = has_query = set_visited = terminate = False
-    set_child: int | None = None
-    for sender, msg in messages:
-        if sender == receiver:
-            continue
-        saw_any = True
-        if isinstance(msg, Query):
-            has_query = True
-        elif isinstance(msg, SettledReply):
-            if reply is not None:
-                raise MultipleRepliesError("two settled replies at one node")
-            reply = msg
-        elif isinstance(msg, SetChild):
-            set_child = msg.port
-        elif isinstance(msg, SetVisited):
-            set_visited = True
-        elif isinstance(msg, Terminate):
-            terminate = True
-        elif isinstance(msg, LeStart):
-            saw_start = True
-        elif isinstance(msg, LeHeads):
-            saw_heads = True
-        # anything else is ignored by design
-    return InboxSummary(
-        settled_reply=reply,
-        saw_any=saw_any,
-        saw_start=saw_start,
-        saw_heads=saw_heads,
-        has_query=has_query,
-        set_child=set_child,
-        set_visited=set_visited,
-        terminate=terminate,
-    )
+    return NodeInbox(messages).view(receiver)
 
 
 # --- leader election ----------------------------------------------------
@@ -292,16 +359,6 @@ def outcome_of(le: LeaderElectionState) -> LeOutcome | None:
     return None
 
 
-# le_subround only consults saw_any and saw_heads, so aggregate message
-# counts stand in for per-receiver inbox digests; this keeps a k-robot
-# election at O(k) per subround instead of O(k^2)
-_LE_SUMMARIES = {
-    (False, False): EMPTY_INBOX,
-    (True, False): InboxSummary(saw_any=True, saw_start=True),
-    (True, True): InboxSummary(saw_any=True, saw_heads=True),
-}
-
-
 def run_local_election(
     k: int, rng, max_subrounds: int = 4096
 ) -> tuple[list[int], int]:
@@ -313,33 +370,26 @@ def run_local_election(
     """
     les = [LE_IDLE] * k
     unresolved = list(range(k))
-    sent: list[Message | None] = [None] * k
-    n_msgs = n_heads = 0
+    inbox = NodeInbox([])
     subrounds = 0
     while unresolved:
         subrounds += 1
         if subrounds > max_subrounds:
             raise ProtocolViolation(f"election still open after {max_subrounds} subrounds")
-        cur_msgs = cur_heads = 0
+        sent: list[tuple[int, Message]] = []
         still_open: list[int] = []
         for i in unresolved:
-            own = sent[i]
-            others = n_msgs - (own is not None)
-            others_heads = n_heads - isinstance(own, LeHeads)
-            summary = _LE_SUMMARIES[(others > 0, others_heads > 0)]
             draw = (
                 rng.getrandbits(1)
                 if les[i].phase in (LePhase.SENT_START, LePhase.FLIPPING)
                 else 0
             )
-            les[i], msg = le_subround(les[i], summary, draw)
-            sent[i] = msg
+            les[i], msg = le_subround(les[i], inbox.view(i), draw)
             if msg is not None:
-                cur_msgs += 1
-                cur_heads += isinstance(msg, LeHeads)
+                sent.append((i, msg))
             if les[i].phase not in RESOLVED_PHASES:
                 still_open.append(i)
-        n_msgs, n_heads = cur_msgs, cur_heads
+        inbox = NodeInbox(sent)
         unresolved = still_open
     leaders = [i for i, le in enumerate(les) if le.phase is LePhase.RESOLVED_LEADER]
     return leaders, subrounds

@@ -20,7 +20,7 @@ from dispersim.robot import (
 
 _SUMMARIES = {
     (False, False): InboxSummary(),
-    (True, False): InboxSummary(saw_any=True, saw_start=True),
+    (True, False): InboxSummary(saw_any=True),
     (True, True): InboxSummary(saw_any=True, saw_heads=True),
 }
 

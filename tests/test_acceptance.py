@@ -15,9 +15,10 @@ import pytest
 
 import corruptions
 import le_exhaustive
+from corpus import corpus_instances
 from dispersim.checkers import run_all, oracle_dfs
 from dispersim.engine import Outcome, SimulationConfig, TraceLevel, parse_trace, run
-from dispersim.graph import gen_path, gen_random_connected, gen_worstcase
+from dispersim.graph import gen_path, gen_worstcase
 from dispersim.robot import (
     initial_state,
     memory_footprint_bits,
@@ -66,13 +67,7 @@ class Corpus:
 def corpus() -> Corpus:
     out = Corpus()
     t0 = time.monotonic()
-    master = random.Random("corpus:0")
-    for i in range(CORPUS_RUNS):
-        n = master.randint(4, 64)
-        m = master.randint(n - 1, n * (n - 1) // 2)
-        k = master.randint(1, n)
-        root = master.randrange(n)
-        g = gen_random_connected(n, m, seed=i)
+    for i, n, m, k, root, g in corpus_instances(0, CORPUS_RUNS):
         res = run(SimulationConfig(graph=g, k=k, root=root, seed=i))
         trace = parse_trace(res.to_jsonl())
         verdicts = run_all(trace, g)

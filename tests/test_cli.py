@@ -153,6 +153,27 @@ class TestVerify:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("edit", ["summary_vR_off_graph", "event_bad_robot_id"])
+    def test_checker_crash_is_internal_error(self, capsys, good_trace, tmp_path, edit):
+        """A trace that makes a checker raise exits 4 with one stderr line,
+        never 1 (checker rejected) and never a traceback."""
+        lines = good_trace.read_text().strip().splitlines()
+        if edit == "summary_vR_off_graph":
+            summary = json.loads(lines[-1])
+            summary["vR"] = 42
+            lines[-1] = json.dumps(summary)
+        else:
+            record = json.loads(lines[0])
+            record["events"].append("settle:zz@1")
+            lines[0] = json.dumps(record)
+        bad = tmp_path / "crash.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "verify", "--trace", str(bad), "--graph", "gen:ring:6")
+        assert code == 4
+        assert err.startswith("internal error:")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_k_one_mirror_is_vacuous(self, capsys, tmp_path):
         trace_file = tmp_path / "k1.jsonl"
         run_cli(

@@ -2,16 +2,20 @@
 
 import pytest
 
+from corpus import corpus_instances
 from dispersim.engine import (
     ConfigError,
     Outcome,
     SimulationConfig,
     TraceFormatError,
     TraceLevel,
+    World,
+    _Fault,
     parse_trace,
     run,
 )
-from dispersim.graph import gen_complete, gen_path, gen_ring
+from dispersim.graph import gen_complete, gen_path, gen_random_connected, gen_ring
+from dispersim.robot import Role
 
 
 def test_two_path_replay():
@@ -193,3 +197,35 @@ def test_default_budgets_scale_with_input():
     big = SimulationConfig(graph=gen_complete(20), k=20, seed=0)
     assert small.resolved_max_rounds() < big.resolved_max_rounds()
     assert small.resolved_max_subrounds() <= big.resolved_max_subrounds()
+
+
+def _movers_by_scan(w: World) -> list[int]:
+    return [i for i in range(w.k) if w.alive[i] and w.states[i].role is not Role.SETTLED]
+
+
+@pytest.mark.parametrize(
+    "graph, k, root, seed, subrounds",
+    [(g, k, root, i, None) for i, _, _, k, root, g in corpus_instances(0, 6)]
+    # overruns an election in round 3
+    + [(gen_random_connected(20, 40, seed=2), 6, 0, 4, 5)],
+)
+def test_live_movers_match_a_full_scan_every_round(graph, k, root, seed, subrounds):
+    """The world's incremental mover list is exactly the robots that are
+    alive and unsettled, after every round, also when a round faults."""
+    cfg = SimulationConfig(graph=graph, k=k, root=root, seed=seed,
+                           max_subrounds_per_round=subrounds)
+    w = World(cfg)
+    assert w.live == list(range(k))
+    for rnd in range(1, cfg.resolved_max_rounds() + 1):
+        w.round = rnd
+        try:
+            w.execute_round([])
+        except _Fault:
+            assert subrounds is not None
+            assert w.live == _movers_by_scan(w)
+            return
+        assert w.live == _movers_by_scan(w)
+        if not any(w.alive):
+            assert subrounds is None
+            return
+    pytest.fail("run neither dispersed nor faulted")

@@ -25,7 +25,7 @@ from dispersim.robot import (
 )
 
 QUIET = InboxSummary()
-HEARD_START = InboxSummary(saw_any=True, saw_start=True)
+HEARD_START = InboxSummary(saw_any=True)
 HEARD_HEADS = InboxSummary(saw_any=True, saw_heads=True)
 
 

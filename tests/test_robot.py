@@ -7,16 +7,22 @@ cover how these compose into rounds.
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dispersim.robot import (
+    EMPTY_INBOX,
     Direction,
+    InboxSummary,
     LE_IDLE,
+    LeHeads,
     LeOutcome,
+    LeStart,
     MissingEnteredError,
     MissingReplyError,
     Move,
+    MultipleRepliesError,
+    NodeInbox,
     Query,
     Role,
     SetChild,
@@ -317,3 +323,93 @@ def test_explore_moves_only_through_permitted_ports(entered, degree, parent, dir
     if parent is not None:
         allowed.add(parent)
     assert isinstance(dec, Move) and dec.port in allowed
+
+
+def reference_summary(messages, receiver):
+    """The per-receiver scan a NodeInbox view must agree with: skip the
+    receiver's own broadcasts, set a presence bit per message type, keep
+    the only foreign reply and the last foreign child port."""
+    reply = None
+    saw_any = saw_heads = has_query = set_visited = terminate = False
+    set_child = None
+    for sender, msg in messages:
+        if sender == receiver:
+            continue
+        saw_any = True
+        if isinstance(msg, Query):
+            has_query = True
+        elif isinstance(msg, SettledReply):
+            if reply is not None:
+                raise MultipleRepliesError("two settled replies at one node")
+            reply = msg
+        elif isinstance(msg, SetChild):
+            set_child = msg.port
+        elif isinstance(msg, SetVisited):
+            set_visited = True
+        elif isinstance(msg, Terminate):
+            terminate = True
+        elif isinstance(msg, LeHeads):
+            saw_heads = True
+    return InboxSummary(
+        settled_reply=reply,
+        saw_any=saw_any,
+        saw_heads=saw_heads,
+        has_query=has_query,
+        set_child=set_child,
+        set_visited=set_visited,
+        terminate=terminate,
+    )
+
+
+PORTS = st.integers(min_value=0, max_value=3)
+MESSAGES = st.one_of(
+    st.just(Query()),
+    st.builds(SettledReply, parent=PORTS | st.none(), child=PORTS | st.none(),
+              visited=st.integers(min_value=0, max_value=1)),
+    st.builds(SetChild, port=PORTS),
+    st.just(SetVisited()),
+    st.just(Terminate()),
+    st.just(LeStart()),
+    st.just(LeHeads()),
+)
+# senders 0..4 repeat often; receiver 5 never sends
+INBOXES = st.lists(st.tuples(st.integers(min_value=0, max_value=4), MESSAGES), max_size=12)
+TWO_REPLIES = [(1, SettledReply(0, None, 0)), (2, SettledReply(1, 2, 1)), (1, Query())]
+
+
+@given(messages=INBOXES)
+@example(messages=[])
+@example(messages=TWO_REPLIES)  # receivers 1 and 2 hear one reply, others two
+@example(messages=[(3, SetChild(1)), (0, Query()), (3, SetChild(2)), (0, SetChild(0))])
+@settings(max_examples=400, deadline=None)
+def test_node_inbox_matches_per_receiver_scan(messages):
+    """One digest per node serves every receiver exactly as a scan of the
+    whole list per receiver would, errors included."""
+    inbox = NodeInbox(messages)
+    for receiver in range(6):
+        try:
+            want = reference_summary(messages, receiver)
+        except MultipleRepliesError:
+            with pytest.raises(MultipleRepliesError):
+                inbox.view(receiver)
+            with pytest.raises(MultipleRepliesError):
+                summarize(messages, receiver)
+            continue
+        got = inbox.view(receiver)
+        assert got == want
+        assert inbox.view(receiver) is got
+        assert summarize(messages, receiver) is got  # interned by value
+
+
+def test_two_replies_raise_only_without_the_receiver():
+    inbox = NodeInbox(TWO_REPLIES)
+    assert inbox.view(1).settled_reply == SettledReply(1, 2, 1)
+    assert inbox.view(2).settled_reply == SettledReply(0, None, 0)
+    for receiver in (0, 3):
+        with pytest.raises(MultipleRepliesError):
+            inbox.view(receiver)
+
+
+def test_empty_node_is_empty_inbox():
+    assert summarize([], receiver=0) is EMPTY_INBOX
+    assert summarize([(0, LeStart())], receiver=0) is EMPTY_INBOX
