@@ -1,49 +1,40 @@
 #!/usr/bin/env python3
 """Soak test: random connected graphs, full simulation, all checkers.
 
-Each iteration draws n, edge count, k, and root from a master seed,
-generates a connected port-labeled graph, runs the protocol, and passes
+Each iteration takes the next instance of the random corpus
+``corpus:{seed}`` (``dispersim.graph.corpus_instances``), runs the
+protocol with coin seed equal to the run index, and passes
 the trace through every checker. Any checker finding or non-dispersed
 outcome is printed with enough parameters to replay it by hand, and the
 script exits nonzero.
 
 Usage:
     python3 scripts/run_corpus.py --runs 500 --seed 3
-    python3 scripts/run_corpus.py --runs 50 --max-n 24 -v
+    python3 scripts/run_corpus.py --runs 50 -v
 """
 
 import argparse
-import random
 import sys
 import time
 
 from dispersim.checkers import run_all
 from dispersim.engine import Outcome, SimulationConfig, parse_trace, run
-from dispersim.graph import gen_random_connected
+from dispersim.graph import corpus_instances
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--min-n", type=int, default=4)
-    ap.add_argument("--max-n", type=int, default=64)
     ap.add_argument("-v", "--verbose", action="store_true",
                     help="print a line per run, not just failures")
     args = ap.parse_args(argv)
 
-    master = random.Random(f"corpus:{args.seed}")
     failures = 0
     round_total = 0
     t0 = time.monotonic()
-    for i in range(args.runs):
-        n = master.randint(args.min_n, args.max_n)
-        m = master.randint(n - 1, n * (n - 1) // 2)
-        k = master.randint(1, n)
-        root = master.randrange(n)
+    for i, n, m, k, root, g in corpus_instances(args.seed, args.runs):
         params = f"run {i}: n={n} m={m} k={k} root={root} seed={i}"
-
-        g = gen_random_connected(n, m, seed=i)
         res = run(SimulationConfig(graph=g, k=k, root=root, seed=i))
         s = res.summary
         round_total += s.rounds

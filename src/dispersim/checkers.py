@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import Outcome, ParsedTrace, TraceRecord
+from .engine import Outcome, ParsedTrace, TraceFormatError, TraceRecord
 from .graph import PortLabeledGraph
 from .robot import initial_state, memory_footprint_bits
 
@@ -650,8 +650,21 @@ def run_all(
     graph: PortLabeledGraph,
     names: tuple[str, ...] | list[str] = CHECKER_NAMES,
 ) -> dict[str, Verdict]:
-    """Run the named checkers (all seven by default) against one trace."""
+    """Run the named checkers (all seven by default) against one trace.
+
+    Raises ``TraceFormatError`` when the summary names a node the graph
+    does not have, or more robots than it has nodes, before any checker
+    or the oracle walks the graph.
+    """
     s = trace.summary
+    off_graph = [v for v in (s.v_r, s.v_l, *s.positions.values())
+                 if v is not None and not 0 <= v < graph.n]
+    if off_graph:
+        raise TraceFormatError(
+            f"summary names nodes {off_graph[:3]} outside the graph's 0..{graph.n - 1}"
+        )
+    if not 1 <= s.k <= graph.n:
+        raise TraceFormatError(f"summary has k={s.k}, not in 1..{graph.n}")
     oracle: OracleTrace | None = None
     if s.outcome is Outcome.DISPERSED_ALL_TERMINATED and s.k >= 2:
         oracle = oracle_dfs(graph, s.v_r, s.k)

@@ -3,8 +3,8 @@
 Reports are single JSON objects per line on stdout; diagnostics go to
 stderr.  Exit codes: 0 success or all checkers passing, 1 checker
 failure, 2 simulation fault or exhausted round budget, 3 usage or I/O
-trouble, 4 internal error (an unexpected exception, reported in one
-line).  Seeds are always explicit so every published number replays.
+trouble or a malformed trace, 4 internal error (an unexpected exception,
+reported in one line).  Seeds are always explicit so every published number replays.
 """
 
 from __future__ import annotations

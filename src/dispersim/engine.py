@@ -1,18 +1,21 @@
 """Synchronous round/subround scheduler.
 
-A round is a fixed skeleton of subrounds: movers broadcast a query in
+A round is a skeleton of subrounds: movers broadcast a query in
 subround 1, the node's settled robot (if any) replies in subround 2,
-movers consume the reply in subround 3, and control messages land in
-subround 4.  When explorers find no settled robot, subround 3 opens a
-local leader election that extends the round by coin-flip subrounds
-until every node resolves.  Messages broadcast in subround i are
-readable only in subround i+1, and all movement is applied at once when
-the round ends, so co-moving robots stay identical.
+and from subround 3 on every undecided mover is stepped by its role's
+step function until it decides, while control messages land at the
+settlers.  Elections belong to the explorer: one that finds no settled
+robot runs its node's leader election inside ``step_explore``, one
+subround per call, and stays undecided until it resolves, which extends
+the round by coin-flip subrounds; the engine knows no election phase,
+coin or outcome.  Messages broadcast in subround i are readable only in
+subround i+1, and all movement is applied at once when the round ends,
+so co-moving robots stay identical.
 
 Subrounds are globally synchronous; robots whose round decision is
 already latched stay silent while another node's election continues.
-The whole simulation is deterministic: per-robot coins come from
-generators seeded with (run seed, robot index).
+The whole simulation is deterministic: each robot draws its coins from
+its own generator, seeded with (run seed, robot index).
 
 Cost model: a round's work follows the robots that still move, not k.
 The world keeps an ascending list of live movers (alive and not
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -36,9 +40,9 @@ from .graph import PortLabeledGraph
 from .robot import (
     Decision,
     EMPTY_INBOX,
-    LePhase,
     Message,
     Move,
+    NOT_DONE,
     NodeInbox,
     ProtocolViolation,
     Query,
@@ -47,9 +51,7 @@ from .robot import (
     Terminate,
     TerminateSelf,
     initial_state,
-    le_subround,
     memory_footprint_bits,
-    outcome_of,
     step_acknowledge,
     step_done,
     step_explore,
@@ -85,6 +87,12 @@ class _Fault(Exception):
 # events that mark stage boundaries, kept even at SUMMARY trace level
 _MARKER_PREFIXES = ("settle:", "to_return:", "to_acknowledge:", "to_done:",
                     "terminate:", "repair_terminate:")
+# every event the engine writes: a robot id, then the node it settled at
+# or the child port it was given
+_EVENT = re.compile(
+    r"(?:settle:[0-9]+@|set_child:[0-9]+="
+    r"|(?:to_return|to_acknowledge|to_done|terminate|repair_terminate|set_visited):)[0-9]+"
+)
 
 
 @dataclass
@@ -288,47 +296,26 @@ class World:
                     if isinstance(dec, TerminateSelf):
                         settled_kill.add(i)
                     continue
-                if subround == 3:
-                    reply = summary.settled_reply
-                    if st.role is Role.RETURN:
-                        st2, msgs, dec = step_return(st, reply)
-                    elif st.role is Role.ACKNOWLEDGE:
-                        st2, msgs, dec = step_acknowledge(st, reply, g.degree(node))
-                        if (
-                            st.entered is None
-                            and reply is not None
-                            and reply.child == 0
-                            and any(isinstance(m, Terminate) for m in msgs)
-                        ):
-                            # root settler would never be revisited: repair path
-                            self.repair_fired = True
-                            events.append(f"repair_terminate:{self.node_settler[node]}")
-                    elif reply is not None:
-                        st2, msgs, dec = step_explore(st, reply, None, g.degree(node))
-                    else:
-                        le2, msg = le_subround(st.le, summary, 0)
-                        self.states[i] = replace(st, le=le2)
-                        if msg is not None:
-                            pending.append((node, i, msg))
-                        continue
-                    pending.extend((node, i, m) for m in msgs)
-                    self._finish_mover(i, st, st2, dec, decisions, events)
-                    continue
-                # subround >= 4: only explorers mid-election remain undecided
-                draw = (
-                    self.rngs[i].getrandbits(1)
-                    if st.le.phase in (LePhase.SENT_START, LePhase.FLIPPING)
-                    else 0
-                )
-                le2, msg = le_subround(st.le, summary, draw)
-                if msg is not None:
-                    pending.append((node, i, msg))
-                st = replace(st, le=le2)
-                self.states[i] = st
-                le_out = outcome_of(le2)
-                if le_out is not None:
-                    st2, msgs, dec = step_explore(st, None, le_out, g.degree(node))
-                    pending.extend((node, i, m) for m in msgs)
+                reply = summary.settled_reply
+                if st.role is Role.EXPLORE:
+                    st2, msgs, dec = step_explore(st, summary, self.rngs[i], g.degree(node))
+                elif st.role is Role.RETURN:
+                    st2, msgs, dec = step_return(st, reply)
+                else:
+                    st2, msgs, dec = step_acknowledge(st, reply, g.degree(node))
+                    if (
+                        st.entered is None
+                        and reply is not None
+                        and reply.child == 0
+                        and any(isinstance(m, Terminate) for m in msgs)
+                    ):
+                        # root settler would never be revisited: repair path
+                        self.repair_fired = True
+                        events.append(f"repair_terminate:{self.node_settler[node]}")
+                pending.extend((node, i, m) for m in msgs)
+                if dec is NOT_DONE:
+                    self.states[i] = st2
+                else:
                     self._finish_mover(i, st, st2, dec, decisions, events)
             undecided = [i for i in undecided if i not in decisions]
 
@@ -461,17 +448,24 @@ def run(config: SimulationConfig) -> SimulationResult:
 # --- trace parsing --------------------------------------------------------
 
 
+def _int_or_null(obj: dict, key: str) -> int | None:
+    value = obj.get(key)
+    if value is not None and type(value) is not int:
+        raise TypeError(f"{key} must be an integer or null, not {value!r}")
+    return value
+
+
 def _parse_summary(obj: dict) -> RunSummary:
     try:
         outcome = Outcome(obj["outcome"])
         positions = {int(i): int(v) for i, v in obj.get("positions", {}).items()}
         return RunSummary(
             outcome=outcome,
-            t1=obj.get("t1"),
-            t2=obj.get("t2"),
+            t1=_int_or_null(obj, "t1"),
+            t2=_int_or_null(obj, "t2"),
             rounds=int(obj["rounds"]),
             v_r=int(obj["vR"]),
-            v_l=obj.get("vL"),
+            v_l=_int_or_null(obj, "vL"),
             repair_fired=bool(obj.get("repair_fired", False)),
             k=int(obj["k"]),
             positions=positions,
@@ -494,7 +488,11 @@ def _parse_record(obj: dict, line_no: int) -> TraceRecord:
             )
             for r in obj.get("robots", [])
         ]
-        return TraceRecord(int(obj["round"]), robots, list(obj.get("events", [])))
+        events = list(obj.get("events", []))
+        for ev in events:
+            if not _EVENT.fullmatch(ev):
+                raise ValueError(f"unknown event {ev!r}")
+        return TraceRecord(int(obj["round"]), robots, events)
     except (KeyError, ValueError, TypeError) as exc:
         raise TraceFormatError(f"line {line_no}: bad record: {exc}") from None
 

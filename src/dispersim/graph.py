@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterator
 
 NodeId = int
 Port = int
@@ -263,6 +264,25 @@ def gen_random_connected(n: int, m: int, seed: int) -> PortLabeledGraph:
         (u, port_of[(u, v, u)], v, port_of[(u, v, v)]) for u, v in sorted(pairs)
     ]
     return build(n, edges)
+
+
+def corpus_instances(
+    seed: int = 0, runs: int = 200
+) -> Iterator[tuple[int, int, int, int, int, PortLabeledGraph]]:
+    """Yield ``(i, n, m, k, root, graph)`` for each run of the random
+    corpus ``corpus:{seed}``.
+
+    One master generator draws every run's shape (n in 4..64, then m, k
+    and root); run ``i`` uses graph seed ``i``, and its callers use coin
+    seed ``i``.
+    """
+    master = random.Random(f"corpus:{seed}")
+    for i in range(runs):
+        n = master.randint(4, 64)
+        m = master.randint(n - 1, n * (n - 1) // 2)
+        k = master.randint(1, n)
+        root = master.randrange(n)
+        yield i, n, m, k, root, gen_random_connected(n, m, seed=i)
 
 
 def parse_graph(text: str) -> PortLabeledGraph:

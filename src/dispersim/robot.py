@@ -6,9 +6,11 @@ stages: a group depth-first walk that settles one robot per fresh node,
 a walk back to the start node installing child pointers, and a replay of
 the first walk that marks nodes visited and tells settlers to terminate.
 
-Everything here is a pure function of (state, inbox summary, coin bit);
+Everything here is a pure function of (state, inbox summary, coin);
 the engine owns scheduling, delivery, and movement.  Randomness enters
-only through the coin bit handed to :func:`le_subround`.
+only through the one coin rule, :func:`le_coin`, which draws from the
+robot's own generator; an explorer runs its node's leader election
+itself, one subround per call of :func:`step_explore`.
 """
 
 from __future__ import annotations
@@ -45,12 +47,6 @@ RESOLVED_PHASES = (
     LePhase.RESOLVED_FOLLOWER,
     LePhase.RESOLVED_ALONE,
 )
-
-
-class LeOutcome(Enum):
-    ALONE = "alone"
-    LEADER = "leader"
-    FOLLOWER = "follower"
 
 
 class ProtocolViolation(Exception):
@@ -152,11 +148,10 @@ NOT_DONE = NotDone()
 @dataclass(frozen=True, slots=True)
 class LeaderElectionState:
     phase: LePhase
-    candidate: int
     flipped_heads: int
 
 
-LE_IDLE = LeaderElectionState(LePhase.IDLE, candidate=1, flipped_heads=0)
+LE_IDLE = LeaderElectionState(LePhase.IDLE, flipped_heads=0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,7 +265,9 @@ class NodeInbox:
         self._foreign: InboxSummary | None = None
 
     def view(self, receiver: int) -> InboxSummary:
-        """What ``receiver`` hears: everything but its own broadcasts."""
+        """What ``receiver`` hears.  The receiver's own broadcasts are
+        excluded: broadcasting and hearing silence is how both aloneness
+        and leadership are detected."""
         mine = self.own.get(receiver)
         if mine is not None:
             return self._summary(receiver, mine)
@@ -304,16 +301,16 @@ class NodeInbox:
         return _flag_summary(mask, reply, set_child)
 
 
-def summarize(messages: list[tuple[int, Message]], receiver: int) -> InboxSummary:
-    """Digest (sender, message) pairs from one node and subround.
-
-    The receiver's own broadcast is excluded: broadcasting and hearing
-    silence is how both aloneness and leadership are detected.
-    """
-    return NodeInbox(messages).view(receiver)
-
-
 # --- leader election ----------------------------------------------------
+
+
+def le_coin(le: LeaderElectionState, rng) -> int:
+    """The coin rule: one bit from the robot's own generator in exactly
+    SENT_START and FLIPPING, none otherwise.  It alone fixes how far each
+    robot's stream advances, and so every later coin and trace byte."""
+    if le.phase is LePhase.SENT_START or le.phase is LePhase.FLIPPING:
+        return rng.getrandbits(1)
+    return 0
 
 
 def le_subround(
@@ -335,28 +332,16 @@ def le_subround(
     if le.phase is LePhase.SENT_START:
         if not summary.saw_any:
             return replace(le, phase=LePhase.RESOLVED_ALONE), None
-        if coin:
-            return LeaderElectionState(LePhase.FLIPPING, 1, 1), LeHeads()
-        return LeaderElectionState(LePhase.FLIPPING, 1, 0), None
-    if le.phase is LePhase.FLIPPING:
-        if le.candidate and le.flipped_heads and not summary.saw_any:
-            return LeaderElectionState(LePhase.RESOLVED_LEADER, 1, 1), None
+    elif le.phase is LePhase.FLIPPING:
+        if le.flipped_heads and not summary.saw_any:
+            return LeaderElectionState(LePhase.RESOLVED_LEADER, 1), None
         if not le.flipped_heads and summary.saw_heads:
-            return LeaderElectionState(LePhase.RESOLVED_FOLLOWER, 0, 0), None
-        if coin:
-            return LeaderElectionState(LePhase.FLIPPING, 1, 1), LeHeads()
-        return LeaderElectionState(LePhase.FLIPPING, 1, 0), None
-    raise InvalidPhaseError(f"le_subround called on resolved phase {le.phase.value}")
-
-
-def outcome_of(le: LeaderElectionState) -> LeOutcome | None:
-    if le.phase is LePhase.RESOLVED_ALONE:
-        return LeOutcome.ALONE
-    if le.phase is LePhase.RESOLVED_LEADER:
-        return LeOutcome.LEADER
-    if le.phase is LePhase.RESOLVED_FOLLOWER:
-        return LeOutcome.FOLLOWER
-    return None
+            return LeaderElectionState(LePhase.RESOLVED_FOLLOWER, 0), None
+    else:
+        raise InvalidPhaseError(f"le_subround called on resolved phase {le.phase.value}")
+    if coin:
+        return LeaderElectionState(LePhase.FLIPPING, 1), LeHeads()
+    return LeaderElectionState(LePhase.FLIPPING, 0), None
 
 
 def run_local_election(
@@ -365,8 +350,14 @@ def run_local_election(
     """Run one isolated election among k co-located robots.
 
     Returns (leader indices, subrounds until everyone resolved).  Used by
-    statistics tests; the engine embeds the same subround machinery into
-    full rounds instead.
+    the election statistics tests.  It steps bare election states with
+    the same ``le_coin`` and ``le_subround`` that ``step_explore`` calls,
+    drawing every coin from the one ``rng`` in robot order.  It stays
+    because stepping whole robots is too slow for criterion 07 (1000
+    elections each at k = 2, 16 and 256, gated at 10 s): through
+    ``step_explore`` those took 10.9-11.5 s and through a one-round
+    ``World`` 18.3 s, against 4.6-5.1 s here, the difference being the
+    ``dataclasses.replace`` of a ``RobotState`` every subround.
     """
     les = [LE_IDLE] * k
     unresolved = list(range(k))
@@ -379,12 +370,8 @@ def run_local_election(
         sent: list[tuple[int, Message]] = []
         still_open: list[int] = []
         for i in unresolved:
-            draw = (
-                rng.getrandbits(1)
-                if les[i].phase in (LePhase.SENT_START, LePhase.FLIPPING)
-                else 0
-            )
-            les[i], msg = le_subround(les[i], inbox.view(i), draw)
+            le = les[i]
+            les[i], msg = le_subround(le, inbox.view(i), le_coin(le, rng))
             if msg is not None:
                 sent.append((i, msg))
             if les[i].phase not in RESOLVED_PHASES:
@@ -415,13 +402,13 @@ def step_settled(
 
 
 def step_explore(
-    state: RobotState,
-    reply: SettledReply | None,
-    le_outcome: LeOutcome | None,
-    degree: int,
+    state: RobotState, summary: InboxSummary, rng, degree: int
 ) -> tuple[RobotState, list[Message], Decision]:
     """Exploring walk step: bounce off occupied nodes, advance on backtracks,
-    otherwise resolve the local election at a fresh node."""
+    otherwise run one subround of the local election with coins from the
+    robot's own ``rng``: ``NOT_DONE`` while it is open, then the leader
+    settles, a robot alone turns back and a follower moves on."""
+    reply = summary.settled_reply
     if reply is not None:
         if state.entered is None:
             raise MissingEnteredError("explorer received a reply before its first move")
@@ -431,26 +418,26 @@ def step_explore(
         if reply.parent is not None and q == reply.parent:
             return state, [], Move(q)
         return replace(state, direction=Direction.FORWARD), [], Move(q)
-    if le_outcome is None:
-        return state, [], NOT_DONE
-    if le_outcome is LeOutcome.ALONE:
-        if state.entered is None:
-            # solitary robot at its start node: nothing left to do
-            return state, [], TERMINATE_SELF
-        return replace(state, role=Role.RETURN, le=LE_IDLE), [], Move(state.entered)
-    if le_outcome is LeOutcome.LEADER:
+    le, msg = le_subround(state.le, summary, le_coin(state.le, rng))
+    if le.phase is LePhase.RESOLVED_LEADER:
         return (
             replace(state, role=Role.SETTLED, parent=state.entered, le=LE_IDLE),
             [],
             STAY,
         )
-    # follower: move on with the walk
-    if state.entered is None:
-        return replace(state, le=LE_IDLE), [], Move(0)
-    q = (state.entered + 1) % degree
-    if q == state.entered:
-        return replace(state, direction=Direction.BACKWARD, le=LE_IDLE), [], Move(q)
-    return replace(state, le=LE_IDLE), [], Move(q)
+    if le.phase is LePhase.RESOLVED_ALONE:
+        if state.entered is None:
+            # solitary robot at its start node: nothing left to do
+            return state, [], TERMINATE_SELF
+        return replace(state, role=Role.RETURN, le=LE_IDLE), [], Move(state.entered)
+    if le.phase is LePhase.RESOLVED_FOLLOWER:
+        if state.entered is None:
+            return replace(state, le=LE_IDLE), [], Move(0)
+        q = (state.entered + 1) % degree
+        if q == state.entered:
+            return replace(state, direction=Direction.BACKWARD, le=LE_IDLE), [], Move(q)
+        return replace(state, le=LE_IDLE), [], Move(q)
+    return replace(state, le=le), [] if msg is None else [msg], NOT_DONE
 
 
 def step_return(
@@ -531,11 +518,10 @@ def port_bits(max_degree: int) -> int:
 def memory_footprint_bits(state: RobotState, max_degree: int) -> int:
     """Total persistent bits under the canonical fixed-width encoding.
 
-    role 3, direction 1, visited 1, election phase 3 plus one bit that
-    serves as the candidate flag outside coin-flipping and as the last
-    flip inside it (no phase needs both to vary), three port fields of
-    L+1 bits each (value plus a none flag), and the widest inbox digest
-    at 2(L+1)+3 bits, where L = ceil(log2(max degree, floored at 2)).
+    role 3, direction 1, visited 1, election phase 3 plus one bit for the
+    last coin flip, three port fields of L+1 bits each (value plus a none
+    flag), and the widest inbox digest at 2(L+1)+3 bits, where
+    L = ceil(log2(max degree, floored at 2)).
     Constant across states by construction: 5L + 17.
     """
     del state  # fixed-width encoding: the value does not matter

@@ -11,52 +11,35 @@ deduplication rather than a 2^(k*depth) enumeration.
 from dataclasses import dataclass
 
 from dispersim.robot import (
-    InboxSummary,
     LE_IDLE,
+    LeHeads,
     LePhase,
+    LeStart,
+    NodeInbox,
     RESOLVED_PHASES,
     le_subround,
 )
 
-_SUMMARIES = {
-    (False, False): InboxSummary(),
-    (True, False): InboxSummary(saw_any=True),
-    (True, True): InboxSummary(saw_any=True, saw_heads=True),
-}
 
-
-def _broadcasting(le) -> tuple[bool, bool]:
-    """(sends something, sends heads) implied by the state just entered."""
+def _broadcast(le):
+    """The broadcast implied by the state just entered, or None."""
     if le.phase is LePhase.SENT_START:
-        return True, False
+        return LeStart()
     if le.phase is LePhase.FLIPPING and le.flipped_heads:
-        return True, True
-    return False, False
+        return LeHeads()
+    return None
 
 
 def _children(joint: tuple) -> set[tuple]:
-    k = len(joint)
-    sends = [_broadcasting(le) for le in joint]
-    n_msgs = sum(s for s, _ in sends)
-    n_heads = sum(h for _, h in sends)
-    need_coin = [
-        i
-        for i in range(k)
-        if joint[i].phase in (LePhase.SENT_START, LePhase.FLIPPING)
-    ]
+    sent = [(i, msg) for i, le in enumerate(joint) if (msg := _broadcast(le)) is not None]
+    inbox = NodeInbox(sent)
+    # every unresolved robot gets a coin; an idle one ignores it
+    unresolved = [i for i, le in enumerate(joint) if le.phase not in RESOLVED_PHASES]
     out = set()
-    for bits in range(1 << len(need_coin)):
-        coins = dict(zip(need_coin, (bits >> j & 1 for j in range(len(need_coin)))))
-        nxt = []
-        for i, le in enumerate(joint):
-            if le.phase in RESOLVED_PHASES:
-                nxt.append(le)
-                continue
-            own, own_heads = sends[i]
-            saw_any = n_msgs - own > 0
-            saw_heads = n_heads - own_heads > 0
-            le2, _ = le_subround(le, _SUMMARIES[(saw_any, saw_heads)], coins.get(i, 0))
-            nxt.append(le2)
+    for bits in range(1 << len(unresolved)):
+        nxt = list(joint)
+        for j, i in enumerate(unresolved):
+            nxt[i], _ = le_subround(joint[i], inbox.view(i), bits >> j & 1)
         out.add(tuple(nxt))
     return out
 

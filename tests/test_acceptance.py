@@ -15,10 +15,9 @@ import pytest
 
 import corruptions
 import le_exhaustive
-from corpus import corpus_instances
 from dispersim.checkers import run_all, oracle_dfs
 from dispersim.engine import Outcome, SimulationConfig, TraceLevel, parse_trace, run
-from dispersim.graph import gen_path, gen_worstcase
+from dispersim.graph import corpus_instances, gen_path, gen_worstcase
 from dispersim.robot import (
     initial_state,
     memory_footprint_bits,

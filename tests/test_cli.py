@@ -153,24 +153,30 @@ class TestVerify:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("edit", ["summary_vR_off_graph", "event_bad_robot_id"])
-    def test_checker_crash_is_internal_error(self, capsys, good_trace, tmp_path, edit):
-        """A trace that makes a checker raise exits 4 with one stderr line,
-        never 1 (checker rejected) and never a traceback."""
+    @pytest.mark.parametrize("edit", ["summary_t1_string", "summary_vR_off_graph",
+                                      "summary_k_too_large", "event_bad_robot_id"])
+    def test_hostile_trace_is_format_error(self, capsys, good_trace, tmp_path, edit):
+        """A trace that would make a checker raise exits 3 with one stderr
+        line, never 1 (checker rejected), 4 (crash) or a traceback."""
         lines = good_trace.read_text().strip().splitlines()
-        if edit == "summary_vR_off_graph":
-            summary = json.loads(lines[-1])
-            summary["vR"] = 42
-            lines[-1] = json.dumps(summary)
-        else:
+        if edit == "event_bad_robot_id":
             record = json.loads(lines[0])
             record["events"].append("settle:zz@1")
             lines[0] = json.dumps(record)
-        bad = tmp_path / "crash.jsonl"
+        else:
+            summary = json.loads(lines[-1])
+            if edit == "summary_t1_string":
+                summary["t1"] = "7"
+            elif edit == "summary_k_too_large":
+                summary["k"] = 99
+            else:
+                summary["vR"] = 42
+            lines[-1] = json.dumps(summary)
+        bad = tmp_path / "hostile.jsonl"
         bad.write_text("\n".join(lines) + "\n")
         code, _, err = run_cli(capsys, "verify", "--trace", str(bad), "--graph", "gen:ring:6")
-        assert code == 4
-        assert err.startswith("internal error:")
+        assert code == 3
+        assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 

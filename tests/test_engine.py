@@ -2,7 +2,6 @@
 
 import pytest
 
-from corpus import corpus_instances
 from dispersim.engine import (
     ConfigError,
     Outcome,
@@ -14,7 +13,13 @@ from dispersim.engine import (
     parse_trace,
     run,
 )
-from dispersim.graph import gen_complete, gen_path, gen_random_connected, gen_ring
+from dispersim.graph import (
+    corpus_instances,
+    gen_complete,
+    gen_path,
+    gen_random_connected,
+    gen_ring,
+)
 from dispersim.robot import Role
 
 

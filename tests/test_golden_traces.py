@@ -11,9 +11,8 @@ import hashlib
 
 import pytest
 
-from corpus import corpus_instances
 from dispersim.engine import SimulationConfig, TraceLevel, run
-from dispersim.graph import gen_random_connected, gen_worstcase
+from dispersim.graph import corpus_instances, gen_random_connected, gen_worstcase
 
 # all 200 criterion-01 runs, concatenated in order
 CORPUS_SHA = "e8441e50898fab517689dfa74375bf93427f3f61b03603a3df999392b9359e8d"

@@ -19,8 +19,9 @@ from dispersim.robot import (
     LePhase,
     LeStart,
     LeaderElectionState,
+    RESOLVED_PHASES,
+    le_coin,
     le_subround,
-    outcome_of,
     run_local_election,
 )
 
@@ -51,43 +52,52 @@ class TestSubround:
         assert msg_t is None
 
     def test_heads_into_silence_wins(self):
-        flipping_heads = LeaderElectionState(LePhase.FLIPPING, 1, 1)
+        flipping_heads = LeaderElectionState(LePhase.FLIPPING, 1)
         le2, msg = le_subround(flipping_heads, QUIET, 0)
         assert le2.phase is LePhase.RESOLVED_LEADER
         assert msg is None
 
     def test_tails_hearing_heads_drops_out(self):
-        flipping_tails = LeaderElectionState(LePhase.FLIPPING, 1, 0)
+        flipping_tails = LeaderElectionState(LePhase.FLIPPING, 0)
         le2, _ = le_subround(flipping_tails, HEARD_HEADS, 0)
         assert le2.phase is LePhase.RESOLVED_FOLLOWER
-        assert le2.candidate == 0
 
     def test_simultaneous_heads_keeps_both_flipping(self):
-        flipping_heads = LeaderElectionState(LePhase.FLIPPING, 1, 1)
+        flipping_heads = LeaderElectionState(LePhase.FLIPPING, 1)
         le2, msg = le_subround(flipping_heads, HEARD_HEADS, 1)
         assert le2.phase is LePhase.FLIPPING
         assert msg == LeHeads()
 
     def test_double_tails_keeps_both_flipping(self):
-        flipping_tails = LeaderElectionState(LePhase.FLIPPING, 1, 0)
+        flipping_tails = LeaderElectionState(LePhase.FLIPPING, 0)
         le2, msg = le_subround(flipping_tails, QUIET, 0)
         assert le2.phase is LePhase.FLIPPING
         assert msg is None
 
     def test_resolved_state_rejects_further_subrounds(self):
-        leader = LeaderElectionState(LePhase.RESOLVED_LEADER, 1, 1)
-        with pytest.raises(InvalidPhaseError):
-            le_subround(leader, QUIET, 0)
+        for phase in RESOLVED_PHASES:
+            with pytest.raises(InvalidPhaseError):
+                le_subround(LeaderElectionState(phase, 0), QUIET, 0)
 
-    def test_outcomes(self):
-        assert outcome_of(LeaderElectionState(LePhase.FLIPPING, 1, 0)) is None
-        assert outcome_of(LE_IDLE) is None
-        for phase in (
-            LePhase.RESOLVED_LEADER,
-            LePhase.RESOLVED_FOLLOWER,
-            LePhase.RESOLVED_ALONE,
-        ):
-            assert outcome_of(LeaderElectionState(phase, 0, 0)) is not None
+
+class _CountingRng:
+    def __init__(self):
+        self.draws = 0
+
+    def getrandbits(self, n):
+        self.draws += 1
+        return 1
+
+
+@pytest.mark.parametrize("phase", list(LePhase))
+def test_coin_drawn_exactly_in_flipping_phases(phase):
+    """The coin rule: one draw from the robot's own stream in SENT_START
+    and FLIPPING, none in any other phase."""
+    rng = _CountingRng()
+    coin = le_coin(LeaderElectionState(phase, 0), rng)
+    flips = phase in (LePhase.SENT_START, LePhase.FLIPPING)
+    assert rng.draws == int(flips)
+    assert coin == int(flips)
 
 
 class TestTwoRobotTree:

@@ -5,6 +5,7 @@ cover how these compose into rounds.
 """
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,14 +15,15 @@ from dispersim.robot import (
     EMPTY_INBOX,
     Direction,
     InboxSummary,
-    LE_IDLE,
     LeHeads,
-    LeOutcome,
+    LePhase,
     LeStart,
+    LeaderElectionState,
     MissingEnteredError,
     MissingReplyError,
     Move,
     MultipleRepliesError,
+    NOT_DONE,
     NodeInbox,
     Query,
     Role,
@@ -39,7 +41,6 @@ from dispersim.robot import (
     step_explore,
     step_return,
     step_settled,
-    summarize,
 )
 
 
@@ -50,16 +51,32 @@ def settled_state(parent=None, child=None, visited=0):
     )
 
 
-def explorer(direction=Direction.FORWARD, entered=None):
-    return dataclasses.replace(
+def explorer(direction=Direction.FORWARD, entered=None, le=None):
+    st0 = dataclasses.replace(
         initial_state(), role=Role.EXPLORE, direction=direction, entered=entered
     )
+    return st0 if le is None else dataclasses.replace(st0, le=le)
+
+
+def hear(*msgs):
+    """What robot 1 hears when robot 9 broadcast ``msgs`` at its node."""
+    return NodeInbox([(9, m) for m in msgs]).view(1)
+
+
+def explore(st0, summary, degree):
+    return step_explore(st0, summary, random.Random("coins"), degree)
+
+
+# election states that resolve on the next subround, given what they hear
+HEADS = LeaderElectionState(LePhase.FLIPPING, 1)
+TAILS = LeaderElectionState(LePhase.FLIPPING, 0)
+STARTED = LeaderElectionState(LePhase.SENT_START, 0)
 
 
 class TestStepSettled:
     def test_query_yields_reply(self):
         st0 = settled_state(parent=0)
-        inbox = summarize([(5, Query())], receiver=1)
+        inbox = hear(Query())
         st1, msgs, dec = step_settled(st0, inbox)
         assert msgs == [SettledReply(parent=0, child=None, visited=0)]
         assert isinstance(dec, Stay)
@@ -67,27 +84,27 @@ class TestStepSettled:
 
     def test_set_child(self):
         st0 = settled_state(parent=1)
-        inbox = summarize([(5, SetChild(2))], receiver=1)
+        inbox = hear(SetChild(2))
         st1, msgs, dec = step_settled(st0, inbox)
         assert st1.child == 2
         assert msgs == [] and isinstance(dec, Stay)
 
     def test_set_visited(self):
         st0 = settled_state(parent=1)
-        inbox = summarize([(5, SetVisited())], receiver=1)
+        inbox = hear(SetVisited())
         st1, _, _ = step_settled(st0, inbox)
         assert st1.visited == 1
 
     def test_terminate(self):
         st0 = settled_state(parent=1)
-        inbox = summarize([(5, Terminate())], receiver=1)
+        inbox = hear(Terminate())
         _, _, dec = step_settled(st0, inbox)
         assert isinstance(dec, TerminateSelf)
 
     def test_never_moves(self):
         st0 = settled_state(parent=0, child=1, visited=1)
         for msg in [Query(), SetChild(0), SetVisited(), Terminate()]:
-            _, _, dec = step_settled(st0, summarize([(9, msg)], receiver=1))
+            _, _, dec = step_settled(st0, hear(msg))
             assert not isinstance(dec, Move)
 
 
@@ -95,7 +112,7 @@ class TestStepExplore:
     def test_forward_reply_bounces(self):
         st0 = explorer(Direction.FORWARD, entered=1)
         reply = SettledReply(parent=0, child=None, visited=0)
-        st1, msgs, dec = step_explore(st0, reply, None, degree=3)
+        st1, msgs, dec = explore(st0, hear(reply), degree=3)
         assert st1.direction is Direction.BACKWARD
         assert dec == Move(1)
         assert msgs == []
@@ -103,44 +120,60 @@ class TestStepExplore:
     def test_backward_reply_continues_backward_on_parent(self):
         st0 = explorer(Direction.BACKWARD, entered=1)
         reply = SettledReply(parent=2, child=None, visited=0)
-        st1, _, dec = step_explore(st0, reply, None, degree=3)
+        st1, _, dec = explore(st0, hear(reply), degree=3)
         assert dec == Move(2)
         assert st1.direction is Direction.BACKWARD
 
     def test_backward_reply_advances_forward_otherwise(self):
         st0 = explorer(Direction.BACKWARD, entered=1)
         reply = SettledReply(parent=0, child=None, visited=0)
-        st1, _, dec = step_explore(st0, reply, None, degree=3)
+        st1, _, dec = explore(st0, hear(reply), degree=3)
         assert dec == Move(2)
         assert st1.direction is Direction.FORWARD
 
-    def test_leader_settles(self):
+    def test_fresh_node_opens_election(self):
         st0 = explorer(entered=2)
-        st1, _, dec = step_explore(st0, None, LeOutcome.LEADER, degree=3)
+        st1, msgs, dec = explore(st0, EMPTY_INBOX, degree=3)
+        assert st1.le.phase is LePhase.SENT_START
+        assert msgs == [LeStart()]
+        assert dec is NOT_DONE
+
+    def test_open_election_is_not_done(self):
+        st0 = explorer(entered=2, le=STARTED)
+        st1, msgs, dec = explore(st0, hear(LeStart()), degree=3)
+        assert st1.le.phase is LePhase.FLIPPING
+        assert msgs == ([LeHeads()] if st1.le.flipped_heads else [])
+        assert dec is NOT_DONE
+        assert st1.role is Role.EXPLORE
+
+    def test_leader_settles(self):
+        st0 = explorer(entered=2, le=HEADS)
+        st1, _, dec = explore(st0, EMPTY_INBOX, degree=3)
         assert st1.role is Role.SETTLED
         assert st1.parent == 2
+        assert st1.le == initial_state().le
         assert isinstance(dec, Stay)
 
     def test_alone_turns_back(self):
-        st0 = explorer(entered=2)
-        st1, _, dec = step_explore(st0, None, LeOutcome.ALONE, degree=3)
+        st0 = explorer(entered=2, le=STARTED)
+        st1, _, dec = explore(st0, EMPTY_INBOX, degree=3)
         assert st1.role is Role.RETURN
         assert dec == Move(2)
 
     def test_alone_at_start_terminates(self):
-        st0 = explorer(entered=None)
-        st1, _, dec = step_explore(st0, None, LeOutcome.ALONE, degree=2)
+        st0 = explorer(entered=None, le=STARTED)
+        st1, _, dec = explore(st0, EMPTY_INBOX, degree=2)
         assert isinstance(dec, TerminateSelf)
 
     def test_follower_from_start_moves_port_zero(self):
-        st0 = explorer(entered=None)
-        st1, _, dec = step_explore(st0, None, LeOutcome.FOLLOWER, degree=2)
+        st0 = explorer(entered=None, le=TAILS)
+        st1, _, dec = explore(st0, hear(LeHeads()), degree=2)
         assert dec == Move(0)
         assert st1.direction is Direction.FORWARD
 
     def test_follower_degree_one_goes_backward(self):
-        st0 = explorer(entered=0)
-        st1, _, dec = step_explore(st0, None, LeOutcome.FOLLOWER, degree=1)
+        st0 = explorer(entered=0, le=TAILS)
+        st1, _, dec = explore(st0, hear(LeHeads()), degree=1)
         assert dec == Move(0)
         assert st1.direction is Direction.BACKWARD
 
@@ -148,7 +181,7 @@ class TestStepExplore:
         st0 = explorer(Direction.FORWARD, entered=None)
         reply = SettledReply(parent=0, child=None, visited=0)
         with pytest.raises(MissingEnteredError):
-            step_explore(st0, reply, None, degree=2)
+            explore(st0, hear(reply), degree=2)
 
 
 class TestStepReturn:
@@ -290,7 +323,7 @@ class TestMemoryFootprint:
 class TestPurity:
     def test_inputs_never_mutated(self):
         st0 = settled_state(parent=0)
-        inbox = summarize([(3, SetChild(1)), (3, SetVisited())], receiver=2)
+        inbox = NodeInbox([(3, SetChild(1)), (3, SetVisited())]).view(2)
         snapshot = dataclasses.replace(st0)
         step_settled(st0, inbox)
         step_settled(st0, inbox)
@@ -299,8 +332,8 @@ class TestPurity:
     def test_identical_inputs_identical_outputs(self):
         st0 = explorer(Direction.BACKWARD, entered=1)
         reply = SettledReply(parent=0, child=None, visited=0)
-        a = step_explore(st0, reply, None, degree=3)
-        b = step_explore(st0, reply, None, degree=3)
+        a = explore(st0, hear(reply), degree=3)
+        b = explore(st0, hear(reply), degree=3)
         assert a == b
 
 
@@ -318,7 +351,7 @@ def test_explore_moves_only_through_permitted_ports(entered, degree, parent, dir
         return
     st0 = explorer(direction, entered=entered)
     reply = SettledReply(parent=parent, child=None, visited=0)
-    _, _, dec = step_explore(st0, reply, None, degree=degree)
+    _, _, dec = explore(st0, hear(reply), degree=degree)
     allowed = {entered, (entered + 1) % degree, 0}
     if parent is not None:
         allowed.add(parent)
@@ -393,12 +426,12 @@ def test_node_inbox_matches_per_receiver_scan(messages):
             with pytest.raises(MultipleRepliesError):
                 inbox.view(receiver)
             with pytest.raises(MultipleRepliesError):
-                summarize(messages, receiver)
+                NodeInbox(messages).view(receiver)
             continue
         got = inbox.view(receiver)
         assert got == want
         assert inbox.view(receiver) is got
-        assert summarize(messages, receiver) is got  # interned by value
+        assert NodeInbox(messages).view(receiver) is got  # interned by value
 
 
 def test_two_replies_raise_only_without_the_receiver():
@@ -411,5 +444,5 @@ def test_two_replies_raise_only_without_the_receiver():
 
 
 def test_empty_node_is_empty_inbox():
-    assert summarize([], receiver=0) is EMPTY_INBOX
-    assert summarize([(0, LeStart())], receiver=0) is EMPTY_INBOX
+    assert NodeInbox([]).view(0) is EMPTY_INBOX
+    assert NodeInbox([(0, LeStart())]).view(0) is EMPTY_INBOX
