@@ -124,12 +124,13 @@ def oracle_dfs(graph: PortLabeledGraph, root: int, k: int) -> OracleTrace:
 # --- trace digestion helpers ---------------------------------------------
 
 
-def _require_records(trace: ParsedTrace, rounds: list[int]) -> None:
-    missing = [r for r in rounds if r not in trace.by_round]
-    if missing:
-        raise TraceIncompleteError(
-            f"trace lacks round records {missing[:5]} (full trace level required)"
-        )
+def _require_records(trace: ParsedTrace, first: int, last: int) -> None:
+    """Rounds ``first..last`` all have records; stops at the first gap."""
+    for r in range(first, last + 1):
+        if r not in trace.by_round:
+            raise TraceIncompleteError(
+                f"trace lacks the record of round {r} (full trace level required)"
+            )
 
 
 def _settles(trace: ParsedTrace) -> dict[int, tuple[int, int]]:
@@ -228,7 +229,7 @@ def check_stage1(
     if s.t1 is None:
         return _verdict(["no stage-1 end event (t1 missing)"])
     t1 = s.t1
-    _require_records(trace, list(range(1, t1 + 1)))
+    _require_records(trace, 1, t1)
     findings: list[str] = []
 
     # group walk versus oracle, round for round
@@ -320,7 +321,7 @@ def check_rootpath_children(trace: ParsedTrace, graph: PortLabeledGraph,
     if s.t1 is None or s.t2 is None:
         return _verdict(["t1/t2 missing from summary"])
     t2 = s.t2
-    _require_records(trace, [t2, t2 + 1])
+    _require_records(trace, t2, t2 + 1)
     findings: list[str] = []
 
     ack = _event_round(trace, "to_acknowledge")
@@ -397,7 +398,8 @@ def check_mirror(trace: ParsedTrace) -> Verdict:
     if len(ret) != 1:
         return _verdict([f"expected exactly one return transition, got {sorted(ret)}"])
     (r_l, _), = ret.items()
-    _require_records(trace, list(range(1, t1)) + [t2 + i for i in range(1, t1)])
+    _require_records(trace, 1, t1 - 1)
+    _require_records(trace, t2 + 1, t2 + t1 - 1)
 
     settles = _settles(trace)
     settler_at = {node: rid for rid, (_, node) in settles.items()}
@@ -518,7 +520,7 @@ def check_exit_counts(trace: ParsedTrace, graph: PortLabeledGraph,
     if s.t1 is None:
         return _verdict(["t1 missing from summary"])
     t1 = s.t1
-    _require_records(trace, list(range(1, t1 + 1)))
+    _require_records(trace, 1, t1)
     findings: list[str] = []
 
     walk: list[tuple[int, str, int | None]] = []
@@ -634,6 +636,36 @@ def check_memory(trace: ParsedTrace, max_degree: int) -> Verdict:
     return _verdict(findings, info=[f"budget={budget} bits"])
 
 
+def _check_in_range(trace: ParsedTrace, graph: PortLabeledGraph) -> None:
+    s = trace.summary
+    n, k = graph.n, s.k
+    off_graph = [v for v in (s.v_r, s.v_l, *s.positions.values())
+                 if v is not None and not 0 <= v < n]
+    if off_graph:
+        raise TraceFormatError(
+            f"summary names nodes {off_graph[:3]} outside the graph's 0..{n - 1}"
+        )
+    if not 1 <= k <= n:
+        raise TraceFormatError(f"summary has k={k}, not in 1..{n}")
+    delta = graph.max_degree()
+    for rec in trace.records:
+        for r in rec.robots:
+            if not (0 <= r.id < k and 0 <= r.node < n):
+                raise TraceFormatError(
+                    f"round {rec.round}: row of robot {r.id} at node {r.node} is outside "
+                    f"robots 0..{k - 1} or nodes 0..{n - 1}"
+                )
+        for ev in rec.events:
+            name, _, body = ev.partition(":")
+            rid, _, arg = body.partition("@" if name == "settle" else "=")
+            if (int(rid) >= k or (name == "settle" and int(arg) >= n)
+                    or (name == "set_child" and int(arg) >= delta)):
+                raise TraceFormatError(
+                    f"round {rec.round}: event {ev} names a robot, node or port outside "
+                    f"robots 0..{k - 1}, nodes 0..{n - 1} or ports 0..{delta - 1}"
+                )
+
+
 CHECKER_NAMES = (
     "dispersion",
     "stage1",
@@ -652,19 +684,14 @@ def run_all(
 ) -> dict[str, Verdict]:
     """Run the named checkers (all seven by default) against one trace.
 
-    Raises ``TraceFormatError`` when the summary names a node the graph
-    does not have, or more robots than it has nodes, before any checker
-    or the oracle walks the graph.
+    Raises ``TraceFormatError`` before any checker or the oracle walks the
+    graph when the trace names what the graph or the run does not have: a
+    node outside the graph (summary, rows, ``settle`` events), more robots
+    than nodes, a robot id outside 0..k-1 (rows, events) or a child port
+    no node has (``set_child`` events).
     """
+    _check_in_range(trace, graph)
     s = trace.summary
-    off_graph = [v for v in (s.v_r, s.v_l, *s.positions.values())
-                 if v is not None and not 0 <= v < graph.n]
-    if off_graph:
-        raise TraceFormatError(
-            f"summary names nodes {off_graph[:3]} outside the graph's 0..{graph.n - 1}"
-        )
-    if not 1 <= s.k <= graph.n:
-        raise TraceFormatError(f"summary has k={s.k}, not in 1..{graph.n}")
     oracle: OracleTrace | None = None
     if s.outcome is Outcome.DISPERSED_ALL_TERMINATED and s.k >= 2:
         oracle = oracle_dfs(graph, s.v_r, s.k)

@@ -102,7 +102,7 @@ def cmd_run(args) -> int:
     result = run(config)
     if args.trace:
         with open(args.trace, "w", encoding="ascii") as fh:
-            fh.write(result.to_jsonl())
+            fh.writelines(result.jsonl_lines())
     _emit(result.summary.to_dict())
     if result.summary.outcome is Outcome.DISPERSED_ALL_TERMINATED:
         return EXIT_OK

@@ -26,6 +26,15 @@ broadcasts are tallied once per subround into a ``NodeInbox``, and every
 robot there reads its view as those totals minus its own contribution,
 so an election among g co-located robots costs O(g) per subround, not
 O(g^2).
+
+A FULL trace has one row per alive robot per round, but its cost follows
+the rows that change: a robot keeps last round's row object while its
+frozen state is the same object and its node is the same, writing
+encodes each distinct row object once, and parsing converts and checks
+each distinct row once, so equal rows share one object.  What is still
+paid per robot per round is the row's slot in its record and its JSON
+text: joined into the record's line when writing, decoded by
+``json.loads`` when parsing.
 """
 
 from __future__ import annotations
@@ -33,12 +42,14 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .graph import PortLabeledGraph
 from .robot import (
     Decision,
+    Direction,
     EMPTY_INBOX,
     Message,
     Move,
@@ -143,23 +154,6 @@ class TraceRecord:
     robots: list[RobotRow]
     events: list[str]
 
-    def to_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "robots": [
-                {
-                    "id": r.id,
-                    "node": r.node,
-                    "role": r.role,
-                    "dir": r.dir,
-                    "entered": r.entered,
-                    "bits": r.bits,
-                }
-                for r in self.robots
-            ],
-            "events": list(self.events),
-        }
-
 
 @dataclass
 class RunSummary:
@@ -195,12 +189,39 @@ class SimulationResult:
     records: list[TraceRecord]
     trace_level: TraceLevel
 
-    def to_jsonl(self) -> str:
+    def jsonl_lines(self) -> Iterator[str]:
+        """The trace's lines, each ending in a newline: one per record,
+        then the summary; none at ``TraceLevel.NONE``.
+
+        Each distinct row object is encoded once (rows repeat from round
+        to round, see ``run``), and a record line is assembled from those
+        pieces; the text is exactly ``json.dumps`` of the record's dict.
+        """
         if self.trace_level is TraceLevel.NONE:
-            return ""
-        lines = [json.dumps(rec.to_dict()) for rec in self.records]
-        lines.append(json.dumps(self.summary.to_dict()))
-        return "\n".join(lines) + "\n"
+            return
+        dumps = json.dumps
+        # id(row) -> (row, its JSON); holding the row keeps its id unique
+        encoded: dict[int, tuple[RobotRow, str]] = {}
+        for rec in self.records:
+            pieces = []
+            for r in rec.robots:
+                hit = encoded.get(id(r))
+                if hit is None:
+                    hit = encoded[id(r)] = (r, dumps({
+                        "id": r.id,
+                        "node": r.node,
+                        "role": r.role,
+                        "dir": r.dir,
+                        "entered": r.entered,
+                        "bits": r.bits,
+                    }))
+                pieces.append(hit[1])
+            yield (f'{{"round": {dumps(rec.round)}, "robots": [{", ".join(pieces)}], '
+                   f'"events": {dumps(rec.events)}}}\n')
+        yield dumps(self.summary.to_dict()) + "\n"
+
+    def to_jsonl(self) -> str:
+        return "".join(self.jsonl_lines())
 
 
 @dataclass
@@ -387,6 +408,9 @@ def run(config: SimulationConfig) -> SimulationResult:
     w = World(config)
     bits = memory_footprint_bits(initial_state(), config.graph.max_degree())
     records: list[TraceRecord] = []
+    # per robot, the (state, node, row) of its latest row: states are
+    # frozen, so the same state object at the same node is the same row
+    last: list[tuple[RobotState, int, RobotRow] | None] = [None] * config.k
     level = config.trace_level
     outcome = Outcome.MAX_ROUNDS_EXCEEDED
     fault: str | None = None
@@ -396,18 +420,16 @@ def run(config: SimulationConfig) -> SimulationResult:
         w.round = rnd
         events: list[str] = []
         if level is TraceLevel.FULL:
-            rows = [
-                RobotRow(
-                    id=i,
-                    node=w.positions[i],
-                    role=w.states[i].role.value,
-                    dir=w.states[i].direction.value,
-                    entered=w.states[i].entered,
-                    bits=bits,
-                )
-                for i in range(config.k)
-                if w.alive[i]
-            ]
+            rows = []
+            for i in range(config.k):
+                if not w.alive[i]:
+                    continue
+                st, node = w.states[i], w.positions[i]
+                prev = last[i]
+                if prev is None or prev[0] is not st or prev[1] != node:
+                    row = RobotRow(i, node, st.role.value, st.direction.value, st.entered, bits)
+                    prev = last[i] = (st, node, row)
+                rows.append(prev[2])
             records.append(TraceRecord(rnd, rows, events))
         try:
             w.execute_round(events)
@@ -459,11 +481,16 @@ def _parse_summary(obj: dict) -> RunSummary:
     try:
         outcome = Outcome(obj["outcome"])
         positions = {int(i): int(v) for i, v in obj.get("positions", {}).items()}
+        rounds = int(obj["rounds"])
+        t1, t2 = _int_or_null(obj, "t1"), _int_or_null(obj, "t2")
+        for key, value in (("t1", t1), ("t2", t2)):
+            if value is not None and not 1 <= value <= rounds:
+                raise ValueError(f"{key}={value} not in 1..rounds={rounds}")
         return RunSummary(
             outcome=outcome,
-            t1=_int_or_null(obj, "t1"),
-            t2=_int_or_null(obj, "t2"),
-            rounds=int(obj["rounds"]),
+            t1=t1,
+            t2=t2,
+            rounds=rounds,
             v_r=int(obj["vR"]),
             v_l=_int_or_null(obj, "vL"),
             repair_fired=bool(obj.get("repair_fired", False)),
@@ -475,19 +502,29 @@ def _parse_summary(obj: dict) -> RunSummary:
         raise TraceFormatError(f"bad summary line: {exc}") from None
 
 
-def _parse_record(obj: dict, line_no: int) -> TraceRecord:
+def _parse_record(obj: dict, line_no: int, rows: dict[tuple, RobotRow]) -> TraceRecord:
+    """One round record; ``rows`` interns rows by their raw field values,
+    so equal rows share one ``RobotRow`` and each distinct row is checked
+    once per parse."""
     try:
-        robots = [
-            RobotRow(
-                id=int(r["id"]),
-                node=int(r["node"]),
-                role=str(r["role"]),
-                dir=str(r["dir"]),
-                entered=r["entered"],
-                bits=int(r["bits"]),
-            )
-            for r in obj.get("robots", [])
-        ]
+        robots = []
+        for r in obj.get("robots", []):
+            ident, node, role, dir_, entered, bits = (
+                r["id"], r["node"], r["role"], r["dir"], r["entered"], r["bits"])
+            # True == 1 == 1.0 as keys: the types are checked before the
+            # lookup (ints) or are part of the key (entered)
+            if not (type(ident) is int and type(node) is int and type(bits) is int):
+                raise TypeError(f"row id, node and bits must be integers: {r!r}")
+            key = (ident, node, role, dir_, entered, type(entered), bits)
+            row = rows.get(key)
+            if row is None:
+                # ValueError unless both are values the engine writes
+                Role(role)
+                Direction(dir_)
+                if entered is not None and (type(entered) is not int or entered < 0):
+                    raise ValueError(f"entered must be a port or null, not {entered!r}")
+                row = rows[key] = RobotRow(ident, node, role, dir_, entered, bits)
+            robots.append(row)
         events = list(obj.get("events", []))
         for ev in events:
             if not _EVENT.fullmatch(ev):
@@ -498,8 +535,12 @@ def _parse_record(obj: dict, line_no: int) -> TraceRecord:
 
 
 def parse_trace(text: str) -> ParsedTrace:
-    """Read a JSON-lines trace: zero or more round records, then a summary."""
+    """Read a JSON-lines trace: zero or more round records, then a summary.
+
+    Equal rows come back as one shared ``RobotRow``.
+    """
     records: list[TraceRecord] = []
+    rows: dict[tuple, RobotRow] = {}
     summary: RunSummary | None = None
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -517,7 +558,7 @@ def parse_trace(text: str) -> ParsedTrace:
         elif "round" in obj:
             if summary is not None:
                 raise TraceFormatError(f"line {line_no}: record after summary")
-            records.append(_parse_record(obj, line_no))
+            records.append(_parse_record(obj, line_no, rows))
         else:
             raise TraceFormatError(f"line {line_no}: neither record nor summary")
     if summary is None:

@@ -153,25 +153,35 @@ class TestVerify:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("edit", ["summary_t1_string", "summary_vR_off_graph",
-                                      "summary_k_too_large", "event_bad_robot_id"])
+    # line of the trace to edit (0 is round 1, -1 the summary) and the edit;
+    # the rows edited are robot 3's in round 4, a settled row that equals
+    # its round-3 row, entered 1 included
+    HOSTILE_EDITS = {
+        "summary_t1_string": (-1, lambda o: o.update(t1="7")),
+        "summary_t1_huge": (-1, lambda o: o.update(t1=1_000_000_000)),
+        "summary_vR_off_graph": (-1, lambda o: o.update(vR=42)),
+        "summary_k_too_large": (-1, lambda o: o.update(k=99)),
+        "event_bad_robot_id": (0, lambda o: o["events"].append("settle:zz@1")),
+        "event_robot_off_run": (0, lambda o: o["events"].append("to_done:6")),
+        "event_settle_off_graph": (0, lambda o: o["events"].append("settle:1@99")),
+        "event_child_port_off_graph": (0, lambda o: o["events"].append("set_child:0=99")),
+        "row_node_off_graph": (3, lambda o: o["robots"][3].update(node=99)),
+        "row_id_off_run": (3, lambda o: o["robots"][3].update(id=6)),
+        "row_entered_string": (3, lambda o: o["robots"][3].update(entered="x")),
+        "row_entered_bool": (3, lambda o: o["robots"][3].update(entered=True)),
+        "row_role_unknown": (3, lambda o: o["robots"][3].update(role="zz")),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(HOSTILE_EDITS))
     def test_hostile_trace_is_format_error(self, capsys, good_trace, tmp_path, edit):
-        """A trace that would make a checker raise exits 3 with one stderr
-        line, never 1 (checker rejected), 4 (crash) or a traceback."""
+        """A trace that would make a checker raise, or that names what the
+        graph or the run lacks, exits 3 with one stderr line, never 0, 1
+        (checker rejected), 4 (crash) or a traceback."""
         lines = good_trace.read_text().strip().splitlines()
-        if edit == "event_bad_robot_id":
-            record = json.loads(lines[0])
-            record["events"].append("settle:zz@1")
-            lines[0] = json.dumps(record)
-        else:
-            summary = json.loads(lines[-1])
-            if edit == "summary_t1_string":
-                summary["t1"] = "7"
-            elif edit == "summary_k_too_large":
-                summary["k"] = 99
-            else:
-                summary["vR"] = 42
-            lines[-1] = json.dumps(summary)
+        line, change = self.HOSTILE_EDITS[edit]
+        obj = json.loads(lines[line])
+        change(obj)
+        lines[line] = json.dumps(obj)
         bad = tmp_path / "hostile.jsonl"
         bad.write_text("\n".join(lines) + "\n")
         code, _, err = run_cli(capsys, "verify", "--trace", str(bad), "--graph", "gen:ring:6")

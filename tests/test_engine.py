@@ -1,5 +1,8 @@
 """Round scheduler: replays, determinism, budgets, trace formats."""
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from dispersim.engine import (
@@ -8,6 +11,7 @@ from dispersim.engine import (
     SimulationConfig,
     TraceFormatError,
     TraceLevel,
+    TraceRecord,
     World,
     _Fault,
     parse_trace,
@@ -19,6 +23,7 @@ from dispersim.graph import (
     gen_path,
     gen_random_connected,
     gen_ring,
+    gen_worstcase,
 )
 from dispersim.robot import Role
 
@@ -163,13 +168,93 @@ class TestConfigValidation:
             run(SimulationConfig(graph=gen_path(2), k=0, seed=0))
 
 
+def _jsonl_reference(res) -> str:
+    """The trace as ``json.dumps`` of one dict per record, then the summary."""
+    lines = [
+        json.dumps({
+            "round": rec.round,
+            "robots": [
+                {"id": r.id, "node": r.node, "role": r.role, "dir": r.dir,
+                 "entered": r.entered, "bits": r.bits}
+                for r in rec.robots
+            ],
+            "events": list(rec.events),
+        })
+        for rec in res.records
+    ]
+    lines.append(json.dumps(res.summary.to_dict()))
+    return "\n".join(lines) + "\n"
+
+
+class TestTraceWriting:
+    @pytest.mark.parametrize("level", [TraceLevel.FULL, TraceLevel.SUMMARY])
+    def test_matches_json_dumps_of_each_record(self, level):
+        res = run(SimulationConfig(graph=gen_ring(6), k=5, root=2, seed=123, trace_level=level))
+        if level is TraceLevel.FULL:
+            # rows shared between rounds, and one of them replaced in a
+            # single round the way tests/corruptions.py corrupts traces
+            shared = res.records[3].robots[1]
+            assert res.records[2].robots[1] is shared is res.records[4].robots[1]
+            assert shared.entered is None
+            res.records[3].robots[1] = replace(shared, node=4)
+            assert any(not rec.events for rec in res.records)
+        res.records.append(TraceRecord(res.summary.rounds + 1, [], []))
+        assert res.to_jsonl() == _jsonl_reference(res)
+        assert "".join(res.jsonl_lines()) == res.to_jsonl()
+
+    def test_settled_row_is_shared_between_rounds(self):
+        res = run(SimulationConfig(graph=gen_ring(6), k=6, root=0, seed=5))
+        # robot 2 settles at the root in round 1 and nothing reaches it
+        # in rounds 3 and 4
+        row = res.records[2].robots[2]
+        assert (row.id, row.role) == (2, "settled")
+        assert res.records[3].robots[2] is row
+
+
 class TestTraceParsing:
     def test_round_trip(self):
-        res = run(SimulationConfig(graph=gen_ring(5), k=3, root=1, seed=9))
-        parsed = parse_trace(res.to_jsonl())
-        assert parsed.summary == res.summary
-        assert parsed.records == res.records
-        assert parsed.by_round[1].robots[0].node == 1
+        for graph, k, root, seed in [(gen_ring(5), 3, 1, 9), (gen_worstcase(16), 16, 0, 2)]:
+            res = run(SimulationConfig(graph=graph, k=k, root=root, seed=seed))
+            parsed = parse_trace(res.to_jsonl())
+            assert parsed.summary == res.summary
+            assert parsed.records == res.records
+            assert parsed.by_round[1].robots[0].node == root
+
+    def test_equal_rows_share_one_object(self):
+        res = run(SimulationConfig(graph=gen_worstcase(16), k=16, root=0, seed=2))
+        rows = [r for rec in parse_trace(res.to_jsonl()).records for r in rec.robots]
+        assert len({id(r) for r in rows}) == len(set(rows)) < len(rows)
+
+    @pytest.mark.parametrize("field, value", [
+        ("entered", True), ("entered", 1.0), ("entered", -1),
+        ("id", True), ("node", 0.0), ("bits", "17"),
+        ("role", "zz"), ("dir", "up"),
+    ])
+    def test_lookalike_of_an_earlier_row_is_rejected(self, field, value):
+        """A row equal under == to one already read (True == 1 == 1.0) is
+        still checked on its own."""
+        row = {"id": 0, "node": 0, "role": "settled", "dir": "fwd", "entered": 1, "bits": 17}
+        summary = {"outcome": "max_rounds", "t1": None, "t2": None, "rounds": 2, "vR": 0,
+                   "vL": None, "repair_fired": False, "k": 1, "positions": {"0": 0}}
+
+        def trace(second: dict) -> str:
+            objs = ({"round": 1, "robots": [row], "events": []},
+                    {"round": 2, "robots": [second], "events": []}, summary)
+            return "".join(json.dumps(obj) + "\n" for obj in objs)
+
+        assert parse_trace(trace(dict(row))).records[1].robots[0].entered == 1
+        with pytest.raises(TraceFormatError, match="line 2"):
+            parse_trace(trace({**row, field: value}))
+
+    @pytest.mark.parametrize("field, value", [("t1", 0), ("t1", 8), ("t2", 1_000_000_000)])
+    def test_summary_round_outside_the_run(self, field, value):
+        res = run(SimulationConfig(graph=gen_path(2), k=2, root=0, seed=7))
+        lines = res.to_jsonl().splitlines()
+        summary = json.loads(lines[-1])
+        assert summary["rounds"] == 7
+        summary[field] = value
+        with pytest.raises(TraceFormatError, match=field):
+            parse_trace("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n")
 
     def test_missing_summary(self):
         with pytest.raises(TraceFormatError):
