@@ -3,8 +3,9 @@
 Reports are single JSON objects per line on stdout; diagnostics go to
 stderr.  Exit codes: 0 success or all checkers passing, 1 checker
 failure, 2 simulation fault or exhausted round budget, 3 usage or I/O
-trouble or a malformed trace, 4 internal error (an unexpected exception,
-reported in one line).  Seeds are always explicit so every published number replays.
+trouble or a malformed trace or graph file (a byte outside ASCII
+included), 4 internal error (an unexpected exception, reported in one
+line).  Seeds are always explicit so every published number replays.
 """
 
 from __future__ import annotations
@@ -55,8 +56,15 @@ def _load_graph(spec: str) -> PortLabeledGraph:
     """A graph argument is either a file path or an inline gen:family:params."""
     if spec.startswith("gen:"):
         return _generate(spec)
-    with open(spec, encoding="ascii") as fh:
-        return parse_graph(fh.read())
+    with open(spec, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise _UsageError(
+            f"{spec}: byte {data[exc.start]:#04x} at offset {exc.start} is not ASCII"
+        ) from None
+    return parse_graph(text)
 
 
 def _generate(spec: str) -> PortLabeledGraph:
@@ -112,8 +120,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.trace, encoding="ascii") as fh:
-        trace = parse_trace(fh.read())
+    # binary, so that parse_trace meets every byte; it reads line by line
+    with open(args.trace, "rb") as fh:
+        try:
+            trace = parse_trace(fh)
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"{args.trace}: {exc}") from None
     graph = _load_graph(args.graph)
     names = tuple(args.checker) if args.checker else CHECKER_NAMES
     verdicts = run_all(trace, graph, names)

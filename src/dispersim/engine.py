@@ -27,22 +27,25 @@ robot there reads its view as those totals minus its own contribution,
 so an election among g co-located robots costs O(g) per subround, not
 O(g^2).
 
-A FULL trace has one row per alive robot per round, but its cost follows
-the rows that change: a robot keeps last round's row object while its
-frozen state is the same object and its node is the same, writing
-encodes each distinct row object once, and parsing converts and checks
-each distinct row once, so equal rows share one object.  What is still
-paid per robot per round is the row's slot in its record and its JSON
-text: joined into the record's line when writing, decoded by
-``json.loads`` when parsing.
+A FULL trace holds one row per alive robot per round in memory, but its
+cost follows the rows that change: a robot keeps last round's row object
+while its frozen state is the same object and its node is the same, and
+the trace text (format 2) carries only the rows that differ from that
+robot's row in the round before, plus the ids of robots that dropped
+out.  Reading patches a copy of the previous round's rows, and converts
+and checks each distinct row once, so equal rows share one object.  What
+is still paid per robot per round is the row's slot in its record:
+filled by ``run``, tested for identity with the round before when
+writing, copied when reading.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -89,6 +92,10 @@ class ConfigError(ValueError):
 
 class TraceFormatError(ValueError):
     pass
+
+
+# the version in the header line of every trace this module writes and reads
+TRACE_FORMAT = 2
 
 
 class _Fault(Exception):
@@ -190,38 +197,54 @@ class SimulationResult:
     trace_level: TraceLevel
 
     def jsonl_lines(self) -> Iterator[str]:
-        """The trace's lines, each ending in a newline: one per record,
-        then the summary; none at ``TraceLevel.NONE``.
+        """The trace's lines, each ending in a newline: the format header,
+        one line per record, then the summary; none at ``TraceLevel.NONE``.
 
-        Each distinct row object is encoded once (rows repeat from round
-        to round, see ``run``), and a record line is assembled from those
-        pieces; the text is exactly ``json.dumps`` of the record's dict.
+        A record line holds only the rows that differ from the same
+        robot's row in the record before, and the ids of robots that had
+        a row there and have none now; the records' rows must ascend by
+        id, as ``run`` makes them.
         """
         if self.trace_level is TraceLevel.NONE:
             return
         dumps = json.dumps
-        # id(row) -> (row, its JSON); holding the row keeps its id unique
-        encoded: dict[int, tuple[RobotRow, str]] = {}
+        yield dumps({"format": TRACE_FORMAT, "k": self.summary.k}) + "\n"
+        before: list[RobotRow] = []
         for rec in self.records:
-            pieces = []
-            for r in rec.robots:
-                hit = encoded.get(id(r))
-                if hit is None:
-                    hit = encoded[id(r)] = (r, dumps({
-                        "id": r.id,
-                        "node": r.node,
-                        "role": r.role,
-                        "dir": r.dir,
-                        "entered": r.entered,
-                        "bits": r.bits,
-                    }))
-                pieces.append(hit[1])
-            yield (f'{{"round": {dumps(rec.round)}, "robots": [{", ".join(pieces)}], '
-                   f'"events": {dumps(rec.events)}}}\n')
+            rows, gone = _delta(before, rec.robots)
+            yield dumps({"round": rec.round, "rows": rows, "gone": gone,
+                         "events": rec.events}) + "\n"
+            before = rec.robots
         yield dumps(self.summary.to_dict()) + "\n"
 
     def to_jsonl(self) -> str:
         return "".join(self.jsonl_lines())
+
+
+def _delta(before: list[RobotRow], now: list[RobotRow]) -> tuple[list[dict], list[int]]:
+    """The rows of ``now`` that differ from the same robot's row in
+    ``before``, as JSON objects, and the ids in ``before`` that ``now``
+    lacks; both lists ascend by id, as ``before`` and ``now`` must."""
+    rows: list[dict] = []
+    gone: list[int] = []
+    j, m = 0, len(before)
+    for r in now:
+        # a robot that keeps its row object is the common case
+        if j < m and before[j] is r:
+            j += 1
+            continue
+        while j < m and before[j].id < r.id:
+            gone.append(before[j].id)
+            j += 1
+        if j < m and before[j].id == r.id:
+            same = before[j] == r
+            j += 1
+            if same:
+                continue
+        rows.append({"id": r.id, "node": r.node, "role": r.role, "dir": r.dir,
+                     "entered": r.entered, "bits": r.bits})
+    gone.extend(b.id for b in before[j:])
+    return rows, gone
 
 
 @dataclass
@@ -502,47 +525,135 @@ def _parse_summary(obj: dict) -> RunSummary:
         raise TraceFormatError(f"bad summary line: {exc}") from None
 
 
-def _parse_record(obj: dict, line_no: int, rows: dict[tuple, RobotRow]) -> TraceRecord:
-    """One round record; ``rows`` interns rows by their raw field values,
-    so equal rows share one ``RobotRow`` and each distinct row is checked
-    once per parse."""
-    try:
-        robots = []
-        for r in obj.get("robots", []):
-            ident, node, role, dir_, entered, bits = (
-                r["id"], r["node"], r["role"], r["dir"], r["entered"], r["bits"])
-            # True == 1 == 1.0 as keys: the types are checked before the
-            # lookup (ints) or are part of the key (entered)
-            if not (type(ident) is int and type(node) is int and type(bits) is int):
-                raise TypeError(f"row id, node and bits must be integers: {r!r}")
-            key = (ident, node, role, dir_, entered, type(entered), bits)
-            row = rows.get(key)
-            if row is None:
-                # ValueError unless both are values the engine writes
-                Role(role)
-                Direction(dir_)
-                if entered is not None and (type(entered) is not int or entered < 0):
-                    raise ValueError(f"entered must be a port or null, not {entered!r}")
-                row = rows[key] = RobotRow(ident, node, role, dir_, entered, bits)
-            robots.append(row)
-        events = list(obj.get("events", []))
+def _parse_header(obj: dict, line_no: int) -> int:
+    """The robot count ``k`` of the header line ``{"format": 2, "k": k}``."""
+    if "format" not in obj:
+        raise TraceFormatError(
+            f"line {line_no}: no format header; a v1 trace has none, and only "
+            f"format {TRACE_FORMAT} is read"
+        )
+    if obj["format"] != TRACE_FORMAT:
+        raise TraceFormatError(
+            f"line {line_no}: trace format {obj['format']!r}; only format {TRACE_FORMAT} is read"
+        )
+    k = obj.get("k")
+    if type(k) is not int or k < 1:
+        raise TraceFormatError(f"line {line_no}: header k must be an integer >= 1, not {k!r}")
+    return k
+
+
+class _RecordReader:
+    """Turns one trace's record lines into full snapshots.
+
+    It keeps the current row of each of the header's k robots, applies a
+    record's ``gone`` and then its ``rows``, and builds the record's
+    snapshot by copying the previous one and patching it by position; a
+    round in which robots drop out or first appear rebuilds it.  Rows are
+    interned by their raw field values, so equal rows share one
+    ``RobotRow`` and each distinct row is checked once per parse.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        # by robot id; nothing here is sized by k, which the input gives
+        self.current: dict[int, RobotRow] = {}
+        self.gone: set[int] = set()
+        self.snapshot: list[RobotRow] = []
+        self.slot: dict[int, int] = {}  # robot id -> index in the snapshot
+        self.rows: dict[tuple, RobotRow] = {}
+        self.round = 0
+
+    def record(self, obj: dict) -> TraceRecord:
+        rnd = obj["round"]
+        if type(rnd) is not int or rnd <= self.round:
+            raise ValueError(f"round {rnd!r} is not an integer greater than {self.round}")
+        self.round = rnd
+        k, current, gone = self.k, self.current, self.gone
+        rebuild = False
+        last = -1
+        for i in obj["gone"]:
+            if type(i) is not int or not 0 <= i < k:
+                raise ValueError(f"gone id {i!r} outside robots 0..{k - 1}")
+            if i <= last:
+                raise ValueError(f"gone ids do not ascend at {i}")
+            if current.pop(i, None) is None:
+                raise ValueError(f"robot {i} is gone but has no row")
+            gone.add(i)
+            rebuild = True
+            last = i
+        patch = []
+        last = -1
+        for r in obj["rows"]:
+            row = self._row(r)
+            i = row.id
+            if not 0 <= i < k:
+                raise ValueError(f"row id {i} outside robots 0..{k - 1}")
+            if i <= last:
+                raise ValueError(f"row ids do not ascend at {i}")
+            if i in gone:
+                raise ValueError(f"row for robot {i}, which is gone")
+            if i not in current:
+                rebuild = True
+            current[i] = row
+            patch.append(row)
+            last = i
+        if rebuild:
+            snapshot = [current[i] for i in sorted(current)]
+            self.slot = {r.id: j for j, r in enumerate(snapshot)}
+        else:
+            snapshot = self.snapshot.copy()
+            slot = self.slot
+            for row in patch:
+                snapshot[slot[row.id]] = row
+        self.snapshot = snapshot
+        events = list(obj["events"])
         for ev in events:
             if not _EVENT.fullmatch(ev):
                 raise ValueError(f"unknown event {ev!r}")
-        return TraceRecord(int(obj["round"]), robots, events)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise TraceFormatError(f"line {line_no}: bad record: {exc}") from None
+        return TraceRecord(rnd, snapshot, events)
+
+    def _row(self, r: dict) -> RobotRow:
+        ident, node, role, dir_, entered, bits = (
+            r["id"], r["node"], r["role"], r["dir"], r["entered"], r["bits"])
+        # True == 1 == 1.0 as keys: the types are checked before the
+        # lookup (ints) or are part of the key (entered)
+        if not (type(ident) is int and type(node) is int and type(bits) is int):
+            raise TypeError(f"row id, node and bits must be integers: {r!r}")
+        key = (ident, node, role, dir_, entered, type(entered), bits)
+        row = self.rows.get(key)
+        if row is None:
+            # ValueError unless both are values the engine writes
+            Role(role)
+            Direction(dir_)
+            if entered is not None and (type(entered) is not int or entered < 0):
+                raise ValueError(f"entered must be a port or null, not {entered!r}")
+            row = self.rows[key] = RobotRow(ident, node, role, dir_, entered, bits)
+        return row
 
 
-def parse_trace(text: str) -> ParsedTrace:
-    """Read a JSON-lines trace: zero or more round records, then a summary.
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
-    Equal rows come back as one shared ``RobotRow``.
+
+def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
+    """Read a trace, line by line, from a string or an open file.
+
+    The header comes first, then the round records, then the summary.
+    Each record comes back with its full snapshot of rows, ascending by
+    id, and equal rows as one shared ``RobotRow``.  A line holding a
+    non-ASCII byte (or character) is rejected before it is decoded, so
+    pass a file opened in binary mode to have every byte checked.
     """
+    lines = io.StringIO(source) if isinstance(source, str) else source
+    reader: _RecordReader | None = None
     records: list[TraceRecord] = []
-    rows: dict[tuple, RobotRow] = {}
     summary: RunSummary | None = None
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    offset = 0
+    for line_no, line in enumerate(lines, start=1):
+        if not line.isascii():
+            text = line.decode("latin-1") if isinstance(line, bytes) else line
+            at = offset + _NON_ASCII.search(text).start()
+            raise TraceFormatError(f"line {line_no}: non-ASCII input at offset {at}")
+        offset += len(line)
         if not line.strip():
             continue
         try:
@@ -551,16 +662,27 @@ def parse_trace(text: str) -> ParsedTrace:
             raise TraceFormatError(f"line {line_no}: not JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise TraceFormatError(f"line {line_no}: expected an object")
-        if "outcome" in obj:
+        if reader is None:
+            reader = _RecordReader(_parse_header(obj, line_no))
+        elif "format" in obj:
+            raise TraceFormatError(f"line {line_no}: second header line")
+        elif "outcome" in obj:
             if summary is not None:
                 raise TraceFormatError(f"line {line_no}: second summary line")
             summary = _parse_summary(obj)
         elif "round" in obj:
             if summary is not None:
                 raise TraceFormatError(f"line {line_no}: record after summary")
-            records.append(_parse_record(obj, line_no, rows))
+            try:
+                records.append(reader.record(obj))
+            except (KeyError, ValueError, TypeError) as exc:
+                raise TraceFormatError(f"line {line_no}: bad record: {exc}") from None
         else:
             raise TraceFormatError(f"line {line_no}: neither record nor summary")
+    if reader is None:
+        raise TraceFormatError("trace has no header line")
     if summary is None:
         raise TraceFormatError("trace has no summary line")
+    if summary.k != reader.k:
+        raise TraceFormatError(f"summary has k={summary.k}, the header k={reader.k}")
     return ParsedTrace(records=records, summary=summary)

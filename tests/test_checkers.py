@@ -18,7 +18,7 @@ from dispersim.checkers import (
     oracle_dfs,
     run_all,
 )
-from dispersim.engine import SimulationConfig, parse_trace, run
+from dispersim.engine import SimulationConfig, TraceFormatError, parse_trace, run
 from dispersim.graph import (
     gen_complete,
     gen_path,
@@ -194,7 +194,8 @@ class TestIncompleteTraces:
         text = res.to_jsonl()
         lines = text.strip().splitlines()
         summary = lines[-1]
-        truncated = "\n".join(lines[: res.summary.t2] + [summary]) + "\n"
+        # the header, then the records of rounds 1..t2
+        truncated = "\n".join(lines[: res.summary.t2 + 1] + [summary]) + "\n"
         trace = parse_trace(truncated)
         with pytest.raises(TraceIncompleteError):
             check_mirror(trace)
@@ -205,9 +206,17 @@ class TestIncompleteTraces:
             SimulationConfig(graph=g, k=2, seed=0)
         )
         lines = res.to_jsonl().strip().splitlines()
-        trace = parse_trace(lines[-1] + "\n")
+        trace = parse_trace(lines[0] + "\n" + lines[-1] + "\n")
         with pytest.raises(TraceIncompleteError):
             check_memory(trace, g.max_degree())
+
+
+def test_summary_k_above_n_is_format_error():
+    g = gen_path(3)
+    trace = traced(g, 2)
+    trace.summary.k = 4
+    with pytest.raises(TraceFormatError, match="k=4"):
+        run_all(trace, g)
 
 
 def test_verdict_serializes_to_json():

@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, report shapes, file round trips."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
 from dispersim.cli import main
+from dispersim.engine import SimulationConfig, parse_trace, run
+from dispersim.graph import gen_ring
+from trace_v1 import v1_jsonl
 
 
 def run_cli(capsys, *argv):
@@ -54,7 +58,8 @@ class TestRun:
         assert summary["outcome"] == "dispersed"
         assert summary["rounds"] == summary["t2"] + summary["t1"] + 2
         lines = trace_file.read_text().strip().splitlines()
-        assert len(lines) == summary["rounds"] + 1
+        assert len(lines) == summary["rounds"] + 2
+        assert json.loads(lines[0]) == {"format": 2, "k": 2}
         assert json.loads(lines[-1]) == summary
 
     def test_k_zero_is_usage_error(self, capsys):
@@ -82,6 +87,15 @@ class TestRun:
         )
         assert code == 0
         assert json.loads(out)["outcome"] == "dispersed"
+
+    def test_non_ascii_graph_file(self, capsys, tmp_path):
+        graph_file = tmp_path / "g.graph"
+        graph_file.write_bytes(b"2 1\n0 0 1 0 \xc3\xa9\n" + b"# padding\n" * 1000)
+        code, out, err = run_cli(
+            capsys, "run", "--graph", str(graph_file), "--k", "2", "--seed", "1"
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: {graph_file}: byte 0xc3 at offset 12 is not ASCII\n"
 
     def test_missing_graph_file(self, capsys):
         code, _, _ = run_cli(
@@ -153,23 +167,35 @@ class TestVerify:
         )
         assert code == 3
 
-    # line of the trace to edit (0 is round 1, -1 the summary) and the edit;
-    # the rows edited are robot 3's in round 4, a settled row that equals
-    # its round-3 row, entered 1 included
+    # line of the trace to edit (0 is the header, r round r, -1 the summary)
+    # and the edit: a function of the line's object, or the fields to
+    # change in robot 3's round-3 row, which goes into that line's rows as
+    # the robot's new row (robot 3 settles in round 3, writes no row in
+    # round 4 and is gone from round 14 on)
     HOSTILE_EDITS = {
         "summary_t1_string": (-1, lambda o: o.update(t1="7")),
         "summary_t1_huge": (-1, lambda o: o.update(t1=1_000_000_000)),
         "summary_vR_off_graph": (-1, lambda o: o.update(vR=42)),
         "summary_k_too_large": (-1, lambda o: o.update(k=99)),
-        "event_bad_robot_id": (0, lambda o: o["events"].append("settle:zz@1")),
-        "event_robot_off_run": (0, lambda o: o["events"].append("to_done:6")),
-        "event_settle_off_graph": (0, lambda o: o["events"].append("settle:1@99")),
-        "event_child_port_off_graph": (0, lambda o: o["events"].append("set_child:0=99")),
-        "row_node_off_graph": (3, lambda o: o["robots"][3].update(node=99)),
-        "row_id_off_run": (3, lambda o: o["robots"][3].update(id=6)),
-        "row_entered_string": (3, lambda o: o["robots"][3].update(entered="x")),
-        "row_entered_bool": (3, lambda o: o["robots"][3].update(entered=True)),
-        "row_role_unknown": (3, lambda o: o["robots"][3].update(role="zz")),
+        "event_bad_robot_id": (1, lambda o: o["events"].append("settle:zz@1")),
+        "event_robot_off_run": (1, lambda o: o["events"].append("to_done:6")),
+        "event_settle_off_graph": (1, lambda o: o["events"].append("settle:1@99")),
+        "event_child_port_off_graph": (1, lambda o: o["events"].append("set_child:0=99")),
+        "row_node_off_graph": (4, {"node": 99}),
+        "row_id_off_run": (4, {"id": 6}),
+        "row_entered_string": (4, {"entered": "x"}),
+        "row_entered_bool": (4, {"entered": True}),
+        "row_role_unknown": (4, {"role": "zz"}),
+        "row_for_gone_robot": (15, {}),
+        "header_missing": (0, lambda o: o.pop("format")),
+        "header_twice": (1, lambda o: (o.clear(), o.update(format=2, k=6))),
+        "header_format_1": (0, lambda o: o.update(format=1)),
+        "header_k_zero": (0, lambda o: o.update(k=0)),
+        "header_k_string": (0, lambda o: o.update(k="6")),
+        "header_k_not_summary_k": (0, lambda o: o.update(k=7)),
+        "gone_id_off_run": (1, lambda o: o["gone"].append(6)),
+        "gone_without_row": (15, lambda o: o.update(gone=[3, 5])),
+        "round_repeated": (5, lambda o: o.update(round=4)),
     }
 
     @pytest.mark.parametrize("edit", sorted(HOSTILE_EDITS))
@@ -180,7 +206,14 @@ class TestVerify:
         lines = good_trace.read_text().strip().splitlines()
         line, change = self.HOSTILE_EDITS[edit]
         obj = json.loads(lines[line])
-        change(obj)
+        if isinstance(change, dict):
+            row = next(asdict(r) for r in parse_trace(good_trace.read_text()).by_round[3].robots
+                       if r.id == 3)
+            ids = [r["id"] for r in obj["rows"]]
+            assert 3 not in ids
+            obj["rows"].insert(sum(i < 3 for i in ids), {**row, **change})
+        else:
+            change(obj)
         lines[line] = json.dumps(obj)
         bad = tmp_path / "hostile.jsonl"
         bad.write_text("\n".join(lines) + "\n")
@@ -189,6 +222,25 @@ class TestVerify:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_v1_trace_is_format_error(self, capsys, tmp_path):
+        v1 = tmp_path / "v1.jsonl"
+        res = run(SimulationConfig(graph=gen_ring(6), k=6, seed=5))
+        v1.write_text(v1_jsonl(res))
+        code, _, err = run_cli(capsys, "verify", "--trace", str(v1), "--graph", "gen:ring:6")
+        assert code == 3
+        assert err.startswith(f"error: {v1}: line 1: ") and "v1" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_non_ascii_trace_file(self, capsys, good_trace, tmp_path):
+        data = good_trace.read_bytes()
+        lines = data.splitlines(keepends=True)
+        at = len(lines[0]) + len(lines[1]) + 40
+        bad = tmp_path / "accent.jsonl"
+        bad.write_bytes(data[:at] + b"\xc3\xa9" + data[at:])
+        code, out, err = run_cli(capsys, "verify", "--trace", str(bad), "--graph", "gen:ring:6")
+        assert (code, out) == (3, "")
+        assert err == f"error: {bad}: line 3: non-ASCII input at offset {at}\n"
 
     def test_k_one_mirror_is_vacuous(self, capsys, tmp_path):
         trace_file = tmp_path / "k1.jsonl"

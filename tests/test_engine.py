@@ -1,5 +1,6 @@
 """Round scheduler: replays, determinism, budgets, trace formats."""
 
+import io
 import json
 from dataclasses import replace
 
@@ -168,20 +169,26 @@ class TestConfigValidation:
             run(SimulationConfig(graph=gen_path(2), k=0, seed=0))
 
 
-def _jsonl_reference(res) -> str:
-    """The trace as ``json.dumps`` of one dict per record, then the summary."""
-    lines = [
-        json.dumps({
+def _row(r) -> dict:
+    return {"id": r.id, "node": r.node, "role": r.role, "dir": r.dir,
+            "entered": r.entered, "bits": r.bits}
+
+
+def _v2_reference(res) -> str:
+    """Format 2 written the plain way: the header, then per record every
+    row that differs from the row with the same id in the record before,
+    and the ids that record had and this one lacks, then the summary."""
+    lines = [json.dumps({"format": 2, "k": res.summary.k})]
+    before = {}
+    for rec in res.records:
+        now = {r.id: r for r in rec.robots}
+        lines.append(json.dumps({
             "round": rec.round,
-            "robots": [
-                {"id": r.id, "node": r.node, "role": r.role, "dir": r.dir,
-                 "entered": r.entered, "bits": r.bits}
-                for r in rec.robots
-            ],
+            "rows": [_row(r) for r in rec.robots if before.get(r.id) != r],
+            "gone": sorted(set(before) - set(now)),
             "events": list(rec.events),
-        })
-        for rec in res.records
-    ]
+        }))
+        before = now
     lines.append(json.dumps(res.summary.to_dict()))
     return "\n".join(lines) + "\n"
 
@@ -198,9 +205,24 @@ class TestTraceWriting:
             assert shared.entered is None
             res.records[3].robots[1] = replace(shared, node=4)
             assert any(not rec.events for rec in res.records)
+        # a record in which every robot is gone
         res.records.append(TraceRecord(res.summary.rounds + 1, [], []))
-        assert res.to_jsonl() == _jsonl_reference(res)
-        assert "".join(res.jsonl_lines()) == res.to_jsonl()
+        text = res.to_jsonl()
+        assert text == _v2_reference(res)
+        assert "".join(res.jsonl_lines()) == text
+        assert parse_trace(text).records == res.records
+
+    def test_only_changed_rows_are_written(self):
+        res = run(SimulationConfig(graph=gen_worstcase(16), k=16, root=0, seed=2))
+        lines = [json.loads(line) for line in res.to_jsonl().splitlines()]
+        assert lines[0] == {"format": 2, "k": 16}
+        assert len(lines) == res.summary.rounds + 2
+        assert lines[1]["rows"] == [_row(r) for r in res.records[0].robots]
+        written = sum(len(obj["rows"]) for obj in lines[1:-1])
+        # every robot but the last drops out; the last terminates in the
+        # final round, whose record still holds its row
+        assert sum(len(obj["gone"]) for obj in lines[1:-1]) == 15
+        assert written * 10 < sum(len(rec.robots) for rec in res.records)
 
     def test_settled_row_is_shared_between_rounds(self):
         res = run(SimulationConfig(graph=gen_ring(6), k=6, root=0, seed=5))
@@ -211,6 +233,30 @@ class TestTraceWriting:
         assert res.records[3].robots[2] is row
 
 
+SETTLED = {"id": 0, "node": 0, "role": "settled", "dir": "fwd", "entered": 1, "bits": 17}
+EXPLORER = {"id": 1, "node": 1, "role": "explore", "dir": "fwd", "entered": 0, "bits": 17}
+
+
+def _lines(*objs) -> str:
+    return "".join(json.dumps(obj) + "\n" for obj in objs)
+
+
+def _small_trace(edit=None) -> str:
+    """Two robots: robot 1 moves in round 2 and is gone from round 3 on;
+    ``edit(objs)`` may change the line objects first."""
+    objs = [
+        {"format": 2, "k": 2},
+        {"round": 1, "rows": [SETTLED, EXPLORER], "gone": [], "events": []},
+        {"round": 2, "rows": [{**EXPLORER, "node": 2}], "gone": [], "events": ["terminate:1"]},
+        {"round": 3, "rows": [], "gone": [1], "events": []},
+        {"outcome": "max_rounds", "t1": None, "t2": None, "rounds": 3, "vR": 0, "vL": None,
+         "repair_fired": False, "k": 2, "positions": {"0": 0, "1": 2}},
+    ]
+    if edit is not None:
+        edit(objs)
+    return _lines(*objs)
+
+
 class TestTraceParsing:
     def test_round_trip(self):
         for graph, k, root, seed in [(gen_ring(5), 3, 1, 9), (gen_worstcase(16), 16, 0, 2)]:
@@ -219,6 +265,31 @@ class TestTraceParsing:
             assert parsed.summary == res.summary
             assert parsed.records == res.records
             assert parsed.by_round[1].robots[0].node == root
+
+    def test_snapshots_follow_the_deltas(self):
+        parsed = parse_trace(_small_trace())
+        settled = parsed.records[0].robots[0]
+        assert [[(r.id, r.node) for r in rec.robots] for rec in parsed.records] == [
+            [(0, 0), (1, 1)], [(0, 0), (1, 2)], [(0, 0)]]
+        assert all(rec.robots[0] is settled for rec in parsed.records)
+        # every record owns its list: a corruption of one round stays there
+        assert parsed.records[0].robots is not parsed.records[1].robots
+
+    def test_reads_an_open_file_line_by_line(self):
+        res = run(SimulationConfig(graph=gen_ring(5), k=3, root=1, seed=9))
+        text = res.to_jsonl()
+        for source in (io.BytesIO(text.encode("ascii")), io.StringIO(text)):
+            assert parse_trace(source).records == res.records
+
+    @pytest.mark.parametrize("accent", [b"\xc3\xa9", "\u00e9"])
+    def test_non_ascii_line_is_named(self, accent):
+        head = '{"format": 2, "k": 2}\n{"round": 1, "rows": [], "gone": [], "events": ["'
+        if isinstance(accent, bytes):
+            source = io.BytesIO(head.encode("ascii") + accent + b'"]}\n')
+        else:
+            source = head + accent + '"]}\n'
+        with pytest.raises(TraceFormatError, match=f"line 2: non-ASCII input at offset {len(head)}"):
+            parse_trace(source)
 
     def test_equal_rows_share_one_object(self):
         res = run(SimulationConfig(graph=gen_worstcase(16), k=16, root=0, seed=2))
@@ -233,18 +304,43 @@ class TestTraceParsing:
     def test_lookalike_of_an_earlier_row_is_rejected(self, field, value):
         """A row equal under == to one already read (True == 1 == 1.0) is
         still checked on its own."""
-        row = {"id": 0, "node": 0, "role": "settled", "dir": "fwd", "entered": 1, "bits": 17}
+        row = SETTLED
         summary = {"outcome": "max_rounds", "t1": None, "t2": None, "rounds": 2, "vR": 0,
                    "vL": None, "repair_fired": False, "k": 1, "positions": {"0": 0}}
 
         def trace(second: dict) -> str:
-            objs = ({"round": 1, "robots": [row], "events": []},
-                    {"round": 2, "robots": [second], "events": []}, summary)
-            return "".join(json.dumps(obj) + "\n" for obj in objs)
+            return _lines({"format": 2, "k": 1},
+                          {"round": 1, "rows": [row], "gone": [], "events": []},
+                          {"round": 2, "rows": [second], "gone": [], "events": []}, summary)
 
         assert parse_trace(trace(dict(row))).records[1].robots[0].entered == 1
-        with pytest.raises(TraceFormatError, match="line 2"):
+        with pytest.raises(TraceFormatError, match="line 3"):
             parse_trace(trace({**row, field: value}))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda o: o.pop(0), "line 1: no format header; a v1 trace"),
+        (lambda o: o.insert(2, o[0]), "line 3: second header"),
+        (lambda o: o[0].update(format=1), "line 1: trace format 1;"),
+        (lambda o: o[0].update(k=0), "header k must be an integer >= 1, not 0"),
+        (lambda o: o[0].update(k=True), "header k must be an integer >= 1, not True"),
+        (lambda o: o[0].update(k=3), "summary has k=2, the header k=3"),
+        (lambda o: o[0].update(k=10**12), "summary has k=2, the header k=1000000000000"),
+        (lambda o: o[2]["rows"][0].update(id=2), "line 3: .* row id 2 outside robots 0..1"),
+        (lambda o: o[3].update(gone=[2]), "line 4: .* gone id 2 outside robots 0..1"),
+        (lambda o: o[3].update(gone=[1, 1]), "line 4: .* gone ids do not ascend at 1"),
+        (lambda o: o[1].update(rows=[EXPLORER, SETTLED]), "line 2: .* row ids do not ascend"),
+        (lambda o: o[2].update(gone=[1]), "line 3: .* row for robot 1, which is gone"),
+        (lambda o: o.insert(4, {"round": 4, "rows": [], "gone": [1], "events": []}),
+         "line 5: .* robot 1 is gone but has no row"),
+        (lambda o: o[3].update(round=2), "line 4: .* round 2 is not an integer greater than 2"),
+        (lambda o: o[1].update(round=0), "line 2: .* round 0 is not an integer greater than 0"),
+        (lambda o: o[1].update(round="1"), "line 2: .* round '1' is not an integer"),
+        (lambda o: o[1].pop("gone"), "line 2: bad record: 'gone'"),
+    ])
+    def test_bad_header_or_delta_is_rejected(self, edit, message):
+        assert parse_trace(_small_trace()).summary.k == 2
+        with pytest.raises(TraceFormatError, match=message):
+            parse_trace(_small_trace(edit))
 
     @pytest.mark.parametrize("field, value", [("t1", 0), ("t1", 8), ("t2", 1_000_000_000)])
     def test_summary_round_outside_the_run(self, field, value):
@@ -257,29 +353,29 @@ class TestTraceParsing:
             parse_trace("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n")
 
     def test_missing_summary(self):
-        with pytest.raises(TraceFormatError):
-            parse_trace('{"round": 1, "robots": [], "events": []}\n')
+        with pytest.raises(TraceFormatError, match="no summary"):
+            parse_trace(_small_trace(lambda o: o.pop()))
 
     def test_double_summary(self):
         res = run(SimulationConfig(graph=gen_path(2), k=1, seed=0))
         text = res.to_jsonl()
         last = text.strip().splitlines()[-1]
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(TraceFormatError, match="second summary"):
             parse_trace(text + last + "\n")
 
     def test_record_after_summary(self):
         res = run(SimulationConfig(graph=gen_path(2), k=1, seed=0))
         text = res.to_jsonl()
-        with pytest.raises(TraceFormatError):
-            parse_trace(text + '{"round": 99, "robots": [], "events": []}\n')
+        with pytest.raises(TraceFormatError, match="record after summary"):
+            parse_trace(text + '{"round": 99, "rows": [], "gone": [], "events": []}\n')
 
     def test_not_json(self):
         with pytest.raises(TraceFormatError):
             parse_trace("not json at all\n")
 
     def test_unrecognized_object(self):
-        with pytest.raises(TraceFormatError):
-            parse_trace('{"neither": true}\n')
+        with pytest.raises(TraceFormatError, match="neither record nor summary"):
+            parse_trace('{"format": 2, "k": 1}\n{"neither": true}\n')
 
 
 def test_default_budgets_scale_with_input():
