@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .engine import Outcome, ParsedTrace, TraceFormatError, TraceRecord
 from .graph import PortLabeledGraph
-from .robot import initial_state, memory_footprint_bits
+from .robot import memory_footprint_bits
 
 
 class KTooLargeError(ValueError):
@@ -616,7 +616,7 @@ def check_memory(trace: ParsedTrace, max_degree: int) -> Verdict:
     """Every recorded footprint equals the constant budget for this degree."""
     if not trace.records:
         raise TraceIncompleteError("no round records with footprint fields")
-    budget = memory_footprint_bits(initial_state(), max_degree)
+    budget = memory_footprint_bits(max_degree)
     findings: list[str] = []
     for rec in trace.records:
         for r in rec.robots:

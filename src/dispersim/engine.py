@@ -25,18 +25,21 @@ the settlers at nodes where something was broadcast.  Each node's
 broadcasts are tallied once per subround into a ``NodeInbox``, and every
 robot there reads its view as those totals minus its own contribution,
 so an election among g co-located robots costs O(g) per subround, not
-O(g^2).
+O(g^2).  A robot's state is one int word (see ``robot.FIELDS``), so a
+transition builds no object: a step returns a new word, movement sets
+the entry port with one mask-and-or, and every stored word costs one AND
+against the run's overflow mask and one OR into its role's accumulator.
 
 A FULL trace holds one row per alive robot per round in memory, but its
 cost follows the rows that change: a robot keeps last round's row object
-while its frozen state is the same object and its node is the same, and
-the trace text (format 2) carries only the rows that differ from that
-robot's row in the round before, plus the ids of robots that dropped
-out.  Reading patches a copy of the previous round's rows, and converts
-and checks each distinct row once, so equal rows share one object.  What
-is still paid per robot per round is the row's slot in its record:
-filled by ``run``, tested for identity with the round before when
-writing, copied when reading.
+while the row fields of its word (role, direction, entry port) and its
+node are the same, and the trace text (format 2) carries only the rows
+that differ from that robot's row in the round before, plus the ids of
+robots that dropped out.  Reading patches a copy of the previous round's
+rows, and converts and checks each distinct row once, so equal rows
+share one object.  What is still paid per robot per round is the row's
+slot in its record: filled by ``run``, tested for identity with the
+round before when writing, copied when reading.
 """
 
 from __future__ import annotations
@@ -46,31 +49,46 @@ import json
 import random
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .graph import PortLabeledGraph
 from .robot import (
-    Decision,
-    Direction,
+    ACKNOWLEDGE,
+    DIRECTIONS,
+    DONE,
     EMPTY_INBOX,
+    ENTERED_MASK,
+    ENTERED_SHIFT,
+    EXPLORE,
+    INITIAL_STATE,
+    NOT_DONE,
+    PORT_SLOT,
+    RETURN,
+    ROLE_MASK,
+    ROLES,
+    ROW_FIELDS,
+    SETTLED,
+    VISITED_BIT,
+    Decision,
     Message,
     Move,
-    NOT_DONE,
     NodeInbox,
     ProtocolViolation,
     Query,
-    Role,
-    RobotState,
     Terminate,
     TerminateSelf,
-    initial_state,
+    field_widths,
     memory_footprint_bits,
+    overflow_mask,
+    overflowing_field,
+    port_bits,
     step_acknowledge,
     step_done,
     step_explore,
     step_return,
     step_settled,
+    trace_fields,
 )
 
 
@@ -143,6 +161,12 @@ class SimulationConfig:
             raise ConfigError("max_rounds must be at least 1")
         if self.resolved_max_subrounds() < 4:
             raise ConfigError("max_subrounds_per_round must be at least 4")
+        delta = self.graph.max_degree()
+        if port_bits(delta) + 1 > PORT_SLOT:
+            raise ConfigError(
+                f"max degree {delta} needs {port_bits(delta) + 1}-bit port fields; "
+                f"a state word's port slots hold {PORT_SLOT} bits"
+            )
 
 
 @dataclass(frozen=True)
@@ -195,6 +219,9 @@ class SimulationResult:
     summary: RunSummary
     records: list[TraceRecord]
     trace_level: TraceLevel
+    # per role name, the widest value the run stored in each state field,
+    # in bits (see robot.FIELDS); not part of the trace
+    used_bits: dict[str, dict[str, int]]
 
     def jsonl_lines(self) -> Iterator[str]:
         """The trace's lines, each ending in a newline: the format header,
@@ -259,7 +286,7 @@ class ParsedTrace:
 
 
 class World:
-    """Mutable per-run state: positions, robot states, liveness, rngs."""
+    """Mutable per-run state: positions, state words, liveness, rngs."""
 
     def __init__(self, config: SimulationConfig):
         self.graph = config.graph
@@ -267,7 +294,7 @@ class World:
         self.root = config.root
         self.max_subrounds = config.resolved_max_subrounds()
         self.positions = [config.root] * config.k
-        self.states = [initial_state() for _ in range(config.k)]
+        self.states = [INITIAL_STATE] * config.k
         self.alive = [True] * config.k
         # alive robots that are not settled, ascending; settling and dying
         # are final, so it only ever shrinks
@@ -279,6 +306,19 @@ class World:
         self.t2: int | None = None
         self.v_l: int | None = None
         self.repair_fired = False
+        # the bits a port field may use at this max degree, and the word
+        # bits no stored word may set
+        self.max_degree = config.graph.max_degree()
+        self.field_bits = port_bits(self.max_degree) + 1
+        self.overflow = overflow_mask(self.max_degree)
+        # per role code, the OR of every word stored in that role
+        self.used = [0] * (ROLE_MASK + 1)
+
+    def _too_wide(self, i: int, name: str, value: int) -> _Fault:
+        return _Fault(
+            f"round {self.round}: robot {i} stored {name}={value}, which does not fit "
+            f"its {self.field_bits}-bit field at max degree {self.max_degree}"
+        )
 
     # -- round machinery --------------------------------------------------
 
@@ -287,8 +327,11 @@ class World:
 
         Appends event strings for everything that happened during the
         round: settles, role changes, applied control messages, deaths.
+        Every word stored is checked against ``self.overflow`` and
+        accumulated into ``self.used``.
         """
         g = self.graph
+        states, used, overflow = self.states, self.used, self.overflow
         movers = list(self.live)
         decisions: dict[int, Decision] = {}
         settled_kill: set[int] = set()
@@ -297,8 +340,8 @@ class World:
         # subround 1: queries out, done-role robots decide immediately
         undecided: list[int] = []
         for i in movers:
-            if self.states[i].role is Role.DONE:
-                _, _, dec = step_done(self.states[i])
+            if states[i] & ROLE_MASK == DONE:
+                _, _, dec = step_done(states[i])
                 decisions[i] = dec
             else:
                 undecided.append(i)
@@ -325,30 +368,30 @@ class World:
                 if settler is not None:
                     actors.append(settler)
             for i in sorted(actors):
-                st = self.states[i]
+                st = states[i]
                 node = self.positions[i]
                 inbox = inboxes.get(node)
                 summary = EMPTY_INBOX if inbox is None else inbox.view(i)
-                if st.role is Role.SETTLED:
-                    if summary.set_child is not None:
-                        events.append(f"set_child:{i}={summary.set_child}")
-                    if summary.set_visited and not st.visited:
+                role = st & ROLE_MASK
+                reply = summary.settled_reply
+                if role == SETTLED:
+                    port = summary.set_child
+                    if port is not None:
+                        # a port from a message: it must fit before it is written
+                        if port < 0 or port + 1 >> self.field_bits:
+                            raise self._too_wide(i, "child", port)
+                        events.append(f"set_child:{i}={port}")
+                    if summary.set_visited and not st & VISITED_BIT:
                         events.append(f"set_visited:{i}")
                     st2, msgs, dec = step_settled(st, summary)
-                    self.states[i] = st2
-                    pending.extend((node, i, m) for m in msgs)
-                    if isinstance(dec, TerminateSelf):
-                        settled_kill.add(i)
-                    continue
-                reply = summary.settled_reply
-                if st.role is Role.EXPLORE:
+                elif role == EXPLORE:
                     st2, msgs, dec = step_explore(st, summary, self.rngs[i], g.degree(node))
-                elif st.role is Role.RETURN:
+                elif role == RETURN:
                     st2, msgs, dec = step_return(st, reply)
                 else:
                     st2, msgs, dec = step_acknowledge(st, reply, g.degree(node))
                     if (
-                        st.entered is None
+                        not st & ENTERED_MASK
                         and reply is not None
                         and reply.child == 0
                         and any(isinstance(m, Terminate) for m in msgs)
@@ -357,10 +400,17 @@ class World:
                         self.repair_fired = True
                         events.append(f"repair_terminate:{self.node_settler[node]}")
                 pending.extend((node, i, m) for m in msgs)
-                if dec is NOT_DONE:
-                    self.states[i] = st2
-                else:
-                    self._finish_mover(i, st, st2, dec, decisions, events)
+                if st2 & overflow:
+                    raise self._too_wide(i, *overflowing_field(st2, self.max_degree))
+                used[st2 & ROLE_MASK] |= st2
+                if role == SETTLED:
+                    if isinstance(dec, TerminateSelf):
+                        settled_kill.add(i)
+                elif dec is not NOT_DONE:
+                    if (st ^ st2) & ROLE_MASK:
+                        self._change_role(i, st2 & ROLE_MASK, events)
+                    decisions[i] = dec
+                states[i] = st2
             undecided = [i for i in undecided if i not in decisions]
 
         # round end: simultaneous movement, then deaths
@@ -372,43 +422,37 @@ class World:
                     raise _Fault(f"robot {i} tried invalid port {dec.port} at node {node}")
                 nxt, rport = g.neighbor_via(node, dec.port)
                 self.positions[i] = nxt
-                self.states[i] = replace(self.states[i], entered=rport)
+                # rport is below the max degree, which fits a port field
+                word = states[i] & ~ENTERED_MASK | rport + 1 << ENTERED_SHIFT
+                if word & overflow:
+                    raise self._too_wide(i, *overflowing_field(word, self.max_degree))
+                used[word & ROLE_MASK] |= word
+                states[i] = word
         for i in movers:
             if isinstance(decisions[i], TerminateSelf):
                 self._kill(i, events)
         for i in sorted(settled_kill):
             self._kill(i, events)
 
-    def _finish_mover(
-        self,
-        i: int,
-        before: RobotState,
-        after: RobotState,
-        decision: Decision,
-        decisions: dict[int, Decision],
-        events: list[str],
-    ) -> None:
+    def _change_role(self, i: int, role: int, events: list[str]) -> None:
         node = self.positions[i]
-        if after.role is not before.role:
-            if after.role is Role.SETTLED:
-                if node in self.node_settler:
-                    raise _Fault(f"two settled robots at node {node}")
-                self.node_settler[node] = i
-                self.live.remove(i)
-                events.append(f"settle:{i}@{node}")
-            elif after.role is Role.RETURN:
-                events.append(f"to_return:{i}")
-                if self.t1 is None:
-                    self.t1 = self.round
-                    self.v_l = node
-            elif after.role is Role.ACKNOWLEDGE:
-                events.append(f"to_acknowledge:{i}")
-                if self.t2 is None:
-                    self.t2 = self.round
-            elif after.role is Role.DONE:
-                events.append(f"to_done:{i}")
-        self.states[i] = after
-        decisions[i] = decision
+        if role == SETTLED:
+            if node in self.node_settler:
+                raise _Fault(f"two settled robots at node {node}")
+            self.node_settler[node] = i
+            self.live.remove(i)
+            events.append(f"settle:{i}@{node}")
+        elif role == RETURN:
+            events.append(f"to_return:{i}")
+            if self.t1 is None:
+                self.t1 = self.round
+                self.v_l = node
+        elif role == ACKNOWLEDGE:
+            events.append(f"to_acknowledge:{i}")
+            if self.t2 is None:
+                self.t2 = self.round
+        elif role == DONE:
+            events.append(f"to_done:{i}")
 
     def _kill(self, i: int, events: list[str]) -> None:
         self.alive[i] = False
@@ -424,16 +468,16 @@ def run(config: SimulationConfig) -> SimulationResult:
     """Simulate to completion; never raises for protocol trouble.
 
     Faults (election overrun, double settle, missing reply, invalid
-    port) and exhausted round budgets are reported in the result's
-    outcome instead.
+    port, a state field wider than its L + 1 bits) and exhausted round
+    budgets are reported in the result's outcome instead.
     """
     config.validate()
     w = World(config)
-    bits = memory_footprint_bits(initial_state(), config.graph.max_degree())
+    bits = memory_footprint_bits(config.graph.max_degree())
     records: list[TraceRecord] = []
-    # per robot, the (state, node, row) of its latest row: states are
-    # frozen, so the same state object at the same node is the same row
-    last: list[tuple[RobotState, int, RobotRow] | None] = [None] * config.k
+    # per robot, the (row fields of its word, node, row) of its latest
+    # row: equal row fields at the same node are the same row
+    last: list[tuple[int, int, RobotRow] | None] = [None] * config.k
     level = config.trace_level
     outcome = Outcome.MAX_ROUNDS_EXCEEDED
     fault: str | None = None
@@ -447,11 +491,11 @@ def run(config: SimulationConfig) -> SimulationResult:
             for i in range(config.k):
                 if not w.alive[i]:
                     continue
-                st, node = w.states[i], w.positions[i]
+                key, node = w.states[i] & ROW_FIELDS, w.positions[i]
                 prev = last[i]
-                if prev is None or prev[0] is not st or prev[1] != node:
-                    row = RobotRow(i, node, st.role.value, st.direction.value, st.entered, bits)
-                    prev = last[i] = (st, node, row)
+                if prev is None or prev[0] != key or prev[1] != node:
+                    row = RobotRow(i, node, *trace_fields(key), bits)
+                    prev = last[i] = (key, node, row)
                 rows.append(prev[2])
             records.append(TraceRecord(rnd, rows, events))
         try:
@@ -487,7 +531,9 @@ def run(config: SimulationConfig) -> SimulationResult:
         positions={i: w.positions[i] for i in range(config.k)},
         fault=fault,
     )
-    return SimulationResult(summary=summary, records=records, trace_level=level)
+    used_bits = {name: field_widths(w.used[code]) for code, name in enumerate(ROLES)}
+    return SimulationResult(summary=summary, records=records, trace_level=level,
+                            used_bits=used_bits)
 
 
 # --- trace parsing --------------------------------------------------------
@@ -622,9 +668,8 @@ class _RecordReader:
         key = (ident, node, role, dir_, entered, type(entered), bits)
         row = self.rows.get(key)
         if row is None:
-            # ValueError unless both are values the engine writes
-            Role(role)
-            Direction(dir_)
+            if role not in ROLES or dir_ not in DIRECTIONS:
+                raise ValueError(f"role {role!r} or dir {dir_!r} is not one the engine writes")
             if entered is not None and (type(entered) is not int or entered < 0):
                 raise ValueError(f"entered must be a port or null, not {entered!r}")
             row = self.rows[key] = RobotRow(ident, node, role, dir_, entered, bits)

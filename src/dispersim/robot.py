@@ -6,7 +6,14 @@ stages: a group depth-first walk that settles one robot per fresh node,
 a walk back to the start node installing child pointers, and a replay of
 the first walk that marks nodes visited and tells settlers to terminate.
 
-Everything here is a pure function of (state, inbox summary, coin);
+A robot's whole persistent state is one ``int``, its state word, laid
+out by the field table ``FIELDS``: a role, a direction, a visited flag,
+the election's phase and last coin, and three port fields.  A port field
+has a fixed slot, but a run at max degree Δ may set only its low L + 1
+bits, L = ``port_bits(Δ)``; the engine faults on a word that sets any
+other, so the O(log Δ) bound is enforced rather than assumed.
+
+Everything here is a pure function of (state word, inbox summary, coin);
 the engine owns scheduling, delivery, and movement.  Randomness enters
 only through the one coin rule, :func:`le_coin`, which draws from the
 robot's own generator; an explorer runs its node's leader election
@@ -15,38 +22,96 @@ itself, one subround per call of :func:`step_explore`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 from functools import lru_cache
 
+# --- state word ---------------------------------------------------------
 
-class Role(Enum):
-    EXPLORE = "explore"
-    SETTLED = "settled"
-    RETURN = "return"
-    ACKNOWLEDGE = "acknowledge"
-    DONE = "done"
+# role codes, and the names a trace row gives them
+EXPLORE, SETTLED, RETURN, ACKNOWLEDGE, DONE = range(5)
+ROLES = ("explore", "settled", "return", "acknowledge", "done")
+# direction codes, and their trace names
+FORWARD, BACKWARD = 0, 1
+DIRECTIONS = ("fwd", "bwd")
+# election phases; a phase from LEADER on is resolved
+IDLE, SENT_START, FLIPPING, LEADER, FOLLOWER, ALONE = range(6)
 
+# bits per port slot: a slot holds port + 1, 0 meaning none
+PORT_SLOT = 16
 
-class Direction(Enum):
-    FORWARD = "fwd"
-    BACKWARD = "bwd"
-
-
-class LePhase(Enum):
-    IDLE = "idle"
-    SENT_START = "sent_start"
-    FLIPPING = "flipping"
-    RESOLVED_LEADER = "leader"
-    RESOLVED_FOLLOWER = "follower"
-    RESOLVED_ALONE = "alone"
-
-
-RESOLVED_PHASES = (
-    LePhase.RESOLVED_LEADER,
-    LePhase.RESOLVED_FOLLOWER,
-    LePhase.RESOLVED_ALONE,
+# the state word's fields, low bits first, with their widths
+FIELDS = (
+    ("role", 3),
+    ("direction", 1),
+    ("visited", 1),
+    ("phase", 3),
+    ("flip", 1),  # the last coin came up heads
+    ("entered", PORT_SLOT),
+    ("parent", PORT_SLOT),
+    ("child", PORT_SLOT),
 )
+PORT_FIELDS = ("entered", "parent", "child")
+WIDTH = dict(FIELDS)
+SHIFT = {name: sum(w for _, w in FIELDS[:j]) for j, (name, _) in enumerate(FIELDS)}
+MASK = {name: (1 << w) - 1 << SHIFT[name] for name, w in FIELDS}
+
+ROLE_MASK, DIR_BIT, VISITED_BIT = MASK["role"], MASK["direction"], MASK["visited"]
+DIR_SHIFT, VISITED_SHIFT = SHIFT["direction"], SHIFT["visited"]
+ENTERED_SHIFT, PARENT_SHIFT, CHILD_SHIFT = (SHIFT[name] for name in PORT_FIELDS)
+ENTERED_MASK, PARENT_MASK, CHILD_MASK = (MASK[name] for name in PORT_FIELDS)
+SLOT = (1 << PORT_SLOT) - 1  # one port slot, unshifted
+# the 4-bit election field that le_subround steps: phase, then the coin
+LE_SHIFT = SHIFT["phase"]
+LE_MASK = MASK["phase"] | MASK["flip"]
+LE_PHASE, LE_HEADS = 7, 8
+# what a trace row shows of a word
+ROW_FIELDS = ROLE_MASK | DIR_BIT | ENTERED_MASK
+
+# an explorer heading forward, with no ports and no election: all zeros
+INITIAL_STATE = 0
+
+
+def encode(**fields: int | None) -> int:
+    """The word holding ``fields``; a field not named is 0, a port field
+    none.  A port field takes a port or ``None``, every other field an
+    int; ``ValueError`` for a value that does not fit its field."""
+    word = 0
+    for name, value in fields.items():
+        width = WIDTH.get(name)
+        if width is None:
+            raise TypeError(f"no state field {name!r}")
+        port = name in PORT_FIELDS
+        if port and value is None:
+            continue
+        if type(value) is not int or not 0 <= value < (1 << width) - port:
+            raise ValueError(f"{name}={value!r} does not fit its {width}-bit field")
+        word |= value + port << SHIFT[name]
+    return word
+
+
+def decode(word: int) -> dict[str, int | None]:
+    """Every field of ``word``, port fields as a port or ``None``."""
+    out: dict[str, int | None] = {}
+    for name, width in FIELDS:
+        raw = word >> SHIFT[name] & (1 << width) - 1
+        out[name] = (raw - 1 if raw else None) if name in PORT_FIELDS else raw
+    return out
+
+
+def field_widths(word: int) -> dict[str, int]:
+    """The bits each field of ``word`` occupies, up to its highest set bit."""
+    return {name: (word >> SHIFT[name] & (1 << width) - 1).bit_length()
+            for name, width in FIELDS}
+
+
+def _port(word: int, shift: int) -> int | None:
+    raw = word >> shift & SLOT
+    return raw - 1 if raw else None
+
+
+def trace_fields(word: int) -> tuple[str, str, int | None]:
+    """The role, direction and entry port a trace row shows of ``word``."""
+    return ROLES[word & ROLE_MASK], DIRECTIONS[word >> DIR_SHIFT & 1], _port(word, ENTERED_SHIFT)
 
 
 class ProtocolViolation(Exception):
@@ -142,39 +207,7 @@ TERMINATE_SELF = TerminateSelf()
 NOT_DONE = NotDone()
 
 
-# --- state --------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class LeaderElectionState:
-    phase: LePhase
-    flipped_heads: int
-
-
-LE_IDLE = LeaderElectionState(LePhase.IDLE, flipped_heads=0)
-
-
-@dataclass(frozen=True, slots=True)
-class RobotState:
-    role: Role
-    direction: Direction
-    entered: int | None
-    parent: int | None
-    child: int | None
-    visited: int
-    le: LeaderElectionState
-
-
-def initial_state() -> RobotState:
-    return RobotState(
-        role=Role.EXPLORE,
-        direction=Direction.FORWARD,
-        entered=None,
-        parent=None,
-        child=None,
-        visited=0,
-        le=LE_IDLE,
-    )
+# --- inbox --------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,20 +336,24 @@ class NodeInbox:
 
 # --- leader election ----------------------------------------------------
 
+_LE_START = LeStart()
+_LE_HEADS = LeHeads()
 
-def le_coin(le: LeaderElectionState, rng) -> int:
+
+def le_coin(le: int, rng) -> int:
     """The coin rule: one bit from the robot's own generator in exactly
     SENT_START and FLIPPING, none otherwise.  It alone fixes how far each
     robot's stream advances, and so every later coin and trace byte."""
-    if le.phase is LePhase.SENT_START or le.phase is LePhase.FLIPPING:
+    phase = le & LE_PHASE
+    if phase == SENT_START or phase == FLIPPING:
         return rng.getrandbits(1)
     return 0
 
 
-def le_subround(
-    le: LeaderElectionState, summary: InboxSummary, coin: int
-) -> tuple[LeaderElectionState, Message | None]:
-    """Advance one election subround; returns the new state and a broadcast.
+def le_subround(le: int, summary: InboxSummary, coin: int) -> tuple[int, Message | None]:
+    """Advance one election subround of the 4-bit election field ``le``
+    (phase, plus ``LE_HEADS`` when the last coin came up heads); returns
+    the new field and a broadcast.
 
     Protocol: every participant first broadcasts a start marker.  A robot
     that then hears nothing is alone.  Otherwise candidates repeatedly
@@ -327,21 +364,22 @@ def le_subround(
     silent; remaining heads-flippers keep contending among themselves,
     which preserves both uniqueness and liveness.
     """
-    if le.phase is LePhase.IDLE:
-        return replace(le, phase=LePhase.SENT_START), LeStart()
-    if le.phase is LePhase.SENT_START:
+    phase = le & LE_PHASE
+    if phase == IDLE:
+        return le & LE_HEADS | SENT_START, _LE_START
+    if phase == SENT_START:
         if not summary.saw_any:
-            return replace(le, phase=LePhase.RESOLVED_ALONE), None
-    elif le.phase is LePhase.FLIPPING:
-        if le.flipped_heads and not summary.saw_any:
-            return LeaderElectionState(LePhase.RESOLVED_LEADER, 1), None
-        if not le.flipped_heads and summary.saw_heads:
-            return LeaderElectionState(LePhase.RESOLVED_FOLLOWER, 0), None
+            return le & LE_HEADS | ALONE, None
+    elif phase == FLIPPING:
+        if le & LE_HEADS and not summary.saw_any:
+            return LEADER | LE_HEADS, None
+        if not le & LE_HEADS and summary.saw_heads:
+            return FOLLOWER, None
     else:
-        raise InvalidPhaseError(f"le_subround called on resolved phase {le.phase.value}")
+        raise InvalidPhaseError(f"le_subround called on resolved phase {phase}")
     if coin:
-        return LeaderElectionState(LePhase.FLIPPING, 1), LeHeads()
-    return LeaderElectionState(LePhase.FLIPPING, 0), None
+        return FLIPPING | LE_HEADS, _LE_HEADS
+    return FLIPPING, None
 
 
 def run_local_election(
@@ -350,16 +388,11 @@ def run_local_election(
     """Run one isolated election among k co-located robots.
 
     Returns (leader indices, subrounds until everyone resolved).  Used by
-    the election statistics tests.  It steps bare election states with
-    the same ``le_coin`` and ``le_subround`` that ``step_explore`` calls,
-    drawing every coin from the one ``rng`` in robot order.  It stays
-    because stepping whole robots is too slow for criterion 07 (1000
-    elections each at k = 2, 16 and 256, gated at 10 s): through
-    ``step_explore`` those took 10.9-11.5 s and through a one-round
-    ``World`` 18.3 s, against 4.6-5.1 s here, the difference being the
-    ``dataclasses.replace`` of a ``RobotState`` every subround.
+    the election statistics tests.  It steps each robot's word through
+    ``step_explore``, as the engine does, drawing every coin from the one
+    ``rng`` in robot order.
     """
-    les = [LE_IDLE] * k
+    words = [INITIAL_STATE] * k
     unresolved = list(range(k))
     inbox = NodeInbox([])
     subrounds = 0
@@ -370,15 +403,13 @@ def run_local_election(
         sent: list[tuple[int, Message]] = []
         still_open: list[int] = []
         for i in unresolved:
-            le = les[i]
-            les[i], msg = le_subround(le, inbox.view(i), le_coin(le, rng))
-            if msg is not None:
-                sent.append((i, msg))
-            if les[i].phase not in RESOLVED_PHASES:
+            words[i], msgs, decision = step_explore(words[i], inbox.view(i), rng, 1)
+            sent.extend((i, msg) for msg in msgs)
+            if decision is NOT_DONE:
                 still_open.append(i)
         inbox = NodeInbox(sent)
         unresolved = still_open
-    leaders = [i for i, le in enumerate(les) if le.phase is LePhase.RESOLVED_LEADER]
+    leaders = [i for i, word in enumerate(words) if word & ROLE_MASK == SETTLED]
     return leaders, subrounds
 
 
@@ -386,81 +417,79 @@ def run_local_election(
 
 
 def step_settled(
-    state: RobotState, summary: InboxSummary
-) -> tuple[RobotState, list[Message], Decision]:
+    state: int, summary: InboxSummary
+) -> tuple[int, list[Message], Decision]:
     """Settled robots answer queries and apply control messages; never move."""
     msgs: list[Message] = []
-    st = state
     if summary.has_query:
-        msgs.append(SettledReply(st.parent, st.child, st.visited))
+        msgs.append(SettledReply(_port(state, PARENT_SHIFT), _port(state, CHILD_SHIFT),
+                                 state >> VISITED_SHIFT & 1))
     if summary.set_child is not None:
-        st = replace(st, child=summary.set_child)
-    if summary.set_visited and not st.visited:
-        st = replace(st, visited=1)
+        state = state & ~CHILD_MASK | summary.set_child + 1 << CHILD_SHIFT
+    if summary.set_visited:
+        state |= VISITED_BIT
     decision: Decision = TERMINATE_SELF if summary.terminate else STAY
-    return st, msgs, decision
+    return state, msgs, decision
 
 
 def step_explore(
-    state: RobotState, summary: InboxSummary, rng, degree: int
-) -> tuple[RobotState, list[Message], Decision]:
+    state: int, summary: InboxSummary, rng, degree: int
+) -> tuple[int, list[Message], Decision]:
     """Exploring walk step: bounce off occupied nodes, advance on backtracks,
     otherwise run one subround of the local election with coins from the
     robot's own ``rng``: ``NOT_DONE`` while it is open, then the leader
     settles, a robot alone turns back and a follower moves on."""
+    entered = (state >> ENTERED_SHIFT & SLOT) - 1  # -1: none
     reply = summary.settled_reply
     if reply is not None:
-        if state.entered is None:
+        if entered < 0:
             raise MissingEnteredError("explorer received a reply before its first move")
-        if state.direction is Direction.FORWARD:
-            return replace(state, direction=Direction.BACKWARD), [], Move(state.entered)
-        q = (state.entered + 1) % degree
-        if reply.parent is not None and q == reply.parent:
+        if not state & DIR_BIT:
+            return state | DIR_BIT, [], Move(entered)
+        q = (entered + 1) % degree
+        if q == reply.parent:
             return state, [], Move(q)
-        return replace(state, direction=Direction.FORWARD), [], Move(q)
-    le, msg = le_subround(state.le, summary, le_coin(state.le, rng))
-    if le.phase is LePhase.RESOLVED_LEADER:
-        return (
-            replace(state, role=Role.SETTLED, parent=state.entered, le=LE_IDLE),
-            [],
-            STAY,
-        )
-    if le.phase is LePhase.RESOLVED_ALONE:
-        if state.entered is None:
+        return state & ~DIR_BIT, [], Move(q)
+    le, msg = le_subround(state >> LE_SHIFT & 15, summary, le_coin(state >> LE_SHIFT, rng))
+    phase = le & LE_PHASE
+    if phase == LEADER:
+        # settle with the entry port as parent, the election cleared
+        parent = (state & ENTERED_MASK) >> ENTERED_SHIFT << PARENT_SHIFT
+        return state & ~(ROLE_MASK | LE_MASK | PARENT_MASK) | SETTLED | parent, [], STAY
+    if phase == ALONE:
+        if entered < 0:
             # solitary robot at its start node: nothing left to do
             return state, [], TERMINATE_SELF
-        return replace(state, role=Role.RETURN, le=LE_IDLE), [], Move(state.entered)
-    if le.phase is LePhase.RESOLVED_FOLLOWER:
-        if state.entered is None:
-            return replace(state, le=LE_IDLE), [], Move(0)
-        q = (state.entered + 1) % degree
-        if q == state.entered:
-            return replace(state, direction=Direction.BACKWARD, le=LE_IDLE), [], Move(q)
-        return replace(state, le=LE_IDLE), [], Move(q)
-    return replace(state, le=le), [] if msg is None else [msg], NOT_DONE
+        return state & ~(ROLE_MASK | LE_MASK) | RETURN, [], Move(entered)
+    if phase == FOLLOWER:
+        state &= ~LE_MASK
+        if entered < 0:
+            return state, [], Move(0)
+        q = (entered + 1) % degree
+        if q == entered:
+            return state | DIR_BIT, [], Move(q)
+        return state, [], Move(q)
+    return state & ~LE_MASK | le << LE_SHIFT, [] if msg is None else [msg], NOT_DONE
 
 
 def step_return(
-    state: RobotState, reply: SettledReply | None
-) -> tuple[RobotState, list[Message], Decision]:
+    state: int, reply: SettledReply | None
+) -> tuple[int, list[Message], Decision]:
     """Walk back along parent ports, installing the child pointer at each hop."""
     if reply is None:
         raise MissingReplyError("return-role robot found no settled robot")
-    if state.entered is None:
+    entered = state >> ENTERED_SHIFT & SLOT
+    if not entered:
         raise MissingEnteredError("return-role robot has no entry port")
-    msgs: list[Message] = [SetChild(state.entered)]
+    msgs: list[Message] = [SetChild(entered - 1)]
     if reply.parent is not None:
         return state, msgs, Move(reply.parent)
-    return (
-        replace(state, role=Role.ACKNOWLEDGE, direction=Direction.FORWARD, entered=None),
-        msgs,
-        STAY,
-    )
+    return state & ~(ROLE_MASK | DIR_BIT | ENTERED_MASK) | ACKNOWLEDGE, msgs, STAY
 
 
 def step_acknowledge(
-    state: RobotState, reply: SettledReply | None, degree: int
-) -> tuple[RobotState, list[Message], Decision]:
+    state: int, reply: SettledReply | None, degree: int
+) -> tuple[int, list[Message], Decision]:
     """Replay of the exploring walk that marks nodes and fires terminations.
 
     A settler is told to terminate exactly when the walker leaves its node
@@ -469,45 +498,51 @@ def step_acknowledge(
     a start node whose child pointer is port 0, which the replay would
     otherwise never revisit.
     """
+    entered = (state >> ENTERED_SHIFT & SLOT) - 1  # -1: none
     if reply is not None:
         if reply.visited == 0:
             msgs: list[Message] = [SetVisited()]
-            if state.entered is None:
+            if entered < 0:
                 if reply.child == 0:
                     msgs.append(Terminate())
                 return state, msgs, Move(0)
-            q = (state.entered + 1) % degree
-            st = state
-            if q == state.entered:
-                st = replace(state, direction=Direction.BACKWARD)
+            q = (entered + 1) % degree
+            if q == entered:
+                state |= DIR_BIT
                 msgs.append(Terminate())
-            elif reply.child is not None and reply.child == q:
+            elif q == reply.child:
                 msgs.append(Terminate())
-            return st, msgs, Move(q)
-        if state.entered is None:
+            return state, msgs, Move(q)
+        if entered < 0:
             raise MissingEnteredError("acknowledge revisit without an entry port")
-        if state.direction is Direction.FORWARD:
-            return replace(state, direction=Direction.BACKWARD), [], Move(state.entered)
-        q = (state.entered + 1) % degree
-        if reply.parent is not None and q == reply.parent:
+        if not state & DIR_BIT:
+            return state | DIR_BIT, [], Move(entered)
+        q = (entered + 1) % degree
+        if q == reply.parent:
             return state, [Terminate()], Move(q)
-        if reply.child is not None and q == reply.child:
-            return replace(state, direction=Direction.FORWARD), [Terminate()], Move(q)
-        return replace(state, direction=Direction.FORWARD), [], Move(q)
+        if q == reply.child:
+            return state & ~DIR_BIT, [Terminate()], Move(q)
+        return state & ~DIR_BIT, [], Move(q)
     # empty node: either the walk's final target or a node whose settler
     # already terminated; bounce forward arrivals, finish backward ones
-    if state.entered is None:
+    if entered < 0:
         raise MissingEnteredError("acknowledge at an empty node without an entry port")
-    if state.direction is Direction.FORWARD:
-        return replace(state, direction=Direction.BACKWARD), [], Move(state.entered)
-    return replace(state, role=Role.DONE), [], Move(state.entered)
+    if not state & DIR_BIT:
+        return state | DIR_BIT, [], Move(entered)
+    return state & ~ROLE_MASK | DONE, [], Move(entered)
 
 
-def step_done(state: RobotState) -> tuple[RobotState, list[Message], Decision]:
+def step_done(state: int) -> tuple[int, list[Message], Decision]:
     return state, [], TERMINATE_SELF
 
 
 # --- memory accounting --------------------------------------------------
+
+# what a role keeps of one subround's inbox digest, as (port fields, flag
+# bits): an explorer a reply (parent, child, visited) plus saw_any and
+# saw_heads, a settler set_child plus has_query, set_visited and
+# terminate; a walker in return or acknowledge keeps less than an explorer
+DIGEST_KEPT = {EXPLORE: (2, 3), SETTLED: (1, 3)}
 
 
 def port_bits(max_degree: int) -> int:
@@ -515,16 +550,40 @@ def port_bits(max_degree: int) -> int:
     return max(max_degree - 1, 1).bit_length()
 
 
-def memory_footprint_bits(state: RobotState, max_degree: int) -> int:
-    """Total persistent bits under the canonical fixed-width encoding.
-
-    role 3, direction 1, visited 1, election phase 3 plus one bit for the
-    last coin flip, three port fields of L+1 bits each (value plus a none
-    flag), and the widest inbox digest at 2(L+1)+3 bits, where
+def memory_footprint_bits(max_degree: int) -> int:
+    """Persistent bits per robot at this max degree: the state word's
+    fields, each port field at L + 1 bits (value plus a none flag), plus
+    the widest inbox digest a role keeps, where
     L = ceil(log2(max degree, floored at 2)).
-    Constant across states by construction: 5L + 17.
+
+    Both come from the field table and ``DIGEST_KEPT``: 9 bits of flags
+    and election, 3(L+1) bits of ports, and an explorer's 2(L+1)+3 digest
+    bits, which is 5L + 17.
     """
-    del state  # fixed-width encoding: the value does not matter
     field = port_bits(max_degree) + 1
-    inbox = 2 * field + 3
-    return 3 + 1 + 1 + 3 + 1 + 3 * field + inbox
+    state = sum(field if name in PORT_FIELDS else width for name, width in FIELDS)
+    digest = max(ports * field + flags for ports, flags in DIGEST_KEPT.values())
+    return state + digest
+
+
+def overflow_mask(max_degree: int) -> int:
+    """The word bits a run at this max degree may never set: those of each
+    port slot at and above L + 1, and every bit above the last slot."""
+    keep = (1 << port_bits(max_degree) + 1) - 1
+    allowed = sum(mask for name, mask in MASK.items() if name not in PORT_FIELDS)
+    allowed |= sum(keep << SHIFT[name] for name in PORT_FIELDS)
+    return ~allowed
+
+
+def overflowing_field(word: int, max_degree: int) -> tuple[str, int]:
+    """The first port field in which ``word`` sets a bit of
+    ``overflow_mask(max_degree)``, and the port it holds; bits above the
+    last slot count to the last field."""
+    bits = port_bits(max_degree) + 1
+    for name in PORT_FIELDS:
+        raw = word >> SHIFT[name]
+        if name != PORT_FIELDS[-1]:
+            raw &= SLOT
+        if raw >> bits:
+            break
+    return name, raw - 1

@@ -19,7 +19,7 @@ from dispersim.checkers import run_all, oracle_dfs
 from dispersim.engine import Outcome, SimulationConfig, TraceLevel, parse_trace, run
 from dispersim.graph import corpus_instances, gen_path, gen_worstcase
 from dispersim.robot import (
-    initial_state,
+    PORT_FIELDS,
     memory_footprint_bits,
     port_bits,
     run_local_election,
@@ -54,6 +54,7 @@ class CorpusRun:
     bits_all_equal_budget: bool
     budget: int
     max_degree: int
+    used_bits: dict
 
 
 @dataclass
@@ -85,7 +86,7 @@ def corpus() -> Corpus:
             walk_ok = walk == oracle.walk
             occupied_ok = occupied == set(oracle.settle_rounds.values()) | {oracle.v_l}
 
-        budget = memory_footprint_bits(initial_state(), g.max_degree())
+        budget = memory_footprint_bits(g.max_degree())
         bits_ok = all(
             r.bits == budget for rec in trace.records for r in rec.robots
         )
@@ -99,6 +100,7 @@ def corpus() -> Corpus:
                 bits_all_equal_budget=bits_ok,
                 budget=budget,
                 max_degree=g.max_degree(),
+                used_bits=res.used_bits,
             )
         )
     out.elapsed = time.monotonic() - t0
@@ -169,13 +171,31 @@ def test_criterion_05_memory_bound(corpus):
         if r.budget != 5 * port_bits(r.max_degree) + 17
     ]
     bits_bad = [r.index for r in corpus.runs if not r.bits_all_equal_budget]
+    # no stored port field wider than its L + 1 bits
+    width_bad = [
+        r.index
+        for r in corpus.runs
+        if any(w[name] > port_bits(r.max_degree) + 1
+               for w in r.used_bits.values() for name in PORT_FIELDS)
+    ]
     budgets = sorted({r.budget for r in corpus.runs})
+    # per role, the widest value stored in each field over the corpus
+    widest = {
+        role: {name: max(r.used_bits[role][name] for r in corpus.runs) for name in fields}
+        for role, fields in corpus.runs[0].used_bits.items()
+    }
+    shown = "; ".join(
+        f"{role} " + ",".join(f"{name}={w}" for name, w in fields.items())
+        for role, fields in widest.items()
+    )
     report(
         5,
-        "every traced footprint equals the closed form 5*ceil(log2 max(deg,2))+17",
-        not formula_bad and not bits_bad,
+        "every traced footprint equals the closed form 5*ceil(log2 max(deg,2))+17, "
+        "every stored port field fits its L+1 bits",
+        not formula_bad and not bits_bad and not width_bad,
         f"budgets seen {budgets}, formula mismatches {formula_bad[:3]}, "
-        f"row mismatches {bits_bad[:3]}",
+        f"row mismatches {bits_bad[:3]}, width mismatches {width_bad[:3]}; "
+        f"widest stored bits: {shown}",
     )
 
 

@@ -5,9 +5,11 @@ from dataclasses import asdict
 
 import pytest
 
+from dispersim import engine
 from dispersim.cli import main
 from dispersim.engine import SimulationConfig, parse_trace, run
 from dispersim.graph import gen_ring
+from test_engine import wide_parent
 from trace_v1 import v1_jsonl
 
 
@@ -78,6 +80,15 @@ class TestRun:
         )
         assert code == 2
         assert json.loads(out)["outcome"] == "max_rounds"
+
+    def test_field_overflow_is_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "step_explore", wide_parent(engine.step_explore))
+        code, out, err = run_cli(
+            capsys, "run", "--graph", "gen:path:3", "--k", "3", "--root", "1", "--seed", "3",
+        )
+        assert code == 2
+        assert json.loads(out)["outcome"] == "fault"
+        assert "round 1: robot 2 stored parent=3" in err
 
     def test_graph_from_file(self, capsys, tmp_path):
         graph_file = tmp_path / "g.graph"

@@ -19,6 +19,7 @@ from dispersim.engine import (
     run,
 )
 from dispersim.graph import (
+    build,
     corpus_instances,
     gen_complete,
     gen_path,
@@ -26,7 +27,7 @@ from dispersim.graph import (
     gen_ring,
     gen_worstcase,
 )
-from dispersim.robot import Role
+from dispersim import engine, robot
 
 
 def test_two_path_replay():
@@ -167,6 +168,13 @@ class TestConfigValidation:
     def test_run_validates(self):
         with pytest.raises(ConfigError):
             run(SimulationConfig(graph=gen_path(2), k=0, seed=0))
+
+    def test_degree_beyond_a_port_slot(self):
+        # a star whose ports need 17-bit fields: more than a slot holds
+        leaves = 1 << 15 | 1
+        star = build(leaves + 1, [(0, p, p + 1, 0) for p in range(leaves)])
+        with pytest.raises(ConfigError, match="port slots hold 16 bits"):
+            SimulationConfig(graph=star, k=1, seed=0).validate()
 
 
 def _row(r) -> dict:
@@ -386,7 +394,8 @@ def test_default_budgets_scale_with_input():
 
 
 def _movers_by_scan(w: World) -> list[int]:
-    return [i for i in range(w.k) if w.alive[i] and w.states[i].role is not Role.SETTLED]
+    return [i for i in range(w.k)
+            if w.alive[i] and w.states[i] & robot.ROLE_MASK != robot.SETTLED]
 
 
 @pytest.mark.parametrize(
@@ -415,3 +424,64 @@ def test_live_movers_match_a_full_scan_every_round(graph, k, root, seed, subroun
             assert subrounds is None
             return
     pytest.fail("run neither dispersed nor faulted")
+
+
+def wide_parent(step):
+    """``step`` with a settling explorer's parent field one bit too wide
+    at max degree 2: port 3, stored as 4, needs 3 bits of L + 1 = 2."""
+    def patched(state, summary, rng, degree):
+        word, msgs, dec = step(state, summary, rng, degree)
+        if word & robot.ROLE_MASK == robot.SETTLED:
+            word = word & ~robot.PARENT_MASK | 1 << 2 << robot.PARENT_SHIFT
+        return word, msgs, dec
+    return patched
+
+
+def test_a_field_too_wide_is_a_fault(monkeypatch):
+    monkeypatch.setattr(engine, "step_explore", wide_parent(engine.step_explore))
+    res = run(SimulationConfig(graph=gen_path(3), k=3, root=1, seed=3))
+    assert res.summary.outcome is Outcome.FAULT
+    # max degree 2: port fields hold L + 1 = 2 bits; 3 = port 2 + 1 fits,
+    # 4 = port 3 + 1 does not
+    assert res.summary.fault == (
+        "round 1: robot 2 stored parent=3, which does not fit its 2-bit field "
+        "at max degree 2"
+    )
+
+
+@pytest.mark.parametrize("port", [-1, 1 << 16])
+def test_a_child_port_that_does_not_fit_is_a_fault_where_written(monkeypatch, port):
+    """A port from a message is checked before the settler writes it: -1
+    would otherwise be stored as no port, and 2^16 overflows its slot."""
+    step = engine.step_return
+
+    def patched(state, reply):
+        word, msgs, dec = step(state, reply)
+        return word, [robot.SetChild(port)], dec
+
+    monkeypatch.setattr(engine, "step_return", patched)
+    res = run(SimulationConfig(graph=gen_path(3), k=3, root=1, seed=3))
+    assert res.summary.outcome is Outcome.FAULT
+    assert f"stored child={port}, which does not fit its 2-bit field" in res.summary.fault
+
+
+@pytest.mark.parametrize("graph", [gen_path(257), gen_ring(512)], ids=["path", "ring"])
+def test_port_widths_do_not_grow_with_diameter(graph):
+    """Diameter 256 at max degree 2: every port field stays within
+    L + 1 = 2 bits, where the older bound grows with log D."""
+    res = run(SimulationConfig(graph=graph, k=graph.n, seed=1, trace_level=TraceLevel.NONE))
+    assert res.summary.outcome is Outcome.DISPERSED_ALL_TERMINATED
+    widths = [w[name] for w in res.used_bits.values() for name in robot.PORT_FIELDS]
+    assert max(widths) == robot.port_bits(2) + 1 == 2
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_port_widths_follow_log_max_degree(n):
+    """On K_n the widest port field holds the top port, Δ - 1, stored as Δ:
+    floor(log2 Δ) + 1 bits, between L = ceil(log2 Δ) and the budget L + 1."""
+    res = run(SimulationConfig(graph=gen_complete(n), k=n, seed=1, trace_level=TraceLevel.NONE))
+    assert res.summary.outcome is Outcome.DISPERSED_ALL_TERMINATED
+    delta = n - 1
+    widest = max(w[name] for w in res.used_bits.values() for name in robot.PORT_FIELDS)
+    assert widest == delta.bit_length()
+    assert robot.port_bits(delta) <= widest <= robot.port_bits(delta) + 1

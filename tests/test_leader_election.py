@@ -12,14 +12,18 @@ import random
 import pytest
 
 from dispersim.robot import (
+    ALONE,
+    FLIPPING,
+    FOLLOWER,
+    IDLE,
+    LEADER,
+    LE_HEADS,
+    LE_PHASE,
+    SENT_START,
     InboxSummary,
     InvalidPhaseError,
-    LE_IDLE,
     LeHeads,
-    LePhase,
     LeStart,
-    LeaderElectionState,
-    RESOLVED_PHASES,
     le_coin,
     le_subround,
     run_local_election,
@@ -28,56 +32,61 @@ from dispersim.robot import (
 QUIET = InboxSummary()
 HEARD_START = InboxSummary(saw_any=True)
 HEARD_HEADS = InboxSummary(saw_any=True, saw_heads=True)
+RESOLVED = (LEADER, FOLLOWER, ALONE)
+
+
+def phase(le):
+    return le & LE_PHASE
 
 
 class TestSubround:
     def test_first_subround_broadcasts_start(self):
-        le1, msg = le_subround(LE_IDLE, QUIET, 0)
-        assert le1.phase is LePhase.SENT_START
+        le1, msg = le_subround(IDLE, QUIET, 0)
+        assert phase(le1) == SENT_START
         assert msg == LeStart()
 
     def test_silence_after_start_means_alone(self):
-        le1, _ = le_subround(LE_IDLE, QUIET, 0)
+        le1, _ = le_subround(IDLE, QUIET, 0)
         le2, msg = le_subround(le1, QUIET, 0)
-        assert le2.phase is LePhase.RESOLVED_ALONE
+        assert phase(le2) == ALONE
         assert msg is None
 
     def test_company_after_start_begins_flipping(self):
-        le1, _ = le_subround(LE_IDLE, QUIET, 0)
+        le1, _ = le_subround(IDLE, QUIET, 0)
         le2, msg = le_subround(le1, HEARD_START, 1)
-        assert le2.phase is LePhase.FLIPPING
+        assert phase(le2) == FLIPPING
         assert msg == LeHeads()
         le2t, msg_t = le_subround(le1, HEARD_START, 0)
-        assert le2t.phase is LePhase.FLIPPING
+        assert phase(le2t) == FLIPPING
         assert msg_t is None
 
     def test_heads_into_silence_wins(self):
-        flipping_heads = LeaderElectionState(LePhase.FLIPPING, 1)
+        flipping_heads = FLIPPING | LE_HEADS
         le2, msg = le_subround(flipping_heads, QUIET, 0)
-        assert le2.phase is LePhase.RESOLVED_LEADER
+        assert phase(le2) == LEADER
         assert msg is None
 
     def test_tails_hearing_heads_drops_out(self):
-        flipping_tails = LeaderElectionState(LePhase.FLIPPING, 0)
+        flipping_tails = FLIPPING
         le2, _ = le_subround(flipping_tails, HEARD_HEADS, 0)
-        assert le2.phase is LePhase.RESOLVED_FOLLOWER
+        assert phase(le2) == FOLLOWER
 
     def test_simultaneous_heads_keeps_both_flipping(self):
-        flipping_heads = LeaderElectionState(LePhase.FLIPPING, 1)
+        flipping_heads = FLIPPING | LE_HEADS
         le2, msg = le_subround(flipping_heads, HEARD_HEADS, 1)
-        assert le2.phase is LePhase.FLIPPING
+        assert phase(le2) == FLIPPING
         assert msg == LeHeads()
 
     def test_double_tails_keeps_both_flipping(self):
-        flipping_tails = LeaderElectionState(LePhase.FLIPPING, 0)
+        flipping_tails = FLIPPING
         le2, msg = le_subround(flipping_tails, QUIET, 0)
-        assert le2.phase is LePhase.FLIPPING
+        assert phase(le2) == FLIPPING
         assert msg is None
 
     def test_resolved_state_rejects_further_subrounds(self):
-        for phase in RESOLVED_PHASES:
+        for resolved in RESOLVED:
             with pytest.raises(InvalidPhaseError):
-                le_subround(LeaderElectionState(phase, 0), QUIET, 0)
+                le_subround(resolved, QUIET, 0)
 
 
 class _CountingRng:
@@ -89,13 +98,23 @@ class _CountingRng:
         return 1
 
 
-@pytest.mark.parametrize("phase", list(LePhase))
-def test_coin_drawn_exactly_in_flipping_phases(phase):
+PHASE_IDS = {
+    IDLE: "LePhase.IDLE",
+    SENT_START: "LePhase.SENT_START",
+    FLIPPING: "LePhase.FLIPPING",
+    LEADER: "LePhase.RESOLVED_LEADER",
+    FOLLOWER: "LePhase.RESOLVED_FOLLOWER",
+    ALONE: "LePhase.RESOLVED_ALONE",
+}
+
+
+@pytest.mark.parametrize("current", list(PHASE_IDS), ids=PHASE_IDS.get)
+def test_coin_drawn_exactly_in_flipping_phases(current):
     """The coin rule: one draw from the robot's own stream in SENT_START
     and FLIPPING, none in any other phase."""
     rng = _CountingRng()
-    coin = le_coin(LeaderElectionState(phase, 0), rng)
-    flips = phase in (LePhase.SENT_START, LePhase.FLIPPING)
+    coin = le_coin(current, rng)
+    flips = current in (SENT_START, FLIPPING)
     assert rng.draws == int(flips)
     assert coin == int(flips)
 
@@ -104,7 +123,7 @@ class TestTwoRobotTree:
     """The full two-robot coin tree from the subroutine's definition."""
 
     def test_heads_tails_resolves_in_three_subrounds(self):
-        a, b = LE_IDLE, LE_IDLE
+        a, b = IDLE, IDLE
         a, msg_a = le_subround(a, QUIET, 0)
         b, msg_b = le_subround(b, QUIET, 0)
         assert msg_a == msg_b == LeStart()
@@ -113,17 +132,17 @@ class TestTwoRobotTree:
         assert msg_a == LeHeads() and msg_b is None
         a, _ = le_subround(a, QUIET, 0)
         b, _ = le_subround(b, HEARD_HEADS, 0)
-        assert a.phase is LePhase.RESOLVED_LEADER
-        assert b.phase is LePhase.RESOLVED_FOLLOWER
+        assert phase(a) == LEADER
+        assert phase(b) == FOLLOWER
 
     def test_tails_tails_stays_open(self):
-        a, b = LE_IDLE, LE_IDLE
+        a, b = IDLE, IDLE
         a, _ = le_subround(a, QUIET, 0)
         b, _ = le_subround(b, QUIET, 0)
         a, msg_a = le_subround(a, HEARD_START, 0)
         b, msg_b = le_subround(b, HEARD_START, 0)
         assert msg_a is None and msg_b is None
-        assert a.phase is LePhase.FLIPPING and b.phase is LePhase.FLIPPING
+        assert phase(a) == FLIPPING and phase(b) == FLIPPING
 
 
 class TestLocalElection:

@@ -4,7 +4,6 @@ Every example here is a single pure-function call; the engine tests
 cover how these compose into rounds.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -12,13 +11,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dispersim.robot import (
+    ACKNOWLEDGE,
+    BACKWARD,
+    DONE,
     EMPTY_INBOX,
-    Direction,
+    EXPLORE,
+    FIELDS,
+    FLIPPING,
+    FORWARD,
+    IDLE,
+    INITIAL_STATE,
+    LE_HEADS,
+    LE_PHASE,
+    PORT_FIELDS,
+    RETURN,
+    SENT_START,
+    SETTLED,
+    SHIFT,
     InboxSummary,
     LeHeads,
-    LePhase,
     LeStart,
-    LeaderElectionState,
     MissingEnteredError,
     MissingReplyError,
     Move,
@@ -26,15 +38,17 @@ from dispersim.robot import (
     NOT_DONE,
     NodeInbox,
     Query,
-    Role,
     SetChild,
     SetVisited,
     SettledReply,
     Stay,
     Terminate,
     TerminateSelf,
-    initial_state,
+    decode,
+    encode,
+    field_widths,
     memory_footprint_bits,
+    overflow_mask,
     port_bits,
     step_acknowledge,
     step_done,
@@ -45,17 +59,20 @@ from dispersim.robot import (
 
 
 def settled_state(parent=None, child=None, visited=0):
-    st0 = initial_state()
-    return dataclasses.replace(
-        st0, role=Role.SETTLED, parent=parent, child=child, visited=visited
-    )
+    return encode(role=SETTLED, parent=parent, child=child, visited=visited)
 
 
-def explorer(direction=Direction.FORWARD, entered=None, le=None):
-    st0 = dataclasses.replace(
-        initial_state(), role=Role.EXPLORE, direction=direction, entered=entered
-    )
-    return st0 if le is None else dataclasses.replace(st0, le=le)
+def walker(role, direction=FORWARD, entered=None):
+    return encode(role=role, direction=direction, entered=entered)
+
+
+def explorer(direction=FORWARD, entered=None, le=IDLE):
+    """An explorer whose 4-bit election field is ``le``."""
+    return encode(direction=direction, entered=entered, phase=le & LE_PHASE, flip=le >> 3)
+
+
+def field(word, name):
+    return decode(word)[name]
 
 
 def hear(*msgs):
@@ -67,10 +84,10 @@ def explore(st0, summary, degree):
     return step_explore(st0, summary, random.Random("coins"), degree)
 
 
-# election states that resolve on the next subround, given what they hear
-HEADS = LeaderElectionState(LePhase.FLIPPING, 1)
-TAILS = LeaderElectionState(LePhase.FLIPPING, 0)
-STARTED = LeaderElectionState(LePhase.SENT_START, 0)
+# election fields that resolve on the next subround, given what they hear
+HEADS = FLIPPING | LE_HEADS
+TAILS = FLIPPING
+STARTED = SENT_START
 
 
 class TestStepSettled:
@@ -86,14 +103,14 @@ class TestStepSettled:
         st0 = settled_state(parent=1)
         inbox = hear(SetChild(2))
         st1, msgs, dec = step_settled(st0, inbox)
-        assert st1.child == 2
+        assert field(st1, "child") == 2
         assert msgs == [] and isinstance(dec, Stay)
 
     def test_set_visited(self):
         st0 = settled_state(parent=1)
         inbox = hear(SetVisited())
         st1, _, _ = step_settled(st0, inbox)
-        assert st1.visited == 1
+        assert field(st1, "visited") == 1
 
     def test_terminate(self):
         st0 = settled_state(parent=1)
@@ -110,54 +127,54 @@ class TestStepSettled:
 
 class TestStepExplore:
     def test_forward_reply_bounces(self):
-        st0 = explorer(Direction.FORWARD, entered=1)
+        st0 = explorer(FORWARD, entered=1)
         reply = SettledReply(parent=0, child=None, visited=0)
         st1, msgs, dec = explore(st0, hear(reply), degree=3)
-        assert st1.direction is Direction.BACKWARD
+        assert field(st1, "direction") == BACKWARD
         assert dec == Move(1)
         assert msgs == []
 
     def test_backward_reply_continues_backward_on_parent(self):
-        st0 = explorer(Direction.BACKWARD, entered=1)
+        st0 = explorer(BACKWARD, entered=1)
         reply = SettledReply(parent=2, child=None, visited=0)
         st1, _, dec = explore(st0, hear(reply), degree=3)
         assert dec == Move(2)
-        assert st1.direction is Direction.BACKWARD
+        assert field(st1, "direction") == BACKWARD
 
     def test_backward_reply_advances_forward_otherwise(self):
-        st0 = explorer(Direction.BACKWARD, entered=1)
+        st0 = explorer(BACKWARD, entered=1)
         reply = SettledReply(parent=0, child=None, visited=0)
         st1, _, dec = explore(st0, hear(reply), degree=3)
         assert dec == Move(2)
-        assert st1.direction is Direction.FORWARD
+        assert field(st1, "direction") == FORWARD
 
     def test_fresh_node_opens_election(self):
         st0 = explorer(entered=2)
         st1, msgs, dec = explore(st0, EMPTY_INBOX, degree=3)
-        assert st1.le.phase is LePhase.SENT_START
+        assert field(st1, "phase") == SENT_START
         assert msgs == [LeStart()]
         assert dec is NOT_DONE
 
     def test_open_election_is_not_done(self):
         st0 = explorer(entered=2, le=STARTED)
         st1, msgs, dec = explore(st0, hear(LeStart()), degree=3)
-        assert st1.le.phase is LePhase.FLIPPING
-        assert msgs == ([LeHeads()] if st1.le.flipped_heads else [])
+        assert field(st1, "phase") == FLIPPING
+        assert msgs == ([LeHeads()] if field(st1, "flip") else [])
         assert dec is NOT_DONE
-        assert st1.role is Role.EXPLORE
+        assert field(st1, "role") == EXPLORE
 
     def test_leader_settles(self):
         st0 = explorer(entered=2, le=HEADS)
         st1, _, dec = explore(st0, EMPTY_INBOX, degree=3)
-        assert st1.role is Role.SETTLED
-        assert st1.parent == 2
-        assert st1.le == initial_state().le
+        assert field(st1, "role") == SETTLED
+        assert field(st1, "parent") == 2
+        assert field(st1, "phase") == IDLE and field(st1, "flip") == 0
         assert isinstance(dec, Stay)
 
     def test_alone_turns_back(self):
         st0 = explorer(entered=2, le=STARTED)
         st1, _, dec = explore(st0, EMPTY_INBOX, degree=3)
-        assert st1.role is Role.RETURN
+        assert field(st1, "role") == RETURN
         assert dec == Move(2)
 
     def test_alone_at_start_terminates(self):
@@ -169,16 +186,16 @@ class TestStepExplore:
         st0 = explorer(entered=None, le=TAILS)
         st1, _, dec = explore(st0, hear(LeHeads()), degree=2)
         assert dec == Move(0)
-        assert st1.direction is Direction.FORWARD
+        assert field(st1, "direction") == FORWARD
 
     def test_follower_degree_one_goes_backward(self):
         st0 = explorer(entered=0, le=TAILS)
         st1, _, dec = explore(st0, hear(LeHeads()), degree=1)
         assert dec == Move(0)
-        assert st1.direction is Direction.BACKWARD
+        assert field(st1, "direction") == BACKWARD
 
     def test_reply_without_entered_is_fault(self):
-        st0 = explorer(Direction.FORWARD, entered=None)
+        st0 = explorer(FORWARD, entered=None)
         reply = SettledReply(parent=0, child=None, visited=0)
         with pytest.raises(MissingEnteredError):
             explore(st0, hear(reply), degree=2)
@@ -186,31 +203,31 @@ class TestStepExplore:
 
 class TestStepReturn:
     def test_installs_child_and_climbs(self):
-        st0 = dataclasses.replace(explorer(entered=0), role=Role.RETURN)
+        st0 = walker(RETURN, entered=0)
         reply = SettledReply(parent=2, child=None, visited=0)
         st1, msgs, dec = step_return(st0, reply)
         assert msgs == [SetChild(0)]
         assert dec == Move(2)
 
     def test_root_flips_to_acknowledge(self):
-        st0 = dataclasses.replace(explorer(entered=1), role=Role.RETURN)
+        st0 = walker(RETURN, entered=1)
         reply = SettledReply(parent=None, child=None, visited=0)
         st1, msgs, dec = step_return(st0, reply)
         assert msgs == [SetChild(1)]
-        assert st1.role is Role.ACKNOWLEDGE
-        assert st1.direction is Direction.FORWARD
-        assert st1.entered is None
+        assert field(st1, "role") == ACKNOWLEDGE
+        assert field(st1, "direction") == FORWARD
+        assert field(st1, "entered") is None
         assert isinstance(dec, Stay)
 
     def test_missing_reply_is_fault(self):
-        st0 = dataclasses.replace(explorer(entered=0), role=Role.RETURN)
+        st0 = walker(RETURN, entered=0)
         with pytest.raises(MissingReplyError):
             step_return(st0, None)
 
 
 class TestStepAcknowledge:
     def test_fresh_root_no_repair(self):
-        st0 = dataclasses.replace(explorer(entered=None), role=Role.ACKNOWLEDGE)
+        st0 = walker(ACKNOWLEDGE, entered=None)
         reply = SettledReply(parent=None, child=1, visited=0)
         st1, msgs, dec = step_acknowledge(st0, reply, degree=2)
         assert SetVisited() in msgs
@@ -218,7 +235,7 @@ class TestStepAcknowledge:
         assert dec == Move(0)
 
     def test_fresh_root_repair_fires_on_child_zero(self):
-        st0 = dataclasses.replace(explorer(entered=None), role=Role.ACKNOWLEDGE)
+        st0 = walker(ACKNOWLEDGE, entered=None)
         reply = SettledReply(parent=None, child=0, visited=0)
         st1, msgs, dec = step_acknowledge(st0, reply, degree=2)
         assert SetVisited() in msgs and Terminate() in msgs
@@ -226,70 +243,60 @@ class TestStepAcknowledge:
 
     def test_fresh_node_child_match_terminates(self):
         # (entered + 1) mod degree equals the installed child port
-        st0 = dataclasses.replace(explorer(entered=0), role=Role.ACKNOWLEDGE)
+        st0 = walker(ACKNOWLEDGE, entered=0)
         reply = SettledReply(parent=0, child=1, visited=0)
         st1, msgs, dec = step_acknowledge(st0, reply, degree=3)
         assert SetVisited() in msgs and Terminate() in msgs
         assert dec == Move(1)
 
     def test_fresh_degree_one_bounces_backward(self):
-        st0 = dataclasses.replace(explorer(entered=0), role=Role.ACKNOWLEDGE)
+        st0 = walker(ACKNOWLEDGE, entered=0)
         reply = SettledReply(parent=0, child=None, visited=0)
         st1, msgs, dec = step_acknowledge(st0, reply, degree=1)
         assert Terminate() in msgs
-        assert st1.direction is Direction.BACKWARD
+        assert field(st1, "direction") == BACKWARD
         assert dec == Move(0)
 
     def test_revisit_forward_bounces(self):
-        st0 = dataclasses.replace(
-            explorer(Direction.FORWARD, entered=2), role=Role.ACKNOWLEDGE
-        )
+        st0 = walker(ACKNOWLEDGE, FORWARD, entered=2)
         reply = SettledReply(parent=0, child=None, visited=1)
         st1, msgs, dec = step_acknowledge(st0, reply, degree=3)
         assert msgs == []
-        assert st1.direction is Direction.BACKWARD
+        assert field(st1, "direction") == BACKWARD
         assert dec == Move(2)
 
     def test_revisit_backward_parent_match_terminates(self):
-        st0 = dataclasses.replace(
-            explorer(Direction.BACKWARD, entered=1), role=Role.ACKNOWLEDGE
-        )
+        st0 = walker(ACKNOWLEDGE, BACKWARD, entered=1)
         reply = SettledReply(parent=2, child=None, visited=1)
         st1, msgs, dec = step_acknowledge(st0, reply, degree=3)
         assert Terminate() in msgs
         assert dec == Move(2)
-        assert st1.direction is Direction.BACKWARD
+        assert field(st1, "direction") == BACKWARD
 
     def test_revisit_backward_child_match_goes_forward(self):
-        st0 = dataclasses.replace(
-            explorer(Direction.BACKWARD, entered=1), role=Role.ACKNOWLEDGE
-        )
+        st0 = walker(ACKNOWLEDGE, BACKWARD, entered=1)
         reply = SettledReply(parent=0, child=2, visited=1)
         st1, msgs, dec = step_acknowledge(st0, reply, degree=3)
         assert Terminate() in msgs
         assert dec == Move(2)
-        assert st1.direction is Direction.FORWARD
+        assert field(st1, "direction") == FORWARD
 
     def test_empty_forward_bounces(self):
-        st0 = dataclasses.replace(
-            explorer(Direction.FORWARD, entered=1), role=Role.ACKNOWLEDGE
-        )
+        st0 = walker(ACKNOWLEDGE, FORWARD, entered=1)
         st1, msgs, dec = step_acknowledge(st0, None, degree=3)
-        assert st1.direction is Direction.BACKWARD
+        assert field(st1, "direction") == BACKWARD
         assert dec == Move(1)
 
     def test_empty_backward_is_done(self):
-        st0 = dataclasses.replace(
-            explorer(Direction.BACKWARD, entered=2), role=Role.ACKNOWLEDGE
-        )
+        st0 = walker(ACKNOWLEDGE, BACKWARD, entered=2)
         st1, msgs, dec = step_acknowledge(st0, None, degree=3)
-        assert st1.role is Role.DONE
+        assert field(st1, "role") == DONE
         assert dec == Move(2)
 
 
 class TestStepDone:
     def test_terminates_silently(self):
-        st0 = dataclasses.replace(initial_state(), role=Role.DONE)
+        st0 = walker(DONE)
         st1, msgs, dec = step_done(st0)
         assert msgs == []
         assert isinstance(dec, TerminateSelf)
@@ -297,18 +304,18 @@ class TestStepDone:
 
 class TestMemoryFootprint:
     def test_delta_eight(self):
-        assert memory_footprint_bits(initial_state(), 8) == 32
+        assert memory_footprint_bits(8) == 32
 
     def test_delta_two(self):
-        assert memory_footprint_bits(initial_state(), 2) == 22
+        assert memory_footprint_bits(2) == 22
 
     def test_delta_one_clamps(self):
-        assert memory_footprint_bits(initial_state(), 1) == 22
+        assert memory_footprint_bits(1) == 22
 
     @given(st.integers(min_value=1, max_value=0x10000))
     @settings(max_examples=50, deadline=None)
     def test_closed_form(self, delta):
-        bits = memory_footprint_bits(initial_state(), delta)
+        bits = memory_footprint_bits(delta)
         field = port_bits(delta)
         assert bits == 5 * field + 17
 
@@ -320,17 +327,84 @@ class TestMemoryFootprint:
         assert port_bits(9) == 4
 
 
+def _field_values(name, width):
+    if name in PORT_FIELDS:
+        # a slot holds port + 1, so the top raw value is not a port
+        return st.none() | st.integers(min_value=0, max_value=(1 << width) - 2)
+    return st.integers(min_value=0, max_value=(1 << width) - 1)
+
+
+ALL_FIELDS = st.fixed_dictionaries({name: _field_values(name, w) for name, w in FIELDS})
+
+
+class TestStateWord:
+    @given(fields=ALL_FIELDS)
+    @settings(max_examples=300, deadline=None)
+    def test_decode_inverts_encode(self, fields):
+        word = encode(**fields)
+        assert decode(word) == fields
+        assert encode(**decode(word)) == word
+
+    @given(name=st.sampled_from([name for name, _ in FIELDS]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_encode_rejects_what_does_not_fit(self, name, data):
+        width = dict(FIELDS)[name]
+        top = (1 << width) - (1 if name in PORT_FIELDS else 0)
+        value = data.draw(
+            st.integers(min_value=top, max_value=top << 4)
+            | st.integers(max_value=-1)
+            | st.sampled_from([None, True, 1.0, "1"]).filter(
+                lambda v: not (v is None and name in PORT_FIELDS)
+            )
+        )
+        with pytest.raises(ValueError):
+            encode(**{name: value})
+
+    def test_unknown_field_is_rejected(self):
+        with pytest.raises(TypeError):
+            encode(hops=1)
+
+    def test_fields_tile_the_word(self):
+        at = 0
+        for name, width in FIELDS:
+            assert SHIFT[name] == at
+            at += width
+
+    def test_initial_state_is_a_fresh_explorer(self):
+        assert INITIAL_STATE == encode()
+        assert decode(INITIAL_STATE) == {
+            "role": EXPLORE, "direction": FORWARD, "visited": 0, "phase": IDLE,
+            "flip": 0, "entered": None, "parent": None, "child": None,
+        }
+
+    @pytest.mark.parametrize("delta", [1, 2, 3, 8, 9, 100])
+    def test_overflow_mask_admits_exactly_l_plus_one_port_bits(self, delta):
+        mask = overflow_mask(delta)
+        top = (1 << port_bits(delta) + 1) - 2  # the widest port that fits
+        flags = encode(role=7, direction=1, visited=1, phase=7, flip=1)
+        for name in PORT_FIELDS:
+            assert not encode(**{name: top}) & mask
+            assert encode(**{name: top + 1}) & mask
+        assert not flags & mask
+        assert (1 << sum(w for _, w in FIELDS)) & mask
+
+    def test_field_widths(self):
+        widths = field_widths(settled_state(parent=2, child=0, visited=1))
+        assert widths["parent"] == 2 and widths["child"] == 1
+        assert widths["visited"] == 1 and widths["entered"] == 0
+
+
 class TestPurity:
     def test_inputs_never_mutated(self):
         st0 = settled_state(parent=0)
         inbox = NodeInbox([(3, SetChild(1)), (3, SetVisited())]).view(2)
-        snapshot = dataclasses.replace(st0)
+        snapshot = st0
         step_settled(st0, inbox)
         step_settled(st0, inbox)
         assert st0 == snapshot
 
     def test_identical_inputs_identical_outputs(self):
-        st0 = explorer(Direction.BACKWARD, entered=1)
+        st0 = explorer(BACKWARD, entered=1)
         reply = SettledReply(parent=0, child=None, visited=0)
         a = explore(st0, hear(reply), degree=3)
         b = explore(st0, hear(reply), degree=3)
@@ -341,7 +415,7 @@ class TestPurity:
     entered=st.integers(min_value=0, max_value=5),
     degree=st.integers(min_value=1, max_value=6),
     parent=st.integers(min_value=0, max_value=5) | st.none(),
-    direction=st.sampled_from([Direction.FORWARD, Direction.BACKWARD]),
+    direction=st.sampled_from([FORWARD, BACKWARD]),
 )
 @settings(max_examples=200, deadline=None)
 def test_explore_moves_only_through_permitted_ports(entered, degree, parent, direction):
