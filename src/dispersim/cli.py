@@ -33,6 +33,7 @@ from .graph import (
     gen_ring,
     gen_worstcase,
     parse_graph,
+    worstcase_seeds,
     write_graph,
 )
 
@@ -156,8 +157,7 @@ def cmd_bench(args) -> int:
     for k in k_list:
         graph = gen_worstcase(k)
         rounds: list[int] = []
-        for trial in range(args.trials):
-            trial_seed = args.seed * 1_000_003 + k * 1_009 + trial
+        for trial, trial_seed in enumerate(worstcase_seeds(k, args.trials, args.seed)):
             config = SimulationConfig(
                 graph=graph, k=k, root=0, seed=trial_seed, trace_level=TraceLevel.NONE
             )

@@ -21,25 +21,30 @@ Cost model: a round's work follows the robots that still move, not k.
 The world keeps an ascending list of live movers (alive and not
 settled); settling and dying remove a robot from it for good, so a round
 starts from that list, and the only other robots a subround touches are
-the settlers at nodes where something was broadcast.  Each node's
-broadcasts are tallied once per subround into a ``NodeInbox``, and every
-robot there reads its view as those totals minus its own contribution,
-so an election among g co-located robots costs O(g) per subround, not
-O(g^2).  A robot's state is one int word (see ``robot.FIELDS``), so a
-transition builds no object: a step returns a new word, movement sets
-the entry port with one mask-and-or, and every stored word costs one AND
-against the run's overflow mask and one OR into its role's accumulator.
+the settlers at nodes where something was broadcast.  Each node has one
+postbox per subround, a ``NodeInbox`` that a robot's broadcasts are
+tallied into as it sends them; the next subround reads it, every robot
+there seeing those totals minus its own contribution, so an election
+among g co-located robots costs O(g) per subround, not O(g^2), and no
+message is stored or regrouped on the way.  A robot's state is one int
+word (see ``robot.FIELDS``), so a transition builds no object: a step
+returns a new word, movement sets the entry port with one mask-and-or,
+and every stored word costs one AND against the run's overflow mask and
+one OR into its role's accumulator.
 
 A FULL trace holds one row per alive robot per round in memory, but its
-cost follows the rows that change: a robot keeps last round's row object
-while the row fields of its word (role, direction, entry port) and its
-node are the same, and the trace text (format 2) carries only the rows
-that differ from that robot's row in the round before, plus the ids of
-robots that dropped out.  Reading patches a copy of the previous round's
-rows, and converts and checks each distinct row once, so equal rows
-share one object.  What is still paid per robot per round is the row's
-slot in its record: filled by ``run``, tested for identity with the
-round before when writing, copied when reading.
+cost follows the rows that change: a record's row list is a copy of the
+record before, patched only for the robots whose word or node the round
+in between stored (every actor, settlers included; a round in which a
+robot died rebuilds it), and a robot keeps its row object while the row
+fields of its word (role, direction, entry port) and its node are the
+same.  The trace text (format 2) carries only the rows that differ from
+that robot's row in the round before, plus the ids of robots that
+dropped out.  Reading patches a copy of the previous round's rows, and
+converts and checks each distinct row once, so equal rows share one
+object.  What is still paid per robot per round is the row's slot in
+its record: copied by ``run`` and when reading, tested for identity with
+the round before when writing.
 """
 
 from __future__ import annotations
@@ -71,7 +76,6 @@ from .robot import (
     SETTLED,
     VISITED_BIT,
     Decision,
-    Message,
     Move,
     NodeInbox,
     ProtocolViolation,
@@ -118,6 +122,10 @@ TRACE_FORMAT = 2
 
 class _Fault(Exception):
     """Internal signal; surfaces as Outcome.FAULT in the result."""
+
+
+# what every mover broadcasts in subround 1
+_QUERIES = (Query(),)
 
 
 # events that mark stage boundaries, kept even at SUMMARY trace level
@@ -300,6 +308,8 @@ class World:
         # are final, so it only ever shrinks
         self.live = list(range(config.k))
         self.rngs = [random.Random(f"{config.seed}:{i}") for i in range(config.k)]
+        # the settled robot at each node that has one; these and live are
+        # every alive robot
         self.node_settler: dict[int, int] = {}
         self.round = 0
         self.t1: int | None = None
@@ -322,20 +332,26 @@ class World:
 
     # -- round machinery --------------------------------------------------
 
-    def execute_round(self, events: list[str]) -> None:
+    def execute_round(self, events: list[str]) -> list[int]:
         """Run one full round; mutates positions/states/liveness in place.
 
         Appends event strings for everything that happened during the
         round: settles, role changes, applied control messages, deaths.
         Every word stored is checked against ``self.overflow`` and
-        accumulated into ``self.used``.
+        accumulated into ``self.used``.  Returns every robot whose word
+        or node the round may have stored: each mover, then each settler
+        that acted, possibly more than once.
         """
-        g = self.graph
+        table = self.graph.ports
+        positions, node_settler = self.positions, self.node_settler
         states, used, overflow = self.states, self.used, self.overflow
         movers = list(self.live)
+        touched = list(movers)
         decisions: dict[int, Decision] = {}
         settled_kill: set[int] = set()
-        pending: list[tuple[int, int, Message]] = []
+        # per node, what was broadcast there this subround, tallied as it
+        # is sent; it is read in the next subround
+        post: dict[int, NodeInbox] = {}
 
         # subround 1: queries out, done-role robots decide immediately
         undecided: list[int] = []
@@ -345,31 +361,32 @@ class World:
                 decisions[i] = dec
             else:
                 undecided.append(i)
-                pending.append((self.positions[i], i, Query()))
+                box = post.get(positions[i])
+                if box is None:
+                    box = post[positions[i]] = NodeInbox()
+                box.post(i, _QUERIES)
 
         subround = 1
-        while pending or undecided:
+        while post or undecided:
             subround += 1
             if subround > self.max_subrounds:
                 raise _Fault(
                     f"round {self.round} still open after {self.max_subrounds} subrounds"
                 )
-            by_node: dict[int, list[tuple[int, Message]]] = {}
-            for node, sender, msg in pending:
-                by_node.setdefault(node, []).append((sender, msg))
-            pending = []
-            inboxes = {node: NodeInbox(msgs) for node, msgs in by_node.items()}
-
+            inboxes, post = post, {}
             # movers act from subround 3 on, once the reply to their query
             # has landed; before that only settlers hear anything
             actors = list(undecided) if subround > 2 else []
-            for node in by_node:
-                settler = self.node_settler.get(node)
+            for node in inboxes:
+                settler = node_settler.get(node)
                 if settler is not None:
                     actors.append(settler)
-            for i in sorted(actors):
+                    touched.append(settler)
+            still_open: list[int] = []
+            actors.sort()
+            for i in actors:
                 st = states[i]
-                node = self.positions[i]
+                node = positions[i]
                 inbox = inboxes.get(node)
                 summary = EMPTY_INBOX if inbox is None else inbox.view(i)
                 role = st & ROLE_MASK
@@ -385,11 +402,11 @@ class World:
                         events.append(f"set_visited:{i}")
                     st2, msgs, dec = step_settled(st, summary)
                 elif role == EXPLORE:
-                    st2, msgs, dec = step_explore(st, summary, self.rngs[i], g.degree(node))
+                    st2, msgs, dec = step_explore(st, summary, self.rngs[i], len(table[node]))
                 elif role == RETURN:
                     st2, msgs, dec = step_return(st, reply)
                 else:
-                    st2, msgs, dec = step_acknowledge(st, reply, g.degree(node))
+                    st2, msgs, dec = step_acknowledge(st, reply, len(table[node]))
                     if (
                         not st & ENTERED_MASK
                         and reply is not None
@@ -398,30 +415,38 @@ class World:
                     ):
                         # root settler would never be revisited: repair path
                         self.repair_fired = True
-                        events.append(f"repair_terminate:{self.node_settler[node]}")
-                pending.extend((node, i, m) for m in msgs)
+                        events.append(f"repair_terminate:{node_settler[node]}")
+                if msgs:
+                    box = post.get(node)
+                    if box is None:
+                        box = post[node] = NodeInbox()
+                    box.post(i, msgs)
                 if st2 & overflow:
                     raise self._too_wide(i, *overflowing_field(st2, self.max_degree))
                 used[st2 & ROLE_MASK] |= st2
                 if role == SETTLED:
                     if isinstance(dec, TerminateSelf):
                         settled_kill.add(i)
-                elif dec is not NOT_DONE:
+                elif dec is NOT_DONE:
+                    still_open.append(i)
+                else:
                     if (st ^ st2) & ROLE_MASK:
                         self._change_role(i, st2 & ROLE_MASK, events)
                     decisions[i] = dec
                 states[i] = st2
-            undecided = [i for i in undecided if i not in decisions]
+            if subround > 2:
+                undecided = still_open
 
         # round end: simultaneous movement, then deaths
         for i in movers:
             dec = decisions[i]
             if isinstance(dec, Move):
-                node = self.positions[i]
-                if not 0 <= dec.port < g.degree(node):
-                    raise _Fault(f"robot {i} tried invalid port {dec.port} at node {node}")
-                nxt, rport = g.neighbor_via(node, dec.port)
-                self.positions[i] = nxt
+                node = positions[i]
+                ports = table[node]
+                if not 0 <= dec.port < len(ports):
+                    raise _Fault(f"round {self.round}: robot {i} tried invalid port "
+                                 f"{dec.port} at node {node}")
+                positions[i], rport = ports[dec.port]
                 # rport is below the max degree, which fits a port field
                 word = states[i] & ~ENTERED_MASK | rport + 1 << ENTERED_SHIFT
                 if word & overflow:
@@ -433,12 +458,13 @@ class World:
                 self._kill(i, events)
         for i in sorted(settled_kill):
             self._kill(i, events)
+        return touched
 
     def _change_role(self, i: int, role: int, events: list[str]) -> None:
         node = self.positions[i]
         if role == SETTLED:
             if node in self.node_settler:
-                raise _Fault(f"two settled robots at node {node}")
+                raise _Fault(f"round {self.round}: two settled robots at node {node}")
             self.node_settler[node] = i
             self.live.remove(i)
             events.append(f"settle:{i}@{node}")
@@ -474,10 +500,25 @@ def run(config: SimulationConfig) -> SimulationResult:
     config.validate()
     w = World(config)
     bits = memory_footprint_bits(config.graph.max_degree())
+    states, positions = w.states, w.positions
     records: list[TraceRecord] = []
     # per robot, the (row fields of its word, node, row) of its latest
     # row: equal row fields at the same node are the same row
     last: list[tuple[int, int, RobotRow] | None] = [None] * config.k
+
+    def row(i: int) -> RobotRow:
+        key, node = states[i] & ROW_FIELDS, positions[i]
+        prev = last[i]
+        if prev is None or prev[0] != key or prev[1] != node:
+            prev = last[i] = (key, node, RobotRow(i, node, *trace_fields(key), bits))
+        return prev[2]
+
+    # the last record's rows, how many robots were alive then, and each
+    # one's index in those rows
+    rows: list[RobotRow] = []
+    alive = -1
+    slot: dict[int, int] = {}
+    touched: list[int] = []
     level = config.trace_level
     outcome = Outcome.MAX_ROUNDS_EXCEEDED
     fault: str | None = None
@@ -487,22 +528,21 @@ def run(config: SimulationConfig) -> SimulationResult:
         w.round = rnd
         events: list[str] = []
         if level is TraceLevel.FULL:
-            rows = []
-            for i in range(config.k):
-                if not w.alive[i]:
-                    continue
-                key, node = w.states[i] & ROW_FIELDS, w.positions[i]
-                prev = last[i]
-                if prev is None or prev[0] != key or prev[1] != node:
-                    row = RobotRow(i, node, *trace_fields(key), bits)
-                    prev = last[i] = (key, node, row)
-                rows.append(prev[2])
+            if len(w.live) + len(w.node_settler) != alive:
+                alive = len(w.live) + len(w.node_settler)
+                rows = [row(i) for i in range(config.k) if w.alive[i]]
+                slot = {r.id: j for j, r in enumerate(rows)}
+            else:
+                rows = rows.copy()
+                for i in touched:
+                    rows[slot[i]] = row(i)
             records.append(TraceRecord(rnd, rows, events))
         try:
-            w.execute_round(events)
+            touched = w.execute_round(events)
         except (_Fault, ProtocolViolation) as exc:
             outcome = Outcome.FAULT
-            fault = str(exc)
+            # a _Fault names its round; a step's ProtocolViolation does not
+            fault = str(exc) if isinstance(exc, _Fault) else f"round {rnd}: {exc}"
             if level is TraceLevel.SUMMARY:
                 records.append(TraceRecord(rnd, [], list(events)))
             break
@@ -510,10 +550,10 @@ def run(config: SimulationConfig) -> SimulationResult:
             markers = [e for e in events if e.startswith(_MARKER_PREFIXES)]
             if markers:
                 records.append(TraceRecord(rnd, [], markers))
-        if not any(w.alive):
+        if not w.live and not w.node_settler:
             if len(set(w.positions)) != config.k:
                 outcome = Outcome.FAULT
-                fault = "all robots terminated but final nodes are not distinct"
+                fault = f"round {rnd}: all robots terminated but final nodes are not distinct"
             else:
                 outcome = Outcome.DISPERSED_ALL_TERMINATED
             break

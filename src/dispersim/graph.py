@@ -68,42 +68,42 @@ class GraphSyntaxError(GraphError):
 class PortLabeledGraph:
     """Immutable adjacency-by-port table.
 
-    ``_ports[v][p]`` is the pair ``(neighbor, remote_port)`` reached by
+    ``ports[v][p]`` is the pair ``(neighbor, remote_port)`` reached by
     leaving v through port p.  Construct via :func:`build` or a generator;
     the constructor trusts its input.
     """
 
-    __slots__ = ("n", "_ports")
+    __slots__ = ("n", "ports")
 
     def __init__(self, n: int, ports: tuple[tuple[tuple[NodeId, Port], ...], ...]):
         self.n = n
-        self._ports = ports
+        self.ports = ports
 
     def degree(self, v: NodeId) -> int:
-        return len(self._ports[v])
+        return len(self.ports[v])
 
     def max_degree(self) -> int:
-        return max((len(t) for t in self._ports), default=0)
+        return max((len(t) for t in self.ports), default=0)
 
     @property
     def num_edges(self) -> int:
-        return sum(len(t) for t in self._ports) // 2
+        return sum(len(t) for t in self.ports) // 2
 
     def neighbor_via(self, v: NodeId, p: Port) -> tuple[NodeId, Port]:
         """Cross the edge at port p of v; returns (neighbor, port back to v)."""
         if not 0 <= v < self.n:
             raise PortOutOfRangeError(f"node {v} not in graph of {self.n} nodes")
-        if not 0 <= p < len(self._ports[v]):
+        if not 0 <= p < len(self.ports[v]):
             raise PortOutOfRangeError(
-                f"port {p} at node {v} with degree {len(self._ports[v])}"
+                f"port {p} at node {v} with degree {len(self.ports[v])}"
             )
-        return self._ports[v][p]
+        return self.ports[v][p]
 
     def edges(self) -> list[Edge]:
         """Canonical edge list: (u, p_u, v, p_v) with u < v, sorted by (u, p_u)."""
         out = []
         for u in range(self.n):
-            for p_u, (v, p_v) in enumerate(self._ports[u]):
+            for p_u, (v, p_v) in enumerate(self.ports[u]):
                 if u < v:
                     out.append((u, p_u, v, p_v))
         return out
@@ -111,7 +111,7 @@ class PortLabeledGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PortLabeledGraph):
             return NotImplemented
-        return self.n == other.n and self._ports == other._ports
+        return self.n == other.n and self.ports == other.ports
 
     def __repr__(self) -> str:
         return f"PortLabeledGraph(n={self.n}, m={self.num_edges})"
@@ -283,6 +283,17 @@ def corpus_instances(
         k = master.randint(1, n)
         root = master.randrange(n)
         yield i, n, m, k, root, gen_random_connected(n, m, seed=i)
+
+
+def worstcase_seeds(k: int, trials: int, seed: int = 0) -> range:
+    """The coin seeds of ``trials`` runs of ``gen_worstcase(k)`` in the
+    worst-case sweep ``seed``, one per trial.
+
+    Rounds on that family do not depend on the coins, so any seed gives
+    the same counts; one recipe keeps the sweeps that report them alike.
+    """
+    base = seed * 1_000_003 + k * 1_009
+    return range(base, base + trials)
 
 
 def parse_graph(text: str) -> PortLabeledGraph:

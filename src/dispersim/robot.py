@@ -22,6 +22,7 @@ itself, one subround per call of :func:`step_explore`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -265,20 +266,29 @@ class NodeInbox:
 
     The digest keeps per-slot totals, the replies and child ports with
     their senders, and each sender's own per-slot tallies; a receiver's
-    view is the totals minus its own contribution.
+    view is the totals minus its own contribution.  It is filled either
+    at once from a list or sender by sender through :meth:`post`, and
+    read only once every broadcast is in.
     """
 
     __slots__ = ("totals", "own", "replies", "set_children", "_foreign")
 
-    def __init__(self, messages: list[tuple[int, Message]]):
-        totals = [0] * 5
-        own: dict[int, list[int]] = {}
-        replies: list[tuple[int, SettledReply]] = []
-        set_children: list[tuple[int, int]] = []
+    def __init__(self, messages: Iterable[tuple[int, Message]] = ()):
+        self.totals = [0] * 5
+        self.own: dict[int, list[int]] = {}
+        self.replies: list[tuple[int, SettledReply]] = []
+        self.set_children: list[tuple[int, int]] = []
+        self._foreign: InboxSummary | None = None
         for sender, msg in messages:
-            mine = own.get(sender)
-            if mine is None:
-                mine = own[sender] = [0] * 5
+            self.post(sender, (msg,))
+
+    def post(self, sender: int, msgs: Iterable[Message]) -> None:
+        """Tally the broadcasts ``msgs`` of ``sender``, in order."""
+        totals = self.totals
+        mine = self.own.get(sender)
+        if mine is None:
+            mine = self.own[sender] = [0] * 5
+        for msg in msgs:
             totals[_ANY] += 1
             mine[_ANY] += 1
             kind = type(msg)
@@ -287,29 +297,21 @@ class NodeInbox:
                 totals[slot] += 1
                 mine[slot] += 1
             elif kind is SettledReply:
-                replies.append((sender, msg))
+                self.replies.append((sender, msg))
             elif kind is SetChild:
-                set_children.append((sender, msg.port))
+                self.set_children.append((sender, msg.port))
             # LeStart and anything else only count toward _ANY
-        self.totals = totals
-        self.own = own
-        self.replies = replies
-        self.set_children = set_children
-        self._foreign: InboxSummary | None = None
 
     def view(self, receiver: int) -> InboxSummary:
         """What ``receiver`` hears.  The receiver's own broadcasts are
         excluded: broadcasting and hearing silence is how both aloneness
         and leadership are detected."""
         mine = self.own.get(receiver)
-        if mine is not None:
-            return self._summary(receiver, mine)
-        # a robot that sent nothing hears everything; that view is shared
-        if self._foreign is None:
-            self._foreign = self._summary(receiver, _SILENT)
-        return self._foreign
-
-    def _summary(self, receiver: int, mine: list[int]) -> InboxSummary:
+        if mine is None:
+            # a robot that sent nothing hears everything; that view is shared
+            if self._foreign is not None:
+                return self._foreign
+            mine = _SILENT
         t = self.totals
         mask = (
             (t[_ANY] > mine[_ANY]) << _ANY
@@ -330,8 +332,12 @@ class NodeInbox:
                 set_child = port
                 break
         if reply is None and set_child is None:
-            return _BY_MASK[mask]
-        return _flag_summary(mask, reply, set_child)
+            summary = _BY_MASK[mask]
+        else:
+            summary = _flag_summary(mask, reply, set_child)
+        if mine is _SILENT:
+            self._foreign = summary
+        return summary
 
 
 # --- leader election ----------------------------------------------------
@@ -394,20 +400,21 @@ def run_local_election(
     """
     words = [INITIAL_STATE] * k
     unresolved = list(range(k))
-    inbox = NodeInbox([])
+    inbox = NodeInbox()
     subrounds = 0
     while unresolved:
         subrounds += 1
         if subrounds > max_subrounds:
             raise ProtocolViolation(f"election still open after {max_subrounds} subrounds")
-        sent: list[tuple[int, Message]] = []
+        sent = NodeInbox()
         still_open: list[int] = []
         for i in unresolved:
             words[i], msgs, decision = step_explore(words[i], inbox.view(i), rng, 1)
-            sent.extend((i, msg) for msg in msgs)
+            if msgs:
+                sent.post(i, msgs)
             if decision is NOT_DONE:
                 still_open.append(i)
-        inbox = NodeInbox(sent)
+        inbox = sent
         unresolved = still_open
     leaders = [i for i, word in enumerate(words) if word & ROLE_MASK == SETTLED]
     return leaders, subrounds
@@ -416,14 +423,24 @@ def run_local_election(
 # --- role steps ---------------------------------------------------------
 
 
+_REPLY_FIELDS = PARENT_MASK | CHILD_MASK | VISITED_BIT
+
+
+@lru_cache(maxsize=4096)
+def _reply(word: int) -> SettledReply:
+    """The reply of a settler whose word holds ``word``; cached, so a
+    settler that answers again reuses the object."""
+    return SettledReply(_port(word, PARENT_SHIFT), _port(word, CHILD_SHIFT),
+                        word >> VISITED_SHIFT & 1)
+
+
 def step_settled(
     state: int, summary: InboxSummary
 ) -> tuple[int, list[Message], Decision]:
     """Settled robots answer queries and apply control messages; never move."""
     msgs: list[Message] = []
     if summary.has_query:
-        msgs.append(SettledReply(_port(state, PARENT_SHIFT), _port(state, CHILD_SHIFT),
-                                 state >> VISITED_SHIFT & 1))
+        msgs.append(_reply(state & _REPLY_FIELDS))
     if summary.set_child is not None:
         state = state & ~CHILD_MASK | summary.set_child + 1 << CHILD_SHIFT
     if summary.set_visited:

@@ -17,7 +17,7 @@ import corruptions
 import le_exhaustive
 from dispersim.checkers import run_all, oracle_dfs
 from dispersim.engine import Outcome, SimulationConfig, TraceLevel, parse_trace, run
-from dispersim.graph import corpus_instances, gen_path, gen_worstcase
+from dispersim.graph import corpus_instances, gen_path, gen_worstcase, worstcase_seeds
 from dispersim.robot import (
     PORT_FIELDS,
     memory_footprint_bits,
@@ -205,12 +205,8 @@ def test_criterion_06_quadratic_worst_case():
     for k in (16, 32, 64, 128):
         g = gen_worstcase(k)
         rounds = []
-        for trial in range(10):
-            res = run(
-                SimulationConfig(
-                    graph=g, k=k, seed=1000 * k + trial, trace_level=TraceLevel.NONE
-                )
-            )
+        for seed in worstcase_seeds(k, 10):
+            res = run(SimulationConfig(graph=g, k=k, seed=seed, trace_level=TraceLevel.NONE))
             assert res.summary.outcome is Outcome.DISPERSED_ALL_TERMINATED
             rounds.append(res.summary.rounds)
         means[k] = sum(rounds) / len(rounds)

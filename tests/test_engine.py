@@ -485,3 +485,92 @@ def test_port_widths_follow_log_max_degree(n):
     widest = max(w[name] for w in res.used_bits.values() for name in robot.PORT_FIELDS)
     assert widest == delta.bit_length()
     assert robot.port_bits(delta) <= widest <= robot.port_bits(delta) + 1
+
+
+def _after_first_move(step, change):
+    """``step_explore`` whose result passes through ``change`` once the
+    explorer has an entry port, so the fault lands after round 1."""
+    def patched(state, summary, rng, degree):
+        word, msgs, dec = step(state, summary, rng, degree)
+        if state & robot.ENTERED_MASK and dec is not robot.NOT_DONE:
+            return change(word, msgs, dec)
+        return word, msgs, dec
+    return patched
+
+
+def test_an_invalid_port_fault_names_its_round(monkeypatch):
+    monkeypatch.setattr(engine, "step_explore", _after_first_move(
+        engine.step_explore, lambda word, msgs, dec: (word, msgs, robot.Move(9))))
+    res = run(SimulationConfig(graph=gen_path(3), k=3, root=0, seed=3))
+    assert res.summary.outcome is Outcome.FAULT
+    assert res.summary.fault == "round 2: robot 0 tried invalid port 9 at node 1"
+
+
+def test_a_second_settler_fault_names_its_round(monkeypatch):
+    settle = lambda word, msgs, dec: (word & ~robot.ROLE_MASK | robot.SETTLED, [], robot.STAY)
+    monkeypatch.setattr(engine, "step_explore", _after_first_move(engine.step_explore, settle))
+    res = run(SimulationConfig(graph=gen_path(3), k=3, root=0, seed=3))
+    assert res.summary.outcome is Outcome.FAULT
+    assert res.summary.fault == "round 2: two settled robots at node 1"
+
+
+def test_a_protocol_violation_names_its_round(monkeypatch):
+    step = engine.step_return
+    monkeypatch.setattr(engine, "step_return", lambda state, reply: step(state, None))
+    res = run(SimulationConfig(graph=gen_path(3), k=3, root=0, seed=3))
+    assert res.summary.outcome is Outcome.FAULT
+    assert res.summary.fault == "round 4: return-role robot found no settled robot"
+
+
+def _rows_by_scan(cfg: SimulationConfig, rounds: int) -> list[list[engine.RobotRow]]:
+    """Each round's rows, built by stepping a ``World`` by hand and
+    scanning every alive robot at the start of the round."""
+    bits = robot.memory_footprint_bits(cfg.graph.max_degree())
+    w = World(cfg)
+    scanned = []
+    for rnd in range(1, rounds + 1):
+        w.round = rnd
+        scanned.append([engine.RobotRow(i, w.positions[i], *robot.trace_fields(w.states[i]), bits)
+                        for i in range(w.k) if w.alive[i]])
+        try:
+            w.execute_round([])
+        except _Fault:
+            assert cfg.max_subrounds_per_round is not None
+            break
+    return scanned
+
+
+@pytest.mark.parametrize(
+    "graph, k, root, seed, subrounds",
+    [(g, k, root, i, None) for i, _, _, k, root, g in corpus_instances(0, 6)]
+    + [(gen_worstcase(16), 16, 0, 2, None),
+       # overruns its first election
+       (gen_path(2), 2, 0, 0, 4)],
+)
+def test_patched_rows_match_a_full_scan_every_round(graph, k, root, seed, subrounds):
+    """``run`` patches each record's rows from the one before; they are
+    the rows a scan of every alive robot gives at the start of the round."""
+    cfg = SimulationConfig(graph=graph, k=k, root=root, seed=seed,
+                           max_subrounds_per_round=subrounds)
+    records = run(cfg).records
+    assert [rec.robots for rec in records] == _rows_by_scan(cfg, len(records))
+
+
+def test_a_settler_row_follows_every_stored_word(monkeypatch):
+    """A mutant settler that sets its direction bit whenever it acts: the
+    rows show it the round after, so no role is assumed to keep its row."""
+    step = engine.step_settled
+
+    def turned(state, summary):
+        word, msgs, dec = step(state, summary)
+        return word | robot.DIR_BIT, msgs, dec
+
+    monkeypatch.setattr(engine, "step_settled", turned)
+    cfg = SimulationConfig(graph=gen_path(3), k=3, root=0, seed=3)
+    records = run(cfg).records
+    assert [rec.robots for rec in records] == _rows_by_scan(cfg, len(records))
+    # robot 1 settles at node 1 in round 2 and first acts in round 4, when
+    # the walk comes back; no robot dies before round 6
+    assert [(r.role, r.dir) for rec in records[:5] for r in rec.robots if r.id == 1] == [
+        ("explore", "fwd"), ("explore", "fwd"), ("settled", "fwd"), ("settled", "fwd"),
+        ("settled", "bwd")]

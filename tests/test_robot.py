@@ -4,6 +4,7 @@ Every example here is a single pure-function call; the engine tests
 cover how these compose into rounds.
 """
 
+import itertools
 import random
 
 import pytest
@@ -491,21 +492,26 @@ TWO_REPLIES = [(1, SettledReply(0, None, 0)), (2, SettledReply(1, 2, 1)), (1, Qu
 @settings(max_examples=400, deadline=None)
 def test_node_inbox_matches_per_receiver_scan(messages):
     """One digest per node serves every receiver exactly as a scan of the
-    whole list per receiver would, errors included."""
+    whole list per receiver would, errors included, whether it is built
+    from the list or posted to one sender's batch at a time as the
+    engine fills it."""
     inbox = NodeInbox(messages)
+    posted = NodeInbox()
+    for sender, batch in itertools.groupby(messages, key=lambda sent: sent[0]):
+        posted.post(sender, [msg for _, msg in batch])
     for receiver in range(6):
         try:
             want = reference_summary(messages, receiver)
         except MultipleRepliesError:
-            with pytest.raises(MultipleRepliesError):
-                inbox.view(receiver)
-            with pytest.raises(MultipleRepliesError):
-                NodeInbox(messages).view(receiver)
+            for box in (inbox, NodeInbox(messages), posted):
+                with pytest.raises(MultipleRepliesError):
+                    box.view(receiver)
             continue
         got = inbox.view(receiver)
         assert got == want
         assert inbox.view(receiver) is got
         assert NodeInbox(messages).view(receiver) is got  # interned by value
+        assert posted.view(receiver) is got
 
 
 def test_two_replies_raise_only_without_the_receiver():
