@@ -9,14 +9,20 @@ and child ports are exited exactly once, dispersion holds, and every
 recorded state fits the constant memory budget.
 
 Checkers consume parsed traces so they can validate output from any
-producer of the same format.
+producer of the same format.  They never rebuild a round's full set of
+rows: one ``replay`` pass over the trace's deltas builds a
+``TraceDigest`` (the exploring group's position per round, each robot's
+row history, the parsed events, the range and memory checks), which
+``run_all`` builds once and hands to every checker.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .engine import Outcome, ParsedTrace, TraceFormatError, TraceRecord
+from .engine import Outcome, ParsedTrace, RobotRow, TraceFormatError, replay
 from .graph import PortLabeledGraph
 from .robot import memory_footprint_bits
 
@@ -121,79 +127,139 @@ def oracle_dfs(graph: PortLabeledGraph, root: int, k: int) -> OracleTrace:
     )
 
 
-# --- trace digestion helpers ---------------------------------------------
+# --- trace digestion -------------------------------------------------------
 
 
-def _require_records(trace: ParsedTrace, first: int, last: int) -> None:
+class TraceDigest:
+    """What the checkers read of one trace, built in one ``replay`` pass.
+
+    ``group[r]``: the (node, dir, entered) the exploring robots share in
+    round r, or None, kept as a count of explorer keys updated from the
+    rows that change.  ``row_at`` reads each robot's row history;
+    ``rows_at`` holds the rows of rounds t1 and t2 + 1 by robot id.
+    Events are parsed once: per robot its last settle (round, node) and
+    child port, and the first round of each other event.  ``bits_first``:
+    each ``bits`` value's first (round, robot).  With a graph, the summary
+    and each changed row and event are range checked (``TraceFormatError``).
+    """
+
+    def __init__(self, trace: ParsedTrace, graph: PortLabeledGraph | None = None):
+        s = trace.summary
+        k = s.k
+        n, delta = (None, None) if graph is None else (graph.n, graph.max_degree())
+        if n is not None:
+            off_graph = [v for v in (s.v_r, s.v_l, *s.positions.values())
+                         if v is not None and not 0 <= v < n]
+            if off_graph:
+                raise TraceFormatError(
+                    f"summary names nodes {off_graph[:3]} outside the graph's 0..{n - 1}"
+                )
+            if not 1 <= k <= n:
+                raise TraceFormatError(f"summary has k={k}, not in 1..{n}")
+        self.group: dict[int, tuple[int, str, int | None] | None] = {}
+        self.history: defaultdict[int, tuple[list[int], list[RobotRow | None]]] = \
+            defaultdict(lambda: ([], []))
+        self.rows_at: dict[int, dict[int, RobotRow]] = {}
+        self.settles: dict[int, tuple[int, int]] = {}
+        self.child_ports: dict[int, int] = {}
+        self.first: defaultdict[str, dict[int, int]] = defaultdict(dict)
+        self.settle_rounds: set[int] = set()
+        self.visited: set[tuple[int, int]] = set()
+        self.bits_first: dict[int, tuple[int, int]] = {}
+        wanted = {s.t1, None if s.t2 is None else s.t2 + 1}
+        history, bits_first = self.history, self.bits_first
+        # each exploring robot's (node, dir, entered), and how many share each
+        explorer: dict[int, tuple[int, str, int | None]] = {}
+        count: Counter[tuple[int, str, int | None]] = Counter()
+
+        def leave(i: int) -> None:
+            key = explorer.pop(i)
+            count[key] -= 1
+            if not count[key]:
+                del count[key]
+
+        for d, current in replay(trace.deltas):
+            rnd = d.round
+            for i in d.gone:
+                if i in explorer:
+                    leave(i)
+                rounds, rows = history[i]
+                rounds.append(rnd)
+                rows.append(None)
+            for r in d.rows:
+                i = r.id
+                if n is not None and not 0 <= r.node < n:
+                    raise TraceFormatError(
+                        f"round {rnd}: row of robot {i} at node {r.node} is outside "
+                        f"robots 0..{k - 1} or nodes 0..{n - 1}"
+                    )
+                if r.bits not in bits_first:
+                    bits_first[r.bits] = rnd, i
+                if i in explorer:
+                    leave(i)
+                if r.role == "explore":
+                    key = explorer[i] = r.node, r.dir, r.entered
+                    count[key] += 1
+                past = history[i]
+                past[0].append(rnd)
+                past[1].append(r)
+            self.group[rnd] = next(iter(count)) if len(count) == 1 else None
+            for ev in d.events:
+                self._event(rnd, ev, k, n, delta)
+            if rnd in wanted:
+                self.rows_at[rnd] = dict(current)
+
+    def _event(self, rnd: int, ev: str, k: int, n: int | None, delta: int | None) -> None:
+        name, _, body = ev.partition(":")
+        rid, _, arg = body.partition("@" if name == "settle" else "=")
+        try:
+            robot, value = int(rid), int(arg) if arg else None
+        except ValueError:
+            raise TraceFormatError(
+                f"round {rnd}: event {name} names a number too long to read"
+            ) from None
+        if n is not None and (robot >= k or (name == "settle" and value >= n)
+                              or (name == "set_child" and value >= delta)):
+            raise TraceFormatError(
+                f"round {rnd}: event {ev} names a robot, node or port outside "
+                f"robots 0..{k - 1}, nodes 0..{n - 1} or ports 0..{delta - 1}"
+            )
+        if name == "settle":
+            self.settles[robot] = rnd, value
+            self.settle_rounds.add(rnd)
+        elif name == "set_child":
+            self.child_ports[robot] = value
+        else:
+            self.first[name].setdefault(robot, rnd)
+            if name == "set_visited":
+                self.visited.add((rnd, robot))
+
+    def row_at(self, robot: int, rnd: int) -> RobotRow | None:
+        """The robot's row in round ``rnd``, None if it has none there."""
+        past = self.history.get(robot)
+        j = bisect_right(past[0], rnd) if past else 0
+        return past[1][j - 1] if j else None
+
+
+def _require_rounds(digest: TraceDigest, first: int, last: int) -> None:
     """Rounds ``first..last`` all have records; stops at the first gap."""
     for r in range(first, last + 1):
-        if r not in trace.by_round:
+        if r not in digest.group:
             raise TraceIncompleteError(
                 f"trace lacks the record of round {r} (full trace level required)"
             )
 
 
-def _settles(trace: ParsedTrace) -> dict[int, tuple[int, int]]:
-    """robot id -> (settle round, node)."""
-    out: dict[int, tuple[int, int]] = {}
-    for rec in trace.records:
-        for ev in rec.events:
-            if ev.startswith("settle:"):
-                rid, _, node = ev[len("settle:"):].partition("@")
-                out[int(rid)] = (rec.round, int(node))
-    return out
-
-
-def _event_round(trace: ParsedTrace, name: str) -> dict[int, int]:
-    """For events of shape f"{name}:{rid}", robot id -> first round."""
-    out: dict[int, int] = {}
-    prefix = name + ":"
-    for rec in trace.records:
-        for ev in rec.events:
-            if ev.startswith(prefix) and "=" not in ev and "@" not in ev:
-                rid = int(ev[len(prefix):])
-                out.setdefault(rid, rec.round)
-    return out
-
-
-def _set_child_ports(trace: ParsedTrace) -> dict[int, int]:
-    """robot id -> last child port applied."""
-    out: dict[int, int] = {}
-    for rec in trace.records:
-        for ev in rec.events:
-            if ev.startswith("set_child:"):
-                rid, _, port = ev[len("set_child:"):].partition("=")
-                out[int(rid)] = int(port)
-    return out
-
-
-def _group_rows(rec: TraceRecord) -> list:
-    return [r for r in rec.robots if r.role == "explore"]
-
-
-def _group_position(rec: TraceRecord) -> tuple[int, str, int | None] | None:
-    """(node, dir, entered) of the co-located exploring group, or None."""
-    rows = _group_rows(rec)
-    if not rows:
-        return None
-    nodes = {r.node for r in rows}
-    dirs = {r.dir for r in rows}
-    entereds = {r.entered for r in rows}
-    if len(nodes) > 1 or len(dirs) > 1 or len(entereds) > 1:
-        return None
-    return rows[0].node, rows[0].dir, rows[0].entered
-
-
-def _not_dispersed(trace: ParsedTrace) -> list[str] | None:
+def _not_dispersed(trace: ParsedTrace) -> Verdict | None:
     if trace.summary.outcome is not Outcome.DISPERSED_ALL_TERMINATED:
-        return [f"run did not disperse (outcome={trace.summary.outcome.value})"]
+        return _verdict([f"run did not disperse (outcome={trace.summary.outcome.value})"])
     return None
 
 
 # --- checkers -------------------------------------------------------------
 
 
-def check_dispersion(trace: ParsedTrace) -> Verdict:
+def check_dispersion(trace: ParsedTrace, digest: TraceDigest | None = None) -> Verdict:
     """Final configuration: k distinct nodes, every robot terminated."""
     s = trace.summary
     findings: list[str] = []
@@ -202,12 +268,10 @@ def check_dispersion(trace: ParsedTrace) -> Verdict:
     if len(s.positions) != s.k:
         findings.append(f"summary lists {len(s.positions)} positions for k={s.k}")
     if len(set(s.positions.values())) != len(s.positions):
-        dupes = sorted(
-            {v for v in s.positions.values() if list(s.positions.values()).count(v) > 1}
-        )
+        dupes = sorted(v for v, c in Counter(s.positions.values()).items() if c > 1)
         findings.append(f"two robots share final node(s) {dupes}")
-    if trace.records:
-        dead = set(_event_round(trace, "terminate"))
+    if trace.deltas:
+        dead = set((digest or TraceDigest(trace)).first["terminate"])
         missing = sorted(set(range(s.k)) - dead)
         if missing:
             findings.append(f"robots {missing} never terminated")
@@ -215,26 +279,27 @@ def check_dispersion(trace: ParsedTrace) -> Verdict:
 
 
 def check_stage1(
-    trace: ParsedTrace, graph: PortLabeledGraph, oracle: OracleTrace | None = None
+    trace: ParsedTrace, graph: PortLabeledGraph, oracle: OracleTrace | None = None,
+    digest: TraceDigest | None = None,
 ) -> Verdict:
     """Stage-1 walk, settle schedule, and DFS tree versus the oracle."""
-    bad = _not_dispersed(trace)
-    if bad:
-        return _verdict(bad)
+    if bad := _not_dispersed(trace):
+        return bad
     s = trace.summary
     if s.k == 1:
         return _verdict([], info=["k=1: stage 1 is empty, vacuous pass"])
-    if oracle is None:
-        oracle = oracle_dfs(graph, s.v_r, s.k)
+    oracle = oracle or oracle_dfs(graph, s.v_r, s.k)
     if s.t1 is None:
         return _verdict(["no stage-1 end event (t1 missing)"])
     t1 = s.t1
-    _require_records(trace, 1, t1)
+    digest = digest or TraceDigest(trace)
+    _require_rounds(digest, 1, t1)
+    group = digest.group
     findings: list[str] = []
 
     # group walk versus oracle, round for round
     for i in range(1, t1 + 1):
-        pos = _group_position(trace.by_round[i])
+        pos = group[i]
         if pos is None:
             findings.append(f"round {i}: exploring group missing or not co-located")
             break
@@ -244,7 +309,7 @@ def check_stage1(
             )
             break
 
-    settles = _settles(trace)
+    settles = digest.settles
     engine_map = {rnd: node for rnd, node in settles.values()}
     if engine_map != oracle.settle_rounds:
         findings.append(
@@ -252,25 +317,23 @@ def check_stage1(
             f"{sorted(oracle.settle_rounds.items())}"
         )
 
-    rec = trace.by_round[t1]
-    nodes = [r.node for r in rec.robots]
+    robots = digest.rows_at[t1].values()
+    nodes = [r.node for r in robots]
     if len(set(nodes)) != len(nodes):
         findings.append(f"round {t1}: two robots share a node")
-    roles = sorted(r.role for r in rec.robots)
+    roles = sorted(r.role for r in robots)
     expected_roles = sorted(["explore"] + ["settled"] * (s.k - 1))
     if roles != expected_roles:
         findings.append(f"round {t1}: roles {roles} != one explorer plus settled rest")
 
     # DFS tree: settler parent edges plus the walker's final entry edge
     engine_tree: set[frozenset[int]] = set()
-    parent_of: dict[int, int | None] = {}
     for rid, (rnd, node) in settles.items():
-        prev = _group_position(trace.by_round[rnd])
+        prev = group[rnd]
         entered = prev[2] if prev else None
-        parent_of[node] = entered
         if entered is not None:
             engine_tree.add(frozenset((node, graph.neighbor_via(node, entered)[0])))
-    walker = _group_position(rec)
+    walker = group[t1]
     if walker and walker[2] is not None:
         engine_tree.add(frozenset((walker[0], graph.neighbor_via(walker[0], walker[2])[0])))
     oracle_tree = {
@@ -291,8 +354,7 @@ def check_stage1(
         stack = [min(occupied)]
         while stack:
             u = stack.pop()
-            for p in range(graph.degree(u)):
-                v, _ = graph.neighbor_via(u, p)
+            for v, _ in graph.ports[u]:
                 if v in occupied and v not in seen:
                     seen.add(v)
                     stack.append(v)
@@ -308,23 +370,23 @@ def check_stage1(
 
 
 def check_rootpath_children(trace: ParsedTrace, graph: PortLabeledGraph,
-                            oracle: OracleTrace | None = None) -> Verdict:
+                            oracle: OracleTrace | None = None,
+                            digest: TraceDigest | None = None) -> Verdict:
     """Child pointers after stage 2: each rootpath node points to the next."""
-    bad = _not_dispersed(trace)
-    if bad:
-        return _verdict(bad)
+    if bad := _not_dispersed(trace):
+        return bad
     s = trace.summary
     if s.k == 1:
         return _verdict([], info=["k=1: no stage 2, vacuous pass"])
-    if oracle is None:
-        oracle = oracle_dfs(graph, s.v_r, s.k)
+    oracle = oracle or oracle_dfs(graph, s.v_r, s.k)
     if s.t1 is None or s.t2 is None:
         return _verdict(["t1/t2 missing from summary"])
     t2 = s.t2
-    _require_records(trace, t2, t2 + 1)
+    digest = digest or TraceDigest(trace)
+    _require_rounds(digest, t2, t2 + 1)
     findings: list[str] = []
 
-    ack = _event_round(trace, "to_acknowledge")
+    ack = digest.first["to_acknowledge"]
     if len(ack) != 1:
         findings.append(f"expected exactly one acknowledge transition, got {sorted(ack)}")
         return _verdict(findings)
@@ -332,8 +394,8 @@ def check_rootpath_children(trace: ParsedTrace, graph: PortLabeledGraph,
     if ack_round != t2:
         findings.append(f"acknowledge transition at round {ack_round}, summary says t2={t2}")
 
-    rec = trace.by_round[t2 + 1]
-    row = next((r for r in rec.robots if r.id == r_l), None)
+    present = digest.rows_at[t2 + 1]
+    row = present.get(r_l)
     if row is None or row.node != s.v_r or row.role != "acknowledge":
         findings.append(f"walker is not standing at the root as acknowledge at round {t2 + 1}")
 
@@ -343,12 +405,11 @@ def check_rootpath_children(trace: ParsedTrace, graph: PortLabeledGraph,
             f"{s.t1 + len(oracle.rootpath) - 1}"
         )
 
-    settles = _settles(trace)
+    settles = digest.settles
     node_of = {rid: node for rid, (_, node) in settles.items()}
-    child_ports = _set_child_ports(trace)
+    child_ports = digest.child_ports
 
     # every tree node except v_l hosts its settler at end of stage 2
-    present = {r.id: r for r in rec.robots}
     for rid, (_, node) in sorted(settles.items()):
         r = present.get(rid)
         if r is None or r.node != node or r.role != "settled":
@@ -377,7 +438,7 @@ def check_rootpath_children(trace: ParsedTrace, graph: PortLabeledGraph,
     return _verdict(findings, info=[f"rootpath={oracle.rootpath}"])
 
 
-def check_mirror(trace: ParsedTrace) -> Verdict:
+def check_mirror(trace: ParsedTrace, digest: TraceDigest | None = None) -> Verdict:
     """Stage 3 replays stage 1: same node, direction, entry port each round.
 
     Each matched round is classified: I1 fresh-node rounds (a settle in
@@ -385,36 +446,33 @@ def check_mirror(trace: ParsedTrace) -> Verdict:
     advances; the class side-conditions on the node's settler and its
     visited mark are verified too.
     """
-    bad = _not_dispersed(trace)
-    if bad:
-        return _verdict(bad)
+    if bad := _not_dispersed(trace):
+        return bad
     s = trace.summary
     if s.k == 1:
         return _verdict([], info=["k=1: nothing to mirror, vacuous pass"])
     if s.t1 is None or s.t2 is None:
         return _verdict(["t1/t2 missing from summary"])
     t1, t2 = s.t1, s.t2
-    ret = _event_round(trace, "to_return")
+    digest = digest or TraceDigest(trace)
+    ret = digest.first["to_return"]
     if len(ret) != 1:
         return _verdict([f"expected exactly one return transition, got {sorted(ret)}"])
     (r_l, _), = ret.items()
-    _require_records(trace, 1, t1 - 1)
-    _require_records(trace, t2 + 1, t2 + t1 - 1)
+    _require_rounds(digest, 1, t1 - 1)
+    _require_rounds(digest, t2 + 1, t2 + t1 - 1)
 
-    settles = _settles(trace)
-    settler_at = {node: rid for rid, (_, node) in settles.items()}
-    visited_round = _event_round(trace, "set_visited")  # settler rid -> round
+    settler_at = {node: rid for rid, (_, node) in digest.settles.items()}
+    visited_round = digest.first["set_visited"]  # settler rid -> round
 
     findings: list[str] = []
     counts = {"I1": 0, "I2": 0, "I3": 0}
     for i in range(1, t1):
-        rec_a = trace.by_round[i]
-        rec_b = trace.by_round[t2 + i]
-        pos = _group_position(rec_a)
+        pos = digest.group[i]
         if pos is None:
             findings.append(f"round {i}: exploring group missing or split")
             break
-        row = next((r for r in rec_b.robots if r.id == r_l), None)
+        row = digest.row_at(r_l, t2 + i)
         if row is None:
             findings.append(f"round {t2 + i}: walker {r_l} absent")
             break
@@ -425,17 +483,16 @@ def check_mirror(trace: ParsedTrace) -> Verdict:
                 f"walker ({row.node},{row.dir},{row.entered})"
             )
             break
-        settled_here = any(ev.startswith("settle:") for ev in rec_a.events)
         rid = settler_at.get(node)
-        if settled_here:
+        if i in digest.settle_rounds:
             counts["I1"] += 1
             if rid is None:
                 findings.append(f"round {i}: settle event but no settler known at {node}")
-            elif f"set_visited:{rid}" not in rec_b.events:
+            elif (t2 + i, rid) not in digest.visited:
                 findings.append(
                     f"round {t2 + i}: node {node} not marked visited in the replay"
                 )
-            elif not any(r.id == rid and r.node == node for r in rec_b.robots):
+            elif (settler := digest.row_at(rid, t2 + i)) is None or settler.node != node:
                 findings.append(f"round {t2 + i}: settler {rid} already gone from {node}")
         else:
             cls = "I2" if d == "fwd" else "I3"
@@ -456,29 +513,27 @@ def check_mirror(trace: ParsedTrace) -> Verdict:
 
 
 def check_termination(trace: ParsedTrace, graph: PortLabeledGraph,
-                      oracle: OracleTrace | None = None) -> Verdict:
+                      oracle: OracleTrace | None = None,
+                      digest: TraceDigest | None = None) -> Verdict:
     """Termination schedule: settlers by t2+t1, the walker at t2+t1+2 at v_l."""
-    bad = _not_dispersed(trace)
-    if bad:
-        return _verdict(bad)
+    if bad := _not_dispersed(trace):
+        return bad
     s = trace.summary
     if s.k == 1:
         findings = [] if s.rounds == 1 else [f"k=1 should finish in round 1, took {s.rounds}"]
         return _verdict(findings, info=["k=1: single robot terminates immediately"])
-    if oracle is None:
-        oracle = oracle_dfs(graph, s.v_r, s.k)
+    oracle = oracle or oracle_dfs(graph, s.v_r, s.k)
     if s.t1 is None or s.t2 is None:
         return _verdict(["t1/t2 missing from summary"])
     t1, t2 = s.t1, s.t2
+    digest = digest or TraceDigest(trace)
     findings: list[str] = []
-    deaths = _event_round(trace, "terminate")
-    settles = _settles(trace)
-    ret = _event_round(trace, "to_return")
-    r_l = next(iter(ret), None)
+    deaths = digest.first["terminate"]
+    r_l = next(iter(digest.first["to_return"]), None)
 
     if s.rounds != t2 + t1 + 2:
         findings.append(f"total rounds {s.rounds} != t2+t1+2 = {t2 + t1 + 2}")
-    for rid in sorted(settles):
+    for rid in sorted(digest.settles):
         died = deaths.get(rid)
         if died is None:
             findings.append(f"settler {rid} never terminated")
@@ -487,7 +542,7 @@ def check_termination(trace: ParsedTrace, graph: PortLabeledGraph,
     if r_l is None:
         findings.append("no walker transition found")
     else:
-        done = _event_round(trace, "to_done").get(r_l)
+        done = digest.first["to_done"].get(r_l)
         if done != t2 + t1 + 1:
             findings.append(f"walker became done at round {done}, expected {t2 + t1 + 1}")
         died = deaths.get(r_l)
@@ -509,35 +564,34 @@ def check_termination(trace: ParsedTrace, graph: PortLabeledGraph,
 
 
 def check_exit_counts(trace: ParsedTrace, graph: PortLabeledGraph,
-                      oracle: OracleTrace | None = None) -> Verdict:
+                      oracle: OracleTrace | None = None,
+                      digest: TraceDigest | None = None) -> Verdict:
     """Parent/child ports are exited exactly once; later re-entries are forward."""
-    bad = _not_dispersed(trace)
-    if bad:
-        return _verdict(bad)
+    if bad := _not_dispersed(trace):
+        return bad
     s = trace.summary
     if s.k == 1:
         return _verdict([], info=["k=1: no walk, vacuous pass"])
     if s.t1 is None:
         return _verdict(["t1 missing from summary"])
     t1 = s.t1
-    _require_records(trace, 1, t1)
+    digest = digest or TraceDigest(trace)
+    _require_rounds(digest, 1, t1)
     findings: list[str] = []
 
-    walk: list[tuple[int, str, int | None]] = []
-    for i in range(1, t1 + 1):
-        pos = _group_position(trace.by_round[i])
-        if pos is None:
-            return _verdict([f"round {i}: exploring group missing or split"])
-        walk.append(pos)
+    walk = [digest.group[i] for i in range(1, t1 + 1)]
+    if None in walk:
+        return _verdict([f"round {walk.index(None) + 1}: exploring group missing or split"])
 
-    # exit port at each hop, recovered from the next round's entry port
-    exit_ports: list[int | None] = []
+    # the rounds each (node, exit port) is taken in, the exit port at each
+    # hop recovered from the next round's entry port; and the rounds the
+    # group stands at each node
+    exits: dict[tuple[int, int], list[int]] = {}
     for i in range(len(walk) - 1):
         node = walk[i][0]
         nxt_node, _, nxt_entered = walk[i + 1]
         if nxt_entered is None:
             findings.append(f"round {i + 2}: group moved without an entry port")
-            exit_ports.append(None)
             continue
         back, port_here = graph.neighbor_via(nxt_node, nxt_entered)
         if back != node:
@@ -545,11 +599,13 @@ def check_exit_counts(trace: ParsedTrace, graph: PortLabeledGraph,
                 f"round {i + 1}->{i + 2}: recorded entry port does not lead back "
                 f"({nxt_node} via {nxt_entered} reaches {back}, group was at {node})"
             )
-            exit_ports.append(None)
             continue
-        exit_ports.append(port_here)
+        exits.setdefault((node, port_here), []).append(i + 1)
+    stands: dict[int, list[int]] = {}
+    for i, (node, _, _) in enumerate(walk):
+        stands.setdefault(node, []).append(i + 1)
 
-    settles = _settles(trace)
+    settles = digest.settles
     settle_round_of = {node: rnd for _, (rnd, node) in settles.items()}
     parent_port: dict[int, int | None] = {s.v_r: None}
     for node, rnd in settle_round_of.items():
@@ -557,10 +613,9 @@ def check_exit_counts(trace: ParsedTrace, graph: PortLabeledGraph,
             findings.append(f"node {node}: settle round {rnd} outside the stage-1 walk")
             continue
         parent_port[node] = walk[rnd - 1][2]
-    child_ports_by_rid = _set_child_ports(trace)
     node_of = {rid: node for rid, (_, node) in settles.items()}
     child_port: dict[int, int] = {
-        node_of[rid]: port for rid, port in child_ports_by_rid.items() if rid in node_of
+        node_of[rid]: port for rid, port in digest.child_ports.items() if rid in node_of
     }
 
     # rootpath from the installed child chain
@@ -572,13 +627,6 @@ def check_exit_counts(trace: ParsedTrace, graph: PortLabeledGraph,
             break
         rootpath.append(graph.neighbor_via(here, child_port[here])[0])
     on_path = set(rootpath)
-
-    def arrivals_after(node: int, exit_round: int) -> list[int]:
-        return [
-            j + 1
-            for j in range(exit_round, len(walk))
-            if walk[j][0] == node
-        ]
 
     for node in sorted(set(settle_round_of) | {s.v_r}):
         if node in on_path and node != s.v_l:
@@ -592,19 +640,15 @@ def check_exit_counts(trace: ParsedTrace, graph: PortLabeledGraph,
         if want is None:
             findings.append(f"node {node}: no {label} port known")
             continue
-        hits = [
-            i + 1
-            for i in range(len(exit_ports))
-            if walk[i][0] == node and exit_ports[i] == want
-        ]
+        hits = exits.get((node, want), [])
         if len(hits) != 1:
             findings.append(
                 f"node {node}: {label} port {want} exited {len(hits)} times "
                 f"(rounds {hits}), expected once"
             )
             continue
-        for j in arrivals_after(node, hits[0]):
-            if walk[j - 1][1] != "fwd":
+        for j in stands[node]:
+            if j > hits[0] and walk[j - 1][1] != "fwd":
                 findings.append(
                     f"node {node}: re-entry at round {j} after the {label}-port exit "
                     f"is not forward"
@@ -612,58 +656,22 @@ def check_exit_counts(trace: ParsedTrace, graph: PortLabeledGraph,
     return _verdict(findings)
 
 
-def check_memory(trace: ParsedTrace, max_degree: int) -> Verdict:
+def check_memory(trace: ParsedTrace, max_degree: int,
+                 digest: TraceDigest | None = None) -> Verdict:
     """Every recorded footprint equals the constant budget for this degree."""
-    if not trace.records:
+    if not trace.deltas:
         raise TraceIncompleteError("no round records with footprint fields")
     budget = memory_footprint_bits(max_degree)
     findings: list[str] = []
-    for rec in trace.records:
-        for r in rec.robots:
-            if r.bits > budget:
-                findings.append(
-                    f"round {rec.round}: robot {r.id} uses {r.bits} bits, budget {budget}"
-                )
-            elif r.bits != budget:
-                findings.append(
-                    f"round {rec.round}: robot {r.id} records {r.bits} bits, "
-                    f"closed form says {budget}"
-                )
-            if findings:
-                break
-        if findings:
-            break
+    # the first row off the budget is the first row of the first value off it
+    off = [(first, bits) for bits, first in (digest or TraceDigest(trace)).bits_first.items()
+           if bits != budget]
+    if off:
+        (rnd, rid), bits = min(off)
+        findings.append(f"round {rnd}: robot {rid} uses {bits} bits, budget {budget}"
+                        if bits > budget else
+                        f"round {rnd}: robot {rid} records {bits} bits, closed form says {budget}")
     return _verdict(findings, info=[f"budget={budget} bits"])
-
-
-def _check_in_range(trace: ParsedTrace, graph: PortLabeledGraph) -> None:
-    s = trace.summary
-    n, k = graph.n, s.k
-    off_graph = [v for v in (s.v_r, s.v_l, *s.positions.values())
-                 if v is not None and not 0 <= v < n]
-    if off_graph:
-        raise TraceFormatError(
-            f"summary names nodes {off_graph[:3]} outside the graph's 0..{n - 1}"
-        )
-    if not 1 <= k <= n:
-        raise TraceFormatError(f"summary has k={k}, not in 1..{n}")
-    delta = graph.max_degree()
-    for rec in trace.records:
-        for r in rec.robots:
-            if not (0 <= r.id < k and 0 <= r.node < n):
-                raise TraceFormatError(
-                    f"round {rec.round}: row of robot {r.id} at node {r.node} is outside "
-                    f"robots 0..{k - 1} or nodes 0..{n - 1}"
-                )
-        for ev in rec.events:
-            name, _, body = ev.partition(":")
-            rid, _, arg = body.partition("@" if name == "settle" else "=")
-            if (int(rid) >= k or (name == "settle" and int(arg) >= n)
-                    or (name == "set_child" and int(arg) >= delta)):
-                raise TraceFormatError(
-                    f"round {rec.round}: event {ev} names a robot, node or port outside "
-                    f"robots 0..{k - 1}, nodes 0..{n - 1} or ports 0..{delta - 1}"
-                )
 
 
 CHECKER_NAMES = (
@@ -690,7 +698,7 @@ def run_all(
     than nodes, a robot id outside 0..k-1 (rows, events) or a child port
     no node has (``set_child`` events).
     """
-    _check_in_range(trace, graph)
+    digest = TraceDigest(trace, graph)
     s = trace.summary
     oracle: OracleTrace | None = None
     if s.outcome is Outcome.DISPERSED_ALL_TERMINATED and s.k >= 2:
@@ -698,19 +706,19 @@ def run_all(
     out: dict[str, Verdict] = {}
     for name in names:
         if name == "dispersion":
-            out[name] = check_dispersion(trace)
+            out[name] = check_dispersion(trace, digest)
         elif name == "stage1":
-            out[name] = check_stage1(trace, graph, oracle)
+            out[name] = check_stage1(trace, graph, oracle, digest)
         elif name == "rootpath":
-            out[name] = check_rootpath_children(trace, graph, oracle)
+            out[name] = check_rootpath_children(trace, graph, oracle, digest)
         elif name == "mirror":
-            out[name] = check_mirror(trace)
+            out[name] = check_mirror(trace, digest)
         elif name == "exits":
-            out[name] = check_exit_counts(trace, graph, oracle)
+            out[name] = check_exit_counts(trace, graph, oracle, digest)
         elif name == "termination":
-            out[name] = check_termination(trace, graph, oracle)
+            out[name] = check_termination(trace, graph, oracle, digest)
         elif name == "memory":
-            out[name] = check_memory(trace, graph.max_degree())
+            out[name] = check_memory(trace, graph.max_degree(), digest)
         else:
             raise ValueError(f"unknown checker {name!r}")
     return out

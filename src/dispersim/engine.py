@@ -34,17 +34,16 @@ one OR into its role's accumulator.
 
 A FULL trace holds one row per alive robot per round in memory, but its
 cost follows the rows that change: a record's row list is a copy of the
-record before, patched only for the robots whose word or node the round
-in between stored (every actor, settlers included; a round in which a
-robot died rebuilds it), and a robot keeps its row object while the row
+record before, with the robots that died dropped, patched only for the
+robots whose word or node the round in between stored (every actor,
+settlers included), and a robot keeps its row object while the row
 fields of its word (role, direction, entry port) and its node are the
 same.  The trace text (format 2) carries only the rows that differ from
 that robot's row in the round before, plus the ids of robots that
-dropped out.  Reading patches a copy of the previous round's rows, and
-converts and checks each distinct row once, so equal rows share one
-object.  What is still paid per robot per round is the row's slot in
-its record: copied by ``run`` and when reading, tested for identity with
-the round before when writing.
+dropped out: one ``TraceDelta`` per round, which ``parse_trace`` reads
+back as it is, checking each distinct row once.  What is still paid per
+robot per round is the row's slot in its record: copied by ``run``,
+tested for identity with the round before when writing.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ import json
 import random
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .graph import PortLabeledGraph
@@ -132,10 +131,11 @@ _QUERIES = (Query(),)
 _MARKER_PREFIXES = ("settle:", "to_return:", "to_acknowledge:", "to_done:",
                     "terminate:", "repair_terminate:")
 # every event the engine writes: a robot id, then the node it settled at
-# or the child port it was given
+# or the child port it was given, each a number without leading zeros
 _EVENT = re.compile(
-    r"(?:settle:[0-9]+@|set_child:[0-9]+="
-    r"|(?:to_return|to_acknowledge|to_done|terminate|repair_terminate|set_visited):)[0-9]+"
+    r"(?:settle:(?:0|[1-9][0-9]*)@|set_child:(?:0|[1-9][0-9]*)="
+    r"|(?:to_return|to_acknowledge|to_done|terminate|repair_terminate|set_visited):)"
+    r"(?:0|[1-9][0-9]*)"
 )
 
 
@@ -194,6 +194,16 @@ class TraceRecord:
     events: list[str]
 
 
+@dataclass(slots=True)
+class TraceDelta:
+    """One record line of a format-2 trace (the README has the format)."""
+
+    round: int
+    rows: list[RobotRow]
+    gone: list[int]
+    events: list[str]
+
+
 @dataclass
 class RunSummary:
     outcome: Outcome
@@ -231,36 +241,38 @@ class SimulationResult:
     # in bits (see robot.FIELDS); not part of the trace
     used_bits: dict[str, dict[str, int]]
 
+    def deltas(self) -> Iterator[TraceDelta]:
+        """Each record as what changed since the one before (``_delta``)."""
+        before: list[RobotRow] = []
+        for rec in self.records:
+            rows, gone = _delta(before, rec.robots)
+            yield TraceDelta(rec.round, rows, gone, rec.events)
+            before = rec.robots
+
     def jsonl_lines(self) -> Iterator[str]:
         """The trace's lines, each ending in a newline: the format header,
-        one line per record, then the summary; none at ``TraceLevel.NONE``.
-
-        A record line holds only the rows that differ from the same
-        robot's row in the record before, and the ids of robots that had
-        a row there and have none now; the records' rows must ascend by
-        id, as ``run`` makes them.
-        """
+        one line per ``deltas()`` record, then the summary; none at
+        ``TraceLevel.NONE``."""
         if self.trace_level is TraceLevel.NONE:
             return
         dumps = json.dumps
         yield dumps({"format": TRACE_FORMAT, "k": self.summary.k}) + "\n"
-        before: list[RobotRow] = []
-        for rec in self.records:
-            rows, gone = _delta(before, rec.robots)
-            yield dumps({"round": rec.round, "rows": rows, "gone": gone,
-                         "events": rec.events}) + "\n"
-            before = rec.robots
+        for d in self.deltas():
+            rows = [{"id": r.id, "node": r.node, "role": r.role, "dir": r.dir,
+                     "entered": r.entered, "bits": r.bits} for r in d.rows]
+            yield dumps({"round": d.round, "rows": rows, "gone": d.gone,
+                         "events": d.events}) + "\n"
         yield dumps(self.summary.to_dict()) + "\n"
 
     def to_jsonl(self) -> str:
         return "".join(self.jsonl_lines())
 
 
-def _delta(before: list[RobotRow], now: list[RobotRow]) -> tuple[list[dict], list[int]]:
+def _delta(before: list[RobotRow], now: list[RobotRow]) -> tuple[list[RobotRow], list[int]]:
     """The rows of ``now`` that differ from the same robot's row in
-    ``before``, as JSON objects, and the ids in ``before`` that ``now``
-    lacks; both lists ascend by id, as ``before`` and ``now`` must."""
-    rows: list[dict] = []
+    ``before``, and the ids in ``before`` that ``now`` lacks; both lists
+    ascend by id, as ``before`` and ``now`` must."""
+    rows: list[RobotRow] = []
     gone: list[int] = []
     j, m = 0, len(before)
     for r in now:
@@ -276,21 +288,27 @@ def _delta(before: list[RobotRow], now: list[RobotRow]) -> tuple[list[dict], lis
             j += 1
             if same:
                 continue
-        rows.append({"id": r.id, "node": r.node, "role": r.role, "dir": r.dir,
-                     "entered": r.entered, "bits": r.bits})
+        rows.append(r)
     gone.extend(b.id for b in before[j:])
     return rows, gone
 
 
 @dataclass
 class ParsedTrace:
-    records: list[TraceRecord]
+    deltas: list[TraceDelta]
     summary: RunSummary
-    by_round: dict[int, TraceRecord] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.by_round:
-            self.by_round = {rec.round: rec for rec in self.records}
+
+def replay(deltas: Iterable[TraceDelta]) -> Iterator[tuple[TraceDelta, dict[int, RobotRow]]]:
+    """Each delta with its round's rows by robot id: the round before's,
+    ``gone`` dropped, then ``rows`` applied (one dict, updated in place)."""
+    current: dict[int, RobotRow] = {}
+    for d in deltas:
+        for i in d.gone:
+            del current[i]
+        for r in d.rows:
+            current[r.id] = r
+        yield d, current
 
 
 class World:
@@ -513,13 +531,13 @@ def run(config: SimulationConfig) -> SimulationResult:
             prev = last[i] = (key, node, RobotRow(i, node, *trace_fields(key), bits))
         return prev[2]
 
+    level = config.trace_level
     # the last record's rows, how many robots were alive then, and each
     # one's index in those rows
-    rows: list[RobotRow] = []
-    alive = -1
-    slot: dict[int, int] = {}
+    rows = [row(i) for i in range(config.k)] if level is TraceLevel.FULL else []
+    alive = config.k
+    slot = {i: i for i in range(config.k)}
     touched: list[int] = []
-    level = config.trace_level
     outcome = Outcome.MAX_ROUNDS_EXCEEDED
     fault: str | None = None
     max_rounds = config.resolved_max_rounds()
@@ -529,13 +547,15 @@ def run(config: SimulationConfig) -> SimulationResult:
         events: list[str] = []
         if level is TraceLevel.FULL:
             if len(w.live) + len(w.node_settler) != alive:
+                # robots died in the round before: drop their rows
                 alive = len(w.live) + len(w.node_settler)
-                rows = [row(i) for i in range(config.k) if w.alive[i]]
+                rows = [r for r in rows if w.alive[r.id]]
                 slot = {r.id: j for j, r in enumerate(rows)}
+                touched = [i for i in touched if w.alive[i]]
             else:
                 rows = rows.copy()
-                for i in touched:
-                    rows[slot[i]] = row(i)
+            for i in touched:
+                rows[slot[i]] = row(i)
             records.append(TraceRecord(rnd, rows, events))
         try:
             touched = w.execute_round(events)
@@ -579,33 +599,42 @@ def run(config: SimulationConfig) -> SimulationResult:
 # --- trace parsing --------------------------------------------------------
 
 
-def _int_or_null(obj: dict, key: str) -> int | None:
-    value = obj.get(key)
-    if value is not None and type(value) is not int:
-        raise TypeError(f"{key} must be an integer or null, not {value!r}")
+def _int(obj: dict, key: str, null: bool = False) -> int | None:
+    value = obj.get(key) if null else obj[key]
+    if type(value) is not int and not (null and value is None):
+        raise TypeError(f"{key} must be an integer{' or null' * null}, not {value!r}")
     return value
 
 
 def _parse_summary(obj: dict) -> RunSummary:
     try:
         outcome = Outcome(obj["outcome"])
-        positions = {int(i): int(v) for i, v in obj.get("positions", {}).items()}
-        rounds = int(obj["rounds"])
-        t1, t2 = _int_or_null(obj, "t1"), _int_or_null(obj, "t2")
+        positions = obj.get("positions", {})
+        if type(positions) is not dict:
+            raise TypeError(f"positions must be an object, not {positions!r}")
+        for i, v in positions.items():
+            if not (i.isascii() and i.isdigit() and type(v) is int):
+                raise TypeError(f"position {i!r}: {v!r} is not a robot id and a node")
+        rounds = _int(obj, "rounds")
+        t1, t2 = _int(obj, "t1", null=True), _int(obj, "t2", null=True)
         for key, value in (("t1", t1), ("t2", t2)):
             if value is not None and not 1 <= value <= rounds:
                 raise ValueError(f"{key}={value} not in 1..rounds={rounds}")
+        repair_fired, fault = obj.get("repair_fired", False), obj.get("fault")
+        if type(repair_fired) is not bool or not (fault is None or type(fault) is str):
+            raise TypeError(f"repair_fired must be true or false and fault a string or "
+                            f"null, not {repair_fired!r} and {fault!r}")
         return RunSummary(
             outcome=outcome,
             t1=t1,
             t2=t2,
             rounds=rounds,
-            v_r=int(obj["vR"]),
-            v_l=_int_or_null(obj, "vL"),
-            repair_fired=bool(obj.get("repair_fired", False)),
-            k=int(obj["k"]),
-            positions=positions,
-            fault=obj.get("fault"),
+            v_r=_int(obj, "vR"),
+            v_l=_int(obj, "vL", null=True),
+            repair_fired=repair_fired,
+            k=_int(obj, "k"),
+            positions={int(i): v for i, v in positions.items()},
+            fault=fault,
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise TraceFormatError(f"bad summary line: {exc}") from None
@@ -629,45 +658,36 @@ def _parse_header(obj: dict, line_no: int) -> int:
 
 
 class _RecordReader:
-    """Turns one trace's record lines into full snapshots.
-
-    It keeps the current row of each of the header's k robots, applies a
-    record's ``gone`` and then its ``rows``, and builds the record's
-    snapshot by copying the previous one and patching it by position; a
-    round in which robots drop out or first appear rebuilds it.  Rows are
-    interned by their raw field values, so equal rows share one
-    ``RobotRow`` and each distinct row is checked once per parse.
-    """
+    """Turns one trace's record lines into checked ``TraceDelta``s.  Rows
+    are interned by their raw field values, so equal rows share one
+    ``RobotRow`` and each distinct row is checked once per parse."""
 
     def __init__(self, k: int):
         self.k = k
-        # by robot id; nothing here is sized by k, which the input gives
-        self.current: dict[int, RobotRow] = {}
-        self.gone: set[int] = set()
-        self.snapshot: list[RobotRow] = []
-        self.slot: dict[int, int] = {}  # robot id -> index in the snapshot
+        # robot id -> True while it has a row, False once it is gone; not
+        # sized by k, which the input gives
+        self.has_row: dict[int, bool] = {}
         self.rows: dict[tuple, RobotRow] = {}
         self.round = 0
 
-    def record(self, obj: dict) -> TraceRecord:
+    def record(self, obj: dict) -> TraceDelta:
         rnd = obj["round"]
         if type(rnd) is not int or rnd <= self.round:
             raise ValueError(f"round {rnd!r} is not an integer greater than {self.round}")
         self.round = rnd
-        k, current, gone = self.k, self.current, self.gone
-        rebuild = False
+        k, has_row = self.k, self.has_row
+        ids = list(obj["gone"])
         last = -1
-        for i in obj["gone"]:
+        for i in ids:
             if type(i) is not int or not 0 <= i < k:
                 raise ValueError(f"gone id {i!r} outside robots 0..{k - 1}")
             if i <= last:
                 raise ValueError(f"gone ids do not ascend at {i}")
-            if current.pop(i, None) is None:
+            if not has_row.get(i):
                 raise ValueError(f"robot {i} is gone but has no row")
-            gone.add(i)
-            rebuild = True
+            has_row[i] = False
             last = i
-        patch = []
+        rows = []
         last = -1
         for r in obj["rows"]:
             row = self._row(r)
@@ -676,27 +696,16 @@ class _RecordReader:
                 raise ValueError(f"row id {i} outside robots 0..{k - 1}")
             if i <= last:
                 raise ValueError(f"row ids do not ascend at {i}")
-            if i in gone:
+            if has_row.get(i) is False:
                 raise ValueError(f"row for robot {i}, which is gone")
-            if i not in current:
-                rebuild = True
-            current[i] = row
-            patch.append(row)
+            has_row[i] = True
+            rows.append(row)
             last = i
-        if rebuild:
-            snapshot = [current[i] for i in sorted(current)]
-            self.slot = {r.id: j for j, r in enumerate(snapshot)}
-        else:
-            snapshot = self.snapshot.copy()
-            slot = self.slot
-            for row in patch:
-                snapshot[slot[row.id]] = row
-        self.snapshot = snapshot
         events = list(obj["events"])
         for ev in events:
             if not _EVENT.fullmatch(ev):
                 raise ValueError(f"unknown event {ev!r}")
-        return TraceRecord(rnd, snapshot, events)
+        return TraceDelta(rnd, rows, ids, events)
 
     def _row(self, r: dict) -> RobotRow:
         ident, node, role, dir_, entered, bits = (
@@ -723,14 +732,14 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
     """Read a trace, line by line, from a string or an open file.
 
     The header comes first, then the round records, then the summary.
-    Each record comes back with its full snapshot of rows, ascending by
-    id, and equal rows as one shared ``RobotRow``.  A line holding a
-    non-ASCII byte (or character) is rejected before it is decoded, so
-    pass a file opened in binary mode to have every byte checked.
+    Each record comes back as the ``TraceDelta`` it was written from
+    (``replay`` gives each round's rows).  A line holding a non-ASCII byte
+    (or character) is rejected before it is decoded, so pass a file opened
+    in binary mode to have every byte checked.
     """
     lines = io.StringIO(source) if isinstance(source, str) else source
     reader: _RecordReader | None = None
-    records: list[TraceRecord] = []
+    deltas: list[TraceDelta] = []
     summary: RunSummary | None = None
     offset = 0
     for line_no, line in enumerate(lines, start=1):
@@ -759,7 +768,7 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
             if summary is not None:
                 raise TraceFormatError(f"line {line_no}: record after summary")
             try:
-                records.append(reader.record(obj))
+                deltas.append(reader.record(obj))
             except (KeyError, ValueError, TypeError) as exc:
                 raise TraceFormatError(f"line {line_no}: bad record: {exc}") from None
         else:
@@ -770,4 +779,4 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
         raise TraceFormatError("trace has no summary line")
     if summary.k != reader.k:
         raise TraceFormatError(f"summary has k={summary.k}, the header k={reader.k}")
-    return ParsedTrace(records=records, summary=summary)
+    return ParsedTrace(deltas=deltas, summary=summary)

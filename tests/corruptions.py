@@ -1,9 +1,11 @@
 """Seven targeted trace corruptions, one per checker.
 
-Each builder regenerates a clean passing run and then breaks exactly
-the property its target checker verifies.  Builders return
-(checker_name, corrupted_trace, graph) tuples so the acceptance gate
-can assert the named checker rejects its corruption.
+Each builder regenerates a clean passing run, breaks exactly the
+property its target checker verifies in the run's records (the
+engine's per-round rows and events) or its summary, and then writes
+the trace and parses it back, as ``verify`` would read it.  Builders
+return (checker_name, corrupted_trace, graph) tuples so the acceptance
+gate can assert the named checker rejects its corruption.
 """
 
 from dataclasses import replace
@@ -11,6 +13,7 @@ from dataclasses import replace
 from dispersim.engine import (
     ParsedTrace,
     SimulationConfig,
+    SimulationResult,
     TraceRecord,
     parse_trace,
     run,
@@ -20,16 +23,20 @@ from dispersim.graph import PortLabeledGraph, gen_path, gen_ring
 Corruption = tuple[str, ParsedTrace, PortLabeledGraph]
 
 
-def _traced(graph, k, root=0, seed=29) -> ParsedTrace:
+def _run(graph, k, root=0, seed=29) -> SimulationResult:
     res = run(SimulationConfig(graph=graph, k=k, root=root, seed=seed))
     assert res.summary.outcome.value == "dispersed"
+    return res
+
+
+def _written(res: SimulationResult) -> ParsedTrace:
     return parse_trace(res.to_jsonl())
 
 
-def _settler_ids(trace) -> dict[int, int]:
+def _settler_ids(res) -> dict[int, int]:
     """node -> robot id, from settle events."""
     out = {}
-    for rec in trace.records:
+    for rec in res.records:
         for e in rec.events:
             if e.startswith("settle:"):
                 rid, node = e[len("settle:"):].split("@")
@@ -39,74 +46,74 @@ def _settler_ids(trace) -> dict[int, int]:
 
 def corrupt_dispersion() -> Corruption:
     g = gen_path(4)
-    trace = _traced(g, 3)
+    trace = _written(_run(g, 3))
     trace.summary.positions[1] = trace.summary.positions[0]
     return "dispersion", trace, g
 
 
 def corrupt_stage1() -> Corruption:
     g = gen_path(4)
-    trace = _traced(g, 3)
-    rec = trace.by_round[trace.summary.t1]
+    res = _run(g, 3)
+    rec = res.records[res.summary.t1 - 1]
     idx = [i for i, r in enumerate(rec.robots) if r.role == "settled"]
     rec.robots[idx[0]] = replace(rec.robots[idx[0]], node=rec.robots[idx[1]].node)
-    return "stage1", trace, g
+    return "stage1", _written(res), g
 
 
 def corrupt_rootpath() -> Corruption:
     # rooted mid-path so node 0 sits off the rootpath; its settler must
     # never receive a child port
     g = gen_path(4)
-    trace = _traced(g, 4, root=1)
-    off_path_rid = _settler_ids(trace)[0]
-    trace.records[2].events.append(f"set_child:{off_path_rid}=0")
-    return "rootpath", trace, g
+    res = _run(g, 4, root=1)
+    off_path_rid = _settler_ids(res)[0]
+    res.records[2].events.append(f"set_child:{off_path_rid}=0")
+    return "rootpath", _written(res), g
 
 
 def corrupt_mirror() -> Corruption:
     g = gen_ring(6)
-    trace = _traced(g, 5)
-    rec = trace.by_round[trace.summary.t2 + 1]
+    res = _run(g, 5)
+    rec = res.records[res.summary.t2]  # round t2 + 1
     idx = [i for i, r in enumerate(rec.robots) if r.role == "acknowledge"]
     row = rec.robots[idx[0]]
     rec.robots[idx[0]] = replace(row, node=(row.node + 1) % g.n)
-    return "mirror", trace, g
+    return "mirror", _written(res), g
 
 
 def corrupt_exits() -> Corruption:
     # duplicate the backtrack bounce (rounds 2 and 3) so node 0's parent
     # port is exited twice inside the stage-1 window
     g = gen_path(4)
-    trace = _traced(g, 4, root=1)
-    records = list(trace.records)
+    res = _run(g, 4, root=1)
+    records = res.records
     dup = [
         TraceRecord(round=0, robots=list(records[1].robots), events=[]),
         TraceRecord(round=0, robots=list(records[2].robots), events=[]),
     ]
     spliced = records[:3] + dup + records[3:]
-    renumbered = [
+    res.records = [
         TraceRecord(round=i + 1, robots=rec.robots, events=rec.events)
         for i, rec in enumerate(spliced)
     ]
-    return "exits", ParsedTrace(records=renumbered, summary=trace.summary), g
+    return "exits", _written(res), g
 
 
 def corrupt_termination() -> Corruption:
     g = gen_path(4)
-    trace = _traced(g, 3)
-    root_rid = _settler_ids(trace)[trace.summary.v_r]
+    res = _run(g, 3)
+    root_rid = _settler_ids(res)[res.summary.v_r]
     gone = f"terminate:{root_rid}"
-    for rec in trace.records:
+    for rec in res.records:
         rec.events[:] = [e for e in rec.events if e != gone]
-    return "termination", trace, g
+    return "termination", _written(res), g
 
 
 def corrupt_memory() -> Corruption:
     g = gen_path(4)
-    trace = _traced(g, 3)
-    rows = trace.records[2].robots
+    res = _run(g, 3)
+    rows = res.records[2].robots
     rows[0] = replace(rows[0], bits=1000)
-    return "memory", trace, g
+    return "memory", _written(res), g
 
 
 BUILDERS = (

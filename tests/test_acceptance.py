@@ -16,7 +16,7 @@ import pytest
 import corruptions
 import le_exhaustive
 from dispersim.checkers import run_all, oracle_dfs
-from dispersim.engine import Outcome, SimulationConfig, TraceLevel, parse_trace, run
+from dispersim.engine import Outcome, SimulationConfig, TraceLevel, parse_trace, replay, run
 from dispersim.graph import corpus_instances, gen_path, gen_worstcase, worstcase_seeds
 from dispersim.robot import (
     PORT_FIELDS,
@@ -35,8 +35,8 @@ def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num}: {desc}{suffix}"
 
 
-def _group_node(rec) -> int | None:
-    nodes = {r.node for r in rec.robots if r.role == "explore"}
+def _group_node(rows) -> int | None:
+    nodes = {r.node for r in rows if r.role == "explore"}
     return nodes.pop() if len(nodes) == 1 else None
 
 
@@ -79,16 +79,15 @@ def corpus() -> Corpus:
             walk_ok = True
             occupied_ok = occupied == {root}
         else:
-            walk = [
-                _group_node(trace.by_round[r]) if r in trace.by_round else None
-                for r in range(1, (s.t1 or 0) + 1)
-            ]
+            group = {d.round: _group_node(rows.values()) for d, rows in replay(trace.deltas)}
+            walk = [group.get(r) for r in range(1, (s.t1 or 0) + 1)]
             walk_ok = walk == oracle.walk
             occupied_ok = occupied == set(oracle.settle_rounds.values()) | {oracle.v_l}
 
         budget = memory_footprint_bits(g.max_degree())
+        # every row of every round is a row of some round's delta
         bits_ok = all(
-            r.bits == budget for rec in trace.records for r in rec.robots
+            r.bits == budget for d in trace.deltas for r in d.rows
         )
 
         out.runs.append(

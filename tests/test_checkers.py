@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import pytest
 
+import corruptions
 from dispersim.checkers import (
     CHECKER_NAMES,
     KTooLargeError,
+    TraceDigest,
     TraceIncompleteError,
     check_dispersion,
     check_memory,
@@ -20,6 +22,7 @@ from dispersim.checkers import (
 )
 from dispersim.engine import SimulationConfig, TraceFormatError, parse_trace, run
 from dispersim.graph import (
+    corpus_instances,
     gen_complete,
     gen_path,
     gen_random_connected,
@@ -28,9 +31,12 @@ from dispersim.graph import (
 )
 
 
+def ran(graph, k, root=0, seed=17):
+    return run(SimulationConfig(graph=graph, k=k, root=root, seed=seed))
+
+
 def traced(graph, k, root=0, seed=17):
-    res = run(SimulationConfig(graph=graph, k=k, root=root, seed=seed))
-    return parse_trace(res.to_jsonl())
+    return parse_trace(ran(graph, k, root, seed).to_jsonl())
 
 
 class TestOracle:
@@ -128,58 +134,68 @@ class TestNegativeControls:
 
     def test_stage1_rejects_colocated_settlers(self):
         g = gen_path(4)
-        trace = traced(g, 3)
-        rec = trace.by_round[trace.summary.t1]
+        res = ran(g, 3)
+        rec = res.records[res.summary.t1 - 1]
         idx = [i for i, r in enumerate(rec.robots) if r.role == "settled"]
         a, b = idx[0], idx[1]
         rec.robots[a] = replace(rec.robots[a], node=rec.robots[b].node)
-        verdict = check_stage1(trace, g)
+        verdict = check_stage1(parse_trace(res.to_jsonl()), g)
         assert not verdict.passed
 
     def test_mirror_rejects_teleport(self):
         g = gen_ring(6)
-        trace = traced(g, 5)
-        rec = trace.by_round[trace.summary.t2 + 1]
+        res = ran(g, 5)
+        rec = res.records[res.summary.t2]  # round t2 + 1
         idx = [i for i, r in enumerate(rec.robots) if r.role == "acknowledge"]
         row = rec.robots[idx[0]]
         rec.robots[idx[0]] = replace(row, node=(row.node + 1) % g.n)
-        assert not check_mirror(trace).passed
+        assert not check_mirror(parse_trace(res.to_jsonl())).passed
 
     def test_memory_rejects_oversized_state(self):
         g = gen_path(4)
-        trace = traced(g, 3)
-        rows = trace.records[2].robots
+        res = ran(g, 3)
+        rows = res.records[2].robots
         rows[0] = replace(rows[0], bits=1000)
-        assert not check_memory(trace, g.max_degree()).passed
+        assert not check_memory(parse_trace(res.to_jsonl()), g.max_degree()).passed
 
     def test_memory_rejects_wrong_constant(self):
         g = gen_path(4)
-        trace = traced(g, 3)
-        rows = trace.records[0].robots
+        res = ran(g, 3)
+        rows = res.records[0].robots
         rows[0] = replace(rows[0], bits=rows[0].bits - 1)
-        assert not check_memory(trace, g.max_degree()).passed
+        assert not check_memory(parse_trace(res.to_jsonl()), g.max_degree()).passed
+
+    def test_memory_names_the_first_row_off_budget(self):
+        g = gen_path(4)
+        res = ran(g, 3)
+        first, later = res.records[2].robots, res.records[3].robots
+        later[0] = replace(later[0], bits=7)
+        first[2] = replace(first[2], bits=1000)
+        first[1] = replace(first[1], bits=5)
+        verdict = check_memory(parse_trace(res.to_jsonl()), g.max_degree())
+        assert verdict.findings == ["round 3: robot 1 records 5 bits, closed form says 22"]
 
     def test_rootpath_rejects_spurious_child(self):
         g = gen_path(4)
-        trace = traced(g, 4, root=1)
+        res = ran(g, 4, root=1)
         # node 0 is off the rootpath; its settler must stay childless
         off_path = [
-            rid for rid, (rnd, node) in _settles(trace).items() if node == 0
+            rid for rid, (rnd, node) in _settles(res.records).items() if node == 0
         ]
-        trace.records[2].events.append(f"set_child:{off_path[0]}=0")
-        assert not check_rootpath_children(trace, g).passed
+        res.records[2].events.append(f"set_child:{off_path[0]}=0")
+        assert not check_rootpath_children(parse_trace(res.to_jsonl()), g).passed
 
     def test_termination_rejects_missing_terminate(self):
         g = gen_path(4)
-        trace = traced(g, 3)
-        for rec in trace.records:
+        res = ran(g, 3)
+        for rec in res.records:
             rec.events[:] = [e for e in rec.events if not e.startswith("terminate:0")]
-        assert not check_termination(trace, g).passed
+        assert not check_termination(parse_trace(res.to_jsonl()), g).passed
 
 
-def _settles(trace):
+def _settles(records):
     out = {}
-    for rec in trace.records:
+    for rec in records:
         for e in rec.events:
             if e.startswith("settle:"):
                 rid, node = e[len("settle:"):].split("@")
@@ -225,3 +241,66 @@ def test_verdict_serializes_to_json():
     for name, v in verdicts.items():
         line = json.dumps({"checker": name, "pass": v.passed, "findings": v.findings})
         assert json.loads(line)["checker"] == name
+
+
+# the first finding of each corruption in tests/corruptions.py, as its
+# named checker reported it when it read every round's full set of rows
+CORRUPTION_FIRST_FINDINGS = {
+    "dispersion": "two robots share final node(s) [0]",
+    "stage1": "round 3: two robots share a node",
+    "rootpath": "non-rootpath settler 2 at node 0 has child=0",
+    "mirror": "round 1 vs 10: group (0,fwd,None) != walker (1,fwd,None)",
+    "exits": "node 2: settle round 6 outside the stage-1 walk",
+    "termination": "settler 0 never terminated",
+    "memory": "round 3: robot 0 uses 1000 bits, budget 22",
+}
+
+
+@pytest.mark.parametrize("build", corruptions.BUILDERS, ids=lambda b: b.__name__)
+def test_corruption_first_finding(build):
+    name, trace, g = build()
+    verdict = run_all(trace, g)[name]
+    assert not verdict.passed
+    assert verdict.findings[0] == CORRUPTION_FIRST_FINDINGS[name]
+
+
+def _group_by_scan(rec):
+    keys = {(r.node, r.dir, r.entered) for r in rec.robots if r.role == "explore"}
+    return keys.pop() if len(keys) == 1 else None
+
+
+@pytest.mark.parametrize(
+    "graph, k, root, seed, subrounds",
+    [(g, k, root, i, None) for i, _, _, k, root, g in corpus_instances(0, 6)]
+    + [(gen_worstcase(16), 16, 0, 2, None),
+       # overruns its first election
+       (gen_path(2), 2, 0, 0, 4)],
+)
+def test_digest_matches_a_scan_of_the_engine_records(graph, k, root, seed, subrounds):
+    """The digest's per-round group key, its rows at t1 and t2 + 1, each
+    robot's row in each round and its events are what a scan of the
+    engine's full per-round records gives."""
+    res = run(SimulationConfig(graph=graph, k=k, root=root, seed=seed,
+                               max_subrounds_per_round=subrounds))
+    digest = TraceDigest(parse_trace(res.to_jsonl()), graph)
+    assert digest.group == {rec.round: _group_by_scan(rec) for rec in res.records}
+    s = res.summary
+    for t in (s.t1, None if s.t2 is None else s.t2 + 1):
+        if t is not None:
+            want = [(r.id, r) for r in res.records[t - 1].robots]
+            assert sorted(digest.rows_at[t].items()) == want
+    for rec in res.records:
+        by_id = {r.id: r for r in rec.robots}
+        assert [digest.row_at(i, rec.round) for i in range(k)] == [by_id.get(i) for i in range(k)]
+    events = [(rec.round, e.replace("@", ":").replace("=", ":").split(":"))
+              for rec in res.records for e in rec.events]
+    assert digest.settles == {int(e[1]): (rnd, int(e[2])) for rnd, e in events if e[0] == "settle"}
+    assert digest.child_ports == {int(e[1]): int(e[2]) for rnd, e in events if e[0] == "set_child"}
+    for name, first in digest.first.items():
+        want = {}
+        for rnd, e in events:
+            if e[0] == name:
+                want.setdefault(int(e[1]), rnd)
+        assert first == want, name
+    if subrounds is None:
+        assert s.t1 is not None and digest.group[s.t1] is not None

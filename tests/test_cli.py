@@ -7,7 +7,7 @@ import pytest
 
 from dispersim import engine
 from dispersim.cli import main
-from dispersim.engine import SimulationConfig, parse_trace, run
+from dispersim.engine import SimulationConfig, parse_trace, replay, run
 from dispersim.graph import gen_ring
 from test_engine import wide_parent
 from trace_v1 import v1_jsonl
@@ -188,10 +188,22 @@ class TestVerify:
         "summary_t1_huge": (-1, lambda o: o.update(t1=1_000_000_000)),
         "summary_vR_off_graph": (-1, lambda o: o.update(vR=42)),
         "summary_k_too_large": (-1, lambda o: o.update(k=99)),
+        "summary_k_string": (-1, lambda o: o.update(k="6")),
+        "summary_vR_float": (-1, lambda o: o.update(vR=0.5)),
+        "summary_vR_bool": (-1, lambda o: o.update(vR=False)),
+        "summary_rounds_float": (-1, lambda o: o.update(rounds=12.5)),
+        "summary_fault_int": (-1, lambda o: o.update(fault=3)),
+        "summary_repair_fired_string": (-1, lambda o: o.update(repair_fired="no")),
+        "summary_positions_list": (-1, lambda o: o.update(positions=[])),
+        "summary_positions_null": (-1, lambda o: o.update(positions=None)),
+        "summary_position_key_not_an_id": (-1, lambda o: o["positions"].update(x=0)),
+        "summary_position_float": (-1, lambda o: o["positions"].update({"0": 2.0})),
         "event_bad_robot_id": (1, lambda o: o["events"].append("settle:zz@1")),
         "event_robot_off_run": (1, lambda o: o["events"].append("to_done:6")),
         "event_settle_off_graph": (1, lambda o: o["events"].append("settle:1@99")),
         "event_child_port_off_graph": (1, lambda o: o["events"].append("set_child:0=99")),
+        "event_id_5000_digits": (1, lambda o: o["events"].append("settle:" + "9" * 5000 + "@1")),
+        "event_id_leading_zero": (1, lambda o: o["events"].append("to_done:01")),
         "row_node_off_graph": (4, {"node": 99}),
         "row_id_off_run": (4, {"id": 6}),
         "row_entered_string": (4, {"entered": "x"}),
@@ -218,8 +230,9 @@ class TestVerify:
         line, change = self.HOSTILE_EDITS[edit]
         obj = json.loads(lines[line])
         if isinstance(change, dict):
-            row = next(asdict(r) for r in parse_trace(good_trace.read_text()).by_round[3].robots
-                       if r.id == 3)
+            rows = next(rows for d, rows in replay(parse_trace(good_trace.read_text()).deltas)
+                        if d.round == 3)
+            row = asdict(rows[3])
             ids = [r["id"] for r in obj["rows"]]
             assert 3 not in ids
             obj["rows"].insert(sum(i < 3 for i in ids), {**row, **change})

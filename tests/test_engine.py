@@ -16,6 +16,7 @@ from dispersim.engine import (
     World,
     _Fault,
     parse_trace,
+    replay,
     run,
 )
 from dispersim.graph import (
@@ -218,7 +219,7 @@ class TestTraceWriting:
         text = res.to_jsonl()
         assert text == _v2_reference(res)
         assert "".join(res.jsonl_lines()) == text
-        assert parse_trace(text).records == res.records
+        assert parse_trace(text).deltas == list(res.deltas())
 
     def test_only_changed_rows_are_written(self):
         res = run(SimulationConfig(graph=gen_worstcase(16), k=16, root=0, seed=2))
@@ -271,23 +272,27 @@ class TestTraceParsing:
             res = run(SimulationConfig(graph=graph, k=k, root=root, seed=seed))
             parsed = parse_trace(res.to_jsonl())
             assert parsed.summary == res.summary
-            assert parsed.records == res.records
-            assert parsed.by_round[1].robots[0].node == root
+            assert parsed.deltas == list(res.deltas())
+            assert parsed.deltas[0].rows[0].node == root
+            # replaying the deltas gives back every round's rows
+            assert [sorted(rows.values(), key=lambda r: r.id) for _, rows in replay(parsed.deltas)] \
+                == [rec.robots for rec in res.records]
 
     def test_snapshots_follow_the_deltas(self):
         parsed = parse_trace(_small_trace())
-        settled = parsed.records[0].robots[0]
-        assert [[(r.id, r.node) for r in rec.robots] for rec in parsed.records] == [
-            [(0, 0), (1, 1)], [(0, 0), (1, 2)], [(0, 0)]]
-        assert all(rec.robots[0] is settled for rec in parsed.records)
-        # every record owns its list: a corruption of one round stays there
-        assert parsed.records[0].robots is not parsed.records[1].robots
+        assert [(d.round, [(r.id, r.node) for r in d.rows], d.gone) for d in parsed.deltas] == [
+            (1, [(0, 0), (1, 1)], []), (2, [(1, 2)], []), (3, [], [1])]
+        settled = parsed.deltas[0].rows[0]
+        snapshots = [(d.round, [(i, r.node) for i, r in rows.items()])
+                     for d, rows in replay(parsed.deltas)]
+        assert snapshots == [(1, [(0, 0), (1, 1)]), (2, [(0, 0), (1, 2)]), (3, [(0, 0)])]
+        assert all(rows[0] is settled for _, rows in replay(parsed.deltas))
 
     def test_reads_an_open_file_line_by_line(self):
         res = run(SimulationConfig(graph=gen_ring(5), k=3, root=1, seed=9))
         text = res.to_jsonl()
         for source in (io.BytesIO(text.encode("ascii")), io.StringIO(text)):
-            assert parse_trace(source).records == res.records
+            assert parse_trace(source).deltas == list(res.deltas())
 
     @pytest.mark.parametrize("accent", [b"\xc3\xa9", "\u00e9"])
     def test_non_ascii_line_is_named(self, accent):
@@ -300,9 +305,17 @@ class TestTraceParsing:
             parse_trace(source)
 
     def test_equal_rows_share_one_object(self):
-        res = run(SimulationConfig(graph=gen_worstcase(16), k=16, root=0, seed=2))
-        rows = [r for rec in parse_trace(res.to_jsonl()).records for r in rec.robots]
-        assert len({id(r) for r in rows}) == len(set(rows)) < len(rows)
+        # robot 1 walks back and forth between nodes 1 and 2
+        walk = [{"round": r, "rows": [{**EXPLORER, "node": 1 + r % 2}], "gone": [], "events": []}
+                for r in range(2, 7)]
+        summary = {"outcome": "max_rounds", "t1": None, "t2": None, "rounds": 6, "vR": 0,
+                   "vL": None, "repair_fired": False, "k": 2, "positions": {"0": 0, "1": 1}}
+        text = _lines({"format": 2, "k": 2},
+                      {"round": 1, "rows": [SETTLED, EXPLORER], "gone": [], "events": []},
+                      *walk, summary)
+        rows = [r for d in parse_trace(text).deltas for r in d.rows]
+        assert len(rows) == 7
+        assert len({id(r) for r in rows}) == len(set(rows)) == 3
 
     @pytest.mark.parametrize("field, value", [
         ("entered", True), ("entered", 1.0), ("entered", -1),
@@ -321,7 +334,8 @@ class TestTraceParsing:
                           {"round": 1, "rows": [row], "gone": [], "events": []},
                           {"round": 2, "rows": [second], "gone": [], "events": []}, summary)
 
-        assert parse_trace(trace(dict(row))).records[1].robots[0].entered == 1
+        first, second = parse_trace(trace(dict(row))).deltas
+        assert second.rows[0] is first.rows[0] and second.rows[0].entered == 1
         with pytest.raises(TraceFormatError, match="line 3"):
             parse_trace(trace({**row, field: value}))
 
@@ -554,6 +568,9 @@ def test_patched_rows_match_a_full_scan_every_round(graph, k, root, seed, subrou
                            max_subrounds_per_round=subrounds)
     records = run(cfg).records
     assert [rec.robots for rec in records] == _rows_by_scan(cfg, len(records))
+    if subrounds is None:
+        # rounds after a death, with robots left, drop rows and patch others
+        assert any(0 < len(b.robots) < len(a.robots) for a, b in zip(records, records[1:]))
 
 
 def test_a_settler_row_follows_every_stored_word(monkeypatch):

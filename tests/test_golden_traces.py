@@ -7,7 +7,7 @@ node's inbox once per subround, when v1 was the format ``to_jsonl`` wrote;
 it guards what the engine does.  The second is the sha256 of
 ``SimulationResult.to_jsonl()`` in format 2, recorded when that format
 replaced v1; it guards what the writer makes of it.  Every run must also
-parse back to the records and summary it was written from.  Any change to
+parse back to the deltas and summary it was written from.  Any change to
 scheduling, message delivery or trace writing that moves a single byte
 fails here; a change that is meant to alter traces must re-record the
 affected values and say why.
@@ -102,7 +102,7 @@ def _written(res) -> str:
     """The run's format-2 text, after checking that it parses back."""
     text = res.to_jsonl()
     parsed = parse_trace(text)
-    assert parsed.records == res.records
+    assert parsed.deltas == list(res.deltas())
     assert parsed.summary == res.summary
     return text
 
