@@ -153,6 +153,8 @@ def cmd_bench(args) -> int:
         raise _UsageError("--k-list is empty")
     if any(k < 7 for k in k_list):
         raise _UsageError(f"worst-case family needs k >= 7, got {min(k_list)}")
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     rows = []
     for k in k_list:
         graph = gen_worstcase(k)

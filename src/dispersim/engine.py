@@ -32,18 +32,14 @@ returns a new word, movement sets the entry port with one mask-and-or,
 and every stored word costs one AND against the run's overflow mask and
 one OR into its role's accumulator.
 
-A FULL trace holds one row per alive robot per round in memory, but its
-cost follows the rows that change: a record's row list is a copy of the
-record before, with the robots that died dropped, patched only for the
-robots whose word or node the round in between stored (every actor,
-settlers included), and a robot keeps its row object while the row
-fields of its word (role, direction, entry port) and its node are the
-same.  The trace text (format 2) carries only the rows that differ from
-that robot's row in the round before, plus the ids of robots that
-dropped out: one ``TraceDelta`` per round, which ``parse_trace`` reads
-back as it is, checking each distinct row once.  What is still paid per
-robot per round is the row's slot in its record: copied by ``run``,
-tested for identity with the round before when writing.
+A FULL trace is kept as it is written (format 2): one ``TraceDelta`` per
+round, holding the rows of the robots whose row fields (role, direction,
+entry port) or node changed since their last row, and the ids of the
+robots that died in the round before.  ``run`` builds it from the robots
+``execute_round`` returns as stored (every actor, settlers included), so
+a round's trace costs what the round touched, not k; ``parse_trace``
+reads the same records back, and ``replay`` rebuilds a round's full set
+of rows when one is wanted.
 """
 
 from __future__ import annotations
@@ -55,6 +51,7 @@ import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .graph import PortLabeledGraph
 from .robot import (
@@ -235,29 +232,32 @@ class RunSummary:
 @dataclass
 class SimulationResult:
     summary: RunSummary
-    records: list[TraceRecord]
+    # the trace: one record per round at FULL (the round's changed rows,
+    # the robots gone since the round before, its events), one per round
+    # with a stage marker at SUMMARY, none at NONE
+    deltas: list[TraceDelta]
     trace_level: TraceLevel
     # per role name, the widest value the run stored in each state field,
     # in bits (see robot.FIELDS); not part of the trace
     used_bits: dict[str, dict[str, int]]
 
-    def deltas(self) -> Iterator[TraceDelta]:
-        """Each record as what changed since the one before (``_delta``)."""
-        before: list[RobotRow] = []
-        for rec in self.records:
-            rows, gone = _delta(before, rec.robots)
-            yield TraceDelta(rec.round, rows, gone, rec.events)
-            before = rec.robots
+    @property
+    def records(self) -> list[TraceRecord]:
+        """Each round's full set of rows, ascending by id, and a copy of its
+        events: a view rebuilt from ``deltas`` through ``replay`` on every
+        call, for readers that want whole rounds (the per-layer row count,
+        the v1 rendering the golden hashes were recorded in)."""
+        return [TraceRecord(d.round, sorted(rows.values(), key=attrgetter("id")), list(d.events))
+                for d, rows in replay(self.deltas)]
 
     def jsonl_lines(self) -> Iterator[str]:
         """The trace's lines, each ending in a newline: the format header,
-        one line per ``deltas()`` record, then the summary; none at
-        ``TraceLevel.NONE``."""
+        one line per delta, then the summary; none at ``TraceLevel.NONE``."""
         if self.trace_level is TraceLevel.NONE:
             return
         dumps = json.dumps
         yield dumps({"format": TRACE_FORMAT, "k": self.summary.k}) + "\n"
-        for d in self.deltas():
+        for d in self.deltas:
             rows = [{"id": r.id, "node": r.node, "role": r.role, "dir": r.dir,
                      "entered": r.entered, "bits": r.bits} for r in d.rows]
             yield dumps({"round": d.round, "rows": rows, "gone": d.gone,
@@ -266,31 +266,6 @@ class SimulationResult:
 
     def to_jsonl(self) -> str:
         return "".join(self.jsonl_lines())
-
-
-def _delta(before: list[RobotRow], now: list[RobotRow]) -> tuple[list[RobotRow], list[int]]:
-    """The rows of ``now`` that differ from the same robot's row in
-    ``before``, and the ids in ``before`` that ``now`` lacks; both lists
-    ascend by id, as ``before`` and ``now`` must."""
-    rows: list[RobotRow] = []
-    gone: list[int] = []
-    j, m = 0, len(before)
-    for r in now:
-        # a robot that keeps its row object is the common case
-        if j < m and before[j] is r:
-            j += 1
-            continue
-        while j < m and before[j].id < r.id:
-            gone.append(before[j].id)
-            j += 1
-        if j < m and before[j].id == r.id:
-            same = before[j] == r
-            j += 1
-            if same:
-                continue
-        rows.append(r)
-    gone.extend(b.id for b in before[j:])
-    return rows, gone
 
 
 @dataclass
@@ -518,26 +493,14 @@ def run(config: SimulationConfig) -> SimulationResult:
     config.validate()
     w = World(config)
     bits = memory_footprint_bits(config.graph.max_degree())
-    states, positions = w.states, w.positions
-    records: list[TraceRecord] = []
-    # per robot, the (row fields of its word, node, row) of its latest
-    # row: equal row fields at the same node are the same row
-    last: list[tuple[int, int, RobotRow] | None] = [None] * config.k
-
-    def row(i: int) -> RobotRow:
-        key, node = states[i] & ROW_FIELDS, positions[i]
-        prev = last[i]
-        if prev is None or prev[0] != key or prev[1] != node:
-            prev = last[i] = (key, node, RobotRow(i, node, *trace_fields(key), bits))
-        return prev[2]
-
+    states, positions, alive = w.states, w.positions, w.alive
+    deltas: list[TraceDelta] = []
+    # per robot, the (row fields of its word, node) of its latest row
+    last: list[tuple[int, int] | None] = [None] * config.k
     level = config.trace_level
-    # the last record's rows, how many robots were alive then, and each
-    # one's index in those rows
-    rows = [row(i) for i in range(config.k)] if level is TraceLevel.FULL else []
-    alive = config.k
-    slot = {i: i for i in range(config.k)}
-    touched: list[int] = []
+    # the robots whose row may differ from their last one: every robot
+    # before round 1, then those the round before stored
+    touched = list(range(config.k))
     outcome = Outcome.MAX_ROUNDS_EXCEEDED
     fault: str | None = None
     max_rounds = config.resolved_max_rounds()
@@ -546,17 +509,18 @@ def run(config: SimulationConfig) -> SimulationResult:
         w.round = rnd
         events: list[str] = []
         if level is TraceLevel.FULL:
-            if len(w.live) + len(w.node_settler) != alive:
-                # robots died in the round before: drop their rows
-                alive = len(w.live) + len(w.node_settler)
-                rows = [r for r in rows if w.alive[r.id]]
-                slot = {r.id: j for j, r in enumerate(rows)}
-                touched = [i for i in touched if w.alive[i]]
-            else:
-                rows = rows.copy()
-            for i in touched:
-                rows[slot[i]] = row(i)
-            records.append(TraceRecord(rnd, rows, events))
+            rows: list[RobotRow] = []
+            gone: list[int] = []
+            for i in sorted(set(touched)):
+                if not alive[i]:
+                    # it died in the round before
+                    gone.append(i)
+                    continue
+                now = (states[i] & ROW_FIELDS, positions[i])
+                if now != last[i]:
+                    last[i] = now
+                    rows.append(RobotRow(i, now[1], *trace_fields(now[0]), bits))
+            deltas.append(TraceDelta(rnd, rows, gone, events))
         try:
             touched = w.execute_round(events)
         except (_Fault, ProtocolViolation) as exc:
@@ -564,12 +528,12 @@ def run(config: SimulationConfig) -> SimulationResult:
             # a _Fault names its round; a step's ProtocolViolation does not
             fault = str(exc) if isinstance(exc, _Fault) else f"round {rnd}: {exc}"
             if level is TraceLevel.SUMMARY:
-                records.append(TraceRecord(rnd, [], list(events)))
+                deltas.append(TraceDelta(rnd, [], [], list(events)))
             break
         if level is TraceLevel.SUMMARY:
             markers = [e for e in events if e.startswith(_MARKER_PREFIXES)]
             if markers:
-                records.append(TraceRecord(rnd, [], markers))
+                deltas.append(TraceDelta(rnd, [], [], markers))
         if not w.live and not w.node_settler:
             if len(set(w.positions)) != config.k:
                 outcome = Outcome.FAULT
@@ -592,7 +556,7 @@ def run(config: SimulationConfig) -> SimulationResult:
         fault=fault,
     )
     used_bits = {name: field_widths(w.used[code]) for code, name in enumerate(ROLES)}
-    return SimulationResult(summary=summary, records=records, trace_level=level,
+    return SimulationResult(summary=summary, deltas=deltas, trace_level=level,
                             used_bits=used_bits)
 
 
@@ -612,9 +576,12 @@ def _parse_summary(obj: dict) -> RunSummary:
         positions = obj.get("positions", {})
         if type(positions) is not dict:
             raise TypeError(f"positions must be an object, not {positions!r}")
+        k = _int(obj, "k")
         for i, v in positions.items():
             if not (i.isascii() and i.isdigit() and type(v) is int):
                 raise TypeError(f"position {i!r}: {v!r} is not a robot id and a node")
+            if int(i) >= k:
+                raise ValueError(f"position of robot {i}, outside robots 0..{k - 1}")
         rounds = _int(obj, "rounds")
         t1, t2 = _int(obj, "t1", null=True), _int(obj, "t2", null=True)
         for key, value in (("t1", t1), ("t2", t2)):
@@ -632,7 +599,7 @@ def _parse_summary(obj: dict) -> RunSummary:
             v_r=_int(obj, "vR"),
             v_l=_int(obj, "vL", null=True),
             repair_fired=repair_fired,
-            k=_int(obj, "k"),
+            k=k,
             positions={int(i): v for i, v in positions.items()},
             fault=fault,
         )
@@ -658,16 +625,13 @@ def _parse_header(obj: dict, line_no: int) -> int:
 
 
 class _RecordReader:
-    """Turns one trace's record lines into checked ``TraceDelta``s.  Rows
-    are interned by their raw field values, so equal rows share one
-    ``RobotRow`` and each distinct row is checked once per parse."""
+    """Turns one trace's record lines into checked ``TraceDelta``s."""
 
     def __init__(self, k: int):
         self.k = k
         # robot id -> True while it has a row, False once it is gone; not
         # sized by k, which the input gives
         self.has_row: dict[int, bool] = {}
-        self.rows: dict[tuple, RobotRow] = {}
         self.round = 0
 
     def record(self, obj: dict) -> TraceDelta:
@@ -690,7 +654,7 @@ class _RecordReader:
         rows = []
         last = -1
         for r in obj["rows"]:
-            row = self._row(r)
+            row = _row(r)
             i = row.id
             if not 0 <= i < k:
                 raise ValueError(f"row id {i} outside robots 0..{k - 1}")
@@ -707,22 +671,17 @@ class _RecordReader:
                 raise ValueError(f"unknown event {ev!r}")
         return TraceDelta(rnd, rows, ids, events)
 
-    def _row(self, r: dict) -> RobotRow:
-        ident, node, role, dir_, entered, bits = (
-            r["id"], r["node"], r["role"], r["dir"], r["entered"], r["bits"])
-        # True == 1 == 1.0 as keys: the types are checked before the
-        # lookup (ints) or are part of the key (entered)
-        if not (type(ident) is int and type(node) is int and type(bits) is int):
-            raise TypeError(f"row id, node and bits must be integers: {r!r}")
-        key = (ident, node, role, dir_, entered, type(entered), bits)
-        row = self.rows.get(key)
-        if row is None:
-            if role not in ROLES or dir_ not in DIRECTIONS:
-                raise ValueError(f"role {role!r} or dir {dir_!r} is not one the engine writes")
-            if entered is not None and (type(entered) is not int or entered < 0):
-                raise ValueError(f"entered must be a port or null, not {entered!r}")
-            row = self.rows[key] = RobotRow(ident, node, role, dir_, entered, bits)
-        return row
+
+def _row(r: dict) -> RobotRow:
+    ident, node, role, dir_, entered, bits = (
+        r["id"], r["node"], r["role"], r["dir"], r["entered"], r["bits"])
+    if not (type(ident) is int and type(node) is int and type(bits) is int):
+        raise TypeError(f"row id, node and bits must be integers: {r!r}")
+    if role not in ROLES or dir_ not in DIRECTIONS:
+        raise ValueError(f"role {role!r} or dir {dir_!r} is not one the engine writes")
+    if entered is not None and (type(entered) is not int or entered < 0):
+        raise ValueError(f"entered must be a port or null, not {entered!r}")
+    return RobotRow(ident, node, role, dir_, entered, bits)
 
 
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
@@ -779,4 +738,7 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
         raise TraceFormatError("trace has no summary line")
     if summary.k != reader.k:
         raise TraceFormatError(f"summary has k={summary.k}, the header k={reader.k}")
+    if reader.round > summary.rounds:
+        raise TraceFormatError(
+            f"record of round {reader.round} after the summary's last round {summary.rounds}")
     return ParsedTrace(deltas=deltas, summary=summary)

@@ -29,14 +29,22 @@ from dispersim.graph import (
     gen_ring,
     gen_worstcase,
 )
+from trace_v1 import v2_jsonl
 
 
 def ran(graph, k, root=0, seed=17):
-    return run(SimulationConfig(graph=graph, k=k, root=root, seed=seed))
+    """A run's records (a list of its own, free to edit) and summary."""
+    res = run(SimulationConfig(graph=graph, k=k, root=root, seed=seed))
+    return res.records, res.summary
+
+
+def written(records, summary):
+    """Edited records and their summary, written and parsed back."""
+    return parse_trace(v2_jsonl(records, summary))
 
 
 def traced(graph, k, root=0, seed=17):
-    return parse_trace(ran(graph, k, root, seed).to_jsonl())
+    return parse_trace(run(SimulationConfig(graph=graph, k=k, root=root, seed=seed)).to_jsonl())
 
 
 class TestOracle:
@@ -134,63 +142,63 @@ class TestNegativeControls:
 
     def test_stage1_rejects_colocated_settlers(self):
         g = gen_path(4)
-        res = ran(g, 3)
-        rec = res.records[res.summary.t1 - 1]
+        records, summary = ran(g, 3)
+        rec = records[summary.t1 - 1]
         idx = [i for i, r in enumerate(rec.robots) if r.role == "settled"]
         a, b = idx[0], idx[1]
         rec.robots[a] = replace(rec.robots[a], node=rec.robots[b].node)
-        verdict = check_stage1(parse_trace(res.to_jsonl()), g)
+        verdict = check_stage1(written(records, summary), g)
         assert not verdict.passed
 
     def test_mirror_rejects_teleport(self):
         g = gen_ring(6)
-        res = ran(g, 5)
-        rec = res.records[res.summary.t2]  # round t2 + 1
+        records, summary = ran(g, 5)
+        rec = records[summary.t2]  # round t2 + 1
         idx = [i for i, r in enumerate(rec.robots) if r.role == "acknowledge"]
         row = rec.robots[idx[0]]
         rec.robots[idx[0]] = replace(row, node=(row.node + 1) % g.n)
-        assert not check_mirror(parse_trace(res.to_jsonl())).passed
+        assert not check_mirror(written(records, summary)).passed
 
     def test_memory_rejects_oversized_state(self):
         g = gen_path(4)
-        res = ran(g, 3)
-        rows = res.records[2].robots
+        records, summary = ran(g, 3)
+        rows = records[2].robots
         rows[0] = replace(rows[0], bits=1000)
-        assert not check_memory(parse_trace(res.to_jsonl()), g.max_degree()).passed
+        assert not check_memory(written(records, summary), g.max_degree()).passed
 
     def test_memory_rejects_wrong_constant(self):
         g = gen_path(4)
-        res = ran(g, 3)
-        rows = res.records[0].robots
+        records, summary = ran(g, 3)
+        rows = records[0].robots
         rows[0] = replace(rows[0], bits=rows[0].bits - 1)
-        assert not check_memory(parse_trace(res.to_jsonl()), g.max_degree()).passed
+        assert not check_memory(written(records, summary), g.max_degree()).passed
 
     def test_memory_names_the_first_row_off_budget(self):
         g = gen_path(4)
-        res = ran(g, 3)
-        first, later = res.records[2].robots, res.records[3].robots
+        records, summary = ran(g, 3)
+        first, later = records[2].robots, records[3].robots
         later[0] = replace(later[0], bits=7)
         first[2] = replace(first[2], bits=1000)
         first[1] = replace(first[1], bits=5)
-        verdict = check_memory(parse_trace(res.to_jsonl()), g.max_degree())
+        verdict = check_memory(written(records, summary), g.max_degree())
         assert verdict.findings == ["round 3: robot 1 records 5 bits, closed form says 22"]
 
     def test_rootpath_rejects_spurious_child(self):
         g = gen_path(4)
-        res = ran(g, 4, root=1)
+        records, summary = ran(g, 4, root=1)
         # node 0 is off the rootpath; its settler must stay childless
         off_path = [
-            rid for rid, (rnd, node) in _settles(res.records).items() if node == 0
+            rid for rid, (rnd, node) in _settles(records).items() if node == 0
         ]
-        res.records[2].events.append(f"set_child:{off_path[0]}=0")
-        assert not check_rootpath_children(parse_trace(res.to_jsonl()), g).passed
+        records[2].events.append(f"set_child:{off_path[0]}=0")
+        assert not check_rootpath_children(written(records, summary), g).passed
 
     def test_termination_rejects_missing_terminate(self):
         g = gen_path(4)
-        res = ran(g, 3)
-        for rec in res.records:
+        records, summary = ran(g, 3)
+        for rec in records:
             rec.events[:] = [e for e in rec.events if not e.startswith("terminate:0")]
-        assert not check_termination(parse_trace(res.to_jsonl()), g).passed
+        assert not check_termination(written(records, summary), g).passed
 
 
 def _settles(records):
@@ -282,18 +290,19 @@ def test_digest_matches_a_scan_of_the_engine_records(graph, k, root, seed, subro
     engine's full per-round records gives."""
     res = run(SimulationConfig(graph=graph, k=k, root=root, seed=seed,
                                max_subrounds_per_round=subrounds))
+    records = res.records
     digest = TraceDigest(parse_trace(res.to_jsonl()), graph)
-    assert digest.group == {rec.round: _group_by_scan(rec) for rec in res.records}
+    assert digest.group == {rec.round: _group_by_scan(rec) for rec in records}
     s = res.summary
     for t in (s.t1, None if s.t2 is None else s.t2 + 1):
         if t is not None:
-            want = [(r.id, r) for r in res.records[t - 1].robots]
+            want = [(r.id, r) for r in records[t - 1].robots]
             assert sorted(digest.rows_at[t].items()) == want
-    for rec in res.records:
+    for rec in records:
         by_id = {r.id: r for r in rec.robots}
         assert [digest.row_at(i, rec.round) for i in range(k)] == [by_id.get(i) for i in range(k)]
     events = [(rec.round, e.replace("@", ":").replace("=", ":").split(":"))
-              for rec in res.records for e in rec.events]
+              for rec in records for e in rec.events]
     assert digest.settles == {int(e[1]): (rnd, int(e[2])) for rnd, e in events if e[0] == "settle"}
     assert digest.child_ports == {int(e[1]): int(e[2]) for rnd, e in events if e[0] == "set_child"}
     for name, first in digest.first.items():

@@ -178,7 +178,8 @@ class TestVerify:
         )
         assert code == 3
 
-    # line of the trace to edit (0 is the header, r round r, -1 the summary)
+    # line of the trace to edit (0 is the header, r round r, -2 the last
+    # round, -1 the summary)
     # and the edit: a function of the line's object, or the fields to
     # change in robot 3's round-3 row, which goes into that line's rows as
     # the robot's new row (robot 3 settles in round 3, writes no row in
@@ -198,6 +199,8 @@ class TestVerify:
         "summary_positions_null": (-1, lambda o: o.update(positions=None)),
         "summary_position_key_not_an_id": (-1, lambda o: o["positions"].update(x=0)),
         "summary_position_float": (-1, lambda o: o["positions"].update({"0": 2.0})),
+        "summary_position_id_off_run": (-1, lambda o: o["positions"].update(
+            {"8": o["positions"].pop("0")})),
         "event_bad_robot_id": (1, lambda o: o["events"].append("settle:zz@1")),
         "event_robot_off_run": (1, lambda o: o["events"].append("to_done:6")),
         "event_settle_off_graph": (1, lambda o: o["events"].append("settle:1@99")),
@@ -219,6 +222,7 @@ class TestVerify:
         "gone_id_off_run": (1, lambda o: o["gone"].append(6)),
         "gone_without_row": (15, lambda o: o.update(gone=[3, 5])),
         "round_repeated": (5, lambda o: o.update(round=4)),
+        "round_after_the_last": (-2, lambda o: o.update(round=o["round"] + 1)),
     }
 
     @pytest.mark.parametrize("edit", sorted(HOSTILE_EDITS))
@@ -298,6 +302,14 @@ class TestBench:
             capsys, "bench", "--k-list", "4", "--trials", "1", "--seed", "3"
         )
         assert code == 3
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_trials(self, capsys, trials):
+        code, out, err = run_cli(
+            capsys, "bench", "--k-list", "7", "--trials", trials, "--seed", "3"
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: --trials must be at least 1, got {trials}\n"
 
     def test_bad_list(self, capsys):
         code, _, _ = run_cli(

@@ -2,7 +2,7 @@
 
 import io
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -29,6 +29,7 @@ from dispersim.graph import (
     gen_worstcase,
 )
 from dispersim import engine, robot
+from trace_v1 import v2_jsonl
 
 
 def test_two_path_replay():
@@ -133,18 +134,18 @@ class TestTraceLevels:
                 graph=gen_ring(5), k=4, root=0, seed=4, trace_level=TraceLevel.SUMMARY
             )
         )
-        assert res.records
-        for rec in res.records:
-            assert rec.robots == []
-            assert rec.events
-        all_events = [e for rec in res.records for e in rec.events]
+        assert res.deltas
+        for d in res.deltas:
+            assert d.rows == [] and d.gone == []
+            assert d.events
+        all_events = [e for d in res.deltas for e in d.events]
         assert sum(e.startswith("to_return:") for e in all_events) == 1
         assert sum(e.startswith("to_acknowledge:") for e in all_events) == 1
         assert sum(e.startswith("terminate:") for e in all_events) == 4
 
     def test_full_has_one_record_per_round(self):
         res = run(SimulationConfig(graph=gen_ring(5), k=4, root=0, seed=4))
-        assert [rec.round for rec in res.records] == list(
+        assert [d.round for d in res.deltas] == list(
             range(1, res.summary.rounds + 1)
         )
 
@@ -178,55 +179,39 @@ class TestConfigValidation:
             SimulationConfig(graph=star, k=1, seed=0).validate()
 
 
-def _row(r) -> dict:
-    return {"id": r.id, "node": r.node, "role": r.role, "dir": r.dir,
-            "entered": r.entered, "bits": r.bits}
-
-
-def _v2_reference(res) -> str:
-    """Format 2 written the plain way: the header, then per record every
-    row that differs from the row with the same id in the record before,
-    and the ids that record had and this one lacks, then the summary."""
-    lines = [json.dumps({"format": 2, "k": res.summary.k})]
-    before = {}
-    for rec in res.records:
-        now = {r.id: r for r in rec.robots}
-        lines.append(json.dumps({
-            "round": rec.round,
-            "rows": [_row(r) for r in rec.robots if before.get(r.id) != r],
-            "gone": sorted(set(before) - set(now)),
-            "events": list(rec.events),
-        }))
-        before = now
-    lines.append(json.dumps(res.summary.to_dict()))
-    return "\n".join(lines) + "\n"
-
-
 class TestTraceWriting:
     @pytest.mark.parametrize("level", [TraceLevel.FULL, TraceLevel.SUMMARY])
     def test_matches_json_dumps_of_each_record(self, level):
         res = run(SimulationConfig(graph=gen_ring(6), k=5, root=2, seed=123, trace_level=level))
+        text = res.to_jsonl()
+        assert text == v2_jsonl(res.records, res.summary)
+        assert "".join(res.jsonl_lines()) == text
+        assert parse_trace(text).deltas == res.deltas
+        records = res.records
         if level is TraceLevel.FULL:
             # rows shared between rounds, and one of them replaced in a
             # single round the way tests/corruptions.py corrupts traces
-            shared = res.records[3].robots[1]
-            assert res.records[2].robots[1] is shared is res.records[4].robots[1]
+            shared = records[3].robots[1]
+            assert records[2].robots[1] is shared is records[4].robots[1]
             assert shared.entered is None
-            res.records[3].robots[1] = replace(shared, node=4)
-            assert any(not rec.events for rec in res.records)
-        # a record in which every robot is gone
-        res.records.append(TraceRecord(res.summary.rounds + 1, [], []))
-        text = res.to_jsonl()
-        assert text == _v2_reference(res)
-        assert "".join(res.jsonl_lines()) == text
-        assert parse_trace(text).deltas == list(res.deltas())
+            records[3].robots[1] = replace(shared, node=4)
+            assert any(not rec.events for rec in records)
+        # an event added, and a record in which every robot is gone
+        records[0].events.append("to_done:0")
+        records.append(TraceRecord(res.summary.rounds + 1, [], []))
+        summary = replace(res.summary, rounds=res.summary.rounds + 1)
+        edited = parse_trace(v2_jsonl(records, summary))
+        assert [TraceRecord(d.round, sorted(rows.values(), key=lambda r: r.id), d.events)
+                for d, rows in replay(edited.deltas)] == records
+        # the records are a view: editing them leaves the run's trace alone
+        assert res.to_jsonl() == text
 
     def test_only_changed_rows_are_written(self):
         res = run(SimulationConfig(graph=gen_worstcase(16), k=16, root=0, seed=2))
         lines = [json.loads(line) for line in res.to_jsonl().splitlines()]
         assert lines[0] == {"format": 2, "k": 16}
         assert len(lines) == res.summary.rounds + 2
-        assert lines[1]["rows"] == [_row(r) for r in res.records[0].robots]
+        assert lines[1]["rows"] == [asdict(r) for r in res.records[0].robots]
         written = sum(len(obj["rows"]) for obj in lines[1:-1])
         # every robot but the last drops out; the last terminates in the
         # final round, whose record still holds its row
@@ -237,9 +222,11 @@ class TestTraceWriting:
         res = run(SimulationConfig(graph=gen_ring(6), k=6, root=0, seed=5))
         # robot 2 settles at the root in round 1 and nothing reaches it
         # in rounds 3 and 4
-        row = res.records[2].robots[2]
+        records = res.records
+        row = records[2].robots[2]
         assert (row.id, row.role) == (2, "settled")
-        assert res.records[3].robots[2] is row
+        assert records[3].robots[2] is row
+        assert all(r.id != 2 for r in res.deltas[3].rows)
 
 
 SETTLED = {"id": 0, "node": 0, "role": "settled", "dir": "fwd", "entered": 1, "bits": 17}
@@ -272,7 +259,7 @@ class TestTraceParsing:
             res = run(SimulationConfig(graph=graph, k=k, root=root, seed=seed))
             parsed = parse_trace(res.to_jsonl())
             assert parsed.summary == res.summary
-            assert parsed.deltas == list(res.deltas())
+            assert parsed.deltas == res.deltas
             assert parsed.deltas[0].rows[0].node == root
             # replaying the deltas gives back every round's rows
             assert [sorted(rows.values(), key=lambda r: r.id) for _, rows in replay(parsed.deltas)] \
@@ -292,7 +279,7 @@ class TestTraceParsing:
         res = run(SimulationConfig(graph=gen_ring(5), k=3, root=1, seed=9))
         text = res.to_jsonl()
         for source in (io.BytesIO(text.encode("ascii")), io.StringIO(text)):
-            assert parse_trace(source).deltas == list(res.deltas())
+            assert parse_trace(source).deltas == res.deltas
 
     @pytest.mark.parametrize("accent", [b"\xc3\xa9", "\u00e9"])
     def test_non_ascii_line_is_named(self, accent):
@@ -303,19 +290,6 @@ class TestTraceParsing:
             source = head + accent + '"]}\n'
         with pytest.raises(TraceFormatError, match=f"line 2: non-ASCII input at offset {len(head)}"):
             parse_trace(source)
-
-    def test_equal_rows_share_one_object(self):
-        # robot 1 walks back and forth between nodes 1 and 2
-        walk = [{"round": r, "rows": [{**EXPLORER, "node": 1 + r % 2}], "gone": [], "events": []}
-                for r in range(2, 7)]
-        summary = {"outcome": "max_rounds", "t1": None, "t2": None, "rounds": 6, "vR": 0,
-                   "vL": None, "repair_fired": False, "k": 2, "positions": {"0": 0, "1": 1}}
-        text = _lines({"format": 2, "k": 2},
-                      {"round": 1, "rows": [SETTLED, EXPLORER], "gone": [], "events": []},
-                      *walk, summary)
-        rows = [r for d in parse_trace(text).deltas for r in d.rows]
-        assert len(rows) == 7
-        assert len({id(r) for r in rows}) == len(set(rows)) == 3
 
     @pytest.mark.parametrize("field, value", [
         ("entered", True), ("entered", 1.0), ("entered", -1),
@@ -335,7 +309,7 @@ class TestTraceParsing:
                           {"round": 2, "rows": [second], "gone": [], "events": []}, summary)
 
         first, second = parse_trace(trace(dict(row))).deltas
-        assert second.rows[0] is first.rows[0] and second.rows[0].entered == 1
+        assert second.rows[0] == first.rows[0] and second.rows[0].entered == 1
         with pytest.raises(TraceFormatError, match="line 3"):
             parse_trace(trace({**row, field: value}))
 
@@ -562,8 +536,9 @@ def _rows_by_scan(cfg: SimulationConfig, rounds: int) -> list[list[engine.RobotR
        (gen_path(2), 2, 0, 0, 4)],
 )
 def test_patched_rows_match_a_full_scan_every_round(graph, k, root, seed, subrounds):
-    """``run`` patches each record's rows from the one before; they are
-    the rows a scan of every alive robot gives at the start of the round."""
+    """``run`` records each round's changed rows and the robots gone; replayed,
+    they are the rows a scan of every alive robot gives at the start of
+    the round."""
     cfg = SimulationConfig(graph=graph, k=k, root=root, seed=seed,
                            max_subrounds_per_round=subrounds)
     records = run(cfg).records

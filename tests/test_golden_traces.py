@@ -102,7 +102,7 @@ def _written(res) -> str:
     """The run's format-2 text, after checking that it parses back."""
     text = res.to_jsonl()
     parsed = parse_trace(text)
-    assert parsed.deltas == list(res.deltas())
+    assert parsed.deltas == res.deltas
     assert parsed.summary == res.summary
     return text
 
