@@ -140,7 +140,10 @@ class TraceDigest:
     Events are parsed once: per robot its last settle (round, node) and
     child port, and the first round of each other event.  ``bits_first``:
     each ``bits`` value's first (round, robot).  With a graph, the summary
-    and each changed row and event are range checked (``TraceFormatError``).
+    and each changed row and event are range checked, each round's
+    ``gone`` must be the robots with a row that a ``terminate`` event
+    ended in the round before, and ``repair_fired`` must say whether a
+    ``repair_terminate`` event exists (``TraceFormatError``).
     """
 
     def __init__(self, trace: ParsedTrace, graph: PortLabeledGraph | None = None):
@@ -178,8 +181,15 @@ class TraceDigest:
             if not count[key]:
                 del count[key]
 
+        # per round, the robots with a row that a terminate event ended
+        ended: dict[int, list[int]] = {}
         for d, current in replay(trace.deltas):
             rnd = d.round
+            if n is not None and d.gone != (want := ended.pop(rnd - 1, [])):
+                raise TraceFormatError(
+                    f"round {rnd}: gone lists robots {d.gone}, but the robots with a row "
+                    f"that terminated in round {rnd - 1} are {want}"
+                )
             for i in d.gone:
                 if i in explorer:
                     leave(i)
@@ -188,11 +198,17 @@ class TraceDigest:
                 rows.append(None)
             for r in d.rows:
                 i = r.id
-                if n is not None and not 0 <= r.node < n:
-                    raise TraceFormatError(
-                        f"round {rnd}: row of robot {i} at node {r.node} is outside "
-                        f"robots 0..{k - 1} or nodes 0..{n - 1}"
-                    )
+                if n is not None:
+                    if not 0 <= r.node < n:
+                        raise TraceFormatError(
+                            f"round {rnd}: row of robot {i} at node {r.node} is outside "
+                            f"robots 0..{k - 1} or nodes 0..{n - 1}"
+                        )
+                    if r.entered is not None and r.entered >= len(graph.ports[r.node]):
+                        raise TraceFormatError(
+                            f"round {rnd}: row of robot {i} entered node {r.node} by port "
+                            f"{r.entered}, outside its ports 0..{len(graph.ports[r.node]) - 1}"
+                        )
                 if r.bits not in bits_first:
                     bits_first[r.bits] = rnd, i
                 if i in explorer:
@@ -205,11 +221,23 @@ class TraceDigest:
                 past[1].append(r)
             self.group[rnd] = next(iter(count)) if len(count) == 1 else None
             for ev in d.events:
-                self._event(rnd, ev, k, n, delta)
+                dead = self._event(rnd, ev, k, n, delta)
+                if dead is not None and dead in current:
+                    ended.setdefault(rnd, []).append(dead)
+            if rnd in ended:
+                ended[rnd].sort()
             if rnd in wanted:
                 self.rows_at[rnd] = dict(current)
+        repaired = bool(self.first.get("repair_terminate"))
+        if n is not None and s.repair_fired != repaired:
+            raise TraceFormatError(
+                f"summary says repair_fired={str(s.repair_fired).lower()}, but the trace has "
+                f"{'a' if repaired else 'no'} repair_terminate event"
+            )
 
-    def _event(self, rnd: int, ev: str, k: int, n: int | None, delta: int | None) -> None:
+    def _event(self, rnd: int, ev: str, k: int, n: int | None,
+               delta: int | None) -> int | None:
+        """Parse and record one event; the robot a ``terminate`` names."""
         name, _, body = ev.partition(":")
         rid, _, arg = body.partition("@" if name == "settle" else "=")
         try:
@@ -233,6 +261,9 @@ class TraceDigest:
             self.first[name].setdefault(robot, rnd)
             if name == "set_visited":
                 self.visited.add((rnd, robot))
+            elif name == "terminate":
+                return robot
+        return None
 
     def row_at(self, robot: int, rnd: int) -> RobotRow | None:
         """The robot's row in round ``rnd``, None if it has none there."""
@@ -372,7 +403,8 @@ def check_stage1(
 def check_rootpath_children(trace: ParsedTrace, graph: PortLabeledGraph,
                             oracle: OracleTrace | None = None,
                             digest: TraceDigest | None = None) -> Verdict:
-    """Child pointers after stage 2: each rootpath node points to the next."""
+    """Stage 2: the walker climbs the rootpath from v_l to the root in
+    rounds t1..t2, and afterwards each rootpath node points to the next."""
     if bad := _not_dispersed(trace):
         return bad
     s = trace.summary
@@ -381,9 +413,9 @@ def check_rootpath_children(trace: ParsedTrace, graph: PortLabeledGraph,
     oracle = oracle or oracle_dfs(graph, s.v_r, s.k)
     if s.t1 is None or s.t2 is None:
         return _verdict(["t1/t2 missing from summary"])
-    t2 = s.t2
+    t1, t2 = s.t1, s.t2
     digest = digest or TraceDigest(trace)
-    _require_rounds(digest, t2, t2 + 1)
+    _require_rounds(digest, t1, t2 + 1)
     findings: list[str] = []
 
     ack = digest.first["to_acknowledge"]
@@ -394,15 +426,26 @@ def check_rootpath_children(trace: ParsedTrace, graph: PortLabeledGraph,
     if ack_round != t2:
         findings.append(f"acknowledge transition at round {ack_round}, summary says t2={t2}")
 
+    # the return walk: round t1 + j finds the walker j hops up the rootpath
+    for j in range(min(t2 - t1, len(oracle.rootpath) - 1) + 1):
+        row = digest.row_at(r_l, t1 + j)
+        want = oracle.rootpath[-1 - j]
+        if row is None or row.node != want:
+            findings.append(
+                f"round {t1 + j}: walker {r_l} at node {None if row is None else row.node}, "
+                f"the return walk up the rootpath is at {want}"
+            )
+            break
+
     present = digest.rows_at[t2 + 1]
     row = present.get(r_l)
     if row is None or row.node != s.v_r or row.role != "acknowledge":
         findings.append(f"walker is not standing at the root as acknowledge at round {t2 + 1}")
 
-    if t2 != s.t1 + len(oracle.rootpath) - 1:
+    if t2 != t1 + len(oracle.rootpath) - 1:
         findings.append(
             f"t2={t2} inconsistent with t1 + rootpath length - 1 = "
-            f"{s.t1 + len(oracle.rootpath) - 1}"
+            f"{t1 + len(oracle.rootpath) - 1}"
         )
 
     settles = digest.settles

@@ -21,16 +21,17 @@ Cost model: a round's work follows the robots that still move, not k.
 The world keeps an ascending list of live movers (alive and not
 settled); settling and dying remove a robot from it for good, so a round
 starts from that list, and the only other robots a subround touches are
-the settlers at nodes where something was broadcast.  Each node has one
-postbox per subround, a ``NodeInbox`` that a robot's broadcasts are
-tallied into as it sends them; the next subround reads it, every robot
-there seeing those totals minus its own contribution, so an election
-among g co-located robots costs O(g) per subround, not O(g^2), and no
-message is stored or regrouped on the way.  A robot's state is one int
-word (see ``robot.FIELDS``), so a transition builds no object: a step
-returns a new word, movement sets the entry port with one mask-and-or,
-and every stored word costs one AND against the run's overflow mask and
-one OR into its role's accumulator.
+the settlers that hear another robot.  Each node has one postbox per
+subround, a ``NodeInbox`` that a robot's broadcasts are tallied into as
+it sends them, its per-type counts packed in one int; the next subround
+reads it, every robot there seeing those totals minus its own
+contribution, so an election among g co-located robots costs O(g) per
+subround, not O(g^2), and no message is stored or regrouped on the way.
+A robot's state is one int word (see ``robot.FIELDS``), so a transition
+builds no object: a step returns a new word (and a shared ``Move`` per
+port), movement sets the entry port with one mask-and-or, and every
+stored word costs one AND against the run's overflow mask and one OR
+into its role's accumulator.
 
 A FULL trace is kept as it is written (format 2): one ``TraceDelta`` per
 round, holding the rows of the robots whose row fields (role, direction,
@@ -63,6 +64,7 @@ from .robot import (
     ENTERED_SHIFT,
     EXPLORE,
     INITIAL_STATE,
+    LANE_MAX,
     NOT_DONE,
     PORT_SLOT,
     RETURN,
@@ -72,6 +74,7 @@ from .robot import (
     SETTLED,
     VISITED_BIT,
     Decision,
+    InboxSummary,
     Move,
     NodeInbox,
     ProtocolViolation,
@@ -166,6 +169,10 @@ class SimulationConfig:
             raise ConfigError("max_rounds must be at least 1")
         if self.resolved_max_subrounds() < 4:
             raise ConfigError("max_subrounds_per_round must be at least 4")
+        if 2 * self.k > LANE_MAX:
+            raise ConfigError(
+                f"k={self.k}: an inbox lane counts up to 2k messages and holds {LANE_MAX}"
+            )
         delta = self.graph.max_degree()
         if port_bits(delta) + 1 > PORT_SLOT:
             raise ConfigError(
@@ -333,18 +340,19 @@ class World:
         Every word stored is checked against ``self.overflow`` and
         accumulated into ``self.used``.  Returns every robot whose word
         or node the round may have stored: each mover, then each settler
-        that acted, possibly more than once.
+        that heard another robot and acted, possibly more than once.
         """
         table = self.graph.ports
         positions, node_settler = self.positions, self.node_settler
         states, used, overflow = self.states, self.used, self.overflow
         movers = list(self.live)
-        touched = list(movers)
         decisions: dict[int, Decision] = {}
         settled_kill: set[int] = set()
         # per node, what was broadcast there this subround, tallied as it
         # is sent; it is read in the next subround
         post: dict[int, NodeInbox] = {}
+        # the settlers that acted, each once per subround it acted in
+        woken: list[int] = []
 
         # subround 1: queries out, done-role robots decide immediately
         undecided: list[int] = []
@@ -368,23 +376,27 @@ class World:
                 )
             inboxes, post = post, {}
             # movers act from subround 3 on, once the reply to their query
-            # has landed; before that only settlers hear anything
-            actors = list(undecided) if subround > 2 else []
-            for node in inboxes:
+            # has landed; before that only settlers hear anything.  A
+            # settler acts only when it hears another robot: silence,
+            # its own echo included, leaves its word as it is
+            heard: dict[int, InboxSummary] = {}
+            for node, inbox in inboxes.items():
                 settler = node_settler.get(node)
                 if settler is not None:
-                    actors.append(settler)
-                    touched.append(settler)
+                    summary = inbox.view(settler)
+                    if summary is not EMPTY_INBOX:
+                        heard[settler] = summary
+            actors = undecided if subround > 2 else []
+            if heard:
+                woken.extend(heard)
+                actors = sorted([*actors, *heard])
             still_open: list[int] = []
-            actors.sort()
             for i in actors:
                 st = states[i]
                 node = positions[i]
-                inbox = inboxes.get(node)
-                summary = EMPTY_INBOX if inbox is None else inbox.view(i)
                 role = st & ROLE_MASK
-                reply = summary.settled_reply
                 if role == SETTLED:
+                    summary = heard[i]
                     port = summary.set_child
                     if port is not None:
                         # a port from a message: it must fit before it is written
@@ -394,21 +406,26 @@ class World:
                     if summary.set_visited and not st & VISITED_BIT:
                         events.append(f"set_visited:{i}")
                     st2, msgs, dec = step_settled(st, summary)
-                elif role == EXPLORE:
-                    st2, msgs, dec = step_explore(st, summary, self.rngs[i], len(table[node]))
-                elif role == RETURN:
-                    st2, msgs, dec = step_return(st, reply)
                 else:
-                    st2, msgs, dec = step_acknowledge(st, reply, len(table[node]))
-                    if (
-                        not st & ENTERED_MASK
-                        and reply is not None
-                        and reply.child == 0
-                        and any(isinstance(m, Terminate) for m in msgs)
-                    ):
-                        # root settler would never be revisited: repair path
-                        self.repair_fired = True
-                        events.append(f"repair_terminate:{node_settler[node]}")
+                    inbox = inboxes.get(node)
+                    summary = EMPTY_INBOX if inbox is None else inbox.view(i)
+                    reply = summary.settled_reply
+                    if role == EXPLORE:
+                        st2, msgs, dec = step_explore(st, summary, self.rngs[i],
+                                                      len(table[node]))
+                    elif role == RETURN:
+                        st2, msgs, dec = step_return(st, reply)
+                    else:
+                        st2, msgs, dec = step_acknowledge(st, reply, len(table[node]))
+                        if (
+                            not st & ENTERED_MASK
+                            and reply is not None
+                            and reply.child == 0
+                            and any(isinstance(m, Terminate) for m in msgs)
+                        ):
+                            # root settler would never be revisited: repair path
+                            self.repair_fired = True
+                            events.append(f"repair_terminate:{node_settler[node]}")
                 if msgs:
                     box = post.get(node)
                     if box is None:
@@ -418,7 +435,7 @@ class World:
                     raise self._too_wide(i, *overflowing_field(st2, self.max_degree))
                 used[st2 & ROLE_MASK] |= st2
                 if role == SETTLED:
-                    if isinstance(dec, TerminateSelf):
+                    if type(dec) is TerminateSelf:
                         settled_kill.add(i)
                 elif dec is NOT_DONE:
                     still_open.append(i)
@@ -433,7 +450,7 @@ class World:
         # round end: simultaneous movement, then deaths
         for i in movers:
             dec = decisions[i]
-            if isinstance(dec, Move):
+            if type(dec) is Move:
                 node = positions[i]
                 ports = table[node]
                 if not 0 <= dec.port < len(ports):
@@ -447,11 +464,12 @@ class World:
                 used[word & ROLE_MASK] |= word
                 states[i] = word
         for i in movers:
-            if isinstance(decisions[i], TerminateSelf):
+            if type(decisions[i]) is TerminateSelf:
                 self._kill(i, events)
         for i in sorted(settled_kill):
             self._kill(i, events)
-        return touched
+        movers += woken
+        return movers
 
     def _change_role(self, i: int, role: int, events: list[str]) -> None:
         node = self.positions[i]
@@ -591,6 +609,8 @@ def _parse_summary(obj: dict) -> RunSummary:
         if type(repair_fired) is not bool or not (fault is None or type(fault) is str):
             raise TypeError(f"repair_fired must be true or false and fault a string or "
                             f"null, not {repair_fired!r} and {fault!r}")
+        if outcome is Outcome.DISPERSED_ALL_TERMINATED and fault is not None:
+            raise ValueError(f"a dispersed run has no fault, not {fault!r}")
         return RunSummary(
             outcome=outcome,
             t1=t1,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 # --- state word ---------------------------------------------------------
 
@@ -206,6 +206,8 @@ Decision = Stay | Move | TerminateSelf | NotDone
 STAY = Stay()
 TERMINATE_SELF = TerminateSelf()
 NOT_DONE = NotDone()
+# one Move per port, shared by every step that takes it
+move = cache(Move)
 
 
 # --- inbox --------------------------------------------------------------
@@ -232,31 +234,53 @@ class InboxSummary:
 
 EMPTY_INBOX = InboxSummary()
 
-# tally slots of a NodeInbox; every message counts toward _ANY, and the
-# types an InboxSummary reports as presence bits also count in their own slot
+# A NodeInbox tallies what was broadcast at its node in one int, one lane
+# of LANE_BITS bits per slot: every message counts in the _ANY lane, and
+# the types an InboxSummary reports as presence bits also in their own.
+# A robot posts once per subround, at most two messages (an acknowledging
+# walker's SetVisited and Terminate) and at most one of each type, so a
+# lane counts at most 2k; a lane's presence test is exact up to LANE_MAX,
+# and SimulationConfig.validate rejects a k above LANE_MAX // 2.
 _ANY, _QUERY, _HEADS, _SET_VISITED, _TERMINATE = range(5)
-_SLOT = {Query: _QUERY, LeHeads: _HEADS, SetVisited: _SET_VISITED, Terminate: _TERMINATE}
-_SILENT = [0] * 5  # the own tallies of a robot that sent nothing
+LANE_BITS = 16
+LANE_MAX = 1 << LANE_BITS - 1
+_UNIT = [1 << LANE_BITS * lane for lane in range(5)]
+_TOP = [LANE_MAX * unit for unit in _UNIT]  # each lane's top bit
+# each message type's weight: one in _ANY, and one in its own lane if it has one
+_WEIGHT = {
+    SettledReply: _UNIT[_ANY], SetChild: _UNIT[_ANY], LeStart: _UNIT[_ANY],
+    **{kind: _UNIT[_ANY] + _UNIT[lane] for kind, lane in (
+        (Query, _QUERY), (LeHeads, _HEADS), (SetVisited, _SET_VISITED), (Terminate, _TERMINATE))},
+}
+# adding _LOW sets a lane's top bit exactly when the lane is not 0 (at
+# most LANE_MAX, so no carry leaves it); _HIGH keeps those top bits
+_HIGH = sum(_TOP)
+_LOW = _HIGH - sum(_UNIT)
 
 
 # summaries are interned by value, so equal views share one object: a
 # bounded cache for views that carry a reply or a child port, and one
-# prebuilt summary per presence mask for those that carry neither
+# prebuilt summary per presence word for those that carry neither
 @lru_cache(maxsize=4096)
-def _flag_summary(mask: int, reply: SettledReply | None = None,
+def _flag_summary(flags: int, reply: SettledReply | None = None,
                   set_child: int | None = None) -> InboxSummary:
+    """The summary of the presence word ``flags``: a lane's top bit per
+    message type heard."""
     return InboxSummary(
         settled_reply=reply,
-        saw_any=bool(mask & 1 << _ANY),
-        saw_heads=bool(mask & 1 << _HEADS),
-        has_query=bool(mask & 1 << _QUERY),
+        saw_any=bool(flags & _TOP[_ANY]),
+        saw_heads=bool(flags & _TOP[_HEADS]),
+        has_query=bool(flags & _TOP[_QUERY]),
         set_child=set_child,
-        set_visited=bool(mask & 1 << _SET_VISITED),
-        terminate=bool(mask & 1 << _TERMINATE),
+        set_visited=bool(flags & _TOP[_SET_VISITED]),
+        terminate=bool(flags & _TOP[_TERMINATE]),
     )
 
 
-_BY_MASK = (EMPTY_INBOX, *(_flag_summary(mask) for mask in range(1, 1 << 5)))
+# every presence word a view can give
+_BY_FLAGS = {flags: _flag_summary(flags) if flags else EMPTY_INBOX
+             for flags in (sum(top for lane, top in enumerate(_TOP) if mask >> lane & 1)
+                           for mask in range(1 << 5))}
 
 
 class NodeInbox:
@@ -264,80 +288,64 @@ class NodeInbox:
     tallied once so that a receiver's view costs O(1) plus the node's
     replies and child ports, not a scan of every message.
 
-    The digest keeps per-slot totals, the replies and child ports with
-    their senders, and each sender's own per-slot tallies; a receiver's
-    view is the totals minus its own contribution.  It is filled either
-    at once from a list or sender by sender through :meth:`post`, and
-    read only once every broadcast is in.
+    The digest keeps the lane totals (see ``LANE_BITS``) and each sender's
+    own, one int each, plus the replies and child ports with their
+    senders, listed only once one is posted; a receiver's view is the
+    totals minus its own contribution.  It is filled either at once from
+    a list or sender by sender through :meth:`post`, and read only once
+    every broadcast is in.
     """
 
-    __slots__ = ("totals", "own", "replies", "set_children", "_foreign")
+    __slots__ = ("totals", "own", "replies", "set_children")
 
     def __init__(self, messages: Iterable[tuple[int, Message]] = ()):
-        self.totals = [0] * 5
-        self.own: dict[int, list[int]] = {}
-        self.replies: list[tuple[int, SettledReply]] = []
-        self.set_children: list[tuple[int, int]] = []
-        self._foreign: InboxSummary | None = None
+        self.totals = 0
+        self.own: dict[int, int] = {}
+        self.replies: list[tuple[int, SettledReply]] | None = None
+        self.set_children: list[tuple[int, int]] | None = None
         for sender, msg in messages:
             self.post(sender, (msg,))
 
     def post(self, sender: int, msgs: Iterable[Message]) -> None:
         """Tally the broadcasts ``msgs`` of ``sender``, in order."""
-        totals = self.totals
-        mine = self.own.get(sender)
-        if mine is None:
-            mine = self.own[sender] = [0] * 5
+        weight = 0
         for msg in msgs:
-            totals[_ANY] += 1
-            mine[_ANY] += 1
             kind = type(msg)
-            slot = _SLOT.get(kind)
-            if slot is not None:
-                totals[slot] += 1
-                mine[slot] += 1
-            elif kind is SettledReply:
+            weight += _WEIGHT[kind]
+            if kind is SettledReply:
+                if self.replies is None:
+                    self.replies = []
                 self.replies.append((sender, msg))
             elif kind is SetChild:
+                if self.set_children is None:
+                    self.set_children = []
                 self.set_children.append((sender, msg.port))
-            # LeStart and anything else only count toward _ANY
+        self.totals += weight
+        own = self.own
+        own[sender] = own.get(sender, 0) + weight
 
     def view(self, receiver: int) -> InboxSummary:
         """What ``receiver`` hears.  The receiver's own broadcasts are
         excluded: broadcasting and hearing silence is how both aloneness
         and leadership are detected."""
-        mine = self.own.get(receiver)
-        if mine is None:
-            # a robot that sent nothing hears everything; that view is shared
-            if self._foreign is not None:
-                return self._foreign
-            mine = _SILENT
-        t = self.totals
-        mask = (
-            (t[_ANY] > mine[_ANY]) << _ANY
-            | (t[_QUERY] > mine[_QUERY]) << _QUERY
-            | (t[_HEADS] > mine[_HEADS]) << _HEADS
-            | (t[_SET_VISITED] > mine[_SET_VISITED]) << _SET_VISITED
-            | (t[_TERMINATE] > mine[_TERMINATE]) << _TERMINATE
-        )
+        flags = self.totals - self.own.get(receiver, 0) + _LOW & _HIGH
+        replies, set_children = self.replies, self.set_children
+        if replies is None and set_children is None:
+            return _BY_FLAGS[flags]
         reply: SettledReply | None = None
-        for sender, msg in self.replies:
+        for sender, msg in replies or ():
             if sender != receiver:
                 if reply is not None:
                     raise MultipleRepliesError("two settled replies at one node")
                 reply = msg
         set_child: int | None = None
-        for sender, port in reversed(self.set_children):
+        for sender, port in reversed(set_children or ()):
             if sender != receiver:
                 set_child = port
                 break
         if reply is None and set_child is None:
-            summary = _BY_MASK[mask]
-        else:
-            summary = _flag_summary(mask, reply, set_child)
-        if mine is _SILENT:
-            self._foreign = summary
-        return summary
+            return _BY_FLAGS[flags]
+        return _flag_summary(flags, reply, set_child)
 
 
 # --- leader election ----------------------------------------------------
@@ -462,11 +470,11 @@ def step_explore(
         if entered < 0:
             raise MissingEnteredError("explorer received a reply before its first move")
         if not state & DIR_BIT:
-            return state | DIR_BIT, [], Move(entered)
+            return state | DIR_BIT, [], move(entered)
         q = (entered + 1) % degree
         if q == reply.parent:
-            return state, [], Move(q)
-        return state & ~DIR_BIT, [], Move(q)
+            return state, [], move(q)
+        return state & ~DIR_BIT, [], move(q)
     le, msg = le_subround(state >> LE_SHIFT & 15, summary, le_coin(state >> LE_SHIFT, rng))
     phase = le & LE_PHASE
     if phase == LEADER:
@@ -477,15 +485,15 @@ def step_explore(
         if entered < 0:
             # solitary robot at its start node: nothing left to do
             return state, [], TERMINATE_SELF
-        return state & ~(ROLE_MASK | LE_MASK) | RETURN, [], Move(entered)
+        return state & ~(ROLE_MASK | LE_MASK) | RETURN, [], move(entered)
     if phase == FOLLOWER:
         state &= ~LE_MASK
         if entered < 0:
-            return state, [], Move(0)
+            return state, [], move(0)
         q = (entered + 1) % degree
         if q == entered:
-            return state | DIR_BIT, [], Move(q)
-        return state, [], Move(q)
+            return state | DIR_BIT, [], move(q)
+        return state, [], move(q)
     return state & ~LE_MASK | le << LE_SHIFT, [] if msg is None else [msg], NOT_DONE
 
 
@@ -500,7 +508,7 @@ def step_return(
         raise MissingEnteredError("return-role robot has no entry port")
     msgs: list[Message] = [SetChild(entered - 1)]
     if reply.parent is not None:
-        return state, msgs, Move(reply.parent)
+        return state, msgs, move(reply.parent)
     return state & ~(ROLE_MASK | DIR_BIT | ENTERED_MASK) | ACKNOWLEDGE, msgs, STAY
 
 
@@ -522,31 +530,31 @@ def step_acknowledge(
             if entered < 0:
                 if reply.child == 0:
                     msgs.append(Terminate())
-                return state, msgs, Move(0)
+                return state, msgs, move(0)
             q = (entered + 1) % degree
             if q == entered:
                 state |= DIR_BIT
                 msgs.append(Terminate())
             elif q == reply.child:
                 msgs.append(Terminate())
-            return state, msgs, Move(q)
+            return state, msgs, move(q)
         if entered < 0:
             raise MissingEnteredError("acknowledge revisit without an entry port")
         if not state & DIR_BIT:
-            return state | DIR_BIT, [], Move(entered)
+            return state | DIR_BIT, [], move(entered)
         q = (entered + 1) % degree
         if q == reply.parent:
-            return state, [Terminate()], Move(q)
+            return state, [Terminate()], move(q)
         if q == reply.child:
-            return state & ~DIR_BIT, [Terminate()], Move(q)
-        return state & ~DIR_BIT, [], Move(q)
+            return state & ~DIR_BIT, [Terminate()], move(q)
+        return state & ~DIR_BIT, [], move(q)
     # empty node: either the walk's final target or a node whose settler
     # already terminated; bounce forward arrivals, finish backward ones
     if entered < 0:
         raise MissingEnteredError("acknowledge at an empty node without an entry port")
     if not state & DIR_BIT:
-        return state | DIR_BIT, [], Move(entered)
-    return state & ~ROLE_MASK | DONE, [], Move(entered)
+        return state | DIR_BIT, [], move(entered)
+    return state & ~ROLE_MASK | DONE, [], move(entered)
 
 
 def step_done(state: int) -> tuple[int, list[Message], Decision]:

@@ -108,8 +108,15 @@ def corrupt_termination() -> Corruption:
     records, summary = _run(g, 3)
     root_rid = _settler_ids(records)[summary.v_r]
     gone = f"terminate:{root_rid}"
+    row = None
     for rec in records:
         rec.events[:] = [e for e in rec.events if e != gone]
+        # a robot with no terminate event is never gone: it keeps its last row
+        mine = [r for r in rec.robots if r.id == root_rid]
+        if mine:
+            row = mine[0]
+        else:
+            rec.robots[:] = sorted([*rec.robots, row], key=lambda r: r.id)
     return "termination", _written(records, summary), g
 
 

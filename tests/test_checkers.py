@@ -193,6 +193,21 @@ class TestNegativeControls:
         records[2].events.append(f"set_child:{off_path[0]}=0")
         assert not check_rootpath_children(written(records, summary), g).passed
 
+    def test_rootpath_follows_the_return_walk(self):
+        """A walker that jumps off the ring's edges in stage 2 is named in
+        the round it stands off the rootpath."""
+        g = gen_ring(6)
+        records, summary = ran(g, 5, seed=1)
+        assert (summary.t1, summary.t2) == (5, 9)
+        row = next(r for r in records[6].robots if r.id == 2)
+        assert (row.role, row.node) == ("return", 4)
+        records[6].robots[records[6].robots.index(row)] = replace(row, node=0)
+        trace = written(records, summary)
+        verdicts = run_all(trace, g)
+        assert [name for name, v in verdicts.items() if not v.passed] == ["rootpath"]
+        assert verdicts["rootpath"].findings == [
+            "round 7: walker 2 at node 0, the return walk up the rootpath is at 4"]
+
     def test_termination_rejects_missing_terminate(self):
         g = gen_path(4)
         records, summary = ran(g, 3)

@@ -201,6 +201,8 @@ class TestVerify:
         "summary_position_float": (-1, lambda o: o["positions"].update({"0": 2.0})),
         "summary_position_id_off_run": (-1, lambda o: o["positions"].update(
             {"8": o["positions"].pop("0")})),
+        "summary_repair_fired_without_repair": (-1, lambda o: o.update(repair_fired=False)),
+        "summary_fault_on_dispersed": (-1, lambda o: o.update(fault="x")),
         "event_bad_robot_id": (1, lambda o: o["events"].append("settle:zz@1")),
         "event_robot_off_run": (1, lambda o: o["events"].append("to_done:6")),
         "event_settle_off_graph": (1, lambda o: o["events"].append("settle:1@99")),
@@ -211,6 +213,7 @@ class TestVerify:
         "row_id_off_run": (4, {"id": 6}),
         "row_entered_string": (4, {"entered": "x"}),
         "row_entered_bool": (4, {"entered": True}),
+        "row_entered_off_node": (4, {"entered": 99}),
         "row_role_unknown": (4, {"role": "zz"}),
         "row_for_gone_robot": (15, {}),
         "header_missing": (0, lambda o: o.pop("format")),
@@ -221,6 +224,8 @@ class TestVerify:
         "header_k_not_summary_k": (0, lambda o: o.update(k=7)),
         "gone_id_off_run": (1, lambda o: o["gone"].append(6)),
         "gone_without_row": (15, lambda o: o.update(gone=[3, 5])),
+        "gone_misses_terminated": (15, lambda o: o.update(gone=[])),
+        "gone_without_terminate": (15, lambda o: o["events"].remove("terminate:4")),
         "round_repeated": (5, lambda o: o.update(round=4)),
         "round_after_the_last": (-2, lambda o: o.update(round=o["round"] + 1)),
     }

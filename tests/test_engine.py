@@ -178,6 +178,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="port slots hold 16 bits"):
             SimulationConfig(graph=star, k=1, seed=0).validate()
 
+    def test_k_beyond_an_inbox_lane(self):
+        """An inbox lane counts up to two messages per robot at a node."""
+        most = robot.LANE_MAX // 2
+        path = gen_path(most + 1)
+        SimulationConfig(graph=path, k=most, seed=0).validate()
+        with pytest.raises(ConfigError, match="inbox lane"):
+            SimulationConfig(graph=path, k=most + 1, seed=0).validate()
+
 
 class TestTraceWriting:
     @pytest.mark.parametrize("level", [TraceLevel.FULL, TraceLevel.SUMMARY])
@@ -566,3 +574,38 @@ def test_a_settler_row_follows_every_stored_word(monkeypatch):
     assert [(r.role, r.dir) for rec in records[:5] for r in rec.robots if r.id == 1] == [
         ("explore", "fwd"), ("explore", "fwd"), ("settled", "fwd"), ("settled", "fwd"),
         ("settled", "bwd")]
+
+
+def test_no_settler_is_stepped_on_silence(monkeypatch):
+    """Cost guard, in counts: a settler is stepped only when it hears
+    another robot, so no call of ``step_settled`` gets ``EMPTY_INBOX``,
+    its own echo included."""
+    step, heard = engine.step_settled, []
+
+    def counted(state, summary):
+        heard.append(summary)
+        return step(state, summary)
+
+    monkeypatch.setattr(engine, "step_settled", counted)
+    runs = [(gen_worstcase(16), 16, 0, 2)] + [
+        (g, k, root, i) for i, _, _, k, root, g in corpus_instances(0, 20)]
+    for graph, k, root, seed in runs:
+        res = run(SimulationConfig(graph=graph, k=k, root=root, seed=seed,
+                                   trace_level=TraceLevel.NONE))
+        assert res.summary.outcome is Outcome.DISPERSED_ALL_TERMINATED
+    assert heard
+    assert not any(summary is robot.EMPTY_INBOX for summary in heard)
+
+
+def test_a_settler_on_silence_keeps_its_word():
+    """What the wake rule rests on: every settler word over its fields at
+    max degree 4, stepped on ``EMPTY_INBOX``, comes back unchanged, with
+    no broadcast and no move."""
+    ports = [None, *range(4)]
+    words = [robot.encode(role=robot.SETTLED, direction=d, visited=v, phase=ph, flip=f,
+                          entered=e, parent=p, child=c)
+             for d in (0, 1) for v in (0, 1) for ph in range(8) for f in (0, 1)
+             for e in ports for p in ports for c in ports]
+    assert len(words) == 8000
+    for word in words:
+        assert robot.step_settled(word, robot.EMPTY_INBOX) == (word, [], robot.STAY)
