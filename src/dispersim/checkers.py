@@ -9,11 +9,12 @@ and child ports are exited exactly once, dispersion holds, and every
 recorded state fits the constant memory budget.
 
 Checkers consume parsed traces so they can validate output from any
-producer of the same format.  They never rebuild a round's full set of
-rows: one ``replay`` pass over the trace's deltas builds a
-``TraceDigest`` (the exploring group's position per round, each robot's
-row history, the parsed events, the range and memory checks), which
-``run_all`` builds once and hands to every checker.
+producer of the same format.  Every checker reads one ``TraceDigest``
+and nothing else: one ``replay`` pass over the trace's deltas that
+range checks the trace against its graph and keeps what the checkers
+need (the exploring group's position per round, each robot's row
+history, the parsed events, the reference walk).  ``run_all`` builds it
+once and hands it to every checker.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .engine import Outcome, ParsedTrace, RobotRow, TraceFormatError, replay
+from .engine import Outcome, ParsedTrace, RobotRow, RunSummary, TraceFormatError, replay
 from .graph import PortLabeledGraph
 from .robot import memory_footprint_bits
 
@@ -131,42 +132,49 @@ def oracle_dfs(graph: PortLabeledGraph, root: int, k: int) -> OracleTrace:
 
 
 class TraceDigest:
-    """What the checkers read of one trace, built in one ``replay`` pass.
+    """What the checkers read of one trace, checked against its graph in
+    one ``replay`` pass.
 
     ``group[r]``: the (node, dir, entered) the exploring robots share in
     round r, or None, kept as a count of explorer keys updated from the
     rows that change.  ``row_at`` reads each robot's row history;
     ``rows_at`` holds the rows of rounds t1 and t2 + 1 by robot id.
-    Events are parsed once: per robot its last settle (round, node) and
-    child port, and the first round of each other event.  ``bits_first``:
-    each ``bits`` value's first (round, robot).  With a graph, the summary
-    and each changed row and event are range checked, each round's
-    ``gone`` must be the robots with a row that a ``terminate`` event
-    ended in the round before, and ``repair_fired`` must say whether a
-    ``repair_terminate`` event exists (``TraceFormatError``).
+    Events are parsed once: per robot its settle (round, node), its child
+    port and the rounds it was set in, and the first round of each other
+    event.  ``bits_first``: each ``bits`` value's first (round, robot).
+    ``oracle``: the reference walk, None unless the run dispersed with
+    k >= 2.
+
+    Raises ``TraceFormatError``, before the oracle walks the graph, on a
+    node, robot or port that the graph or the run lacks (summary, rows,
+    events); a ``settle`` of a robot settled before or not exploring that
+    node; a ``set_child`` or ``set_visited`` of a robot not yet settled; a
+    ``gone`` that is not the robots with a row that a ``terminate`` event
+    ended in the round before; or a ``repair_fired`` that disagrees with
+    the ``repair_terminate`` events.
     """
 
-    def __init__(self, trace: ParsedTrace, graph: PortLabeledGraph | None = None):
-        s = trace.summary
-        k = s.k
-        n, delta = (None, None) if graph is None else (graph.n, graph.max_degree())
-        if n is not None:
-            off_graph = [v for v in (s.v_r, s.v_l, *s.positions.values())
-                         if v is not None and not 0 <= v < n]
-            if off_graph:
-                raise TraceFormatError(
-                    f"summary names nodes {off_graph[:3]} outside the graph's 0..{n - 1}"
-                )
-            if not 1 <= k <= n:
-                raise TraceFormatError(f"summary has k={k}, not in 1..{n}")
+    def __init__(self, trace: ParsedTrace, graph: PortLabeledGraph):
+        s = self.summary = trace.summary
+        self.graph = graph
+        self.has_records = bool(trace.deltas)
+        k, n = s.k, graph.n
+        off_graph = [v for v in (s.v_r, s.v_l, *s.positions.values())
+                     if v is not None and not 0 <= v < n]
+        if off_graph:
+            raise TraceFormatError(
+                f"summary names nodes {off_graph[:3]} outside the graph's 0..{n - 1}"
+            )
+        if not 1 <= k <= n:
+            raise TraceFormatError(f"summary has k={k}, not in 1..{n}")
         self.group: dict[int, tuple[int, str, int | None] | None] = {}
         self.history: defaultdict[int, tuple[list[int], list[RobotRow | None]]] = \
             defaultdict(lambda: ([], []))
         self.rows_at: dict[int, dict[int, RobotRow]] = {}
         self.settles: dict[int, tuple[int, int]] = {}
         self.child_ports: dict[int, int] = {}
+        self.child_rounds: defaultdict[int, list[int]] = defaultdict(list)
         self.first: defaultdict[str, dict[int, int]] = defaultdict(dict)
-        self.settle_rounds: set[int] = set()
         self.visited: set[tuple[int, int]] = set()
         self.bits_first: dict[int, tuple[int, int]] = {}
         wanted = {s.t1, None if s.t2 is None else s.t2 + 1}
@@ -185,7 +193,7 @@ class TraceDigest:
         ended: dict[int, list[int]] = {}
         for d, current in replay(trace.deltas):
             rnd = d.round
-            if n is not None and d.gone != (want := ended.pop(rnd - 1, [])):
+            if d.gone != (want := ended.pop(rnd - 1, [])):
                 raise TraceFormatError(
                     f"round {rnd}: gone lists robots {d.gone}, but the robots with a row "
                     f"that terminated in round {rnd - 1} are {want}"
@@ -198,17 +206,16 @@ class TraceDigest:
                 rows.append(None)
             for r in d.rows:
                 i = r.id
-                if n is not None:
-                    if not 0 <= r.node < n:
-                        raise TraceFormatError(
-                            f"round {rnd}: row of robot {i} at node {r.node} is outside "
-                            f"robots 0..{k - 1} or nodes 0..{n - 1}"
-                        )
-                    if r.entered is not None and r.entered >= len(graph.ports[r.node]):
-                        raise TraceFormatError(
-                            f"round {rnd}: row of robot {i} entered node {r.node} by port "
-                            f"{r.entered}, outside its ports 0..{len(graph.ports[r.node]) - 1}"
-                        )
+                if not 0 <= r.node < n:
+                    raise TraceFormatError(
+                        f"round {rnd}: row of robot {i} at node {r.node} is outside "
+                        f"robots 0..{k - 1} or nodes 0..{n - 1}"
+                    )
+                if r.entered is not None and r.entered >= len(graph.ports[r.node]):
+                    raise TraceFormatError(
+                        f"round {rnd}: row of robot {i} entered node {r.node} by port "
+                        f"{r.entered}, outside its ports 0..{len(graph.ports[r.node]) - 1}"
+                    )
                 if r.bits not in bits_first:
                     bits_first[r.bits] = rnd, i
                 if i in explorer:
@@ -221,7 +228,7 @@ class TraceDigest:
                 past[1].append(r)
             self.group[rnd] = next(iter(count)) if len(count) == 1 else None
             for ev in d.events:
-                dead = self._event(rnd, ev, k, n, delta)
+                dead = self._event(rnd, ev, current)
                 if dead is not None and dead in current:
                     ended.setdefault(rnd, []).append(dead)
             if rnd in ended:
@@ -229,15 +236,17 @@ class TraceDigest:
             if rnd in wanted:
                 self.rows_at[rnd] = dict(current)
         repaired = bool(self.first.get("repair_terminate"))
-        if n is not None and s.repair_fired != repaired:
+        if s.repair_fired != repaired:
             raise TraceFormatError(
                 f"summary says repair_fired={str(s.repair_fired).lower()}, but the trace has "
                 f"{'a' if repaired else 'no'} repair_terminate event"
             )
+        self.oracle = (oracle_dfs(graph, s.v_r, k)
+                       if s.outcome is Outcome.DISPERSED_ALL_TERMINATED and k >= 2 else None)
 
-    def _event(self, rnd: int, ev: str, k: int, n: int | None,
-               delta: int | None) -> int | None:
-        """Parse and record one event; the robot a ``terminate`` names."""
+    def _event(self, rnd: int, ev: str, current: dict[int, RobotRow]) -> int | None:
+        """Parse and record one event of round ``rnd``, whose rows are
+        ``current``; the robot a ``terminate`` names."""
         name, _, body = ev.partition(":")
         rid, _, arg = body.partition("@" if name == "settle" else "=")
         try:
@@ -246,17 +255,31 @@ class TraceDigest:
             raise TraceFormatError(
                 f"round {rnd}: event {name} names a number too long to read"
             ) from None
-        if n is not None and (robot >= k or (name == "settle" and value >= n)
-                              or (name == "set_child" and value >= delta)):
+        if robot >= self.summary.k:
             raise TraceFormatError(
-                f"round {rnd}: event {ev} names a robot, node or port outside "
-                f"robots 0..{k - 1}, nodes 0..{n - 1} or ports 0..{delta - 1}"
+                f"round {rnd}: event {ev} names a robot outside 0..{self.summary.k - 1}"
             )
         if name == "settle":
+            row = current.get(robot)
+            if robot in self.settles or row is None or (row.role, row.node) != ("explore", value):
+                raise TraceFormatError(
+                    f"round {rnd}: event {ev} settles robot {robot} again, or not at the "
+                    f"node it explores"
+                )
             self.settles[robot] = rnd, value
-            self.settle_rounds.add(rnd)
-        elif name == "set_child":
+            return None
+        if name in ("set_child", "set_visited") and robot not in self.settles:
+            raise TraceFormatError(f"round {rnd}: event {ev} names robot {robot}, "
+                                   f"which has not settled")
+        if name == "set_child":
+            node = self.settles[robot][1]
+            if value >= (degree := len(self.graph.ports[node])):
+                raise TraceFormatError(
+                    f"round {rnd}: event {ev} names port {value} of node {node}, "
+                    f"outside its ports 0..{degree - 1}"
+                )
             self.child_ports[robot] = value
+            self.child_rounds[robot].append(rnd)
         else:
             self.first[name].setdefault(robot, rnd)
             if name == "set_visited":
@@ -281,18 +304,18 @@ def _require_rounds(digest: TraceDigest, first: int, last: int) -> None:
             )
 
 
-def _not_dispersed(trace: ParsedTrace) -> Verdict | None:
-    if trace.summary.outcome is not Outcome.DISPERSED_ALL_TERMINATED:
-        return _verdict([f"run did not disperse (outcome={trace.summary.outcome.value})"])
+def _not_dispersed(s: RunSummary) -> Verdict | None:
+    if s.outcome is not Outcome.DISPERSED_ALL_TERMINATED:
+        return _verdict([f"run did not disperse (outcome={s.outcome.value})"])
     return None
 
 
 # --- checkers -------------------------------------------------------------
 
 
-def check_dispersion(trace: ParsedTrace, digest: TraceDigest | None = None) -> Verdict:
+def check_dispersion(digest: TraceDigest) -> Verdict:
     """Final configuration: k distinct nodes, every robot terminated."""
-    s = trace.summary
+    s = digest.summary
     findings: list[str] = []
     if s.outcome is not Outcome.DISPERSED_ALL_TERMINATED:
         findings.append(f"outcome is {s.outcome.value}, not dispersed")
@@ -301,29 +324,23 @@ def check_dispersion(trace: ParsedTrace, digest: TraceDigest | None = None) -> V
     if len(set(s.positions.values())) != len(s.positions):
         dupes = sorted(v for v, c in Counter(s.positions.values()).items() if c > 1)
         findings.append(f"two robots share final node(s) {dupes}")
-    if trace.deltas:
-        dead = set((digest or TraceDigest(trace)).first["terminate"])
-        missing = sorted(set(range(s.k)) - dead)
+    if digest.has_records:
+        missing = sorted(set(range(s.k)) - set(digest.first["terminate"]))
         if missing:
             findings.append(f"robots {missing} never terminated")
     return _verdict(findings)
 
 
-def check_stage1(
-    trace: ParsedTrace, graph: PortLabeledGraph, oracle: OracleTrace | None = None,
-    digest: TraceDigest | None = None,
-) -> Verdict:
+def check_stage1(digest: TraceDigest) -> Verdict:
     """Stage-1 walk, settle schedule, and DFS tree versus the oracle."""
-    if bad := _not_dispersed(trace):
+    s = digest.summary
+    if bad := _not_dispersed(s):
         return bad
-    s = trace.summary
     if s.k == 1:
         return _verdict([], info=["k=1: stage 1 is empty, vacuous pass"])
-    oracle = oracle or oracle_dfs(graph, s.v_r, s.k)
     if s.t1 is None:
         return _verdict(["no stage-1 end event (t1 missing)"])
-    t1 = s.t1
-    digest = digest or TraceDigest(trace)
+    t1, graph, oracle = s.t1, digest.graph, digest.oracle
     _require_rounds(digest, 1, t1)
     group = digest.group
     findings: list[str] = []
@@ -400,21 +417,18 @@ def check_stage1(
     return _verdict(findings, info=[f"t1={t1}, tree edges={len(engine_tree)}"])
 
 
-def check_rootpath_children(trace: ParsedTrace, graph: PortLabeledGraph,
-                            oracle: OracleTrace | None = None,
-                            digest: TraceDigest | None = None) -> Verdict:
+def check_rootpath_children(digest: TraceDigest) -> Verdict:
     """Stage 2: the walker climbs the rootpath from v_l to the root in
-    rounds t1..t2, and afterwards each rootpath node points to the next."""
-    if bad := _not_dispersed(trace):
+    rounds t1..t2, and afterwards each rootpath node points to the next,
+    its child port set once, inside t1+1..t2."""
+    s = digest.summary
+    if bad := _not_dispersed(s):
         return bad
-    s = trace.summary
     if s.k == 1:
         return _verdict([], info=["k=1: no stage 2, vacuous pass"])
-    oracle = oracle or oracle_dfs(graph, s.v_r, s.k)
     if s.t1 is None or s.t2 is None:
         return _verdict(["t1/t2 missing from summary"])
-    t1, t2 = s.t1, s.t2
-    digest = digest or TraceDigest(trace)
+    t1, t2, graph, oracle = s.t1, s.t2, digest.graph, digest.oracle
     _require_rounds(digest, t1, t2 + 1)
     findings: list[str] = []
 
@@ -478,10 +492,14 @@ def check_rootpath_children(trace: ParsedTrace, graph: PortLabeledGraph,
             findings.append(
                 f"non-rootpath settler {rid} at node {node} has child={child_ports[rid]}"
             )
+    for rid, rounds in sorted(digest.child_rounds.items()):
+        if len(rounds) > 1 or not t1 < rounds[0] <= t2:
+            findings.append(f"settler {rid} set its child port in rounds {rounds}, "
+                            f"not once in rounds {t1 + 1}..{t2}")
     return _verdict(findings, info=[f"rootpath={oracle.rootpath}"])
 
 
-def check_mirror(trace: ParsedTrace, digest: TraceDigest | None = None) -> Verdict:
+def check_mirror(digest: TraceDigest) -> Verdict:
     """Stage 3 replays stage 1: same node, direction, entry port each round.
 
     Each matched round is classified: I1 fresh-node rounds (a settle in
@@ -489,15 +507,14 @@ def check_mirror(trace: ParsedTrace, digest: TraceDigest | None = None) -> Verdi
     advances; the class side-conditions on the node's settler and its
     visited mark are verified too.
     """
-    if bad := _not_dispersed(trace):
+    s = digest.summary
+    if bad := _not_dispersed(s):
         return bad
-    s = trace.summary
     if s.k == 1:
         return _verdict([], info=["k=1: nothing to mirror, vacuous pass"])
     if s.t1 is None or s.t2 is None:
         return _verdict(["t1/t2 missing from summary"])
     t1, t2 = s.t1, s.t2
-    digest = digest or TraceDigest(trace)
     ret = digest.first["to_return"]
     if len(ret) != 1:
         return _verdict([f"expected exactly one return transition, got {sorted(ret)}"])
@@ -506,6 +523,7 @@ def check_mirror(trace: ParsedTrace, digest: TraceDigest | None = None) -> Verdi
     _require_rounds(digest, t2 + 1, t2 + t1 - 1)
 
     settler_at = {node: rid for rid, (_, node) in digest.settles.items()}
+    settle_rounds = {rnd for rnd, _ in digest.settles.values()}
     visited_round = digest.first["set_visited"]  # settler rid -> round
 
     findings: list[str] = []
@@ -527,11 +545,9 @@ def check_mirror(trace: ParsedTrace, digest: TraceDigest | None = None) -> Verdi
             )
             break
         rid = settler_at.get(node)
-        if i in digest.settle_rounds:
+        if i in settle_rounds:
             counts["I1"] += 1
-            if rid is None:
-                findings.append(f"round {i}: settle event but no settler known at {node}")
-            elif (t2 + i, rid) not in digest.visited:
+            if (t2 + i, rid) not in digest.visited:
                 findings.append(
                     f"round {t2 + i}: node {node} not marked visited in the replay"
                 )
@@ -555,21 +571,17 @@ def check_mirror(trace: ParsedTrace, digest: TraceDigest | None = None) -> Verdi
     return _verdict(findings, info=info)
 
 
-def check_termination(trace: ParsedTrace, graph: PortLabeledGraph,
-                      oracle: OracleTrace | None = None,
-                      digest: TraceDigest | None = None) -> Verdict:
+def check_termination(digest: TraceDigest) -> Verdict:
     """Termination schedule: settlers by t2+t1, the walker at t2+t1+2 at v_l."""
-    if bad := _not_dispersed(trace):
+    s = digest.summary
+    if bad := _not_dispersed(s):
         return bad
-    s = trace.summary
     if s.k == 1:
         findings = [] if s.rounds == 1 else [f"k=1 should finish in round 1, took {s.rounds}"]
         return _verdict(findings, info=["k=1: single robot terminates immediately"])
-    oracle = oracle or oracle_dfs(graph, s.v_r, s.k)
     if s.t1 is None or s.t2 is None:
         return _verdict(["t1/t2 missing from summary"])
-    t1, t2 = s.t1, s.t2
-    digest = digest or TraceDigest(trace)
+    t1, t2, oracle = s.t1, s.t2, digest.oracle
     findings: list[str] = []
     deaths = digest.first["terminate"]
     r_l = next(iter(digest.first["to_return"]), None)
@@ -606,19 +618,16 @@ def check_termination(trace: ParsedTrace, graph: PortLabeledGraph,
     return _verdict(findings)
 
 
-def check_exit_counts(trace: ParsedTrace, graph: PortLabeledGraph,
-                      oracle: OracleTrace | None = None,
-                      digest: TraceDigest | None = None) -> Verdict:
+def check_exit_counts(digest: TraceDigest) -> Verdict:
     """Parent/child ports are exited exactly once; later re-entries are forward."""
-    if bad := _not_dispersed(trace):
+    s = digest.summary
+    if bad := _not_dispersed(s):
         return bad
-    s = trace.summary
     if s.k == 1:
         return _verdict([], info=["k=1: no walk, vacuous pass"])
     if s.t1 is None:
         return _verdict(["t1 missing from summary"])
-    t1 = s.t1
-    digest = digest or TraceDigest(trace)
+    t1, graph = s.t1, digest.graph
     _require_rounds(digest, 1, t1)
     findings: list[str] = []
 
@@ -657,9 +666,7 @@ def check_exit_counts(trace: ParsedTrace, graph: PortLabeledGraph,
             continue
         parent_port[node] = walk[rnd - 1][2]
     node_of = {rid: node for rid, (_, node) in settles.items()}
-    child_port: dict[int, int] = {
-        node_of[rid]: port for rid, port in digest.child_ports.items() if rid in node_of
-    }
+    child_port = {node_of[rid]: port for rid, port in digest.child_ports.items()}
 
     # rootpath from the installed child chain
     rootpath = [s.v_r]
@@ -699,16 +706,14 @@ def check_exit_counts(trace: ParsedTrace, graph: PortLabeledGraph,
     return _verdict(findings)
 
 
-def check_memory(trace: ParsedTrace, max_degree: int,
-                 digest: TraceDigest | None = None) -> Verdict:
+def check_memory(digest: TraceDigest) -> Verdict:
     """Every recorded footprint equals the constant budget for this degree."""
-    if not trace.deltas:
+    if not digest.has_records:
         raise TraceIncompleteError("no round records with footprint fields")
-    budget = memory_footprint_bits(max_degree)
+    budget = memory_footprint_bits(digest.graph.max_degree())
     findings: list[str] = []
     # the first row off the budget is the first row of the first value off it
-    off = [(first, bits) for bits, first in (digest or TraceDigest(trace)).bits_first.items()
-           if bits != budget]
+    off = [(first, bits) for bits, first in digest.bits_first.items() if bits != budget]
     if off:
         (rnd, rid), bits = min(off)
         findings.append(f"round {rnd}: robot {rid} uses {bits} bits, budget {budget}"
@@ -733,35 +738,23 @@ def run_all(
     graph: PortLabeledGraph,
     names: tuple[str, ...] | list[str] = CHECKER_NAMES,
 ) -> dict[str, Verdict]:
-    """Run the named checkers (all seven by default) against one trace.
-
-    Raises ``TraceFormatError`` before any checker or the oracle walks the
-    graph when the trace names what the graph or the run does not have: a
-    node outside the graph (summary, rows, ``settle`` events), more robots
-    than nodes, a robot id outside 0..k-1 (rows, events) or a child port
-    no node has (``set_child`` events).
-    """
+    """Run the named checkers (all seven by default) against one trace,
+    all on one ``TraceDigest``, whose ``TraceFormatError`` comes before
+    any checker or the oracle walks the graph."""
+    # looked up on each call, so that the module's checkers can be wrapped
+    checks = {
+        "dispersion": check_dispersion,
+        "stage1": check_stage1,
+        "rootpath": check_rootpath_children,
+        "mirror": check_mirror,
+        "exits": check_exit_counts,
+        "termination": check_termination,
+        "memory": check_memory,
+    }
     digest = TraceDigest(trace, graph)
-    s = trace.summary
-    oracle: OracleTrace | None = None
-    if s.outcome is Outcome.DISPERSED_ALL_TERMINATED and s.k >= 2:
-        oracle = oracle_dfs(graph, s.v_r, s.k)
     out: dict[str, Verdict] = {}
     for name in names:
-        if name == "dispersion":
-            out[name] = check_dispersion(trace, digest)
-        elif name == "stage1":
-            out[name] = check_stage1(trace, graph, oracle, digest)
-        elif name == "rootpath":
-            out[name] = check_rootpath_children(trace, graph, oracle, digest)
-        elif name == "mirror":
-            out[name] = check_mirror(trace, digest)
-        elif name == "exits":
-            out[name] = check_exit_counts(trace, graph, oracle, digest)
-        elif name == "termination":
-            out[name] = check_termination(trace, graph, oracle, digest)
-        elif name == "memory":
-            out[name] = check_memory(trace, graph.max_degree(), digest)
-        else:
+        if name not in checks:
             raise ValueError(f"unknown checker {name!r}")
+        out[name] = checks[name](digest)
     return out

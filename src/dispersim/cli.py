@@ -121,15 +121,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    names = tuple(args.checker) if args.checker else CHECKER_NAMES
     # binary, so that parse_trace meets every byte; it reads line by line
     with open(args.trace, "rb") as fh:
         try:
-            trace = parse_trace(fh)
-        except TraceFormatError as exc:
-            raise TraceFormatError(f"{args.trace}: {exc}") from None
-    graph = _load_graph(args.graph)
-    names = tuple(args.checker) if args.checker else CHECKER_NAMES
-    verdicts = run_all(trace, graph, names)
+            verdicts = run_all(parse_trace(fh), _load_graph(args.graph), names)
+        except (TraceFormatError, TraceIncompleteError) as exc:
+            raise type(exc)(f"{args.trace}: {exc}") from None
     all_pass = True
     for name, verdict in verdicts.items():
         _emit(

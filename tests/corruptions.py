@@ -103,20 +103,24 @@ def corrupt_exits() -> Corruption:
     return "exits", _written(renumbered, summary), g
 
 
-def corrupt_termination() -> Corruption:
-    g = gen_path(4)
-    records, summary = _run(g, 3)
-    root_rid = _settler_ids(records)[summary.v_r]
-    gone = f"terminate:{root_rid}"
+def drop_terminate(records: list[TraceRecord], rid: int) -> None:
+    """Remove robot ``rid``'s terminate event; a robot with no terminate
+    event is never gone, so it keeps its last row in every later round."""
+    gone = f"terminate:{rid}"
     row = None
     for rec in records:
         rec.events[:] = [e for e in rec.events if e != gone]
-        # a robot with no terminate event is never gone: it keeps its last row
-        mine = [r for r in rec.robots if r.id == root_rid]
+        mine = [r for r in rec.robots if r.id == rid]
         if mine:
             row = mine[0]
         else:
             rec.robots[:] = sorted([*rec.robots, row], key=lambda r: r.id)
+
+
+def corrupt_termination() -> Corruption:
+    g = gen_path(4)
+    records, summary = _run(g, 3)
+    drop_terminate(records, _settler_ids(records)[summary.v_r])
     return "termination", _written(records, summary), g
 
 

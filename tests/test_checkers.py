@@ -1,11 +1,13 @@
 """Trace validators and the centralized reference walk."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 import corruptions
+from dispersim import checkers
 from dispersim.checkers import (
     CHECKER_NAMES,
     KTooLargeError,
@@ -131,14 +133,14 @@ class TestNegativeControls:
     def test_dispersion_rejects_duplicate_positions(self):
         trace = traced(gen_path(4), 3)
         trace.summary.positions[1] = trace.summary.positions[0]
-        verdict = check_dispersion(trace)
+        verdict = check_dispersion(TraceDigest(trace, gen_path(4)))
         assert not verdict.passed
 
     def test_dispersion_rejects_unfinished_outcome(self):
         g = gen_path(3)
         res = run(SimulationConfig(graph=g, k=3, root=0, seed=1, max_rounds=2))
         trace = parse_trace(res.to_jsonl())
-        assert not check_dispersion(trace).passed
+        assert not check_dispersion(TraceDigest(trace, g)).passed
 
     def test_stage1_rejects_colocated_settlers(self):
         g = gen_path(4)
@@ -147,7 +149,7 @@ class TestNegativeControls:
         idx = [i for i, r in enumerate(rec.robots) if r.role == "settled"]
         a, b = idx[0], idx[1]
         rec.robots[a] = replace(rec.robots[a], node=rec.robots[b].node)
-        verdict = check_stage1(written(records, summary), g)
+        verdict = check_stage1(TraceDigest(written(records, summary), g))
         assert not verdict.passed
 
     def test_mirror_rejects_teleport(self):
@@ -157,21 +159,21 @@ class TestNegativeControls:
         idx = [i for i, r in enumerate(rec.robots) if r.role == "acknowledge"]
         row = rec.robots[idx[0]]
         rec.robots[idx[0]] = replace(row, node=(row.node + 1) % g.n)
-        assert not check_mirror(written(records, summary)).passed
+        assert not check_mirror(TraceDigest(written(records, summary), g)).passed
 
     def test_memory_rejects_oversized_state(self):
         g = gen_path(4)
         records, summary = ran(g, 3)
         rows = records[2].robots
         rows[0] = replace(rows[0], bits=1000)
-        assert not check_memory(written(records, summary), g.max_degree()).passed
+        assert not check_memory(TraceDigest(written(records, summary), g)).passed
 
     def test_memory_rejects_wrong_constant(self):
         g = gen_path(4)
         records, summary = ran(g, 3)
         rows = records[0].robots
         rows[0] = replace(rows[0], bits=rows[0].bits - 1)
-        assert not check_memory(written(records, summary), g.max_degree()).passed
+        assert not check_memory(TraceDigest(written(records, summary), g)).passed
 
     def test_memory_names_the_first_row_off_budget(self):
         g = gen_path(4)
@@ -180,7 +182,7 @@ class TestNegativeControls:
         later[0] = replace(later[0], bits=7)
         first[2] = replace(first[2], bits=1000)
         first[1] = replace(first[1], bits=5)
-        verdict = check_memory(written(records, summary), g.max_degree())
+        verdict = check_memory(TraceDigest(written(records, summary), g))
         assert verdict.findings == ["round 3: robot 1 records 5 bits, closed form says 22"]
 
     def test_rootpath_rejects_spurious_child(self):
@@ -191,7 +193,7 @@ class TestNegativeControls:
             rid for rid, (rnd, node) in _settles(records).items() if node == 0
         ]
         records[2].events.append(f"set_child:{off_path[0]}=0")
-        assert not check_rootpath_children(written(records, summary), g).passed
+        assert not check_rootpath_children(TraceDigest(written(records, summary), g)).passed
 
     def test_rootpath_follows_the_return_walk(self):
         """A walker that jumps off the ring's edges in stage 2 is named in
@@ -208,12 +210,24 @@ class TestNegativeControls:
         assert verdicts["rootpath"].findings == [
             "round 7: walker 2 at node 0, the return walk up the rootpath is at 4"]
 
+    def test_rootpath_rejects_a_child_port_set_twice(self):
+        """A rootpath settler whose child port is set in stage 1 as well as
+        in stage 2, to the same port, is named with the rounds it set it in."""
+        g = gen_random_connected(12, 20, 3)
+        records, summary = ran(g, 12, seed=0)
+        assert (summary.t1, summary.t2) == (27, 37)
+        assert records[29].events == ["set_child:7=0"]
+        records[12].events.append("set_child:7=0")
+        verdicts = run_all(written(records, summary), g)
+        assert [name for name, v in verdicts.items() if not v.passed] == ["rootpath"]
+        assert verdicts["rootpath"].findings == [
+            "settler 7 set its child port in rounds [13, 30], not once in rounds 28..37"]
+
     def test_termination_rejects_missing_terminate(self):
         g = gen_path(4)
         records, summary = ran(g, 3)
-        for rec in records:
-            rec.events[:] = [e for e in rec.events if not e.startswith("terminate:0")]
-        assert not check_termination(written(records, summary), g).passed
+        corruptions.drop_terminate(records, 0)
+        assert not check_termination(TraceDigest(written(records, summary), g)).passed
 
 
 def _settles(records):
@@ -226,28 +240,35 @@ def _settles(records):
     return out
 
 
+def cut(res, last):
+    """``res``'s trace with only the records of rounds 1..last."""
+    lines = res.to_jsonl().strip().splitlines()
+    return parse_trace("\n".join(lines[:last + 1] + lines[-1:]) + "\n")
+
+
 class TestIncompleteTraces:
-    def test_mirror_needs_stage_three(self):
+    @pytest.fixture
+    def res(self):
+        """A run that never takes the repair path (rooted mid-path), so
+        each cut of its trace keeps a true ``repair_fired``."""
+        res = run(SimulationConfig(graph=gen_path(4), k=4, root=1, seed=17))
+        assert not res.summary.repair_fired
+        return res
+
+    def test_mirror_needs_stage_three(self, res):
+        with pytest.raises(TraceIncompleteError):
+            check_mirror(TraceDigest(cut(res, res.summary.t2), gen_path(4)))
+
+    def test_memory_needs_records(self, res):
+        with pytest.raises(TraceIncompleteError):
+            check_memory(TraceDigest(cut(res, 0), gen_path(4)))
+
+    def test_cut_before_the_repair_is_format_error(self):
         g = gen_ring(6)
         res = run(SimulationConfig(graph=g, k=5, root=0, seed=17))
-        text = res.to_jsonl()
-        lines = text.strip().splitlines()
-        summary = lines[-1]
-        # the header, then the records of rounds 1..t2
-        truncated = "\n".join(lines[: res.summary.t2 + 1] + [summary]) + "\n"
-        trace = parse_trace(truncated)
-        with pytest.raises(TraceIncompleteError):
-            check_mirror(trace)
-
-    def test_memory_needs_records(self):
-        g = gen_path(2)
-        res = run(
-            SimulationConfig(graph=g, k=2, seed=0)
-        )
-        lines = res.to_jsonl().strip().splitlines()
-        trace = parse_trace(lines[0] + "\n" + lines[-1] + "\n")
-        with pytest.raises(TraceIncompleteError):
-            check_memory(trace, g.max_degree())
+        assert res.summary.repair_fired
+        with pytest.raises(TraceFormatError, match="repair_fired=true"):
+            run_all(cut(res, res.summary.t2), g)
 
 
 def test_summary_k_above_n_is_format_error():
@@ -256,6 +277,54 @@ def test_summary_k_above_n_is_format_error():
     trace.summary.k = 4
     with pytest.raises(TraceFormatError, match="k=4"):
         run_all(trace, g)
+
+
+@pytest.mark.parametrize("rnd, old, new, message", [
+    # robot 7 settles at node 3, of degree 3, and sets child port 0 in
+    # round 30; port 4 is below the graph's max degree 5
+    (29, None, "set_child:7=4", "names port 4 of node 3, outside its ports 0..2"),
+    (31, None, "set_child:7=4", "names port 4 of node 3, outside its ports 0..2"),
+    # the group enters node 4 by port 2 in round 11; node 2 has degree 2
+    (11, "settle:3@4", "settle:3@2", "settles robot 3 again, or not at the node it explores"),
+    # robot 1 settled at node 11 in round 3
+    (6, None, "settle:1@0", "settles robot 1 again"),
+])
+def test_event_off_its_robots_node_is_format_error(rnd, old, new, message):
+    """On a graph whose nodes differ in degree, an event that puts a
+    settler or its child port where the trace's rows do not is named with
+    its round, before any checker reads a port the node lacks."""
+    g = gen_random_connected(12, 20, 3)
+    records, summary = ran(g, 12, seed=0)
+    assert (g.degree(3), g.max_degree(), records[29].events) == (3, 5, ["set_child:7=0"])
+    events = records[rnd - 1].events
+    if old is None:
+        events.append(new)
+    else:
+        events[events.index(old)] = new
+    with pytest.raises(TraceFormatError, match=f"round {rnd}: event {new} {message}"):
+        run_all(written(records, summary), g)
+
+
+def test_run_all_looks_up_the_oracle_and_each_checker_when_called(monkeypatch):
+    """perfbench times the oracle and each checker by wrapping these module
+    globals: one ``run_all`` call walks the oracle once and runs each
+    checker once, through the wrappers."""
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(checkers, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    names = ["oracle_dfs", *(n for n in vars(checkers) if n.startswith("check_"))]
+    for name in names:
+        monkeypatch.setattr(checkers, name, counted(name))
+    g = gen_ring(5)
+    run_all(traced(g, 4), g)
+    assert calls == dict.fromkeys(names, 1) and len(names) == 1 + len(CHECKER_NAMES)
 
 
 def test_verdict_serializes_to_json():

@@ -4,6 +4,8 @@ import json
 from dataclasses import asdict
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dispersim import engine
 from dispersim.cli import main
@@ -207,6 +209,12 @@ class TestVerify:
         "event_robot_off_run": (1, lambda o: o["events"].append("to_done:6")),
         "event_settle_off_graph": (1, lambda o: o["events"].append("settle:1@99")),
         "event_child_port_off_graph": (1, lambda o: o["events"].append("set_child:0=99")),
+        # robot 0 settles in round 5; robot 1 is the walker, never settled
+        "event_child_before_settle": (1, lambda o: o["events"].append("set_child:0=0")),
+        "event_child_of_walker": (8, lambda o: o["events"].append("set_child:1=0")),
+        "event_visited_by_walker": (13, lambda o: o["events"].append("set_visited:1")),
+        "event_settle_twice": (8, lambda o: o["events"].append("settle:2@0")),
+        "event_settle_off_its_node": (3, lambda o: o["events"].append("settle:0@0")),
         "event_id_5000_digits": (1, lambda o: o["events"].append("settle:" + "9" * 5000 + "@1")),
         "event_id_leading_zero": (1, lambda o: o["events"].append("to_done:01")),
         "row_node_off_graph": (4, {"node": 99}),
@@ -233,8 +241,8 @@ class TestVerify:
     @pytest.mark.parametrize("edit", sorted(HOSTILE_EDITS))
     def test_hostile_trace_is_format_error(self, capsys, good_trace, tmp_path, edit):
         """A trace that would make a checker raise, or that names what the
-        graph or the run lacks, exits 3 with one stderr line, never 0, 1
-        (checker rejected), 4 (crash) or a traceback."""
+        graph or the run lacks, exits 3 with one stderr line that names the
+        file, never 0, 1 (checker rejected), 4 (crash) or a traceback."""
         lines = good_trace.read_text().strip().splitlines()
         line, change = self.HOSTILE_EDITS[edit]
         obj = json.loads(lines[line])
@@ -252,8 +260,42 @@ class TestVerify:
         bad.write_text("\n".join(lines) + "\n")
         code, _, err = run_cli(capsys, "verify", "--trace", str(bad), "--graph", "gen:ring:6")
         assert code == 3
-        assert err.startswith("error:")
+        assert err.startswith(f"error: {bad}: ")
         assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    # what a fuzzed edit may write into one field of one trace line
+    FUZZ_VALUES = (None, True, False, -1, 0, 1, 2, 5, 6, 7, 19, 99, 2**70, 0.5, "", "x",
+                   "7", "fwd", "explore", "settled", "settle:1@1", "set_child:2=1",
+                   "set_visited:1", "terminate:0", "to_done:1", [], [0], [6], {}, {"0": 0})
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_trace_never_crashes(self, capsys, good_trace, tmp_path, data):
+        """One field of one line set to a value from a fixed pool: ``verify``
+        accepts, rejects or exits 3 naming the file; it never crashes."""
+        lines = good_trace.read_text().strip().splitlines()
+        line = data.draw(st.integers(0, len(lines) - 1), label="line")
+        obj = json.loads(lines[line])
+        slots = []  # every (container, key) whose value an edit can replace
+        for key, value in obj.items():
+            slots.append((obj, key))
+            if isinstance(value, dict):
+                slots.extend((value, f) for f in value)
+            elif isinstance(value, list):
+                for j, item in enumerate(value):
+                    slots.append((value, j))
+                    if isinstance(item, dict):
+                        slots.extend((item, f) for f in item)
+        holder, key = slots[data.draw(st.integers(0, len(slots) - 1), label="slot")]
+        holder[key] = data.draw(st.sampled_from(self.FUZZ_VALUES), label="value")
+        lines[line] = json.dumps(obj)
+        bad = tmp_path / "fuzzed.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "verify", "--trace", str(bad), "--graph", "gen:ring:6")
+        assert code in (0, 1, 3), err
+        assert code != 3 or err.startswith(f"error: {bad}: "), err
         assert "Traceback" not in err
 
     def test_v1_trace_is_format_error(self, capsys, tmp_path):
