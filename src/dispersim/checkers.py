@@ -6,7 +6,7 @@ the stage-1 walk matches a centralized port-ordered DFS, child pointers
 along the rootpath point the right way, the stage-3 replay mirrors
 stage 1 round for round, terminations land exactly on schedule, parent
 and child ports are exited exactly once, dispersion holds, and every
-recorded state fits the constant memory budget.
+recorded state word fits the O(log Δ) memory budget.
 
 Checkers consume parsed traces so they can validate output from any
 producer of the same format.  Every checker reads one ``TraceDigest``
@@ -15,6 +15,10 @@ range checks the trace against its graph and keeps what the checkers
 need (the exploring group's position per round, each robot's row
 history, the parsed events, the reference walk).  ``run_all`` builds it
 once and hands it to every checker.
+
+A row's state word is decoded by the field table in the trace's header,
+never by the engine's own: this module imports nothing from ``robot``,
+and ``check_memory`` derives its budget from the degree alone.
 """
 
 from __future__ import annotations
@@ -22,10 +26,19 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .engine import Outcome, ParsedTrace, RobotRow, RunSummary, TraceFormatError, replay
+from .engine import Outcome, ParsedTrace, Row, RunSummary, TraceFormatError, replay
 from .graph import PortLabeledGraph
-from .robot import memory_footprint_bits
+
+# what the codes of a word's role and direction fields stand for, in
+# format 3 (see the README)
+ROLE_NAMES = ("explore", "settled", "return", "acknowledge", "done")
+DIR_NAMES = ("fwd", "bwd")
+# the fields that hold a port + 1, 0 meaning none
+PORT_FIELDS = ("entered", "parent", "child")
+# the events that change a moving robot's role, which a settled robot never has
+_ROLE_EVENTS = ("to_return", "to_acknowledge", "to_done")
 
 
 class KTooLargeError(ValueError):
@@ -45,6 +58,16 @@ class Verdict:
 
 def _verdict(findings: list[str], info: list[str] | None = None) -> Verdict:
     return Verdict(passed=not findings, findings=findings, info=info or [])
+
+
+class RowView(NamedTuple):
+    """A trace row with its word decoded."""
+
+    id: int
+    node: int
+    role: str
+    dir: str
+    entered: int | None
 
 
 @dataclass
@@ -138,27 +161,37 @@ class TraceDigest:
     ``group[r]``: the (node, dir, entered) the exploring robots share in
     round r, or None, kept as a count of explorer keys updated from the
     rows that change.  ``row_at`` reads each robot's row history;
-    ``rows_at`` holds the rows of rounds t1 and t2 + 1 by robot id.
-    Events are parsed once: per robot its settle (round, node), its child
-    port and the rounds it was set in, and the first round of each other
-    event.  ``bits_first``: each ``bits`` value's first (round, robot).
-    ``oracle``: the reference walk, None unless the run dispersed with
-    k >= 2.
+    ``rows_at`` holds the rows of rounds t1 and t2 + 1 by robot id, both
+    as ``RowView``s.  Events are parsed once: per robot its settle
+    (round, node), its child port and the rounds it was set in, and the
+    first round of each other event.  ``word_first``: each distinct state
+    word's first (round, robot).  ``oracle``: the reference walk, None
+    unless the run dispersed with k >= 2.
+
+    A word is decoded by the header's field table: its role, direction
+    and entry port, each cached per distinct value of those fields.
 
     Raises ``TraceFormatError``, before the oracle walks the graph, on a
-    node, robot or port that the graph or the run lacks (summary, rows,
-    events); a ``settle`` of a robot settled before or not exploring that
-    node; a ``set_child`` or ``set_visited`` of a robot not yet settled; a
-    ``gone`` that is not the robots with a row that a ``terminate`` event
-    ended in the round before; or a ``repair_fired`` that disagrees with
-    the ``repair_terminate`` events.
+    header ``max_degree`` that is not the graph's; on a node, robot or
+    port that the graph or the run lacks (summary, rows, events); a role
+    or direction code the format lacks; a ``settle`` of a robot settled
+    before or not exploring that node; a ``set_child`` or ``set_visited``
+    of a robot not yet settled; a ``to_return``, ``to_acknowledge`` or
+    ``to_done`` of a settled robot; or a ``repair_fired`` that disagrees
+    with the ``repair_terminate`` events.
     """
 
     def __init__(self, trace: ParsedTrace, graph: PortLabeledGraph):
         s = self.summary = trace.summary
         self.graph = graph
+        self.fields = trace.fields
         self.has_records = bool(trace.deltas)
         k, n = s.k, graph.n
+        if trace.max_degree != graph.max_degree():
+            raise TraceFormatError(
+                f"header max_degree={trace.max_degree}, but the graph's max degree is "
+                f"{graph.max_degree()}"
+            )
         off_graph = [v for v in (s.v_r, s.v_l, *s.positions.values())
                      if v is not None and not 0 <= v < n]
         if off_graph:
@@ -168,17 +201,26 @@ class TraceDigest:
         if not 1 <= k <= n:
             raise TraceFormatError(f"summary has k={k}, not in 1..{n}")
         self.group: dict[int, tuple[int, str, int | None] | None] = {}
-        self.history: defaultdict[int, tuple[list[int], list[RobotRow | None]]] = \
+        self.history: defaultdict[int, tuple[list[int], list[Row | None]]] = \
             defaultdict(lambda: ([], []))
-        self.rows_at: dict[int, dict[int, RobotRow]] = {}
+        self.rows_at: dict[int, dict[int, RowView]] = {}
         self.settles: dict[int, tuple[int, int]] = {}
         self.child_ports: dict[int, int] = {}
         self.child_rounds: defaultdict[int, list[int]] = defaultdict(list)
         self.first: defaultdict[str, dict[int, int]] = defaultdict(dict)
         self.visited: set[tuple[int, int]] = set()
-        self.bits_first: dict[int, tuple[int, int]] = {}
+        self.word_first: dict[int, tuple[int, int]] = {}
+        # each field's (shift, mask) by the header's table; the word bits of
+        # the decoded fields; and per value of those bits, (role, dir, entered)
+        at, shift = {}, 0
+        for name, width in trace.fields:
+            at[name] = shift, (1 << width) - 1
+            shift += width
+        (rs, rm), (ds, dm), (es, em) = at["role"], at["direction"], at["entered"]
+        key_mask = self._key_mask = rm << rs | dm << ds | em << es
+        decoded = self._decoded = {}
         wanted = {s.t1, None if s.t2 is None else s.t2 + 1}
-        history, bits_first = self.history, self.bits_first
+        history, word_first, ports = self.history, self.word_first, graph.ports
         # each exploring robot's (node, dir, entered), and how many share each
         explorer: dict[int, tuple[int, str, int | None]] = {}
         count: Counter[tuple[int, str, int | None]] = Counter()
@@ -189,39 +231,48 @@ class TraceDigest:
             if not count[key]:
                 del count[key]
 
-        # per round, the robots with a row that a terminate event ended
-        ended: dict[int, list[int]] = {}
+        # the robots with a row that a terminate event of the record before ended
+        ended: set[int] = set()
         for d, current in replay(trace.deltas):
             rnd = d.round
-            if d.gone != (want := ended.pop(rnd - 1, [])):
-                raise TraceFormatError(
-                    f"round {rnd}: gone lists robots {d.gone}, but the robots with a row "
-                    f"that terminated in round {rnd - 1} are {want}"
-                )
-            for i in d.gone:
-                if i in explorer:
-                    leave(i)
-                rounds, rows = history[i]
-                rounds.append(rnd)
-                rows.append(None)
+            if ended:
+                for i in sorted(ended):
+                    if i in explorer:
+                        leave(i)
+                    rounds, rows = history[i]
+                    rounds.append(rnd)
+                    rows.append(None)
+                ended = set()
             for r in d.rows:
-                i = r.id
-                if not 0 <= r.node < n:
+                i, node, word = r
+                if not 0 <= node < n:
                     raise TraceFormatError(
-                        f"round {rnd}: row of robot {i} at node {r.node} is outside "
-                        f"robots 0..{k - 1} or nodes 0..{n - 1}"
+                        f"round {rnd}: row of robot {i} at node {node} is outside "
+                        f"nodes 0..{n - 1}"
                     )
-                if r.entered is not None and r.entered >= len(graph.ports[r.node]):
+                fields = decoded.get(word & key_mask)
+                if fields is None:
+                    role, dir_, entered = word >> rs & rm, word >> ds & dm, word >> es & em
+                    if role >= len(ROLE_NAMES) or dir_ >= len(DIR_NAMES):
+                        raise TraceFormatError(
+                            f"round {rnd}: row of robot {i} has role code {role} and direction "
+                            f"code {dir_}, not one of 0..{len(ROLE_NAMES) - 1} and "
+                            f"0..{len(DIR_NAMES) - 1}"
+                        )
+                    fields = decoded[word & key_mask] = (
+                        ROLE_NAMES[role], DIR_NAMES[dir_], entered - 1 if entered else None)
+                role, dir_, entered = fields
+                if entered is not None and entered >= len(ports[node]):
                     raise TraceFormatError(
-                        f"round {rnd}: row of robot {i} entered node {r.node} by port "
-                        f"{r.entered}, outside its ports 0..{len(graph.ports[r.node]) - 1}"
+                        f"round {rnd}: row of robot {i} entered node {node} by port "
+                        f"{entered}, outside its ports 0..{len(ports[node]) - 1}"
                     )
-                if r.bits not in bits_first:
-                    bits_first[r.bits] = rnd, i
+                if word not in word_first:
+                    word_first[word] = rnd, i
                 if i in explorer:
                     leave(i)
-                if r.role == "explore":
-                    key = explorer[i] = r.node, r.dir, r.entered
+                if role == "explore":
+                    key = explorer[i] = node, dir_, entered
                     count[key] += 1
                 past = history[i]
                 past[0].append(rnd)
@@ -230,11 +281,9 @@ class TraceDigest:
             for ev in d.events:
                 dead = self._event(rnd, ev, current)
                 if dead is not None and dead in current:
-                    ended.setdefault(rnd, []).append(dead)
-            if rnd in ended:
-                ended[rnd].sort()
+                    ended.add(dead)
             if rnd in wanted:
-                self.rows_at[rnd] = dict(current)
+                self.rows_at[rnd] = {i: self._view(r) for i, r in current.items()}
         repaired = bool(self.first.get("repair_terminate"))
         if s.repair_fired != repaired:
             raise TraceFormatError(
@@ -244,7 +293,12 @@ class TraceDigest:
         self.oracle = (oracle_dfs(graph, s.v_r, k)
                        if s.outcome is Outcome.DISPERSED_ALL_TERMINATED and k >= 2 else None)
 
-    def _event(self, rnd: int, ev: str, current: dict[int, RobotRow]) -> int | None:
+    def _view(self, row: Row) -> RowView:
+        i, node, word = row
+        # what RowView(...) does, without its Python-level __new__
+        return tuple.__new__(RowView, (i, node, *self._decoded[word & self._key_mask]))
+
+    def _event(self, rnd: int, ev: str, current: dict[int, Row]) -> int | None:
         """Parse and record one event of round ``rnd``, whose rows are
         ``current``; the robot a ``terminate`` names."""
         name, _, body = ev.partition(":")
@@ -261,7 +315,8 @@ class TraceDigest:
             )
         if name == "settle":
             row = current.get(robot)
-            if robot in self.settles or row is None or (row.role, row.node) != ("explore", value):
+            if (robot in self.settles or row is None or row[1] != value
+                    or self._view(row).role != "explore"):
                 raise TraceFormatError(
                     f"round {rnd}: event {ev} settles robot {robot} again, or not at the "
                     f"node it explores"
@@ -271,6 +326,9 @@ class TraceDigest:
         if name in ("set_child", "set_visited") and robot not in self.settles:
             raise TraceFormatError(f"round {rnd}: event {ev} names robot {robot}, "
                                    f"which has not settled")
+        if name in _ROLE_EVENTS and robot in self.settles:
+            raise TraceFormatError(f"round {rnd}: event {ev} names robot {robot}, "
+                                   f"which settled in round {self.settles[robot][0]}")
         if name == "set_child":
             node = self.settles[robot][1]
             if value >= (degree := len(self.graph.ports[node])):
@@ -288,11 +346,12 @@ class TraceDigest:
                 return robot
         return None
 
-    def row_at(self, robot: int, rnd: int) -> RobotRow | None:
+    def row_at(self, robot: int, rnd: int) -> RowView | None:
         """The robot's row in round ``rnd``, None if it has none there."""
         past = self.history.get(robot)
         j = bisect_right(past[0], rnd) if past else 0
-        return past[1][j - 1] if j else None
+        row = past[1][j - 1] if j else None
+        return None if row is None else self._view(row)
 
 
 def _require_rounds(digest: TraceDigest, first: int, last: int) -> None:
@@ -707,18 +766,52 @@ def check_exit_counts(digest: TraceDigest) -> Verdict:
 
 
 def check_memory(digest: TraceDigest) -> Verdict:
-    """Every recorded footprint equals the constant budget for this degree."""
+    """Every recorded state word fits the O(log Δ) budget of 5L + 17 bits,
+    L = ceil(log2 max(Δ, 2)).
+
+    Of those bits an explorer's inbox digest keeps 2(L + 1) + 3 (a reply's
+    two ports and visited flag, and two presence flags); the rest is what
+    the header's field table may take, each port field at L + 1 bits (a
+    port, or none).  A word may set only its table's bits, and in a port
+    field only the low L + 1; the first row that sets another is named.
+    """
     if not digest.has_records:
-        raise TraceIncompleteError("no round records with footprint fields")
-    budget = memory_footprint_bits(digest.graph.max_degree())
+        raise TraceIncompleteError("no round records with state words")
+    delta = digest.graph.max_degree()
+    log_delta = max(delta - 1, 1).bit_length()
+    budget = 5 * log_delta + 17
+    port = log_delta + 1
+    inbox = 2 * port + 3
     findings: list[str] = []
-    # the first row off the budget is the first row of the first value off it
-    off = [(first, bits) for bits, first in digest.bits_first.items() if bits != budget]
+    state = sum(port if name in PORT_FIELDS else width for name, width in digest.fields)
+    if state + inbox > budget:
+        findings.append(
+            f"the header's fields take {state} bits at {port} bits per port field; with "
+            f"{inbox} bits of inbox digest a robot keeps {state + inbox}, budget {budget}"
+        )
+    # per port field its (name, shift, slot mask); the word bits a row may
+    # set; and the width of the whole table
+    slots, allowed, shift = [], 0, 0
+    for name, width in digest.fields:
+        if name in PORT_FIELDS:
+            slots.append((name, shift, (1 << width) - 1))
+            allowed |= (1 << min(width, port)) - 1 << shift
+        else:
+            allowed |= (1 << width) - 1 << shift
+        shift += width
+    off = [(first, word) for word, first in digest.word_first.items() if word & ~allowed]
     if off:
-        (rnd, rid), bits = min(off)
-        findings.append(f"round {rnd}: robot {rid} uses {bits} bits, budget {budget}"
-                        if bits > budget else
-                        f"round {rnd}: robot {rid} records {bits} bits, closed form says {budget}")
+        (rnd, rid), word = min(off)
+        if word >> shift:
+            findings.append(
+                f"round {rnd}: robot {rid} stores a word that sets bit "
+                f"{word.bit_length() - 1}, outside the header's {shift}-bit field table")
+        else:
+            name, raw = next((name, word >> at & mask) for name, at, mask in slots
+                             if (word >> at & mask) >> port)
+            findings.append(
+                f"round {rnd}: robot {rid} stores {name}={raw - 1}, which does not fit "
+                f"its {port}-bit field at max degree {delta}")
     return _verdict(findings, info=[f"budget={budget} bits"])
 
 

@@ -33,14 +33,16 @@ port), movement sets the entry port with one mask-and-or, and every
 stored word costs one AND against the run's overflow mask and one OR
 into its role's accumulator.
 
-A FULL trace is kept as it is written (format 2): one ``TraceDelta`` per
-round, holding the rows of the robots whose row fields (role, direction,
-entry port) or node changed since their last row, and the ids of the
-robots that died in the round before.  ``run`` builds it from the robots
-``execute_round`` returns as stored (every actor, settlers included), so
-a round's trace costs what the round touched, not k; ``parse_trace``
-reads the same records back, and ``replay`` rebuilds a round's full set
-of rows when one is wanted.
+A FULL trace is kept as it is written (format 3): one ``TraceDelta`` per
+round, holding a row ``(id, node, word)`` for each robot whose stored
+word or node changed since its last row.  A robot is gone from the round
+after its ``terminate`` event, which is all a reader needs to drop it.
+``run`` builds the deltas from the robots ``execute_round`` returns as
+stored (every actor, settlers included), so a round's trace costs what
+the round touched, not k; ``parse_trace`` reads the same records back,
+and ``replay`` rebuilds a round's full set of rows when one is wanted.
+Nothing here decodes a word: the header carries the field table
+(``robot.FIELDS``) a reader decodes it by.
 """
 
 from __future__ import annotations
@@ -52,17 +54,16 @@ import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 
 from .graph import PortLabeledGraph
 from .robot import (
     ACKNOWLEDGE,
-    DIRECTIONS,
     DONE,
     EMPTY_INBOX,
     ENTERED_MASK,
     ENTERED_SHIFT,
     EXPLORE,
+    FIELDS,
     INITIAL_STATE,
     LANE_MAX,
     NOT_DONE,
@@ -70,7 +71,6 @@ from .robot import (
     RETURN,
     ROLE_MASK,
     ROLES,
-    ROW_FIELDS,
     SETTLED,
     VISITED_BIT,
     Decision,
@@ -82,7 +82,6 @@ from .robot import (
     Terminate,
     TerminateSelf,
     field_widths,
-    memory_footprint_bits,
     overflow_mask,
     overflowing_field,
     port_bits,
@@ -91,7 +90,6 @@ from .robot import (
     step_explore,
     step_return,
     step_settled,
-    trace_fields,
 )
 
 
@@ -116,7 +114,7 @@ class TraceFormatError(ValueError):
 
 
 # the version in the header line of every trace this module writes and reads
-TRACE_FORMAT = 2
+TRACE_FORMAT = 3
 
 
 class _Fault(Exception):
@@ -181,30 +179,23 @@ class SimulationConfig:
             )
 
 
-@dataclass(frozen=True)
-class RobotRow:
-    id: int
-    node: int
-    role: str
-    dir: str
-    entered: int | None
-    bits: int
+# a trace row: (robot id, node, stored state word)
+Row = tuple[int, int, int]
 
 
 @dataclass
 class TraceRecord:
     round: int
-    robots: list[RobotRow]
+    robots: list[Row]
     events: list[str]
 
 
 @dataclass(slots=True)
 class TraceDelta:
-    """One record line of a format-2 trace (the README has the format)."""
+    """One record line of a format-3 trace (the README has the format)."""
 
     round: int
-    rows: list[RobotRow]
-    gone: list[int]
+    rows: list[Row]
     events: list[str]
 
 
@@ -239,11 +230,13 @@ class RunSummary:
 @dataclass
 class SimulationResult:
     summary: RunSummary
-    # the trace: one record per round at FULL (the round's changed rows,
-    # the robots gone since the round before, its events), one per round
-    # with a stage marker at SUMMARY, none at NONE
+    # the trace: one record per round at FULL (the round's changed rows
+    # and its events), one per round with a stage marker at SUMMARY, none
+    # at NONE
     deltas: list[TraceDelta]
     trace_level: TraceLevel
+    # the graph's max degree, which the trace header carries
+    max_degree: int
     # per role name, the widest value the run stored in each state field,
     # in bits (see robot.FIELDS); not part of the trace
     used_bits: dict[str, dict[str, int]]
@@ -254,7 +247,7 @@ class SimulationResult:
         events: a view rebuilt from ``deltas`` through ``replay`` on every
         call, for readers that want whole rounds (the per-layer row count,
         the v1 rendering the golden hashes were recorded in)."""
-        return [TraceRecord(d.round, sorted(rows.values(), key=attrgetter("id")), list(d.events))
+        return [TraceRecord(d.round, sorted(rows.values()), list(d.events))
                 for d, rows in replay(self.deltas)]
 
     def jsonl_lines(self) -> Iterator[str]:
@@ -263,12 +256,10 @@ class SimulationResult:
         if self.trace_level is TraceLevel.NONE:
             return
         dumps = json.dumps
-        yield dumps({"format": TRACE_FORMAT, "k": self.summary.k}) + "\n"
+        yield dumps({"format": TRACE_FORMAT, "k": self.summary.k,
+                     "max_degree": self.max_degree, "fields": FIELDS}) + "\n"
         for d in self.deltas:
-            rows = [{"id": r.id, "node": r.node, "role": r.role, "dir": r.dir,
-                     "entered": r.entered, "bits": r.bits} for r in d.rows]
-            yield dumps({"round": d.round, "rows": rows, "gone": d.gone,
-                         "events": d.events}) + "\n"
+            yield dumps({"round": d.round, "rows": d.rows, "events": d.events}) + "\n"
         yield dumps(self.summary.to_dict()) + "\n"
 
     def to_jsonl(self) -> str:
@@ -279,18 +270,24 @@ class SimulationResult:
 class ParsedTrace:
     deltas: list[TraceDelta]
     summary: RunSummary
+    # the header's max degree and word layout: (field name, width) pairs,
+    # low bits first
+    max_degree: int
+    fields: tuple[tuple[str, int], ...]
 
 
-def replay(deltas: Iterable[TraceDelta]) -> Iterator[tuple[TraceDelta, dict[int, RobotRow]]]:
+def replay(deltas: Iterable[TraceDelta]) -> Iterator[tuple[TraceDelta, dict[int, Row]]]:
     """Each delta with its round's rows by robot id: the round before's,
-    ``gone`` dropped, then ``rows`` applied (one dict, updated in place)."""
-    current: dict[int, RobotRow] = {}
+    less the robots a ``terminate`` event of the record before ended, with
+    ``rows`` applied (one dict, updated in place)."""
+    current: dict[int, Row] = {}
     for d in deltas:
-        for i in d.gone:
-            del current[i]
         for r in d.rows:
-            current[r.id] = r
+            current[r[0]] = r
         yield d, current
+        for ev in d.events:
+            if ev.startswith("terminate:"):
+                current.pop(int(ev[10:]), None)
 
 
 class World:
@@ -510,11 +507,10 @@ def run(config: SimulationConfig) -> SimulationResult:
     """
     config.validate()
     w = World(config)
-    bits = memory_footprint_bits(config.graph.max_degree())
     states, positions, alive = w.states, w.positions, w.alive
     deltas: list[TraceDelta] = []
-    # per robot, the (row fields of its word, node) of its latest row
-    last: list[tuple[int, int] | None] = [None] * config.k
+    # per robot, its latest row
+    last: list[Row | None] = [None] * config.k
     level = config.trace_level
     # the robots whose row may differ from their last one: every robot
     # before round 1, then those the round before stored
@@ -527,18 +523,16 @@ def run(config: SimulationConfig) -> SimulationResult:
         w.round = rnd
         events: list[str] = []
         if level is TraceLevel.FULL:
-            rows: list[RobotRow] = []
-            gone: list[int] = []
+            rows: list[Row] = []
             for i in sorted(set(touched)):
-                if not alive[i]:
-                    # it died in the round before
-                    gone.append(i)
-                    continue
-                now = (states[i] & ROW_FIELDS, positions[i])
-                if now != last[i]:
-                    last[i] = now
-                    rows.append(RobotRow(i, now[1], *trace_fields(now[0]), bits))
-            deltas.append(TraceDelta(rnd, rows, gone, events))
+                # a robot that died in the round before has no row from now on
+                if alive[i]:
+                    word, node = states[i], positions[i]
+                    row = last[i]
+                    if row is None or row[2] != word or row[1] != node:
+                        last[i] = row = (i, node, word)
+                        rows.append(row)
+            deltas.append(TraceDelta(rnd, rows, events))
         try:
             touched = w.execute_round(events)
         except (_Fault, ProtocolViolation) as exc:
@@ -546,12 +540,12 @@ def run(config: SimulationConfig) -> SimulationResult:
             # a _Fault names its round; a step's ProtocolViolation does not
             fault = str(exc) if isinstance(exc, _Fault) else f"round {rnd}: {exc}"
             if level is TraceLevel.SUMMARY:
-                deltas.append(TraceDelta(rnd, [], [], list(events)))
+                deltas.append(TraceDelta(rnd, [], list(events)))
             break
         if level is TraceLevel.SUMMARY:
             markers = [e for e in events if e.startswith(_MARKER_PREFIXES)]
             if markers:
-                deltas.append(TraceDelta(rnd, [], [], markers))
+                deltas.append(TraceDelta(rnd, [], markers))
         if not w.live and not w.node_settler:
             if len(set(w.positions)) != config.k:
                 outcome = Outcome.FAULT
@@ -575,7 +569,7 @@ def run(config: SimulationConfig) -> SimulationResult:
     )
     used_bits = {name: field_widths(w.used[code]) for code, name in enumerate(ROLES)}
     return SimulationResult(summary=summary, deltas=deltas, trace_level=level,
-                            used_bits=used_bits)
+                            max_degree=w.max_degree, used_bits=used_bits)
 
 
 # --- trace parsing --------------------------------------------------------
@@ -627,8 +621,15 @@ def _parse_summary(obj: dict) -> RunSummary:
         raise TraceFormatError(f"bad summary line: {exc}") from None
 
 
-def _parse_header(obj: dict, line_no: int) -> int:
-    """The robot count ``k`` of the header line ``{"format": 2, "k": k}``."""
+# the fields a reader decodes a row's word by, which every header names
+_DECODED = ("role", "direction", "entered")
+# bounds on a header's field table, so that no mask built from it is huge
+_MAX_FIELDS, _MAX_WIDTH = 64, 64
+
+
+def _parse_header(obj: dict, line_no: int) -> tuple[int, int, tuple[tuple[str, int], ...]]:
+    """The k, max degree and field table of the header line ``{"format":
+    3, "k": k, "max_degree": Δ, "fields": [[name, width], ...]}``."""
     if "format" not in obj:
         raise TraceFormatError(
             f"line {line_no}: no format header; a v1 trace has none, and only "
@@ -641,7 +642,23 @@ def _parse_header(obj: dict, line_no: int) -> int:
     k = obj.get("k")
     if type(k) is not int or k < 1:
         raise TraceFormatError(f"line {line_no}: header k must be an integer >= 1, not {k!r}")
-    return k
+    max_degree = obj.get("max_degree")
+    if type(max_degree) is not int or max_degree < 0:
+        raise TraceFormatError(
+            f"line {line_no}: header max_degree must be an integer >= 0, not {max_degree!r}")
+    fields = obj.get("fields")
+    table: tuple[tuple[str, int], ...] = ()
+    if type(fields) is list and len(fields) <= _MAX_FIELDS and all(
+            type(f) is list and len(f) == 2 and type(f[0]) is str and type(f[1]) is int
+            and 1 <= f[1] <= _MAX_WIDTH for f in fields):
+        table = tuple((name, width) for name, width in fields)
+    names = [name for name, _ in table]
+    if len(set(names)) != len(names) or not set(_DECODED) <= set(names):
+        raise TraceFormatError(
+            f"line {line_no}: header fields must be at most {_MAX_FIELDS} distinct "
+            f"[name, width] pairs, widths 1..{_MAX_WIDTH}, naming {', '.join(_DECODED)}"
+        )
+    return k, max_degree, table
 
 
 class _RecordReader:
@@ -649,9 +666,9 @@ class _RecordReader:
 
     def __init__(self, k: int):
         self.k = k
-        # robot id -> True while it has a row, False once it is gone; not
-        # sized by k, which the input gives
-        self.has_row: dict[int, bool] = {}
+        # robot id -> the round of its first terminate event; not sized by
+        # k, which the input gives
+        self.ended: dict[int, int] = {}
         self.round = 0
 
     def record(self, obj: dict) -> TraceDelta:
@@ -659,49 +676,40 @@ class _RecordReader:
         if type(rnd) is not int or rnd <= self.round:
             raise ValueError(f"round {rnd!r} is not an integer greater than {self.round}")
         self.round = rnd
-        k, has_row = self.k, self.has_row
-        ids = list(obj["gone"])
+        rows, events = obj["rows"], obj["events"]
+        if type(rows) is not list or type(events) is not list:
+            raise TypeError(f"rows and events must be lists, not {type(rows).__name__} "
+                            f"and {type(events).__name__}")
+        if rows:
+            rows = self._rows(rows)
+        for ev in events:
+            if not _EVENT.fullmatch(ev):
+                raise ValueError(f"unknown event {ev!r}")
+            if ev.startswith("terminate:"):
+                self.ended.setdefault(int(ev[10:]), rnd)
+        return TraceDelta(rnd, rows, events)
+
+    def _rows(self, rows: list) -> list[Row]:
+        """One record's ``rows``, checked, as tuples."""
+        k, ended = self.k, self.ended
+        out: list[Row] = []
         last = -1
-        for i in ids:
-            if type(i) is not int or not 0 <= i < k:
-                raise ValueError(f"gone id {i!r} outside robots 0..{k - 1}")
-            if i <= last:
-                raise ValueError(f"gone ids do not ascend at {i}")
-            if not has_row.get(i):
-                raise ValueError(f"robot {i} is gone but has no row")
-            has_row[i] = False
-            last = i
-        rows = []
-        last = -1
-        for r in obj["rows"]:
-            row = _row(r)
-            i = row.id
+        for r in rows:
+            i, node, word = r
+            if type(i) is not int or type(node) is not int or type(word) is not int:
+                raise TypeError(f"row id, node and word must be integers: {r!r}")
             if not 0 <= i < k:
                 raise ValueError(f"row id {i} outside robots 0..{k - 1}")
             if i <= last:
                 raise ValueError(f"row ids do not ascend at {i}")
-            if has_row.get(i) is False:
-                raise ValueError(f"row for robot {i}, which is gone")
-            has_row[i] = True
-            rows.append(row)
+            if word < 0:
+                raise ValueError(f"row word {word} is negative")
+            if i in ended:
+                raise ValueError(f"row for robot {i}, which is gone since its terminate "
+                                 f"in round {ended[i]}")
+            out.append((i, node, word))
             last = i
-        events = list(obj["events"])
-        for ev in events:
-            if not _EVENT.fullmatch(ev):
-                raise ValueError(f"unknown event {ev!r}")
-        return TraceDelta(rnd, rows, ids, events)
-
-
-def _row(r: dict) -> RobotRow:
-    ident, node, role, dir_, entered, bits = (
-        r["id"], r["node"], r["role"], r["dir"], r["entered"], r["bits"])
-    if not (type(ident) is int and type(node) is int and type(bits) is int):
-        raise TypeError(f"row id, node and bits must be integers: {r!r}")
-    if role not in ROLES or dir_ not in DIRECTIONS:
-        raise ValueError(f"role {role!r} or dir {dir_!r} is not one the engine writes")
-    if entered is not None and (type(entered) is not int or entered < 0):
-        raise ValueError(f"entered must be a port or null, not {entered!r}")
-    return RobotRow(ident, node, role, dir_, entered, bits)
+        return out
 
 
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
@@ -717,6 +725,8 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
     in binary mode to have every byte checked.
     """
     lines = io.StringIO(source) if isinstance(source, str) else source
+    raw_decode = json.JSONDecoder().raw_decode
+    header: tuple[int, int, tuple[tuple[str, int], ...]] | None = None
     reader: _RecordReader | None = None
     deltas: list[TraceDelta] = []
     summary: RunSummary | None = None
@@ -727,16 +737,24 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
             at = offset + _NON_ASCII.search(text).start()
             raise TraceFormatError(f"line {line_no}: non-ASCII input at offset {at}")
         offset += len(line)
-        if not line.strip():
-            continue
+        text = line.decode() if type(line) is bytes else line
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"line {line_no}: not JSON: {exc}") from None
+            obj, end = raw_decode(text)
+            if end < len(text) and not text[end:].isspace():
+                raise ValueError("extra data")
+        except ValueError:
+            # a blank line, leading white space, or an error json.loads names
+            if not text.strip():
+                continue
+            try:
+                obj = json.loads(text)
+            except ValueError as exc:  # a JSONDecodeError, or a number too long to read
+                raise TraceFormatError(f"line {line_no}: not JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise TraceFormatError(f"line {line_no}: expected an object")
-        if reader is None:
-            reader = _RecordReader(_parse_header(obj, line_no))
+        if header is None:
+            header = _parse_header(obj, line_no)
+            reader = _RecordReader(header[0])
         elif "format" in obj:
             raise TraceFormatError(f"line {line_no}: second header line")
         elif "outcome" in obj:
@@ -752,7 +770,7 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
                 raise TraceFormatError(f"line {line_no}: bad record: {exc}") from None
         else:
             raise TraceFormatError(f"line {line_no}: neither record nor summary")
-    if reader is None:
+    if header is None:
         raise TraceFormatError("trace has no header line")
     if summary is None:
         raise TraceFormatError("trace has no summary line")
@@ -761,4 +779,5 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
     if reader.round > summary.rounds:
         raise TraceFormatError(
             f"record of round {reader.round} after the summary's last round {summary.rounds}")
-    return ParsedTrace(deltas=deltas, summary=summary)
+    _, max_degree, fields = header
+    return ParsedTrace(deltas=deltas, summary=summary, max_degree=max_degree, fields=fields)

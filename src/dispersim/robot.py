@@ -28,10 +28,10 @@ from functools import cache, lru_cache
 
 # --- state word ---------------------------------------------------------
 
-# role codes, and the names a trace row gives them
+# role codes, and their names
 EXPLORE, SETTLED, RETURN, ACKNOWLEDGE, DONE = range(5)
 ROLES = ("explore", "settled", "return", "acknowledge", "done")
-# direction codes, and their trace names
+# direction codes, and their names
 FORWARD, BACKWARD = 0, 1
 DIRECTIONS = ("fwd", "bwd")
 # election phases; a phase from LEADER on is resolved
@@ -57,7 +57,7 @@ SHIFT = {name: sum(w for _, w in FIELDS[:j]) for j, (name, _) in enumerate(FIELD
 MASK = {name: (1 << w) - 1 << SHIFT[name] for name, w in FIELDS}
 
 ROLE_MASK, DIR_BIT, VISITED_BIT = MASK["role"], MASK["direction"], MASK["visited"]
-DIR_SHIFT, VISITED_SHIFT = SHIFT["direction"], SHIFT["visited"]
+VISITED_SHIFT = SHIFT["visited"]
 ENTERED_SHIFT, PARENT_SHIFT, CHILD_SHIFT = (SHIFT[name] for name in PORT_FIELDS)
 ENTERED_MASK, PARENT_MASK, CHILD_MASK = (MASK[name] for name in PORT_FIELDS)
 SLOT = (1 << PORT_SLOT) - 1  # one port slot, unshifted
@@ -65,8 +65,6 @@ SLOT = (1 << PORT_SLOT) - 1  # one port slot, unshifted
 LE_SHIFT = SHIFT["phase"]
 LE_MASK = MASK["phase"] | MASK["flip"]
 LE_PHASE, LE_HEADS = 7, 8
-# what a trace row shows of a word
-ROW_FIELDS = ROLE_MASK | DIR_BIT | ENTERED_MASK
 
 # an explorer heading forward, with no ports and no election: all zeros
 INITIAL_STATE = 0
@@ -108,11 +106,6 @@ def field_widths(word: int) -> dict[str, int]:
 def _port(word: int, shift: int) -> int | None:
     raw = word >> shift & SLOT
     return raw - 1 if raw else None
-
-
-def trace_fields(word: int) -> tuple[str, str, int | None]:
-    """The role, direction and entry port a trace row shows of ``word``."""
-    return ROLES[word & ROLE_MASK], DIRECTIONS[word >> DIR_SHIFT & 1], _port(word, ENTERED_SHIFT)
 
 
 class ProtocolViolation(Exception):
@@ -259,15 +252,18 @@ _LOW = _HIGH - sum(_UNIT)
 
 
 # summaries are interned by value, so equal views share one object: a
-# bounded cache for views that carry a reply or a child port, and one
-# prebuilt summary per presence word for those that carry neither
+# bounded cache for views that carry a reply or a child port, keyed on
+# ints (a reply's fields, not the reply, whose dataclass hash is a Python
+# call), and one prebuilt summary per presence word for those that carry
+# neither
 @lru_cache(maxsize=4096)
-def _flag_summary(flags: int, reply: SettledReply | None = None,
+def _flag_summary(flags: int, reply: tuple[int | None, int | None, int] | None = None,
                   set_child: int | None = None) -> InboxSummary:
-    """The summary of the presence word ``flags``: a lane's top bit per
-    message type heard."""
+    """The summary of the presence word ``flags`` (a lane's top bit per
+    message type heard), a reply's (parent, child, visited) and a child
+    port."""
     return InboxSummary(
-        settled_reply=reply,
+        settled_reply=None if reply is None else SettledReply(*reply),
         saw_any=bool(flags & _TOP[_ANY]),
         saw_heads=bool(flags & _TOP[_HEADS]),
         has_query=bool(flags & _TOP[_QUERY]),
@@ -345,7 +341,8 @@ class NodeInbox:
                 break
         if reply is None and set_child is None:
             return _BY_FLAGS[flags]
-        return _flag_summary(flags, reply, set_child)
+        fields = None if reply is None else (reply.parent, reply.child, reply.visited)
+        return _flag_summary(flags, fields, set_child)
 
 
 # --- leader election ----------------------------------------------------

@@ -2,15 +2,13 @@
 
 Each builder regenerates a clean passing run, breaks exactly the
 property its target checker verifies in the run's records (each
-round's full set of rows and its events, materialized from the
-engine's deltas) or its summary, and then writes the edited records
-(``trace_v1.v2_jsonl``) and parses them back, as ``verify`` would read
-them.  Builders
+round's full set of ``(id, node, word)`` rows and its events,
+materialized from the engine's deltas) or its summary, and then writes
+the edited records (``trace_v1.v3_jsonl``) and parses them back, as
+``verify`` would read them.  Builders
 return (checker_name, corrupted_trace, graph) tuples so the acceptance
 gate can assert the named checker rejects its corruption.
 """
-
-from dataclasses import replace
 
 from dispersim.engine import (
     ParsedTrace,
@@ -21,7 +19,7 @@ from dispersim.engine import (
     run,
 )
 from dispersim.graph import PortLabeledGraph, gen_path, gen_ring
-from trace_v1 import v2_jsonl
+from trace_v1 import moved, role, v3_jsonl
 
 Corruption = tuple[str, ParsedTrace, PortLabeledGraph]
 
@@ -33,8 +31,9 @@ def _run(graph, k, root=0, seed=29) -> tuple[list[TraceRecord], RunSummary]:
     return res.records, res.summary
 
 
-def _written(records: list[TraceRecord], summary: RunSummary) -> ParsedTrace:
-    return parse_trace(v2_jsonl(records, summary))
+def _written(records: list[TraceRecord], summary: RunSummary,
+             graph: PortLabeledGraph) -> ParsedTrace:
+    return parse_trace(v3_jsonl(records, summary, graph.max_degree()))
 
 
 def _settler_ids(records) -> dict[int, int]:
@@ -50,7 +49,7 @@ def _settler_ids(records) -> dict[int, int]:
 
 def corrupt_dispersion() -> Corruption:
     g = gen_path(4)
-    trace = _written(*_run(g, 3))
+    trace = _written(*_run(g, 3), g)
     trace.summary.positions[1] = trace.summary.positions[0]
     return "dispersion", trace, g
 
@@ -59,9 +58,9 @@ def corrupt_stage1() -> Corruption:
     g = gen_path(4)
     records, summary = _run(g, 3)
     rec = records[summary.t1 - 1]
-    idx = [i for i, r in enumerate(rec.robots) if r.role == "settled"]
-    rec.robots[idx[0]] = replace(rec.robots[idx[0]], node=rec.robots[idx[1]].node)
-    return "stage1", _written(records, summary), g
+    idx = [i for i, r in enumerate(rec.robots) if role(r) == "settled"]
+    rec.robots[idx[0]] = moved(rec.robots[idx[0]], rec.robots[idx[1]][1])
+    return "stage1", _written(records, summary, g), g
 
 
 def corrupt_rootpath() -> Corruption:
@@ -71,17 +70,17 @@ def corrupt_rootpath() -> Corruption:
     records, summary = _run(g, 4, root=1)
     off_path_rid = _settler_ids(records)[0]
     records[2].events.append(f"set_child:{off_path_rid}=0")
-    return "rootpath", _written(records, summary), g
+    return "rootpath", _written(records, summary, g), g
 
 
 def corrupt_mirror() -> Corruption:
     g = gen_ring(6)
     records, summary = _run(g, 5)
     rec = records[summary.t2]  # round t2 + 1
-    idx = [i for i, r in enumerate(rec.robots) if r.role == "acknowledge"]
+    idx = [i for i, r in enumerate(rec.robots) if role(r) == "acknowledge"]
     row = rec.robots[idx[0]]
-    rec.robots[idx[0]] = replace(row, node=(row.node + 1) % g.n)
-    return "mirror", _written(records, summary), g
+    rec.robots[idx[0]] = moved(row, (row[1] + 1) % g.n)
+    return "mirror", _written(records, summary, g), g
 
 
 def corrupt_exits() -> Corruption:
@@ -100,7 +99,7 @@ def corrupt_exits() -> Corruption:
     ]
     # the run now has two more rounds than the summary says
     summary.rounds += len(dup)
-    return "exits", _written(renumbered, summary), g
+    return "exits", _written(renumbered, summary, g), g
 
 
 def drop_terminate(records: list[TraceRecord], rid: int) -> None:
@@ -110,26 +109,28 @@ def drop_terminate(records: list[TraceRecord], rid: int) -> None:
     row = None
     for rec in records:
         rec.events[:] = [e for e in rec.events if e != gone]
-        mine = [r for r in rec.robots if r.id == rid]
+        mine = [r for r in rec.robots if r[0] == rid]
         if mine:
             row = mine[0]
         else:
-            rec.robots[:] = sorted([*rec.robots, row], key=lambda r: r.id)
+            rec.robots[:] = sorted([*rec.robots, row])
 
 
 def corrupt_termination() -> Corruption:
     g = gen_path(4)
     records, summary = _run(g, 3)
     drop_terminate(records, _settler_ids(records)[summary.v_r])
-    return "termination", _written(records, summary), g
+    return "termination", _written(records, summary, g), g
 
 
 def corrupt_memory() -> Corruption:
+    # a word that keeps 1000 bits: bit 999 set, far past the field table
     g = gen_path(4)
     records, summary = _run(g, 3)
     rows = records[2].robots
-    rows[0] = replace(rows[0], bits=1000)
-    return "memory", _written(records, summary), g
+    i, node, word = rows[0]
+    rows[0] = i, node, word | 1 << 999
+    return "memory", _written(records, summary, g), g
 
 
 BUILDERS = (

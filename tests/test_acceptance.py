@@ -18,7 +18,9 @@ import le_exhaustive
 from dispersim.checkers import run_all, oracle_dfs
 from dispersim.engine import Outcome, SimulationConfig, TraceLevel, parse_trace, replay, run
 from dispersim.graph import corpus_instances, gen_path, gen_worstcase, worstcase_seeds
+from trace_v1 import view
 from dispersim.robot import (
+    FIELDS,
     PORT_FIELDS,
     memory_footprint_bits,
     port_bits,
@@ -36,7 +38,7 @@ def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
 
 
 def _group_node(rows) -> int | None:
-    nodes = {r.node for r in rows if r.role == "explore"}
+    nodes = {node for _, node, role, _, _ in map(view, rows) if role == "explore"}
     return nodes.pop() if len(nodes) == 1 else None
 
 
@@ -51,7 +53,7 @@ class CorpusRun:
     verdicts: dict
     walk_matches_oracle: bool
     occupied_matches_oracle: bool
-    bits_all_equal_budget: bool
+    words_fit_table: bool
     budget: int
     max_degree: int
     used_bits: dict
@@ -85,9 +87,12 @@ def corpus() -> Corpus:
             occupied_ok = occupied == set(oracle.settle_rounds.values()) | {oracle.v_l}
 
         budget = memory_footprint_bits(g.max_degree())
-        # every row of every round is a row of some round's delta
-        bits_ok = all(
-            r.bits == budget for d in trace.deltas for r in d.rows
+        # every row of every round is a row of some round's delta: each
+        # word sets only bits of the header's field table, and memory
+        # (which also holds each port field to L + 1 bits) passes
+        width = sum(w for _, w in trace.fields)
+        words_ok = trace.fields == FIELDS and verdicts["memory"].passed and all(
+            r[2] >> width == 0 for d in trace.deltas for r in d.rows
         )
 
         out.runs.append(
@@ -96,7 +101,7 @@ def corpus() -> Corpus:
                 verdicts={name: v.passed for name, v in verdicts.items()},
                 walk_matches_oracle=walk_ok,
                 occupied_matches_oracle=occupied_ok,
-                bits_all_equal_budget=bits_ok,
+                words_fit_table=words_ok,
                 budget=budget,
                 max_degree=g.max_degree(),
                 used_bits=res.used_bits,
@@ -169,7 +174,7 @@ def test_criterion_05_memory_bound(corpus):
         for r in corpus.runs
         if r.budget != 5 * port_bits(r.max_degree) + 17
     ]
-    bits_bad = [r.index for r in corpus.runs if not r.bits_all_equal_budget]
+    words_bad = [r.index for r in corpus.runs if not r.words_fit_table]
     # no stored port field wider than its L + 1 bits
     width_bad = [
         r.index
@@ -189,11 +194,12 @@ def test_criterion_05_memory_bound(corpus):
     )
     report(
         5,
-        "every traced footprint equals the closed form 5*ceil(log2 max(deg,2))+17, "
-        "every stored port field fits its L+1 bits",
-        not formula_bad and not bits_bad and not width_bad,
+        "the footprint is the closed form 5*ceil(log2 max(deg,2))+17, every traced "
+        "word fits the header's field table and passes memory, every stored port "
+        "field fits its L+1 bits",
+        not formula_bad and not words_bad and not width_bad,
         f"budgets seen {budgets}, formula mismatches {formula_bad[:3]}, "
-        f"row mismatches {bits_bad[:3]}, width mismatches {width_bad[:3]}; "
+        f"word mismatches {words_bad[:3]}, width mismatches {width_bad[:3]}; "
         f"widest stored bits: {shown}",
     )
 

@@ -1,13 +1,14 @@
 """Trace validators and the centralized reference walk."""
 
+import ast
 import json
 from collections import Counter
-from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import corruptions
-from dispersim import checkers
+from dispersim import checkers, robot
 from dispersim.checkers import (
     CHECKER_NAMES,
     KTooLargeError,
@@ -31,7 +32,7 @@ from dispersim.graph import (
     gen_ring,
     gen_worstcase,
 )
-from trace_v1 import v2_jsonl
+from trace_v1 import moved, role, v3_jsonl, view, with_fields
 
 
 def ran(graph, k, root=0, seed=17):
@@ -40,9 +41,9 @@ def ran(graph, k, root=0, seed=17):
     return res.records, res.summary
 
 
-def written(records, summary):
+def written(records, summary, graph):
     """Edited records and their summary, written and parsed back."""
-    return parse_trace(v2_jsonl(records, summary))
+    return parse_trace(v3_jsonl(records, summary, graph.max_degree()))
 
 
 def traced(graph, k, root=0, seed=17):
@@ -146,44 +147,67 @@ class TestNegativeControls:
         g = gen_path(4)
         records, summary = ran(g, 3)
         rec = records[summary.t1 - 1]
-        idx = [i for i, r in enumerate(rec.robots) if r.role == "settled"]
+        idx = [i for i, r in enumerate(rec.robots) if role(r) == "settled"]
         a, b = idx[0], idx[1]
-        rec.robots[a] = replace(rec.robots[a], node=rec.robots[b].node)
-        verdict = check_stage1(TraceDigest(written(records, summary), g))
+        rec.robots[a] = moved(rec.robots[a], rec.robots[b][1])
+        verdict = check_stage1(TraceDigest(written(records, summary, g), g))
         assert not verdict.passed
 
     def test_mirror_rejects_teleport(self):
         g = gen_ring(6)
         records, summary = ran(g, 5)
         rec = records[summary.t2]  # round t2 + 1
-        idx = [i for i, r in enumerate(rec.robots) if r.role == "acknowledge"]
+        idx = [i for i, r in enumerate(rec.robots) if role(r) == "acknowledge"]
         row = rec.robots[idx[0]]
-        rec.robots[idx[0]] = replace(row, node=(row.node + 1) % g.n)
-        assert not check_mirror(TraceDigest(written(records, summary), g)).passed
+        rec.robots[idx[0]] = moved(row, (row[1] + 1) % g.n)
+        assert not check_mirror(TraceDigest(written(records, summary, g), g)).passed
 
     def test_memory_rejects_oversized_state(self):
+        """Max degree 2: a port field holds L + 1 = 2 bits, so parent=3,
+        stored as 4, does not fit."""
         g = gen_path(4)
         records, summary = ran(g, 3)
         rows = records[2].robots
-        rows[0] = replace(rows[0], bits=1000)
-        assert not check_memory(TraceDigest(written(records, summary), g)).passed
+        rows[0] = with_fields(rows[0], parent=3)
+        verdict = check_memory(TraceDigest(written(records, summary, g), g))
+        assert verdict.findings == [
+            "round 3: robot 0 stores parent=3, which does not fit its 2-bit field at max degree 2"]
 
     def test_memory_rejects_wrong_constant(self):
+        """A header whose field table takes more bits than the closed form
+        allows: an 8-bit hop counter on top of the engine's fields."""
         g = gen_path(4)
         records, summary = ran(g, 3)
-        rows = records[0].robots
-        rows[0] = replace(rows[0], bits=rows[0].bits - 1)
-        assert not check_memory(TraceDigest(written(records, summary), g)).passed
+        lines = v3_jsonl(records, summary, g.max_degree()).splitlines()
+        header = json.loads(lines[0])
+        header["fields"].append(["hops", 8])
+        trace = parse_trace("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        verdict = check_memory(TraceDigest(trace, g))
+        assert verdict.findings == [
+            "the header's fields take 23 bits at 2 bits per port field; with 7 bits of "
+            "inbox digest a robot keeps 30, budget 22"]
 
     def test_memory_names_the_first_row_off_budget(self):
         g = gen_path(4)
         records, summary = ran(g, 3)
         first, later = records[2].robots, records[3].robots
-        later[0] = replace(later[0], bits=7)
-        first[2] = replace(first[2], bits=1000)
-        first[1] = replace(first[1], bits=5)
-        verdict = check_memory(TraceDigest(written(records, summary), g))
-        assert verdict.findings == ["round 3: robot 1 records 5 bits, closed form says 22"]
+        i, node, word = later[0]
+        later[0] = i, node, word | 1 << 57
+        i, node, word = first[2]
+        first[2] = i, node, word | 1 << 999
+        first[1] = with_fields(first[1], child=2 ** 15)
+        verdict = check_memory(TraceDigest(written(records, summary, g), g))
+        assert verdict.findings == [
+            "round 3: robot 1 stores child=32768, which does not fit its 2-bit field "
+            "at max degree 2"]
+
+    def test_memory_passes_the_widest_port_that_fits(self):
+        """Max degree 2: port 2, stored as 3, fills the 2-bit field."""
+        g = gen_path(4)
+        records, summary = ran(g, 3)
+        rows = records[2].robots
+        rows[0] = with_fields(rows[0], parent=2)
+        assert check_memory(TraceDigest(written(records, summary, g), g)).passed
 
     def test_rootpath_rejects_spurious_child(self):
         g = gen_path(4)
@@ -193,7 +217,7 @@ class TestNegativeControls:
             rid for rid, (rnd, node) in _settles(records).items() if node == 0
         ]
         records[2].events.append(f"set_child:{off_path[0]}=0")
-        assert not check_rootpath_children(TraceDigest(written(records, summary), g)).passed
+        assert not check_rootpath_children(TraceDigest(written(records, summary, g), g)).passed
 
     def test_rootpath_follows_the_return_walk(self):
         """A walker that jumps off the ring's edges in stage 2 is named in
@@ -201,10 +225,10 @@ class TestNegativeControls:
         g = gen_ring(6)
         records, summary = ran(g, 5, seed=1)
         assert (summary.t1, summary.t2) == (5, 9)
-        row = next(r for r in records[6].robots if r.id == 2)
-        assert (row.role, row.node) == ("return", 4)
-        records[6].robots[records[6].robots.index(row)] = replace(row, node=0)
-        trace = written(records, summary)
+        row = next(r for r in records[6].robots if r[0] == 2)
+        assert (role(row), row[1]) == ("return", 4)
+        records[6].robots[records[6].robots.index(row)] = moved(row, 0)
+        trace = written(records, summary, g)
         verdicts = run_all(trace, g)
         assert [name for name, v in verdicts.items() if not v.passed] == ["rootpath"]
         assert verdicts["rootpath"].findings == [
@@ -218,7 +242,7 @@ class TestNegativeControls:
         assert (summary.t1, summary.t2) == (27, 37)
         assert records[29].events == ["set_child:7=0"]
         records[12].events.append("set_child:7=0")
-        verdicts = run_all(written(records, summary), g)
+        verdicts = run_all(written(records, summary, g), g)
         assert [name for name, v in verdicts.items() if not v.passed] == ["rootpath"]
         assert verdicts["rootpath"].findings == [
             "settler 7 set its child port in rounds [13, 30], not once in rounds 28..37"]
@@ -227,7 +251,7 @@ class TestNegativeControls:
         g = gen_path(4)
         records, summary = ran(g, 3)
         corruptions.drop_terminate(records, 0)
-        assert not check_termination(TraceDigest(written(records, summary), g)).passed
+        assert not check_termination(TraceDigest(written(records, summary, g), g)).passed
 
 
 def _settles(records):
@@ -302,7 +326,57 @@ def test_event_off_its_robots_node_is_format_error(rnd, old, new, message):
     else:
         events[events.index(old)] = new
     with pytest.raises(TraceFormatError, match=f"round {rnd}: event {new} {message}"):
-        run_all(written(records, summary), g)
+        run_all(written(records, summary, g), g)
+
+
+@pytest.mark.parametrize("rnd, event", [(8, "to_done:2"), (14, "to_done:3"),
+                                        (8, "to_return:2"), (9, "to_acknowledge:3")])
+def test_role_change_of_a_settler_is_format_error(rnd, event):
+    """A settled robot never changes role again: an event that says it
+    does is named with its round."""
+    g = gen_ring(6)
+    records, summary = ran(g, 6, seed=5)
+    settles = _settles(records)
+    robot_id = int(event.split(":")[1])
+    assert settles[robot_id][0] < rnd
+    records[rnd - 1].events.append(event)
+    with pytest.raises(TraceFormatError, match=f"round {rnd}: event {event} names robot "
+                                               f"{robot_id}, which settled in round"):
+        run_all(written(records, summary, g), g)
+
+
+def test_header_max_degree_not_the_graphs_is_format_error():
+    g = gen_ring(6)
+    res = run(SimulationConfig(graph=g, k=6, seed=5))
+    lines = res.to_jsonl().splitlines()
+    header = json.loads(lines[0])
+    assert header["max_degree"] == g.max_degree() == 2
+    header["max_degree"] = 3
+    trace = parse_trace("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    with pytest.raises(TraceFormatError, match="header max_degree=3, but the graph's max "
+                                               "degree is 2"):
+        run_all(trace, g)
+
+
+def test_checkers_import_nothing_from_robot():
+    """The memory check must never read the engine's own formula or word
+    layout: ``checkers`` imports nothing from ``robot``, directly or as
+    a module."""
+    source = Path(checkers.__file__).read_text()
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.append((node.module or "") + ":" + ",".join(a.name for a in node.names))
+        elif isinstance(node, ast.Import):
+            imported.extend(a.name for a in node.names)
+    assert imported
+    assert not [name for name in imported if "robot" in name], imported
+
+
+def test_role_and_direction_codes_match_the_engine():
+    assert checkers.ROLE_NAMES == robot.ROLES
+    assert checkers.DIR_NAMES == robot.DIRECTIONS
+    assert checkers.PORT_FIELDS == robot.PORT_FIELDS
 
 
 def test_run_all_looks_up_the_oracle_and_each_checker_when_called(monkeypatch):
@@ -344,7 +418,8 @@ CORRUPTION_FIRST_FINDINGS = {
     "mirror": "round 1 vs 10: group (0,fwd,None) != walker (1,fwd,None)",
     "exits": "node 2: settle round 6 outside the stage-1 walk",
     "termination": "settler 0 never terminated",
-    "memory": "round 3: robot 0 uses 1000 bits, budget 22",
+    "memory": "round 3: robot 0 stores a word that sets bit 999, outside the header's "
+              "57-bit field table",
 }
 
 
@@ -357,7 +432,8 @@ def test_corruption_first_finding(build):
 
 
 def _group_by_scan(rec):
-    keys = {(r.node, r.dir, r.entered) for r in rec.robots if r.role == "explore"}
+    keys = {(node, dir_, entered) for _, node, role_, dir_, entered in map(view, rec.robots)
+            if role_ == "explore"}
     return keys.pop() if len(keys) == 1 else None
 
 
@@ -380,10 +456,10 @@ def test_digest_matches_a_scan_of_the_engine_records(graph, k, root, seed, subro
     s = res.summary
     for t in (s.t1, None if s.t2 is None else s.t2 + 1):
         if t is not None:
-            want = [(r.id, r) for r in records[t - 1].robots]
+            want = [(r[0], view(r)) for r in records[t - 1].robots]
             assert sorted(digest.rows_at[t].items()) == want
     for rec in records:
-        by_id = {r.id: r for r in rec.robots}
+        by_id = {r[0]: view(r) for r in rec.robots}
         assert [digest.row_at(i, rec.round) for i in range(k)] == [by_id.get(i) for i in range(k)]
     events = [(rec.round, e.replace("@", ":").replace("=", ":").split(":"))
               for rec in records for e in rec.events]

@@ -1,18 +1,17 @@
 """Command-line interface: exit codes, report shapes, file round trips."""
 
 import json
-from dataclasses import asdict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dispersim import engine
+from dispersim import engine, robot
 from dispersim.cli import main
 from dispersim.engine import SimulationConfig, parse_trace, replay, run
 from dispersim.graph import gen_ring
 from test_engine import wide_parent
-from trace_v1 import v1_jsonl
+from trace_v1 import v1_jsonl, with_fields
 
 
 def run_cli(capsys, *argv):
@@ -63,7 +62,8 @@ class TestRun:
         assert summary["rounds"] == summary["t2"] + summary["t1"] + 2
         lines = trace_file.read_text().strip().splitlines()
         assert len(lines) == summary["rounds"] + 2
-        assert json.loads(lines[0]) == {"format": 2, "k": 2}
+        assert json.loads(lines[0]) == {"format": 3, "k": 2, "max_degree": 1,
+                                        "fields": [list(f) for f in robot.FIELDS]}
         assert json.loads(lines[-1]) == summary
 
     def test_k_zero_is_usage_error(self, capsys):
@@ -182,10 +182,11 @@ class TestVerify:
 
     # line of the trace to edit (0 is the header, r round r, -2 the last
     # round, -1 the summary)
-    # and the edit: a function of the line's object, or the fields to
-    # change in robot 3's round-3 row, which goes into that line's rows as
-    # the robot's new row (robot 3 settles in round 3, writes no row in
-    # round 4 and is gone from round 14 on)
+    # and the edit: a function of the line's object, or the changes to
+    # robot 3's round-3 row, which goes into that line's rows as the
+    # robot's new row (robot 3 settles in round 3, writes no row in round
+    # 4 and terminates in round 13): "id", "node" and "word" replace that
+    # slot of the row, any other key that field of its word
     HOSTILE_EDITS = {
         "summary_t1_string": (-1, lambda o: o.update(t1="7")),
         "summary_t1_huge": (-1, lambda o: o.update(t1=1_000_000_000)),
@@ -217,23 +218,26 @@ class TestVerify:
         "event_settle_off_its_node": (3, lambda o: o["events"].append("settle:0@0")),
         "event_id_5000_digits": (1, lambda o: o["events"].append("settle:" + "9" * 5000 + "@1")),
         "event_id_leading_zero": (1, lambda o: o["events"].append("to_done:01")),
+        # robot 2 settles in round 1, robot 3 in round 3
+        "event_done_of_settler": (8, lambda o: o["events"].append("to_done:2")),
+        "event_return_of_settler": (8, lambda o: o["events"].append("to_return:3")),
         "row_node_off_graph": (4, {"node": 99}),
         "row_id_off_run": (4, {"id": 6}),
-        "row_entered_string": (4, {"entered": "x"}),
-        "row_entered_bool": (4, {"entered": True}),
+        "row_word_string": (4, {"word": "x"}),
+        "row_word_bool": (4, {"word": True}),
+        "row_word_negative": (4, {"word": -1}),
         "row_entered_off_node": (4, {"entered": 99}),
-        "row_role_unknown": (4, {"role": "zz"}),
+        "row_role_unknown": (4, {"role": 7}),
         "row_for_gone_robot": (15, {}),
         "header_missing": (0, lambda o: o.pop("format")),
-        "header_twice": (1, lambda o: (o.clear(), o.update(format=2, k=6))),
+        "header_twice": (1, lambda o: (o.clear(), o.update(format=3, k=6))),
         "header_format_1": (0, lambda o: o.update(format=1)),
         "header_k_zero": (0, lambda o: o.update(k=0)),
         "header_k_string": (0, lambda o: o.update(k="6")),
         "header_k_not_summary_k": (0, lambda o: o.update(k=7)),
-        "gone_id_off_run": (1, lambda o: o["gone"].append(6)),
-        "gone_without_row": (15, lambda o: o.update(gone=[3, 5])),
-        "gone_misses_terminated": (15, lambda o: o.update(gone=[])),
-        "gone_without_terminate": (15, lambda o: o["events"].remove("terminate:4")),
+        "header_max_degree_not_the_graphs": (0, lambda o: o.update(max_degree=3)),
+        "header_fields_without_entered": (0, lambda o: o["fields"].pop(5)),
+        "header_field_width_huge": (0, lambda o: o["fields"].append(["hops", 10**9])),
         "round_repeated": (5, lambda o: o.update(round=4)),
         "round_after_the_last": (-2, lambda o: o.update(round=o["round"] + 1)),
     }
@@ -249,10 +253,15 @@ class TestVerify:
         if isinstance(change, dict):
             rows = next(rows for d, rows in replay(parse_trace(good_trace.read_text()).deltas)
                         if d.round == 3)
-            row = asdict(rows[3])
-            ids = [r["id"] for r in obj["rows"]]
+            row = list(rows[3])
+            for key, value in change.items():
+                if key in ("id", "node", "word"):
+                    row[("id", "node", "word").index(key)] = value
+                else:
+                    row = list(with_fields(row, **{key: value}))
+            ids = [r[0] for r in obj["rows"]]
             assert 3 not in ids
-            obj["rows"].insert(sum(i < 3 for i in ids), {**row, **change})
+            obj["rows"].insert(sum(i < 3 for i in ids), row)
         else:
             change(obj)
         lines[line] = json.dumps(obj)
@@ -288,6 +297,8 @@ class TestVerify:
                     slots.append((value, j))
                     if isinstance(item, dict):
                         slots.extend((item, f) for f in item)
+                    elif isinstance(item, list):  # a row, or a field of the header's table
+                        slots.extend((item, f) for f in range(len(item)))
         holder, key = slots[data.draw(st.integers(0, len(slots) - 1), label="slot")]
         holder[key] = data.draw(st.sampled_from(self.FUZZ_VALUES), label="value")
         lines[line] = json.dumps(obj)
@@ -297,6 +308,47 @@ class TestVerify:
         assert code in (0, 1, 3), err
         assert code != 3 or err.startswith(f"error: {bad}: "), err
         assert "Traceback" not in err
+
+    def test_number_too_long_to_read_is_format_error(self, capsys, good_trace, tmp_path):
+        """A JSON number of 5000 digits, beyond what ``int()`` reads, exits
+        3 naming the line, not 4."""
+        lines = good_trace.read_text().splitlines()
+        assert lines[4].startswith('{"round": 4, ')
+        lines[4] = lines[4].replace('"round": 4', '"round": ' + "9" * 5000)
+        bad = tmp_path / "digits.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "verify", "--trace", str(bad), "--graph", "gen:ring:6")
+        assert code == 3
+        assert err.startswith(f"error: {bad}: line 5: not JSON: Exceeds the limit")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_a_hop_counter_in_a_port_slot_fails_memory(self, capsys, tmp_path, monkeypatch):
+        """A mutant explorer that counts its hops in its parent slot, with
+        the engine's overflow check patched out: the run still disperses,
+        and ``memory`` alone rejects its trace, naming the first row whose
+        counter outgrows the slot's L + 1 = 2 bits."""
+        monkeypatch.setattr(engine, "overflow_mask", lambda max_degree: 0)
+        step = engine.step_explore
+
+        def counting(state, summary, rng, degree):
+            word, msgs, dec = step(state, summary, rng, degree)
+            if type(dec) is robot.Move and word & robot.ROLE_MASK == robot.EXPLORE:
+                word += 1 << robot.PARENT_SHIFT
+            return word, msgs, dec
+
+        monkeypatch.setattr(engine, "step_explore", counting)
+        trace_file = tmp_path / "mutant.jsonl"
+        code, _, _ = run_cli(capsys, "run", "--graph", "gen:ring:6", "--k", "6", "--seed", "5",
+                             "--trace", str(trace_file))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "verify", "--trace", str(trace_file),
+                               "--graph", "gen:ring:6")
+        assert code == 1
+        verdicts = [json.loads(line) for line in out.strip().splitlines()]
+        assert [v["checker"] for v in verdicts if not v["pass"]] == ["memory"]
+        assert verdicts[-1]["findings"] == [
+            "round 5: robot 0 stores parent=3, which does not fit its 2-bit field "
+            "at max degree 2"]
 
     def test_v1_trace_is_format_error(self, capsys, tmp_path):
         v1 = tmp_path / "v1.jsonl"

@@ -2,7 +2,7 @@
 
 import io
 import json
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import pytest
 
@@ -29,7 +29,7 @@ from dispersim.graph import (
     gen_worstcase,
 )
 from dispersim import engine, robot
-from trace_v1 import v2_jsonl
+from trace_v1 import moved, role, v3_jsonl, view
 
 
 def test_two_path_replay():
@@ -73,20 +73,21 @@ def test_single_robot_terminates_at_root():
 def test_round_one_elects_exactly_one_settler():
     res = run(SimulationConfig(graph=gen_complete(6), k=6, root=0, seed=5))
     rec2 = res.records[1]
-    settled = [r for r in rec2.robots if r.role == "settled"]
+    settled = [view(r) for r in rec2.robots if role(r) == "settled"]
     assert len(settled) == 1
-    assert settled[0].node == 0
-    assert settled[0].entered is None
+    _, node, _, _, entered = settled[0]
+    assert node == 0
+    assert entered is None
     assert any(e.startswith("settle:") and e.endswith("@0") for e in res.records[0].events)
 
 
 def test_co_movers_share_entered_port():
     res = run(SimulationConfig(graph=gen_path(3), k=3, root=0, seed=11))
     rec2 = res.records[1]
-    explorers = [r for r in rec2.robots if r.role == "explore"]
+    explorers = [view(r) for r in rec2.robots if role(r) == "explore"]
     assert len(explorers) == 2
-    assert {r.node for r in explorers} == {1}
-    assert {r.entered for r in explorers} == {0}
+    assert {node for _, node, _, _, _ in explorers} == {1}
+    assert {entered for _, _, _, _, entered in explorers} == {0}
 
 
 def test_byte_identical_replay():
@@ -136,7 +137,7 @@ class TestTraceLevels:
         )
         assert res.deltas
         for d in res.deltas:
-            assert d.rows == [] and d.gone == []
+            assert d.rows == []
             assert d.events
         all_events = [e for d in res.deltas for e in d.events]
         assert sum(e.startswith("to_return:") for e in all_events) == 1
@@ -192,7 +193,7 @@ class TestTraceWriting:
     def test_matches_json_dumps_of_each_record(self, level):
         res = run(SimulationConfig(graph=gen_ring(6), k=5, root=2, seed=123, trace_level=level))
         text = res.to_jsonl()
-        assert text == v2_jsonl(res.records, res.summary)
+        assert text == v3_jsonl(res.records, res.summary, res.max_degree)
         assert "".join(res.jsonl_lines()) == text
         assert parse_trace(text).deltas == res.deltas
         records = res.records
@@ -201,29 +202,34 @@ class TestTraceWriting:
             # single round the way tests/corruptions.py corrupts traces
             shared = records[3].robots[1]
             assert records[2].robots[1] is shared is records[4].robots[1]
-            assert shared.entered is None
-            records[3].robots[1] = replace(shared, node=4)
+            assert view(shared)[4] is None
+            records[3].robots[1] = moved(shared, 4)
             assert any(not rec.events for rec in records)
         # an event added, and a record in which every robot is gone
         records[0].events.append("to_done:0")
         records.append(TraceRecord(res.summary.rounds + 1, [], []))
         summary = replace(res.summary, rounds=res.summary.rounds + 1)
-        edited = parse_trace(v2_jsonl(records, summary))
-        assert [TraceRecord(d.round, sorted(rows.values(), key=lambda r: r.id), d.events)
+        edited = parse_trace(v3_jsonl(records, summary, res.max_degree))
+        assert [TraceRecord(d.round, sorted(rows.values()), d.events)
                 for d, rows in replay(edited.deltas)] == records
         # the records are a view: editing them leaves the run's trace alone
         assert res.to_jsonl() == text
 
     def test_only_changed_rows_are_written(self):
-        res = run(SimulationConfig(graph=gen_worstcase(16), k=16, root=0, seed=2))
+        g = gen_worstcase(16)
+        res = run(SimulationConfig(graph=g, k=16, root=0, seed=2))
         lines = [json.loads(line) for line in res.to_jsonl().splitlines()]
-        assert lines[0] == {"format": 2, "k": 16}
+        assert lines[0] == {"format": 3, "k": 16, "max_degree": g.max_degree(),
+                            "fields": [list(f) for f in robot.FIELDS]}
         assert len(lines) == res.summary.rounds + 2
-        assert lines[1]["rows"] == [asdict(r) for r in res.records[0].robots]
+        assert lines[1]["rows"] == [list(r) for r in res.records[0].robots]
+        assert all(len(row) == 3 for obj in lines[1:-1] for row in obj["rows"])
         written = sum(len(obj["rows"]) for obj in lines[1:-1])
         # every robot but the last drops out; the last terminates in the
         # final round, whose record still holds its row
-        assert sum(len(obj["gone"]) for obj in lines[1:-1]) == 15
+        ended = [obj["round"] for obj in lines[1:-1]
+                 for e in obj["events"] if e.startswith("terminate:")]
+        assert len(ended) == 16 and sum(r < res.summary.rounds for r in ended) == 15
         assert written * 10 < sum(len(rec.robots) for rec in res.records)
 
     def test_settled_row_is_shared_between_rounds(self):
@@ -232,13 +238,15 @@ class TestTraceWriting:
         # in rounds 3 and 4
         records = res.records
         row = records[2].robots[2]
-        assert (row.id, row.role) == (2, "settled")
+        assert (row[0], role(row)) == (2, "settled")
         assert records[3].robots[2] is row
-        assert all(r.id != 2 for r in res.deltas[3].rows)
+        assert all(r[0] != 2 for r in res.deltas[3].rows)
 
 
-SETTLED = {"id": 0, "node": 0, "role": "settled", "dir": "fwd", "entered": 1, "bits": 17}
-EXPLORER = {"id": 1, "node": 1, "role": "explore", "dir": "fwd", "entered": 0, "bits": 17}
+HEADER = {"format": 3, "k": 2, "max_degree": 2, "fields": [list(f) for f in robot.FIELDS]}
+# a settler that entered by port 1, and an explorer that entered by port 0
+SETTLED = [0, 0, robot.encode(role=robot.SETTLED, entered=1)]
+EXPLORER = [1, 1, robot.encode(role=robot.EXPLORE, entered=0)]
 
 
 def _lines(*objs) -> str:
@@ -246,16 +254,17 @@ def _lines(*objs) -> str:
 
 
 def _small_trace(edit=None) -> str:
-    """Two robots: robot 1 moves in round 2 and is gone from round 3 on;
-    ``edit(objs)`` may change the line objects first."""
+    """Two robots: robot 1 moves in round 2, terminates there and is gone
+    from round 3 on; ``edit(objs)`` may change the line objects first."""
     objs = [
-        {"format": 2, "k": 2},
-        {"round": 1, "rows": [SETTLED, EXPLORER], "gone": [], "events": []},
-        {"round": 2, "rows": [{**EXPLORER, "node": 2}], "gone": [], "events": ["terminate:1"]},
-        {"round": 3, "rows": [], "gone": [1], "events": []},
+        HEADER,
+        {"round": 1, "rows": [SETTLED, EXPLORER], "events": []},
+        {"round": 2, "rows": [[1, 2, EXPLORER[2]]], "events": ["terminate:1"]},
+        {"round": 3, "rows": [], "events": []},
         {"outcome": "max_rounds", "t1": None, "t2": None, "rounds": 3, "vR": 0, "vL": None,
          "repair_fired": False, "k": 2, "positions": {"0": 0, "1": 2}},
     ]
+    objs = json.loads(json.dumps(objs))  # a copy of its own, free to edit
     if edit is not None:
         edit(objs)
     return _lines(*objs)
@@ -268,17 +277,18 @@ class TestTraceParsing:
             parsed = parse_trace(res.to_jsonl())
             assert parsed.summary == res.summary
             assert parsed.deltas == res.deltas
-            assert parsed.deltas[0].rows[0].node == root
+            assert parsed.deltas[0].rows[0][1] == root
+            assert (parsed.max_degree, parsed.fields) == (graph.max_degree(), robot.FIELDS)
             # replaying the deltas gives back every round's rows
-            assert [sorted(rows.values(), key=lambda r: r.id) for _, rows in replay(parsed.deltas)] \
+            assert [sorted(rows.values()) for _, rows in replay(parsed.deltas)] \
                 == [rec.robots for rec in res.records]
 
     def test_snapshots_follow_the_deltas(self):
         parsed = parse_trace(_small_trace())
-        assert [(d.round, [(r.id, r.node) for r in d.rows], d.gone) for d in parsed.deltas] == [
-            (1, [(0, 0), (1, 1)], []), (2, [(1, 2)], []), (3, [], [1])]
+        assert [(d.round, [(r[0], r[1]) for r in d.rows]) for d in parsed.deltas] == [
+            (1, [(0, 0), (1, 1)]), (2, [(1, 2)]), (3, [])]
         settled = parsed.deltas[0].rows[0]
-        snapshots = [(d.round, [(i, r.node) for i, r in rows.items()])
+        snapshots = [(d.round, [(i, r[1]) for i, r in rows.items()])
                      for d, rows in replay(parsed.deltas)]
         assert snapshots == [(1, [(0, 0), (1, 1)]), (2, [(0, 0), (1, 2)]), (3, [(0, 0)])]
         assert all(rows[0] is settled for _, rows in replay(parsed.deltas))
@@ -291,7 +301,7 @@ class TestTraceParsing:
 
     @pytest.mark.parametrize("accent", [b"\xc3\xa9", "\u00e9"])
     def test_non_ascii_line_is_named(self, accent):
-        head = '{"format": 2, "k": 2}\n{"round": 1, "rows": [], "gone": [], "events": ["'
+        head = json.dumps(HEADER) + '\n{"round": 1, "rows": [], "events": ["'
         if isinstance(accent, bytes):
             source = io.BytesIO(head.encode("ascii") + accent + b'"]}\n')
         else:
@@ -300,46 +310,64 @@ class TestTraceParsing:
             parse_trace(source)
 
     @pytest.mark.parametrize("field, value", [
-        ("entered", True), ("entered", 1.0), ("entered", -1),
-        ("id", True), ("node", 0.0), ("bits", "17"),
-        ("role", "zz"), ("dir", "up"),
+        ("id", True), ("node", 0.0), ("word", True), ("word", 1.0), ("word", "17"),
+        ("word", -1), ("word", None),
     ])
     def test_lookalike_of_an_earlier_row_is_rejected(self, field, value):
         """A row equal under == to one already read (True == 1 == 1.0) is
-        still checked on its own."""
-        row = SETTLED
+        still checked on its own, and so is a row whose word is no
+        non-negative integer."""
+        row = [0, 1, 1]
         summary = {"outcome": "max_rounds", "t1": None, "t2": None, "rounds": 2, "vR": 0,
                    "vL": None, "repair_fired": False, "k": 1, "positions": {"0": 0}}
 
-        def trace(second: dict) -> str:
-            return _lines({"format": 2, "k": 1},
-                          {"round": 1, "rows": [row], "gone": [], "events": []},
-                          {"round": 2, "rows": [second], "gone": [], "events": []}, summary)
+        def trace(second: list) -> str:
+            return _lines({**HEADER, "k": 1},
+                          {"round": 1, "rows": [row], "events": []},
+                          {"round": 2, "rows": [second], "events": []}, summary)
 
-        first, second = parse_trace(trace(dict(row))).deltas
-        assert second.rows[0] == first.rows[0] and second.rows[0].entered == 1
+        first, second = parse_trace(trace(list(row))).deltas
+        assert second.rows[0] == first.rows[0] == (0, 1, 1)
+        edited = list(row)
+        edited[("id", "node", "word").index(field)] = value
         with pytest.raises(TraceFormatError, match="line 3"):
-            parse_trace(trace({**row, field: value}))
+            parse_trace(trace(edited))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda o: o.pop(0), "line 1: no format header; a v1 trace"),
         (lambda o: o.insert(2, o[0]), "line 3: second header"),
         (lambda o: o[0].update(format=1), "line 1: trace format 1;"),
+        (lambda o: o[0].update(format=2), "line 1: trace format 2;"),
         (lambda o: o[0].update(k=0), "header k must be an integer >= 1, not 0"),
         (lambda o: o[0].update(k=True), "header k must be an integer >= 1, not True"),
         (lambda o: o[0].update(k=3), "summary has k=2, the header k=3"),
         (lambda o: o[0].update(k=10**12), "summary has k=2, the header k=1000000000000"),
-        (lambda o: o[2]["rows"][0].update(id=2), "line 3: .* row id 2 outside robots 0..1"),
-        (lambda o: o[3].update(gone=[2]), "line 4: .* gone id 2 outside robots 0..1"),
-        (lambda o: o[3].update(gone=[1, 1]), "line 4: .* gone ids do not ascend at 1"),
+        (lambda o: o[0].pop("max_degree"), "header max_degree must be an integer >= 0, not None"),
+        (lambda o: o[0].update(max_degree=-1), "header max_degree must be an integer >= 0, not -1"),
+        (lambda o: o[0].update(fields=None), "header fields must be"),
+        (lambda o: o[0].update(fields=o[0]["fields"][1:]), "header fields must be .* naming role"),
+        (lambda o: o[0]["fields"].append(["role", 3]), "header fields must be at most 64 distinct"),
+        (lambda o: o[0]["fields"].append(["hops", 10**6]), "header fields must be .* widths 1..64"),
+        (lambda o: o[0]["fields"].append(["hops", 0]), "header fields must be .* widths 1..64"),
+        (lambda o: o[0]["fields"].append("hops"), "header fields must be .* pairs"),
+        (lambda o: o[2]["rows"][0].__setitem__(0, 2), "line 3: .* row id 2 outside robots 0..1"),
+        (lambda o: o[2]["rows"][0].__setitem__(2, -1), "line 3: .* row word -1 is negative"),
+        (lambda o: o[2]["rows"][0].pop(), "line 3: bad record: not enough values"),
+        (lambda o: o[2]["rows"][0].append(0), "line 3: bad record: too many values"),
         (lambda o: o[1].update(rows=[EXPLORER, SETTLED]), "line 2: .* row ids do not ascend"),
-        (lambda o: o[2].update(gone=[1]), "line 3: .* row for robot 1, which is gone"),
-        (lambda o: o.insert(4, {"round": 4, "rows": [], "gone": [1], "events": []}),
-         "line 5: .* robot 1 is gone but has no row"),
+        (lambda o: o[1].update(events=["terminate:1"]), "line 3: .* row for robot 1, which is gone"),
+        (lambda o: o[3]["rows"].append([1, 2, 0]),
+         "line 4: .* row for robot 1, which is gone since its terminate in round 2"),
         (lambda o: o[3].update(round=2), "line 4: .* round 2 is not an integer greater than 2"),
         (lambda o: o[1].update(round=0), "line 2: .* round 0 is not an integer greater than 0"),
         (lambda o: o[1].update(round="1"), "line 2: .* round '1' is not an integer"),
-        (lambda o: o[1].pop("gone"), "line 2: bad record: 'gone'"),
+        (lambda o: o[1].pop("rows"), "line 2: bad record: 'rows'"),
+        (lambda o: o[1].update(rows=5), "line 2: bad record: rows and events must be lists"),
+        (lambda o: o[1].update(events={}), "line 2: bad record: rows and events must be lists"),
+        (lambda o: o[1].update(rows=[5]), "line 2: bad record: cannot unpack non-iterable int"),
+        (lambda o: o[1].update(rows=[{"id": 0, "node": 0, "word": 0}]),
+         "line 2: bad record: row id, node and word must be integers"),
+        (lambda o: o[2].update(events=["terminate:" + "9" * 5000]), "line 3: bad record: "),
     ])
     def test_bad_header_or_delta_is_rejected(self, edit, message):
         assert parse_trace(_small_trace()).summary.k == 2
@@ -371,7 +399,7 @@ class TestTraceParsing:
         res = run(SimulationConfig(graph=gen_path(2), k=1, seed=0))
         text = res.to_jsonl()
         with pytest.raises(TraceFormatError, match="record after summary"):
-            parse_trace(text + '{"round": 99, "rows": [], "gone": [], "events": []}\n')
+            parse_trace(text + '{"round": 99, "rows": [], "events": []}\n')
 
     def test_not_json(self):
         with pytest.raises(TraceFormatError):
@@ -379,7 +407,7 @@ class TestTraceParsing:
 
     def test_unrecognized_object(self):
         with pytest.raises(TraceFormatError, match="neither record nor summary"):
-            parse_trace('{"format": 2, "k": 1}\n{"neither": true}\n')
+            parse_trace(json.dumps({**HEADER, "k": 1}) + '\n{"neither": true}\n')
 
 
 def test_default_budgets_scale_with_input():
@@ -518,16 +546,14 @@ def test_a_protocol_violation_names_its_round(monkeypatch):
     assert res.summary.fault == "round 4: return-role robot found no settled robot"
 
 
-def _rows_by_scan(cfg: SimulationConfig, rounds: int) -> list[list[engine.RobotRow]]:
+def _rows_by_scan(cfg: SimulationConfig, rounds: int) -> list[list[engine.Row]]:
     """Each round's rows, built by stepping a ``World`` by hand and
     scanning every alive robot at the start of the round."""
-    bits = robot.memory_footprint_bits(cfg.graph.max_degree())
     w = World(cfg)
     scanned = []
     for rnd in range(1, rounds + 1):
         w.round = rnd
-        scanned.append([engine.RobotRow(i, w.positions[i], *robot.trace_fields(w.states[i]), bits)
-                        for i in range(w.k) if w.alive[i]])
+        scanned.append([(i, w.positions[i], w.states[i]) for i in range(w.k) if w.alive[i]])
         try:
             w.execute_round([])
         except _Fault:
@@ -544,9 +570,9 @@ def _rows_by_scan(cfg: SimulationConfig, rounds: int) -> list[list[engine.RobotR
        (gen_path(2), 2, 0, 0, 4)],
 )
 def test_patched_rows_match_a_full_scan_every_round(graph, k, root, seed, subrounds):
-    """``run`` records each round's changed rows and the robots gone; replayed,
-    they are the rows a scan of every alive robot gives at the start of
-    the round."""
+    """``run`` records each round's changed rows and its terminate events;
+    replayed, they are the rows a scan of every alive robot gives at the
+    start of the round."""
     cfg = SimulationConfig(graph=graph, k=k, root=root, seed=seed,
                            max_subrounds_per_round=subrounds)
     records = run(cfg).records
@@ -571,7 +597,7 @@ def test_a_settler_row_follows_every_stored_word(monkeypatch):
     assert [rec.robots for rec in records] == _rows_by_scan(cfg, len(records))
     # robot 1 settles at node 1 in round 2 and first acts in round 4, when
     # the walk comes back; no robot dies before round 6
-    assert [(r.role, r.dir) for rec in records[:5] for r in rec.robots if r.id == 1] == [
+    assert [view(r)[2:4] for rec in records[:5] for r in rec.robots if r[0] == 1] == [
         ("explore", "fwd"), ("explore", "fwd"), ("settled", "fwd"), ("settled", "fwd"),
         ("settled", "bwd")]
 

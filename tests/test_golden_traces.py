@@ -5,8 +5,9 @@ records and summary rendered in the v1 format (``trace_v1.v1_jsonl``),
 recorded before the round scheduler tracked live movers and digested each
 node's inbox once per subround, when v1 was the format ``to_jsonl`` wrote;
 it guards what the engine does.  The second is the sha256 of
-``SimulationResult.to_jsonl()`` in format 2, recorded when that format
-replaced v1; it guards what the writer makes of it.  Every run must also
+``SimulationResult.to_jsonl()`` in format 3, recorded when that format
+replaced format 2 (whose hashes these replace); it guards what the writer
+makes of it.  Every run must also
 parse back to the deltas and summary it was written from.  Any change to
 scheduling, message delivery or trace writing that moves a single byte
 fails here; a change that is meant to alter traces must re-record the
@@ -21,9 +22,9 @@ from dispersim.engine import SimulationConfig, TraceLevel, parse_trace, run
 from dispersim.graph import corpus_instances, gen_random_connected, gen_worstcase
 from trace_v1 import v1_jsonl
 
-# all 200 criterion-01 runs, concatenated in order: v1 rendering, format 2
+# all 200 criterion-01 runs, concatenated in order: v1 rendering, format 3
 CORPUS_SHA = "e8441e50898fab517689dfa74375bf93427f3f61b03603a3df999392b9359e8d"
-CORPUS_V2_SHA = "90dcfb208249286c21726051dea8664534d1216ac4f9573f09ed5448d12553bd"
+CORPUS_V3_SHA = "aa24e1e646ebd3475b0579126797014404f6432e454f108ef6ce412db5f8165b"
 
 # gen_worstcase(k), k robots from node 0, coin seed k: v1 rendering
 WORSTCASE_SHA = {
@@ -32,12 +33,12 @@ WORSTCASE_SHA = {
     32: "5303e088169957ff847dcf059da4be03395bb757e3fdd582effbff2b2263bfd1",
     64: "7be5c5b548129bbbb21c55a3740208d98c6fdc5b1581a489eaddec4a93205646",
 }
-# ... and format 2
-WORSTCASE_V2_SHA = {
-    7: "17291741fefe370e6c91a56c02d3f5dfe75a49ec960ebb9295a74256f68839ad",
-    16: "d049f346646f8e1097f2d19c74a509521d755990d4b2b07be04b2a869d0901f7",
-    32: "a423e4e861bc7ee69c00adb99573f7ed5698e781b7fb6fa80b7edd18a53936a4",
-    64: "3fcc9402ba0c82663c477d209cbb049ecae6375c2c6e9c3b6049a221522b52ef",
+# ... and format 3
+WORSTCASE_V3_SHA = {
+    7: "94c31840de99d3e76672e2e8e548e51f30770bf4e1fcaa91ae8b878d9864246c",
+    16: "6c8237ca4da74c2b7c28c1a4ff454264c40ffc26d63e78ce17160cf68c6b278c",
+    32: "748e2cd4a176ded738a59d08c14a38d495fd00a9b2c0075b9f59a3476f48d48c",
+    64: "644c2c1250d264384e6ed6adfb080ae93adfefbb8b6bdd9ba7c25ef0facea8f4",
 }
 
 # (graph spec, k, coin seed, budget override, FULL sha, SUMMARY sha) in the
@@ -66,24 +67,24 @@ FAULT_RUNS = [
     ),
 ]
 
-# (FULL sha, SUMMARY sha) in format 2 of each of FAULT_RUNS, by graph
+# (FULL sha, SUMMARY sha) in format 3 of each of FAULT_RUNS, by graph
 # spec and coin seed
-FAULT_V2_SHA = {
+FAULT_V3_SHA = {
     ("random:20:40:2", 0): (
-        "b3c356b126fb71ec4c2dbb7ced7d7bcfdd9a6e9bb7f867ebd6cc1062a42542ec",
-        "56c1d3c932b08f42e6513bce4911ea6d2227c709cd639dc408d598198c58c258",
+        "48593a32067ec8e7cc9357acb0977915cfa1c398107cb495228607f616424c77",
+        "6acbce659f60076193acb8f525406272e507501538ffc07c389439c11feabb39",
     ),
     ("random:20:40:2", 4): (
-        "8c6452d1d073619f5d207f7d73ac6a90902bac2f88e616e889d8183541e647dd",
-        "a8278c0b676954da04d779cd1ab39ecf3c99a6ba0a4fa0157b6bd3e84c7479d6",
+        "754a4e67de4ee4ed67c04b380b8ff9bd441efbd9a6d54b861fe10a68fbd74078",
+        "b609855a6c05d52f6d0ee534219e61d05318eb922977c67ea0b5b4f06d69a28e",
     ),
     ("random:20:40:2", 5): (
-        "0221a618bc2b366b1700caaa06300d53b7482c27e6897b57104f0670e4fc2696",
-        "2db17e6469b26b9e33773f5172745913dea4a1f1e9eaf2f48f367061976d73d3",
+        "ef029b2ff0b079a02b2de692757fd1f16f27a59b5a4d27bb29de44bc730b4fc4",
+        "b5c9bfa284f7f0e99d73afca7883e964afd2358be9987583291027b2ea63a6e3",
     ),
     ("worstcase:16", 3): (
-        "56706a1d7a3a45a58146459f60ed5598395dbee5cc5b6098309394f8f5e12129",
-        "7b3bc8478e1e11e6d625c01d82514a2a6314ac47399ba942a187c24f594a1585",
+        "659be2ab3864cd17b01290f5e2cb618c2cc2d4b60ce6aebd4e209a356ea5b3c1",
+        "0d42280ea8213b51cbae5f277e4affe06a1ca64f6be3d49cd4904eebe595cdbe",
     ),
 }
 
@@ -99,7 +100,7 @@ def _graph(spec: str):
 
 
 def _written(res) -> str:
-    """The run's format-2 text, after checking that it parses back."""
+    """The run's format-3 text, after checking that it parses back."""
     text = res.to_jsonl()
     parsed = parse_trace(text)
     assert parsed.deltas == res.deltas
@@ -108,28 +109,28 @@ def _written(res) -> str:
 
 
 def test_corpus_full_traces():
-    v1, v2 = hashlib.sha256(), hashlib.sha256()
+    v1, v3 = hashlib.sha256(), hashlib.sha256()
     for i, _, _, k, root, g in corpus_instances():
         res = run(SimulationConfig(graph=g, k=k, root=root, seed=i))
         v1.update(v1_jsonl(res).encode("ascii"))
-        v2.update(_written(res).encode("ascii"))
+        v3.update(_written(res).encode("ascii"))
     assert v1.hexdigest() == CORPUS_SHA
-    assert v2.hexdigest() == CORPUS_V2_SHA
+    assert v3.hexdigest() == CORPUS_V3_SHA
 
 
 @pytest.mark.parametrize("k", sorted(WORSTCASE_SHA))
 def test_worstcase_full_trace(k):
     res = run(SimulationConfig(graph=gen_worstcase(k), k=k, seed=k))
     assert _sha(v1_jsonl(res)) == WORSTCASE_SHA[k]
-    assert _sha(_written(res)) == WORSTCASE_V2_SHA[k]
+    assert _sha(_written(res)) == WORSTCASE_V3_SHA[k]
 
 
 @pytest.mark.parametrize("spec, k, seed, budget, full_sha, summary_sha", FAULT_RUNS)
 def test_forced_fault_traces(spec, k, seed, budget, full_sha, summary_sha):
     g = _graph(spec)
-    v2 = FAULT_V2_SHA[spec, seed]
-    for level, want, want_v2 in zip((TraceLevel.FULL, TraceLevel.SUMMARY),
-                                    (full_sha, summary_sha), v2):
+    v3 = FAULT_V3_SHA[spec, seed]
+    for level, want, want_v3 in zip((TraceLevel.FULL, TraceLevel.SUMMARY),
+                                    (full_sha, summary_sha), v3):
         res = run(SimulationConfig(graph=g, k=k, seed=seed, trace_level=level, **budget))
         assert _sha(v1_jsonl(res)) == want, level
-        assert _sha(_written(res)) == want_v2, level
+        assert _sha(_written(res)) == want_v3, level

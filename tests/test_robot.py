@@ -526,3 +526,26 @@ def test_two_replies_raise_only_without_the_receiver():
 def test_empty_node_is_empty_inbox():
     assert NodeInbox([]).view(0) is EMPTY_INBOX
     assert NodeInbox([(0, LeStart())]).view(0) is EMPTY_INBOX
+
+
+def test_no_view_hashes_a_reply(monkeypatch):
+    """Cost guard, in counts: views that carry a settler's reply are
+    interned by the reply's fields, never by hashing the reply object, so
+    a whole worst-case run calls ``SettledReply.__hash__`` zero times."""
+    from dispersim.engine import Outcome, SimulationConfig, TraceLevel, run
+    from dispersim.graph import gen_worstcase
+
+    calls = []
+    hash_reply = SettledReply.__hash__
+
+    def counted(reply):
+        calls.append(reply)
+        return hash_reply(reply)
+
+    monkeypatch.setattr(SettledReply, "__hash__", counted)
+    assert hash(SettledReply(0, None, 0)) == hash_reply(SettledReply(0, None, 0))
+    calls.clear()
+    res = run(SimulationConfig(graph=gen_worstcase(16), k=16, seed=2,
+                               trace_level=TraceLevel.NONE))
+    assert res.summary.outcome is Outcome.DISPERSED_ALL_TERMINATED
+    assert calls == []
