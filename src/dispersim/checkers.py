@@ -37,6 +37,8 @@ ROLE_NAMES = ("explore", "settled", "return", "acknowledge", "done")
 DIR_NAMES = ("fwd", "bwd")
 # the fields that hold a port + 1, 0 meaning none
 PORT_FIELDS = ("entered", "parent", "child")
+# the fields a row's word is decoded by, which every header must name
+_DECODED = ("role", "direction", "entered")
 # the events that change a moving robot's role, which a settled robot never has
 _ROLE_EVENTS = ("to_return", "to_acknowledge", "to_done")
 
@@ -172,7 +174,8 @@ class TraceDigest:
     and entry port, each cached per distinct value of those fields.
 
     Raises ``TraceFormatError``, before the oracle walks the graph, on a
-    header ``max_degree`` that is not the graph's; on a node, robot or
+    header ``max_degree`` that is not the graph's or a field table that
+    lacks a decoded field; on a node, robot or
     port that the graph or the run lacks (summary, rows, events); a role
     or direction code the format lacks; a ``settle`` of a robot settled
     before or not exploring that node; a ``set_child`` or ``set_visited``
@@ -216,7 +219,10 @@ class TraceDigest:
         for name, width in trace.fields:
             at[name] = shift, (1 << width) - 1
             shift += width
-        (rs, rm), (ds, dm), (es, em) = at["role"], at["direction"], at["entered"]
+        if missing := [name for name in _DECODED if name not in at]:
+            raise TraceFormatError(f"header fields lack {', '.join(missing)}, which a row's "
+                                   f"word is decoded by")
+        (rs, rm), (ds, dm), (es, em) = (at[name] for name in _DECODED)
         key_mask = self._key_mask = rm << rs | dm << ds | em << es
         decoded = self._decoded = {}
         wanted = {s.t1, None if s.t2 is None else s.t2 + 1}

@@ -621,8 +621,6 @@ def _parse_summary(obj: dict) -> RunSummary:
         raise TraceFormatError(f"bad summary line: {exc}") from None
 
 
-# the fields a reader decodes a row's word by, which every header names
-_DECODED = ("role", "direction", "entered")
 # bounds on a header's field table, so that no mask built from it is huge
 _MAX_FIELDS, _MAX_WIDTH = 64, 64
 
@@ -652,11 +650,11 @@ def _parse_header(obj: dict, line_no: int) -> tuple[int, int, tuple[tuple[str, i
             type(f) is list and len(f) == 2 and type(f[0]) is str and type(f[1]) is int
             and 1 <= f[1] <= _MAX_WIDTH for f in fields):
         table = tuple((name, width) for name, width in fields)
-    names = [name for name, _ in table]
-    if len(set(names)) != len(names) or not set(_DECODED) <= set(names):
+    names = {name for name, _ in table}
+    if not table or len(names) != len(table):
         raise TraceFormatError(
-            f"line {line_no}: header fields must be at most {_MAX_FIELDS} distinct "
-            f"[name, width] pairs, widths 1..{_MAX_WIDTH}, naming {', '.join(_DECODED)}"
+            f"line {line_no}: header fields must be 1 to {_MAX_FIELDS} [name, width] pairs, "
+            f"the names distinct and the widths 1..{_MAX_WIDTH}"
         )
     return k, max_degree, table
 

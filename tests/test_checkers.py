@@ -358,6 +358,18 @@ def test_header_max_degree_not_the_graphs_is_format_error():
         run_all(trace, g)
 
 
+def test_header_without_a_decoded_field_is_format_error():
+    g = gen_ring(6)
+    res = run(SimulationConfig(graph=g, k=6, seed=5))
+    lines = res.to_jsonl().splitlines()
+    header = json.loads(lines[0])
+    header["fields"] = [f for f in header["fields"] if f[0] != "direction"]
+    trace = parse_trace("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    with pytest.raises(TraceFormatError, match="header fields lack direction, which a row's "
+                                               "word is decoded by"):
+        run_all(trace, g)
+
+
 def test_checkers_import_nothing_from_robot():
     """The memory check must never read the engine's own formula or word
     layout: ``checkers`` imports nothing from ``robot``, directly or as

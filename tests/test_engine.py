@@ -345,11 +345,12 @@ class TestTraceParsing:
         (lambda o: o[0].pop("max_degree"), "header max_degree must be an integer >= 0, not None"),
         (lambda o: o[0].update(max_degree=-1), "header max_degree must be an integer >= 0, not -1"),
         (lambda o: o[0].update(fields=None), "header fields must be"),
-        (lambda o: o[0].update(fields=o[0]["fields"][1:]), "header fields must be .* naming role"),
-        (lambda o: o[0]["fields"].append(["role", 3]), "header fields must be at most 64 distinct"),
+        (lambda o: o[0].update(fields=[]), "header fields must be 1 to 64"),
+        (lambda o: o[0]["fields"].append(["role", 3]), "header fields must be .* names distinct"),
         (lambda o: o[0]["fields"].append(["hops", 10**6]), "header fields must be .* widths 1..64"),
         (lambda o: o[0]["fields"].append(["hops", 0]), "header fields must be .* widths 1..64"),
         (lambda o: o[0]["fields"].append("hops"), "header fields must be .* pairs"),
+        (lambda o: o[0].update(fields=[["f", 1]] * 65), "header fields must be 1 to 64"),
         (lambda o: o[2]["rows"][0].__setitem__(0, 2), "line 3: .* row id 2 outside robots 0..1"),
         (lambda o: o[2]["rows"][0].__setitem__(2, -1), "line 3: .* row word -1 is negative"),
         (lambda o: o[2]["rows"][0].pop(), "line 3: bad record: not enough values"),
