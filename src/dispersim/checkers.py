@@ -171,17 +171,17 @@ class TraceDigest:
     unless the run dispersed with k >= 2.
 
     A word is decoded by the header's field table: its role, direction
-    and entry port, each cached per distinct value of those fields.
+    and entry port, cached per distinct word.
 
     Raises ``TraceFormatError``, before the oracle walks the graph, on a
     header ``max_degree`` that is not the graph's or a field table that
-    lacks a decoded field; on a node, robot or
-    port that the graph or the run lacks (summary, rows, events); a role
-    or direction code the format lacks; a ``settle`` of a robot settled
-    before or not exploring that node; a ``set_child`` or ``set_visited``
-    of a robot not yet settled; a ``to_return``, ``to_acknowledge`` or
-    ``to_done`` of a settled robot; or a ``repair_fired`` that disagrees
-    with the ``repair_terminate`` events.
+    lacks a decoded field; on a node, robot or port that the graph or the
+    run lacks (summary, rows, events); a role or direction code the
+    format lacks; a ``settle`` of a robot settled before or not exploring
+    that node; a ``set_child`` or ``set_visited`` of a robot not yet
+    settled; a ``to_return``, ``to_acknowledge`` or ``to_done`` of a
+    settled robot; or a ``repair_fired`` that disagrees with the
+    ``repair_terminate`` events.
     """
 
     def __init__(self, trace: ParsedTrace, graph: PortLabeledGraph):
@@ -213,8 +213,8 @@ class TraceDigest:
         self.first: defaultdict[str, dict[int, int]] = defaultdict(dict)
         self.visited: set[tuple[int, int]] = set()
         self.word_first: dict[int, tuple[int, int]] = {}
-        # each field's (shift, mask) by the header's table; the word bits of
-        # the decoded fields; and per value of those bits, (role, dir, entered)
+        # each field's (shift, mask) by the header's table, and per distinct
+        # word its (role, dir, entered)
         at, shift = {}, 0
         for name, width in trace.fields:
             at[name] = shift, (1 << width) - 1
@@ -223,7 +223,6 @@ class TraceDigest:
             raise TraceFormatError(f"header fields lack {', '.join(missing)}, which a row's "
                                    f"word is decoded by")
         (rs, rm), (ds, dm), (es, em) = (at[name] for name in _DECODED)
-        key_mask = self._key_mask = rm << rs | dm << ds | em << es
         decoded = self._decoded = {}
         wanted = {s.t1, None if s.t2 is None else s.t2 + 1}
         history, word_first, ports = self.history, self.word_first, graph.ports
@@ -256,7 +255,7 @@ class TraceDigest:
                         f"round {rnd}: row of robot {i} at node {node} is outside "
                         f"nodes 0..{n - 1}"
                     )
-                fields = decoded.get(word & key_mask)
+                fields = decoded.get(word)
                 if fields is None:
                     role, dir_, entered = word >> rs & rm, word >> ds & dm, word >> es & em
                     if role >= len(ROLE_NAMES) or dir_ >= len(DIR_NAMES):
@@ -265,16 +264,15 @@ class TraceDigest:
                             f"code {dir_}, not one of 0..{len(ROLE_NAMES) - 1} and "
                             f"0..{len(DIR_NAMES) - 1}"
                         )
-                    fields = decoded[word & key_mask] = (
+                    fields = decoded[word] = (
                         ROLE_NAMES[role], DIR_NAMES[dir_], entered - 1 if entered else None)
+                    word_first[word] = rnd, i
                 role, dir_, entered = fields
                 if entered is not None and entered >= len(ports[node]):
                     raise TraceFormatError(
                         f"round {rnd}: row of robot {i} entered node {node} by port "
                         f"{entered}, outside its ports 0..{len(ports[node]) - 1}"
                     )
-                if word not in word_first:
-                    word_first[word] = rnd, i
                 if i in explorer:
                     leave(i)
                 if role == "explore":
@@ -289,7 +287,8 @@ class TraceDigest:
                 if dead is not None and dead in current:
                     ended.add(dead)
             if rnd in wanted:
-                self.rows_at[rnd] = {i: self._view(r) for i, r in current.items()}
+                self.rows_at[rnd] = {i: tuple.__new__(RowView, (i, node, *decoded[word]))
+                                     for i, (_, node, word) in current.items()}
         repaired = bool(self.first.get("repair_terminate"))
         if s.repair_fired != repaired:
             raise TraceFormatError(
@@ -298,11 +297,6 @@ class TraceDigest:
             )
         self.oracle = (oracle_dfs(graph, s.v_r, k)
                        if s.outcome is Outcome.DISPERSED_ALL_TERMINATED and k >= 2 else None)
-
-    def _view(self, row: Row) -> RowView:
-        i, node, word = row
-        # what RowView(...) does, without its Python-level __new__
-        return tuple.__new__(RowView, (i, node, *self._decoded[word & self._key_mask]))
 
     def _event(self, rnd: int, ev: str, current: dict[int, Row]) -> int | None:
         """Parse and record one event of round ``rnd``, whose rows are
@@ -322,7 +316,7 @@ class TraceDigest:
         if name == "settle":
             row = current.get(robot)
             if (robot in self.settles or row is None or row[1] != value
-                    or self._view(row).role != "explore"):
+                    or self._decoded[row[2]][0] != "explore"):
                 raise TraceFormatError(
                     f"round {rnd}: event {ev} settles robot {robot} again, or not at the "
                     f"node it explores"
@@ -357,7 +351,11 @@ class TraceDigest:
         past = self.history.get(robot)
         j = bisect_right(past[0], rnd) if past else 0
         row = past[1][j - 1] if j else None
-        return None if row is None else self._view(row)
+        if row is None:
+            return None
+        i, node, word = row
+        # what RowView(...) does, without its Python-level __new__
+        return tuple.__new__(RowView, (i, node, *self._decoded[word]))
 
 
 def _require_rounds(digest: TraceDigest, first: int, last: int) -> None:
