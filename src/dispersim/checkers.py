@@ -166,12 +166,13 @@ class TraceDigest:
     ``rows_at`` holds the rows of rounds t1 and t2 + 1 by robot id, both
     as ``RowView``s.  Events are parsed once: per robot its settle
     (round, node), its child port and the rounds it was set in, and the
-    first round of each other event.  ``word_first``: each distinct state
-    word's first (round, robot).  ``oracle``: the reference walk, None
-    unless the run dispersed with k >= 2.
+    first round of each other event.  ``words``: per distinct state word
+    its decoded (role, dir, entered) and the (round, robot) of its first
+    row.  ``oracle``: the reference walk, None unless the run dispersed
+    with k >= 2.
 
     A word is decoded by the header's field table: its role, direction
-    and entry port, cached per distinct word.
+    and entry port, once per distinct word.
 
     Raises ``TraceFormatError``, before the oracle walks the graph, on a
     header ``max_degree`` that is not the graph's or a field table that
@@ -212,9 +213,8 @@ class TraceDigest:
         self.child_rounds: defaultdict[int, list[int]] = defaultdict(list)
         self.first: defaultdict[str, dict[int, int]] = defaultdict(dict)
         self.visited: set[tuple[int, int]] = set()
-        self.word_first: dict[int, tuple[int, int]] = {}
-        # each field's (shift, mask) by the header's table, and per distinct
-        # word its (role, dir, entered)
+        self.words: dict[int, tuple[tuple[str, str, int | None], tuple[int, int]]] = {}
+        # each field's (shift, mask) by the header's table
         at, shift = {}, 0
         for name, width in trace.fields:
             at[name] = shift, (1 << width) - 1
@@ -223,9 +223,8 @@ class TraceDigest:
             raise TraceFormatError(f"header fields lack {', '.join(missing)}, which a row's "
                                    f"word is decoded by")
         (rs, rm), (ds, dm), (es, em) = (at[name] for name in _DECODED)
-        decoded = self._decoded = {}
         wanted = {s.t1, None if s.t2 is None else s.t2 + 1}
-        history, word_first, ports = self.history, self.word_first, graph.ports
+        history, words, ports = self.history, self.words, graph.ports
         # each exploring robot's (node, dir, entered), and how many share each
         explorer: dict[int, tuple[int, str, int | None]] = {}
         count: Counter[tuple[int, str, int | None]] = Counter()
@@ -255,8 +254,8 @@ class TraceDigest:
                         f"round {rnd}: row of robot {i} at node {node} is outside "
                         f"nodes 0..{n - 1}"
                     )
-                fields = decoded.get(word)
-                if fields is None:
+                seen = words.get(word)
+                if seen is None:
                     role, dir_, entered = word >> rs & rm, word >> ds & dm, word >> es & em
                     if role >= len(ROLE_NAMES) or dir_ >= len(DIR_NAMES):
                         raise TraceFormatError(
@@ -264,10 +263,10 @@ class TraceDigest:
                             f"code {dir_}, not one of 0..{len(ROLE_NAMES) - 1} and "
                             f"0..{len(DIR_NAMES) - 1}"
                         )
-                    fields = decoded[word] = (
-                        ROLE_NAMES[role], DIR_NAMES[dir_], entered - 1 if entered else None)
-                    word_first[word] = rnd, i
-                role, dir_, entered = fields
+                    seen = words[word] = (
+                        (ROLE_NAMES[role], DIR_NAMES[dir_], entered - 1 if entered else None),
+                        (rnd, i))
+                role, dir_, entered = seen[0]
                 if entered is not None and entered >= len(ports[node]):
                     raise TraceFormatError(
                         f"round {rnd}: row of robot {i} entered node {node} by port "
@@ -287,7 +286,7 @@ class TraceDigest:
                 if dead is not None and dead in current:
                     ended.add(dead)
             if rnd in wanted:
-                self.rows_at[rnd] = {i: tuple.__new__(RowView, (i, node, *decoded[word]))
+                self.rows_at[rnd] = {i: tuple.__new__(RowView, (i, node, *words[word][0]))
                                      for i, (_, node, word) in current.items()}
         repaired = bool(self.first.get("repair_terminate"))
         if s.repair_fired != repaired:
@@ -316,7 +315,7 @@ class TraceDigest:
         if name == "settle":
             row = current.get(robot)
             if (robot in self.settles or row is None or row[1] != value
-                    or self._decoded[row[2]][0] != "explore"):
+                    or self.words[row[2]][0][0] != "explore"):
                 raise TraceFormatError(
                     f"round {rnd}: event {ev} settles robot {robot} again, or not at the "
                     f"node it explores"
@@ -355,7 +354,7 @@ class TraceDigest:
             return None
         i, node, word = row
         # what RowView(...) does, without its Python-level __new__
-        return tuple.__new__(RowView, (i, node, *self._decoded[word]))
+        return tuple.__new__(RowView, (i, node, *self.words[word][0]))
 
 
 def _require_rounds(digest: TraceDigest, first: int, last: int) -> None:
@@ -803,7 +802,7 @@ def check_memory(digest: TraceDigest) -> Verdict:
         else:
             allowed |= (1 << width) - 1 << shift
         shift += width
-    off = [(first, word) for word, first in digest.word_first.items() if word & ~allowed]
+    off = [(first, word) for word, (_, first) in digest.words.items() if word & ~allowed]
     if off:
         (rnd, rid), word = min(off)
         if word >> shift:

@@ -723,7 +723,6 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
     in binary mode to have every byte checked.
     """
     lines = io.StringIO(source) if isinstance(source, str) else source
-    raw_decode = json.JSONDecoder().raw_decode
     header: tuple[int, int, tuple[tuple[str, int], ...]] | None = None
     reader: _RecordReader | None = None
     deltas: list[TraceDelta] = []
@@ -735,19 +734,12 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
             at = offset + _NON_ASCII.search(text).start()
             raise TraceFormatError(f"line {line_no}: non-ASCII input at offset {at}")
         offset += len(line)
-        text = line.decode() if type(line) is bytes else line
+        if not line.strip():
+            continue
         try:
-            obj, end = raw_decode(text)
-            if end < len(text) and not text[end:].isspace():
-                raise ValueError("extra data")
-        except ValueError:
-            # a blank line, leading white space, or an error json.loads names
-            if not text.strip():
-                continue
-            try:
-                obj = json.loads(text)
-            except ValueError as exc:  # a JSONDecodeError, or a number too long to read
-                raise TraceFormatError(f"line {line_no}: not JSON: {exc}") from None
+            obj = json.loads(line)
+        except ValueError as exc:  # a JSONDecodeError, or a number too long to read
+            raise TraceFormatError(f"line {line_no}: not JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise TraceFormatError(f"line {line_no}: expected an object")
         if header is None:

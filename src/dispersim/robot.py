@@ -560,32 +560,9 @@ def step_done(state: int) -> tuple[int, list[Message], Decision]:
 
 # --- memory accounting --------------------------------------------------
 
-# what a role keeps of one subround's inbox digest, as (port fields, flag
-# bits): an explorer a reply (parent, child, visited) plus saw_any and
-# saw_heads, a settler set_child plus has_query, set_visited and
-# terminate; a walker in return or acknowledge keeps less than an explorer
-DIGEST_KEPT = {EXPLORE: (2, 3), SETTLED: (1, 3)}
-
-
 def port_bits(max_degree: int) -> int:
     """Bits for one port value: ceil(log2(max(degree, 2)))."""
     return max(max_degree - 1, 1).bit_length()
-
-
-def memory_footprint_bits(max_degree: int) -> int:
-    """Persistent bits per robot at this max degree: the state word's
-    fields, each port field at L + 1 bits (value plus a none flag), plus
-    the widest inbox digest a role keeps, where
-    L = ceil(log2(max degree, floored at 2)).
-
-    Both come from the field table and ``DIGEST_KEPT``: 9 bits of flags
-    and election, 3(L+1) bits of ports, and an explorer's 2(L+1)+3 digest
-    bits, which is 5L + 17.
-    """
-    field = port_bits(max_degree) + 1
-    state = sum(field if name in PORT_FIELDS else width for name, width in FIELDS)
-    digest = max(ports * field + flags for ports, flags in DIGEST_KEPT.values())
-    return state + digest
 
 
 def overflow_mask(max_degree: int) -> int:

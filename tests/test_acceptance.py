@@ -22,7 +22,6 @@ from trace_v1 import view
 from dispersim.robot import (
     FIELDS,
     PORT_FIELDS,
-    memory_footprint_bits,
     port_bits,
     run_local_election,
 )
@@ -86,7 +85,8 @@ def corpus() -> Corpus:
             walk_ok = walk == oracle.walk
             occupied_ok = occupied == set(oracle.settle_rounds.values()) | {oracle.v_l}
 
-        budget = memory_footprint_bits(g.max_degree())
+        # the budget memory checked against, from its own closed form
+        budget = int(verdicts["memory"].info[0].removeprefix("budget=").removesuffix(" bits"))
         # every row of every round is a row of some round's delta: each
         # word sets only bits of the header's field table, and memory
         # (which also holds each port field to L + 1 bits) passes

