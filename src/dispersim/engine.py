@@ -737,7 +737,9 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            # an ASCII line, decoded here: json.loads sniffs the encoding of
+            # bytes in Python, which costs more than the decode
+            obj = json.loads(line.decode() if type(line) is bytes else line)
         except ValueError as exc:  # a JSONDecodeError, or a number too long to read
             raise TraceFormatError(f"line {line_no}: not JSON: {exc}") from None
         if not isinstance(obj, dict):
