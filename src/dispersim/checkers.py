@@ -162,14 +162,14 @@ class TraceDigest:
 
     ``group[r]``: the (node, dir, entered) the exploring robots share in
     round r, or None, kept as a count of explorer keys updated from the
-    rows that change.  ``row_at`` reads each robot's row history;
-    ``rows_at`` holds the rows of rounds t1 and t2 + 1 by robot id, both
-    as ``RowView``s.  Events are parsed once: per robot its settle
-    (round, node), its child port and the rounds it was set in, and the
-    first round of each other event.  ``words``: per distinct state word
-    its decoded (role, dir, entered) and the (round, robot) of its first
-    row.  ``oracle``: the reference walk, None unless the run dispersed
-    with k >= 2.
+    rows that change.  ``raw_at`` reads each robot's row history as
+    stored, ``row_at`` decoded; ``rows_at`` holds the rows of rounds t1
+    and t2 + 1 by robot id, both as ``RowView``s.  Events are parsed
+    once: per robot its settle (round, node), its child port and the
+    rounds it was set in, and the first round of each other event.
+    ``words``: per distinct state word its decoded (role, dir, entered)
+    and the (round, robot) of its first row.  ``oracle``: the reference
+    walk, None unless the run dispersed with k >= 2.
 
     A word is decoded by the header's field table: its role, direction
     and entry port, once per distinct word.
@@ -345,11 +345,17 @@ class TraceDigest:
                 return robot
         return None
 
-    def row_at(self, robot: int, rnd: int) -> RowView | None:
-        """The robot's row in round ``rnd``, None if it has none there."""
+    def raw_at(self, robot: int, rnd: int) -> Row | None:
+        """The robot's stored ``(id, node, word)`` row in round ``rnd``,
+        None if it has none there."""
         past = self.history.get(robot)
         j = bisect_right(past[0], rnd) if past else 0
-        row = past[1][j - 1] if j else None
+        return past[1][j - 1] if j else None
+
+    def row_at(self, robot: int, rnd: int) -> RowView | None:
+        """The robot's row in round ``rnd``, decoded, None if it has none
+        there."""
+        row = self.raw_at(robot, rnd)
         if row is None:
             return None
         i, node, word = row
@@ -590,20 +596,23 @@ def check_mirror(digest: TraceDigest) -> Verdict:
 
     findings: list[str] = []
     counts = {"I1": 0, "I2": 0, "I3": 0}
+    words = digest.words
     for i in range(1, t1):
         pos = digest.group[i]
         if pos is None:
             findings.append(f"round {i}: exploring group missing or split")
             break
-        row = digest.row_at(r_l, t2 + i)
+        row = digest.raw_at(r_l, t2 + i)
         if row is None:
             findings.append(f"round {t2 + i}: walker {r_l} absent")
             break
         node, d, entered = pos
-        if (row.node, row.dir, row.entered) != (node, d, entered):
+        _, walker_node, word = row
+        _, walker_dir, walker_entered = words[word][0]
+        if walker_node != node or walker_dir != d or walker_entered != entered:
             findings.append(
                 f"round {i} vs {t2 + i}: group ({node},{d},{entered}) != "
-                f"walker ({row.node},{row.dir},{row.entered})"
+                f"walker ({walker_node},{walker_dir},{walker_entered})"
             )
             break
         rid = settler_at.get(node)
@@ -613,7 +622,7 @@ def check_mirror(digest: TraceDigest) -> Verdict:
                 findings.append(
                     f"round {t2 + i}: node {node} not marked visited in the replay"
                 )
-            elif (settler := digest.row_at(rid, t2 + i)) is None or settler.node != node:
+            elif (settler := digest.raw_at(rid, t2 + i)) is None or settler[1] != node:
                 findings.append(f"round {t2 + i}: settler {rid} already gone from {node}")
         else:
             cls = "I2" if d == "fwd" else "I3"

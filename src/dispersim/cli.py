@@ -106,7 +106,8 @@ def cmd_run(args) -> int:
         root=args.root,
         seed=args.seed,
         max_rounds=args.max_rounds,
-        trace_level=TraceLevel.FULL,
+        # the summary is the same at every level; only a trace file needs rows
+        trace_level=TraceLevel.FULL if args.trace else TraceLevel.NONE,
     )
     result = run(config)
     if args.trace:

@@ -27,6 +27,14 @@ it sends them, its per-type counts packed in one int; the next subround
 reads it, every robot there seeing those totals minus its own
 contribution, so an election among g co-located robots costs O(g) per
 subround, not O(g^2), and no message is stored or regrouped on the way.
+Most rounds have one live mover: the group walk shrinks to one explorer,
+and stages 2 and 3 are one walker.  In such a lone round only the mover
+and its node's settler can hear anyone, each only the other, so a
+subround carries just their two latest broadcasts and builds no postbox;
+both round kinds step robots, store words and move them through the
+same ``World`` helpers.  The group round is the reference: the tests
+force every lone round through it and compare the traces byte for byte.
+
 A robot's state is one int word (see ``robot.FIELDS``), so a transition
 builds no object: a step returns a new word (and a shared ``Move`` per
 port), movement sets the entry port with one mask-and-or, and every
@@ -51,7 +59,7 @@ import io
 import json
 import random
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -75,6 +83,7 @@ from .robot import (
     VISITED_BIT,
     Decision,
     InboxSummary,
+    Message,
     Move,
     NodeInbox,
     ProtocolViolation,
@@ -82,6 +91,7 @@ from .robot import (
     Terminate,
     TerminateSelf,
     field_widths,
+    one_sender_view,
     overflow_mask,
     overflowing_field,
     port_bits,
@@ -338,10 +348,20 @@ class World:
         accumulated into ``self.used``.  Returns every robot whose word
         or node the round may have stored: each mover, then each settler
         that heard another robot and acted, possibly more than once.
+
+        A round with one live mover is a lone round, any other a group
+        round; both step robots through the same helpers and differ only
+        in how they deliver what was broadcast.
         """
-        table = self.graph.ports
-        positions, node_settler = self.positions, self.node_settler
-        states, used, overflow = self.states, self.used, self.overflow
+        live = self.live
+        if len(live) == 1:
+            return self._lone_round(live[0], events)
+        return self._group_round(events)
+
+    def _group_round(self, events: list[str]) -> list[int]:
+        """A round of any number of movers, each node's broadcasts tallied
+        in a ``NodeInbox`` per subround."""
+        positions, node_settler, states = self.positions, self.node_settler, self.states
         movers = list(self.live)
         decisions: dict[int, Decision] = {}
         settled_kill: set[int] = set()
@@ -368,9 +388,7 @@ class World:
         while post or undecided:
             subround += 1
             if subround > self.max_subrounds:
-                raise _Fault(
-                    f"round {self.round} still open after {self.max_subrounds} subrounds"
-                )
+                raise self._overrun()
             inboxes, post = post, {}
             # movers act from subround 3 on, once the reply to their query
             # has landed; before that only settlers hear anything.  A
@@ -389,58 +407,24 @@ class World:
                 actors = sorted([*actors, *heard])
             still_open: list[int] = []
             for i in actors:
-                st = states[i]
                 node = positions[i]
-                role = st & ROLE_MASK
-                if role == SETTLED:
-                    summary = heard[i]
-                    port = summary.set_child
-                    if port is not None:
-                        # a port from a message: it must fit before it is written
-                        if port < 0 or port + 1 >> self.field_bits:
-                            raise self._too_wide(i, "child", port)
-                        events.append(f"set_child:{i}={port}")
-                    if summary.set_visited and not st & VISITED_BIT:
-                        events.append(f"set_visited:{i}")
-                    st2, msgs, dec = step_settled(st, summary)
+                if states[i] & ROLE_MASK == SETTLED:
+                    msgs, terminates = self._settler_step(i, heard[i], events)
+                    if terminates:
+                        settled_kill.add(i)
                 else:
                     inbox = inboxes.get(node)
-                    summary = EMPTY_INBOX if inbox is None else inbox.view(i)
-                    reply = summary.settled_reply
-                    if role == EXPLORE:
-                        st2, msgs, dec = step_explore(st, summary, self.rngs[i],
-                                                      len(table[node]))
-                    elif role == RETURN:
-                        st2, msgs, dec = step_return(st, reply)
+                    msgs, dec = self._mover_step(
+                        i, EMPTY_INBOX if inbox is None else inbox.view(i), events)
+                    if dec is NOT_DONE:
+                        still_open.append(i)
                     else:
-                        st2, msgs, dec = step_acknowledge(st, reply, len(table[node]))
-                        if (
-                            not st & ENTERED_MASK
-                            and reply is not None
-                            and reply.child == 0
-                            and any(isinstance(m, Terminate) for m in msgs)
-                        ):
-                            # root settler would never be revisited: repair path
-                            self.repair_fired = True
-                            events.append(f"repair_terminate:{node_settler[node]}")
+                        decisions[i] = dec
                 if msgs:
                     box = post.get(node)
                     if box is None:
                         box = post[node] = NodeInbox()
                     box.post(i, msgs)
-                if st2 & overflow:
-                    raise self._too_wide(i, *overflowing_field(st2, self.max_degree))
-                used[st2 & ROLE_MASK] |= st2
-                if role == SETTLED:
-                    if type(dec) is TerminateSelf:
-                        settled_kill.add(i)
-                elif dec is NOT_DONE:
-                    still_open.append(i)
-                else:
-                    if (st ^ st2) & ROLE_MASK:
-                        self._change_role(i, st2 & ROLE_MASK, events)
-                    decisions[i] = dec
-                states[i] = st2
             if subround > 2:
                 undecided = still_open
 
@@ -448,18 +432,7 @@ class World:
         for i in movers:
             dec = decisions[i]
             if type(dec) is Move:
-                node = positions[i]
-                ports = table[node]
-                if not 0 <= dec.port < len(ports):
-                    raise _Fault(f"round {self.round}: robot {i} tried invalid port "
-                                 f"{dec.port} at node {node}")
-                positions[i], rport = ports[dec.port]
-                # rport is below the max degree, which fits a port field
-                word = states[i] & ~ENTERED_MASK | rport + 1 << ENTERED_SHIFT
-                if word & overflow:
-                    raise self._too_wide(i, *overflowing_field(word, self.max_degree))
-                used[word & ROLE_MASK] |= word
-                states[i] = word
+                self._move(i, dec)
         for i in movers:
             if type(decisions[i]) is TerminateSelf:
                 self._kill(i, events)
@@ -467,6 +440,129 @@ class World:
             self._kill(i, events)
         movers += woken
         return movers
+
+    def _lone_round(self, i: int, events: list[str]) -> list[int]:
+        """A round of the one live mover ``i``.  Only it and its node's
+        settler can hear anyone, each only the other, so a subround
+        carries two broadcasts, the mover's and the settler's, and no
+        postbox: the same steps as a group round, in the same order."""
+        node = self.positions[i]
+        word = self.states[i]
+        undecided = word & ROLE_MASK != DONE
+        if not undecided:
+            _, _, dec = step_done(word)
+        # what the mover and its node's settler broadcast in the subround before
+        sent: Sequence[Message] = _QUERIES if undecided else ()
+        replied: Sequence[Message] = ()
+        woken: list[int] = []
+        doomed: int | None = None  # a settler that terminates at round end
+        subround = 1
+        while sent or replied or undecided:
+            subround += 1
+            if subround > self.max_subrounds:
+                raise self._overrun()
+            # the settler acts only when it hears another robot: the mover
+            settler = self.node_settler.get(node)
+            heard = EMPTY_INBOX
+            if sent and settler is not None and settler != i:
+                heard = one_sender_view(sent)
+            if heard is EMPTY_INBOX:
+                settler = None
+            else:
+                woken.append(settler)
+            acts = undecided and subround > 2
+            heard_by_mover, sent, replied = replied, (), ()
+            # the two step in id order, as in a group round
+            if settler is not None and settler < i:
+                replied, terminates = self._settler_step(settler, heard, events)
+                doomed = settler if terminates else doomed
+                settler = None
+            if acts:
+                sent, dec = self._mover_step(
+                    i, one_sender_view(heard_by_mover) if heard_by_mover else EMPTY_INBOX,
+                    events)
+                undecided = dec is NOT_DONE
+            if settler is not None:
+                replied, terminates = self._settler_step(settler, heard, events)
+                doomed = settler if terminates else doomed
+
+        if type(dec) is Move:
+            self._move(i, dec)
+        elif type(dec) is TerminateSelf:
+            self._kill(i, events)
+        if doomed is not None:
+            self._kill(doomed, events)
+        return [i, *woken]
+
+    def _settler_step(self, i: int, summary: InboxSummary,
+                      events: list[str]) -> tuple[list[Message], bool]:
+        """Step settler ``i`` on what it heard and store its word; returns
+        its broadcast and whether it terminates at round end."""
+        st = self.states[i]
+        port = summary.set_child
+        if port is not None:
+            # a port from a message: it must fit before it is written
+            if port < 0 or port + 1 >> self.field_bits:
+                raise self._too_wide(i, "child", port)
+            events.append(f"set_child:{i}={port}")
+        if summary.set_visited and not st & VISITED_BIT:
+            events.append(f"set_visited:{i}")
+        st2, msgs, dec = step_settled(st, summary)
+        if st2 & self.overflow:
+            raise self._too_wide(i, *overflowing_field(st2, self.max_degree))
+        self.used[st2 & ROLE_MASK] |= st2
+        self.states[i] = st2
+        return msgs, type(dec) is TerminateSelf
+
+    def _mover_step(self, i: int, summary: InboxSummary,
+                    events: list[str]) -> tuple[list[Message], Decision]:
+        """Step mover ``i`` by its role on what it heard and store its word;
+        returns its broadcast and its decision, ``NOT_DONE`` while its
+        election is open."""
+        st = self.states[i]
+        node = self.positions[i]
+        role = st & ROLE_MASK
+        reply = summary.settled_reply
+        if role == EXPLORE:
+            st2, msgs, dec = step_explore(st, summary, self.rngs[i], len(self.graph.ports[node]))
+        elif role == RETURN:
+            st2, msgs, dec = step_return(st, reply)
+        else:
+            st2, msgs, dec = step_acknowledge(st, reply, len(self.graph.ports[node]))
+            if (
+                not st & ENTERED_MASK
+                and reply is not None
+                and reply.child == 0
+                and any(isinstance(m, Terminate) for m in msgs)
+            ):
+                # root settler would never be revisited: repair path
+                self.repair_fired = True
+                events.append(f"repair_terminate:{self.node_settler[node]}")
+        if st2 & self.overflow:
+            raise self._too_wide(i, *overflowing_field(st2, self.max_degree))
+        self.used[st2 & ROLE_MASK] |= st2
+        if dec is not NOT_DONE and (st ^ st2) & ROLE_MASK:
+            self._change_role(i, st2 & ROLE_MASK, events)
+        self.states[i] = st2
+        return msgs, dec
+
+    def _move(self, i: int, dec: Move) -> None:
+        """Move robot ``i`` through ``dec``'s port and store its entry port."""
+        node = self.positions[i]
+        ports = self.graph.ports[node]
+        if not 0 <= dec.port < len(ports):
+            raise _Fault(f"round {self.round}: robot {i} tried invalid port "
+                         f"{dec.port} at node {node}")
+        self.positions[i], rport = ports[dec.port]
+        # rport is below the max degree, which fits a port field
+        word = self.states[i] & ~ENTERED_MASK | rport + 1 << ENTERED_SHIFT
+        if word & self.overflow:
+            raise self._too_wide(i, *overflowing_field(word, self.max_degree))
+        self.used[word & ROLE_MASK] |= word
+        self.states[i] = word
+
+    def _overrun(self) -> _Fault:
+        return _Fault(f"round {self.round} still open after {self.max_subrounds} subrounds")
 
     def _change_role(self, i: int, role: int, events: list[str]) -> None:
         node = self.positions[i]

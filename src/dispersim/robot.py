@@ -339,10 +339,36 @@ class NodeInbox:
             if sender != receiver:
                 set_child = port
                 break
-        if reply is None and set_child is None:
-            return _BY_FLAGS[flags]
-        fields = None if reply is None else (reply.parent, reply.child, reply.visited)
-        return _flag_summary(flags, fields, set_child)
+        return _summary(flags, reply, set_child)
+
+
+def one_sender_view(msgs: Iterable[Message]) -> InboxSummary:
+    """What a robot hears when exactly one other robot broadcast ``msgs``:
+    the summary, the same interned object, that a ``NodeInbox`` holding
+    only that broadcast gives any other receiver, and the same
+    ``MultipleRepliesError`` on two replies."""
+    weight = 0
+    reply: SettledReply | None = None
+    set_child: int | None = None
+    for msg in msgs:
+        kind = type(msg)
+        weight += _WEIGHT[kind]
+        if kind is SettledReply:
+            if reply is not None:
+                raise MultipleRepliesError("two settled replies at one node")
+            reply = msg
+        elif kind is SetChild:
+            set_child = msg.port
+    return _summary(weight + _LOW & _HIGH, reply, set_child)
+
+
+def _summary(flags: int, reply: SettledReply | None, set_child: int | None) -> InboxSummary:
+    """The interned summary of the presence word ``flags``, a reply and a
+    child port."""
+    if reply is None and set_child is None:
+        return _BY_FLAGS[flags]
+    fields = None if reply is None else (reply.parent, reply.child, reply.visited)
+    return _flag_summary(flags, fields, set_child)
 
 
 # --- leader election ----------------------------------------------------

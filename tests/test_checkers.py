@@ -471,6 +471,8 @@ def test_digest_matches_a_scan_of_the_engine_records(graph, k, root, seed, subro
             want = [(r[0], view(r)) for r in records[t - 1].robots]
             assert sorted(digest.rows_at[t].items()) == want
     for rec in records:
+        stored = {r[0]: r for r in rec.robots}
+        assert [digest.raw_at(i, rec.round) for i in range(k)] == [stored.get(i) for i in range(k)]
         by_id = {r[0]: view(r) for r in rec.robots}
         assert [digest.row_at(i, rec.round) for i in range(k)] == [by_id.get(i) for i in range(k)]
     events = [(rec.round, e.replace("@", ":").replace("=", ":").split(":"))

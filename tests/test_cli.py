@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dispersim import engine, robot
+from dispersim import cli, engine, robot
 from dispersim.cli import main
 from dispersim.engine import SimulationConfig, parse_trace, replay, run
 from dispersim.graph import gen_ring
@@ -65,6 +65,24 @@ class TestRun:
         assert json.loads(lines[0]) == {"format": 3, "k": 2, "max_degree": 1,
                                         "fields": [list(f) for f in robot.FIELDS]}
         assert json.loads(lines[-1]) == summary
+
+    def test_run_without_trace_simulates_untraced(self, capsys, tmp_path, monkeypatch):
+        """The summary line does not depend on the trace level, so ``run``
+        with no trace file keeps no rows."""
+        levels = []
+
+        def recorded(config):
+            levels.append(config.trace_level)
+            return run(config)
+
+        monkeypatch.setattr(cli, "run", recorded)
+        argv = ("run", "--graph", "gen:ring:6", "--k", "6", "--seed", "5")
+        code, untraced, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, traced, _ = run_cli(capsys, *argv, "--trace", str(tmp_path / "t.jsonl"))
+        assert code == 0
+        assert untraced == traced
+        assert levels == [engine.TraceLevel.NONE, engine.TraceLevel.FULL]
 
     def test_k_zero_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "run", "--graph", "gen:path:4", "--k", "0", "--seed", "1")

@@ -29,6 +29,7 @@ from dispersim.graph import (
     gen_worstcase,
 )
 from dispersim import engine, robot
+from test_golden_traces import FAULT_RUNS, _graph
 from trace_v1 import moved, role, v3_jsonl, view
 
 
@@ -636,3 +637,42 @@ def test_a_settler_on_silence_keeps_its_word():
     assert len(words) == 8000
     for word in words:
         assert robot.step_settled(word, robot.EMPTY_INBOX) == (word, [], robot.STAY)
+
+
+def _lone_and_group_runs():
+    yield from ((f"corpus:{i}", SimulationConfig(graph=g, k=k, root=root, seed=i))
+                for i, _, _, k, root, g in corpus_instances(0, 50))
+    yield from ((f"worstcase:{k}", SimulationConfig(graph=gen_worstcase(k), k=k, seed=k))
+                for k in (7, 16, 32, 64))
+    for spec, k, seed, budget, *_ in FAULT_RUNS:
+        for level in (TraceLevel.FULL, TraceLevel.SUMMARY):
+            yield (f"{spec}/{seed}/{level.value}",
+                   SimulationConfig(graph=_graph(spec), k=k, seed=seed, trace_level=level,
+                                    **budget))
+
+
+def test_lone_rounds_match_group_rounds(monkeypatch):
+    """A lone round is a second delivery path for the one-mover case: with
+    every round forced through the group round, each run writes the same
+    trace bytes, uses the same bits and ends in the same fault."""
+    lone = World._lone_round
+    calls = []
+
+    def counted(self, i, events):
+        calls.append(i)
+        return lone(self, i, events)
+
+    def ran(cfg):
+        res = run(cfg)
+        return res.to_jsonl(), res.used_bits, res.summary.fault
+
+    runs = list(_lone_and_group_runs())
+    monkeypatch.setattr(World, "_lone_round", counted)
+    want = [ran(cfg) for _, cfg in runs]
+    assert len(calls) > 10_000  # mostly the worst case's stages 2 and 3
+    monkeypatch.setattr(World, "_lone_round",
+                        lambda self, i, events: self._group_round(events))
+    for (name, cfg), (text, used, fault) in zip(runs, want):
+        assert ran(cfg) == (text, used, fault), name
+    # the three election overruns, at both levels
+    assert sum(fault is not None for _, _, fault in want) == 6

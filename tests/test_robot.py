@@ -48,6 +48,7 @@ from dispersim.robot import (
     decode,
     encode,
     field_widths,
+    one_sender_view,
     overflow_mask,
     port_bits,
     step_acknowledge,
@@ -502,11 +503,22 @@ def test_node_inbox_matches_per_receiver_scan(messages):
     """One digest per node serves every receiver exactly as a scan of the
     whole list per receiver would, errors included, whether it is built
     from the list or posted to one sender's batch at a time as the
-    engine fills it."""
+    engine fills it; and each sender's batch alone is heard by any other
+    receiver as ``one_sender_view`` says."""
     inbox = NodeInbox(messages)
     posted = NodeInbox()
     for sender, batch in itertools.groupby(messages, key=lambda sent: sent[0]):
-        posted.post(sender, [msg for _, msg in batch])
+        msgs = [msg for _, msg in batch]
+        posted.post(sender, msgs)
+        alone = NodeInbox()
+        alone.post(sender, msgs)
+        try:
+            want = alone.view(5)
+        except MultipleRepliesError:
+            with pytest.raises(MultipleRepliesError):
+                one_sender_view(msgs)
+        else:
+            assert one_sender_view(msgs) is want
     for receiver in range(6):
         try:
             want = reference_summary(messages, receiver)
@@ -557,3 +569,27 @@ def test_no_view_hashes_a_reply(monkeypatch):
                                trace_level=TraceLevel.NONE))
     assert res.summary.outcome is Outcome.DISPERSED_ALL_TERMINATED
     assert calls == []
+
+
+def test_a_lone_mover_fills_no_postbox(monkeypatch):
+    """Cost guard, in counts: a round with one live mover delivers its two
+    broadcasts without a ``NodeInbox``, so a whole worst-case run, nearly
+    all of it one walker, builds postboxes only for its group rounds."""
+    from dispersim import engine
+    from dispersim.engine import Outcome, SimulationConfig, TraceLevel, run
+    from dispersim.graph import gen_worstcase
+
+    built = []
+
+    class Counted(NodeInbox):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "NodeInbox", Counted)
+    res = run(SimulationConfig(graph=gen_worstcase(16), k=16, seed=2,
+                               trace_level=TraceLevel.NONE))
+    assert res.summary.outcome is Outcome.DISPERSED_ALL_TERMINATED
+    assert 0 < len(built) <= 100
