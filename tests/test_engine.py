@@ -672,7 +672,7 @@ def test_lone_rounds_match_group_rounds(monkeypatch):
     assert len(calls) > 10_000  # mostly the worst case's stages 2 and 3
     monkeypatch.setattr(World, "_lone_round",
                         lambda self, i, events: self._group_round(events))
-    for (name, cfg), (text, used, fault) in zip(runs, want):
-        assert ran(cfg) == (text, used, fault), name
+    for (name, cfg), outcome in zip(runs, want):
+        assert ran(cfg) == outcome, name
     # the three election overruns, at both levels
     assert sum(fault is not None for _, _, fault in want) == 6
