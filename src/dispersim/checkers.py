@@ -47,10 +47,6 @@ class KTooLargeError(ValueError):
     pass
 
 
-class TraceIncompleteError(ValueError):
-    """The trace lacks the rounds or fields this checker needs."""
-
-
 @dataclass
 class Verdict:
     passed: bool
@@ -163,10 +159,11 @@ class TraceDigest:
     ``group[r]``: the (node, dir, entered) the exploring robots share in
     round r, or None, kept as a count of explorer keys updated from the
     rows that change.  ``raw_at`` reads each robot's row history as
-    stored, ``row_at`` decoded; ``rows_at`` holds the rows of rounds t1
-    and t2 + 1 by robot id, both as ``RowView``s.  Events are parsed
-    once: per robot its settle (round, node), its child port and the
-    rounds it was set in, and the first round of each other event.
+    stored; ``rows_at`` holds the rows of rounds t1 and t2 + 1 by robot
+    id, as ``RowView``s.  The reader gives a record for every round
+    1..``rounds``; a round past ``rounds`` has no rows.  Events are
+    parsed once: per robot its settle (round, node), its child port and
+    the rounds it was set in, and the first round of each other event.
     ``words``: per distinct state word its decoded (role, dir, entered)
     and the (round, robot) of its first row.  ``oracle``: the reference
     walk, None unless the run dispersed with k >= 2.
@@ -176,20 +173,19 @@ class TraceDigest:
 
     Raises ``TraceFormatError``, before the oracle walks the graph, on a
     header ``max_degree`` that is not the graph's or a field table that
-    lacks a decoded field; on a node, robot or port that the graph or the
-    run lacks (summary, rows, events); a role or direction code the
-    format lacks; a ``settle`` of a robot settled before or not exploring
-    that node; a ``set_child`` or ``set_visited`` of a robot not yet
-    settled; a ``to_return``, ``to_acknowledge`` or ``to_done`` of a
-    settled robot; or a ``repair_fired`` that disagrees with the
-    ``repair_terminate`` events.
+    lacks a decoded field; on a k above the graph's node count, or a
+    node or port that the graph lacks (summary, rows, events); a role or
+    direction code the format lacks; a ``settle`` of a robot settled
+    before or not exploring that node; a ``set_child`` or
+    ``set_visited`` of a robot not yet settled; a ``to_return``,
+    ``to_acknowledge`` or ``to_done`` of a settled robot; or a
+    ``repair_fired`` that disagrees with the ``repair_terminate`` events.
     """
 
     def __init__(self, trace: ParsedTrace, graph: PortLabeledGraph):
         s = self.summary = trace.summary
         self.graph = graph
         self.fields = trace.fields
-        self.has_records = bool(trace.deltas)
         k, n = s.k, graph.n
         if trace.max_degree != graph.max_degree():
             raise TraceFormatError(
@@ -207,7 +203,8 @@ class TraceDigest:
         self.group: dict[int, tuple[int, str, int | None] | None] = {}
         self.history: defaultdict[int, tuple[list[int], list[Row | None]]] = \
             defaultdict(lambda: ([], []))
-        self.rows_at: dict[int, dict[int, RowView]] = {}
+        wanted = {s.t1, None if s.t2 is None else s.t2 + 1}
+        self.rows_at: dict[int, dict[int, RowView]] = {r: {} for r in wanted}
         self.settles: dict[int, tuple[int, int]] = {}
         self.child_ports: dict[int, int] = {}
         self.child_rounds: defaultdict[int, list[int]] = defaultdict(list)
@@ -223,7 +220,6 @@ class TraceDigest:
             raise TraceFormatError(f"header fields lack {', '.join(missing)}, which a row's "
                                    f"word is decoded by")
         (rs, rm), (ds, dm), (es, em) = (at[name] for name in _DECODED)
-        wanted = {s.t1, None if s.t2 is None else s.t2 + 1}
         history, words, ports = self.history, self.words, graph.ports
         # each exploring robot's (node, dir, entered), and how many share each
         explorer: dict[int, tuple[int, str, int | None]] = {}
@@ -302,16 +298,7 @@ class TraceDigest:
         ``current``; the robot a ``terminate`` names."""
         name, _, body = ev.partition(":")
         rid, _, arg = body.partition("@" if name == "settle" else "=")
-        try:
-            robot, value = int(rid), int(arg) if arg else None
-        except ValueError:
-            raise TraceFormatError(
-                f"round {rnd}: event {name} names a number too long to read"
-            ) from None
-        if robot >= self.summary.k:
-            raise TraceFormatError(
-                f"round {rnd}: event {ev} names a robot outside 0..{self.summary.k - 1}"
-            )
+        robot, value = int(rid), int(arg) if arg else None
         if name == "settle":
             row = current.get(robot)
             if (robot in self.settles or row is None or row[1] != value
@@ -349,27 +336,8 @@ class TraceDigest:
         """The robot's stored ``(id, node, word)`` row in round ``rnd``,
         None if it has none there."""
         past = self.history.get(robot)
-        j = bisect_right(past[0], rnd) if past else 0
+        j = bisect_right(past[0], rnd) if past and rnd <= self.summary.rounds else 0
         return past[1][j - 1] if j else None
-
-    def row_at(self, robot: int, rnd: int) -> RowView | None:
-        """The robot's row in round ``rnd``, decoded, None if it has none
-        there."""
-        row = self.raw_at(robot, rnd)
-        if row is None:
-            return None
-        i, node, word = row
-        # what RowView(...) does, without its Python-level __new__
-        return tuple.__new__(RowView, (i, node, *self.words[word][0]))
-
-
-def _require_rounds(digest: TraceDigest, first: int, last: int) -> None:
-    """Rounds ``first..last`` all have records; stops at the first gap."""
-    for r in range(first, last + 1):
-        if r not in digest.group:
-            raise TraceIncompleteError(
-                f"trace lacks the record of round {r} (full trace level required)"
-            )
 
 
 def _not_dispersed(s: RunSummary) -> Verdict | None:
@@ -392,10 +360,9 @@ def check_dispersion(digest: TraceDigest) -> Verdict:
     if len(set(s.positions.values())) != len(s.positions):
         dupes = sorted(v for v, c in Counter(s.positions.values()).items() if c > 1)
         findings.append(f"two robots share final node(s) {dupes}")
-    if digest.has_records:
-        missing = sorted(set(range(s.k)) - set(digest.first["terminate"]))
-        if missing:
-            findings.append(f"robots {missing} never terminated")
+    missing = sorted(set(range(s.k)) - set(digest.first["terminate"]))
+    if missing:
+        findings.append(f"robots {missing} never terminated")
     return _verdict(findings)
 
 
@@ -409,7 +376,6 @@ def check_stage1(digest: TraceDigest) -> Verdict:
     if s.t1 is None:
         return _verdict(["no stage-1 end event (t1 missing)"])
     t1, graph, oracle = s.t1, digest.graph, digest.oracle
-    _require_rounds(digest, 1, t1)
     group = digest.group
     findings: list[str] = []
 
@@ -497,7 +463,6 @@ def check_rootpath_children(digest: TraceDigest) -> Verdict:
     if s.t1 is None or s.t2 is None:
         return _verdict(["t1/t2 missing from summary"])
     t1, t2, graph, oracle = s.t1, s.t2, digest.graph, digest.oracle
-    _require_rounds(digest, t1, t2 + 1)
     findings: list[str] = []
 
     ack = digest.first["to_acknowledge"]
@@ -510,11 +475,11 @@ def check_rootpath_children(digest: TraceDigest) -> Verdict:
 
     # the return walk: round t1 + j finds the walker j hops up the rootpath
     for j in range(min(t2 - t1, len(oracle.rootpath) - 1) + 1):
-        row = digest.row_at(r_l, t1 + j)
+        row = digest.raw_at(r_l, t1 + j)
         want = oracle.rootpath[-1 - j]
-        if row is None or row.node != want:
+        if row is None or row[1] != want:
             findings.append(
-                f"round {t1 + j}: walker {r_l} at node {None if row is None else row.node}, "
+                f"round {t1 + j}: walker {r_l} at node {None if row is None else row[1]}, "
                 f"the return walk up the rootpath is at {want}"
             )
             break
@@ -587,8 +552,6 @@ def check_mirror(digest: TraceDigest) -> Verdict:
     if len(ret) != 1:
         return _verdict([f"expected exactly one return transition, got {sorted(ret)}"])
     (r_l, _), = ret.items()
-    _require_rounds(digest, 1, t1 - 1)
-    _require_rounds(digest, t2 + 1, t2 + t1 - 1)
 
     settler_at = {node: rid for rid, (_, node) in digest.settles.items()}
     settle_rounds = {rnd for rnd, _ in digest.settles.values()}
@@ -699,7 +662,6 @@ def check_exit_counts(digest: TraceDigest) -> Verdict:
     if s.t1 is None:
         return _verdict(["t1 missing from summary"])
     t1, graph = s.t1, digest.graph
-    _require_rounds(digest, 1, t1)
     findings: list[str] = []
 
     walk = [digest.group[i] for i in range(1, t1 + 1)]
@@ -787,8 +749,6 @@ def check_memory(digest: TraceDigest) -> Verdict:
     port, or none).  A word may set only its table's bits, and in a port
     field only the low L + 1; the first row that sets another is named.
     """
-    if not digest.has_records:
-        raise TraceIncompleteError("no round records with state words")
     delta = digest.graph.max_degree()
     log_delta = max(delta - 1, 1).bit_length()
     budget = 5 * log_delta + 17

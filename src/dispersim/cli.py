@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .checkers import CHECKER_NAMES, TraceIncompleteError, run_all
+from .checkers import CHECKER_NAMES, run_all
 from .engine import (
     ConfigError,
     Outcome,
@@ -127,8 +127,8 @@ def cmd_verify(args) -> int:
     with open(args.trace, "rb") as fh:
         try:
             verdicts = run_all(parse_trace(fh), _load_graph(args.graph), names)
-        except (TraceFormatError, TraceIncompleteError) as exc:
-            raise type(exc)(f"{args.trace}: {exc}") from None
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"{args.trace}: {exc}") from None
     all_pass = True
     for name, verdict in verdicts.items():
         _emit(
@@ -253,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphError, ConfigError, TraceFormatError, TraceIncompleteError) as exc:
+    except (GraphError, ConfigError, TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -42,13 +42,16 @@ stored word costs one AND against the run's overflow mask and one OR
 into its role's accumulator.
 
 A FULL trace is kept as it is written (format 3): one ``TraceDelta`` per
-round, holding a row ``(id, node, word)`` for each robot whose stored
-word or node changed since its last row.  A robot is gone from the round
-after its ``terminate`` event, which is all a reader needs to drop it.
-``run`` builds the deltas from the robots ``execute_round`` returns as
-stored (every actor, settlers included), so a round's trace costs what
-the round touched, not k; ``parse_trace`` reads the same records back,
-and ``replay`` rebuilds a round's full set of rows when one is wanted.
+round 1..``rounds``, in order, holding a row ``(id, node, word)`` for
+each robot whose stored word or node changed since its last row.  A
+robot is gone from the round after its ``terminate`` event, which is all
+a reader needs to drop it.  ``run`` builds the deltas from the robots
+``execute_round`` returns as stored (every actor, settlers included), so
+a round's trace costs what the round touched, not k; ``parse_trace``
+reads the same records back, rejecting a trace that lacks a round, and
+``replay`` rebuilds a round's full set of rows when one is wanted.  A
+SUMMARY run keeps only the rounds with a stage marker, in memory, and
+writes no trace.
 Nothing here decodes a word: the header carries the field table
 (``robot.FIELDS``) a reader decodes it by.
 """
@@ -135,16 +138,18 @@ class _Fault(Exception):
 _QUERIES = (Query(),)
 
 
-# events that mark stage boundaries, kept even at SUMMARY trace level
+# events that mark stage boundaries, kept in memory at SUMMARY trace level
 _MARKER_PREFIXES = ("settle:", "to_return:", "to_acknowledge:", "to_done:",
                     "terminate:", "repair_terminate:")
-# every event the engine writes: a robot id, then the node it settled at
-# or the child port it was given, each a number without leading zeros
+# every event the engine writes: its name, a robot id, then the node it
+# settled at or the child port it was given, each a number without
+# leading zeros
 _EVENT = re.compile(
-    r"(?:settle:(?:0|[1-9][0-9]*)@|set_child:(?:0|[1-9][0-9]*)="
-    r"|(?:to_return|to_acknowledge|to_done|terminate|repair_terminate|set_visited):)"
-    r"(?:0|[1-9][0-9]*)"
+    r"(settle|set_child|to_return|to_acknowledge|to_done|terminate|repair_terminate"
+    r"|set_visited):(0|[1-9][0-9]*)(?:([@=])(0|[1-9][0-9]*))?"
 )
+# the separator before an event's second number, by name; the rest have none
+_SEPARATOR = {"settle": "@", "set_child": "="}
 
 
 @dataclass
@@ -241,8 +246,8 @@ class RunSummary:
 class SimulationResult:
     summary: RunSummary
     # the trace: one record per round at FULL (the round's changed rows
-    # and its events), one per round with a stage marker at SUMMARY, none
-    # at NONE
+    # and its events); at SUMMARY, kept in memory only, one per round
+    # with a stage marker; none at NONE
     deltas: list[TraceDelta]
     trace_level: TraceLevel
     # the graph's max degree, which the trace header carries
@@ -262,8 +267,9 @@ class SimulationResult:
 
     def jsonl_lines(self) -> Iterator[str]:
         """The trace's lines, each ending in a newline: the format header,
-        one line per delta, then the summary; none at ``TraceLevel.NONE``."""
-        if self.trace_level is TraceLevel.NONE:
+        one line per round, then the summary; none below ``TraceLevel.FULL``,
+        whose deltas lack rounds that a trace must hold."""
+        if self.trace_level is not TraceLevel.FULL:
             return
         dumps = json.dumps
         yield dumps({"format": TRACE_FORMAT, "k": self.summary.k,
@@ -691,6 +697,8 @@ def _parse_summary(obj: dict) -> RunSummary:
             if int(i) >= k:
                 raise ValueError(f"position of robot {i}, outside robots 0..{k - 1}")
         rounds = _int(obj, "rounds")
+        if rounds < 1:
+            raise ValueError(f"rounds={rounds} is not at least 1")
         t1, t2 = _int(obj, "t1", null=True), _int(obj, "t2", null=True)
         for key, value in (("t1", t1), ("t2", t2)):
             if value is not None and not 1 <= value <= rounds:
@@ -767,8 +775,8 @@ class _RecordReader:
 
     def record(self, obj: dict) -> TraceDelta:
         rnd = obj["round"]
-        if type(rnd) is not int or rnd <= self.round:
-            raise ValueError(f"round {rnd!r} is not an integer greater than {self.round}")
+        if type(rnd) is not int or rnd != self.round + 1:
+            raise ValueError(f"round {rnd!r}, where round {self.round + 1} comes next")
         self.round = rnd
         rows, events = obj["rows"], obj["events"]
         if type(rows) is not list or type(events) is not list:
@@ -777,10 +785,17 @@ class _RecordReader:
         if rows:
             rows = self._rows(rows)
         for ev in events:
-            if not _EVENT.fullmatch(ev):
+            m = _EVENT.fullmatch(ev)
+            if m is None or m[3] != _SEPARATOR.get(m[1]):
                 raise ValueError(f"unknown event {ev!r}")
-            if ev.startswith("terminate:"):
-                self.ended.setdefault(int(ev[10:]), rnd)
+            # int() raises on a number too long to read
+            robot = int(m[2])
+            if m[4]:
+                int(m[4])
+            if robot >= self.k:
+                raise ValueError(f"event {ev} names a robot outside 0..{self.k - 1}")
+            if m[1] == "terminate":
+                self.ended.setdefault(robot, rnd)
         return TraceDelta(rnd, rows, events)
 
     def _rows(self, rows: list) -> list[Row]:
@@ -812,11 +827,12 @@ _NON_ASCII = re.compile(r"[^\x00-\x7f]")
 def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
     """Read a trace, line by line, from a string or an open file.
 
-    The header comes first, then the round records, then the summary.
-    Each record comes back as the ``TraceDelta`` it was written from
-    (``replay`` gives each round's rows).  A line holding a non-ASCII byte
-    (or character) is rejected before it is decoded, so pass a file opened
-    in binary mode to have every byte checked.
+    The header comes first, then one record per round 1..``rounds``, in
+    order, then the summary.  Each record comes back as the
+    ``TraceDelta`` it was written from (``replay`` gives each round's
+    rows).  A line holding a non-ASCII byte (or character) is rejected
+    before it is decoded, so pass a file opened in binary mode to have
+    every byte checked.
     """
     lines = io.StringIO(source) if isinstance(source, str) else source
     header: tuple[int, int, tuple[tuple[str, int], ...]] | None = None
@@ -864,8 +880,8 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
         raise TraceFormatError("trace has no summary line")
     if summary.k != reader.k:
         raise TraceFormatError(f"summary has k={summary.k}, the header k={reader.k}")
-    if reader.round > summary.rounds:
+    if reader.round != summary.rounds:
         raise TraceFormatError(
-            f"record of round {reader.round} after the summary's last round {summary.rounds}")
+            f"last record is of round {reader.round}, the summary's last round {summary.rounds}")
     _, max_degree, fields = header
     return ParsedTrace(deltas=deltas, summary=summary, max_degree=max_degree, fields=fields)

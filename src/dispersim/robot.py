@@ -287,20 +287,17 @@ class NodeInbox:
     The digest keeps the lane totals (see ``LANE_BITS``) and each sender's
     own, one int each, plus the replies and child ports with their
     senders, listed only once one is posted; a receiver's view is the
-    totals minus its own contribution.  It is filled either at once from
-    a list or sender by sender through :meth:`post`, and read only once
-    every broadcast is in.
+    totals minus its own contribution.  It is filled sender by sender
+    through :meth:`post`, and read only once every broadcast is in.
     """
 
     __slots__ = ("totals", "own", "replies", "set_children")
 
-    def __init__(self, messages: Iterable[tuple[int, Message]] = ()):
+    def __init__(self):
         self.totals = 0
         self.own: dict[int, int] = {}
         self.replies: list[tuple[int, SettledReply]] | None = None
         self.set_children: list[tuple[int, int]] | None = None
-        for sender, msg in messages:
-            self.post(sender, (msg,))
 
     def post(self, sender: int, msgs: Iterable[Message]) -> None:
         """Tally the broadcasts ``msgs`` of ``sender``, in order."""
@@ -419,9 +416,11 @@ def le_subround(le: int, summary: InboxSummary, coin: int) -> tuple[int, Message
     return FLIPPING, None
 
 
-def run_local_election(
-    k: int, rng, max_subrounds: int = 4096
-) -> tuple[list[int], int]:
+# the subrounds an isolated election may take before it is a protocol fault
+_ELECTION_SUBROUNDS = 4096
+
+
+def run_local_election(k: int, rng) -> tuple[list[int], int]:
     """Run one isolated election among k co-located robots.
 
     Returns (leader indices, subrounds until everyone resolved).  Used by
@@ -435,8 +434,8 @@ def run_local_election(
     subrounds = 0
     while unresolved:
         subrounds += 1
-        if subrounds > max_subrounds:
-            raise ProtocolViolation(f"election still open after {max_subrounds} subrounds")
+        if subrounds > _ELECTION_SUBROUNDS:
+            raise ProtocolViolation(f"election still open after {_ELECTION_SUBROUNDS} subrounds")
         sent = NodeInbox()
         still_open: list[int] = []
         for i in unresolved:

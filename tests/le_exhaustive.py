@@ -40,8 +40,10 @@ def _broadcast(le):
 
 
 def _children(joint: tuple) -> set[tuple]:
-    sent = [(i, msg) for i, le in enumerate(joint) if (msg := _broadcast(le)) is not None]
-    inbox = NodeInbox(sent)
+    inbox = NodeInbox()
+    for i, le in enumerate(joint):
+        if (msg := _broadcast(le)) is not None:
+            inbox.post(i, (msg,))
     # every unresolved robot gets a coin; an idle one ignores it
     unresolved = [i for i, le in enumerate(joint) if not _resolved(le)]
     out = set()

@@ -13,7 +13,6 @@ from dispersim.checkers import (
     CHECKER_NAMES,
     KTooLargeError,
     TraceDigest,
-    TraceIncompleteError,
     check_dispersion,
     check_memory,
     check_mirror,
@@ -265,34 +264,48 @@ def _settles(records):
 
 
 def cut(res, last):
-    """``res``'s trace with only the records of rounds 1..last."""
+    """``res``'s trace text with only the records of rounds 1..last."""
     lines = res.to_jsonl().strip().splitlines()
-    return parse_trace("\n".join(lines[:last + 1] + lines[-1:]) + "\n")
+    return "\n".join(lines[:last + 1] + lines[-1:]) + "\n"
 
 
 class TestIncompleteTraces:
+    """A trace holds every round of its run: the reader rejects one cut
+    short, before any checker reads it."""
+
     @pytest.fixture
     def res(self):
-        """A run that never takes the repair path (rooted mid-path), so
-        each cut of its trace keeps a true ``repair_fired``."""
+        """A run that never takes the repair path (rooted mid-path)."""
         res = run(SimulationConfig(graph=gen_path(4), k=4, root=1, seed=17))
         assert not res.summary.repair_fired
         return res
 
-    def test_mirror_needs_stage_three(self, res):
-        with pytest.raises(TraceIncompleteError):
-            check_mirror(TraceDigest(cut(res, res.summary.t2), gen_path(4)))
+    def test_cut_before_stage_three_is_format_error(self, res):
+        s = res.summary
+        with pytest.raises(TraceFormatError, match=f"last record is of round {s.t2}, "
+                                                   f"the summary's last round {s.rounds}"):
+            parse_trace(cut(res, s.t2))
 
-    def test_memory_needs_records(self, res):
-        with pytest.raises(TraceIncompleteError):
-            check_memory(TraceDigest(cut(res, 0), gen_path(4)))
+    def test_no_records_is_format_error(self, res):
+        with pytest.raises(TraceFormatError, match="last record is of round 0"):
+            parse_trace(cut(res, 0))
 
-    def test_cut_before_the_repair_is_format_error(self):
-        g = gen_ring(6)
-        res = run(SimulationConfig(graph=g, k=5, root=0, seed=17))
-        assert res.summary.repair_fired
+    def test_repair_fired_without_its_event_is_format_error(self, res):
+        trace = parse_trace(res.to_jsonl())
+        trace.summary.repair_fired = True
         with pytest.raises(TraceFormatError, match="repair_fired=true"):
-            run_all(cut(res, res.summary.t2), g)
+            run_all(trace, gen_path(4))
+
+
+@pytest.mark.parametrize("i, k, root, g", [(i, k, root, g)
+                                           for i, _, _, k, root, g in corpus_instances(0, 3)])
+def test_a_dropped_record_is_format_error(i, k, root, g):
+    """Deleting any one record line of a run's trace leaves a round
+    missing, which the reader rejects."""
+    lines = run(SimulationConfig(graph=g, k=k, root=root, seed=i)).to_jsonl().splitlines()
+    for j in range(1, len(lines) - 1):
+        with pytest.raises(TraceFormatError):
+            parse_trace("\n".join(lines[:j] + lines[j + 1:]) + "\n")
 
 
 def test_summary_k_above_n_is_format_error():
@@ -458,7 +471,7 @@ def _group_by_scan(rec):
 )
 def test_digest_matches_a_scan_of_the_engine_records(graph, k, root, seed, subrounds):
     """The digest's per-round group key, its rows at t1 and t2 + 1, each
-    robot's row in each round and its events are what a scan of the
+    robot's stored row in each round and its events are what a scan of the
     engine's full per-round records gives."""
     res = run(SimulationConfig(graph=graph, k=k, root=root, seed=seed,
                                max_subrounds_per_round=subrounds))
@@ -473,8 +486,6 @@ def test_digest_matches_a_scan_of_the_engine_records(graph, k, root, seed, subro
     for rec in records:
         stored = {r[0]: r for r in rec.robots}
         assert [digest.raw_at(i, rec.round) for i in range(k)] == [stored.get(i) for i in range(k)]
-        by_id = {r[0]: view(r) for r in rec.robots}
-        assert [digest.row_at(i, rec.round) for i in range(k)] == [by_id.get(i) for i in range(k)]
     events = [(rec.round, e.replace("@", ":").replace("=", ":").split(":"))
               for rec in records for e in rec.events]
     assert digest.settles == {int(e[1]): (rnd, int(e[2])) for rnd, e in events if e[0] == "settle"}

@@ -190,6 +190,21 @@ class TestVerify:
         assert not verdicts["dispersion"]["pass"]
         assert verdicts["dispersion"]["findings"]
 
+    def test_summary_t2_at_the_last_round_fails(self, capsys, good_trace, tmp_path):
+        """A summary whose t2 is the last round puts round t2 + 1 past the
+        trace, where the digest has no row: ``verify`` rejects the run
+        (exit 1) rather than the file or itself."""
+        lines = good_trace.read_text().strip().splitlines()
+        summary = json.loads(lines[-1])
+        summary["t2"] = summary["rounds"]
+        bad = tmp_path / "late_t2.jsonl"
+        bad.write_text("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n")
+        code, out, err = run_cli(capsys, "verify", "--trace", str(bad), "--graph", "gen:ring:6")
+        assert code == 1, err
+        verdicts = {json.loads(l)["checker"]: json.loads(l) for l in out.strip().splitlines()}
+        assert verdicts["rootpath"]["findings"] and verdicts["mirror"]["findings"]
+        assert "Traceback" not in err
+
     def test_unparseable_trace(self, capsys, tmp_path):
         bad = tmp_path / "junk.jsonl"
         bad.write_text("not a trace\n")
@@ -200,7 +215,8 @@ class TestVerify:
 
     # line of the trace to edit (0 is the header, r round r, -2 the last
     # round, -1 the summary)
-    # and the edit: a function of the line's object, or the changes to
+    # and the edit: None, which deletes the line, a function of the
+    # line's object, or the changes to
     # robot 3's round-3 row, which goes into that line's rows as the
     # robot's new row (robot 3 settles in round 3, writes no row in round
     # 4 and terminates in round 13): "id", "node" and "word" replace that
@@ -236,6 +252,7 @@ class TestVerify:
         "event_settle_off_its_node": (3, lambda o: o["events"].append("settle:0@0")),
         "event_id_5000_digits": (1, lambda o: o["events"].append("settle:" + "9" * 5000 + "@1")),
         "event_id_leading_zero": (1, lambda o: o["events"].append("to_done:01")),
+        "event_node_5000_digits": (1, lambda o: o["events"].append("settle:1@" + "9" * 5000)),
         # robot 2 settles in round 1, robot 3 in round 3
         "event_done_of_settler": (8, lambda o: o["events"].append("to_done:2")),
         "event_return_of_settler": (8, lambda o: o["events"].append("to_return:3")),
@@ -258,6 +275,8 @@ class TestVerify:
         "header_field_width_huge": (0, lambda o: o["fields"].append(["hops", 10**9])),
         "round_repeated": (5, lambda o: o.update(round=4)),
         "round_after_the_last": (-2, lambda o: o.update(round=o["round"] + 1)),
+        "round_dropped": (5, None),
+        "round_dropped_last": (-2, None),
     }
 
     @pytest.mark.parametrize("edit", sorted(HOSTILE_EDITS))
@@ -280,9 +299,12 @@ class TestVerify:
             ids = [r[0] for r in obj["rows"]]
             assert 3 not in ids
             obj["rows"].insert(sum(i < 3 for i in ids), row)
-        else:
+        elif change is not None:
             change(obj)
-        lines[line] = json.dumps(obj)
+        if change is None:
+            del lines[line]
+        else:
+            lines[line] = json.dumps(obj)
         bad = tmp_path / "hostile.jsonl"
         bad.write_text("\n".join(lines) + "\n")
         code, _, err = run_cli(capsys, "verify", "--trace", str(bad), "--graph", "gen:ring:6")

@@ -76,9 +76,18 @@ def field(word, name):
     return decode(word)[name]
 
 
+def inbox_of(messages):
+    """A ``NodeInbox`` with each (sender, message) of ``messages`` posted
+    in turn."""
+    inbox = NodeInbox()
+    for sender, msg in messages:
+        inbox.post(sender, (msg,))
+    return inbox
+
+
 def hear(*msgs):
     """What robot 1 hears when robot 9 broadcast ``msgs`` at its node."""
-    return NodeInbox([(9, m) for m in msgs]).view(1)
+    return inbox_of([(9, m) for m in msgs]).view(1)
 
 
 def explore(st0, summary, degree):
@@ -407,7 +416,7 @@ class TestStateWord:
 class TestPurity:
     def test_inputs_never_mutated(self):
         st0 = settled_state(parent=0)
-        inbox = NodeInbox([(3, SetChild(1)), (3, SetVisited())]).view(2)
+        inbox = inbox_of([(3, SetChild(1)), (3, SetVisited())]).view(2)
         snapshot = st0
         step_settled(st0, inbox)
         step_settled(st0, inbox)
@@ -501,11 +510,11 @@ TWO_REPLIES = [(1, SettledReply(0, None, 0)), (2, SettledReply(1, 2, 1)), (1, Qu
 @settings(max_examples=400, deadline=None)
 def test_node_inbox_matches_per_receiver_scan(messages):
     """One digest per node serves every receiver exactly as a scan of the
-    whole list per receiver would, errors included, whether it is built
-    from the list or posted to one sender's batch at a time as the
+    whole list per receiver would, errors included, whether it is posted
+    to one message at a time or one sender's batch at a time as the
     engine fills it; and each sender's batch alone is heard by any other
     receiver as ``one_sender_view`` says."""
-    inbox = NodeInbox(messages)
+    inbox = inbox_of(messages)
     posted = NodeInbox()
     for sender, batch in itertools.groupby(messages, key=lambda sent: sent[0]):
         msgs = [msg for _, msg in batch]
@@ -523,19 +532,19 @@ def test_node_inbox_matches_per_receiver_scan(messages):
         try:
             want = reference_summary(messages, receiver)
         except MultipleRepliesError:
-            for box in (inbox, NodeInbox(messages), posted):
+            for box in (inbox, inbox_of(messages), posted):
                 with pytest.raises(MultipleRepliesError):
                     box.view(receiver)
             continue
         got = inbox.view(receiver)
         assert got == want
         assert inbox.view(receiver) is got
-        assert NodeInbox(messages).view(receiver) is got  # interned by value
+        assert inbox_of(messages).view(receiver) is got  # interned by value
         assert posted.view(receiver) is got
 
 
 def test_two_replies_raise_only_without_the_receiver():
-    inbox = NodeInbox(TWO_REPLIES)
+    inbox = inbox_of(TWO_REPLIES)
     assert inbox.view(1).settled_reply == SettledReply(1, 2, 1)
     assert inbox.view(2).settled_reply == SettledReply(0, None, 0)
     for receiver in (0, 3):
@@ -544,8 +553,8 @@ def test_two_replies_raise_only_without_the_receiver():
 
 
 def test_empty_node_is_empty_inbox():
-    assert NodeInbox([]).view(0) is EMPTY_INBOX
-    assert NodeInbox([(0, LeStart())]).view(0) is EMPTY_INBOX
+    assert NodeInbox().view(0) is EMPTY_INBOX
+    assert inbox_of([(0, LeStart())]).view(0) is EMPTY_INBOX
 
 
 def test_no_view_hashes_a_reply(monkeypatch):
