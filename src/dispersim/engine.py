@@ -7,10 +7,11 @@ step function until it decides, while control messages land at the
 settlers.  Elections belong to the explorer: one that finds no settled
 robot runs its node's leader election inside ``step_explore``, one
 subround per call, and stays undecided until it resolves, which extends
-the round by coin-flip subrounds; the engine knows no election phase,
-coin or outcome.  Messages broadcast in subround i are readable only in
-subround i+1, and all movement is applied at once when the round ends,
-so co-moving robots stay identical.
+the round by coin-flip subrounds; the engine knows no election phase
+or outcome, and draws a robot's coin (``le_coin``) only where
+``draws_coin`` says its step reads one.  Messages broadcast in subround
+i are readable only in subround i+1, and all movement is applied at
+once when the round ends, so co-moving robots stay identical.
 
 Subrounds are globally synchronous; robots whose round decision is
 already latched stay silent while another node's election continues.
@@ -22,18 +23,27 @@ The world keeps an ascending list of live movers (alive and not
 settled); settling and dying remove a robot from it for good, so a round
 starts from that list, and the only other robots a subround touches are
 the settlers that hear another robot.  Each node has one postbox per
-subround, a ``NodeInbox`` that a robot's broadcasts are tallied into as
-it sends them, its per-type counts packed in one int; the next subround
-reads it, every robot there seeing those totals minus its own
-contribution, so an election among g co-located robots costs O(g) per
-subround, not O(g^2), and no message is stored or regrouped on the way.
+subround, a ``NodeInbox`` that broadcasts are tallied into as they are
+sent, its per-type counts packed in one int; the next subround reads it,
+every robot there seeing those totals minus its own contribution.
+Robots are anonymous and every step function is pure, so movers at one
+node with one word that broadcast alike last subround hear the same and
+take the same step, up to their coins: a group round steps each such
+class once, with one coin draw per member and a step per coin drawn,
+tallies its broadcast in one post and moves it once per port.  An
+election among g co-located robots thus costs O(classes) step calls per
+subround, plus g coin draws and g stored words, not O(g) steps, nor
+O(g^2) deliveries.  The engine relies on that purity: a step function
+swapped in for a test must be pure too, or a class would stand for
+robots that do not act alike.
 Most rounds have one live mover: the group walk shrinks to one explorer,
 and stages 2 and 3 are one walker.  In such a lone round only the mover
 and its node's settler can hear anyone, each only the other, so a
 subround carries just their two latest broadcasts and builds no postbox;
 both round kinds step robots, store words and move them through the
 same ``World`` helpers.  The group round is the reference: the tests
-force every lone round through it and compare the traces byte for byte.
+force every lone round through it, and run it with every class cut to
+one robot, comparing the traces byte for byte.
 
 A robot's state is one int word (see ``robot.FIELDS``), so a transition
 builds no object: a step returns a new word (and a shared ``Move`` per
@@ -85,6 +95,7 @@ from .robot import (
     SETTLED,
     VISITED_BIT,
     Decision,
+    LE_SHIFT,
     InboxSummary,
     Message,
     Move,
@@ -93,7 +104,9 @@ from .robot import (
     Query,
     Terminate,
     TerminateSelf,
+    draws_coin,
     field_widths,
+    le_coin,
     one_sender_view,
     overflow_mask,
     overflowing_field,
@@ -103,6 +116,7 @@ from .robot import (
     step_explore,
     step_return,
     step_settled,
+    weight,
 )
 
 
@@ -136,6 +150,7 @@ class _Fault(Exception):
 
 # what every mover broadcasts in subround 1
 _QUERIES = (Query(),)
+_QUERIES_WEIGHT = weight(_QUERIES)
 
 
 # events that mark stage boundaries, kept in memory at SUMMARY trace level
@@ -366,8 +381,20 @@ class World:
 
     def _group_round(self, events: list[str]) -> list[int]:
         """A round of any number of movers, each node's broadcasts tallied
-        in a ``NodeInbox`` per subround."""
-        positions, node_settler, states = self.positions, self.node_settler, self.states
+        in a ``NodeInbox`` per subround, stepped class by class.
+
+        A class is the undecided movers at one node with one word that
+        broadcast alike last subround (see ``_class_key``): they hear the
+        same, so they take one step, split only by their coins.  A
+        subround whose steps store nothing but words is committed class
+        by class; one where a settler hears anyone, or a step changes a
+        role, fires the repair, overflows, faults or sends a reply or a
+        child port, is committed robot by robot in ascending id, so its
+        events, its first fault and the bits it stores come in the order
+        of a robot-by-robot round.
+        """
+        positions, states = self.positions, self.states
+        node_settler, used = self.node_settler, self.used
         movers = list(self.live)
         decisions: dict[int, Decision] = {}
         settled_kill: set[int] = set()
@@ -377,21 +404,25 @@ class World:
         # the settlers that acted, each once per subround it acted in
         woken: list[int] = []
 
-        # subround 1: queries out, done-role robots decide immediately
-        undecided: list[int] = []
+        # subround 1: queries out, done-role robots decide immediately;
+        # the rest fall into classes, having broadcast nothing by the
+        # subround they first act in
+        classes: dict[tuple, tuple[int, int, int | None, list[int]]] = {}
         for i in movers:
-            if states[i] & ROLE_MASK == DONE:
-                _, _, dec = step_done(states[i])
+            word = states[i]
+            if word & ROLE_MASK == DONE:
+                _, _, dec = step_done(word)
                 decisions[i] = dec
             else:
-                undecided.append(i)
-                box = post.get(positions[i])
-                if box is None:
-                    box = post[positions[i]] = NodeInbox()
-                box.post(i, _QUERIES)
+                _join_class(classes, positions[i], word, 0, [i])
+        for node, _, _, members in classes.values():
+            box = post.get(node)
+            if box is None:
+                box = post[node] = NodeInbox()
+            box.post_class(_QUERIES_WEIGHT, len(members))
 
         subround = 1
-        while post or undecided:
+        while post or classes:
             subround += 1
             if subround > self.max_subrounds:
                 raise self._overrun()
@@ -407,23 +438,44 @@ class World:
                     summary = inbox.view(settler)
                     if summary is not EMPTY_INBOX:
                         heard[settler] = summary
-            actors = undecided if subround > 2 else []
-            if heard:
-                woken.extend(heard)
-                actors = sorted([*actors, *heard])
-            still_open: list[int] = []
-            for i in actors:
+            if subround < 3:
+                steps = ()
+                in_bulk = not heard
+            else:
+                steps, in_bulk = self._class_steps(classes.values(), inboxes)
+                in_bulk = in_bulk and not heard
+                classes = {}
+            if in_bulk:
+                for node, word, members, (word2, msgs, dec, _, own) in steps:
+                    used[word2 & ROLE_MASK] |= word2
+                    for i in members:
+                        states[i] = word2
+                    if msgs:
+                        box = post.get(node)
+                        if box is None:
+                            box = post[node] = NodeInbox()
+                        box.post_class(own, len(members))
+                    if dec is NOT_DONE:
+                        _join_class(classes, node, word2, own, members)
+                    else:
+                        decisions.update(dict.fromkeys(members, dec))
+                continue
+            woken.extend(heard)
+            for i, step in sorted([*((i, None) for i in heard),
+                                   *((i, step) for step in steps for i in step[2])]):
                 node = positions[i]
-                if states[i] & ROLE_MASK == SETTLED:
+                if step is None:
                     msgs, terminates = self._settler_step(i, heard[i], events)
                     if terminates:
                         settled_kill.add(i)
                 else:
-                    inbox = inboxes.get(node)
-                    msgs, dec = self._mover_step(
-                        i, EMPTY_INBOX if inbox is None else inbox.view(i), events)
+                    _, word, _, result = step
+                    if type(result) is not tuple:
+                        raise result
+                    word2, msgs, dec, repair, own = result
+                    self._commit(i, word, word2, dec, repair, events)
                     if dec is NOT_DONE:
-                        still_open.append(i)
+                        _join_class(classes, node, word2, own, [i])
                     else:
                         decisions[i] = dec
                 if msgs:
@@ -431,14 +483,20 @@ class World:
                     if box is None:
                         box = post[node] = NodeInbox()
                     box.post(i, msgs)
-            if subround > 2:
-                undecided = still_open
 
-        # round end: simultaneous movement, then deaths
+        # round end: simultaneous movement, one move per class of robots
+        # with one node, word and port, in mover order; then deaths
+        moved: dict[tuple, tuple[int, int]] = {}
         for i in movers:
             dec = decisions[i]
             if type(dec) is Move:
-                self._move(i, dec)
+                key = _class_key(i, positions[i], states[i], dec.port)
+                to = moved.get(key)
+                if to is None:
+                    self._move(i, dec)
+                    moved[key] = positions[i], states[i]
+                else:
+                    positions[i], states[i] = to
         for i in movers:
             if type(decisions[i]) is TerminateSelf:
                 self._kill(i, events)
@@ -446,6 +504,52 @@ class World:
             self._kill(i, events)
         movers += woken
         return movers
+
+    def _class_steps(self, classes: Iterable[tuple[int, int, int | None, list[int]]],
+                     inboxes: dict[int, NodeInbox]) -> tuple[list[tuple], bool]:
+        """Step each class (node, word, own, members) on what it heard in
+        ``inboxes``, storing nothing: a ``(node, word, members, result)``
+        per step, ``result`` being ``_step``'s (word, broadcast, decision,
+        repair) and the broadcast's ``weight``, or the ``ProtocolViolation``
+        the view or the step raised.  A class whose step draws a coin
+        takes a step per coin its members drew.  Also returns whether
+        every result may be committed class by class: none faults,
+        overflows, changes a role, fires the repair, or broadcasts a
+        reply or a child port."""
+        rngs, overflow = self.rngs, self.overflow
+        steps: list[tuple] = []
+        in_bulk = True
+        for node, word, own, members in classes:
+            inbox = inboxes.get(node)
+            try:
+                summary = EMPTY_INBOX if inbox is None else inbox.view(members[0], own)
+            except ProtocolViolation as exc:
+                steps.append((node, word, members, exc))
+                in_bulk = False
+                continue
+            if draws_coin(word, summary):
+                le = word >> LE_SHIFT
+                split: tuple[list[int], list[int]] = ([], [])
+                for i in members:
+                    split[le_coin(le, rngs[i])].append(i)
+                parts = enumerate(split)
+            else:
+                parts = ((0, members),)
+            for coin, part in parts:
+                if not part:
+                    continue
+                try:
+                    word2, msgs, dec, repair = self._step(node, word, summary, coin)
+                except ProtocolViolation as exc:
+                    steps.append((node, word, part, exc))
+                    in_bulk = False
+                    continue
+                own2 = weight(msgs) if msgs else 0
+                if (repair or own2 is None or word2 & overflow
+                        or dec is not NOT_DONE and (word ^ word2) & ROLE_MASK):
+                    in_bulk = False
+                steps.append((node, word, part, (word2, msgs, dec, repair, own2)))
+        return steps, in_bulk
 
     def _lone_round(self, i: int, events: list[str]) -> list[int]:
         """A round of the one live mover ``i``.  Only it and its node's
@@ -484,9 +588,11 @@ class World:
                 doomed = settler if terminates else doomed
                 settler = None
             if acts:
-                sent, dec = self._mover_step(
-                    i, one_sender_view(heard_by_mover) if heard_by_mover else EMPTY_INBOX,
-                    events)
+                word = self.states[i]
+                summary = one_sender_view(heard_by_mover) if heard_by_mover else EMPTY_INBOX
+                coin = le_coin(word >> LE_SHIFT, self.rngs[i]) if draws_coin(word, summary) else 0
+                word2, sent, dec, repair = self._step(node, word, summary, coin)
+                self._commit(i, word, word2, dec, repair, events)
                 undecided = dec is NOT_DONE
             if settler is not None:
                 replied, terminates = self._settler_step(settler, heard, events)
@@ -520,37 +626,39 @@ class World:
         self.states[i] = st2
         return msgs, type(dec) is TerminateSelf
 
-    def _mover_step(self, i: int, summary: InboxSummary,
-                    events: list[str]) -> tuple[list[Message], Decision]:
-        """Step mover ``i`` by its role on what it heard and store its word;
-        returns its broadcast and its decision, ``NOT_DONE`` while its
-        election is open."""
-        st = self.states[i]
-        node = self.positions[i]
-        role = st & ROLE_MASK
+    def _step(self, node: int, word: int, summary: InboxSummary,
+              coin: int) -> tuple[int, list[Message], Decision, bool]:
+        """The step, by its role, of a mover at ``node`` holding ``word``
+        on what it heard and its coin, storing nothing: its new word,
+        broadcast and decision (``NOT_DONE`` while its election is open),
+        and whether it fires the repair."""
+        role = word & ROLE_MASK
         reply = summary.settled_reply
         if role == EXPLORE:
-            st2, msgs, dec = step_explore(st, summary, self.rngs[i], len(self.graph.ports[node]))
-        elif role == RETURN:
-            st2, msgs, dec = step_return(st, reply)
-        else:
-            st2, msgs, dec = step_acknowledge(st, reply, len(self.graph.ports[node]))
-            if (
-                not st & ENTERED_MASK
-                and reply is not None
-                and reply.child == 0
-                and any(isinstance(m, Terminate) for m in msgs)
-            ):
-                # root settler would never be revisited: repair path
-                self.repair_fired = True
-                events.append(f"repair_terminate:{self.node_settler[node]}")
-        if st2 & self.overflow:
-            raise self._too_wide(i, *overflowing_field(st2, self.max_degree))
-        self.used[st2 & ROLE_MASK] |= st2
-        if dec is not NOT_DONE and (st ^ st2) & ROLE_MASK:
-            self._change_role(i, st2 & ROLE_MASK, events)
-        self.states[i] = st2
-        return msgs, dec
+            word2, msgs, dec = step_explore(word, summary, coin, len(self.graph.ports[node]))
+            return word2, msgs, dec, False
+        if role == RETURN:
+            word2, msgs, dec = step_return(word, reply)
+            return word2, msgs, dec, False
+        word2, msgs, dec = step_acknowledge(word, reply, len(self.graph.ports[node]))
+        # the root settler would never be revisited: the repair path
+        repair = (not word & ENTERED_MASK and reply is not None and reply.child == 0
+                  and any(isinstance(m, Terminate) for m in msgs))
+        return word2, msgs, dec, repair
+
+    def _commit(self, i: int, word: int, word2: int, dec: Decision, repair: bool,
+                events: list[str]) -> None:
+        """Store mover ``i``'s step from ``word`` to ``word2``: its repair
+        event, the overflow check, the bits it uses and its role change."""
+        if repair:
+            self.repair_fired = True
+            events.append(f"repair_terminate:{self.node_settler[self.positions[i]]}")
+        if word2 & self.overflow:
+            raise self._too_wide(i, *overflowing_field(word2, self.max_degree))
+        self.used[word2 & ROLE_MASK] |= word2
+        if dec is not NOT_DONE and (word ^ word2) & ROLE_MASK:
+            self._change_role(i, word2 & ROLE_MASK, events)
+        self.states[i] = word2
 
     def _move(self, i: int, dec: Move) -> None:
         """Move robot ``i`` through ``dec``'s port and store its entry port."""
@@ -598,6 +706,28 @@ class World:
         node = self.positions[i]
         if self.node_settler.get(node) == i:
             del self.node_settler[node]
+
+
+def _class_key(i: int, node: int, word: int, tag: int | None) -> tuple:
+    """The class of mover ``i`` at ``node`` with ``word`` and ``tag``: in
+    a subround, the weight of what it broadcast in the one before, or
+    None when that held a reply or a child port, which is read by id, so
+    that ``i`` is a class of its own; at round end, the port it moves
+    through.  Movers of one class take the same step, or the same move;
+    the group round builds no class key elsewhere."""
+    return node, word, ~i if tag is None else tag
+
+
+def _join_class(classes: dict[tuple, tuple[int, int, int | None, list[int]]],
+                node: int, word: int, own: int | None, members: list[int]) -> None:
+    """Add ``members``, movers at ``node`` with ``word`` whose broadcast
+    weighed ``own``, to their class in ``classes``."""
+    key = _class_key(members[0], node, word, own)
+    cls = classes.get(key)
+    if cls is None:
+        classes[key] = node, word, own, members
+    else:
+        cls[3].extend(members)
 
 
 def run(config: SimulationConfig) -> SimulationResult:

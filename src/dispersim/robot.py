@@ -13,11 +13,19 @@ has a fixed slot, but a run at max degree Δ may set only its low L + 1
 bits, L = ``port_bits(Δ)``; the engine faults on a word that sets any
 other, so the O(log Δ) bound is enforced rather than assumed.
 
-Everything here is a pure function of (state word, inbox summary, coin);
-the engine owns scheduling, delivery, and movement.  Randomness enters
-only through the one coin rule, :func:`le_coin`, which draws from the
-robot's own generator; an explorer runs its node's leader election
-itself, one subround per call of :func:`step_explore`.
+Every step here is a pure function of (state word, inbox summary, coin,
+degree); the engine owns scheduling, delivery, movement and the coins.
+Randomness enters only through the coin rule: a step reads a coin
+exactly when :func:`draws_coin` says so, and :func:`le_coin` draws it
+from the robot's own generator, so no step holds a generator.  An
+explorer runs its node's leader election itself, one subround per call
+of :func:`step_explore`.
+
+Because a step is pure, robots at one node with one word that heard the
+same broadcasts take the same step but for their coins; the engine
+steps such a class once, and a ``NodeInbox`` tallies a class's broadcast
+in one post (:meth:`NodeInbox.post_class`) and gives its members their
+view by the weight of what they sent (:func:`weight`).
 """
 
 from __future__ import annotations
@@ -288,7 +296,8 @@ class NodeInbox:
     own, one int each, plus the replies and child ports with their
     senders, listed only once one is posted; a receiver's view is the
     totals minus its own contribution.  It is filled sender by sender
-    through :meth:`post`, and read only once every broadcast is in.
+    through :meth:`post`, or a class of senders at a time through
+    :meth:`post_class`, and read only once every broadcast is in.
     """
 
     __slots__ = ("totals", "own", "replies", "set_children")
@@ -317,11 +326,22 @@ class NodeInbox:
         own = self.own
         own[sender] = own.get(sender, 0) + weight
 
-    def view(self, receiver: int) -> InboxSummary:
+    def post_class(self, own: int, n: int) -> None:
+        """Tally the broadcasts of ``n`` senders that each sent the same,
+        of weight ``own`` (see :func:`weight`), so no reply or child port,
+        in O(1).  The senders are not recorded: each reads its view by
+        passing ``own`` to :meth:`view`."""
+        self.totals += own * n
+
+    def view(self, receiver: int, own: int | None = None) -> InboxSummary:
         """What ``receiver`` hears.  The receiver's own broadcasts are
         excluded: broadcasting and hearing silence is how both aloneness
-        and leadership are detected."""
-        flags = self.totals - self.own.get(receiver, 0) + _LOW & _HIGH
+        and leadership are detected.  ``own`` is the weight of what the
+        receiver sent here, if it sent no reply or child port; without
+        it, what the receiver posted is looked up by its id."""
+        if own is None:
+            own = self.own.get(receiver, 0)
+        flags = self.totals - own + _LOW & _HIGH
         replies, set_children = self.replies, self.set_children
         if replies is None and set_children is None:
             return _BY_FLAGS[flags]
@@ -337,6 +357,20 @@ class NodeInbox:
                 set_child = port
                 break
         return _summary(flags, reply, set_child)
+
+
+def weight(msgs: Iterable[Message]) -> int | None:
+    """What the broadcast ``msgs`` adds to its node's lane totals, which
+    its sender's view excludes; ``None`` when it holds a reply or child
+    port, which a ``NodeInbox`` lists by sender, so that its sender must
+    be read by id."""
+    total = 0
+    for msg in msgs:
+        kind = type(msg)
+        if kind is SettledReply or kind is SetChild:
+            return None
+        total += _WEIGHT[kind]
+    return total
 
 
 def one_sender_view(msgs: Iterable[Message]) -> InboxSummary:
@@ -384,6 +418,16 @@ def le_coin(le: int, rng) -> int:
     return 0
 
 
+def draws_coin(word: int, summary: InboxSummary) -> bool:
+    """Whether a step of ``word`` on ``summary`` reads a coin, which
+    ``le_coin`` then draws: an explorer that heard no reply, in phase
+    SENT_START or FLIPPING.  Every other step ignores its coin."""
+    if word & ROLE_MASK != EXPLORE or summary.settled_reply is not None:
+        return False
+    phase = word >> LE_SHIFT & LE_PHASE
+    return phase == SENT_START or phase == FLIPPING
+
+
 def le_subround(le: int, summary: InboxSummary, coin: int) -> tuple[int, Message | None]:
     """Advance one election subround of the 4-bit election field ``le``
     (phase, plus ``LE_HEADS`` when the last coin came up heads); returns
@@ -425,8 +469,8 @@ def run_local_election(k: int, rng) -> tuple[list[int], int]:
 
     Returns (leader indices, subrounds until everyone resolved).  Used by
     the election statistics tests.  It steps each robot's word through
-    ``step_explore``, as the engine does, drawing every coin from the one
-    ``rng`` in robot order.
+    ``step_explore``, as the engine does, drawing every coin the coin
+    rule calls for from the one ``rng`` in robot order.
     """
     words = [INITIAL_STATE] * k
     unresolved = list(range(k))
@@ -439,7 +483,9 @@ def run_local_election(k: int, rng) -> tuple[list[int], int]:
         sent = NodeInbox()
         still_open: list[int] = []
         for i in unresolved:
-            words[i], msgs, decision = step_explore(words[i], inbox.view(i), rng, 1)
+            word, summary = words[i], inbox.view(i)
+            coin = le_coin(word >> LE_SHIFT, rng) if draws_coin(word, summary) else 0
+            words[i], msgs, decision = step_explore(word, summary, coin, 1)
             if msgs:
                 sent.post(i, msgs)
             if decision is NOT_DONE:
@@ -480,12 +526,13 @@ def step_settled(
 
 
 def step_explore(
-    state: int, summary: InboxSummary, rng, degree: int
+    state: int, summary: InboxSummary, coin: int, degree: int
 ) -> tuple[int, list[Message], Decision]:
     """Exploring walk step: bounce off occupied nodes, advance on backtracks,
-    otherwise run one subround of the local election with coins from the
-    robot's own ``rng``: ``NOT_DONE`` while it is open, then the leader
-    settles, a robot alone turns back and a follower moves on."""
+    otherwise run one subround of the local election on ``coin``, the bit
+    ``le_coin`` drew when ``draws_coin`` holds: ``NOT_DONE`` while it is
+    open, then the leader settles, a robot alone turns back and a
+    follower moves on."""
     entered = (state >> ENTERED_SHIFT & SLOT) - 1  # -1: none
     reply = summary.settled_reply
     if reply is not None:
@@ -497,7 +544,7 @@ def step_explore(
         if q == reply.parent:
             return state, [], move(q)
         return state & ~DIR_BIT, [], move(q)
-    le, msg = le_subround(state >> LE_SHIFT & 15, summary, le_coin(state >> LE_SHIFT, rng))
+    le, msg = le_subround(state >> LE_SHIFT & 15, summary, coin)
     phase = le & LE_PHASE
     if phase == LEADER:
         # settle with the entry port as parent, the election cleared

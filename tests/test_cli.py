@@ -370,8 +370,8 @@ class TestVerify:
         monkeypatch.setattr(engine, "overflow_mask", lambda max_degree: 0)
         step = engine.step_explore
 
-        def counting(state, summary, rng, degree):
-            word, msgs, dec = step(state, summary, rng, degree)
+        def counting(state, summary, coin, degree):
+            word, msgs, dec = step(state, summary, coin, degree)
             if type(dec) is robot.Move and word & robot.ROLE_MASK == robot.EXPLORE:
                 word += 1 << robot.PARENT_SHIFT
             return word, msgs, dec

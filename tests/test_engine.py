@@ -471,13 +471,14 @@ def test_live_movers_match_a_full_scan_every_round(graph, k, root, seed, subroun
     pytest.fail("run neither dispersed nor faulted")
 
 
-def wide_parent(step):
-    """``step`` with a settling explorer's parent field one bit too wide
-    at max degree 2: port 3, stored as 4, needs 3 bits of L + 1 = 2."""
-    def patched(state, summary, rng, degree):
-        word, msgs, dec = step(state, summary, rng, degree)
+def wide_parent(step, stored=1 << 2):
+    """``step`` with a settling explorer's parent field holding ``stored``:
+    by default one bit too wide at max degree 2, port 3, stored as 4,
+    needing 3 bits of L + 1 = 2."""
+    def patched(state, summary, coin, degree):
+        word, msgs, dec = step(state, summary, coin, degree)
         if word & robot.ROLE_MASK == robot.SETTLED:
-            word = word & ~robot.PARENT_MASK | 1 << 2 << robot.PARENT_SHIFT
+            word = word & ~robot.PARENT_MASK | stored << robot.PARENT_SHIFT
         return word, msgs, dec
     return patched
 
@@ -535,8 +536,8 @@ def test_port_widths_follow_log_max_degree(n):
 def _after_first_move(step, change):
     """``step_explore`` whose result passes through ``change`` once the
     explorer has an entry port, so the fault lands after round 1."""
-    def patched(state, summary, rng, degree):
-        word, msgs, dec = step(state, summary, rng, degree)
+    def patched(state, summary, coin, degree):
+        word, msgs, dec = step(state, summary, coin, degree)
         if state & robot.ENTERED_MASK and dec is not robot.NOT_DONE:
             return change(word, msgs, dec)
         return word, msgs, dec
@@ -695,3 +696,104 @@ def test_lone_rounds_match_group_rounds(monkeypatch):
         assert ran(cfg) == outcome, name
     # the three election overruns, at both levels
     assert sum(fault is not None for *_, fault in want) == 6
+
+
+def _fault_mutants():
+    """The four fault mutants of this module, as they fault on
+    ``gen_worstcase(16)``, each as (name, attribute of ``engine``,
+    replacement): a parent too wide, an invalid port, a second settler
+    and a return step that hears no reply."""
+    explore, ret = engine.step_explore, engine.step_return
+    settle = lambda word, msgs, dec: (word & ~robot.ROLE_MASK | robot.SETTLED, [], robot.STAY)
+    # max degree 13: L + 1 = 5 bits, so 32 is one bit too wide
+    yield "wide_parent", "step_explore", wide_parent(explore, 1 << 5)
+    yield "invalid_port", "step_explore", _after_first_move(
+        explore, lambda word, msgs, dec: (word, msgs, robot.Move(9)))
+    yield "second_settler", "step_explore", _after_first_move(explore, settle)
+    yield "no_reply", "step_return", lambda state, reply: ret(state, None)
+
+
+def _forgets_coin(step):
+    """``step_explore`` whose word forgets its coin while its election is
+    open, though it broadcasts heads: robots of one node and word that
+    broadcast differently."""
+    def patched(state, summary, coin, degree):
+        word, msgs, dec = step(state, summary, coin, degree)
+        if dec is robot.NOT_DONE:
+            word &= ~robot.MASK["flip"]
+        return word, msgs, dec
+    return patched
+
+
+def _keeps_coin(step):
+    """``step_explore`` whose word keeps its last coin, in the visited bit,
+    as it moves: robots of one node that leave by one port with
+    different words."""
+    def patched(state, summary, coin, degree):
+        word, msgs, dec = step(state, summary, coin, degree)
+        if type(dec) is robot.Move:
+            word |= coin << robot.VISITED_SHIFT
+        return word, msgs, dec
+    return patched
+
+
+def test_classes_match_single_robot_steps(monkeypatch):
+    """A class is a shortcut for robots that would step and move alike:
+    with every class key made the robot's own, so that each class holds
+    one robot, each run keeps the same deltas and summary, uses the same
+    bits and ends in the same fault.  The runs include election overruns,
+    the fault mutants on the worst case, where a fault lands inside a
+    class of many robots (the followers that all move through port 9 or
+    all settle), and two mutants that give robots of one node and word
+    different broadcasts or different moves."""
+    def ran(cfg):
+        res = run(cfg)
+        return res.deltas, res.summary, res.used_bits, res.summary.fault
+
+    runs = list(_lone_and_group_runs()) + [
+        (f"corpus:{i}@{budget}", SimulationConfig(graph=g, k=k, root=root, seed=i,
+                                                  max_subrounds_per_round=budget))
+        for budget in (4, 5, 6, 7) for i, _, _, k, root, g in corpus_instances(0, 20)]
+    worst = [SimulationConfig(graph=gen_worstcase(16), k=16, seed=seed) for seed in (2, 3)]
+    mutants = [(f"{name}/{cfg.seed}", attr, step, cfg)
+               for name, attr, step in [
+                   *_fault_mutants(),
+                   *(("forgets_coin", "step_explore", _forgets_coin(engine.step_explore)),
+                     ("keeps_coin", "step_explore", _keeps_coin(engine.step_explore)))]
+               for cfg in worst]
+
+    def all_runs():
+        outcomes = [ran(cfg) for _, cfg in runs]
+        for _, attr, step, cfg in mutants:
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, attr, step)
+                outcomes.append(ran(cfg))
+        return outcomes
+
+    want = all_runs()
+    # the overruns: 6 of _lone_and_group_runs, 71 of the 80 budget runs
+    assert sum(fault is not None for *_, fault in want[:len(runs)]) == 6 + 71
+    # each fault mutant faults, on both seeds
+    assert all(fault is not None for *_, fault in want[len(runs):len(runs) + 8])
+    monkeypatch.setattr(engine, "_class_key", lambda i, node, word, tag: i)
+    names = [name for name, _ in runs] + [name for name, *_ in mutants]
+    for name, outcome, got in zip(names, want, all_runs(), strict=True):
+        assert got == outcome, name
+
+
+def test_an_election_steps_per_class(monkeypatch):
+    """Cost guard, in counts: co-located robots with one word that heard
+    the same take one step, so the first 50 corpus runs call
+    ``step_explore`` at most 20,000 times, where stepping each robot on
+    its own takes 66,883 calls."""
+    step, calls = engine.step_explore, []
+
+    def counted(state, summary, coin, degree):
+        calls.append(state)
+        return step(state, summary, coin, degree)
+
+    monkeypatch.setattr(engine, "step_explore", counted)
+    for i, _, _, k, root, g in corpus_instances(0, 50):
+        res = run(SimulationConfig(graph=g, k=k, root=root, seed=i, trace_level=TraceLevel.NONE))
+        assert res.summary.outcome is Outcome.DISPERSED_ALL_TERMINATED
+    assert 0 < len(calls) <= 20_000

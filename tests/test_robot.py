@@ -5,7 +5,6 @@ cover how these compose into rounds.
 """
 
 import itertools
-import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +21,7 @@ from dispersim.robot import (
     FORWARD,
     IDLE,
     INITIAL_STATE,
+    LANE_MAX,
     LE_HEADS,
     LE_PHASE,
     PORT_FIELDS,
@@ -38,6 +38,7 @@ from dispersim.robot import (
     MultipleRepliesError,
     NOT_DONE,
     NodeInbox,
+    ProtocolViolation,
     Query,
     SetChild,
     SetVisited,
@@ -46,6 +47,7 @@ from dispersim.robot import (
     Terminate,
     TerminateSelf,
     decode,
+    draws_coin,
     encode,
     field_widths,
     one_sender_view,
@@ -56,6 +58,7 @@ from dispersim.robot import (
     step_explore,
     step_return,
     step_settled,
+    weight,
 )
 
 
@@ -90,8 +93,8 @@ def hear(*msgs):
     return inbox_of([(9, m) for m in msgs]).view(1)
 
 
-def explore(st0, summary, degree):
-    return step_explore(st0, summary, random.Random("coins"), degree)
+def explore(st0, summary, degree, coin=0):
+    return step_explore(st0, summary, coin, degree)
 
 
 # election fields that resolve on the next subround, given what they hear
@@ -165,11 +168,13 @@ class TestStepExplore:
         assert msgs == [LeStart()]
         assert dec is NOT_DONE
 
-    def test_open_election_is_not_done(self):
+    @pytest.mark.parametrize("coin", [0, 1])
+    def test_open_election_is_not_done(self, coin):
         st0 = explorer(entered=2, le=STARTED)
-        st1, msgs, dec = explore(st0, hear(LeStart()), degree=3)
+        st1, msgs, dec = explore(st0, hear(LeStart()), degree=3, coin=coin)
         assert field(st1, "phase") == FLIPPING
-        assert msgs == ([LeHeads()] if field(st1, "flip") else [])
+        assert field(st1, "flip") == coin
+        assert msgs == ([LeHeads()] if coin else [])
         assert dec is NOT_DONE
         assert field(st1, "role") == EXPLORE
 
@@ -209,6 +214,36 @@ class TestStepExplore:
         reply = SettledReply(parent=0, child=None, visited=0)
         with pytest.raises(MissingEnteredError):
             explore(st0, hear(reply), degree=2)
+
+
+def test_a_step_reads_its_coin_exactly_when_draws_coin_holds():
+    """What lets the engine step a class once and draw coins only for
+    the robots that need one: ``draws_coin`` holds exactly for an
+    explorer that heard no reply in SENT_START or FLIPPING, and wherever
+    it does not, ``step_explore`` gives the same on either coin, errors
+    included."""
+    def outcome(word, summary, coin):
+        try:
+            return step_explore(word, summary, coin, 3)
+        except ProtocolViolation as exc:
+            return type(exc)
+
+    summaries = [EMPTY_INBOX, hear(LeStart()), hear(LeHeads()), hear(Query()),
+                 hear(SettledReply(0, None, 0)), hear(SettledReply(None, 1, 1), LeHeads())]
+    words = [encode(role=role, direction=d, phase=phase, flip=flip, entered=e)
+             for role in range(5) for d in (0, 1) for phase in range(8) for flip in (0, 1)
+             for e in (None, 0, 2)]
+    drawn = 0
+    for word in words:
+        role, phase = field(word, "role"), field(word, "phase")
+        for summary in summaries:
+            draws = draws_coin(word, summary)
+            assert draws == (role == EXPLORE and summary.settled_reply is None
+                             and phase in (SENT_START, FLIPPING))
+            drawn += draws
+            if role == EXPLORE and not draws:
+                assert outcome(word, summary, 0) == outcome(word, summary, 1)
+    assert drawn == 2 * 2 * 2 * 3 * 4
 
 
 class TestStepReturn:
@@ -501,19 +536,73 @@ MESSAGES = st.one_of(
 # senders 0..4 repeat often; receiver 5 never sends
 INBOXES = st.lists(st.tuples(st.integers(min_value=0, max_value=4), MESSAGES), max_size=12)
 TWO_REPLIES = [(1, SettledReply(0, None, 0)), (2, SettledReply(1, 2, 1)), (1, Query())]
+# what one robot broadcasts in a subround: at most two messages
+BATCHES = st.lists(MESSAGES, max_size=2)
+# a class of robots 100 on, the last of them CLASS_END - 1
+CLASS_END = 100 + LANE_MAX // 2 - 5
+# senders 0..4 with two messages each, and a class of LANE_MAX // 2 - 5 robots
+# with two: LANE_MAX // 2 robots, the most a k may be, and LANE_MAX in _ANY
+FULL_LANE = dict(
+    messages=[(i, msg) for i in range(5) for msg in (Query(), LeHeads())],
+    members=range(100, CLASS_END), batch=[SetVisited(), Terminate()], at=10)
 
 
-@given(messages=INBOXES)
-@example(messages=[])
-@example(messages=TWO_REPLIES)  # receivers 1 and 2 hear one reply, others two
-@example(messages=[(3, SetChild(1)), (0, Query()), (3, SetChild(2)), (0, SetChild(0))])
+@given(messages=INBOXES, members=st.integers(min_value=1, max_value=4).map(
+    lambda g: range(100, 100 + g)), batch=BATCHES, at=st.integers(min_value=0, max_value=12))
+@example(messages=[], members=range(100, 101), batch=[], at=0)
+# receivers 1 and 2 hear one reply, others two
+@example(messages=TWO_REPLIES, members=range(100, 101), batch=[], at=0)
+@example(messages=[(3, SetChild(1)), (0, Query()), (3, SetChild(2)), (0, SetChild(0))],
+         members=range(100, 102), batch=[SetChild(3)], at=2)
+# two members that reply, posted one by one: each hears the other's reply,
+# everyone else two
+@example(messages=[(0, Query())], members=range(100, 102),
+         batch=[SettledReply(1, None, 0)], at=1)
+@example(messages=[(0, SettledReply(0, None, 0))], members=range(100, 101),
+         batch=[Query()], at=0)
+@example(**FULL_LANE)
+@example(**{**FULL_LANE, "members": range(100, CLASS_END - 1),
+            "batch": [SettledReply(0, 1, 1), Terminate()]})
 @settings(max_examples=400, deadline=None)
-def test_node_inbox_matches_per_receiver_scan(messages):
+def test_node_inbox_matches_per_receiver_scan(messages, members, batch, at):
     """One digest per node serves every receiver exactly as a scan of the
     whole list per receiver would, errors included, whether it is posted
     to one message at a time or one sender's batch at a time as the
     engine fills it; and each sender's batch alone is heard by any other
-    receiver as ``one_sender_view`` says."""
+    receiver as ``one_sender_view`` says.  A class post of ``batch`` by
+    each of ``members``, put after the first ``at`` messages, gives every
+    receiver, members included, the view that posting it member by
+    member does, up to the most a lane counts for k = LANE_MAX // 2; a
+    batch with a reply or child port is posted member by member, as the
+    engine posts it."""
+    own = weight(batch)
+    singles, classed = NodeInbox(), NodeInbox()
+    for sender, msg in messages[:at]:
+        singles.post(sender, (msg,))
+        classed.post(sender, (msg,))
+    for sender in members:
+        singles.post(sender, batch)
+        if own is None:
+            classed.post(sender, batch)
+    if own is not None:
+        classed.post_class(own, len(members))
+    for sender, msg in messages[at:]:
+        singles.post(sender, (msg,))
+        classed.post(sender, (msg,))
+    flat = [*messages[:at], *((sender, msg) for sender in members for msg in batch),
+            *messages[at:]]
+    for receiver in (*range(6), members[0], members[-1]):
+        # a member of the class reads by its broadcast's weight
+        member_own = own if receiver in members else None
+        try:
+            want = reference_summary(flat, receiver)
+        except MultipleRepliesError:
+            for box, mine in ((singles, None), (classed, member_own)):
+                with pytest.raises(MultipleRepliesError):
+                    box.view(receiver, mine)
+            continue
+        assert singles.view(receiver) == want
+        assert classed.view(receiver, member_own) is singles.view(receiver)
     inbox = inbox_of(messages)
     posted = NodeInbox()
     for sender, batch in itertools.groupby(messages, key=lambda sent: sent[0]):
