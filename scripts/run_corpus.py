@@ -29,6 +29,8 @@ def main(argv=None) -> int:
     ap.add_argument("-v", "--verbose", action="store_true",
                     help="print a line per run, not just failures")
     args = ap.parse_args(argv)
+    if args.runs < 1:
+        ap.error(f"--runs must be at least 1, got {args.runs}")
 
     failures = 0
     round_total = 0

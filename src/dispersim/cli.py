@@ -231,7 +231,8 @@ def _build_parser() -> _Parser:
     )
     p_verify.set_defaults(func=cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="time the adversarial family")
+    p_bench = sub.add_parser(
+        "bench", help="report round counts and growth ratios on the adversarial family")
     p_bench.add_argument("--family", default="worstcase", choices=["worstcase"])
     p_bench.add_argument("--k-list", required=True, help="comma-separated robot counts")
     p_bench.add_argument("--trials", type=int, default=10)

@@ -43,7 +43,11 @@ subround carries just their two latest broadcasts and builds no postbox;
 both round kinds step robots, store words and move them through the
 same ``World`` helpers.  The group round is the reference: the tests
 force every lone round through it, and run it with every class cut to
-one robot, comparing the traces byte for byte.
+one robot, comparing the traces byte for byte.  Each round kind leaves
+the number of subrounds it took in ``World.subrounds``; nothing here
+reads it, only the tests do, to measure the engine's own elections (a
+round's subrounds less the query and the reply) and to check it against
+the subround budget.
 
 A robot's state is one int word (see ``robot.FIELDS``), so a transition
 builds no object: a step returns a new word (and a shared ``Move`` per
@@ -324,6 +328,9 @@ def replay(deltas: Iterable[TraceDelta]) -> Iterator[tuple[TraceDelta, dict[int,
 class World:
     """Mutable per-run state: positions, state words, liveness, rngs."""
 
+    # the subrounds the last completed round took; only tests read it
+    subrounds: int
+
     def __init__(self, config: SimulationConfig):
         self.graph = config.graph
         self.k = config.k
@@ -483,6 +490,7 @@ class World:
                     if box is None:
                         box = post[node] = NodeInbox()
                     box.post(i, msgs)
+        self.subrounds = subround
 
         # round end: simultaneous movement, one move per class of robots
         # with one node, word and port, in mover order; then deaths
@@ -597,6 +605,7 @@ class World:
             if settler is not None:
                 replied, terminates = self._settler_step(settler, heard, events)
                 doomed = settler if terminates else doomed
+        self.subrounds = subround
 
         if type(dec) is Move:
             self._move(i, dec)

@@ -460,42 +460,6 @@ def le_subround(le: int, summary: InboxSummary, coin: int) -> tuple[int, Message
     return FLIPPING, None
 
 
-# the subrounds an isolated election may take before it is a protocol fault
-_ELECTION_SUBROUNDS = 4096
-
-
-def run_local_election(k: int, rng) -> tuple[list[int], int]:
-    """Run one isolated election among k co-located robots.
-
-    Returns (leader indices, subrounds until everyone resolved).  Used by
-    the election statistics tests.  It steps each robot's word through
-    ``step_explore``, as the engine does, drawing every coin the coin
-    rule calls for from the one ``rng`` in robot order.
-    """
-    words = [INITIAL_STATE] * k
-    unresolved = list(range(k))
-    inbox = NodeInbox()
-    subrounds = 0
-    while unresolved:
-        subrounds += 1
-        if subrounds > _ELECTION_SUBROUNDS:
-            raise ProtocolViolation(f"election still open after {_ELECTION_SUBROUNDS} subrounds")
-        sent = NodeInbox()
-        still_open: list[int] = []
-        for i in unresolved:
-            word, summary = words[i], inbox.view(i)
-            coin = le_coin(word >> LE_SHIFT, rng) if draws_coin(word, summary) else 0
-            words[i], msgs, decision = step_explore(word, summary, coin, 1)
-            if msgs:
-                sent.post(i, msgs)
-            if decision is NOT_DONE:
-                still_open.append(i)
-        inbox = sent
-        unresolved = still_open
-    leaders = [i for i, word in enumerate(words) if word & ROLE_MASK == SETTLED]
-    return leaders, subrounds
-
-
 # --- role steps ---------------------------------------------------------
 
 

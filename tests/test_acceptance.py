@@ -7,7 +7,6 @@ by criteria 1 through 5.
 """
 
 import math
-import random
 import time
 from dataclasses import dataclass, field
 
@@ -19,12 +18,8 @@ from dispersim.checkers import run_all, oracle_dfs
 from dispersim.engine import Outcome, SimulationConfig, TraceLevel, parse_trace, replay, run
 from dispersim.graph import corpus_instances, gen_path, gen_worstcase, worstcase_seeds
 from trace_v1 import view
-from dispersim.robot import (
-    FIELDS,
-    PORT_FIELDS,
-    port_bits,
-    run_local_election,
-)
+from dispersim.robot import FIELDS, PORT_FIELDS, port_bits
+from test_leader_election import engine_election
 
 CORPUS_RUNS = 200
 
@@ -234,8 +229,7 @@ def test_criterion_07_election_statistics():
     for k in (2, 16, 256):
         total = 0
         for trial in range(1000):
-            rng = random.Random(f"le-stats:{k}:{trial}")
-            leaders, subrounds = run_local_election(k, rng)
+            leaders, subrounds = engine_election(k, trial)
             if len(leaders) != 1:
                 ok = False
             total += subrounds
@@ -247,7 +241,7 @@ def test_criterion_07_election_statistics():
     ok = ok and elapsed < 10.0
     report(
         7,
-        "1000 elections each at k=2,16,256: unique leader, logarithmic subrounds",
+        "1000 engine elections each at k=2,16,256: unique leader, logarithmic subrounds",
         ok,
         "; ".join(details) + f"; elapsed {elapsed:.1f}s",
     )

@@ -698,6 +698,43 @@ def test_lone_rounds_match_group_rounds(monkeypatch):
     assert sum(fault is not None for *_, fault in want) == 6
 
 
+def _subrounds_per_round(cfg: SimulationConfig) -> list[int]:
+    """Drive ``World`` round by round, as ``run`` does, to the end of a
+    run that disperses; the subrounds each round took."""
+    w = World(cfg)
+    counts = []
+    while w.live or w.node_settler:
+        assert w.round < cfg.resolved_max_rounds()
+        w.round += 1
+        w.execute_round([])
+        counts.append(w.subrounds)
+    return counts
+
+
+def test_subrounds_count_what_the_budget_counts(monkeypatch):
+    """``World.subrounds`` is the count the subround budget bounds.  A run
+    whose longest round took m subrounds disperses at a budget of m, and
+    at m - 1 faults in the first round that took m; a lone round counts
+    as the group round it stands for would."""
+    runs = [(f"corpus:{i}", SimulationConfig(graph=g, k=k, root=root, seed=i))
+            for i, _, _, k, root, g in corpus_instances(0, 20)]
+    runs += [(f"worstcase:{k}", SimulationConfig(graph=gen_worstcase(k), k=k, seed=k))
+             for k in (7, 16)]
+    counts = [_subrounds_per_round(cfg) for _, cfg in runs]
+    for (name, cfg), per_round in zip(runs, counts):
+        m = max(per_round)
+        fits = replace(cfg, max_subrounds_per_round=m, trace_level=TraceLevel.NONE)
+        assert run(fits).summary.outcome is Outcome.DISPERSED_ALL_TERMINATED, name
+        if m - 1 >= 4:
+            first = per_round.index(m) + 1
+            fault = run(replace(fits, max_subrounds_per_round=m - 1)).summary.fault
+            assert fault == f"round {first} still open after {m - 1} subrounds", name
+    monkeypatch.setattr(World, "_lone_round",
+                        lambda self, i, events: self._group_round(events))
+    for (name, cfg), per_round in zip(runs, counts):
+        assert _subrounds_per_round(cfg) == per_round, name
+
+
 def _fault_mutants():
     """The four fault mutants of this module, as they fault on
     ``gen_worstcase(16)``, each as (name, attribute of ``engine``,

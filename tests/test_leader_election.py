@@ -4,13 +4,20 @@ The subroutine runs in subrounds inside one movement round: a start
 broadcast, then repeated fair coin flips where heads broadcasts and
 tails listens.  A lone heads-flipper that hears silence wins; a silent
 robot that hears heads drops out.
+
+The election statistics measure elections the engine runs, through
+``World.subrounds``: round 1 at a fresh root, and every election inside
+the ``corpus:0`` runs.
 """
 
+import functools
 import math
-import random
+from collections import Counter, defaultdict
 
 import pytest
 
+from dispersim.engine import SimulationConfig, World
+from dispersim.graph import corpus_instances, gen_path
 from dispersim.robot import (
     ALONE,
     FLIPPING,
@@ -26,7 +33,6 @@ from dispersim.robot import (
     LeStart,
     le_coin,
     le_subround,
-    run_local_election,
 )
 
 QUIET = InboxSummary()
@@ -145,30 +151,60 @@ class TestTwoRobotTree:
         assert phase(a) == FLIPPING and phase(b) == FLIPPING
 
 
+# a fresh root for each k; the graph is immutable, so elections share it
+_path = functools.cache(gen_path)
+
+
+def engine_election(k: int, seed: int) -> tuple[list[int], int]:
+    """One election among ``k`` co-located robots, as the engine runs it:
+    round 1 of ``k`` robots on a path, coins seeded by ``seed``.  Returns
+    the robots that settled and the election's subrounds: the round's
+    less subrounds 1 and 2, the query and the reply before any explorer
+    steps.  A lone robot settles nowhere, alone in 2."""
+    w = World(SimulationConfig(graph=_path(max(k, 2)), k=k, seed=seed))
+    events: list[str] = []
+    w.round = 1
+    w.execute_round(events)
+    settled = [int(e[7:e.index("@")]) for e in events if e.startswith("settle:")]
+    return settled, w.subrounds - 2
+
+
 class TestLocalElection:
     def test_single_robot_is_alone(self):
-        leaders, subrounds = run_local_election(1, random.Random("x"))
-        assert leaders == []
-        assert subrounds == 2
+        assert engine_election(1, 0) == ([], 2)
 
     @pytest.mark.parametrize("k", [2, 3, 5, 16])
     def test_exactly_one_leader(self, k):
         for trial in range(100):
-            rng = random.Random(f"{k}:{trial}")
-            leaders, _ = run_local_election(k, rng)
+            leaders, _ = engine_election(k, trial)
             assert len(leaders) == 1
 
     def test_expected_subrounds_logarithmic(self):
         for k in (2, 16, 64):
-            total = 0
             trials = 300
-            for trial in range(trials):
-                rng = random.Random(f"stats:{k}:{trial}")
-                _, subrounds = run_local_election(k, rng)
-                total += subrounds
+            total = sum(engine_election(k, trial)[1] for trial in range(trials))
             assert total / trials <= 4 + 4 * math.log2(k)
 
-    def test_deterministic_given_seed(self):
-        a = run_local_election(8, random.Random("same"))
-        b = run_local_election(8, random.Random("same"))
-        assert a == b
+
+def test_corpus_elections_meet_the_bound():
+    """The elections inside real runs: on every ``corpus:0`` run, a round
+    with a ``settle`` event holds an election among the g live movers at
+    the settling node when it starts.  For each g with at least 20 such
+    elections, their mean subrounds stay within 4 + 4 log2 g."""
+    by_size: dict[int, list[int]] = defaultdict(list)
+    for i, _, _, k, root, g in corpus_instances(0, 200):
+        cfg = SimulationConfig(graph=g, k=k, root=root, seed=i)
+        w = World(cfg)
+        while w.live or w.node_settler:
+            assert w.round < cfg.resolved_max_rounds()
+            w.round += 1
+            movers = Counter(w.positions[j] for j in w.live)
+            events: list[str] = []
+            w.execute_round(events)
+            for e in events:
+                if e.startswith("settle:"):
+                    by_size[movers[int(e[e.index("@") + 1:])]].append(w.subrounds - 2)
+    checked = {g: subrounds for g, subrounds in by_size.items() if len(subrounds) >= 20}
+    assert sum(map(len, by_size.values())) > 3000 and 2 in checked
+    for g, subrounds in checked.items():
+        assert sum(subrounds) / len(subrounds) <= 4 + 4 * math.log2(g), g
