@@ -13,8 +13,10 @@ producer of the same format.  Every checker reads one ``TraceDigest``
 and nothing else: one ``replay`` pass over the trace's deltas that
 range checks the trace against its graph and keeps what the checkers
 need (the exploring group's position per round, each robot's row
-history, the parsed events, the reference walk).  ``run_all`` builds it
-once and hands it to every checker.
+history, what the events say, the reference walk).  ``run_all`` builds
+it once and hands it to every checker.  An event reaches the digest as
+the tuple the engine made, ``(name, robot)`` or ``(name, robot,
+number)``, already checked for its arity and its robot by the reader.
 
 A row's state word is decoded by the field table in the trace's header,
 never by the engine's own: this module imports nothing from ``robot``,
@@ -23,16 +25,16 @@ and ``check_memory`` derives its budget from the degree alone.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
-from .engine import Outcome, ParsedTrace, Row, RunSummary, TraceFormatError, replay
+from .engine import Event, Outcome, ParsedTrace, Row, RunSummary, TraceFormatError, replay
 from .graph import PortLabeledGraph
 
 # what the codes of a word's role and direction fields stand for, in
-# format 3 (see the README)
+# format 4 (see the README)
 ROLE_NAMES = ("explore", "settled", "return", "acknowledge", "done")
 DIR_NAMES = ("fwd", "bwd")
 # the fields that hold a port + 1, 0 meaning none
@@ -56,16 +58,6 @@ class Verdict:
 
 def _verdict(findings: list[str], info: list[str] | None = None) -> Verdict:
     return Verdict(passed=not findings, findings=findings, info=info or [])
-
-
-class RowView(NamedTuple):
-    """A trace row with its word decoded."""
-
-    id: int
-    node: int
-    role: str
-    dir: str
-    entered: int | None
 
 
 @dataclass
@@ -159,14 +151,13 @@ class TraceDigest:
     ``group[r]``: the (node, dir, entered) the exploring robots share in
     round r, or None, kept as a count of explorer keys updated from the
     rows that change.  ``raw_at`` reads each robot's row history as
-    stored; ``rows_at`` holds the rows of rounds t1 and t2 + 1 by robot
-    id, as ``RowView``s.  The reader gives a record for every round
-    1..``rounds``; a round past ``rounds`` has no rows.  Events are
-    parsed once: per robot its settle (round, node), its child port and
-    the rounds it was set in, and the first round of each other event.
-    ``words``: per distinct state word its decoded (role, dir, entered)
-    and the (round, robot) of its first row.  ``oracle``: the reference
-    walk, None unless the run dispersed with k >= 2.
+    stored, the one way to read a row.  The reader gives a record for
+    every round 1..``rounds``; a round past ``rounds`` has no rows.
+    Events are read once: per robot its settle (round, node), its child
+    port and the rounds it was set in, and the first round of each other
+    event.  ``words``: per distinct state word its decoded (role, dir,
+    entered) and the (round, robot) of its first row.  ``oracle``: the
+    reference walk, None unless the run dispersed with k >= 2.
 
     A word is decoded by the header's field table: its role, direction
     and entry port, once per distinct word.
@@ -203,8 +194,6 @@ class TraceDigest:
         self.group: dict[int, tuple[int, str, int | None] | None] = {}
         self.history: defaultdict[int, tuple[list[int], list[Row | None]]] = \
             defaultdict(lambda: ([], []))
-        wanted = {s.t1, None if s.t2 is None else s.t2 + 1}
-        self.rows_at: dict[int, dict[int, RowView]] = {r: {} for r in wanted}
         self.settles: dict[int, tuple[int, int]] = {}
         self.child_ports: dict[int, int] = {}
         self.child_rounds: defaultdict[int, list[int]] = defaultdict(list)
@@ -281,9 +270,6 @@ class TraceDigest:
                 dead = self._event(rnd, ev, current)
                 if dead is not None and dead in current:
                     ended.add(dead)
-            if rnd in wanted:
-                self.rows_at[rnd] = {i: tuple.__new__(RowView, (i, node, *words[word][0]))
-                                     for i, (_, node, word) in current.items()}
         repaired = bool(self.first.get("repair_terminate"))
         if s.repair_fired != repaired:
             raise TraceFormatError(
@@ -293,36 +279,35 @@ class TraceDigest:
         self.oracle = (oracle_dfs(graph, s.v_r, k)
                        if s.outcome is Outcome.DISPERSED_ALL_TERMINATED and k >= 2 else None)
 
-    def _event(self, rnd: int, ev: str, current: dict[int, Row]) -> int | None:
-        """Parse and record one event of round ``rnd``, whose rows are
-        ``current``; the robot a ``terminate`` names."""
-        name, _, body = ev.partition(":")
-        rid, _, arg = body.partition("@" if name == "settle" else "=")
-        robot, value = int(rid), int(arg) if arg else None
+    def _event(self, rnd: int, ev: Event, current: dict[int, Row]) -> int | None:
+        """Record one event of round ``rnd``, whose rows are ``current``;
+        the robot a ``terminate`` names."""
+        name, robot = ev[0], ev[1]
         if name == "settle":
+            node = ev[2]
             row = current.get(robot)
-            if (robot in self.settles or row is None or row[1] != value
+            if (robot in self.settles or row is None or row[1] != node
                     or self.words[row[2]][0][0] != "explore"):
                 raise TraceFormatError(
-                    f"round {rnd}: event {ev} settles robot {robot} again, or not at the "
-                    f"node it explores"
+                    f"round {rnd}: event {json.dumps(ev)} settles robot {robot} again, or not "
+                    f"at the node it explores"
                 )
-            self.settles[robot] = rnd, value
+            self.settles[robot] = rnd, node
             return None
         if name in ("set_child", "set_visited") and robot not in self.settles:
-            raise TraceFormatError(f"round {rnd}: event {ev} names robot {robot}, "
+            raise TraceFormatError(f"round {rnd}: event {json.dumps(ev)} names robot {robot}, "
                                    f"which has not settled")
         if name in _ROLE_EVENTS and robot in self.settles:
-            raise TraceFormatError(f"round {rnd}: event {ev} names robot {robot}, "
+            raise TraceFormatError(f"round {rnd}: event {json.dumps(ev)} names robot {robot}, "
                                    f"which settled in round {self.settles[robot][0]}")
         if name == "set_child":
-            node = self.settles[robot][1]
-            if value >= (degree := len(self.graph.ports[node])):
+            node, port = self.settles[robot][1], ev[2]
+            if port >= (degree := len(self.graph.ports[node])):
                 raise TraceFormatError(
-                    f"round {rnd}: event {ev} names port {value} of node {node}, "
+                    f"round {rnd}: event {json.dumps(ev)} names port {port} of node {node}, "
                     f"outside its ports 0..{degree - 1}"
                 )
-            self.child_ports[robot] = value
+            self.child_ports[robot] = port
             self.child_rounds[robot].append(rnd)
         else:
             self.first[name].setdefault(robot, rnd)
@@ -399,11 +384,11 @@ def check_stage1(digest: TraceDigest) -> Verdict:
             f"{sorted(oracle.settle_rounds.items())}"
         )
 
-    robots = digest.rows_at[t1].values()
-    nodes = [r.node for r in robots]
+    robots = [row for i in range(s.k) if (row := digest.raw_at(i, t1)) is not None]
+    nodes = [row[1] for row in robots]
     if len(set(nodes)) != len(nodes):
         findings.append(f"round {t1}: two robots share a node")
-    roles = sorted(r.role for r in robots)
+    roles = sorted(digest.words[row[2]][0][0] for row in robots)
     expected_roles = sorted(["explore"] + ["settled"] * (s.k - 1))
     if roles != expected_roles:
         findings.append(f"round {t1}: roles {roles} != one explorer plus settled rest")
@@ -484,9 +469,12 @@ def check_rootpath_children(digest: TraceDigest) -> Verdict:
             )
             break
 
-    present = digest.rows_at[t2 + 1]
-    row = present.get(r_l)
-    if row is None or row.node != s.v_r or row.role != "acknowledge":
+    def stands(robot: int, node: int, role: str) -> bool:
+        """Whether ``robot`` stands at ``node`` in ``role`` in round t2 + 1."""
+        row = digest.raw_at(robot, t2 + 1)
+        return row is not None and row[1] == node and digest.words[row[2]][0][0] == role
+
+    if not stands(r_l, s.v_r, "acknowledge"):
         findings.append(f"walker is not standing at the root as acknowledge at round {t2 + 1}")
 
     if t2 != t1 + len(oracle.rootpath) - 1:
@@ -501,8 +489,7 @@ def check_rootpath_children(digest: TraceDigest) -> Verdict:
 
     # every tree node except v_l hosts its settler at end of stage 2
     for rid, (_, node) in sorted(settles.items()):
-        r = present.get(rid)
-        if r is None or r.node != node or r.role != "settled":
+        if not stands(rid, node, "settled"):
             findings.append(f"settler {rid} missing from node {node} at round {t2 + 1}")
 
     on_path = set(oracle.rootpath[:-1])

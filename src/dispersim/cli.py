@@ -194,9 +194,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    graph = _generate(args.spec) if args.spec.startswith("gen:") else None
-    if graph is None:
+    if not args.spec.startswith("gen:"):
         raise _UsageError(f"--spec must start with gen:, got {args.spec!r}")
+    graph = _generate(args.spec)
     text = write_graph(graph)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -251,13 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (GraphError, ConfigError, TraceFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (_UsageError, GraphError, ConfigError, TraceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a crash must never read as "checker rejected"

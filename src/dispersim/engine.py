@@ -55,17 +55,19 @@ port), movement sets the entry port with one mask-and-or, and every
 stored word costs one AND against the run's overflow mask and one OR
 into its role's accumulator.
 
-A FULL trace is kept as it is written (format 3): one ``TraceDelta`` per
+A FULL trace is kept as it is written (format 4): one ``TraceDelta`` per
 round 1..``rounds``, in order, holding a row ``(id, node, word)`` for
-each robot whose stored word or node changed since its last row.  A
-robot is gone from the round after its ``terminate`` event, which is all
-a reader needs to drop it.  ``run`` builds the deltas from the robots
-``execute_round`` returns as stored (every actor, settlers included), so
-a round's trace costs what the round touched, not k; ``parse_trace``
-reads the same records back, rejecting a trace that lacks a round, and
-``replay`` rebuilds a round's full set of rows when one is wanted.  A
-SUMMARY run keeps only the rounds with a stage marker, in memory, and
-writes no trace.
+each robot whose stored word or node changed since its last row, and
+its events, each one ``Event`` tuple from the engine to the checkers,
+written as a JSON array and never read as text.  A robot is gone from
+the round after its ``terminate`` event, which is all a reader needs to
+drop it.  ``run`` builds the deltas from the robots ``execute_round``
+returns as stored (every actor, settlers included), so a round's trace
+costs what the round touched, not k; ``parse_trace`` reads the same
+records back, rejecting a trace that lacks a round, and ``replay``
+rebuilds a round's full set of rows when one is wanted.  A SUMMARY run
+keeps only the rounds with a stage marker, in memory, and writes no
+trace.
 Nothing here decodes a word: the header carries the field table
 (``robot.FIELDS``) a reader decodes it by.
 """
@@ -145,7 +147,7 @@ class TraceFormatError(ValueError):
 
 
 # the version in the header line of every trace this module writes and reads
-TRACE_FORMAT = 3
+TRACE_FORMAT = 4
 
 
 class _Fault(Exception):
@@ -157,18 +159,14 @@ _QUERIES = (Query(),)
 _QUERIES_WEIGHT = weight(_QUERIES)
 
 
-# events that mark stage boundaries, kept in memory at SUMMARY trace level
-_MARKER_PREFIXES = ("settle:", "to_return:", "to_acknowledge:", "to_done:",
-                    "terminate:", "repair_terminate:")
-# every event the engine writes: its name, a robot id, then the node it
-# settled at or the child port it was given, each a number without
-# leading zeros
-_EVENT = re.compile(
-    r"(settle|set_child|to_return|to_acknowledge|to_done|terminate|repair_terminate"
-    r"|set_visited):(0|[1-9][0-9]*)(?:([@=])(0|[1-9][0-9]*))?"
-)
-# the separator before an event's second number, by name; the rest have none
-_SEPARATOR = {"settle": "@", "set_child": "="}
+# an event: its name and robot id, then for a settle the node it settled
+# at, for a set_child the port it was given
+Event = tuple[str, int] | tuple[str, int, int]
+# every event the engine writes, by name: its number of items
+_ARITY = {"settle": 3, "set_child": 3, "to_return": 2, "to_acknowledge": 2, "to_done": 2,
+          "terminate": 2, "repair_terminate": 2, "set_visited": 2}
+# the events that mark stage boundaries, kept in memory at SUMMARY trace level
+_MARKERS = frozenset(_ARITY) - {"set_child", "set_visited"}
 
 
 @dataclass
@@ -226,11 +224,12 @@ class TraceRecord:
 
 @dataclass(slots=True)
 class TraceDelta:
-    """One record line of a format-3 trace (the README has the format)."""
+    """One record line of a format-4 trace, ``[rows, events]``, and its
+    round, its place among the records (the README has the format)."""
 
     round: int
     rows: list[Row]
-    events: list[str]
+    events: list[Event]
 
 
 @dataclass
@@ -277,11 +276,15 @@ class SimulationResult:
 
     @property
     def records(self) -> list[TraceRecord]:
-        """Each round's full set of rows, ascending by id, and a copy of its
-        events: a view rebuilt from ``deltas`` through ``replay`` on every
-        call, for readers that want whole rounds (the per-layer row count,
-        the v1 rendering the golden hashes were recorded in)."""
-        return [TraceRecord(d.round, sorted(rows.values()), list(d.events))
+        """Each round's full set of rows, ascending by id, and its events
+        as the text formats 1 to 3 wrote (``settle:3@7``, ``set_child:2=1``,
+        ``terminate:0``): a view rebuilt from ``deltas`` through ``replay``
+        on every call.  It exists only for perfbench, which counts rows
+        and ``settle:`` events through it; nothing else reads it."""
+        def text(name: str, robot: int, *number: int) -> str:
+            sep = "@" if name == "settle" else "="
+            return f"{name}:{robot}" + "".join(f"{sep}{n}" for n in number)
+        return [TraceRecord(d.round, sorted(rows.values()), [text(*ev) for ev in d.events])
                 for d, rows in replay(self.deltas)]
 
     def jsonl_lines(self) -> Iterator[str]:
@@ -294,7 +297,7 @@ class SimulationResult:
         yield dumps({"format": TRACE_FORMAT, "k": self.summary.k,
                      "max_degree": self.max_degree, "fields": FIELDS}) + "\n"
         for d in self.deltas:
-            yield dumps({"round": d.round, "rows": d.rows, "events": d.events}) + "\n"
+            yield dumps([d.rows, d.events]) + "\n"
         yield dumps(self.summary.to_dict()) + "\n"
 
     def to_jsonl(self) -> str:
@@ -321,8 +324,8 @@ def replay(deltas: Iterable[TraceDelta]) -> Iterator[tuple[TraceDelta, dict[int,
             current[r[0]] = r
         yield d, current
         for ev in d.events:
-            if ev.startswith("terminate:"):
-                current.pop(int(ev[10:]), None)
+            if ev[0] == "terminate":
+                current.pop(ev[1], None)
 
 
 class World:
@@ -367,10 +370,10 @@ class World:
 
     # -- round machinery --------------------------------------------------
 
-    def execute_round(self, events: list[str]) -> list[int]:
+    def execute_round(self, events: list[Event]) -> list[int]:
         """Run one full round; mutates positions/states/liveness in place.
 
-        Appends event strings for everything that happened during the
+        Appends an event for everything that happened during the
         round: settles, role changes, applied control messages, deaths.
         Every word stored is checked against ``self.overflow`` and
         accumulated into ``self.used``.  Returns every robot whose word
@@ -386,7 +389,7 @@ class World:
             return self._lone_round(live[0], events)
         return self._group_round(events)
 
-    def _group_round(self, events: list[str]) -> list[int]:
+    def _group_round(self, events: list[Event]) -> list[int]:
         """A round of any number of movers, each node's broadcasts tallied
         in a ``NodeInbox`` per subround, stepped class by class.
 
@@ -559,7 +562,7 @@ class World:
                 steps.append((node, word, part, (word2, msgs, dec, repair, own2)))
         return steps, in_bulk
 
-    def _lone_round(self, i: int, events: list[str]) -> list[int]:
+    def _lone_round(self, i: int, events: list[Event]) -> list[int]:
         """A round of the one live mover ``i``.  Only it and its node's
         settler can hear anyone, each only the other, so a subround
         carries two broadcasts, the mover's and the settler's, and no
@@ -616,7 +619,7 @@ class World:
         return [i, *woken]
 
     def _settler_step(self, i: int, summary: InboxSummary,
-                      events: list[str]) -> tuple[list[Message], bool]:
+                      events: list[Event]) -> tuple[list[Message], bool]:
         """Step settler ``i`` on what it heard and store its word; returns
         its broadcast and whether it terminates at round end."""
         st = self.states[i]
@@ -625,9 +628,9 @@ class World:
             # a port from a message: it must fit before it is written
             if port < 0 or port + 1 >> self.field_bits:
                 raise self._too_wide(i, "child", port)
-            events.append(f"set_child:{i}={port}")
+            events.append(("set_child", i, port))
         if summary.set_visited and not st & VISITED_BIT:
-            events.append(f"set_visited:{i}")
+            events.append(("set_visited", i))
         st2, msgs, dec = step_settled(st, summary)
         if st2 & self.overflow:
             raise self._too_wide(i, *overflowing_field(st2, self.max_degree))
@@ -656,12 +659,12 @@ class World:
         return word2, msgs, dec, repair
 
     def _commit(self, i: int, word: int, word2: int, dec: Decision, repair: bool,
-                events: list[str]) -> None:
+                events: list[Event]) -> None:
         """Store mover ``i``'s step from ``word`` to ``word2``: its repair
         event, the overflow check, the bits it uses and its role change."""
         if repair:
             self.repair_fired = True
-            events.append(f"repair_terminate:{self.node_settler[self.positions[i]]}")
+            events.append(("repair_terminate", self.node_settler[self.positions[i]]))
         if word2 & self.overflow:
             raise self._too_wide(i, *overflowing_field(word2, self.max_degree))
         self.used[word2 & ROLE_MASK] |= word2
@@ -687,31 +690,31 @@ class World:
     def _overrun(self) -> _Fault:
         return _Fault(f"round {self.round} still open after {self.max_subrounds} subrounds")
 
-    def _change_role(self, i: int, role: int, events: list[str]) -> None:
+    def _change_role(self, i: int, role: int, events: list[Event]) -> None:
         node = self.positions[i]
         if role == SETTLED:
             if node in self.node_settler:
                 raise _Fault(f"round {self.round}: two settled robots at node {node}")
             self.node_settler[node] = i
             self.live.remove(i)
-            events.append(f"settle:{i}@{node}")
+            events.append(("settle", i, node))
         elif role == RETURN:
-            events.append(f"to_return:{i}")
+            events.append(("to_return", i))
             if self.t1 is None:
                 self.t1 = self.round
                 self.v_l = node
         elif role == ACKNOWLEDGE:
-            events.append(f"to_acknowledge:{i}")
+            events.append(("to_acknowledge", i))
             if self.t2 is None:
                 self.t2 = self.round
         elif role == DONE:
-            events.append(f"to_done:{i}")
+            events.append(("to_done", i))
 
-    def _kill(self, i: int, events: list[str]) -> None:
+    def _kill(self, i: int, events: list[Event]) -> None:
         self.alive[i] = False
         if i in self.live:
             self.live.remove(i)
-        events.append(f"terminate:{i}")
+        events.append(("terminate", i))
         node = self.positions[i]
         if self.node_settler.get(node) == i:
             del self.node_settler[node]
@@ -762,7 +765,7 @@ def run(config: SimulationConfig) -> SimulationResult:
 
     for rnd in range(1, max_rounds + 1):
         w.round = rnd
-        events: list[str] = []
+        events: list[Event] = []
         if level is TraceLevel.FULL:
             rows: list[Row] = []
             for i in sorted(set(touched)):
@@ -784,7 +787,7 @@ def run(config: SimulationConfig) -> SimulationResult:
                 deltas.append(TraceDelta(rnd, [], list(events)))
             break
         if level is TraceLevel.SUMMARY:
-            markers = [e for e in events if e.startswith(_MARKER_PREFIXES)]
+            markers = [e for e in events if e[0] in _MARKERS]
             if markers:
                 deltas.append(TraceDelta(rnd, [], markers))
         if not w.live and not w.node_settler:
@@ -831,8 +834,10 @@ def _parse_summary(obj: dict) -> RunSummary:
             raise TypeError(f"positions must be an object, not {positions!r}")
         k = _int(obj, "k")
         for i, v in positions.items():
-            if not (i.isascii() and i.isdigit() and type(v) is int):
-                raise TypeError(f"position {i!r}: {v!r} is not a robot id and a node")
+            # one key per robot: "01" would stand for robot 1 a second time
+            if not (i.isascii() and i.isdigit() and str(int(i)) == i and type(v) is int):
+                raise TypeError(f"position {i!r}: {v!r} is not a robot id, in decimal without "
+                                f"leading zeros, and a node")
             if int(i) >= k:
                 raise ValueError(f"position of robot {i}, outside robots 0..{k - 1}")
         rounds = _int(obj, "rounds")
@@ -870,13 +875,13 @@ _MAX_FIELDS, _MAX_WIDTH = 64, 64
 
 def _parse_header(obj: dict, line_no: int) -> tuple[int, int, tuple[tuple[str, int], ...]]:
     """The k, max degree and field table of the header line ``{"format":
-    3, "k": k, "max_degree": Δ, "fields": [[name, width], ...]}``."""
-    if "format" not in obj:
+    4, "k": k, "max_degree": Δ, "fields": [[name, width], ...]}``."""
+    if type(obj) is not dict or "format" not in obj:
         raise TraceFormatError(
             f"line {line_no}: no format header; a v1 trace has none, and only "
             f"format {TRACE_FORMAT} is read"
         )
-    if obj["format"] != TRACE_FORMAT:
+    if type(obj["format"]) is not int or obj["format"] != TRACE_FORMAT:
         raise TraceFormatError(
             f"line {line_no}: trace format {obj['format']!r}; only format {TRACE_FORMAT} is read"
         )
@@ -903,7 +908,8 @@ def _parse_header(obj: dict, line_no: int) -> tuple[int, int, tuple[tuple[str, i
 
 
 class _RecordReader:
-    """Turns one trace's record lines into checked ``TraceDelta``s."""
+    """Turns one trace's record lines into checked ``TraceDelta``s, the
+    first of round 1, each next of the round after."""
 
     def __init__(self, k: int):
         self.k = k
@@ -912,30 +918,30 @@ class _RecordReader:
         self.ended: dict[int, int] = {}
         self.round = 0
 
-    def record(self, obj: dict) -> TraceDelta:
-        rnd = obj["round"]
-        if type(rnd) is not int or rnd != self.round + 1:
-            raise ValueError(f"round {rnd!r}, where round {self.round + 1} comes next")
-        self.round = rnd
-        rows, events = obj["rows"], obj["events"]
+    def record(self, obj: list) -> TraceDelta:
+        if len(obj) != 2:
+            raise ValueError(f"a record is the array [rows, events], of 2 items, not {len(obj)}")
+        rows, events = obj
         if type(rows) is not list or type(events) is not list:
             raise TypeError(f"rows and events must be lists, not {type(rows).__name__} "
                             f"and {type(events).__name__}")
+        self.round += 1
         if rows:
             rows = self._rows(rows)
-        for ev in events:
-            m = _EVENT.fullmatch(ev)
-            if m is None or m[3] != _SEPARATOR.get(m[1]):
-                raise ValueError(f"unknown event {ev!r}")
-            # int() raises on a number too long to read
-            robot = int(m[2])
-            if m[4]:
-                int(m[4])
-            if robot >= self.k:
-                raise ValueError(f"event {ev} names a robot outside 0..{self.k - 1}")
-            if m[1] == "terminate":
-                self.ended.setdefault(robot, rnd)
-        return TraceDelta(rnd, rows, events)
+        return TraceDelta(self.round, rows, [self._event(ev) for ev in events])
+
+    def _event(self, ev) -> Event:
+        """One event, checked, as a tuple."""
+        if not (type(ev) is list and ev and type(ev[0]) is str and _ARITY.get(ev[0]) == len(ev)):
+            raise ValueError(f"unknown event {json.dumps(ev)}")
+        if any(type(x) is not int or x < 0 for x in ev[1:]):
+            raise ValueError(f"event {json.dumps(ev)}: its numbers must be integers >= 0")
+        robot = ev[1]
+        if robot >= self.k:
+            raise ValueError(f"event {json.dumps(ev)} names a robot outside 0..{self.k - 1}")
+        if ev[0] == "terminate":
+            self.ended.setdefault(robot, self.round)
+        return tuple(ev)
 
     def _rows(self, rows: list) -> list[Row]:
         """One record's ``rows``, checked, as tuples."""
@@ -967,7 +973,7 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
     """Read a trace, line by line, from a string or an open file.
 
     The header comes first, then one record per round 1..``rounds``, in
-    order, then the summary.  Each record comes back as the
+    order, each the array ``[rows, events]``, then the summary.  Each record comes back as the
     ``TraceDelta`` it was written from (``replay`` gives each round's
     rows).  A line holding a non-ASCII byte (or character) is rejected
     before it is decoded, so pass a file opened in binary mode to have
@@ -991,26 +997,27 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
             # an ASCII line, decoded here: json.loads sniffs the encoding of
             # bytes in Python, which costs more than the decode
             obj = json.loads(line.decode() if type(line) is bytes else line)
-        except ValueError as exc:  # a JSONDecodeError, or a number too long to read
+        # a JSONDecodeError, a number too long to read, or arrays nested too deep
+        except (ValueError, RecursionError) as exc:
             raise TraceFormatError(f"line {line_no}: not JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise TraceFormatError(f"line {line_no}: expected an object")
         if header is None:
             header = _parse_header(obj, line_no)
             reader = _RecordReader(header[0])
+        elif type(obj) is list:
+            if summary is not None:
+                raise TraceFormatError(f"line {line_no}: record after summary")
+            try:
+                deltas.append(reader.record(obj))
+            except (ValueError, TypeError) as exc:
+                raise TraceFormatError(f"line {line_no}: bad record: {exc}") from None
+        elif type(obj) is not dict:
+            raise TraceFormatError(f"line {line_no}: neither record nor summary")
         elif "format" in obj:
             raise TraceFormatError(f"line {line_no}: second header line")
         elif "outcome" in obj:
             if summary is not None:
                 raise TraceFormatError(f"line {line_no}: second summary line")
             summary = _parse_summary(obj)
-        elif "round" in obj:
-            if summary is not None:
-                raise TraceFormatError(f"line {line_no}: record after summary")
-            try:
-                deltas.append(reader.record(obj))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise TraceFormatError(f"line {line_no}: bad record: {exc}") from None
         else:
             raise TraceFormatError(f"line {line_no}: neither record nor summary")
     if header is None:

@@ -17,7 +17,7 @@ import le_exhaustive
 from dispersim.checkers import run_all, oracle_dfs
 from dispersim.engine import Outcome, SimulationConfig, TraceLevel, parse_trace, replay, run
 from dispersim.graph import corpus_instances, gen_path, gen_worstcase, worstcase_seeds
-from trace_v1 import view
+from trace_ref import view
 from dispersim.robot import FIELDS, PORT_FIELDS, port_bits
 from test_leader_election import engine_election
 

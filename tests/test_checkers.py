@@ -2,12 +2,14 @@
 
 import ast
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import corruptions
+from corruptions import settles
 from dispersim import checkers, robot
 from dispersim.checkers import (
     CHECKER_NAMES,
@@ -31,18 +33,18 @@ from dispersim.graph import (
     gen_ring,
     gen_worstcase,
 )
-from trace_v1 import moved, role, v3_jsonl, view, with_fields
+from trace_ref import moved, role, rounds, v4_jsonl, view, with_fields
 
 
 def ran(graph, k, root=0, seed=17):
-    """A run's records (a list of its own, free to edit) and summary."""
+    """A run's rounds (``trace_ref.rounds``, free to edit) and summary."""
     res = run(SimulationConfig(graph=graph, k=k, root=root, seed=seed))
-    return res.records, res.summary
+    return rounds(res.deltas), res.summary
 
 
-def written(records, summary, graph):
-    """Edited records and their summary, written and parsed back."""
-    return parse_trace(v3_jsonl(records, summary, graph.max_degree()))
+def written(runs, summary, graph):
+    """Edited rounds and their summary, written and parsed back."""
+    return parse_trace(v4_jsonl(runs, summary, graph.max_degree()))
 
 
 def traced(graph, k, root=0, seed=17):
@@ -144,31 +146,31 @@ class TestNegativeControls:
 
     def test_stage1_rejects_colocated_settlers(self):
         g = gen_path(4)
-        records, summary = ran(g, 3)
-        rec = records[summary.t1 - 1]
-        idx = [i for i, r in enumerate(rec.robots) if role(r) == "settled"]
+        runs, summary = ran(g, 3)
+        rows = runs[summary.t1 - 1][0]
+        idx = [i for i, r in enumerate(rows) if role(r) == "settled"]
         a, b = idx[0], idx[1]
-        rec.robots[a] = moved(rec.robots[a], rec.robots[b][1])
-        verdict = check_stage1(TraceDigest(written(records, summary, g), g))
+        rows[a] = moved(rows[a], rows[b][1])
+        verdict = check_stage1(TraceDigest(written(runs, summary, g), g))
         assert not verdict.passed
 
     def test_mirror_rejects_teleport(self):
         g = gen_ring(6)
-        records, summary = ran(g, 5)
-        rec = records[summary.t2]  # round t2 + 1
-        idx = [i for i, r in enumerate(rec.robots) if role(r) == "acknowledge"]
-        row = rec.robots[idx[0]]
-        rec.robots[idx[0]] = moved(row, (row[1] + 1) % g.n)
-        assert not check_mirror(TraceDigest(written(records, summary, g), g)).passed
+        runs, summary = ran(g, 5)
+        rows = runs[summary.t2][0]  # round t2 + 1
+        idx = [i for i, r in enumerate(rows) if role(r) == "acknowledge"]
+        row = rows[idx[0]]
+        rows[idx[0]] = moved(row, (row[1] + 1) % g.n)
+        assert not check_mirror(TraceDigest(written(runs, summary, g), g)).passed
 
     def test_memory_rejects_oversized_state(self):
         """Max degree 2: a port field holds L + 1 = 2 bits, so parent=3,
         stored as 4, does not fit."""
         g = gen_path(4)
-        records, summary = ran(g, 3)
-        rows = records[2].robots
+        runs, summary = ran(g, 3)
+        rows = runs[2][0]
         rows[0] = with_fields(rows[0], parent=3)
-        verdict = check_memory(TraceDigest(written(records, summary, g), g))
+        verdict = check_memory(TraceDigest(written(runs, summary, g), g))
         assert verdict.findings == [
             "round 3: robot 0 stores parent=3, which does not fit its 2-bit field at max degree 2"]
 
@@ -176,8 +178,8 @@ class TestNegativeControls:
         """A header whose field table takes more bits than the closed form
         allows: an 8-bit hop counter on top of the engine's fields."""
         g = gen_path(4)
-        records, summary = ran(g, 3)
-        lines = v3_jsonl(records, summary, g.max_degree()).splitlines()
+        runs, summary = ran(g, 3)
+        lines = v4_jsonl(runs, summary, g.max_degree()).splitlines()
         header = json.loads(lines[0])
         header["fields"].append(["hops", 8])
         trace = parse_trace("\n".join([json.dumps(header), *lines[1:]]) + "\n")
@@ -188,14 +190,14 @@ class TestNegativeControls:
 
     def test_memory_names_the_first_row_off_budget(self):
         g = gen_path(4)
-        records, summary = ran(g, 3)
-        first, later = records[2].robots, records[3].robots
+        runs, summary = ran(g, 3)
+        first, later = runs[2][0], runs[3][0]
         i, node, word = later[0]
         later[0] = i, node, word | 1 << 57
         i, node, word = first[2]
         first[2] = i, node, word | 1 << 999
         first[1] = with_fields(first[1], child=2 ** 15)
-        verdict = check_memory(TraceDigest(written(records, summary, g), g))
+        verdict = check_memory(TraceDigest(written(runs, summary, g), g))
         assert verdict.findings == [
             "round 3: robot 1 stores child=32768, which does not fit its 2-bit field "
             "at max degree 2"]
@@ -203,31 +205,30 @@ class TestNegativeControls:
     def test_memory_passes_the_widest_port_that_fits(self):
         """Max degree 2: port 2, stored as 3, fills the 2-bit field."""
         g = gen_path(4)
-        records, summary = ran(g, 3)
-        rows = records[2].robots
+        runs, summary = ran(g, 3)
+        rows = runs[2][0]
         rows[0] = with_fields(rows[0], parent=2)
-        assert check_memory(TraceDigest(written(records, summary, g), g)).passed
+        assert check_memory(TraceDigest(written(runs, summary, g), g)).passed
 
     def test_rootpath_rejects_spurious_child(self):
         g = gen_path(4)
-        records, summary = ran(g, 4, root=1)
+        runs, summary = ran(g, 4, root=1)
         # node 0 is off the rootpath; its settler must stay childless
-        off_path = [
-            rid for rid, (rnd, node) in _settles(records).items() if node == 0
-        ]
-        records[2].events.append(f"set_child:{off_path[0]}=0")
-        assert not check_rootpath_children(TraceDigest(written(records, summary, g), g)).passed
+        off_path = [rid for rid, (rnd, node) in settles(runs).items() if node == 0]
+        runs[2][1].append(("set_child", off_path[0], 0))
+        assert not check_rootpath_children(TraceDigest(written(runs, summary, g), g)).passed
 
     def test_rootpath_follows_the_return_walk(self):
         """A walker that jumps off the ring's edges in stage 2 is named in
         the round it stands off the rootpath."""
         g = gen_ring(6)
-        records, summary = ran(g, 5, seed=1)
+        runs, summary = ran(g, 5, seed=1)
         assert (summary.t1, summary.t2) == (5, 9)
-        row = next(r for r in records[6].robots if r[0] == 2)
+        rows = runs[6][0]
+        row = next(r for r in rows if r[0] == 2)
         assert (role(row), row[1]) == ("return", 4)
-        records[6].robots[records[6].robots.index(row)] = moved(row, 0)
-        trace = written(records, summary, g)
+        rows[rows.index(row)] = moved(row, 0)
+        trace = written(runs, summary, g)
         verdicts = run_all(trace, g)
         assert [name for name, v in verdicts.items() if not v.passed] == ["rootpath"]
         assert verdicts["rootpath"].findings == [
@@ -237,30 +238,20 @@ class TestNegativeControls:
         """A rootpath settler whose child port is set in stage 1 as well as
         in stage 2, to the same port, is named with the rounds it set it in."""
         g = gen_random_connected(12, 20, 3)
-        records, summary = ran(g, 12, seed=0)
+        runs, summary = ran(g, 12, seed=0)
         assert (summary.t1, summary.t2) == (27, 37)
-        assert records[29].events == ["set_child:7=0"]
-        records[12].events.append("set_child:7=0")
-        verdicts = run_all(written(records, summary, g), g)
+        assert runs[29][1] == [("set_child", 7, 0)]
+        runs[12][1].append(("set_child", 7, 0))
+        verdicts = run_all(written(runs, summary, g), g)
         assert [name for name, v in verdicts.items() if not v.passed] == ["rootpath"]
         assert verdicts["rootpath"].findings == [
             "settler 7 set its child port in rounds [13, 30], not once in rounds 28..37"]
 
     def test_termination_rejects_missing_terminate(self):
         g = gen_path(4)
-        records, summary = ran(g, 3)
-        corruptions.drop_terminate(records, 0)
-        assert not check_termination(TraceDigest(written(records, summary, g), g)).passed
-
-
-def _settles(records):
-    out = {}
-    for rec in records:
-        for e in rec.events:
-            if e.startswith("settle:"):
-                rid, node = e[len("settle:"):].split("@")
-                out[int(rid)] = (rec.round, int(node))
-    return out
+        runs, summary = ran(g, 3)
+        corruptions.drop_terminate(runs, 0)
+        assert not check_termination(TraceDigest(written(runs, summary, g), g)).passed
 
 
 def cut(res, last):
@@ -319,43 +310,46 @@ def test_summary_k_above_n_is_format_error():
 @pytest.mark.parametrize("rnd, old, new, message", [
     # robot 7 settles at node 3, of degree 3, and sets child port 0 in
     # round 30; port 4 is below the graph's max degree 5
-    (29, None, "set_child:7=4", "names port 4 of node 3, outside its ports 0..2"),
-    (31, None, "set_child:7=4", "names port 4 of node 3, outside its ports 0..2"),
+    (29, None, ("set_child", 7, 4), "names port 4 of node 3, outside its ports 0..2"),
+    (31, None, ("set_child", 7, 4), "names port 4 of node 3, outside its ports 0..2"),
     # the group enters node 4 by port 2 in round 11; node 2 has degree 2
-    (11, "settle:3@4", "settle:3@2", "settles robot 3 again, or not at the node it explores"),
+    (11, ("settle", 3, 4), ("settle", 3, 2),
+     "settles robot 3 again, or not at the node it explores"),
     # robot 1 settled at node 11 in round 3
-    (6, None, "settle:1@0", "settles robot 1 again"),
-])
+    (6, None, ("settle", 1, 0), "settles robot 1 again"),
+], ids=str)
 def test_event_off_its_robots_node_is_format_error(rnd, old, new, message):
     """On a graph whose nodes differ in degree, an event that puts a
     settler or its child port where the trace's rows do not is named with
     its round, before any checker reads a port the node lacks."""
     g = gen_random_connected(12, 20, 3)
-    records, summary = ran(g, 12, seed=0)
-    assert (g.degree(3), g.max_degree(), records[29].events) == (3, 5, ["set_child:7=0"])
-    events = records[rnd - 1].events
+    runs, summary = ran(g, 12, seed=0)
+    assert (g.degree(3), g.max_degree(), runs[29][1]) == (3, 5, [("set_child", 7, 0)])
+    events = runs[rnd - 1][1]
     if old is None:
         events.append(new)
     else:
         events[events.index(old)] = new
-    with pytest.raises(TraceFormatError, match=f"round {rnd}: event {new} {message}"):
-        run_all(written(records, summary, g), g)
+    shown = re.escape(json.dumps(new))
+    with pytest.raises(TraceFormatError, match=f"round {rnd}: event {shown} {message}"):
+        run_all(written(runs, summary, g), g)
 
 
-@pytest.mark.parametrize("rnd, event", [(8, "to_done:2"), (14, "to_done:3"),
-                                        (8, "to_return:2"), (9, "to_acknowledge:3")])
+@pytest.mark.parametrize("rnd, event", [(8, ("to_done", 2)), (14, ("to_done", 3)),
+                                        (8, ("to_return", 2)), (9, ("to_acknowledge", 3))],
+                         ids=str)
 def test_role_change_of_a_settler_is_format_error(rnd, event):
     """A settled robot never changes role again: an event that says it
     does is named with its round."""
     g = gen_ring(6)
-    records, summary = ran(g, 6, seed=5)
-    settles = _settles(records)
-    robot_id = int(event.split(":")[1])
-    assert settles[robot_id][0] < rnd
-    records[rnd - 1].events.append(event)
-    with pytest.raises(TraceFormatError, match=f"round {rnd}: event {event} names robot "
+    runs, summary = ran(g, 6, seed=5)
+    robot_id = event[1]
+    assert settles(runs)[robot_id][0] < rnd
+    runs[rnd - 1][1].append(event)
+    shown = re.escape(json.dumps(event))
+    with pytest.raises(TraceFormatError, match=f"round {rnd}: event {shown} names robot "
                                                f"{robot_id}, which settled in round"):
-        run_all(written(records, summary, g), g)
+        run_all(written(runs, summary, g), g)
 
 
 def test_header_max_degree_not_the_graphs_is_format_error():
@@ -456,8 +450,8 @@ def test_corruption_first_finding(build):
     assert verdict.findings[0] == CORRUPTION_FIRST_FINDINGS[name]
 
 
-def _group_by_scan(rec):
-    keys = {(node, dir_, entered) for _, node, role_, dir_, entered in map(view, rec.robots)
+def _group_by_scan(rows):
+    keys = {(node, dir_, entered) for _, node, role_, dir_, entered in map(view, rows)
             if role_ == "explore"}
     return keys.pop() if len(keys) == 1 else None
 
@@ -470,31 +464,26 @@ def _group_by_scan(rec):
        (gen_path(2), 2, 0, 0, 4)],
 )
 def test_digest_matches_a_scan_of_the_engine_records(graph, k, root, seed, subrounds):
-    """The digest's per-round group key, its rows at t1 and t2 + 1, each
-    robot's stored row in each round and its events are what a scan of the
-    engine's full per-round records gives."""
+    """The digest's per-round group key, each robot's stored row in each
+    round and its events are what a scan of the engine's full per-round
+    rows and events gives."""
     res = run(SimulationConfig(graph=graph, k=k, root=root, seed=seed,
                                max_subrounds_per_round=subrounds))
-    records = res.records
+    runs = rounds(res.deltas)
     digest = TraceDigest(parse_trace(res.to_jsonl()), graph)
-    assert digest.group == {rec.round: _group_by_scan(rec) for rec in records}
-    s = res.summary
-    for t in (s.t1, None if s.t2 is None else s.t2 + 1):
-        if t is not None:
-            want = [(r[0], view(r)) for r in records[t - 1].robots]
-            assert sorted(digest.rows_at[t].items()) == want
-    for rec in records:
-        stored = {r[0]: r for r in rec.robots}
-        assert [digest.raw_at(i, rec.round) for i in range(k)] == [stored.get(i) for i in range(k)]
-    events = [(rec.round, e.replace("@", ":").replace("=", ":").split(":"))
-              for rec in records for e in rec.events]
-    assert digest.settles == {int(e[1]): (rnd, int(e[2])) for rnd, e in events if e[0] == "settle"}
-    assert digest.child_ports == {int(e[1]): int(e[2]) for rnd, e in events if e[0] == "set_child"}
+    assert digest.group == {rnd: _group_by_scan(rows)
+                            for rnd, (rows, _) in enumerate(runs, start=1)}
+    for rnd, (rows, _) in enumerate(runs, start=1):
+        stored = {r[0]: r for r in rows}
+        assert [digest.raw_at(i, rnd) for i in range(k)] == [stored.get(i) for i in range(k)]
+    events = [(rnd, e) for rnd, (_, evs) in enumerate(runs, start=1) for e in evs]
+    assert digest.settles == settles(runs)
+    assert digest.child_ports == {e[1]: e[2] for _, e in events if e[0] == "set_child"}
     for name, first in digest.first.items():
         want = {}
         for rnd, e in events:
             if e[0] == name:
-                want.setdefault(int(e[1]), rnd)
+                want.setdefault(e[1], rnd)
         assert first == want, name
     if subrounds is None:
-        assert s.t1 is not None and digest.group[s.t1] is not None
+        assert res.summary.t1 is not None and digest.group[res.summary.t1] is not None

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report shapes, file round trips."""
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 
 from dispersim import cli, engine, robot
 from dispersim.cli import main
-from dispersim.engine import SimulationConfig, parse_trace, replay, run
-from dispersim.graph import gen_ring
-from test_engine import wide_parent
-from trace_v1 import v1_jsonl, with_fields
+from dispersim.engine import parse_trace, replay, run
+from test_engine import HEADER, SETTLED, wide_parent
+from trace_ref import with_fields
+
+
+RAW = "raw:"
 
 
 def run_cli(capsys, *argv):
@@ -62,7 +65,7 @@ class TestRun:
         assert summary["rounds"] == summary["t2"] + summary["t1"] + 2
         lines = trace_file.read_text().strip().splitlines()
         assert len(lines) == summary["rounds"] + 2
-        assert json.loads(lines[0]) == {"format": 3, "k": 2, "max_degree": 1,
+        assert json.loads(lines[0]) == {"format": 4, "k": 2, "max_degree": 1,
                                         "fields": [list(f) for f in robot.FIELDS]}
         assert json.loads(lines[-1]) == summary
 
@@ -214,13 +217,14 @@ class TestVerify:
         assert code == 3
 
     # line of the trace to edit (0 is the header, r round r, -2 the last
-    # round, -1 the summary)
-    # and the edit: None, which deletes the line, a function of the
-    # line's object, or the changes to
-    # robot 3's round-3 row, which goes into that line's rows as the
-    # robot's new row (robot 3 settles in round 3, writes no row in round
-    # 4 and terminates in round 13): "id", "node" and "word" replace that
-    # slot of the row, any other key that field of its word
+    # round, -1 the summary) and the edit: a function of the line's object,
+    # which edits it in place or returns a tuple of the objects that
+    # replace the line (an empty one deletes it), or the changes to robot
+    # 3's round-3 row, which goes into that line's rows as the robot's new
+    # row (robot 3 settles in round 3, writes no row in round 4 and
+    # terminates in round 13): "id", "node" and "word" replace that slot of
+    # the row, any other key that field of its word.  A string RAW + text
+    # is written as the bare text, such as a number JSON cannot hold.
     HOSTILE_EDITS = {
         "summary_t1_string": (-1, lambda o: o.update(t1="7")),
         "summary_t1_huge": (-1, lambda o: o.update(t1=1_000_000_000)),
@@ -235,27 +239,35 @@ class TestVerify:
         "summary_positions_list": (-1, lambda o: o.update(positions=[])),
         "summary_positions_null": (-1, lambda o: o.update(positions=None)),
         "summary_position_key_not_an_id": (-1, lambda o: o["positions"].update(x=0)),
+        "summary_position_key_zero_padded": (-1, lambda o: o["positions"].update({"01": 5})),
         "summary_position_float": (-1, lambda o: o["positions"].update({"0": 2.0})),
         "summary_position_id_off_run": (-1, lambda o: o["positions"].update(
             {"8": o["positions"].pop("0")})),
         "summary_repair_fired_without_repair": (-1, lambda o: o.update(repair_fired=False)),
         "summary_fault_on_dispersed": (-1, lambda o: o.update(fault="x")),
-        "event_bad_robot_id": (1, lambda o: o["events"].append("settle:zz@1")),
-        "event_robot_off_run": (1, lambda o: o["events"].append("to_done:6")),
-        "event_settle_off_graph": (1, lambda o: o["events"].append("settle:1@99")),
-        "event_child_port_off_graph": (1, lambda o: o["events"].append("set_child:0=99")),
+        "event_bad_robot_id": (1, lambda o: o[1].append(["settle", "zz", 1])),
+        "event_robot_off_run": (1, lambda o: o[1].append(["to_done", 6])),
+        "event_settle_off_graph": (1, lambda o: o[1].append(["settle", 1, 99])),
+        "event_child_port_off_graph": (8, lambda o: o[1].append(["set_child", 2, 99])),
         # robot 0 settles in round 5; robot 1 is the walker, never settled
-        "event_child_before_settle": (1, lambda o: o["events"].append("set_child:0=0")),
-        "event_child_of_walker": (8, lambda o: o["events"].append("set_child:1=0")),
-        "event_visited_by_walker": (13, lambda o: o["events"].append("set_visited:1")),
-        "event_settle_twice": (8, lambda o: o["events"].append("settle:2@0")),
-        "event_settle_off_its_node": (3, lambda o: o["events"].append("settle:0@0")),
-        "event_id_5000_digits": (1, lambda o: o["events"].append("settle:" + "9" * 5000 + "@1")),
-        "event_id_leading_zero": (1, lambda o: o["events"].append("to_done:01")),
-        "event_node_5000_digits": (1, lambda o: o["events"].append("settle:1@" + "9" * 5000)),
+        "event_child_before_settle": (1, lambda o: o[1].append(["set_child", 0, 0])),
+        "event_child_of_walker": (8, lambda o: o[1].append(["set_child", 1, 0])),
+        "event_visited_by_walker": (13, lambda o: o[1].append(["set_visited", 1])),
+        "event_settle_twice": (8, lambda o: o[1].append(["settle", 2, 0])),
+        "event_settle_off_its_node": (3, lambda o: o[1].append(["settle", 0, 0])),
+        "event_id_5000_digits": (1, lambda o: o[1].append(["settle", RAW + "9" * 5000, 1])),
+        "event_id_leading_zero": (1, lambda o: o[1].append(["to_done", RAW + "01"])),
+        "event_node_5000_digits": (1, lambda o: o[1].append(["settle", 1, RAW + "9" * 5000])),
         # robot 2 settles in round 1, robot 3 in round 3
-        "event_done_of_settler": (8, lambda o: o["events"].append("to_done:2")),
-        "event_return_of_settler": (8, lambda o: o["events"].append("to_return:3")),
+        "event_done_of_settler": (8, lambda o: o[1].append(["to_done", 2])),
+        "event_return_of_settler": (8, lambda o: o[1].append(["to_return", 3])),
+        "event_name_unknown": (8, lambda o: o[1].append(["teleport", 3])),
+        "event_text": (8, lambda o: o[1].append("to_done:1")),
+        "event_settle_without_node": (8, lambda o: o[1].append(["settle", 1])),
+        "event_done_with_number": (8, lambda o: o[1].append(["to_done", 1, 0])),
+        "event_robot_bool": (8, lambda o: o[1].append(["to_done", True])),
+        "event_robot_negative": (8, lambda o: o[1].append(["to_done", -1])),
+        "event_port_float": (8, lambda o: o[1].append(["set_child", 2, 0.0])),
         "row_node_off_graph": (4, {"node": 99}),
         "row_id_off_run": (4, {"id": 6}),
         "row_word_string": (4, {"word": "x"}),
@@ -264,19 +276,27 @@ class TestVerify:
         "row_entered_off_node": (4, {"entered": 99}),
         "row_role_unknown": (4, {"role": 7}),
         "row_for_gone_robot": (15, {}),
+        "record_an_object": (4, lambda o: ({"rows": o[0], "events": o[1]},)),
+        "record_of_one_item": (4, lambda o: o.pop()),
+        "record_of_three_items": (4, lambda o: o.append([])),
+        "record_nested_too_deep": (4, lambda o: o[1].append(RAW + "[" * 10**5 + "]" * 10**5)),
         "header_missing": (0, lambda o: o.pop("format")),
-        "header_twice": (1, lambda o: (o.clear(), o.update(format=3, k=6))),
+        "header_twice": (1, lambda o: ({"format": 4, "k": 6},)),
         "header_format_1": (0, lambda o: o.update(format=1)),
+        "header_format_3": (0, lambda o: o.update(format=3)),
+        "header_format_float": (0, lambda o: o.update(format=4.0)),
+        "header_format_bool": (0, lambda o: o.update(format=True)),
         "header_k_zero": (0, lambda o: o.update(k=0)),
         "header_k_string": (0, lambda o: o.update(k="6")),
         "header_k_not_summary_k": (0, lambda o: o.update(k=7)),
         "header_max_degree_not_the_graphs": (0, lambda o: o.update(max_degree=3)),
         "header_fields_without_entered": (0, lambda o: o["fields"].pop(5)),
         "header_field_width_huge": (0, lambda o: o["fields"].append(["hops", 10**9])),
-        "round_repeated": (5, lambda o: o.update(round=4)),
-        "round_after_the_last": (-2, lambda o: o.update(round=o["round"] + 1)),
-        "round_dropped": (5, None),
-        "round_dropped_last": (-2, None),
+        # a record's round is its place among the records
+        "round_repeated": (5, lambda o: (o, o)),
+        "round_after_the_last": (-2, lambda o: (o, [[], []])),
+        "round_dropped": (5, lambda o: ()),
+        "round_dropped_last": (-2, lambda o: ()),
     }
 
     @pytest.mark.parametrize("edit", sorted(HOSTILE_EDITS))
@@ -287,6 +307,7 @@ class TestVerify:
         lines = good_trace.read_text().strip().splitlines()
         line, change = self.HOSTILE_EDITS[edit]
         obj = json.loads(lines[line])
+        objs = (obj,)
         if isinstance(change, dict):
             rows = next(rows for d, rows in replay(parse_trace(good_trace.read_text()).deltas)
                         if d.round == 3)
@@ -296,17 +317,15 @@ class TestVerify:
                     row[("id", "node", "word").index(key)] = value
                 else:
                     row = list(with_fields(row, **{key: value}))
-            ids = [r[0] for r in obj["rows"]]
+            ids = [r[0] for r in obj[0]]
             assert 3 not in ids
-            obj["rows"].insert(sum(i < 3 for i in ids), row)
-        elif change is not None:
-            change(obj)
-        if change is None:
-            del lines[line]
-        else:
-            lines[line] = json.dumps(obj)
+            obj[0].insert(sum(i < 3 for i in ids), row)
+        elif isinstance(replaced := change(obj), tuple):
+            objs = replaced
+        line %= len(lines)
+        lines[line:line + 1] = map(json.dumps, objs)
         bad = tmp_path / "hostile.jsonl"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_text(re.sub(f'"{RAW}([^"]*)"', r"\1", "\n".join(lines) + "\n"))
         code, _, err = run_cli(capsys, "verify", "--trace", str(bad), "--graph", "gen:ring:6")
         assert code == 3
         assert err.startswith(f"error: {bad}: ")
@@ -315,8 +334,9 @@ class TestVerify:
 
     # what a fuzzed edit may write into one field of one trace line
     FUZZ_VALUES = (None, True, False, -1, 0, 1, 2, 5, 6, 7, 19, 99, 2**70, 0.5, "", "x",
-                   "7", "fwd", "explore", "settled", "settle:1@1", "set_child:2=1",
-                   "set_visited:1", "terminate:0", "to_done:1", [], [0], [6], {}, {"0": 0})
+                   "7", "fwd", "explore", "settled", "settle", "terminate", ["settle", 1, 1],
+                   ["set_child", 2, 1], ["set_visited", 1], ["terminate", 0], ["to_done", 1],
+                   [], [0], [6], [[], []], {}, {"0": 0})
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -328,17 +348,18 @@ class TestVerify:
         line = data.draw(st.integers(0, len(lines) - 1), label="line")
         obj = json.loads(lines[line])
         slots = []  # every (container, key) whose value an edit can replace
-        for key, value in obj.items():
-            slots.append((obj, key))
-            if isinstance(value, dict):
-                slots.extend((value, f) for f in value)
-            elif isinstance(value, list):
-                for j, item in enumerate(value):
-                    slots.append((value, j))
-                    if isinstance(item, dict):
-                        slots.extend((item, f) for f in item)
-                    elif isinstance(item, list):  # a row, or a field of the header's table
-                        slots.extend((item, f) for f in range(len(item)))
+
+        def fill(value, depth: int) -> None:
+            """Add every slot of ``value``, an object or an array, and of
+            what it holds ``depth`` levels down."""
+            keys = value if isinstance(value, dict) else range(len(value))
+            for key in keys:
+                slots.append((value, key))
+                if depth and isinstance(value[key], (dict, list)):
+                    fill(value[key], depth - 1)
+
+        # down to a row's or an event's items, a field of the header's table
+        fill(obj, 2)
         holder, key = slots[data.draw(st.integers(0, len(slots) - 1), label="slot")]
         holder[key] = data.draw(st.sampled_from(self.FUZZ_VALUES), label="value")
         lines[line] = json.dumps(obj)
@@ -353,8 +374,8 @@ class TestVerify:
         """A JSON number of 5000 digits, beyond what ``int()`` reads, exits
         3 naming the line, not 4."""
         lines = good_trace.read_text().splitlines()
-        assert lines[4].startswith('{"round": 4, ')
-        lines[4] = lines[4].replace('"round": 4', '"round": ' + "9" * 5000)
+        assert lines[4].startswith("[[[")
+        lines[4] = lines[4].replace("[[[", "[[[" + "9" * 5000, 1)
         bad = tmp_path / "digits.jsonl"
         bad.write_text("\n".join(lines) + "\n")
         code, _, err = run_cli(capsys, "verify", "--trace", str(bad), "--graph", "gen:ring:6")
@@ -391,13 +412,26 @@ class TestVerify:
             "at max degree 2"]
 
     def test_v1_trace_is_format_error(self, capsys, tmp_path):
+        """A v1 trace: no header, each record an object of whole rows."""
         v1 = tmp_path / "v1.jsonl"
-        res = run(SimulationConfig(graph=gen_ring(6), k=6, seed=5))
-        v1.write_text(v1_jsonl(res))
+        row = {"id": 0, "node": 0, "role": "explore", "dir": "fwd", "entered": None, "bits": 22}
+        v1.write_text(json.dumps({"round": 1, "robots": [row], "events": []}) + "\n")
         code, _, err = run_cli(capsys, "verify", "--trace", str(v1), "--graph", "gen:ring:6")
         assert code == 3
         assert err.startswith(f"error: {v1}: line 1: ") and "v1" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_format_3_trace_is_format_error(self, capsys, tmp_path):
+        """A format-3 trace: records are objects and events text."""
+        v3 = tmp_path / "v3.jsonl"
+        lines = [{**HEADER, "k": 1, "format": 3},
+                 {"round": 1, "rows": [SETTLED], "events": ["terminate:0"]},
+                 {"outcome": "dispersed", "t1": None, "t2": None, "rounds": 1, "vR": 0,
+                  "vL": None, "repair_fired": False, "k": 1, "positions": {"0": 0}}]
+        v3.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        code, _, err = run_cli(capsys, "verify", "--trace", str(v3), "--graph", "gen:ring:6")
+        assert code == 3
+        assert err == f"error: {v3}: line 1: trace format 3; only format 4 is read\n"
 
     def test_non_ascii_trace_file(self, capsys, good_trace, tmp_path):
         data = good_trace.read_bytes()

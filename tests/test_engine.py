@@ -12,7 +12,6 @@ from dispersim.engine import (
     SimulationConfig,
     TraceFormatError,
     TraceLevel,
-    TraceRecord,
     World,
     _Fault,
     parse_trace,
@@ -30,7 +29,7 @@ from dispersim.graph import (
 )
 from dispersim import engine, robot
 from test_golden_traces import FAULT_RUNS, _graph
-from trace_v1 import moved, role, v3_jsonl, view
+from trace_ref import moved, role, rounds, v4_jsonl, view
 
 
 def test_two_path_replay():
@@ -44,7 +43,7 @@ def test_two_path_replay():
     assert sorted(s.positions.values()) == [0, 1]
     assert s.repair_fired
     assert s.v_r == 0 and s.v_l == 1
-    assert len(res.records) == 7
+    assert len(res.deltas) == 7
 
 
 def test_two_path_any_seed_same_round_count():
@@ -73,19 +72,19 @@ def test_single_robot_terminates_at_root():
 
 def test_round_one_elects_exactly_one_settler():
     res = run(SimulationConfig(graph=gen_complete(6), k=6, root=0, seed=5))
-    rec2 = res.records[1]
-    settled = [view(r) for r in rec2.robots if role(r) == "settled"]
+    rows2 = rounds(res.deltas)[1][0]
+    settled = [view(r) for r in rows2 if role(r) == "settled"]
     assert len(settled) == 1
     _, node, _, _, entered = settled[0]
     assert node == 0
     assert entered is None
-    assert any(e.startswith("settle:") and e.endswith("@0") for e in res.records[0].events)
+    assert any(e[0] == "settle" and e[2] == 0 for e in res.deltas[0].events)
 
 
 def test_co_movers_share_entered_port():
     res = run(SimulationConfig(graph=gen_path(3), k=3, root=0, seed=11))
-    rec2 = res.records[1]
-    explorers = [view(r) for r in rec2.robots if role(r) == "explore"]
+    rows2 = rounds(res.deltas)[1][0]
+    explorers = [view(r) for r in rows2 if role(r) == "explore"]
     assert len(explorers) == 2
     assert {node for _, node, _, _, _ in explorers} == {1}
     assert {entered for _, _, _, _, entered in explorers} == {0}
@@ -126,7 +125,7 @@ class TestTraceLevels:
                 graph=gen_path(3), k=2, root=0, seed=4, trace_level=TraceLevel.NONE
             )
         )
-        assert res.records == []
+        assert res.deltas == []
         assert res.to_jsonl() == ""
         assert res.summary.outcome is Outcome.DISPERSED_ALL_TERMINATED
 
@@ -141,9 +140,9 @@ class TestTraceLevels:
             assert d.rows == []
             assert d.events
         all_events = [e for d in res.deltas for e in d.events]
-        assert sum(e.startswith("to_return:") for e in all_events) == 1
-        assert sum(e.startswith("to_acknowledge:") for e in all_events) == 1
-        assert sum(e.startswith("terminate:") for e in all_events) == 4
+        names = [e[0] for e in all_events]
+        assert (names.count("to_return"), names.count("to_acknowledge")) == (1, 1)
+        assert names.count("terminate") == 4
 
     def test_full_has_one_record_per_round(self):
         res = run(SimulationConfig(graph=gen_ring(5), k=4, root=0, seed=4))
@@ -195,63 +194,62 @@ class TestTraceWriting:
         res = run(SimulationConfig(graph=gen_ring(6), k=5, root=2, seed=123, trace_level=level))
         text = res.to_jsonl()
         assert "".join(res.jsonl_lines()) == text
-        records = res.records
         if level is TraceLevel.SUMMARY:
             # no trace, which holds every round; only the marker records,
             # kept in memory
             assert text == ""
-            assert records and all(not rec.robots for rec in records)
-            assert all(e.startswith(engine._MARKER_PREFIXES) for rec in records
-                       for e in rec.events)
+            assert res.deltas and all(not d.rows for d in res.deltas)
+            assert all(e[0] in engine._MARKERS for d in res.deltas for e in d.events)
             return
-        assert text == v3_jsonl(records, res.summary, res.max_degree)
+        runs = rounds(res.deltas)
+        assert text == v4_jsonl(runs, res.summary, res.max_degree)
         assert parse_trace(text).deltas == res.deltas
         # rows shared between rounds, and one of them replaced in a
         # single round the way tests/corruptions.py corrupts traces
-        shared = records[3].robots[1]
-        assert records[2].robots[1] is shared is records[4].robots[1]
+        shared = runs[3][0][1]
+        assert runs[2][0][1] is shared is runs[4][0][1]
         assert view(shared)[4] is None
-        records[3].robots[1] = moved(shared, 4)
-        assert any(not rec.events for rec in records)
-        # an event added, and a record in which every robot is gone
-        records[0].events.append("to_done:0")
-        records.append(TraceRecord(res.summary.rounds + 1, [], []))
+        runs[3][0][1] = moved(shared, 4)
+        assert any(not events for _, events in runs)
+        # an event added, and a round in which every robot is gone
+        runs[0][1].append(("to_done", 0))
+        runs.append(([], []))
         summary = replace(res.summary, rounds=res.summary.rounds + 1)
-        edited = parse_trace(v3_jsonl(records, summary, res.max_degree))
-        assert [TraceRecord(d.round, sorted(rows.values()), d.events)
-                for d, rows in replay(edited.deltas)] == records
-        # the records are a view: editing them leaves the run's trace alone
+        edited = parse_trace(v4_jsonl(runs, summary, res.max_degree))
+        assert rounds(edited.deltas) == runs
+        # the rounds are copies: editing them leaves the run's trace alone
         assert res.to_jsonl() == text
 
     def test_only_changed_rows_are_written(self):
         g = gen_worstcase(16)
         res = run(SimulationConfig(graph=g, k=16, root=0, seed=2))
         lines = [json.loads(line) for line in res.to_jsonl().splitlines()]
-        assert lines[0] == {"format": 3, "k": 16, "max_degree": g.max_degree(),
+        assert lines[0] == {"format": 4, "k": 16, "max_degree": g.max_degree(),
                             "fields": [list(f) for f in robot.FIELDS]}
         assert len(lines) == res.summary.rounds + 2
-        assert lines[1]["rows"] == [list(r) for r in res.records[0].robots]
-        assert all(len(row) == 3 for obj in lines[1:-1] for row in obj["rows"])
-        written = sum(len(obj["rows"]) for obj in lines[1:-1])
+        runs = rounds(res.deltas)
+        assert lines[1][0] == [list(r) for r in runs[0][0]]
+        assert all(len(row) == 3 for rows, _ in lines[1:-1] for row in rows)
+        written = sum(len(rows) for rows, _ in lines[1:-1])
         # every robot but the last drops out; the last terminates in the
         # final round, whose record still holds its row
-        ended = [obj["round"] for obj in lines[1:-1]
-                 for e in obj["events"] if e.startswith("terminate:")]
+        ended = [rnd for rnd, (_, events) in enumerate(lines[1:-1], start=1)
+                 for e in events if e[0] == "terminate"]
         assert len(ended) == 16 and sum(r < res.summary.rounds for r in ended) == 15
-        assert written * 10 < sum(len(rec.robots) for rec in res.records)
+        assert written * 10 < sum(len(rows) for rows, _ in runs)
 
     def test_settled_row_is_shared_between_rounds(self):
         res = run(SimulationConfig(graph=gen_ring(6), k=6, root=0, seed=5))
         # robot 2 settles at the root in round 1 and nothing reaches it
         # in rounds 3 and 4
-        records = res.records
-        row = records[2].robots[2]
+        runs = rounds(res.deltas)
+        row = runs[2][0][2]
         assert (row[0], role(row)) == (2, "settled")
-        assert records[3].robots[2] is row
+        assert runs[3][0][2] is row
         assert all(r[0] != 2 for r in res.deltas[3].rows)
 
 
-HEADER = {"format": 3, "k": 2, "max_degree": 2, "fields": [list(f) for f in robot.FIELDS]}
+HEADER = {"format": 4, "k": 2, "max_degree": 2, "fields": [list(f) for f in robot.FIELDS]}
 # a settler that entered by port 1, and an explorer that entered by port 0
 SETTLED = [0, 0, robot.encode(role=robot.SETTLED, entered=1)]
 EXPLORER = [1, 1, robot.encode(role=robot.EXPLORE, entered=0)]
@@ -266,9 +264,9 @@ def _small_trace(edit=None) -> str:
     from round 3 on; ``edit(objs)`` may change the line objects first."""
     objs = [
         HEADER,
-        {"round": 1, "rows": [SETTLED, EXPLORER], "events": []},
-        {"round": 2, "rows": [[1, 2, EXPLORER[2]]], "events": ["terminate:1"]},
-        {"round": 3, "rows": [], "events": []},
+        [[SETTLED, EXPLORER], []],
+        [[[1, 2, EXPLORER[2]]], [["terminate", 1]]],
+        [[], []],
         {"outcome": "max_rounds", "t1": None, "t2": None, "rounds": 3, "vR": 0, "vL": None,
          "repair_fired": False, "k": 2, "positions": {"0": 0, "1": 2}},
     ]
@@ -287,9 +285,6 @@ class TestTraceParsing:
             assert parsed.deltas == res.deltas
             assert parsed.deltas[0].rows[0][1] == root
             assert (parsed.max_degree, parsed.fields) == (graph.max_degree(), robot.FIELDS)
-            # replaying the deltas gives back every round's rows
-            assert [sorted(rows.values()) for _, rows in replay(parsed.deltas)] \
-                == [rec.robots for rec in res.records]
 
     def test_snapshots_follow_the_deltas(self):
         parsed = parse_trace(_small_trace())
@@ -309,11 +304,11 @@ class TestTraceParsing:
 
     @pytest.mark.parametrize("accent", [b"\xc3\xa9", "\u00e9"])
     def test_non_ascii_line_is_named(self, accent):
-        head = json.dumps(HEADER) + '\n{"round": 1, "rows": [], "events": ["'
+        head = json.dumps(HEADER) + '\n[[], [["'
         if isinstance(accent, bytes):
-            source = io.BytesIO(head.encode("ascii") + accent + b'"]}\n')
+            source = io.BytesIO(head.encode("ascii") + accent + b'", 0]]]\n')
         else:
-            source = head + accent + '"]}\n'
+            source = head + accent + '", 0]]]\n'
         with pytest.raises(TraceFormatError, match=f"line 2: non-ASCII input at offset {len(head)}"):
             parse_trace(source)
 
@@ -330,9 +325,7 @@ class TestTraceParsing:
                    "vL": None, "repair_fired": False, "k": 1, "positions": {"0": 0}}
 
         def trace(second: list) -> str:
-            return _lines({**HEADER, "k": 1},
-                          {"round": 1, "rows": [row], "events": []},
-                          {"round": 2, "rows": [second], "events": []}, summary)
+            return _lines({**HEADER, "k": 1}, [[row], []], [[second], []], summary)
 
         first, second = parse_trace(trace(list(row))).deltas
         assert second.rows[0] == first.rows[0] == (0, 1, 1)
@@ -359,36 +352,48 @@ class TestTraceParsing:
         (lambda o: o[0]["fields"].append(["hops", 0]), "header fields must be .* widths 1..64"),
         (lambda o: o[0]["fields"].append("hops"), "header fields must be .* pairs"),
         (lambda o: o[0].update(fields=[["f", 1]] * 65), "header fields must be 1 to 64"),
-        (lambda o: o[2]["rows"][0].__setitem__(0, 2), "line 3: .* row id 2 outside robots 0..1"),
-        (lambda o: o[2]["rows"][0].__setitem__(2, -1), "line 3: .* row word -1 is negative"),
-        (lambda o: o[2]["rows"][0].pop(), "line 3: bad record: not enough values"),
-        (lambda o: o[2]["rows"][0].append(0), "line 3: bad record: too many values"),
-        (lambda o: o[1].update(rows=[EXPLORER, SETTLED]), "line 2: .* row ids do not ascend"),
-        (lambda o: o[1].update(events=["terminate:1"]), "line 3: .* row for robot 1, which is gone"),
-        (lambda o: o[3]["rows"].append([1, 2, 0]),
+        (lambda o: o[2][0][0].__setitem__(0, 2), "line 3: .* row id 2 outside robots 0..1"),
+        (lambda o: o[2][0][0].__setitem__(2, -1), "line 3: .* row word -1 is negative"),
+        (lambda o: o[2][0][0].pop(), "line 3: bad record: not enough values"),
+        (lambda o: o[2][0][0].append(0), "line 3: bad record: too many values"),
+        (lambda o: o[1].__setitem__(0, [EXPLORER, SETTLED]), "line 2: .* row ids do not ascend"),
+        (lambda o: o[1][1].append(["terminate", 1]), "line 3: .* row for robot 1, which is gone"),
+        (lambda o: o[3][0].append([1, 2, 0]),
          "line 4: .* row for robot 1, which is gone since its terminate in round 2"),
-        (lambda o: o[3].update(round=2), "line 4: .* round 2, where round 3 comes next"),
-        (lambda o: o[1].update(round=0), "line 2: .* round 0, where round 1 comes next"),
-        (lambda o: o[1].update(round=2), "line 2: .* round 2, where round 1 comes next"),
-        (lambda o: o[1].update(round="1"), "line 2: .* round '1', where round 1 comes next"),
-        (lambda o: o.pop(2), "line 3: .* round 3, where round 2 comes next"),
+        (lambda o: o.insert(3, o[3]), "last record is of round 4, the summary's last round 3"),
+        (lambda o: o[1].append([]),
+         r"line 2: bad record: a record is the array \[rows, events\], of 2 items, not 3"),
+        (lambda o: o[1].clear(),
+         r"line 2: bad record: a record is the array \[rows, events\], of 2 items, not 0"),
+        (lambda o: o.__setitem__(1, 5), "line 2: neither record nor summary"),
+        (lambda o: o.pop(2), "last record is of round 2, the summary's last round 3"),
         (lambda o: o.pop(3), "last record is of round 2, the summary's last round 3"),
         (lambda o: o[-1].update(rounds=4), "last record is of round 3, the summary's last round 4"),
         (lambda o: o[-1].update(rounds=0), "bad summary line: rounds=0 is not at least 1"),
-        (lambda o: o[2].update(events=["terminate:2"]),
-         "line 3: .* event terminate:2 names a robot outside 0..1"),
-        (lambda o: o[2].update(events=["settle:1@2@2"]), "line 3: bad record: unknown event"),
-        (lambda o: o[2].update(events=["terminate:1=2"]), "line 3: bad record: unknown event"),
-        (lambda o: o[2].update(events=[5]), "line 3: bad record: "),
-        (lambda o: o[1].pop("rows"), "line 2: bad record: 'rows'"),
-        (lambda o: o[1].update(rows=5), "line 2: bad record: rows and events must be lists"),
-        (lambda o: o[1].update(events={}), "line 2: bad record: rows and events must be lists"),
-        (lambda o: o[1].update(rows=[5]), "line 2: bad record: cannot unpack non-iterable int"),
-        (lambda o: o[1].update(rows=[{"id": 0, "node": 0, "word": 0}]),
+        (lambda o: o[2].__setitem__(1, [["terminate", 2]]),
+         r'line 3: .* event \["terminate", 2\] names a robot outside 0..1'),
+        (lambda o: o[2][1].append(["settle", 1, 2, 2]), "line 3: bad record: unknown event"),
+        (lambda o: o[2][1].append(["terminate", 1, 2]), "line 3: bad record: unknown event"),
+        (lambda o: o[2][1].append(5), "line 3: bad record: unknown event 5"),
+        (lambda o: o[1].pop(0),
+         r"line 2: bad record: a record is the array \[rows, events\], of 2 items, not 1"),
+        (lambda o: o[1].__setitem__(0, 5), "line 2: bad record: rows and events must be lists"),
+        (lambda o: o[1].__setitem__(1, {}), "line 2: bad record: rows and events must be lists"),
+        (lambda o: o[1].__setitem__(0, [5]), "line 2: bad record: cannot unpack non-iterable int"),
+        (lambda o: o[1].__setitem__(0, [{"id": 0, "node": 0, "word": 0}]),
          "line 2: bad record: row id, node and word must be integers"),
-        (lambda o: o[2].update(events=["terminate:" + "9" * 5000]), "line 3: bad record: "),
-        (lambda o: o[2].update(events=["settle:1@" + "9" * 5000]),
-         "line 3: bad record: Exceeds the limit"),
+        (lambda o: o[2][1].append(["terminate", 2**70]), "line 3: .* names a robot outside 0..1"),
+        (lambda o: o[2][1].append(["settle", 1, True]),
+         r'line 3: bad record: event \["settle", 1, true\]: its numbers must be integers >= 0'),
+        (lambda o: o[0].update(format=3), "line 1: trace format 3;"),
+        (lambda o: o[0].update(format=4.0), "line 1: trace format 4.0;"),
+        (lambda o: o[0].update(format=True), "line 1: trace format True;"),
+        (lambda o: o[2][1].append(["teleport", 1]), r'line 3: .* unknown event \["teleport", 1\]'),
+        (lambda o: o[2][1].append(["settle", 1]), r'line 3: .* unknown event \["settle", 1\]'),
+        (lambda o: o[2][1].append([1, 1]), r"line 3: bad record: unknown event \[1, 1\]"),
+        (lambda o: o[2][1].append(["terminate", 1.0]), r'line 3: .* \["terminate", 1.0\]: its'),
+        (lambda o: o[2][1].append(["terminate", -1]), r'line 3: .* \["terminate", -1\]: its'),
+        (lambda o: o[2][1].append(["set_child", 0, False]), r"line 3: .* 0, false\]: its"),
     ])
     def test_bad_header_or_delta_is_rejected(self, edit, message):
         assert parse_trace(_small_trace()).summary.k == 2
@@ -420,7 +425,7 @@ class TestTraceParsing:
         res = run(SimulationConfig(graph=gen_path(2), k=1, seed=0))
         text = res.to_jsonl()
         with pytest.raises(TraceFormatError, match="record after summary"):
-            parse_trace(text + '{"round": 99, "rows": [], "events": []}\n')
+            parse_trace(text + '[[], []]\n')
 
     def test_not_json(self):
         with pytest.raises(TraceFormatError):
@@ -597,11 +602,11 @@ def test_patched_rows_match_a_full_scan_every_round(graph, k, root, seed, subrou
     start of the round."""
     cfg = SimulationConfig(graph=graph, k=k, root=root, seed=seed,
                            max_subrounds_per_round=subrounds)
-    records = run(cfg).records
-    assert [rec.robots for rec in records] == _rows_by_scan(cfg, len(records))
+    rows = [rows for rows, _ in rounds(run(cfg).deltas)]
+    assert rows == _rows_by_scan(cfg, len(rows))
     if subrounds is None:
         # rounds after a death, with robots left, drop rows and patch others
-        assert any(0 < len(b.robots) < len(a.robots) for a, b in zip(records, records[1:]))
+        assert any(0 < len(b) < len(a) for a, b in zip(rows, rows[1:]))
 
 
 def test_a_settler_row_follows_every_stored_word(monkeypatch):
@@ -615,11 +620,11 @@ def test_a_settler_row_follows_every_stored_word(monkeypatch):
 
     monkeypatch.setattr(engine, "step_settled", turned)
     cfg = SimulationConfig(graph=gen_path(3), k=3, root=0, seed=3)
-    records = run(cfg).records
-    assert [rec.robots for rec in records] == _rows_by_scan(cfg, len(records))
+    rows = [rows for rows, _ in rounds(run(cfg).deltas)]
+    assert rows == _rows_by_scan(cfg, len(rows))
     # robot 1 settles at node 1 in round 2 and first acts in round 4, when
     # the walk comes back; no robot dies before round 6
-    assert [view(r)[2:4] for rec in records[:5] for r in rec.robots if r[0] == 1] == [
+    assert [view(r)[2:4] for each in rows[:5] for r in each if r[0] == 1] == [
         ("explore", "fwd"), ("explore", "fwd"), ("settled", "fwd"), ("settled", "fwd"),
         ("settled", "bwd")]
 

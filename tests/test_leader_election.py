@@ -162,10 +162,10 @@ def engine_election(k: int, seed: int) -> tuple[list[int], int]:
     less subrounds 1 and 2, the query and the reply before any explorer
     steps.  A lone robot settles nowhere, alone in 2."""
     w = World(SimulationConfig(graph=_path(max(k, 2)), k=k, seed=seed))
-    events: list[str] = []
+    events: list[tuple] = []
     w.round = 1
     w.execute_round(events)
-    settled = [int(e[7:e.index("@")]) for e in events if e.startswith("settle:")]
+    settled = [e[1] for e in events if e[0] == "settle"]
     return settled, w.subrounds - 2
 
 
@@ -199,11 +199,11 @@ def test_corpus_elections_meet_the_bound():
             assert w.round < cfg.resolved_max_rounds()
             w.round += 1
             movers = Counter(w.positions[j] for j in w.live)
-            events: list[str] = []
+            events: list[tuple] = []
             w.execute_round(events)
             for e in events:
-                if e.startswith("settle:"):
-                    by_size[movers[int(e[e.index("@") + 1:])]].append(w.subrounds - 2)
+                if e[0] == "settle":
+                    by_size[movers[e[2]]].append(w.subrounds - 2)
     checked = {g: subrounds for g, subrounds in by_size.items() if len(subrounds) >= 20}
     assert sum(map(len, by_size.values())) > 3000 and 2 in checked
     for g, subrounds in checked.items():
