@@ -30,7 +30,7 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .engine import Event, Outcome, ParsedTrace, Row, RunSummary, TraceFormatError, replay
+from .engine import Event, Outcome, ParsedTrace, Row, TraceFormatError, replay
 from .graph import PortLabeledGraph
 
 # what the codes of a word's role and direction fields stand for, in
@@ -155,9 +155,10 @@ class TraceDigest:
     every round 1..``rounds``; a round past ``rounds`` has no rows.
     Events are read once: per robot its settle (round, node), its child
     port and the rounds it was set in, and the first round of each other
-    event.  ``words``: per distinct state word its decoded (role, dir,
-    entered) and the (round, robot) of its first row.  ``oracle``: the
-    reference walk, None unless the run dispersed with k >= 2.
+    event; per node its first settler (``settler_at``).  ``words``: per
+    distinct state word its decoded (role, dir, entered) and the (round,
+    robot) of its first row.  ``oracle``: the reference walk, None unless
+    the run dispersed with k >= 2.
 
     A word is decoded by the header's field table: its role, direction
     and entry port, once per distinct word.
@@ -195,6 +196,7 @@ class TraceDigest:
         self.history: defaultdict[int, tuple[list[int], list[Row | None]]] = \
             defaultdict(lambda: ([], []))
         self.settles: dict[int, tuple[int, int]] = {}
+        self.settler_at: dict[int, int] = {}
         self.child_ports: dict[int, int] = {}
         self.child_rounds: defaultdict[int, list[int]] = defaultdict(list)
         self.first: defaultdict[str, dict[int, int]] = defaultdict(dict)
@@ -293,6 +295,7 @@ class TraceDigest:
                     f"at the node it explores"
                 )
             self.settles[robot] = rnd, node
+            self.settler_at.setdefault(node, robot)
             return None
         if name in ("set_child", "set_visited") and robot not in self.settles:
             raise TraceFormatError(f"round {rnd}: event {json.dumps(ev)} names robot {robot}, "
@@ -325,9 +328,17 @@ class TraceDigest:
         return past[1][j - 1] if j else None
 
 
-def _not_dispersed(s: RunSummary) -> Verdict | None:
+def _stages(digest: TraceDigest, vacuous: str, t2: bool = True) -> Verdict | None:
+    """The verdict of a stage checker with nothing to check: a run that
+    did not disperse fails; k = 1 passes, with ``vacuous`` as its info;
+    a summary without t1 (or, when ``t2``, without t2) fails."""
+    s = digest.summary
     if s.outcome is not Outcome.DISPERSED_ALL_TERMINATED:
         return _verdict([f"run did not disperse (outcome={s.outcome.value})"])
+    if s.k == 1:
+        return _verdict([], info=[vacuous])
+    if s.t1 is None or t2 and s.t2 is None:
+        return _verdict([f"t1{'/t2' * t2} missing from summary"])
     return None
 
 
@@ -353,13 +364,9 @@ def check_dispersion(digest: TraceDigest) -> Verdict:
 
 def check_stage1(digest: TraceDigest) -> Verdict:
     """Stage-1 walk, settle schedule, and DFS tree versus the oracle."""
-    s = digest.summary
-    if bad := _not_dispersed(s):
+    if bad := _stages(digest, "k=1: stage 1 is empty, vacuous pass", t2=False):
         return bad
-    if s.k == 1:
-        return _verdict([], info=["k=1: stage 1 is empty, vacuous pass"])
-    if s.t1 is None:
-        return _verdict(["no stage-1 end event (t1 missing)"])
+    s = digest.summary
     t1, graph, oracle = s.t1, digest.graph, digest.oracle
     group = digest.group
     findings: list[str] = []
@@ -440,13 +447,9 @@ def check_rootpath_children(digest: TraceDigest) -> Verdict:
     """Stage 2: the walker climbs the rootpath from v_l to the root in
     rounds t1..t2, and afterwards each rootpath node points to the next,
     its child port set once, inside t1+1..t2."""
-    s = digest.summary
-    if bad := _not_dispersed(s):
+    if bad := _stages(digest, "k=1: no stage 2, vacuous pass"):
         return bad
-    if s.k == 1:
-        return _verdict([], info=["k=1: no stage 2, vacuous pass"])
-    if s.t1 is None or s.t2 is None:
-        return _verdict(["t1/t2 missing from summary"])
+    s = digest.summary
     t1, t2, graph, oracle = s.t1, s.t2, digest.graph, digest.oracle
     findings: list[str] = []
 
@@ -483,9 +486,7 @@ def check_rootpath_children(digest: TraceDigest) -> Verdict:
             f"{t1 + len(oracle.rootpath) - 1}"
         )
 
-    settles = digest.settles
-    node_of = {rid: node for rid, (_, node) in settles.items()}
-    child_ports = digest.child_ports
+    settles, child_ports = digest.settles, digest.child_ports
 
     # every tree node except v_l hosts its settler at end of stage 2
     for rid, (_, node) in sorted(settles.items()):
@@ -495,7 +496,7 @@ def check_rootpath_children(digest: TraceDigest) -> Verdict:
     on_path = set(oracle.rootpath[:-1])
     for idx in range(len(oracle.rootpath) - 1):
         here, nxt = oracle.rootpath[idx], oracle.rootpath[idx + 1]
-        rid = next((i for i, nd in node_of.items() if nd == here), None)
+        rid = digest.settler_at.get(here)
         if rid is None:
             findings.append(f"rootpath node {here} has no settler")
             continue
@@ -507,7 +508,7 @@ def check_rootpath_children(digest: TraceDigest) -> Verdict:
             findings.append(
                 f"settler {rid} at {here}: child port {port} does not lead to {nxt}"
             )
-    for rid, node in sorted(node_of.items()):
+    for rid, (_, node) in sorted(settles.items()):
         if node not in on_path and rid in child_ports:
             findings.append(
                 f"non-rootpath settler {rid} at node {node} has child={child_ports[rid]}"
@@ -527,20 +528,15 @@ def check_mirror(digest: TraceDigest) -> Verdict:
     advances; the class side-conditions on the node's settler and its
     visited mark are verified too.
     """
-    s = digest.summary
-    if bad := _not_dispersed(s):
+    if bad := _stages(digest, "k=1: nothing to mirror, vacuous pass"):
         return bad
-    if s.k == 1:
-        return _verdict([], info=["k=1: nothing to mirror, vacuous pass"])
-    if s.t1 is None or s.t2 is None:
-        return _verdict(["t1/t2 missing from summary"])
-    t1, t2 = s.t1, s.t2
+    t1, t2 = digest.summary.t1, digest.summary.t2
     ret = digest.first["to_return"]
     if len(ret) != 1:
         return _verdict([f"expected exactly one return transition, got {sorted(ret)}"])
     (r_l, _), = ret.items()
 
-    settler_at = {node: rid for rid, (_, node) in digest.settles.items()}
+    settler_at = digest.settler_at
     settle_rounds = {rnd for rnd, _ in digest.settles.values()}
     visited_round = digest.first["set_visited"]  # settler rid -> round
 
@@ -595,13 +591,10 @@ def check_mirror(digest: TraceDigest) -> Verdict:
 def check_termination(digest: TraceDigest) -> Verdict:
     """Termination schedule: settlers by t2+t1, the walker at t2+t1+2 at v_l."""
     s = digest.summary
-    if bad := _not_dispersed(s):
+    if bad := _stages(digest, "k=1: single robot terminates immediately"):
+        if bad.passed and s.rounds != 1:  # k = 1
+            return _verdict([f"k=1 should finish in round 1, took {s.rounds}"], bad.info)
         return bad
-    if s.k == 1:
-        findings = [] if s.rounds == 1 else [f"k=1 should finish in round 1, took {s.rounds}"]
-        return _verdict(findings, info=["k=1: single robot terminates immediately"])
-    if s.t1 is None or s.t2 is None:
-        return _verdict(["t1/t2 missing from summary"])
     t1, t2, oracle = s.t1, s.t2, digest.oracle
     findings: list[str] = []
     deaths = digest.first["terminate"]
@@ -641,13 +634,9 @@ def check_termination(digest: TraceDigest) -> Verdict:
 
 def check_exit_counts(digest: TraceDigest) -> Verdict:
     """Parent/child ports are exited exactly once; later re-entries are forward."""
-    s = digest.summary
-    if bad := _not_dispersed(s):
+    if bad := _stages(digest, "k=1: no walk, vacuous pass", t2=False):
         return bad
-    if s.k == 1:
-        return _verdict([], info=["k=1: no walk, vacuous pass"])
-    if s.t1 is None:
-        return _verdict(["t1 missing from summary"])
+    s = digest.summary
     t1, graph = s.t1, digest.graph
     findings: list[str] = []
 
@@ -685,8 +674,7 @@ def check_exit_counts(digest: TraceDigest) -> Verdict:
             findings.append(f"node {node}: settle round {rnd} outside the stage-1 walk")
             continue
         parent_port[node] = walk[rnd - 1][2]
-    node_of = {rid: node for rid, (_, node) in settles.items()}
-    child_port = {node_of[rid]: port for rid, port in digest.child_ports.items()}
+    child_port = {settles[rid][1]: port for rid, port in digest.child_ports.items()}
 
     # rootpath from the installed child chain
     rootpath = [s.v_r]
@@ -774,15 +762,18 @@ def check_memory(digest: TraceDigest) -> Verdict:
     return _verdict(findings, info=[f"budget={budget} bits"])
 
 
-CHECKER_NAMES = (
-    "dispersion",
-    "stage1",
-    "rootpath",
-    "mirror",
-    "exits",
-    "termination",
-    "memory",
-)
+# each checker's name and the name of its function, which run_all looks
+# up in this module on each call, so that the checkers can be wrapped
+_CHECKS = {
+    "dispersion": "check_dispersion",
+    "stage1": "check_stage1",
+    "rootpath": "check_rootpath_children",
+    "mirror": "check_mirror",
+    "exits": "check_exit_counts",
+    "termination": "check_termination",
+    "memory": "check_memory",
+}
+CHECKER_NAMES = tuple(_CHECKS)
 
 
 def run_all(
@@ -793,20 +784,10 @@ def run_all(
     """Run the named checkers (all seven by default) against one trace,
     all on one ``TraceDigest``, whose ``TraceFormatError`` comes before
     any checker or the oracle walks the graph."""
-    # looked up on each call, so that the module's checkers can be wrapped
-    checks = {
-        "dispersion": check_dispersion,
-        "stage1": check_stage1,
-        "rootpath": check_rootpath_children,
-        "mirror": check_mirror,
-        "exits": check_exit_counts,
-        "termination": check_termination,
-        "memory": check_memory,
-    }
     digest = TraceDigest(trace, graph)
     out: dict[str, Verdict] = {}
     for name in names:
-        if name not in checks:
+        if name not in _CHECKS:
             raise ValueError(f"unknown checker {name!r}")
-        out[name] = checks[name](digest)
+        out[name] = globals()[_CHECKS[name]](digest)
     return out

@@ -25,7 +25,8 @@ starts from that list, and the only other robots a subround touches are
 the settlers that hear another robot.  Each node has one postbox per
 subround, a ``NodeInbox`` that broadcasts are tallied into as they are
 sent, its per-type counts packed in one int; the next subround reads it,
-every robot there seeing those totals minus its own contribution.
+every robot there seeing those totals minus its own contribution as the
+presence bits of its view (``robot.View``).
 Robots are anonymous and every step function is pure, so movers at one
 node with one word that broadcast alike last subround hear the same and
 take the same step, up to their coins: a group round steps each such
@@ -86,11 +87,11 @@ from .graph import PortLabeledGraph
 from .robot import (
     ACKNOWLEDGE,
     DONE,
-    EMPTY_INBOX,
     ENTERED_MASK,
     ENTERED_SHIFT,
     EXPLORE,
     FIELDS,
+    HEARD_VISITED,
     INITIAL_STATE,
     LANE_MAX,
     NOT_DONE,
@@ -99,10 +100,10 @@ from .robot import (
     ROLE_MASK,
     ROLES,
     SETTLED,
+    SILENCE,
     VISITED_BIT,
     Decision,
     LE_SHIFT,
-    InboxSummary,
     Message,
     Move,
     NodeInbox,
@@ -110,6 +111,7 @@ from .robot import (
     Query,
     Terminate,
     TerminateSelf,
+    View,
     draws_coin,
     field_widths,
     le_coin,
@@ -336,8 +338,6 @@ class World:
 
     def __init__(self, config: SimulationConfig):
         self.graph = config.graph
-        self.k = config.k
-        self.root = config.root
         self.max_subrounds = config.resolved_max_subrounds()
         self.positions = [config.root] * config.k
         self.states = [INITIAL_STATE] * config.k
@@ -441,13 +441,13 @@ class World:
             # has landed; before that only settlers hear anything.  A
             # settler acts only when it hears another robot: silence,
             # its own echo included, leaves its word as it is
-            heard: dict[int, InboxSummary] = {}
+            heard: dict[int, View] = {}
             for node, inbox in inboxes.items():
                 settler = node_settler.get(node)
                 if settler is not None:
-                    summary = inbox.view(settler)
-                    if summary is not EMPTY_INBOX:
-                        heard[settler] = summary
+                    view = inbox.view(settler)
+                    if view[0]:
+                        heard[settler] = view
             if subround < 3:
                 steps = ()
                 in_bulk = not heard
@@ -533,12 +533,12 @@ class World:
         for node, word, own, members in classes:
             inbox = inboxes.get(node)
             try:
-                summary = EMPTY_INBOX if inbox is None else inbox.view(members[0], own)
+                view = SILENCE if inbox is None else inbox.view(members[0], own)
             except ProtocolViolation as exc:
                 steps.append((node, word, members, exc))
                 in_bulk = False
                 continue
-            if draws_coin(word, summary):
+            if draws_coin(word, view):
                 le = word >> LE_SHIFT
                 split: tuple[list[int], list[int]] = ([], [])
                 for i in members:
@@ -550,7 +550,7 @@ class World:
                 if not part:
                     continue
                 try:
-                    word2, msgs, dec, repair = self._step(node, word, summary, coin)
+                    word2, msgs, dec, repair = self._step(node, word, view, coin)
                 except ProtocolViolation as exc:
                     steps.append((node, word, part, exc))
                     in_bulk = False
@@ -584,10 +584,10 @@ class World:
                 raise self._overrun()
             # the settler acts only when it hears another robot: the mover
             settler = self.node_settler.get(node)
-            heard = EMPTY_INBOX
+            heard = SILENCE
             if sent and settler is not None and settler != i:
                 heard = one_sender_view(sent)
-            if heard is EMPTY_INBOX:
+            if not heard[0]:
                 settler = None
             else:
                 woken.append(settler)
@@ -600,9 +600,9 @@ class World:
                 settler = None
             if acts:
                 word = self.states[i]
-                summary = one_sender_view(heard_by_mover) if heard_by_mover else EMPTY_INBOX
-                coin = le_coin(word >> LE_SHIFT, self.rngs[i]) if draws_coin(word, summary) else 0
-                word2, sent, dec, repair = self._step(node, word, summary, coin)
+                view = one_sender_view(heard_by_mover) if heard_by_mover else SILENCE
+                coin = le_coin(word >> LE_SHIFT, self.rngs[i]) if draws_coin(word, view) else 0
+                word2, sent, dec, repair = self._step(node, word, view, coin)
                 self._commit(i, word, word2, dec, repair, events)
                 undecided = dec is NOT_DONE
             if settler is not None:
@@ -618,36 +618,36 @@ class World:
             self._kill(doomed, events)
         return [i, *woken]
 
-    def _settler_step(self, i: int, summary: InboxSummary,
+    def _settler_step(self, i: int, view: View,
                       events: list[Event]) -> tuple[list[Message], bool]:
         """Step settler ``i`` on what it heard and store its word; returns
         its broadcast and whether it terminates at round end."""
         st = self.states[i]
-        port = summary.set_child
+        flags, _, port = view
         if port is not None:
             # a port from a message: it must fit before it is written
             if port < 0 or port + 1 >> self.field_bits:
                 raise self._too_wide(i, "child", port)
             events.append(("set_child", i, port))
-        if summary.set_visited and not st & VISITED_BIT:
+        if flags & HEARD_VISITED and not st & VISITED_BIT:
             events.append(("set_visited", i))
-        st2, msgs, dec = step_settled(st, summary)
+        st2, msgs, dec = step_settled(st, view)
         if st2 & self.overflow:
             raise self._too_wide(i, *overflowing_field(st2, self.max_degree))
         self.used[st2 & ROLE_MASK] |= st2
         self.states[i] = st2
         return msgs, type(dec) is TerminateSelf
 
-    def _step(self, node: int, word: int, summary: InboxSummary,
+    def _step(self, node: int, word: int, view: View,
               coin: int) -> tuple[int, list[Message], Decision, bool]:
         """The step, by its role, of a mover at ``node`` holding ``word``
         on what it heard and its coin, storing nothing: its new word,
         broadcast and decision (``NOT_DONE`` while its election is open),
         and whether it fires the repair."""
         role = word & ROLE_MASK
-        reply = summary.settled_reply
+        reply = view[1]
         if role == EXPLORE:
-            word2, msgs, dec = step_explore(word, summary, coin, len(self.graph.ports[node]))
+            word2, msgs, dec = step_explore(word, view, coin, len(self.graph.ports[node]))
             return word2, msgs, dec, False
         if role == RETURN:
             word2, msgs, dec = step_return(word, reply)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Iterator
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 
 NodeId = int
 Port = int
@@ -248,8 +249,7 @@ def gen_random_connected(n: int, m: int, seed: int) -> PortLabeledGraph:
         j = order[rng.randrange(i)]
         u, v = min(order[i], j), max(order[i], j)
         pairs.add((u, v))
-    extra = [p for p in itertools.combinations(range(n), 2) if p not in pairs]
-    pairs.update(rng.sample(extra, m - len(pairs)))
+    pairs.update(rng.sample(_PairsOutside(n, pairs), m - len(pairs)))
 
     incident: list[list[tuple[NodeId, NodeId]]] = [[] for _ in range(n)]
     for u, v in sorted(pairs):
@@ -264,6 +264,41 @@ def gen_random_connected(n: int, m: int, seed: int) -> PortLabeledGraph:
         (u, port_of[(u, v, u)], v, port_of[(u, v, v)]) for u, v in sorted(pairs)
     ]
     return build(n, edges)
+
+
+class _PairsOutside(Sequence):
+    """The pairs (u, v), u < v, of nodes 0..n-1 that are not in ``taken``,
+    in ``itertools.combinations`` order, without listing them: item j is
+    the j-th pair rank that no taken pair has, found by bisection on the
+    sorted ranks of the taken pairs, then unranked.  O(len(taken))
+    memory, where the list is O(n^2).  ``random.sample`` lists a
+    population it draws most of, so iterating filters the pairs in order
+    rather than looking each one up."""
+
+    def __init__(self, n: int, taken: set[tuple[NodeId, NodeId]]):
+        self.n, self.taken = n, taken
+        ranks = sorted(self._start(u) + v - u - 1 for u, v in taken)
+        # per taken rank, in order, the ranks below it that are not taken
+        self.free_below = [rank - t for t, rank in enumerate(ranks)]
+        self.size = n * (n - 1) // 2 - len(ranks)
+
+    def _start(self, u: NodeId) -> int:
+        """The rank of (u, u + 1), the first pair of u."""
+        return u * self.n - u * (u + 1) // 2
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[tuple[NodeId, NodeId]]:
+        taken = self.taken
+        return (p for p in itertools.combinations(range(self.n), 2) if p not in taken)
+
+    def __getitem__(self, j: int) -> tuple[NodeId, NodeId]:
+        if not 0 <= j < self.size:
+            raise IndexError(j)
+        rank = j + bisect_right(self.free_below, j)
+        u = bisect_right(range(self.n - 1), rank, key=self._start) - 1
+        return u, rank - self._start(u) + u + 1
 
 
 def corpus_instances(

@@ -13,8 +13,10 @@ has a fixed slot, but a run at max degree Δ may set only its low L + 1
 bits, L = ``port_bits(Δ)``; the engine faults on a word that sets any
 other, so the O(log Δ) bound is enforced rather than assumed.
 
-Every step here is a pure function of (state word, inbox summary, coin,
-degree); the engine owns scheduling, delivery, movement and the coins.
+Every step here is a pure function of (state word, view, coin, degree),
+a view being what a robot keeps of one subround: its presence bits, one
+reply and one child port (``View``).  The engine owns scheduling,
+delivery, movement and the coins.
 Randomness enters only through the coin rule: a step reads a coin
 exactly when :func:`draws_coin` says so, and :func:`le_coin` draws it
 from the robot's own generator, so no step holds a generator.  An
@@ -213,31 +215,16 @@ move = cache(Move)
 
 # --- inbox --------------------------------------------------------------
 
-
-@dataclass(frozen=True, slots=True)
-class InboxSummary:
-    """Constant-width digest of one subround's node-local broadcasts.
-
-    A robot may retain only O(log max-degree) bits of what it hears, so
-    the inbox collapses to presence bits plus at most one reply and one
-    child port.  ``saw_any`` is true iff any message from another robot
-    arrived at all.
-    """
-
-    settled_reply: SettledReply | None = None
-    saw_any: bool = False
-    saw_heads: bool = False
-    has_query: bool = False
-    set_child: int | None = None
-    set_visited: bool = False
-    terminate: bool = False
-
-
-EMPTY_INBOX = InboxSummary()
+# A robot's view of one subround is (flags, reply, set_child): the
+# presence bits of the message types it heard (the HEARD_* bits below),
+# the one settled reply it heard and the last child port, or None; it is
+# SILENCE when it heard no other robot.  That is all a robot keeps of a
+# subround: a few bits, one reply and one port.
+View = tuple[int, SettledReply | None, int | None]
 
 # A NodeInbox tallies what was broadcast at its node in one int, one lane
 # of LANE_BITS bits per slot: every message counts in the _ANY lane, and
-# the types an InboxSummary reports as presence bits also in their own.
+# the types a view reports as presence bits also in their own.
 # A robot posts once per subround, at most two messages (an acknowledging
 # walker's SetVisited and Terminate) and at most one of each type, so a
 # lane counts at most 2k; a lane's presence test is exact up to LANE_MAX,
@@ -246,7 +233,11 @@ _ANY, _QUERY, _HEADS, _SET_VISITED, _TERMINATE = range(5)
 LANE_BITS = 16
 LANE_MAX = 1 << LANE_BITS - 1
 _UNIT = [1 << LANE_BITS * lane for lane in range(5)]
-_TOP = [LANE_MAX * unit for unit in _UNIT]  # each lane's top bit
+# each lane's top bit, set in a view's flags when the lane is not 0; every
+# message counts in _ANY, so flags are 0 exactly when nothing was heard
+HEARD_ANY, HEARD_QUERY, HEARD_HEADS, HEARD_VISITED, HEARD_TERMINATE = (
+    LANE_MAX * unit for unit in _UNIT)
+SILENCE: View = (0, None, None)
 # each message type's weight: one in _ANY, and one in its own lane if it has one
 _WEIGHT = {
     SettledReply: _UNIT[_ANY], SetChild: _UNIT[_ANY], LeStart: _UNIT[_ANY],
@@ -255,36 +246,8 @@ _WEIGHT = {
 }
 # adding _LOW sets a lane's top bit exactly when the lane is not 0 (at
 # most LANE_MAX, so no carry leaves it); _HIGH keeps those top bits
-_HIGH = sum(_TOP)
+_HIGH = HEARD_ANY | HEARD_QUERY | HEARD_HEADS | HEARD_VISITED | HEARD_TERMINATE
 _LOW = _HIGH - sum(_UNIT)
-
-
-# summaries are interned by value, so equal views share one object: a
-# bounded cache for views that carry a reply or a child port, keyed on
-# ints (a reply's fields, not the reply, whose dataclass hash is a Python
-# call), and one prebuilt summary per presence word for those that carry
-# neither
-@lru_cache(maxsize=4096)
-def _flag_summary(flags: int, reply: tuple[int | None, int | None, int] | None = None,
-                  set_child: int | None = None) -> InboxSummary:
-    """The summary of the presence word ``flags`` (a lane's top bit per
-    message type heard), a reply's (parent, child, visited) and a child
-    port."""
-    return InboxSummary(
-        settled_reply=None if reply is None else SettledReply(*reply),
-        saw_any=bool(flags & _TOP[_ANY]),
-        saw_heads=bool(flags & _TOP[_HEADS]),
-        has_query=bool(flags & _TOP[_QUERY]),
-        set_child=set_child,
-        set_visited=bool(flags & _TOP[_SET_VISITED]),
-        terminate=bool(flags & _TOP[_TERMINATE]),
-    )
-
-
-# every presence word a view can give
-_BY_FLAGS = {flags: _flag_summary(flags) if flags else EMPTY_INBOX
-             for flags in (sum(top for lane, top in enumerate(_TOP) if mask >> lane & 1)
-                           for mask in range(1 << 5))}
 
 
 class NodeInbox:
@@ -294,10 +257,12 @@ class NodeInbox:
 
     The digest keeps the lane totals (see ``LANE_BITS``) and each sender's
     own, one int each, plus the replies and child ports with their
-    senders, listed only once one is posted; a receiver's view is the
-    totals minus its own contribution.  It is filled sender by sender
-    through :meth:`post`, or a class of senders at a time through
-    :meth:`post_class`, and read only once every broadcast is in.
+    senders, listed only once one is posted.  A receiver's view holds the
+    totals minus its own contribution, reduced to each lane's top bit,
+    and the reply and last child port another sender posted.  It is
+    filled sender by sender through :meth:`post`, or a class of senders
+    at a time through :meth:`post_class`, and read only once every
+    broadcast is in.
     """
 
     __slots__ = ("totals", "own", "replies", "set_children")
@@ -333,18 +298,19 @@ class NodeInbox:
         passing ``own`` to :meth:`view`."""
         self.totals += own * n
 
-    def view(self, receiver: int, own: int | None = None) -> InboxSummary:
-        """What ``receiver`` hears.  The receiver's own broadcasts are
-        excluded: broadcasting and hearing silence is how both aloneness
-        and leadership are detected.  ``own`` is the weight of what the
-        receiver sent here, if it sent no reply or child port; without
-        it, what the receiver posted is looked up by its id."""
+    def view(self, receiver: int, own: int | None = None) -> View:
+        """What ``receiver`` hears, as a ``View``.  The receiver's own
+        broadcasts are excluded: broadcasting and hearing silence is how
+        both aloneness and leadership are detected.  ``own`` is the
+        weight of what the receiver sent here, if it sent no reply or
+        child port; without it, what the receiver posted is looked up by
+        its id."""
         if own is None:
             own = self.own.get(receiver, 0)
         flags = self.totals - own + _LOW & _HIGH
         replies, set_children = self.replies, self.set_children
         if replies is None and set_children is None:
-            return _BY_FLAGS[flags]
+            return flags, None, None
         reply: SettledReply | None = None
         for sender, msg in replies or ():
             if sender != receiver:
@@ -356,7 +322,7 @@ class NodeInbox:
             if sender != receiver:
                 set_child = port
                 break
-        return _summary(flags, reply, set_child)
+        return flags, reply, set_child
 
 
 def weight(msgs: Iterable[Message]) -> int | None:
@@ -373,11 +339,11 @@ def weight(msgs: Iterable[Message]) -> int | None:
     return total
 
 
-def one_sender_view(msgs: Iterable[Message]) -> InboxSummary:
+def one_sender_view(msgs: Iterable[Message]) -> View:
     """What a robot hears when exactly one other robot broadcast ``msgs``:
-    the summary, the same interned object, that a ``NodeInbox`` holding
-    only that broadcast gives any other receiver, and the same
-    ``MultipleRepliesError`` on two replies."""
+    the view that a ``NodeInbox`` holding only that broadcast gives any
+    other receiver, and the same ``MultipleRepliesError`` on two
+    replies."""
     weight = 0
     reply: SettledReply | None = None
     set_child: int | None = None
@@ -390,16 +356,7 @@ def one_sender_view(msgs: Iterable[Message]) -> InboxSummary:
             reply = msg
         elif kind is SetChild:
             set_child = msg.port
-    return _summary(weight + _LOW & _HIGH, reply, set_child)
-
-
-def _summary(flags: int, reply: SettledReply | None, set_child: int | None) -> InboxSummary:
-    """The interned summary of the presence word ``flags``, a reply and a
-    child port."""
-    if reply is None and set_child is None:
-        return _BY_FLAGS[flags]
-    fields = None if reply is None else (reply.parent, reply.child, reply.visited)
-    return _flag_summary(flags, fields, set_child)
+    return weight + _LOW & _HIGH, reply, set_child
 
 
 # --- leader election ----------------------------------------------------
@@ -418,20 +375,21 @@ def le_coin(le: int, rng) -> int:
     return 0
 
 
-def draws_coin(word: int, summary: InboxSummary) -> bool:
-    """Whether a step of ``word`` on ``summary`` reads a coin, which
+def draws_coin(word: int, view: View) -> bool:
+    """Whether a step of ``word`` on ``view`` reads a coin, which
     ``le_coin`` then draws: an explorer that heard no reply, in phase
     SENT_START or FLIPPING.  Every other step ignores its coin."""
-    if word & ROLE_MASK != EXPLORE or summary.settled_reply is not None:
+    if word & ROLE_MASK != EXPLORE or view[1] is not None:
         return False
     phase = word >> LE_SHIFT & LE_PHASE
     return phase == SENT_START or phase == FLIPPING
 
 
-def le_subround(le: int, summary: InboxSummary, coin: int) -> tuple[int, Message | None]:
+def le_subround(le: int, flags: int, coin: int) -> tuple[int, Message | None]:
     """Advance one election subround of the 4-bit election field ``le``
-    (phase, plus ``LE_HEADS`` when the last coin came up heads); returns
-    the new field and a broadcast.
+    (phase, plus ``LE_HEADS`` when the last coin came up heads) on the
+    presence bits ``flags`` of a view; returns the new field and a
+    broadcast.
 
     Protocol: every participant first broadcasts a start marker.  A robot
     that then hears nothing is alone.  Otherwise candidates repeatedly
@@ -446,12 +404,12 @@ def le_subround(le: int, summary: InboxSummary, coin: int) -> tuple[int, Message
     if phase == IDLE:
         return le & LE_HEADS | SENT_START, _LE_START
     if phase == SENT_START:
-        if not summary.saw_any:
+        if not flags:
             return le & LE_HEADS | ALONE, None
     elif phase == FLIPPING:
-        if le & LE_HEADS and not summary.saw_any:
+        if le & LE_HEADS and not flags:
             return LEADER | LE_HEADS, None
-        if not le & LE_HEADS and summary.saw_heads:
+        if not le & LE_HEADS and flags & HEARD_HEADS:
             return FOLLOWER, None
     else:
         raise InvalidPhaseError(f"le_subround called on resolved phase {phase}")
@@ -475,30 +433,31 @@ def _reply(word: int) -> SettledReply:
 
 
 def step_settled(
-    state: int, summary: InboxSummary
+    state: int, view: View
 ) -> tuple[int, list[Message], Decision]:
     """Settled robots answer queries and apply control messages; never move."""
+    flags, _, set_child = view
     msgs: list[Message] = []
-    if summary.has_query:
+    if flags & HEARD_QUERY:
         msgs.append(_reply(state & _REPLY_FIELDS))
-    if summary.set_child is not None:
-        state = state & ~CHILD_MASK | summary.set_child + 1 << CHILD_SHIFT
-    if summary.set_visited:
+    if set_child is not None:
+        state = state & ~CHILD_MASK | set_child + 1 << CHILD_SHIFT
+    if flags & HEARD_VISITED:
         state |= VISITED_BIT
-    decision: Decision = TERMINATE_SELF if summary.terminate else STAY
+    decision: Decision = TERMINATE_SELF if flags & HEARD_TERMINATE else STAY
     return state, msgs, decision
 
 
 def step_explore(
-    state: int, summary: InboxSummary, coin: int, degree: int
+    state: int, view: View, coin: int, degree: int
 ) -> tuple[int, list[Message], Decision]:
     """Exploring walk step: bounce off occupied nodes, advance on backtracks,
     otherwise run one subround of the local election on ``coin``, the bit
     ``le_coin`` drew when ``draws_coin`` holds: ``NOT_DONE`` while it is
     open, then the leader settles, a robot alone turns back and a
     follower moves on."""
+    flags, reply, _ = view
     entered = (state >> ENTERED_SHIFT & SLOT) - 1  # -1: none
-    reply = summary.settled_reply
     if reply is not None:
         if entered < 0:
             raise MissingEnteredError("explorer received a reply before its first move")
@@ -508,7 +467,7 @@ def step_explore(
         if q == reply.parent:
             return state, [], move(q)
         return state & ~DIR_BIT, [], move(q)
-    le, msg = le_subround(state >> LE_SHIFT & 15, summary, coin)
+    le, msg = le_subround(state >> LE_SHIFT & 15, flags, coin)
     phase = le & LE_PHASE
     if phase == LEADER:
         # settle with the entry port as parent, the election cleared

@@ -50,7 +50,7 @@ def _children(joint: tuple) -> set[tuple]:
     for bits in range(1 << len(unresolved)):
         nxt = list(joint)
         for j, i in enumerate(unresolved):
-            nxt[i], _ = le_subround(joint[i], inbox.view(i), bits >> j & 1)
+            nxt[i], _ = le_subround(joint[i], inbox.view(i)[0], bits >> j & 1)
         out.add(tuple(nxt))
     return out
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -49,6 +50,19 @@ class TestGen:
     def test_non_integer_param(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "--spec", "gen:path:x")
         assert code == 3
+
+    def test_spec_without_prefix(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--spec", "ring:6")
+        assert (code, out) == (3, "")
+        assert err == "error: --spec must start with gen:, got 'ring:6'\n"
+
+    # the README's own example is the random one
+    @pytest.mark.parametrize("spec, n, m", [("gen:complete:5", 5, 10),
+                                            ("gen:random:12:20:3", 12, 20)])
+    def test_complete_and_random(self, capsys, spec, n, m):
+        code, out, _ = run_cli(capsys, "gen", "--spec", spec)
+        assert code == 0
+        assert out.splitlines()[0] == f"{n} {m}" and len(out.splitlines()) == 1 + m
 
 
 class TestRun:
@@ -391,8 +405,8 @@ class TestVerify:
         monkeypatch.setattr(engine, "overflow_mask", lambda max_degree: 0)
         step = engine.step_explore
 
-        def counting(state, summary, coin, degree):
-            word, msgs, dec = step(state, summary, coin, degree)
+        def counting(state, view, coin, degree):
+            word, msgs, dec = step(state, view, coin, degree)
             if type(dec) is robot.Move and word & robot.ROLE_MASK == robot.EXPLORE:
                 word += 1 << robot.PARENT_SHIFT
             return word, msgs, dec
@@ -490,6 +504,22 @@ class TestBench:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("k_list", ["", " , "])
+    def test_empty_list(self, capsys, k_list):
+        code, out, err = run_cli(
+            capsys, "bench", "--k-list", k_list, "--trials", "1", "--seed", "3"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: --k-list is empty\n"
+
+    def test_a_trial_that_does_not_disperse_is_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", lambda config: run(replace(config, max_rounds=2)))
+        code, out, err = run_cli(
+            capsys, "bench", "--k-list", "7,8", "--trials", "2", "--seed", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == "bench run k=7 trial=0 ended with max_rounds: None\n"
+
 
 class TestUsage:
     def test_no_subcommand(self, capsys):
@@ -497,3 +527,19 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["run", "--bogus", "1"]) == 3
+
+    def test_a_crash_is_exit_four_not_a_rejection(self, capsys, tmp_path, monkeypatch):
+        """An unexpected exception inside ``verify`` is an internal error,
+        reported in one line, never exit 1 ("checker rejected")."""
+        trace_file = tmp_path / "t.jsonl"
+        run_cli(capsys, "run", "--graph", "gen:path:3", "--k", "2", "--seed", "1",
+                "--trace", str(trace_file))
+
+        def crash(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_all", crash)
+        code, out, err = run_cli(
+            capsys, "verify", "--trace", str(trace_file), "--graph", "gen:path:3")
+        assert (code, out) == (4, "")
+        assert err == "internal error: RuntimeError('boom')\n"

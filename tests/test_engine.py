@@ -444,7 +444,7 @@ def test_default_budgets_scale_with_input():
 
 
 def _movers_by_scan(w: World) -> list[int]:
-    return [i for i in range(w.k)
+    return [i for i in range(len(w.states))
             if w.alive[i] and w.states[i] & robot.ROLE_MASK != robot.SETTLED]
 
 
@@ -480,8 +480,8 @@ def wide_parent(step, stored=1 << 2):
     """``step`` with a settling explorer's parent field holding ``stored``:
     by default one bit too wide at max degree 2, port 3, stored as 4,
     needing 3 bits of L + 1 = 2."""
-    def patched(state, summary, coin, degree):
-        word, msgs, dec = step(state, summary, coin, degree)
+    def patched(state, view, coin, degree):
+        word, msgs, dec = step(state, view, coin, degree)
         if word & robot.ROLE_MASK == robot.SETTLED:
             word = word & ~robot.PARENT_MASK | stored << robot.PARENT_SHIFT
         return word, msgs, dec
@@ -541,8 +541,8 @@ def test_port_widths_follow_log_max_degree(n):
 def _after_first_move(step, change):
     """``step_explore`` whose result passes through ``change`` once the
     explorer has an entry port, so the fault lands after round 1."""
-    def patched(state, summary, coin, degree):
-        word, msgs, dec = step(state, summary, coin, degree)
+    def patched(state, view, coin, degree):
+        word, msgs, dec = step(state, view, coin, degree)
         if state & robot.ENTERED_MASK and dec is not robot.NOT_DONE:
             return change(word, msgs, dec)
         return word, msgs, dec
@@ -580,7 +580,7 @@ def _rows_by_scan(cfg: SimulationConfig, rounds: int) -> list[list[engine.Row]]:
     scanned = []
     for rnd in range(1, rounds + 1):
         w.round = rnd
-        scanned.append([(i, w.positions[i], w.states[i]) for i in range(w.k) if w.alive[i]])
+        scanned.append([(i, w.positions[i], w.states[i]) for i in range(cfg.k) if w.alive[i]])
         try:
             w.execute_round([])
         except _Fault:
@@ -614,8 +614,8 @@ def test_a_settler_row_follows_every_stored_word(monkeypatch):
     rows show it the round after, so no role is assumed to keep its row."""
     step = engine.step_settled
 
-    def turned(state, summary):
-        word, msgs, dec = step(state, summary)
+    def turned(state, view):
+        word, msgs, dec = step(state, view)
         return word | robot.DIR_BIT, msgs, dec
 
     monkeypatch.setattr(engine, "step_settled", turned)
@@ -631,13 +631,13 @@ def test_a_settler_row_follows_every_stored_word(monkeypatch):
 
 def test_no_settler_is_stepped_on_silence(monkeypatch):
     """Cost guard, in counts: a settler is stepped only when it hears
-    another robot, so no call of ``step_settled`` gets ``EMPTY_INBOX``,
-    its own echo included."""
+    another robot, so no call of ``step_settled`` gets a view whose flags
+    are 0, its own echo included."""
     step, heard = engine.step_settled, []
 
-    def counted(state, summary):
-        heard.append(summary)
-        return step(state, summary)
+    def counted(state, view):
+        heard.append(view)
+        return step(state, view)
 
     monkeypatch.setattr(engine, "step_settled", counted)
     runs = [(gen_worstcase(16), 16, 0, 2)] + [
@@ -647,12 +647,12 @@ def test_no_settler_is_stepped_on_silence(monkeypatch):
                                    trace_level=TraceLevel.NONE))
         assert res.summary.outcome is Outcome.DISPERSED_ALL_TERMINATED
     assert heard
-    assert not any(summary is robot.EMPTY_INBOX for summary in heard)
+    assert all(flags for flags, _, _ in heard)
 
 
 def test_a_settler_on_silence_keeps_its_word():
     """What the wake rule rests on: every settler word over its fields at
-    max degree 4, stepped on ``EMPTY_INBOX``, comes back unchanged, with
+    max degree 4, stepped on ``SILENCE``, comes back unchanged, with
     no broadcast and no move."""
     ports = [None, *range(4)]
     words = [robot.encode(role=robot.SETTLED, direction=d, visited=v, phase=ph, flip=f,
@@ -661,7 +661,7 @@ def test_a_settler_on_silence_keeps_its_word():
              for e in ports for p in ports for c in ports]
     assert len(words) == 8000
     for word in words:
-        assert robot.step_settled(word, robot.EMPTY_INBOX) == (word, [], robot.STAY)
+        assert robot.step_settled(word, robot.SILENCE) == (word, [], robot.STAY)
 
 
 def _lone_and_group_runs():
@@ -740,27 +740,49 @@ def test_subrounds_count_what_the_budget_counts(monkeypatch):
         assert _subrounds_per_round(cfg) == per_round, name
 
 
+# the worst-case runs the fault mutants and the class mutants run on
+WORST_MUTANT_RUNS = [SimulationConfig(graph=gen_worstcase(16), k=16, seed=seed) for seed in (2, 3)]
+
+
 def _fault_mutants():
-    """The four fault mutants of this module, as they fault on
-    ``gen_worstcase(16)``, each as (name, attribute of ``engine``,
-    replacement): a parent too wide, an invalid port, a second settler
-    and a return step that hears no reply."""
-    explore, ret = engine.step_explore, engine.step_return
+    """The fault mutants of this module, each as (name, attribute of
+    ``engine``, replacement, the runs it faults on).  On
+    ``WORST_MUTANT_RUNS``: a parent too wide, an invalid port, a second
+    settler, a return step that hears no reply, and a moved explorer
+    whose step raises in SENT_START, inside a class of many.  On a path:
+    a settler that replies twice, which a class's view raises on."""
+    explore, ret, settled = engine.step_explore, engine.step_return, engine.step_settled
     settle = lambda word, msgs, dec: (word & ~robot.ROLE_MASK | robot.SETTLED, [], robot.STAY)
+
+    def raises_in_election(state, view, coin, degree):
+        phase = state >> robot.LE_SHIFT & robot.LE_PHASE
+        if state & robot.ENTERED_MASK and phase == robot.SENT_START:
+            raise robot.ProtocolViolation("explorer raised in SENT_START")
+        return explore(state, view, coin, degree)
+
+    def replies_twice(state, view):
+        word, msgs, dec = settled(state, view)
+        return word, msgs * 2, dec
+
     # max degree 13: L + 1 = 5 bits, so 32 is one bit too wide
-    yield "wide_parent", "step_explore", wide_parent(explore, 1 << 5)
+    yield "wide_parent", "step_explore", wide_parent(explore, 1 << 5), WORST_MUTANT_RUNS
     yield "invalid_port", "step_explore", _after_first_move(
-        explore, lambda word, msgs, dec: (word, msgs, robot.Move(9)))
-    yield "second_settler", "step_explore", _after_first_move(explore, settle)
-    yield "no_reply", "step_return", lambda state, reply: ret(state, None)
+        explore, lambda word, msgs, dec: (word, msgs, robot.Move(9))), WORST_MUTANT_RUNS
+    yield "second_settler", "step_explore", _after_first_move(explore, settle), WORST_MUTANT_RUNS
+    yield "no_reply", "step_return", lambda state, reply: ret(state, None), WORST_MUTANT_RUNS
+    yield "raises_in_election", "step_explore", raises_in_election, WORST_MUTANT_RUNS
+    # on the worst case only a lone walker meets a settler, and hears it
+    # through one_sender_view; on this path a group does, through a NodeInbox
+    yield "replies_twice", "step_settled", replies_twice, [
+        SimulationConfig(graph=gen_path(4), k=4, root=1, seed=0)]
 
 
 def _forgets_coin(step):
     """``step_explore`` whose word forgets its coin while its election is
     open, though it broadcasts heads: robots of one node and word that
     broadcast differently."""
-    def patched(state, summary, coin, degree):
-        word, msgs, dec = step(state, summary, coin, degree)
+    def patched(state, view, coin, degree):
+        word, msgs, dec = step(state, view, coin, degree)
         if dec is robot.NOT_DONE:
             word &= ~robot.MASK["flip"]
         return word, msgs, dec
@@ -771,8 +793,8 @@ def _keeps_coin(step):
     """``step_explore`` whose word keeps its last coin, in the visited bit,
     as it moves: robots of one node that leave by one port with
     different words."""
-    def patched(state, summary, coin, degree):
-        word, msgs, dec = step(state, summary, coin, degree)
+    def patched(state, view, coin, degree):
+        word, msgs, dec = step(state, view, coin, degree)
         if type(dec) is robot.Move:
             word |= coin << robot.VISITED_SHIFT
         return word, msgs, dec
@@ -784,10 +806,10 @@ def test_classes_match_single_robot_steps(monkeypatch):
     with every class key made the robot's own, so that each class holds
     one robot, each run keeps the same deltas and summary, uses the same
     bits and ends in the same fault.  The runs include election overruns,
-    the fault mutants on the worst case, where a fault lands inside a
-    class of many robots (the followers that all move through port 9 or
-    all settle), and two mutants that give robots of one node and word
-    different broadcasts or different moves."""
+    the fault mutants, where a fault lands inside a class of many robots
+    (the followers that all move through port 9 or all settle, a class
+    whose step or whose view raises), and two mutants that give robots of
+    one node and word different broadcasts or different moves."""
     def ran(cfg):
         res = run(cfg)
         return res.deltas, res.summary, res.used_bits, res.summary.fault
@@ -796,13 +818,15 @@ def test_classes_match_single_robot_steps(monkeypatch):
         (f"corpus:{i}@{budget}", SimulationConfig(graph=g, k=k, root=root, seed=i,
                                                   max_subrounds_per_round=budget))
         for budget in (4, 5, 6, 7) for i, _, _, k, root, g in corpus_instances(0, 20)]
-    worst = [SimulationConfig(graph=gen_worstcase(16), k=16, seed=seed) for seed in (2, 3)]
+    faulting = list(_fault_mutants())
     mutants = [(f"{name}/{cfg.seed}", attr, step, cfg)
-               for name, attr, step in [
-                   *_fault_mutants(),
-                   *(("forgets_coin", "step_explore", _forgets_coin(engine.step_explore)),
-                     ("keeps_coin", "step_explore", _keeps_coin(engine.step_explore)))]
-               for cfg in worst]
+               for name, attr, step, cfgs in [
+                   *faulting,
+                   ("forgets_coin", "step_explore", _forgets_coin(engine.step_explore),
+                    WORST_MUTANT_RUNS),
+                   ("keeps_coin", "step_explore", _keeps_coin(engine.step_explore),
+                    WORST_MUTANT_RUNS)]
+               for cfg in cfgs]
 
     def all_runs():
         outcomes = [ran(cfg) for _, cfg in runs]
@@ -815,8 +839,12 @@ def test_classes_match_single_robot_steps(monkeypatch):
     want = all_runs()
     # the overruns: 6 of _lone_and_group_runs, 71 of the 80 budget runs
     assert sum(fault is not None for *_, fault in want[:len(runs)]) == 6 + 71
-    # each fault mutant faults, on both seeds
-    assert all(fault is not None for *_, fault in want[len(runs):len(runs) + 8])
+    # each fault mutant faults, on each of its runs
+    faults = {name: fault for (name, *_), (*_, fault) in zip(mutants, want[len(runs):])}
+    assert sum(len(cfgs) for *_, cfgs in faulting) == 11
+    assert all(faults[name] is not None for name, *_ in mutants[:11])
+    assert faults["raises_in_election/2"] == "round 2: explorer raised in SENT_START"
+    assert faults["replies_twice/0"] == "round 3: two settled replies at one node"
     monkeypatch.setattr(engine, "_class_key", lambda i, node, word, tag: i)
     names = [name for name, _ in runs] + [name for name, *_ in mutants]
     for name, outcome, got in zip(names, want, all_runs(), strict=True):
@@ -830,9 +858,9 @@ def test_an_election_steps_per_class(monkeypatch):
     its own takes 66,883 calls."""
     step, calls = engine.step_explore, []
 
-    def counted(state, summary, coin, degree):
+    def counted(state, view, coin, degree):
         calls.append(state)
-        return step(state, summary, coin, degree)
+        return step(state, view, coin, degree)
 
     monkeypatch.setattr(engine, "step_explore", counted)
     for i, _, _, k, root, g in corpus_instances(0, 50):

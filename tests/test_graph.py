@@ -1,5 +1,11 @@
 """Port-labeled graph construction, generators, and serialization."""
 
+import itertools
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +29,8 @@ from dispersim.graph import (
     parse_graph,
     write_graph,
 )
+from dispersim import graph
+from dispersim.graph import _PairsOutside
 
 TRIANGLE_EDGES = [(0, 0, 1, 1), (1, 0, 2, 0), (2, 1, 0, 1)]
 
@@ -151,6 +159,37 @@ class TestRandomConnected:
         assert a == b
         c = write_graph(gen_random_connected(9, 14, seed=43))
         assert a != c
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_extra_edges_draw_as_from_the_listed_pairs(self, n):
+        """The extra edges come from every pair a spanning tree lacks, in
+        ``itertools.combinations`` order: the unlisted sequence holds the
+        same pairs as the list, iterated and indexed, and ``random.sample``
+        draws the same from both, for every count and seeds 0-2 (small
+        counts index the sequence, large ones list it)."""
+        rng = random.Random(n)
+        order = rng.sample(range(n), n)
+        tree = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
+        listed = [p for p in itertools.combinations(range(n), 2) if p not in tree]
+        pairs = _PairsOutside(n, tree)
+        assert len(pairs) == len(listed) and list(pairs) == listed
+        assert [pairs[j] for j in range(len(pairs))] == listed
+        with pytest.raises(IndexError):
+            pairs[len(pairs)]
+        for count, seed in itertools.product(range(len(listed) + 1), range(3)):
+            assert (random.Random(seed).sample(pairs, count)
+                    == random.Random(seed).sample(listed, count))
+
+    def test_a_sparse_graph_takes_memory_by_its_edges(self):
+        """A 20,000-node tree: listing every pair it lacks would take GBs."""
+        src = os.path.dirname(os.path.dirname(graph.__file__))
+        code = (f"import resource, sys\nsys.path.insert(0, {src!r})\n"
+                "from dispersim.graph import gen_random_connected\n"
+                "assert gen_random_connected(20000, 19999, 0).num_edges == 19999\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120).stdout
+        assert int(out) < 100 * 1024  # KiB
 
 
 class TestSerialization:

@@ -16,6 +16,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
+from dispersim import robot
 from dispersim.engine import SimulationConfig, World
 from dispersim.graph import corpus_instances, gen_path
 from dispersim.robot import (
@@ -27,7 +28,6 @@ from dispersim.robot import (
     LE_HEADS,
     LE_PHASE,
     SENT_START,
-    InboxSummary,
     InvalidPhaseError,
     LeHeads,
     LeStart,
@@ -35,9 +35,10 @@ from dispersim.robot import (
     le_subround,
 )
 
-QUIET = InboxSummary()
-HEARD_START = InboxSummary(saw_any=True)
-HEARD_HEADS = InboxSummary(saw_any=True, saw_heads=True)
+# what le_subround reads of a view: its presence bits
+QUIET = 0
+HEARD_START = robot.HEARD_ANY
+HEARD_HEADS = robot.HEARD_ANY | robot.HEARD_HEADS
 RESOLVED = (LEADER, FOLLOWER, ALONE)
 
 

@@ -14,11 +14,15 @@ from dispersim.robot import (
     ACKNOWLEDGE,
     BACKWARD,
     DONE,
-    EMPTY_INBOX,
     EXPLORE,
     FIELDS,
     FLIPPING,
     FORWARD,
+    HEARD_ANY,
+    HEARD_HEADS,
+    HEARD_QUERY,
+    HEARD_TERMINATE,
+    HEARD_VISITED,
     IDLE,
     INITIAL_STATE,
     LANE_MAX,
@@ -29,7 +33,7 @@ from dispersim.robot import (
     SENT_START,
     SETTLED,
     SHIFT,
-    InboxSummary,
+    SILENCE,
     LeHeads,
     LeStart,
     MissingEnteredError,
@@ -93,8 +97,8 @@ def hear(*msgs):
     return inbox_of([(9, m) for m in msgs]).view(1)
 
 
-def explore(st0, summary, degree, coin=0):
-    return step_explore(st0, summary, coin, degree)
+def explore(st0, view, degree, coin=0):
+    return step_explore(st0, view, coin, degree)
 
 
 # election fields that resolve on the next subround, given what they hear
@@ -163,7 +167,7 @@ class TestStepExplore:
 
     def test_fresh_node_opens_election(self):
         st0 = explorer(entered=2)
-        st1, msgs, dec = explore(st0, EMPTY_INBOX, degree=3)
+        st1, msgs, dec = explore(st0, SILENCE, degree=3)
         assert field(st1, "phase") == SENT_START
         assert msgs == [LeStart()]
         assert dec is NOT_DONE
@@ -180,7 +184,7 @@ class TestStepExplore:
 
     def test_leader_settles(self):
         st0 = explorer(entered=2, le=HEADS)
-        st1, _, dec = explore(st0, EMPTY_INBOX, degree=3)
+        st1, _, dec = explore(st0, SILENCE, degree=3)
         assert field(st1, "role") == SETTLED
         assert field(st1, "parent") == 2
         assert field(st1, "phase") == IDLE and field(st1, "flip") == 0
@@ -188,13 +192,13 @@ class TestStepExplore:
 
     def test_alone_turns_back(self):
         st0 = explorer(entered=2, le=STARTED)
-        st1, _, dec = explore(st0, EMPTY_INBOX, degree=3)
+        st1, _, dec = explore(st0, SILENCE, degree=3)
         assert field(st1, "role") == RETURN
         assert dec == Move(2)
 
     def test_alone_at_start_terminates(self):
         st0 = explorer(entered=None, le=STARTED)
-        st1, _, dec = explore(st0, EMPTY_INBOX, degree=2)
+        st1, _, dec = explore(st0, SILENCE, degree=2)
         assert isinstance(dec, TerminateSelf)
 
     def test_follower_from_start_moves_port_zero(self):
@@ -222,27 +226,27 @@ def test_a_step_reads_its_coin_exactly_when_draws_coin_holds():
     explorer that heard no reply in SENT_START or FLIPPING, and wherever
     it does not, ``step_explore`` gives the same on either coin, errors
     included."""
-    def outcome(word, summary, coin):
+    def outcome(word, view, coin):
         try:
-            return step_explore(word, summary, coin, 3)
+            return step_explore(word, view, coin, 3)
         except ProtocolViolation as exc:
             return type(exc)
 
-    summaries = [EMPTY_INBOX, hear(LeStart()), hear(LeHeads()), hear(Query()),
-                 hear(SettledReply(0, None, 0)), hear(SettledReply(None, 1, 1), LeHeads())]
+    views = [SILENCE, hear(LeStart()), hear(LeHeads()), hear(Query()),
+             hear(SettledReply(0, None, 0)), hear(SettledReply(None, 1, 1), LeHeads())]
     words = [encode(role=role, direction=d, phase=phase, flip=flip, entered=e)
              for role in range(5) for d in (0, 1) for phase in range(8) for flip in (0, 1)
              for e in (None, 0, 2)]
     drawn = 0
     for word in words:
         role, phase = field(word, "role"), field(word, "phase")
-        for summary in summaries:
-            draws = draws_coin(word, summary)
-            assert draws == (role == EXPLORE and summary.settled_reply is None
+        for view in views:
+            draws = draws_coin(word, view)
+            assert draws == (role == EXPLORE and view[1] is None
                              and phase in (SENT_START, FLIPPING))
             drawn += draws
             if role == EXPLORE and not draws:
-                assert outcome(word, summary, 0) == outcome(word, summary, 1)
+                assert outcome(word, view, 0) == outcome(word, view, 1)
     assert drawn == 2 * 2 * 2 * 3 * 4
 
 
@@ -486,19 +490,17 @@ def test_explore_moves_only_through_permitted_ports(entered, degree, parent, dir
     assert isinstance(dec, Move) and dec.port in allowed
 
 
-def reference_summary(messages, receiver):
+def reference_view(messages, receiver):
     """The per-receiver scan a NodeInbox view must agree with: skip the
     receiver's own broadcasts, set a presence bit per message type, keep
     the only foreign reply and the last foreign child port."""
-    reply = None
-    saw_any = saw_heads = has_query = set_visited = terminate = False
-    set_child = None
+    flags, reply, set_child = 0, None, None
     for sender, msg in messages:
         if sender == receiver:
             continue
-        saw_any = True
+        flags |= HEARD_ANY
         if isinstance(msg, Query):
-            has_query = True
+            flags |= HEARD_QUERY
         elif isinstance(msg, SettledReply):
             if reply is not None:
                 raise MultipleRepliesError("two settled replies at one node")
@@ -506,20 +508,12 @@ def reference_summary(messages, receiver):
         elif isinstance(msg, SetChild):
             set_child = msg.port
         elif isinstance(msg, SetVisited):
-            set_visited = True
+            flags |= HEARD_VISITED
         elif isinstance(msg, Terminate):
-            terminate = True
+            flags |= HEARD_TERMINATE
         elif isinstance(msg, LeHeads):
-            saw_heads = True
-    return InboxSummary(
-        settled_reply=reply,
-        saw_any=saw_any,
-        saw_heads=saw_heads,
-        has_query=has_query,
-        set_child=set_child,
-        set_visited=set_visited,
-        terminate=terminate,
-    )
+            flags |= HEARD_HEADS
+    return flags, reply, set_child
 
 
 PORTS = st.integers(min_value=0, max_value=3)
@@ -595,14 +589,14 @@ def test_node_inbox_matches_per_receiver_scan(messages, members, batch, at):
         # a member of the class reads by its broadcast's weight
         member_own = own if receiver in members else None
         try:
-            want = reference_summary(flat, receiver)
+            want = reference_view(flat, receiver)
         except MultipleRepliesError:
             for box, mine in ((singles, None), (classed, member_own)):
                 with pytest.raises(MultipleRepliesError):
                     box.view(receiver, mine)
             continue
         assert singles.view(receiver) == want
-        assert classed.view(receiver, member_own) is singles.view(receiver)
+        assert classed.view(receiver, member_own) == want
     inbox = inbox_of(messages)
     posted = NodeInbox()
     for sender, batch in itertools.groupby(messages, key=lambda sent: sent[0]):
@@ -616,40 +610,33 @@ def test_node_inbox_matches_per_receiver_scan(messages, members, batch, at):
             with pytest.raises(MultipleRepliesError):
                 one_sender_view(msgs)
         else:
-            assert one_sender_view(msgs) is want
+            assert one_sender_view(msgs) == want
     for receiver in range(6):
         try:
-            want = reference_summary(messages, receiver)
+            want = reference_view(messages, receiver)
         except MultipleRepliesError:
             for box in (inbox, inbox_of(messages), posted):
                 with pytest.raises(MultipleRepliesError):
                     box.view(receiver)
             continue
-        got = inbox.view(receiver)
-        assert got == want
-        assert inbox.view(receiver) is got
-        assert inbox_of(messages).view(receiver) is got  # interned by value
-        assert posted.view(receiver) is got
+        assert inbox.view(receiver) == want
+        assert posted.view(receiver) == want
 
 
 def test_two_replies_raise_only_without_the_receiver():
     inbox = inbox_of(TWO_REPLIES)
-    assert inbox.view(1).settled_reply == SettledReply(1, 2, 1)
-    assert inbox.view(2).settled_reply == SettledReply(0, None, 0)
+    assert inbox.view(1)[1] == SettledReply(1, 2, 1)
+    assert inbox.view(2)[1] == SettledReply(0, None, 0)
     for receiver in (0, 3):
         with pytest.raises(MultipleRepliesError):
             inbox.view(receiver)
 
 
-def test_empty_node_is_empty_inbox():
-    assert NodeInbox().view(0) is EMPTY_INBOX
-    assert inbox_of([(0, LeStart())]).view(0) is EMPTY_INBOX
-
-
 def test_no_view_hashes_a_reply(monkeypatch):
-    """Cost guard, in counts: views that carry a settler's reply are
-    interned by the reply's fields, never by hashing the reply object, so
-    a whole worst-case run calls ``SettledReply.__hash__`` zero times."""
+    """Cost guard, in counts: a view holds a settler's reply as it was
+    sent, and a settler's reply is cached by its word, an int, so nothing
+    hashes a reply object: a whole worst-case run calls
+    ``SettledReply.__hash__`` zero times."""
     from dispersim.engine import Outcome, SimulationConfig, TraceLevel, run
     from dispersim.graph import gen_worstcase
 
