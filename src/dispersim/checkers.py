@@ -10,11 +10,13 @@ recorded state word fits the O(log Δ) memory budget.
 
 Checkers consume parsed traces so they can validate output from any
 producer of the same format.  Every checker reads one ``TraceDigest``
-and nothing else: one ``replay`` pass over the trace's deltas that
+and nothing else: one pass over the trace's records, in order, that
 range checks the trace against its graph and keeps what the checkers
 need (the exploring group's position per round, each robot's row
-history, what the events say, the reference walk).  ``run_all`` builds
-it once and hands it to every checker.  An event reaches the digest as
+history, what the events say, the reference walk).  The digest is fed
+header, records, summary: by ``parse_trace`` as it reads each line,
+which holds no list of the trace's deltas, or from a parsed trace.
+``run_all`` hands it to every checker.  An event reaches the digest as
 the tuple the engine made, ``(name, robot)`` or ``(name, robot,
 number)``, already checked for its arity and its robot by the reader.
 
@@ -30,7 +32,7 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .engine import Event, Outcome, ParsedTrace, Row, TraceFormatError, replay
+from .engine import Event, Outcome, ParsedTrace, Row, RunSummary, TraceDelta, TraceFormatError
 from .graph import PortLabeledGraph
 
 # what the codes of a word's role and direction fields stand for, in
@@ -145,8 +147,15 @@ def oracle_dfs(graph: PortLabeledGraph, root: int, k: int) -> OracleTrace:
 
 
 class TraceDigest:
-    """What the checkers read of one trace, checked against its graph in
-    one ``replay`` pass.
+    """What the checkers read of one trace, checked against its graph as
+    the trace is read.
+
+    A digest is fed in three steps, in the order of a trace's lines:
+    ``header``, then ``record`` for each round 1..``rounds`` in order,
+    then ``end`` with the summary.  ``parse_trace(source, sink=digest)``
+    feeds a ``TraceDigest(None, graph)`` line by line, so no list of
+    deltas is held; ``TraceDigest(trace, graph)`` feeds it a parsed
+    trace's parts through the same three calls.
 
     ``group[r]``: the (node, dir, entered) the exploring robots share in
     round r, or None, kept as a count of explorer keys updated from the
@@ -174,24 +183,11 @@ class TraceDigest:
     ``repair_fired`` that disagrees with the ``repair_terminate`` events.
     """
 
-    def __init__(self, trace: ParsedTrace, graph: PortLabeledGraph):
-        s = self.summary = trace.summary
+    summary: RunSummary
+    oracle: OracleTrace | None
+
+    def __init__(self, trace: ParsedTrace | None, graph: PortLabeledGraph):
         self.graph = graph
-        self.fields = trace.fields
-        k, n = s.k, graph.n
-        if trace.max_degree != graph.max_degree():
-            raise TraceFormatError(
-                f"header max_degree={trace.max_degree}, but the graph's max degree is "
-                f"{graph.max_degree()}"
-            )
-        off_graph = [v for v in (s.v_r, s.v_l, *s.positions.values())
-                     if v is not None and not 0 <= v < n]
-        if off_graph:
-            raise TraceFormatError(
-                f"summary names nodes {off_graph[:3]} outside the graph's 0..{n - 1}"
-            )
-        if not 1 <= k <= n:
-            raise TraceFormatError(f"summary has k={k}, not in 1..{n}")
         self.group: dict[int, tuple[int, str, int | None] | None] = {}
         self.history: defaultdict[int, tuple[list[int], list[Row | None]]] = \
             defaultdict(lambda: ([], []))
@@ -202,19 +198,44 @@ class TraceDigest:
         self.first: defaultdict[str, dict[int, int]] = defaultdict(dict)
         self.visited: set[tuple[int, int]] = set()
         self.words: dict[int, tuple[tuple[str, str, int | None], tuple[int, int]]] = {}
+        # each robot's row in the round last read, as ``replay`` gives it
+        self._current: dict[int, Row] = {}
+        # each exploring robot's (node, dir, entered), and how many share each
+        self._explorer: dict[int, tuple[int, str, int | None]] = {}
+        self._count: Counter[tuple[int, str, int | None]] = Counter()
+        # the robots with a row that a terminate event of the record before ended
+        self._ended: set[int] = set()
+        if trace is not None:
+            self.header(trace.max_degree, trace.fields)
+            for d in trace.deltas:
+                self.record(d)
+            self.end(trace.summary)
+
+    def header(self, max_degree: int, fields: tuple[tuple[str, int], ...]) -> None:
+        """Take the header's max degree and word layout."""
+        if max_degree != self.graph.max_degree():
+            raise TraceFormatError(
+                f"header max_degree={max_degree}, but the graph's max degree is "
+                f"{self.graph.max_degree()}"
+            )
+        self.fields = fields
         # each field's (shift, mask) by the header's table
         at, shift = {}, 0
-        for name, width in trace.fields:
+        for name, width in fields:
             at[name] = shift, (1 << width) - 1
             shift += width
         if missing := [name for name in _DECODED if name not in at]:
             raise TraceFormatError(f"header fields lack {', '.join(missing)}, which a row's "
                                    f"word is decoded by")
-        (rs, rm), (ds, dm), (es, em) = (at[name] for name in _DECODED)
-        history, words, ports = self.history, self.words, graph.ports
-        # each exploring robot's (node, dir, entered), and how many share each
-        explorer: dict[int, tuple[int, str, int | None]] = {}
-        count: Counter[tuple[int, str, int | None]] = Counter()
+        # (shift, mask) of the role, direction and entered fields
+        self._decoded = [at[name] for name in _DECODED]
+
+    def record(self, d: TraceDelta) -> None:
+        """Take the record of round ``d.round``, the round after the last."""
+        rnd, n, ports = d.round, self.graph.n, self.graph.ports
+        history, words, current = self.history, self.words, self._current
+        explorer, count = self._explorer, self._count
+        (rs, rm), (ds, dm), (es, em) = self._decoded
 
         def leave(i: int) -> None:
             key = explorer.pop(i)
@@ -222,63 +243,75 @@ class TraceDigest:
             if not count[key]:
                 del count[key]
 
-        # the robots with a row that a terminate event of the record before ended
-        ended: set[int] = set()
-        for d, current in replay(trace.deltas):
-            rnd = d.round
-            if ended:
-                for i in sorted(ended):
-                    if i in explorer:
-                        leave(i)
-                    rounds, rows = history[i]
-                    rounds.append(rnd)
-                    rows.append(None)
-                ended = set()
-            for r in d.rows:
-                i, node, word = r
-                if not 0 <= node < n:
-                    raise TraceFormatError(
-                        f"round {rnd}: row of robot {i} at node {node} is outside "
-                        f"nodes 0..{n - 1}"
-                    )
-                seen = words.get(word)
-                if seen is None:
-                    role, dir_, entered = word >> rs & rm, word >> ds & dm, word >> es & em
-                    if role >= len(ROLE_NAMES) or dir_ >= len(DIR_NAMES):
-                        raise TraceFormatError(
-                            f"round {rnd}: row of robot {i} has role code {role} and direction "
-                            f"code {dir_}, not one of 0..{len(ROLE_NAMES) - 1} and "
-                            f"0..{len(DIR_NAMES) - 1}"
-                        )
-                    seen = words[word] = (
-                        (ROLE_NAMES[role], DIR_NAMES[dir_], entered - 1 if entered else None),
-                        (rnd, i))
-                role, dir_, entered = seen[0]
-                if entered is not None and entered >= len(ports[node]):
-                    raise TraceFormatError(
-                        f"round {rnd}: row of robot {i} entered node {node} by port "
-                        f"{entered}, outside its ports 0..{len(ports[node]) - 1}"
-                    )
+        if self._ended:
+            for i in sorted(self._ended):
+                del current[i]
                 if i in explorer:
                     leave(i)
-                if role == "explore":
-                    key = explorer[i] = node, dir_, entered
-                    count[key] += 1
-                past = history[i]
-                past[0].append(rnd)
-                past[1].append(r)
-            self.group[rnd] = next(iter(count)) if len(count) == 1 else None
-            for ev in d.events:
-                dead = self._event(rnd, ev, current)
-                if dead is not None and dead in current:
-                    ended.add(dead)
+                rounds, rows = history[i]
+                rounds.append(rnd)
+                rows.append(None)
+            self._ended.clear()
+        for r in d.rows:
+            i, node, word = r
+            if not 0 <= node < n:
+                raise TraceFormatError(
+                    f"round {rnd}: row of robot {i} at node {node} is outside "
+                    f"nodes 0..{n - 1}"
+                )
+            seen = words.get(word)
+            if seen is None:
+                role, dir_, entered = word >> rs & rm, word >> ds & dm, word >> es & em
+                if role >= len(ROLE_NAMES) or dir_ >= len(DIR_NAMES):
+                    raise TraceFormatError(
+                        f"round {rnd}: row of robot {i} has role code {role} and direction "
+                        f"code {dir_}, not one of 0..{len(ROLE_NAMES) - 1} and "
+                        f"0..{len(DIR_NAMES) - 1}"
+                    )
+                seen = words[word] = (
+                    (ROLE_NAMES[role], DIR_NAMES[dir_], entered - 1 if entered else None),
+                    (rnd, i))
+            role, dir_, entered = seen[0]
+            if entered is not None and entered >= len(ports[node]):
+                raise TraceFormatError(
+                    f"round {rnd}: row of robot {i} entered node {node} by port "
+                    f"{entered}, outside its ports 0..{len(ports[node]) - 1}"
+                )
+            current[i] = r
+            if i in explorer:
+                leave(i)
+            if role == "explore":
+                key = explorer[i] = node, dir_, entered
+                count[key] += 1
+            past = history[i]
+            past[0].append(rnd)
+            past[1].append(r)
+        self.group[rnd] = next(iter(count)) if len(count) == 1 else None
+        for ev in d.events:
+            dead = self._event(rnd, ev, current)
+            if dead is not None and dead in current:
+                self._ended.add(dead)
+
+    def end(self, summary: RunSummary) -> None:
+        """Take the summary, which follows the last record, and walk the
+        oracle."""
+        s = self.summary = summary
+        k, n = s.k, self.graph.n
+        off_graph = [v for v in (s.v_r, s.v_l, *s.positions.values())
+                     if v is not None and not 0 <= v < n]
+        if off_graph:
+            raise TraceFormatError(
+                f"summary names nodes {off_graph[:3]} outside the graph's 0..{n - 1}"
+            )
+        if not 1 <= k <= n:
+            raise TraceFormatError(f"summary has k={k}, not in 1..{n}")
         repaired = bool(self.first.get("repair_terminate"))
         if s.repair_fired != repaired:
             raise TraceFormatError(
                 f"summary says repair_fired={str(s.repair_fired).lower()}, but the trace has "
                 f"{'a' if repaired else 'no'} repair_terminate event"
             )
-        self.oracle = (oracle_dfs(graph, s.v_r, k)
+        self.oracle = (oracle_dfs(self.graph, s.v_r, k)
                        if s.outcome is Outcome.DISPERSED_ALL_TERMINATED and k >= 2 else None)
 
     def _event(self, rnd: int, ev: Event, current: dict[int, Row]) -> int | None:
@@ -777,14 +810,16 @@ CHECKER_NAMES = tuple(_CHECKS)
 
 
 def run_all(
-    trace: ParsedTrace,
+    trace: ParsedTrace | TraceDigest,
     graph: PortLabeledGraph,
     names: tuple[str, ...] | list[str] = CHECKER_NAMES,
 ) -> dict[str, Verdict]:
     """Run the named checkers (all seven by default) against one trace,
     all on one ``TraceDigest``, whose ``TraceFormatError`` comes before
-    any checker or the oracle walks the graph."""
-    digest = TraceDigest(trace, graph)
+    any checker or the oracle walks the graph.  ``trace`` is a parsed
+    trace, or a digest already fed (see ``TraceDigest``) of a trace on
+    ``graph``."""
+    digest = trace if isinstance(trace, TraceDigest) else TraceDigest(trace, graph)
     out: dict[str, Verdict] = {}
     for name in names:
         if name not in _CHECKS:

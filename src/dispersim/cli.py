@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .checkers import CHECKER_NAMES, run_all
+from .checkers import CHECKER_NAMES, TraceDigest, run_all
 from .engine import (
     ConfigError,
     Outcome,
@@ -65,7 +65,11 @@ def _load_graph(spec: str) -> PortLabeledGraph:
         raise _UsageError(
             f"{spec}: byte {data[exc.start]:#04x} at offset {exc.start} is not ASCII"
         ) from None
-    return parse_graph(text)
+    try:
+        return parse_graph(text)
+    except GraphError as exc:
+        # verify reads a trace file too: say which file the line is of
+        raise GraphError(f"{spec}: {exc}") from None
 
 
 def _generate(spec: str) -> PortLabeledGraph:
@@ -109,10 +113,15 @@ def cmd_run(args) -> int:
         # the summary is the same at every level; only a trace file needs rows
         trace_level=TraceLevel.FULL if args.trace else TraceLevel.NONE,
     )
-    result = run(config)
+    # a usage error leaves an existing trace file as it was
+    config.validate()
     if args.trace:
+        # written as the run goes: a run that crashes leaves a trace
+        # without its summary line, which verify rejects
         with open(args.trace, "w", encoding="ascii") as fh:
-            fh.writelines(result.jsonl_lines())
+            result = run(config, sink=fh.write)
+    else:
+        result = run(config)
     _emit(result.summary.to_dict())
     if result.summary.outcome is Outcome.DISPERSED_ALL_TERMINATED:
         return EXIT_OK
@@ -123,12 +132,17 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     names = tuple(args.checker) if args.checker else CHECKER_NAMES
+    graph = _load_graph(args.graph)
+    # the digest takes each record as parse_trace reads it, so no list of
+    # the trace's deltas is held
+    digest = TraceDigest(None, graph)
     # binary, so that parse_trace meets every byte; it reads line by line
     with open(args.trace, "rb") as fh:
         try:
-            verdicts = run_all(parse_trace(fh), _load_graph(args.graph), names)
+            parse_trace(fh, sink=digest)
         except TraceFormatError as exc:
             raise TraceFormatError(f"{args.trace}: {exc}") from None
+    verdicts = run_all(digest, graph, names)
     all_pass = True
     for name, verdict in verdicts.items():
         _emit(

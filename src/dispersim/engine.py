@@ -56,19 +56,23 @@ port), movement sets the entry port with one mask-and-or, and every
 stored word costs one AND against the run's overflow mask and one OR
 into its role's accumulator.
 
-A FULL trace is kept as it is written (format 4): one ``TraceDelta`` per
-round 1..``rounds``, in order, holding a row ``(id, node, word)`` for
-each robot whose stored word or node changed since its last row, and
-its events, each one ``Event`` tuple from the engine to the checkers,
-written as a JSON array and never read as text.  A robot is gone from
-the round after its ``terminate`` event, which is all a reader needs to
-drop it.  ``run`` builds the deltas from the robots ``execute_round``
-returns as stored (every actor, settlers included), so a round's trace
-costs what the round touched, not k; ``parse_trace`` reads the same
-records back, rejecting a trace that lacks a round, and ``replay``
-rebuilds a round's full set of rows when one is wanted.  A SUMMARY run
-keeps only the rounds with a stage marker, in memory, and writes no
-trace.
+A FULL trace (format 4) has one record per round 1..``rounds``, in
+order, holding a row ``(id, node, word)`` for each robot whose stored
+word or node changed since its last row, and its events, each one
+``Event`` tuple from the engine to the checkers, written as a JSON array
+and never read as text.  A robot is gone from the round after its
+``terminate`` event, which is all a reader needs to drop it.  ``run``
+builds each record from the robots ``execute_round`` returns as stored
+(every actor, settlers included), so a round's trace costs what the
+round touched, not k.  Without a sink it keeps the records as
+``TraceDelta``s; with one it hands each record's line to the sink as the
+round ends and keeps none, so its memory does not grow with rounds.
+One renderer makes both the sink's lines and ``jsonl_lines``.
+``parse_trace`` reads the records back, rejecting a trace that lacks a
+round, and either keeps them or hands each to its own sink as it is
+read; ``replay`` rebuilds a round's full set of rows when one is wanted.
+A SUMMARY run keeps only the rounds with a stage marker, in memory, and
+writes no trace.
 Nothing here decodes a word: the header carries the field table
 (``robot.FIELDS``) a reader decodes it by.
 """
@@ -79,7 +83,7 @@ import io
 import json
 import random
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -269,6 +273,8 @@ class SimulationResult:
     # and its events); at SUMMARY, kept in memory only, one per round
     # with a stage marker; none at NONE
     deltas: list[TraceDelta]
+    # what deltas hold: the run's level, or SUMMARY where run's sink
+    # took a FULL trace
     trace_level: TraceLevel
     # the graph's max degree, which the trace header carries
     max_degree: int
@@ -295,15 +301,30 @@ class SimulationResult:
         whose deltas lack rounds that a trace must hold."""
         if self.trace_level is not TraceLevel.FULL:
             return
-        dumps = json.dumps
-        yield dumps({"format": TRACE_FORMAT, "k": self.summary.k,
-                     "max_degree": self.max_degree, "fields": FIELDS}) + "\n"
+        yield _header_line(self.summary.k, self.max_degree)
         for d in self.deltas:
-            yield dumps([d.rows, d.events]) + "\n"
-        yield dumps(self.summary.to_dict()) + "\n"
+            yield _record_line(d.rows, d.events)
+        yield _summary_line(self.summary)
 
     def to_jsonl(self) -> str:
         return "".join(self.jsonl_lines())
+
+
+# the one renderer of a trace's lines, behind both ``jsonl_lines`` and
+# the sink of ``run``: the header, a round's record, the summary
+
+
+def _header_line(k: int, max_degree: int) -> str:
+    return json.dumps({"format": TRACE_FORMAT, "k": k, "max_degree": max_degree,
+                       "fields": FIELDS}) + "\n"
+
+
+def _record_line(rows: list[Row], events: list[Event]) -> str:
+    return json.dumps([rows, events]) + "\n"
+
+
+def _summary_line(summary: RunSummary) -> str:
+    return json.dumps(summary.to_dict()) + "\n"
 
 
 @dataclass
@@ -742,12 +763,20 @@ def _join_class(classes: dict[tuple, tuple[int, int, int | None, list[int]]],
         cls[3].extend(members)
 
 
-def run(config: SimulationConfig) -> SimulationResult:
+def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
+        ) -> SimulationResult:
     """Simulate to completion; never raises for protocol trouble.
 
     Faults (election overrun, double settle, missing reply, invalid
     port, a state field wider than its L + 1 bits) and exhausted round
     budgets are reported in the result's outcome instead.
+
+    At ``TraceLevel.FULL`` with a ``sink``, the trace is handed out, not
+    kept: ``sink`` gets each line that ``jsonl_lines`` would give as soon
+    as it is complete (the header, each round's record as the round ends,
+    then the summary), and the result keeps what a ``SUMMARY`` run keeps,
+    its ``trace_level`` reading ``SUMMARY``.  Below ``FULL`` there is no
+    trace, and ``sink`` gets nothing.
     """
     config.validate()
     w = World(config)
@@ -756,6 +785,12 @@ def run(config: SimulationConfig) -> SimulationResult:
     # per robot, its latest row
     last: list[Row | None] = [None] * config.k
     level = config.trace_level
+    full = level is TraceLevel.FULL
+    write = sink if full else None
+    if write is not None:
+        # the lines go to the sink; the result keeps a SUMMARY run's markers
+        level = TraceLevel.SUMMARY
+        write(_header_line(config.k, w.max_degree))
     # the robots whose row may differ from their last one: every robot
     # before round 1, then those the round before stored
     touched = list(range(config.k))
@@ -766,7 +801,7 @@ def run(config: SimulationConfig) -> SimulationResult:
     for rnd in range(1, max_rounds + 1):
         w.round = rnd
         events: list[Event] = []
-        if level is TraceLevel.FULL:
+        if full:
             rows: list[Row] = []
             for i in sorted(set(touched)):
                 # a robot that died in the round before has no row from now on
@@ -776,13 +811,18 @@ def run(config: SimulationConfig) -> SimulationResult:
                     if row is None or row[2] != word or row[1] != node:
                         last[i] = row = (i, node, word)
                         rows.append(row)
-            deltas.append(TraceDelta(rnd, rows, events))
+            if write is None:
+                deltas.append(TraceDelta(rnd, rows, events))
         try:
             touched = w.execute_round(events)
         except (_Fault, ProtocolViolation) as exc:
             outcome = Outcome.FAULT
             # a _Fault names its round; a step's ProtocolViolation does not
             fault = str(exc) if isinstance(exc, _Fault) else f"round {rnd}: {exc}"
+        # the round's record is complete once its events are
+        if write is not None:
+            write(_record_line(rows, events))
+        if fault is not None:
             if level is TraceLevel.SUMMARY:
                 deltas.append(TraceDelta(rnd, [], list(events)))
             break
@@ -812,6 +852,8 @@ def run(config: SimulationConfig) -> SimulationResult:
         fault=fault,
     )
     used_bits = {name: field_widths(w.used[code]) for code, name in enumerate(ROLES)}
+    if write is not None:
+        write(_summary_line(summary))
     return SimulationResult(summary=summary, deltas=deltas, trace_level=level,
                             max_degree=w.max_degree, used_bits=used_bits)
 
@@ -969,20 +1011,27 @@ class _RecordReader:
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 
-def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
+def parse_trace(source: str | Iterable[str] | Iterable[bytes], sink=None) -> ParsedTrace:
     """Read a trace, line by line, from a string or an open file.
 
     The header comes first, then one record per round 1..``rounds``, in
-    order, each the array ``[rows, events]``, then the summary.  Each record comes back as the
-    ``TraceDelta`` it was written from (``replay`` gives each round's
-    rows).  A line holding a non-ASCII byte (or character) is rejected
-    before it is decoded, so pass a file opened in binary mode to have
-    every byte checked.
+    order, each the array ``[rows, events]``, then the summary.  Each
+    record comes back as the ``TraceDelta`` it was written from
+    (``replay`` gives each round's rows).  A line holding a non-ASCII
+    byte (or character) is rejected before it is decoded, so pass a file
+    opened in binary mode to have every byte checked.
+
+    With a ``sink``, such as a ``checkers.TraceDigest``, the records are
+    handed out, not kept: ``sink.header(max_degree, fields)`` as the
+    header is read, ``sink.record(delta)`` as each record is, and
+    ``sink.end(summary)`` once the whole trace has passed; the result
+    then holds no deltas.  An error the sink raises passes through.
     """
     lines = io.StringIO(source) if isinstance(source, str) else source
     header: tuple[int, int, tuple[tuple[str, int], ...]] | None = None
     reader: _RecordReader | None = None
     deltas: list[TraceDelta] = []
+    keep = deltas.append if sink is None else sink.record
     summary: RunSummary | None = None
     offset = 0
     for line_no, line in enumerate(lines, start=1):
@@ -1003,13 +1052,16 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
         if header is None:
             header = _parse_header(obj, line_no)
             reader = _RecordReader(header[0])
+            if sink is not None:
+                sink.header(*header[1:])
         elif type(obj) is list:
             if summary is not None:
                 raise TraceFormatError(f"line {line_no}: record after summary")
             try:
-                deltas.append(reader.record(obj))
+                delta = reader.record(obj)
             except (ValueError, TypeError) as exc:
                 raise TraceFormatError(f"line {line_no}: bad record: {exc}") from None
+            keep(delta)
         elif type(obj) is not dict:
             raise TraceFormatError(f"line {line_no}: neither record nor summary")
         elif "format" in obj:
@@ -1029,5 +1081,7 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes]) -> ParsedTrace:
     if reader.round != summary.rounds:
         raise TraceFormatError(
             f"last record is of round {reader.round}, the summary's last round {summary.rounds}")
+    if sink is not None:
+        sink.end(summary)
     _, max_degree, fields = header
     return ParsedTrace(deltas=deltas, summary=summary, max_degree=max_degree, fields=fields)

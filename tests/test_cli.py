@@ -88,9 +88,9 @@ class TestRun:
         with no trace file keeps no rows."""
         levels = []
 
-        def recorded(config):
+        def recorded(config, sink=None):
             levels.append(config.trace_level)
-            return run(config)
+            return run(config, sink=sink)
 
         monkeypatch.setattr(cli, "run", recorded)
         argv = ("run", "--graph", "gen:ring:6", "--k", "6", "--seed", "5")
@@ -150,6 +150,63 @@ class TestRun:
             capsys, "run", "--graph", "/nonexistent/g.graph", "--k", "2", "--seed", "1"
         )
         assert code == 3
+
+    def test_malformed_graph_file_is_named(self, capsys, tmp_path):
+        graph_file = tmp_path / "g.graph"
+        graph_file.write_text("garbage\n")
+        code, out, err = run_cli(
+            capsys, "run", "--graph", str(graph_file), "--k", "2", "--seed", "1"
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: {graph_file}: line 1: header must be 'n m', got 'garbage'\n"
+
+    def test_missing_trace_directory_exits_before_simulating(self, capsys, tmp_path,
+                                                              monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run", lambda config, sink=None: ran.append(config))
+        trace_file = tmp_path / "missing" / "t.jsonl"
+        code, out, err = run_cli(capsys, "run", "--graph", "gen:ring:6", "--k", "6",
+                                 "--seed", "5", "--trace", str(trace_file))
+        assert (code, out, ran) == (3, "", [])
+        assert err.startswith("error: ") and str(trace_file) in err
+        assert len(err.splitlines()) == 1
+
+    def test_usage_error_leaves_an_existing_trace_as_it_was(self, capsys, tmp_path):
+        trace_file = tmp_path / "existing.jsonl"
+        trace_file.write_bytes(b"an earlier run's trace\n")
+        code, out, err = run_cli(capsys, "run", "--graph", "gen:ring:6", "--k", "99",
+                                 "--seed", "5", "--trace", str(trace_file))
+        assert (code, out) == (3, "")
+        assert err == "error: k=99 not in 1..6\n"
+        assert trace_file.read_bytes() == b"an earlier run's trace\n"
+
+    def test_a_crash_mid_run_leaves_a_trace_that_verify_rejects(self, capsys, tmp_path,
+                                                                monkeypatch):
+        """``run`` writes as it goes: a step that raises what no protocol
+        fault is exits 4 in one line, and leaves the header and the rounds
+        before the crash, with no summary, which ``verify`` rejects (exit
+        3, naming the file)."""
+        step, calls = engine.step_explore, []
+
+        def crashing(*args):
+            calls.append(None)
+            if len(calls) == 20:
+                raise RuntimeError("boom")
+            return step(*args)
+
+        monkeypatch.setattr(engine, "step_explore", crashing)
+        trace_file = tmp_path / "crashed.jsonl"
+        code, out, err = run_cli(capsys, "run", "--graph", "gen:ring:6", "--k", "6",
+                                 "--seed", "5", "--trace", str(trace_file))
+        assert (code, out) == (4, "")
+        assert err == "internal error: RuntimeError('boom')\n"
+        lines = trace_file.read_text().splitlines()
+        assert json.loads(lines[0])["format"] == 4 and len(lines) > 2
+        assert all(type(json.loads(line)) is list for line in lines[1:])
+        code, out, err = run_cli(capsys, "verify", "--trace", str(trace_file),
+                                 "--graph", "gen:ring:6")
+        assert (code, out) == (3, "")
+        assert err == f"error: {trace_file}: trace has no summary line\n"
 
 
 class TestVerify:
@@ -221,6 +278,34 @@ class TestVerify:
         verdicts = {json.loads(l)["checker"]: json.loads(l) for l in out.strip().splitlines()}
         assert verdicts["rootpath"]["findings"] and verdicts["mirror"]["findings"]
         assert "Traceback" not in err
+
+    def test_malformed_graph_file_is_named(self, capsys, good_trace, tmp_path):
+        """``verify`` reads two files: a graph error says it is the graph's."""
+        graph_file = tmp_path / "g.graph"
+        graph_file.write_text("garbage\n")
+        code, out, err = run_cli(capsys, "verify", "--trace", str(good_trace),
+                                 "--graph", str(graph_file))
+        assert (code, out) == (3, "")
+        assert err == f"error: {graph_file}: line 1: header must be 'n m', got 'garbage'\n"
+
+    # a trace cut short, and the error naming it after the file's name
+    TRUNCATIONS = {
+        "empty": (lambda text: "", "trace has no header line"),
+        "summary_dropped": (lambda text: text[:text.rindex("\n", 0, -1) + 1],
+                            "trace has no summary line"),
+        "cut_mid_record": (lambda text: text[:text.index("\n", text.index("\n") + 1) + 5],
+                           "line 3: not JSON: "),
+    }
+
+    @pytest.mark.parametrize("cut", sorted(TRUNCATIONS))
+    def test_truncated_trace_is_format_error(self, capsys, good_trace, tmp_path, cut):
+        truncate, message = self.TRUNCATIONS[cut]
+        bad = tmp_path / "cut.jsonl"
+        bad.write_text(truncate(good_trace.read_text()))
+        code, out, err = run_cli(capsys, "verify", "--trace", str(bad), "--graph", "gen:ring:6")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {bad}: {message}")
+        assert len(err.splitlines()) == 1
 
     def test_unparseable_trace(self, capsys, tmp_path):
         bad = tmp_path / "junk.jsonl"
