@@ -17,7 +17,7 @@ import argparse
 import sys
 import time
 
-from dispersim.checkers import run_all
+from dispersim.checkers import TraceDigest, run_all
 from dispersim.engine import Outcome, SimulationConfig, parse_trace, run
 from dispersim.graph import corpus_instances
 
@@ -43,7 +43,10 @@ def main(argv=None) -> int:
         bad = []
         if s.outcome is not Outcome.DISPERSED_ALL_TERMINATED:
             bad.append(f"outcome={s.outcome.value}")
-        for name, verdict in run_all(parse_trace(res.to_jsonl()), g).items():
+        # fed line by line, as verify feeds it, so no list of deltas is built
+        digest = TraceDigest(None, g)
+        parse_trace(res.jsonl_lines(), sink=digest)
+        for name, verdict in run_all(digest, g).items():
             if not verdict.passed:
                 bad.append(f"{name}: {verdict.findings[0]}")
         if bad:

@@ -13,9 +13,12 @@ producer of the same format.  Every checker reads one ``TraceDigest``
 and nothing else: one pass over the trace's records, in order, that
 range checks the trace against its graph and keeps what the checkers
 need (the exploring group's position per round, each robot's row
-history, what the events say, the reference walk).  The digest is fed
-header, records, summary: by ``parse_trace`` as it reads each line,
-which holds no list of the trace's deltas, or from a parsed trace.
+history, what the events say, the reference walk).  What grows with
+the trace is packed in 8-byte arrays: one group code per round, and
+per changed row its round, node and word index, 24 bytes, with no
+Python object per round or per row.  The digest is fed header,
+records, summary: by ``parse_trace`` as it reads each line, which
+holds no list of the trace's deltas, or from a parsed trace.
 ``run_all`` hands it to every checker.  An event reaches the digest as
 the tuple the engine made, ``(name, robot)`` or ``(name, robot,
 number)``, already checked for its arity and its robot by the reader.
@@ -28,6 +31,7 @@ and ``check_memory`` derives its budget from the degree alone.
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -146,6 +150,27 @@ def oracle_dfs(graph: PortLabeledGraph, root: int, k: int) -> OracleTrace:
 # --- trace digestion -------------------------------------------------------
 
 
+class GroupCodes:
+    """The exploring group's ``(node, dir, entered)`` in each round, or
+    None, packed one int per round in ``codes``: ``node << bits |
+    (entered + 1) << 1 | dir``, entered + 1 being 0 for none and dir the
+    direction's code, or -1 in a round (such as round 0) without exactly
+    one co-located exploring group.  ``bits`` is ``max_degree.bit_length()
+    + 1``, so the low part holds any port + 1 up to the max degree.
+    ``group[r]`` decodes round r's code."""
+
+    def __init__(self, max_degree: int):
+        self.bits = max_degree.bit_length() + 1
+        self.codes = array("q", [-1])
+
+    def __getitem__(self, rnd: int) -> tuple[int, str, int | None] | None:
+        code = self.codes[rnd]
+        if code < 0:
+            return None
+        entered = (code & (1 << self.bits) - 1) >> 1
+        return code >> self.bits, DIR_NAMES[code & 1], entered - 1 if entered else None
+
+
 class TraceDigest:
     """What the checkers read of one trace, checked against its graph as
     the trace is read.
@@ -157,20 +182,29 @@ class TraceDigest:
     deltas is held; ``TraceDigest(trace, graph)`` feeds it a parsed
     trace's parts through the same three calls.
 
-    ``group[r]``: the (node, dir, entered) the exploring robots share in
-    round r, or None, kept as a count of explorer keys updated from the
-    rows that change.  ``raw_at`` reads each robot's row history as
-    stored, the one way to read a row.  The reader gives a record for
-    every round 1..``rounds``; a round past ``rounds`` has no rows.
+    What grows with the trace is packed: 8 bytes per round and 24 per
+    changed row, and no Python object for either.
+
+    - ``group[r]``: the (node, dir, entered) the exploring robots share
+      in round r, or None, from one 8-byte code per round
+      (``GroupCodes``).  Each exploring robot's code, and how many robots
+      share each, are updated from the rows that change.
+    - ``history``: per robot three 8-byte arrays, one item each per
+      changed row: the round the row changed in, its node, and its
+      word's index among the distinct words (-1 from the round the robot
+      is gone, with node -1).  ``raw_at`` reads a robot's ``(id, node,
+      word)`` row in a round from them, the one way to read a row.  The
+      reader gives a record for every round 1..``rounds``; a round past
+      ``rounds`` has no rows.
+    - ``words``: per distinct state word its decoded (role, dir,
+      entered) and the (round, robot) of its first row.  A word is
+      decoded by the header's field table once, on first sight, which
+      also caches its part of a group code, its entry port and its index.
+
     Events are read once: per robot its settle (round, node), its child
     port and the rounds it was set in, and the first round of each other
-    event; per node its first settler (``settler_at``).  ``words``: per
-    distinct state word its decoded (role, dir, entered) and the (round,
-    robot) of its first row.  ``oracle``: the reference walk, None unless
-    the run dispersed with k >= 2.
-
-    A word is decoded by the header's field table: its role, direction
-    and entry port, once per distinct word.
+    event; per node its first settler (``settler_at``).  ``oracle``: the
+    reference walk, None unless the run dispersed with k >= 2.
 
     Raises ``TraceFormatError``, before the oracle walks the graph, on a
     header ``max_degree`` that is not the graph's or a field table that
@@ -185,12 +219,12 @@ class TraceDigest:
 
     summary: RunSummary
     oracle: OracleTrace | None
+    group: GroupCodes
 
     def __init__(self, trace: ParsedTrace | None, graph: PortLabeledGraph):
         self.graph = graph
-        self.group: dict[int, tuple[int, str, int | None] | None] = {}
-        self.history: defaultdict[int, tuple[list[int], list[Row | None]]] = \
-            defaultdict(lambda: ([], []))
+        self.history: defaultdict[int, tuple[array, array, array]] = \
+            defaultdict(lambda: (array("q"), array("q"), array("q")))
         self.settles: dict[int, tuple[int, int]] = {}
         self.settler_at: dict[int, int] = {}
         self.child_ports: dict[int, int] = {}
@@ -198,11 +232,15 @@ class TraceDigest:
         self.first: defaultdict[str, dict[int, int]] = defaultdict(dict)
         self.visited: set[tuple[int, int]] = set()
         self.words: dict[int, tuple[tuple[str, str, int | None], tuple[int, int]]] = {}
-        # each robot's row in the round last read, as ``replay`` gives it
-        self._current: dict[int, Row] = {}
-        # each exploring robot's (node, dir, entered), and how many share each
-        self._explorer: dict[int, tuple[int, str, int | None]] = {}
-        self._count: Counter[tuple[int, str, int | None]] = Counter()
+        # the distinct words in the order first seen, and per word its
+        # (walk, entered, index): its group code's low part, (entered + 1)
+        # << 1 | dir, or -1 unless exploring; its entry port, -1 for none;
+        # and its index in that list
+        self._distinct: list[int] = []
+        self._seen: dict[int, tuple[int, int, int]] = {}
+        # each exploring robot's group code, and how many robots share each
+        self._explorer: dict[int, int] = {}
+        self._count: dict[int, int] = {}
         # the robots with a row that a terminate event of the record before ended
         self._ended: set[int] = set()
         if trace is not None:
@@ -229,68 +267,82 @@ class TraceDigest:
                                    f"word is decoded by")
         # (shift, mask) of the role, direction and entered fields
         self._decoded = [at[name] for name in _DECODED]
+        self.group = GroupCodes(max_degree)
+        self._degree = [len(p) for p in self.graph.ports]
 
     def record(self, d: TraceDelta) -> None:
         """Take the record of round ``d.round``, the round after the last."""
-        rnd, n, ports = d.round, self.graph.n, self.graph.ports
-        history, words, current = self.history, self.words, self._current
+        rnd, n, degree = d.round, self.graph.n, self._degree
+        history, seen, bits = self.history, self._seen, self.group.bits
         explorer, count = self._explorer, self._count
-        (rs, rm), (ds, dm), (es, em) = self._decoded
-
-        def leave(i: int) -> None:
-            key = explorer.pop(i)
-            count[key] -= 1
-            if not count[key]:
-                del count[key]
-
         if self._ended:
             for i in sorted(self._ended):
-                del current[i]
-                if i in explorer:
-                    leave(i)
-                rounds, rows = history[i]
+                if (key := explorer.pop(i, -1)) >= 0:
+                    count[key] -= 1
+                    if not count[key]:
+                        del count[key]
+                rounds, nodes, indices = history[i]
                 rounds.append(rnd)
-                rows.append(None)
+                nodes.append(-1)
+                indices.append(-1)
             self._ended.clear()
-        for r in d.rows:
-            i, node, word = r
+        for i, node, word in d.rows:
             if not 0 <= node < n:
                 raise TraceFormatError(
                     f"round {rnd}: row of robot {i} at node {node} is outside "
                     f"nodes 0..{n - 1}"
                 )
-            seen = words.get(word)
-            if seen is None:
-                role, dir_, entered = word >> rs & rm, word >> ds & dm, word >> es & em
-                if role >= len(ROLE_NAMES) or dir_ >= len(DIR_NAMES):
-                    raise TraceFormatError(
-                        f"round {rnd}: row of robot {i} has role code {role} and direction "
-                        f"code {dir_}, not one of 0..{len(ROLE_NAMES) - 1} and "
-                        f"0..{len(DIR_NAMES) - 1}"
-                    )
-                seen = words[word] = (
-                    (ROLE_NAMES[role], DIR_NAMES[dir_], entered - 1 if entered else None),
-                    (rnd, i))
-            role, dir_, entered = seen[0]
-            if entered is not None and entered >= len(ports[node]):
+            cached = seen.get(word)
+            if cached is None:
+                cached = self._decode(word, rnd, i)
+            walk, entered, index = cached
+            if entered >= degree[node]:
                 raise TraceFormatError(
                     f"round {rnd}: row of robot {i} entered node {node} by port "
-                    f"{entered}, outside its ports 0..{len(ports[node]) - 1}"
+                    f"{entered}, outside its ports 0..{degree[node] - 1}"
                 )
-            current[i] = r
-            if i in explorer:
-                leave(i)
-            if role == "explore":
-                key = explorer[i] = node, dir_, entered
-                count[key] += 1
-            past = history[i]
-            past[0].append(rnd)
-            past[1].append(r)
-        self.group[rnd] = next(iter(count)) if len(count) == 1 else None
+            # the robot's group code, which moves it between explorer keys
+            # only when it changes
+            key = node << bits | walk if walk >= 0 else -1
+            if key != (old := explorer.get(i, -1)):
+                if old >= 0:
+                    count[old] -= 1
+                    if not count[old]:
+                        del count[old]
+                if key >= 0:
+                    explorer[i] = key
+                    count[key] = count.get(key, 0) + 1
+                else:
+                    del explorer[i]
+            rounds, nodes, indices = history[i]
+            rounds.append(rnd)
+            nodes.append(node)
+            indices.append(index)
+        self.group.codes.append(next(iter(count)) if len(count) == 1 else -1)
         for ev in d.events:
-            dead = self._event(rnd, ev, current)
-            if dead is not None and dead in current:
+            dead = self._event(rnd, ev)
+            # a robot with a row in this round, which it is gone from next
+            if dead is not None and (past := history.get(dead)) and past[2][-1] >= 0:
                 self._ended.add(dead)
+
+    def _decode(self, word: int, rnd: int, i: int) -> tuple[int, int, int]:
+        """Decode ``word``, first seen in robot ``i``'s row of round
+        ``rnd``, into ``words``; its (walk, entered, index)."""
+        (rs, rm), (ds, dm), (es, em) = self._decoded
+        role, dir_, entered = word >> rs & rm, word >> ds & dm, word >> es & em
+        if role >= len(ROLE_NAMES) or dir_ >= len(DIR_NAMES):
+            raise TraceFormatError(
+                f"round {rnd}: row of robot {i} has role code {role} and direction "
+                f"code {dir_}, not one of 0..{len(ROLE_NAMES) - 1} and "
+                f"0..{len(DIR_NAMES) - 1}"
+            )
+        role_name = ROLE_NAMES[role]
+        self.words[word] = ((role_name, DIR_NAMES[dir_], entered - 1 if entered else None),
+                            (rnd, i))
+        cached = self._seen[word] = (entered << 1 | dir_ if role_name == "explore" else -1,
+                                     entered - 1, len(self._distinct))
+        self._distinct.append(word)
+        return cached
 
     def end(self, summary: RunSummary) -> None:
         """Take the summary, which follows the last record, and walk the
@@ -314,15 +366,15 @@ class TraceDigest:
         self.oracle = (oracle_dfs(self.graph, s.v_r, k)
                        if s.outcome is Outcome.DISPERSED_ALL_TERMINATED and k >= 2 else None)
 
-    def _event(self, rnd: int, ev: Event, current: dict[int, Row]) -> int | None:
-        """Record one event of round ``rnd``, whose rows are ``current``;
-        the robot a ``terminate`` names."""
+    def _event(self, rnd: int, ev: Event) -> int | None:
+        """Record one event of round ``rnd``, whose rows are the last
+        read; the robot a ``terminate`` names."""
         name, robot = ev[0], ev[1]
         if name == "settle":
             node = ev[2]
-            row = current.get(robot)
-            if (robot in self.settles or row is None or row[1] != node
-                    or self.words[row[2]][0][0] != "explore"):
+            # the robot explores that node if it has a group code there
+            code = self._explorer.get(robot, -1)
+            if robot in self.settles or code < 0 or code >> self.group.bits != node:
                 raise TraceFormatError(
                     f"round {rnd}: event {json.dumps(ev)} settles robot {robot} again, or not "
                     f"at the node it explores"
@@ -358,7 +410,9 @@ class TraceDigest:
         None if it has none there."""
         past = self.history.get(robot)
         j = bisect_right(past[0], rnd) if past and rnd <= self.summary.rounds else 0
-        return past[1][j - 1] if j else None
+        if not j or (index := past[2][j - 1]) < 0:
+            return None
+        return robot, past[1][j - 1], self._distinct[index]
 
 
 def _stages(digest: TraceDigest, vacuous: str, t2: bool = True) -> Verdict | None:
@@ -666,47 +720,33 @@ def check_termination(digest: TraceDigest) -> Verdict:
 
 
 def check_exit_counts(digest: TraceDigest) -> Verdict:
-    """Parent/child ports are exited exactly once; later re-entries are forward."""
+    """Parent/child ports are exited exactly once; later re-entries are forward.
+
+    Reads the group's packed codes for rounds 1..t1 in place: no round's
+    code is decoded into a tuple, and only the exits of the one port
+    each node is checked for are kept."""
     if bad := _stages(digest, "k=1: no walk, vacuous pass", t2=False):
         return bad
     s = digest.summary
     t1, graph = s.t1, digest.graph
+    codes, bits = digest.group.codes, digest.group.bits
+    low = (1 << bits) - 1
+    try:
+        missing = codes.index(-1, 1, t1 + 1)
+    except ValueError:
+        pass
+    else:
+        return _verdict([f"round {missing}: exploring group missing or split"])
     findings: list[str] = []
-
-    walk = [digest.group[i] for i in range(1, t1 + 1)]
-    if None in walk:
-        return _verdict([f"round {walk.index(None) + 1}: exploring group missing or split"])
-
-    # the rounds each (node, exit port) is taken in, the exit port at each
-    # hop recovered from the next round's entry port; and the rounds the
-    # group stands at each node
-    exits: dict[tuple[int, int], list[int]] = {}
-    for i in range(len(walk) - 1):
-        node = walk[i][0]
-        nxt_node, _, nxt_entered = walk[i + 1]
-        if nxt_entered is None:
-            findings.append(f"round {i + 2}: group moved without an entry port")
-            continue
-        back, port_here = graph.neighbor_via(nxt_node, nxt_entered)
-        if back != node:
-            findings.append(
-                f"round {i + 1}->{i + 2}: recorded entry port does not lead back "
-                f"({nxt_node} via {nxt_entered} reaches {back}, group was at {node})"
-            )
-            continue
-        exits.setdefault((node, port_here), []).append(i + 1)
-    stands: dict[int, list[int]] = {}
-    for i, (node, _, _) in enumerate(walk):
-        stands.setdefault(node, []).append(i + 1)
 
     settles = digest.settles
     settle_round_of = {node: rnd for _, (rnd, node) in settles.items()}
     parent_port: dict[int, int | None] = {s.v_r: None}
     for node, rnd in settle_round_of.items():
-        if not 1 <= rnd <= len(walk):
+        if not 1 <= rnd <= t1:
             findings.append(f"node {node}: settle round {rnd} outside the stage-1 walk")
             continue
-        parent_port[node] = walk[rnd - 1][2]
+        parent_port[node] = digest.group[rnd][2]
     child_port = {settles[rid][1]: port for rid, port in digest.child_ports.items()}
 
     # rootpath from the installed child chain
@@ -719,32 +759,60 @@ def check_exit_counts(digest: TraceDigest) -> Verdict:
         rootpath.append(graph.neighbor_via(here, child_port[here])[0])
     on_path = set(rootpath)
 
+    # per node checked, in order, the label and port it must exit by once
+    wanted: dict[int, tuple[str, int | None]] = {}
     for node in sorted(set(settle_round_of) | {s.v_r}):
         if node in on_path and node != s.v_l:
-            want = child_port.get(node)
-            label = "child"
+            wanted[node] = "child", child_port.get(node)
         elif node not in on_path:
-            want = parent_port.get(node)
-            label = "parent"
-        else:
+            wanted[node] = "parent", parent_port.get(node)
+
+    # the rounds each checked node is left by its port, the exit port at
+    # each hop recovered from the next round's entry port
+    hops: list[str] = []
+    hits: dict[int, list[int]] = {}
+    for i in range(1, t1):
+        node, nxt = codes[i] >> bits, codes[i + 1]
+        nxt_node, nxt_entered = nxt >> bits, ((nxt & low) >> 1) - 1
+        if nxt_entered < 0:
+            hops.append(f"round {i + 1}: group moved without an entry port")
             continue
+        back, port_here = graph.neighbor_via(nxt_node, nxt_entered)
+        if back != node:
+            hops.append(
+                f"round {i}->{i + 1}: recorded entry port does not lead back "
+                f"({nxt_node} via {nxt_entered} reaches {back}, group was at {node})"
+            )
+            continue
+        if node in wanted and wanted[node][1] == port_here:
+            hits.setdefault(node, []).append(i)
+
+    # the rounds after its one exit that the group stands at a node
+    # moving backward
+    once = {node: rounds[0] for node, rounds in hits.items() if len(rounds) == 1}
+    backward: dict[int, list[int]] = {}
+    for j in range(1, t1 + 1):
+        node = codes[j] >> bits
+        if node in once and j > once[node] and codes[j] & 1:
+            backward.setdefault(node, []).append(j)
+
+    for node, (label, want) in wanted.items():
         if want is None:
             findings.append(f"node {node}: no {label} port known")
             continue
-        hits = exits.get((node, want), [])
-        if len(hits) != 1:
+        rounds = hits.get(node, [])
+        if len(rounds) != 1:
             findings.append(
-                f"node {node}: {label} port {want} exited {len(hits)} times "
-                f"(rounds {hits}), expected once"
+                f"node {node}: {label} port {want} exited {len(rounds)} times "
+                f"(rounds {rounds}), expected once"
             )
             continue
-        for j in stands[node]:
-            if j > hits[0] and walk[j - 1][1] != "fwd":
-                findings.append(
-                    f"node {node}: re-entry at round {j} after the {label}-port exit "
-                    f"is not forward"
-                )
-    return _verdict(findings)
+        for j in backward.get(node, ()):
+            findings.append(
+                f"node {node}: re-entry at round {j} after the {label}-port exit "
+                f"is not forward"
+            )
+    return _verdict(hops + findings)
 
 
 def check_memory(digest: TraceDigest) -> Verdict:

@@ -24,7 +24,15 @@ from dispersim.checkers import (
     oracle_dfs,
     run_all,
 )
-from dispersim.engine import SimulationConfig, TraceFormatError, parse_trace, run
+from dispersim.engine import (
+    Outcome,
+    RunSummary,
+    SimulationConfig,
+    TraceDelta,
+    TraceFormatError,
+    parse_trace,
+    run,
+)
 from dispersim.graph import (
     corpus_instances,
     gen_complete,
@@ -461,7 +469,12 @@ def _group_by_scan(rows):
     [(g, k, root, i, None) for i, _, _, k, root, g in corpus_instances(0, 6)]
     + [(gen_worstcase(16), 16, 0, 2, None),
        # overruns its first election
-       (gen_path(2), 2, 0, 0, 4)],
+       (gen_path(2), 2, 0, 0, 4),
+       # max degree 1, 4 and 8: an entry port + 1 of Δ fills the low
+       # bits of the packed group code
+       (gen_path(2), 2, 0, 3, None),
+       (gen_complete(5), 5, 0, 4, None),
+       (gen_complete(9), 9, 0, 5, None)],
 )
 def test_digest_matches_a_scan_of_the_engine_records(graph, k, root, seed, subrounds):
     """The digest's per-round group key, each robot's stored row in each
@@ -471,8 +484,8 @@ def test_digest_matches_a_scan_of_the_engine_records(graph, k, root, seed, subro
                                max_subrounds_per_round=subrounds))
     runs = rounds(res.deltas)
     digest = TraceDigest(parse_trace(res.to_jsonl()), graph)
-    assert digest.group == {rnd: _group_by_scan(rows)
-                            for rnd, (rows, _) in enumerate(runs, start=1)}
+    for rnd, (rows, _) in enumerate(runs, start=1):
+        assert digest.group[rnd] == _group_by_scan(rows), rnd
     for rnd, (rows, _) in enumerate(runs, start=1):
         stored = {r[0]: r for r in rows}
         assert [digest.raw_at(i, rnd) for i in range(k)] == [stored.get(i) for i in range(k)]
@@ -487,3 +500,37 @@ def test_digest_matches_a_scan_of_the_engine_records(graph, k, root, seed, subro
         assert first == want, name
     if subrounds is None:
         assert res.summary.t1 is not None and digest.group[res.summary.t1] is not None
+
+
+def test_a_word_first_seen_in_a_row_after_its_robot_ended_decodes_once(monkeypatch):
+    """Fed records the reader would reject: robot 1 terminates in round
+    1, and round 2 gives it a row of a word no row had, then round 3 the
+    same word in robot 0's row.  Each distinct word is decoded once, the
+    one row of the robot's gone round and its new row are both kept, and
+    ``raw_at`` reads each back."""
+    decoded = Counter()
+    decode = TraceDigest._decode
+
+    def counted(self, word, rnd, i):
+        decoded[word] += 1
+        return decode(self, word, rnd, i)
+
+    monkeypatch.setattr(TraceDigest, "_decode", counted)
+    g = gen_path(2)
+    first, later = robot.encode(role=0), robot.encode(role=0, direction=1, entered=0)
+    digest = TraceDigest(None, g)
+    digest.header(1, robot.FIELDS)
+    digest.record(TraceDelta(1, [(0, 0, first), (1, 0, first)], [("terminate", 1)]))
+    digest.record(TraceDelta(2, [(1, 1, later)], []))
+    digest.record(TraceDelta(3, [(0, 1, later)], []))
+    digest.end(RunSummary(outcome=Outcome.MAX_ROUNDS_EXCEEDED, t1=None, t2=None, rounds=3, v_r=0,
+                          v_l=None, repair_fired=False, k=2, positions={}))
+    assert decoded == {first: 1, later: 1}
+    assert digest.words[later][1] == (2, 1)
+    assert list(digest.history[1][0]) == [1, 2, 2]
+    assert [digest.raw_at(1, rnd) for rnd in (1, 2, 3)] == [(1, 0, first), (1, 1, later),
+                                                            (1, 1, later)]
+    assert [digest.raw_at(0, rnd) for rnd in (1, 2, 3)] == [(0, 0, first), (0, 0, first),
+                                                            (0, 1, later)]
+    assert [digest.group[rnd] for rnd in (1, 2, 3)] == [
+        (0, "fwd", None), None, (1, "bwd", 0)]

@@ -9,10 +9,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dispersim import cli, engine, robot
+from dispersim.checkers import TraceDigest
 from dispersim.cli import main
-from dispersim.engine import parse_trace, replay, run
+from dispersim.engine import SimulationConfig, parse_trace, replay, run
+from dispersim.graph import gen_complete
 from test_engine import HEADER, SETTLED, wide_parent
-from trace_ref import with_fields
+from trace_ref import role, rounds, v4_jsonl, with_fields
 
 
 RAW = "raw:"
@@ -481,6 +483,36 @@ class TestVerify:
         assert code == 3
         assert err.startswith(f"error: {bad}: line 5: not JSON: Exceeds the limit")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("port", [3, 4])
+    def test_an_explorer_rows_entry_port_is_checked_against_its_node(
+            self, capsys, tmp_path, port):
+        """On the complete graph of 5 nodes (every degree 4), the exploring
+        group's rows of one round set to entry port 3, its node's last, are
+        read and packed into that round's group; port 4, one past, exits 3
+        naming the first such row."""
+        g = gen_complete(5)
+        res = run(SimulationConfig(graph=g, k=5, seed=4))
+        runs, summary = rounds(res.deltas), res.summary
+        rnd = next(r for r, (rows, _) in enumerate(runs, start=1)
+                   if r > 1 and any(role(row) == "explore" for row in rows))
+        rows = runs[rnd - 1][0]
+        explorers = [j for j, row in enumerate(rows) if role(row) == "explore"]
+        for j in explorers:
+            rows[j] = with_fields(rows[j], entered=port)
+        text = v4_jsonl(runs, summary, g.max_degree())
+        bad = tmp_path / "port.jsonl"
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, "verify", "--trace", str(bad), "--graph", "gen:complete:5")
+        i, node, _ = rows[explorers[0]]
+        if port < g.degree(node):
+            assert code in (0, 1) and err == ""
+            digest = TraceDigest(parse_trace(text), g)
+            assert digest.group[rnd][::2] == (node, port)
+        else:
+            assert code == 3
+            assert err == (f"error: {bad}: round {rnd}: row of robot {i} entered node {node} "
+                           f"by port {port}, outside its ports 0..3\n")
 
     def test_a_hop_counter_in_a_port_slot_fails_memory(self, capsys, tmp_path, monkeypatch):
         """A mutant explorer that counts its hops in its parent slot, with

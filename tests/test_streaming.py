@@ -14,7 +14,7 @@ import pytest
 
 import corruptions
 from dispersim import cli
-from dispersim.checkers import run_all
+from dispersim.checkers import TraceDigest, check_exit_counts, run_all
 from dispersim.engine import Outcome, SimulationConfig, TraceLevel, parse_trace, run
 from dispersim.graph import corpus_instances, gen_worstcase, write_graph
 from test_golden_traces import FAULT_RUNS, _graph
@@ -161,3 +161,36 @@ def test_a_streamed_verify_holds_no_list_of_deltas(capsys, tmp_path):
     assert all(v.passed for v in verdicts[0].values())
     assert [json.loads(line)["checker"] for line in capsys.readouterr().out.splitlines()] \
         == list(verdicts[0])
+
+
+@pytest.fixture(scope="module")
+def w64(tmp_path_factory):
+    """The worst case k = 64 trace, streamed to a file: 14,414 rounds,
+    t1 = 7,205."""
+    trace = tmp_path_factory.mktemp("w64") / "w64.jsonl"
+    with open(trace, "w", encoding="ascii") as fh:
+        run(SimulationConfig(graph=gen_worstcase(64), k=64, seed=64), sink=fh.write)
+    return trace
+
+
+def test_a_streamed_verify_keeps_a_packed_digest(capsys, w64):
+    """The digest keeps a few machine words per changed row and per
+    round, no Python object for either: a streamed ``verify`` of the
+    worst case k = 64 peaks near 1.2 MB, where a digest of row tuples
+    and a dict entry per round peaked near 5 MB."""
+    peak = _peak(lambda: cli.main(["verify", "--trace", str(w64),
+                                   "--graph", "gen:worstcase:64"]))
+    assert all(json.loads(line)["pass"] for line in capsys.readouterr().out.splitlines())
+    assert peak < 1.5e6, peak
+
+
+def test_check_exit_counts_walks_the_packed_codes(w64):
+    """``check_exit_counts`` reads the group codes in place: at k = 64
+    (t1 = 7,205) it allocates under 64 KiB, where decoding every stage-1
+    round into a tuple and keeping per-node round lists took 1.2 MB."""
+    digest = TraceDigest(None, gen_worstcase(64))
+    with open(w64, "rb") as fh:
+        parse_trace(fh, sink=digest)
+    verdicts = []
+    assert _peak(lambda: verdicts.append(check_exit_counts(digest))) < 1 << 16
+    assert verdicts[0].passed
