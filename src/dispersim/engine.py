@@ -22,14 +22,16 @@ Cost model: a round's work follows the robots that still move, not k.
 The world keeps an ascending list of live movers (alive and not
 settled); settling and dying remove a robot from it for good, so a round
 starts from that list, and the only other robots a subround touches are
-the settlers that hear another robot.  Each node has one postbox per
-subround, a ``NodeInbox`` that broadcasts are tallied into as they are
-sent, its per-type counts packed in one int; the next subround reads it,
-every robot there seeing those totals minus its own contribution as the
-presence bits of its view (``robot.View``).
+the settlers that hear another robot.  A step sends the triple it would
+hear (``robot.Broadcast``): its count in each inbox lane, packed in one
+int, and the reply and the child port it carries, or None.  Each node
+has one postbox per subround, a ``NodeInbox`` that adds each broadcast's
+lanes to its totals and lists its reply and port as it is sent; the next
+subround reads it, every robot there seeing those totals minus its own
+lanes as the presence bits of its view (``robot.View``).
 Robots are anonymous and every step function is pure, so movers at one
-node with one word that broadcast alike last subround hear the same and
-take the same step, up to their coins: a group round steps each such
+node with one word that sent the same lanes last subround hear the same
+and take the same step, up to their coins: a group round steps each such
 class once, with one coin draw per member and a step per coin drawn,
 tallies its broadcast in one post and moves it once per port.  An
 election among g co-located robots thus costs O(classes) step calls per
@@ -40,15 +42,15 @@ robots that do not act alike.
 Most rounds have one live mover: the group walk shrinks to one explorer,
 and stages 2 and 3 are one walker.  In such a lone round only the mover
 and its node's settler can hear anyone, each only the other, so a
-subround carries just their two latest broadcasts and builds no postbox;
-both round kinds step robots, store words and move them through the
-same ``World`` helpers.  The group round is the reference: the tests
-force every lone round through it, and run it with every class cut to
-one robot, comparing the traces byte for byte.  Each round kind leaves
-the number of subrounds it took in ``World.subrounds``; nothing here
-reads it, only the tests do, to measure the engine's own elections (a
-round's subrounds less the query and the reply) and to check it against
-the subround budget.
+subround carries just their two latest broadcasts, each heard through
+``one_sender_view``, and builds no postbox; both round kinds step
+robots, store words and move them through the same ``World`` helpers.
+The group round is the reference: the tests force every lone round
+through it, and run it with every class cut to one robot, comparing the
+traces byte for byte.  Each round kind leaves the number of subrounds
+it took in ``World.subrounds``; nothing here reads it, only the tests
+do, to measure the engine's own elections (a round's subrounds less the
+query and the reply) and to check it against the subround budget.
 
 A robot's state is one int word (see ``robot.FIELDS``), so a transition
 builds no object: a step returns a new word (and a shared ``Move`` per
@@ -83,7 +85,7 @@ import io
 import json
 import random
 import re
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -95,25 +97,25 @@ from .robot import (
     ENTERED_SHIFT,
     EXPLORE,
     FIELDS,
+    HEARD_TERMINATE,
     HEARD_VISITED,
     INITIAL_STATE,
     LANE_MAX,
     NOT_DONE,
     PORT_SLOT,
+    QUERY,
     RETURN,
     ROLE_MASK,
     ROLES,
     SETTLED,
     SILENCE,
     VISITED_BIT,
+    Broadcast,
     Decision,
     LE_SHIFT,
-    Message,
     Move,
     NodeInbox,
     ProtocolViolation,
-    Query,
-    Terminate,
     TerminateSelf,
     View,
     draws_coin,
@@ -128,7 +130,6 @@ from .robot import (
     step_explore,
     step_return,
     step_settled,
-    weight,
 )
 
 
@@ -158,11 +159,6 @@ TRACE_FORMAT = 4
 
 class _Fault(Exception):
     """Internal signal; surfaces as Outcome.FAULT in the result."""
-
-
-# what every mover broadcasts in subround 1
-_QUERIES = (Query(),)
-_QUERIES_WEIGHT = weight(_QUERIES)
 
 
 # an event: its name and robot id, then for a settle the node it settled
@@ -415,7 +411,7 @@ class World:
         in a ``NodeInbox`` per subround, stepped class by class.
 
         A class is the undecided movers at one node with one word that
-        broadcast alike last subround (see ``_class_key``): they hear the
+        sent the same lanes last subround (see ``_class_key``): they hear the
         same, so they take one step, split only by their coins.  A
         subround whose steps store nothing but words is committed class
         by class; one where a settler hears anyone, or a step changes a
@@ -450,7 +446,7 @@ class World:
             box = post.get(node)
             if box is None:
                 box = post[node] = NodeInbox()
-            box.post_class(_QUERIES_WEIGHT, len(members))
+            box.post_class(QUERY[0], len(members))
 
         subround = 1
         while post or classes:
@@ -477,11 +473,11 @@ class World:
                 in_bulk = in_bulk and not heard
                 classes = {}
             if in_bulk:
-                for node, word, members, (word2, msgs, dec, _, own) in steps:
+                for node, word, members, (word2, _, dec, _, own) in steps:
                     used[word2 & ROLE_MASK] |= word2
                     for i in members:
                         states[i] = word2
-                    if msgs:
+                    if own:
                         box = post.get(node)
                         if box is None:
                             box = post[node] = NodeInbox()
@@ -496,24 +492,24 @@ class World:
                                    *((i, step) for step in steps for i in step[2])]):
                 node = positions[i]
                 if step is None:
-                    msgs, terminates = self._settler_step(i, heard[i], events)
+                    sent, terminates = self._settler_step(i, heard[i], events)
                     if terminates:
                         settled_kill.add(i)
                 else:
                     _, word, _, result = step
                     if type(result) is not tuple:
                         raise result
-                    word2, msgs, dec, repair, own = result
+                    word2, sent, dec, repair, own = result
                     self._commit(i, word, word2, dec, repair, events)
                     if dec is NOT_DONE:
                         _join_class(classes, node, word2, own, [i])
                     else:
                         decisions[i] = dec
-                if msgs:
+                if sent[0]:
                     box = post.get(node)
                     if box is None:
                         box = post[node] = NodeInbox()
-                    box.post(i, msgs)
+                    box.post(i, sent)
         self.subrounds = subround
 
         # round end: simultaneous movement, one move per class of robots
@@ -542,7 +538,8 @@ class World:
         """Step each class (node, word, own, members) on what it heard in
         ``inboxes``, storing nothing: a ``(node, word, members, result)``
         per step, ``result`` being ``_step``'s (word, broadcast, decision,
-        repair) and the broadcast's ``weight``, or the ``ProtocolViolation``
+        repair) and the lanes the class sent, None when its broadcast
+        carries a reply or a child port, or the ``ProtocolViolation``
         the view or the step raised.  A class whose step draws a coin
         takes a step per coin its members drew.  Also returns whether
         every result may be committed class by class: none faults,
@@ -571,16 +568,16 @@ class World:
                 if not part:
                     continue
                 try:
-                    word2, msgs, dec, repair = self._step(node, word, view, coin)
+                    word2, sent, dec, repair = self._step(node, word, view, coin)
                 except ProtocolViolation as exc:
                     steps.append((node, word, part, exc))
                     in_bulk = False
                     continue
-                own2 = weight(msgs) if msgs else 0
+                own2 = sent[0] if sent[1] is None and sent[2] is None else None
                 if (repair or own2 is None or word2 & overflow
                         or dec is not NOT_DONE and (word ^ word2) & ROLE_MASK):
                     in_bulk = False
-                steps.append((node, word, part, (word2, msgs, dec, repair, own2)))
+                steps.append((node, word, part, (word2, sent, dec, repair, own2)))
         return steps, in_bulk
 
     def _lone_round(self, i: int, events: list[Event]) -> list[int]:
@@ -594,26 +591,26 @@ class World:
         if not undecided:
             _, _, dec = step_done(word)
         # what the mover and its node's settler broadcast in the subround before
-        sent: Sequence[Message] = _QUERIES if undecided else ()
-        replied: Sequence[Message] = ()
+        sent: Broadcast = QUERY if undecided else SILENCE
+        replied: Broadcast = SILENCE
         woken: list[int] = []
         doomed: int | None = None  # a settler that terminates at round end
         subround = 1
-        while sent or replied or undecided:
+        while sent[0] or replied[0] or undecided:
             subround += 1
             if subround > self.max_subrounds:
                 raise self._overrun()
             # the settler acts only when it hears another robot: the mover
             settler = self.node_settler.get(node)
             heard = SILENCE
-            if sent and settler is not None and settler != i:
+            if sent[0] and settler is not None and settler != i:
                 heard = one_sender_view(sent)
             if not heard[0]:
                 settler = None
             else:
                 woken.append(settler)
             acts = undecided and subround > 2
-            heard_by_mover, sent, replied = replied, (), ()
+            heard_by_mover, sent, replied = replied, SILENCE, SILENCE
             # the two step in id order, as in a group round
             if settler is not None and settler < i:
                 replied, terminates = self._settler_step(settler, heard, events)
@@ -621,7 +618,7 @@ class World:
                 settler = None
             if acts:
                 word = self.states[i]
-                view = one_sender_view(heard_by_mover) if heard_by_mover else SILENCE
+                view = one_sender_view(heard_by_mover) if heard_by_mover[0] else SILENCE
                 coin = le_coin(word >> LE_SHIFT, self.rngs[i]) if draws_coin(word, view) else 0
                 word2, sent, dec, repair = self._step(node, word, view, coin)
                 self._commit(i, word, word2, dec, repair, events)
@@ -640,7 +637,7 @@ class World:
         return [i, *woken]
 
     def _settler_step(self, i: int, view: View,
-                      events: list[Event]) -> tuple[list[Message], bool]:
+                      events: list[Event]) -> tuple[Broadcast, bool]:
         """Step settler ``i`` on what it heard and store its word; returns
         its broadcast and whether it terminates at round end."""
         st = self.states[i]
@@ -652,15 +649,15 @@ class World:
             events.append(("set_child", i, port))
         if flags & HEARD_VISITED and not st & VISITED_BIT:
             events.append(("set_visited", i))
-        st2, msgs, dec = step_settled(st, view)
+        st2, sent, dec = step_settled(st, view)
         if st2 & self.overflow:
             raise self._too_wide(i, *overflowing_field(st2, self.max_degree))
         self.used[st2 & ROLE_MASK] |= st2
         self.states[i] = st2
-        return msgs, type(dec) is TerminateSelf
+        return sent, type(dec) is TerminateSelf
 
     def _step(self, node: int, word: int, view: View,
-              coin: int) -> tuple[int, list[Message], Decision, bool]:
+              coin: int) -> tuple[int, Broadcast, Decision, bool]:
         """The step, by its role, of a mover at ``node`` holding ``word``
         on what it heard and its coin, storing nothing: its new word,
         broadcast and decision (``NOT_DONE`` while its election is open),
@@ -668,16 +665,16 @@ class World:
         role = word & ROLE_MASK
         reply = view[1]
         if role == EXPLORE:
-            word2, msgs, dec = step_explore(word, view, coin, len(self.graph.ports[node]))
-            return word2, msgs, dec, False
+            word2, sent, dec = step_explore(word, view, coin, len(self.graph.ports[node]))
+            return word2, sent, dec, False
         if role == RETURN:
-            word2, msgs, dec = step_return(word, reply)
-            return word2, msgs, dec, False
-        word2, msgs, dec = step_acknowledge(word, reply, len(self.graph.ports[node]))
+            word2, sent, dec = step_return(word, reply)
+            return word2, sent, dec, False
+        word2, sent, dec = step_acknowledge(word, reply, len(self.graph.ports[node]))
         # the root settler would never be revisited: the repair path
         repair = (not word & ENTERED_MASK and reply is not None and reply.child == 0
-                  and any(isinstance(m, Terminate) for m in msgs))
-        return word2, msgs, dec, repair
+                  and bool(one_sender_view(sent)[0] & HEARD_TERMINATE))
+        return word2, sent, dec, repair
 
     def _commit(self, i: int, word: int, word2: int, dec: Decision, repair: bool,
                 events: list[Event]) -> None:
@@ -743,7 +740,7 @@ class World:
 
 def _class_key(i: int, node: int, word: int, tag: int | None) -> tuple:
     """The class of mover ``i`` at ``node`` with ``word`` and ``tag``: in
-    a subround, the weight of what it broadcast in the one before, or
+    a subround, the lanes of what it broadcast in the one before, or
     None when that held a reply or a child port, which is read by id, so
     that ``i`` is a class of its own; at round end, the port it moves
     through.  Movers of one class take the same step, or the same move;
@@ -754,7 +751,7 @@ def _class_key(i: int, node: int, word: int, tag: int | None) -> tuple:
 def _join_class(classes: dict[tuple, tuple[int, int, int | None, list[int]]],
                 node: int, word: int, own: int | None, members: list[int]) -> None:
     """Add ``members``, movers at ``node`` with ``word`` whose broadcast
-    weighed ``own``, to their class in ``classes``."""
+    sent the lanes ``own``, to their class in ``classes``."""
     key = _class_key(members[0], node, word, own)
     cls = classes.get(key)
     if cls is None:

@@ -346,6 +346,12 @@ def parse_graph(text: str) -> PortLabeledGraph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise GraphSyntaxError(idx + 1, f"header must be two integers, got {lines[idx]!r}") from None
+    # before anything is sized by n: a header can promise nodes for free
+    if n < 1:
+        raise GraphSyntaxError(idx + 1, f"a graph needs at least 1 node, the header gives {n}")
+    if m < n - 1:
+        raise GraphSyntaxError(idx + 1, f"a connected graph on {n} nodes needs at least "
+                                        f"{n - 1} edges, the header gives {m}")
     edges: list[Edge] = []
     line_no = idx + 1
     for raw in lines[idx + 1:]:

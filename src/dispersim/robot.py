@@ -15,8 +15,12 @@ other, so the O(log Δ) bound is enforced rather than assumed.
 
 Every step here is a pure function of (state word, view, coin, degree),
 a view being what a robot keeps of one subround: its presence bits, one
-reply and one child port (``View``).  The engine owns scheduling,
-delivery, movement and the coins.
+reply and one child port (``View``).  A step sends the triple it would
+hear: a broadcast is its count in each inbox lane, and the reply and
+the child port it carries or None (``Broadcast``); the fixed ones are
+shared constants (``QUERY``, ``START``, ``HEADS``, ``VISIT``,
+``TERMINATE``, ``VISIT_TERMINATE``, and ``SILENCE`` for sending
+nothing).  The engine owns scheduling, delivery, movement and the coins.
 Randomness enters only through the coin rule: a step reads a coin
 exactly when :func:`draws_coin` says so, and :func:`le_coin` draws it
 from the robot's own generator, so no step holds a generator.  An
@@ -27,12 +31,11 @@ Because a step is pure, robots at one node with one word that heard the
 same broadcasts take the same step but for their coins; the engine
 steps such a class once, and a ``NodeInbox`` tallies a class's broadcast
 in one post (:meth:`NodeInbox.post_class`) and gives its members their
-view by the weight of what they sent (:func:`weight`).
+view by the lanes they sent.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
@@ -142,43 +145,10 @@ class MultipleRepliesError(ProtocolViolation):
 
 
 @dataclass(frozen=True, slots=True)
-class Query:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
 class SettledReply:
     parent: int | None
     child: int | None
     visited: int
-
-
-@dataclass(frozen=True, slots=True)
-class SetChild:
-    port: int
-
-
-@dataclass(frozen=True, slots=True)
-class SetVisited:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Terminate:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class LeStart:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class LeHeads:
-    pass
-
-
-Message = Query | SettledReply | SetChild | SetVisited | Terminate | LeStart | LeHeads
 
 
 # --- decisions ----------------------------------------------------------
@@ -222,28 +192,34 @@ move = cache(Move)
 # subround: a few bits, one reply and one port.
 View = tuple[int, SettledReply | None, int | None]
 
-# A NodeInbox tallies what was broadcast at its node in one int, one lane
-# of LANE_BITS bits per slot: every message counts in the _ANY lane, and
-# the types a view reports as presence bits also in their own.
-# A robot posts once per subround, at most two messages (an acknowledging
-# walker's SetVisited and Terminate) and at most one of each type, so a
-# lane counts at most 2k; a lane's presence test is exact up to LANE_MAX,
-# and SimulationConfig.validate rejects a k above LANE_MAX // 2.
+# What a robot sends in one subround has the same shape: a Broadcast is
+# (lanes, reply, port), its count in each lane of a NodeInbox, the settled
+# reply it carries and the child port it carries, or None.  A lane is
+# LANE_BITS bits of one int: every part of a broadcast counts in the _ANY
+# lane, and a query, heads, a visited mark and a terminate also in their
+# own.  A robot sends once per subround, at most two parts (an
+# acknowledging walker's VISIT_TERMINATE), so a lane counts at most 2k; a
+# lane's presence test is exact up to LANE_MAX, and
+# SimulationConfig.validate rejects a k above LANE_MAX // 2.
+Broadcast = tuple[int, SettledReply | None, int | None]
 _ANY, _QUERY, _HEADS, _SET_VISITED, _TERMINATE = range(5)
 LANE_BITS = 16
 LANE_MAX = 1 << LANE_BITS - 1
 _UNIT = [1 << LANE_BITS * lane for lane in range(5)]
 # each lane's top bit, set in a view's flags when the lane is not 0; every
-# message counts in _ANY, so flags are 0 exactly when nothing was heard
+# part counts in _ANY, so flags are 0 exactly when nothing was heard
 HEARD_ANY, HEARD_QUERY, HEARD_HEADS, HEARD_VISITED, HEARD_TERMINATE = (
     LANE_MAX * unit for unit in _UNIT)
-SILENCE: View = (0, None, None)
-# each message type's weight: one in _ANY, and one in its own lane if it has one
-_WEIGHT = {
-    SettledReply: _UNIT[_ANY], SetChild: _UNIT[_ANY], LeStart: _UNIT[_ANY],
-    **{kind: _UNIT[_ANY] + _UNIT[lane] for kind, lane in (
-        (Query, _QUERY), (LeHeads, _HEADS), (SetVisited, _SET_VISITED), (Terminate, _TERMINATE))},
-}
+# hearing nothing, and sending nothing
+SILENCE = (0, None, None)
+# the lanes of a part with no lane of its own: a reply, a child port or
+# an election start
+ANY_LANE = _UNIT[_ANY]
+# the broadcasts that carry no reply and no port
+QUERY, HEADS, VISIT, TERMINATE = ((ANY_LANE + _UNIT[lane], None, None)
+                                  for lane in (_QUERY, _HEADS, _SET_VISITED, _TERMINATE))
+START = (ANY_LANE, None, None)
+VISIT_TERMINATE = (VISIT[0] + TERMINATE[0], None, None)
 # adding _LOW sets a lane's top bit exactly when the lane is not 0 (at
 # most LANE_MAX, so no carry leaves it); _HIGH keeps those top bits
 _HIGH = HEARD_ANY | HEARD_QUERY | HEARD_HEADS | HEARD_VISITED | HEARD_TERMINATE
@@ -251,18 +227,17 @@ _LOW = _HIGH - sum(_UNIT)
 
 
 class NodeInbox:
-    """Every (sender, message) broadcast at one node in one subround,
-    tallied once so that a receiver's view costs O(1) plus the node's
-    replies and child ports, not a scan of every message.
+    """Every (sender, broadcast) at one node in one subround, tallied
+    once so that a receiver's view costs O(1) plus the node's replies and
+    child ports, not a scan of every broadcast.
 
-    The digest keeps the lane totals (see ``LANE_BITS``) and each sender's
-    own, one int each, plus the replies and child ports with their
-    senders, listed only once one is posted.  A receiver's view holds the
-    totals minus its own contribution, reduced to each lane's top bit,
-    and the reply and last child port another sender posted.  It is
-    filled sender by sender through :meth:`post`, or a class of senders
-    at a time through :meth:`post_class`, and read only once every
-    broadcast is in.
+    The digest keeps the lane totals and each sender's own, one int each,
+    plus the replies and child ports with their senders, listed only once
+    one is posted.  A receiver's view holds the totals minus its own
+    lanes, reduced to each lane's top bit, and the reply and last child
+    port another sender posted.  It is filled sender by sender through
+    :meth:`post`, or a class of senders at a time through
+    :meth:`post_class`, and read only once every broadcast is in.
     """
 
     __slots__ = ("totals", "own", "replies", "set_children")
@@ -273,36 +248,33 @@ class NodeInbox:
         self.replies: list[tuple[int, SettledReply]] | None = None
         self.set_children: list[tuple[int, int]] | None = None
 
-    def post(self, sender: int, msgs: Iterable[Message]) -> None:
-        """Tally the broadcasts ``msgs`` of ``sender``, in order."""
-        weight = 0
-        for msg in msgs:
-            kind = type(msg)
-            weight += _WEIGHT[kind]
-            if kind is SettledReply:
-                if self.replies is None:
-                    self.replies = []
-                self.replies.append((sender, msg))
-            elif kind is SetChild:
-                if self.set_children is None:
-                    self.set_children = []
-                self.set_children.append((sender, msg.port))
-        self.totals += weight
+    def post(self, sender: int, sent: Broadcast) -> None:
+        """Tally ``sender``'s broadcast ``sent``."""
+        lanes, reply, port = sent
+        if reply is not None:
+            if self.replies is None:
+                self.replies = []
+            self.replies.append((sender, reply))
+        if port is not None:
+            if self.set_children is None:
+                self.set_children = []
+            self.set_children.append((sender, port))
+        self.totals += lanes
         own = self.own
-        own[sender] = own.get(sender, 0) + weight
+        own[sender] = own.get(sender, 0) + lanes
 
     def post_class(self, own: int, n: int) -> None:
-        """Tally the broadcasts of ``n`` senders that each sent the same,
-        of weight ``own`` (see :func:`weight`), so no reply or child port,
-        in O(1).  The senders are not recorded: each reads its view by
-        passing ``own`` to :meth:`view`."""
+        """Tally the broadcasts of ``n`` senders that each sent the same
+        lanes ``own`` and no reply or child port, in O(1).  The senders
+        are not recorded: each reads its view by passing ``own`` to
+        :meth:`view`."""
         self.totals += own * n
 
     def view(self, receiver: int, own: int | None = None) -> View:
         """What ``receiver`` hears, as a ``View``.  The receiver's own
         broadcasts are excluded: broadcasting and hearing silence is how
         both aloneness and leadership are detected.  ``own`` is the
-        weight of what the receiver sent here, if it sent no reply or
+        lanes of what the receiver sent here, if it sent no reply or
         child port; without it, what the receiver posted is looked up by
         its id."""
         if own is None:
@@ -325,44 +297,14 @@ class NodeInbox:
         return flags, reply, set_child
 
 
-def weight(msgs: Iterable[Message]) -> int | None:
-    """What the broadcast ``msgs`` adds to its node's lane totals, which
-    its sender's view excludes; ``None`` when it holds a reply or child
-    port, which a ``NodeInbox`` lists by sender, so that its sender must
-    be read by id."""
-    total = 0
-    for msg in msgs:
-        kind = type(msg)
-        if kind is SettledReply or kind is SetChild:
-            return None
-        total += _WEIGHT[kind]
-    return total
-
-
-def one_sender_view(msgs: Iterable[Message]) -> View:
-    """What a robot hears when exactly one other robot broadcast ``msgs``:
+def one_sender_view(sent: Broadcast) -> View:
+    """What a robot hears when exactly one other robot broadcast ``sent``:
     the view that a ``NodeInbox`` holding only that broadcast gives any
-    other receiver, and the same ``MultipleRepliesError`` on two
-    replies."""
-    weight = 0
-    reply: SettledReply | None = None
-    set_child: int | None = None
-    for msg in msgs:
-        kind = type(msg)
-        weight += _WEIGHT[kind]
-        if kind is SettledReply:
-            if reply is not None:
-                raise MultipleRepliesError("two settled replies at one node")
-            reply = msg
-        elif kind is SetChild:
-            set_child = msg.port
-    return weight + _LOW & _HIGH, reply, set_child
+    other receiver."""
+    return sent[0] + _LOW & _HIGH, sent[1], sent[2]
 
 
 # --- leader election ----------------------------------------------------
-
-_LE_START = LeStart()
-_LE_HEADS = LeHeads()
 
 
 def le_coin(le: int, rng) -> int:
@@ -385,7 +327,7 @@ def draws_coin(word: int, view: View) -> bool:
     return phase == SENT_START or phase == FLIPPING
 
 
-def le_subround(le: int, flags: int, coin: int) -> tuple[int, Message | None]:
+def le_subround(le: int, flags: int, coin: int) -> tuple[int, Broadcast]:
     """Advance one election subround of the 4-bit election field ``le``
     (phase, plus ``LE_HEADS`` when the last coin came up heads) on the
     presence bits ``flags`` of a view; returns the new field and a
@@ -402,20 +344,20 @@ def le_subround(le: int, flags: int, coin: int) -> tuple[int, Message | None]:
     """
     phase = le & LE_PHASE
     if phase == IDLE:
-        return le & LE_HEADS | SENT_START, _LE_START
+        return le & LE_HEADS | SENT_START, START
     if phase == SENT_START:
         if not flags:
-            return le & LE_HEADS | ALONE, None
+            return le & LE_HEADS | ALONE, SILENCE
     elif phase == FLIPPING:
         if le & LE_HEADS and not flags:
-            return LEADER | LE_HEADS, None
+            return LEADER | LE_HEADS, SILENCE
         if not le & LE_HEADS and flags & HEARD_HEADS:
-            return FOLLOWER, None
+            return FOLLOWER, SILENCE
     else:
         raise InvalidPhaseError(f"le_subround called on resolved phase {phase}")
     if coin:
-        return FLIPPING | LE_HEADS, _LE_HEADS
-    return FLIPPING, None
+        return FLIPPING | LE_HEADS, HEADS
+    return FLIPPING, SILENCE
 
 
 # --- role steps ---------------------------------------------------------
@@ -434,23 +376,21 @@ def _reply(word: int) -> SettledReply:
 
 def step_settled(
     state: int, view: View
-) -> tuple[int, list[Message], Decision]:
+) -> tuple[int, Broadcast, Decision]:
     """Settled robots answer queries and apply control messages; never move."""
     flags, _, set_child = view
-    msgs: list[Message] = []
-    if flags & HEARD_QUERY:
-        msgs.append(_reply(state & _REPLY_FIELDS))
+    sent = (ANY_LANE, _reply(state & _REPLY_FIELDS), None) if flags & HEARD_QUERY else SILENCE
     if set_child is not None:
         state = state & ~CHILD_MASK | set_child + 1 << CHILD_SHIFT
     if flags & HEARD_VISITED:
         state |= VISITED_BIT
     decision: Decision = TERMINATE_SELF if flags & HEARD_TERMINATE else STAY
-    return state, msgs, decision
+    return state, sent, decision
 
 
 def step_explore(
     state: int, view: View, coin: int, degree: int
-) -> tuple[int, list[Message], Decision]:
+) -> tuple[int, Broadcast, Decision]:
     """Exploring walk step: bounce off occupied nodes, advance on backtracks,
     otherwise run one subround of the local election on ``coin``, the bit
     ``le_coin`` drew when ``draws_coin`` holds: ``NOT_DONE`` while it is
@@ -462,51 +402,51 @@ def step_explore(
         if entered < 0:
             raise MissingEnteredError("explorer received a reply before its first move")
         if not state & DIR_BIT:
-            return state | DIR_BIT, [], move(entered)
+            return state | DIR_BIT, SILENCE, move(entered)
         q = (entered + 1) % degree
         if q == reply.parent:
-            return state, [], move(q)
-        return state & ~DIR_BIT, [], move(q)
-    le, msg = le_subround(state >> LE_SHIFT & 15, flags, coin)
+            return state, SILENCE, move(q)
+        return state & ~DIR_BIT, SILENCE, move(q)
+    le, sent = le_subround(state >> LE_SHIFT & 15, flags, coin)
     phase = le & LE_PHASE
     if phase == LEADER:
         # settle with the entry port as parent, the election cleared
         parent = (state & ENTERED_MASK) >> ENTERED_SHIFT << PARENT_SHIFT
-        return state & ~(ROLE_MASK | LE_MASK | PARENT_MASK) | SETTLED | parent, [], STAY
+        return state & ~(ROLE_MASK | LE_MASK | PARENT_MASK) | SETTLED | parent, SILENCE, STAY
     if phase == ALONE:
         if entered < 0:
             # solitary robot at its start node: nothing left to do
-            return state, [], TERMINATE_SELF
-        return state & ~(ROLE_MASK | LE_MASK) | RETURN, [], move(entered)
+            return state, SILENCE, TERMINATE_SELF
+        return state & ~(ROLE_MASK | LE_MASK) | RETURN, SILENCE, move(entered)
     if phase == FOLLOWER:
         state &= ~LE_MASK
         if entered < 0:
-            return state, [], move(0)
+            return state, SILENCE, move(0)
         q = (entered + 1) % degree
         if q == entered:
-            return state | DIR_BIT, [], move(q)
-        return state, [], move(q)
-    return state & ~LE_MASK | le << LE_SHIFT, [] if msg is None else [msg], NOT_DONE
+            return state | DIR_BIT, SILENCE, move(q)
+        return state, SILENCE, move(q)
+    return state & ~LE_MASK | le << LE_SHIFT, sent, NOT_DONE
 
 
 def step_return(
     state: int, reply: SettledReply | None
-) -> tuple[int, list[Message], Decision]:
+) -> tuple[int, Broadcast, Decision]:
     """Walk back along parent ports, installing the child pointer at each hop."""
     if reply is None:
         raise MissingReplyError("return-role robot found no settled robot")
     entered = state >> ENTERED_SHIFT & SLOT
     if not entered:
         raise MissingEnteredError("return-role robot has no entry port")
-    msgs: list[Message] = [SetChild(entered - 1)]
+    sent = (ANY_LANE, None, entered - 1)
     if reply.parent is not None:
-        return state, msgs, move(reply.parent)
-    return state & ~(ROLE_MASK | DIR_BIT | ENTERED_MASK) | ACKNOWLEDGE, msgs, STAY
+        return state, sent, move(reply.parent)
+    return state & ~(ROLE_MASK | DIR_BIT | ENTERED_MASK) | ACKNOWLEDGE, sent, STAY
 
 
 def step_acknowledge(
     state: int, reply: SettledReply | None, degree: int
-) -> tuple[int, list[Message], Decision]:
+) -> tuple[int, Broadcast, Decision]:
     """Replay of the exploring walk that marks nodes and fires terminations.
 
     A settler is told to terminate exactly when the walker leaves its node
@@ -518,39 +458,33 @@ def step_acknowledge(
     entered = (state >> ENTERED_SHIFT & SLOT) - 1  # -1: none
     if reply is not None:
         if reply.visited == 0:
-            msgs: list[Message] = [SetVisited()]
             if entered < 0:
-                if reply.child == 0:
-                    msgs.append(Terminate())
-                return state, msgs, move(0)
+                return state, VISIT_TERMINATE if reply.child == 0 else VISIT, move(0)
             q = (entered + 1) % degree
             if q == entered:
-                state |= DIR_BIT
-                msgs.append(Terminate())
-            elif q == reply.child:
-                msgs.append(Terminate())
-            return state, msgs, move(q)
+                return state | DIR_BIT, VISIT_TERMINATE, move(q)
+            return state, VISIT_TERMINATE if q == reply.child else VISIT, move(q)
         if entered < 0:
             raise MissingEnteredError("acknowledge revisit without an entry port")
         if not state & DIR_BIT:
-            return state | DIR_BIT, [], move(entered)
+            return state | DIR_BIT, SILENCE, move(entered)
         q = (entered + 1) % degree
         if q == reply.parent:
-            return state, [Terminate()], move(q)
+            return state, TERMINATE, move(q)
         if q == reply.child:
-            return state & ~DIR_BIT, [Terminate()], move(q)
-        return state & ~DIR_BIT, [], move(q)
+            return state & ~DIR_BIT, TERMINATE, move(q)
+        return state & ~DIR_BIT, SILENCE, move(q)
     # empty node: either the walk's final target or a node whose settler
     # already terminated; bounce forward arrivals, finish backward ones
     if entered < 0:
         raise MissingEnteredError("acknowledge at an empty node without an entry port")
     if not state & DIR_BIT:
-        return state | DIR_BIT, [], move(entered)
-    return state & ~ROLE_MASK | DONE, [], move(entered)
+        return state | DIR_BIT, SILENCE, move(entered)
+    return state & ~ROLE_MASK | DONE, SILENCE, move(entered)
 
 
-def step_done(state: int) -> tuple[int, list[Message], Decision]:
-    return state, [], TERMINATE_SELF
+def step_done(state: int) -> tuple[int, Broadcast, Decision]:
+    return state, SILENCE, TERMINATE_SELF
 
 
 # --- memory accounting --------------------------------------------------

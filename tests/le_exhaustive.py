@@ -14,13 +14,14 @@ from dispersim.robot import (
     ALONE,
     FLIPPING,
     FOLLOWER,
+    HEADS,
     IDLE,
     LEADER,
     LE_HEADS,
     LE_PHASE,
     SENT_START,
-    LeHeads,
-    LeStart,
+    SILENCE,
+    START,
     NodeInbox,
     le_subround,
 )
@@ -31,19 +32,18 @@ def _resolved(le) -> bool:
 
 
 def _broadcast(le):
-    """The broadcast implied by the election field just entered, or None."""
+    """The broadcast implied by the election field just entered."""
     if le & LE_PHASE == SENT_START:
-        return LeStart()
+        return START
     if le & LE_PHASE == FLIPPING and le & LE_HEADS:
-        return LeHeads()
-    return None
+        return HEADS
+    return SILENCE
 
 
 def _children(joint: tuple) -> set[tuple]:
     inbox = NodeInbox()
     for i, le in enumerate(joint):
-        if (msg := _broadcast(le)) is not None:
-            inbox.post(i, (msg,))
+        inbox.post(i, _broadcast(le))
     # every unresolved robot gets a coin; an idle one ignores it
     unresolved = [i for i, le in enumerate(joint) if not _resolved(le)]
     out = set()

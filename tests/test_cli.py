@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -153,15 +154,6 @@ class TestRun:
         )
         assert code == 3
 
-    def test_malformed_graph_file_is_named(self, capsys, tmp_path):
-        graph_file = tmp_path / "g.graph"
-        graph_file.write_text("garbage\n")
-        code, out, err = run_cli(
-            capsys, "run", "--graph", str(graph_file), "--k", "2", "--seed", "1"
-        )
-        assert (code, out) == (3, "")
-        assert err == f"error: {graph_file}: line 1: header must be 'n m', got 'garbage'\n"
-
     def test_missing_trace_directory_exits_before_simulating(self, capsys, tmp_path,
                                                               monkeypatch):
         ran = []
@@ -211,17 +203,70 @@ class TestRun:
         assert err == f"error: {trace_file}: trace has no summary line\n"
 
 
+@pytest.fixture
+def good_trace(capsys, tmp_path):
+    trace_file = tmp_path / "run.jsonl"
+    code, _, _ = run_cli(
+        capsys,
+        "run", "--graph", "gen:ring:6", "--k", "6", "--seed", "5",
+        "--trace", str(trace_file),
+    )
+    assert code == 0
+    return trace_file
+
+
+# hostile graph files, and the error each gives after the file's name
+HOSTILE_GRAPHS = {
+    "empty": ("", "line 1: empty input"),
+    "one_word_header": ("garbage\n", "line 1: header must be 'n m', got 'garbage'"),
+    # after a blank line, so the header is line 2
+    "non_integer_header": ("\n2 x\n0 0 1 0\n",
+                           "line 2: header must be two integers, got '2 x'"),
+    "no_nodes": ("0 0\n", "line 1: a graph needs at least 1 node, the header gives 0"),
+    "short_edge": ("2 1\n0 0 1\n", "line 2: edge line needs 4 integers, got '0 0 1'"),
+    "non_integer_edge": ("2 1\n0 0 1 a\n", "line 2: edge line needs 4 integers, got '0 0 1 a'"),
+    "node_out_of_range": ("2 1\n0 0 2 0\n", "line 2: node outside 0..1 in '0 0 2 0'"),
+    "negative_port": ("2 1\n0 -1 1 0\n", "line 2: negative port in '0 -1 1 0'"),
+    "port_used_twice": ("3 2\n0 0 1 0\n0 0 2 0\n", "port 0 at node 0 used twice"),
+    "edge_count": ("3 3\n\n0 0 1 0\n1 1 2 0\n", "line 4: header promised 3 edges, found 2"),
+    "sparse_header": ("200000 0\n", "line 1: a connected graph on 200000 nodes needs at "
+                                     "least 199999 edges, the header gives 0"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("body, message", HOSTILE_GRAPHS.values(), ids=HOSTILE_GRAPHS)
+def test_hostile_graph_file_is_named(capsys, tmp_path, good_trace, command, body, message):
+    """A graph file that is no graph exits 3 with one line on stderr that
+    names the file, and the line where there is one; ``verify`` reads two
+    files, so the name says it is the graph's."""
+    graph_file = tmp_path / "g.graph"
+    graph_file.write_text(body)
+    args = (["--k", "2", "--seed", "1"] if command == "run"
+            else ["--trace", str(good_trace)])
+    code, out, err = run_cli(capsys, command, "--graph", str(graph_file), *args)
+    assert (code, out) == (3, "")
+    assert err == f"error: {graph_file}: {message}\n"
+
+
+def test_a_sparse_header_is_rejected_before_its_nodes_are_allocated(capsys, tmp_path):
+    """A header promising 200,000 nodes and no edge is refused at line 1,
+    before anything is sized by its n: the whole command peaks under 1 MB."""
+    graph_file = tmp_path / "g.graph"
+    graph_file.write_text("200000 0\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "run", "--graph", str(graph_file), "--k", "2",
+                                 "--seed", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {graph_file}: line 1: ")
+    assert peak < 1 << 20
+
+
 class TestVerify:
-    @pytest.fixture
-    def good_trace(self, capsys, tmp_path):
-        trace_file = tmp_path / "run.jsonl"
-        code, _, _ = run_cli(
-            capsys,
-            "run", "--graph", "gen:ring:6", "--k", "6", "--seed", "5",
-            "--trace", str(trace_file),
-        )
-        assert code == 0
-        return trace_file
 
     def test_all_checkers_pass(self, capsys, good_trace):
         code, out, _ = run_cli(
@@ -280,15 +325,6 @@ class TestVerify:
         verdicts = {json.loads(l)["checker"]: json.loads(l) for l in out.strip().splitlines()}
         assert verdicts["rootpath"]["findings"] and verdicts["mirror"]["findings"]
         assert "Traceback" not in err
-
-    def test_malformed_graph_file_is_named(self, capsys, good_trace, tmp_path):
-        """``verify`` reads two files: a graph error says it is the graph's."""
-        graph_file = tmp_path / "g.graph"
-        graph_file.write_text("garbage\n")
-        code, out, err = run_cli(capsys, "verify", "--trace", str(good_trace),
-                                 "--graph", str(graph_file))
-        assert (code, out) == (3, "")
-        assert err == f"error: {graph_file}: line 1: header must be 'n m', got 'garbage'\n"
 
     # a trace cut short, and the error naming it after the file's name
     TRUNCATIONS = {

@@ -168,6 +168,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SimulationConfig(graph=gen_path(2), k=1, seed=0, max_rounds=0).validate()
 
+    def test_max_subrounds_at_least_four(self):
+        # a query, a reply, an election start and the subround that hears it
+        SimulationConfig(graph=gen_path(2), k=1, seed=0, max_subrounds_per_round=4).validate()
+        with pytest.raises(ConfigError, match="max_subrounds_per_round must be at least 4"):
+            SimulationConfig(graph=gen_path(2), k=1, seed=0,
+                             max_subrounds_per_round=3).validate()
+
     def test_run_validates(self):
         with pytest.raises(ConfigError):
             run(SimulationConfig(graph=gen_path(2), k=0, seed=0))
@@ -481,10 +488,10 @@ def wide_parent(step, stored=1 << 2):
     by default one bit too wide at max degree 2, port 3, stored as 4,
     needing 3 bits of L + 1 = 2."""
     def patched(state, view, coin, degree):
-        word, msgs, dec = step(state, view, coin, degree)
+        word, sent, dec = step(state, view, coin, degree)
         if word & robot.ROLE_MASK == robot.SETTLED:
             word = word & ~robot.PARENT_MASK | stored << robot.PARENT_SHIFT
-        return word, msgs, dec
+        return word, sent, dec
     return patched
 
 
@@ -507,8 +514,8 @@ def test_a_child_port_that_does_not_fit_is_a_fault_where_written(monkeypatch, po
     step = engine.step_return
 
     def patched(state, reply):
-        word, msgs, dec = step(state, reply)
-        return word, [robot.SetChild(port)], dec
+        word, sent, dec = step(state, reply)
+        return word, (robot.ANY_LANE, None, port), dec
 
     monkeypatch.setattr(engine, "step_return", patched)
     res = run(SimulationConfig(graph=gen_path(3), k=3, root=1, seed=3))
@@ -542,23 +549,24 @@ def _after_first_move(step, change):
     """``step_explore`` whose result passes through ``change`` once the
     explorer has an entry port, so the fault lands after round 1."""
     def patched(state, view, coin, degree):
-        word, msgs, dec = step(state, view, coin, degree)
+        word, sent, dec = step(state, view, coin, degree)
         if state & robot.ENTERED_MASK and dec is not robot.NOT_DONE:
-            return change(word, msgs, dec)
-        return word, msgs, dec
+            return change(word, sent, dec)
+        return word, sent, dec
     return patched
 
 
 def test_an_invalid_port_fault_names_its_round(monkeypatch):
     monkeypatch.setattr(engine, "step_explore", _after_first_move(
-        engine.step_explore, lambda word, msgs, dec: (word, msgs, robot.Move(9))))
+        engine.step_explore, lambda word, sent, dec: (word, sent, robot.Move(9))))
     res = run(SimulationConfig(graph=gen_path(3), k=3, root=0, seed=3))
     assert res.summary.outcome is Outcome.FAULT
     assert res.summary.fault == "round 2: robot 0 tried invalid port 9 at node 1"
 
 
 def test_a_second_settler_fault_names_its_round(monkeypatch):
-    settle = lambda word, msgs, dec: (word & ~robot.ROLE_MASK | robot.SETTLED, [], robot.STAY)
+    settle = lambda word, sent, dec: (word & ~robot.ROLE_MASK | robot.SETTLED, robot.SILENCE,
+                                      robot.STAY)
     monkeypatch.setattr(engine, "step_explore", _after_first_move(engine.step_explore, settle))
     res = run(SimulationConfig(graph=gen_path(3), k=3, root=0, seed=3))
     assert res.summary.outcome is Outcome.FAULT
@@ -615,8 +623,8 @@ def test_a_settler_row_follows_every_stored_word(monkeypatch):
     step = engine.step_settled
 
     def turned(state, view):
-        word, msgs, dec = step(state, view)
-        return word | robot.DIR_BIT, msgs, dec
+        word, sent, dec = step(state, view)
+        return word | robot.DIR_BIT, sent, dec
 
     monkeypatch.setattr(engine, "step_settled", turned)
     cfg = SimulationConfig(graph=gen_path(3), k=3, root=0, seed=3)
@@ -661,7 +669,7 @@ def test_a_settler_on_silence_keeps_its_word():
              for e in ports for p in ports for c in ports]
     assert len(words) == 8000
     for word in words:
-        assert robot.step_settled(word, robot.SILENCE) == (word, [], robot.STAY)
+        assert robot.step_settled(word, robot.SILENCE) == (word, robot.SILENCE, robot.STAY)
 
 
 def _lone_and_group_runs():
@@ -750,9 +758,11 @@ def _fault_mutants():
     ``WORST_MUTANT_RUNS``: a parent too wide, an invalid port, a second
     settler, a return step that hears no reply, and a moved explorer
     whose step raises in SENT_START, inside a class of many.  On a path:
-    a settler that replies twice, which a class's view raises on."""
-    explore, ret, settled = engine.step_explore, engine.step_return, engine.step_settled
-    settle = lambda word, msgs, dec: (word & ~robot.ROLE_MASK | robot.SETTLED, [], robot.STAY)
+    explorers that send a reply with their election start, so that each
+    hears the replies of the others, which its view raises on."""
+    explore, ret = engine.step_explore, engine.step_return
+    settle = lambda word, sent, dec: (word & ~robot.ROLE_MASK | robot.SETTLED, robot.SILENCE,
+                                      robot.STAY)
 
     def raises_in_election(state, view, coin, degree):
         phase = state >> robot.LE_SHIFT & robot.LE_PHASE
@@ -760,20 +770,22 @@ def _fault_mutants():
             raise robot.ProtocolViolation("explorer raised in SENT_START")
         return explore(state, view, coin, degree)
 
-    def replies_twice(state, view):
-        word, msgs, dec = settled(state, view)
-        return word, msgs * 2, dec
+    def replies_with_start(state, view, coin, degree):
+        word, sent, dec = explore(state, view, coin, degree)
+        if sent == robot.START:
+            sent = (sent[0] + robot.ANY_LANE, robot.SettledReply(None, None, 0), None)
+        return word, sent, dec
 
     # max degree 13: L + 1 = 5 bits, so 32 is one bit too wide
     yield "wide_parent", "step_explore", wide_parent(explore, 1 << 5), WORST_MUTANT_RUNS
     yield "invalid_port", "step_explore", _after_first_move(
-        explore, lambda word, msgs, dec: (word, msgs, robot.Move(9))), WORST_MUTANT_RUNS
+        explore, lambda word, sent, dec: (word, sent, robot.Move(9))), WORST_MUTANT_RUNS
     yield "second_settler", "step_explore", _after_first_move(explore, settle), WORST_MUTANT_RUNS
     yield "no_reply", "step_return", lambda state, reply: ret(state, None), WORST_MUTANT_RUNS
     yield "raises_in_election", "step_explore", raises_in_election, WORST_MUTANT_RUNS
-    # on the worst case only a lone walker meets a settler, and hears it
-    # through one_sender_view; on this path a group does, through a NodeInbox
-    yield "replies_twice", "step_settled", replies_twice, [
+    # the four explorers at the root start their election as one class, then
+    # each is read by id, as one that sent a reply
+    yield "replies_with_start", "step_explore", replies_with_start, [
         SimulationConfig(graph=gen_path(4), k=4, root=1, seed=0)]
 
 
@@ -782,10 +794,10 @@ def _forgets_coin(step):
     open, though it broadcasts heads: robots of one node and word that
     broadcast differently."""
     def patched(state, view, coin, degree):
-        word, msgs, dec = step(state, view, coin, degree)
+        word, sent, dec = step(state, view, coin, degree)
         if dec is robot.NOT_DONE:
             word &= ~robot.MASK["flip"]
-        return word, msgs, dec
+        return word, sent, dec
     return patched
 
 
@@ -794,10 +806,10 @@ def _keeps_coin(step):
     as it moves: robots of one node that leave by one port with
     different words."""
     def patched(state, view, coin, degree):
-        word, msgs, dec = step(state, view, coin, degree)
+        word, sent, dec = step(state, view, coin, degree)
         if type(dec) is robot.Move:
             word |= coin << robot.VISITED_SHIFT
-        return word, msgs, dec
+        return word, sent, dec
     return patched
 
 
@@ -844,7 +856,7 @@ def test_classes_match_single_robot_steps(monkeypatch):
     assert sum(len(cfgs) for *_, cfgs in faulting) == 11
     assert all(faults[name] is not None for name, *_ in mutants[:11])
     assert faults["raises_in_election/2"] == "round 2: explorer raised in SENT_START"
-    assert faults["replies_twice/0"] == "round 3: two settled replies at one node"
+    assert faults["replies_with_start/0"] == "round 1: two settled replies at one node"
     monkeypatch.setattr(engine, "_class_key", lambda i, node, word, tag: i)
     names = [name for name, _ in runs] + [name for name, *_ in mutants]
     for name, outcome, got in zip(names, want, all_runs(), strict=True):

@@ -23,14 +23,15 @@ from dispersim.robot import (
     ALONE,
     FLIPPING,
     FOLLOWER,
+    HEADS,
     IDLE,
     LEADER,
     LE_HEADS,
     LE_PHASE,
     SENT_START,
+    SILENCE,
+    START,
     InvalidPhaseError,
-    LeHeads,
-    LeStart,
     le_coin,
     le_subround,
 )
@@ -50,28 +51,28 @@ class TestSubround:
     def test_first_subround_broadcasts_start(self):
         le1, msg = le_subround(IDLE, QUIET, 0)
         assert phase(le1) == SENT_START
-        assert msg == LeStart()
+        assert msg == START
 
     def test_silence_after_start_means_alone(self):
         le1, _ = le_subround(IDLE, QUIET, 0)
         le2, msg = le_subround(le1, QUIET, 0)
         assert phase(le2) == ALONE
-        assert msg is None
+        assert msg == SILENCE
 
     def test_company_after_start_begins_flipping(self):
         le1, _ = le_subround(IDLE, QUIET, 0)
         le2, msg = le_subround(le1, HEARD_START, 1)
         assert phase(le2) == FLIPPING
-        assert msg == LeHeads()
+        assert msg == HEADS
         le2t, msg_t = le_subround(le1, HEARD_START, 0)
         assert phase(le2t) == FLIPPING
-        assert msg_t is None
+        assert msg_t == SILENCE
 
     def test_heads_into_silence_wins(self):
         flipping_heads = FLIPPING | LE_HEADS
         le2, msg = le_subround(flipping_heads, QUIET, 0)
         assert phase(le2) == LEADER
-        assert msg is None
+        assert msg == SILENCE
 
     def test_tails_hearing_heads_drops_out(self):
         flipping_tails = FLIPPING
@@ -82,13 +83,13 @@ class TestSubround:
         flipping_heads = FLIPPING | LE_HEADS
         le2, msg = le_subround(flipping_heads, HEARD_HEADS, 1)
         assert phase(le2) == FLIPPING
-        assert msg == LeHeads()
+        assert msg == HEADS
 
     def test_double_tails_keeps_both_flipping(self):
         flipping_tails = FLIPPING
         le2, msg = le_subround(flipping_tails, QUIET, 0)
         assert phase(le2) == FLIPPING
-        assert msg is None
+        assert msg == SILENCE
 
     def test_resolved_state_rejects_further_subrounds(self):
         for resolved in RESOLVED:
@@ -133,10 +134,10 @@ class TestTwoRobotTree:
         a, b = IDLE, IDLE
         a, msg_a = le_subround(a, QUIET, 0)
         b, msg_b = le_subround(b, QUIET, 0)
-        assert msg_a == msg_b == LeStart()
+        assert msg_a == msg_b == START
         a, msg_a = le_subround(a, HEARD_START, 1)  # heads
         b, msg_b = le_subround(b, HEARD_START, 0)  # tails
-        assert msg_a == LeHeads() and msg_b is None
+        assert msg_a == HEADS and msg_b == SILENCE
         a, _ = le_subround(a, QUIET, 0)
         b, _ = le_subround(b, HEARD_HEADS, 0)
         assert phase(a) == LEADER
@@ -148,7 +149,7 @@ class TestTwoRobotTree:
         b, _ = le_subround(b, QUIET, 0)
         a, msg_a = le_subround(a, HEARD_START, 0)
         b, msg_b = le_subround(b, HEARD_START, 0)
-        assert msg_a is None and msg_b is None
+        assert msg_a == SILENCE and msg_b == SILENCE
         assert phase(a) == FLIPPING and phase(b) == FLIPPING
 
 

@@ -1,10 +1,8 @@
-"""Per-robot transition functions: role steps, messages, memory accounting.
+"""Per-robot transition functions: role steps, broadcasts, memory accounting.
 
 Every example here is a single pure-function call; the engine tests
 cover how these compose into rounds.
 """
-
-import itertools
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,12 +10,14 @@ from hypothesis import strategies as st
 
 from dispersim.robot import (
     ACKNOWLEDGE,
+    ANY_LANE,
     BACKWARD,
     DONE,
     EXPLORE,
     FIELDS,
     FLIPPING,
     FORWARD,
+    HEADS,
     HEARD_ANY,
     HEARD_HEADS,
     HEARD_QUERY,
@@ -25,17 +25,21 @@ from dispersim.robot import (
     HEARD_VISITED,
     IDLE,
     INITIAL_STATE,
+    LANE_BITS,
     LANE_MAX,
     LE_HEADS,
     LE_PHASE,
     PORT_FIELDS,
+    QUERY,
     RETURN,
     SENT_START,
     SETTLED,
     SHIFT,
     SILENCE,
-    LeHeads,
-    LeStart,
+    START,
+    TERMINATE,
+    VISIT,
+    VISIT_TERMINATE,
     MissingEnteredError,
     MissingReplyError,
     Move,
@@ -43,12 +47,8 @@ from dispersim.robot import (
     NOT_DONE,
     NodeInbox,
     ProtocolViolation,
-    Query,
-    SetChild,
-    SetVisited,
     SettledReply,
     Stay,
-    Terminate,
     TerminateSelf,
     decode,
     draws_coin,
@@ -62,7 +62,6 @@ from dispersim.robot import (
     step_explore,
     step_return,
     step_settled,
-    weight,
 )
 
 
@@ -83,18 +82,28 @@ def field(word, name):
     return decode(word)[name]
 
 
-def inbox_of(messages):
-    """A ``NodeInbox`` with each (sender, message) of ``messages`` posted
+def inbox_of(posts):
+    """A ``NodeInbox`` with each (sender, broadcast) of ``posts`` posted
     in turn."""
     inbox = NodeInbox()
-    for sender, msg in messages:
-        inbox.post(sender, (msg,))
+    for sender, sent in posts:
+        inbox.post(sender, sent)
     return inbox
 
 
-def hear(*msgs):
-    """What robot 1 hears when robot 9 broadcast ``msgs`` at its node."""
-    return inbox_of([(9, m) for m in msgs]).view(1)
+def hear(sent):
+    """What robot 1 hears when robot 9 broadcast ``sent`` at its node."""
+    return inbox_of([(9, sent)]).view(1)
+
+
+def replying(reply):
+    """The broadcast of a settler that answers with ``reply``."""
+    return ANY_LANE, reply, None
+
+
+def set_child(port):
+    """The broadcast of a returning walker that installs child ``port``."""
+    return ANY_LANE, None, port
 
 
 def explore(st0, view, degree, coin=0):
@@ -102,7 +111,7 @@ def explore(st0, view, degree, coin=0):
 
 
 # election fields that resolve on the next subround, given what they hear
-HEADS = FLIPPING | LE_HEADS
+FLIPPED_HEADS = FLIPPING | LE_HEADS
 TAILS = FLIPPING
 STARTED = SENT_START
 
@@ -110,35 +119,35 @@ STARTED = SENT_START
 class TestStepSettled:
     def test_query_yields_reply(self):
         st0 = settled_state(parent=0)
-        inbox = hear(Query())
-        st1, msgs, dec = step_settled(st0, inbox)
-        assert msgs == [SettledReply(parent=0, child=None, visited=0)]
+        inbox = hear(QUERY)
+        st1, sent, dec = step_settled(st0, inbox)
+        assert sent == replying(SettledReply(parent=0, child=None, visited=0))
         assert isinstance(dec, Stay)
         assert st1 == st0
 
     def test_set_child(self):
         st0 = settled_state(parent=1)
-        inbox = hear(SetChild(2))
-        st1, msgs, dec = step_settled(st0, inbox)
+        inbox = hear(set_child(2))
+        st1, sent, dec = step_settled(st0, inbox)
         assert field(st1, "child") == 2
-        assert msgs == [] and isinstance(dec, Stay)
+        assert sent == SILENCE and isinstance(dec, Stay)
 
     def test_set_visited(self):
         st0 = settled_state(parent=1)
-        inbox = hear(SetVisited())
+        inbox = hear(VISIT)
         st1, _, _ = step_settled(st0, inbox)
         assert field(st1, "visited") == 1
 
     def test_terminate(self):
         st0 = settled_state(parent=1)
-        inbox = hear(Terminate())
+        inbox = hear(TERMINATE)
         _, _, dec = step_settled(st0, inbox)
         assert isinstance(dec, TerminateSelf)
 
     def test_never_moves(self):
         st0 = settled_state(parent=0, child=1, visited=1)
-        for msg in [Query(), SetChild(0), SetVisited(), Terminate()]:
-            _, _, dec = step_settled(st0, hear(msg))
+        for sent in [QUERY, set_child(0), VISIT, TERMINATE]:
+            _, _, dec = step_settled(st0, hear(sent))
             assert not isinstance(dec, Move)
 
 
@@ -146,44 +155,44 @@ class TestStepExplore:
     def test_forward_reply_bounces(self):
         st0 = explorer(FORWARD, entered=1)
         reply = SettledReply(parent=0, child=None, visited=0)
-        st1, msgs, dec = explore(st0, hear(reply), degree=3)
+        st1, sent, dec = explore(st0, hear(replying(reply)), degree=3)
         assert field(st1, "direction") == BACKWARD
         assert dec == Move(1)
-        assert msgs == []
+        assert sent == SILENCE
 
     def test_backward_reply_continues_backward_on_parent(self):
         st0 = explorer(BACKWARD, entered=1)
         reply = SettledReply(parent=2, child=None, visited=0)
-        st1, _, dec = explore(st0, hear(reply), degree=3)
+        st1, _, dec = explore(st0, hear(replying(reply)), degree=3)
         assert dec == Move(2)
         assert field(st1, "direction") == BACKWARD
 
     def test_backward_reply_advances_forward_otherwise(self):
         st0 = explorer(BACKWARD, entered=1)
         reply = SettledReply(parent=0, child=None, visited=0)
-        st1, _, dec = explore(st0, hear(reply), degree=3)
+        st1, _, dec = explore(st0, hear(replying(reply)), degree=3)
         assert dec == Move(2)
         assert field(st1, "direction") == FORWARD
 
     def test_fresh_node_opens_election(self):
         st0 = explorer(entered=2)
-        st1, msgs, dec = explore(st0, SILENCE, degree=3)
+        st1, sent, dec = explore(st0, SILENCE, degree=3)
         assert field(st1, "phase") == SENT_START
-        assert msgs == [LeStart()]
+        assert sent == START
         assert dec is NOT_DONE
 
     @pytest.mark.parametrize("coin", [0, 1])
     def test_open_election_is_not_done(self, coin):
         st0 = explorer(entered=2, le=STARTED)
-        st1, msgs, dec = explore(st0, hear(LeStart()), degree=3, coin=coin)
+        st1, sent, dec = explore(st0, hear(START), degree=3, coin=coin)
         assert field(st1, "phase") == FLIPPING
         assert field(st1, "flip") == coin
-        assert msgs == ([LeHeads()] if coin else [])
+        assert sent == (HEADS if coin else SILENCE)
         assert dec is NOT_DONE
         assert field(st1, "role") == EXPLORE
 
     def test_leader_settles(self):
-        st0 = explorer(entered=2, le=HEADS)
+        st0 = explorer(entered=2, le=FLIPPED_HEADS)
         st1, _, dec = explore(st0, SILENCE, degree=3)
         assert field(st1, "role") == SETTLED
         assert field(st1, "parent") == 2
@@ -203,13 +212,13 @@ class TestStepExplore:
 
     def test_follower_from_start_moves_port_zero(self):
         st0 = explorer(entered=None, le=TAILS)
-        st1, _, dec = explore(st0, hear(LeHeads()), degree=2)
+        st1, _, dec = explore(st0, hear(HEADS), degree=2)
         assert dec == Move(0)
         assert field(st1, "direction") == FORWARD
 
     def test_follower_degree_one_goes_backward(self):
         st0 = explorer(entered=0, le=TAILS)
-        st1, _, dec = explore(st0, hear(LeHeads()), degree=1)
+        st1, _, dec = explore(st0, hear(HEADS), degree=1)
         assert dec == Move(0)
         assert field(st1, "direction") == BACKWARD
 
@@ -217,7 +226,7 @@ class TestStepExplore:
         st0 = explorer(FORWARD, entered=None)
         reply = SettledReply(parent=0, child=None, visited=0)
         with pytest.raises(MissingEnteredError):
-            explore(st0, hear(reply), degree=2)
+            explore(st0, hear(replying(reply)), degree=2)
 
 
 def test_a_step_reads_its_coin_exactly_when_draws_coin_holds():
@@ -232,8 +241,9 @@ def test_a_step_reads_its_coin_exactly_when_draws_coin_holds():
         except ProtocolViolation as exc:
             return type(exc)
 
-    views = [SILENCE, hear(LeStart()), hear(LeHeads()), hear(Query()),
-             hear(SettledReply(0, None, 0)), hear(SettledReply(None, 1, 1), LeHeads())]
+    views = [SILENCE, hear(START), hear(HEADS), hear(QUERY),
+             hear(replying(SettledReply(0, None, 0))),
+             inbox_of([(9, replying(SettledReply(None, 1, 1))), (8, HEADS)]).view(1)]
     words = [encode(role=role, direction=d, phase=phase, flip=flip, entered=e)
              for role in range(5) for d in (0, 1) for phase in range(8) for flip in (0, 1)
              for e in (None, 0, 2)]
@@ -254,15 +264,15 @@ class TestStepReturn:
     def test_installs_child_and_climbs(self):
         st0 = walker(RETURN, entered=0)
         reply = SettledReply(parent=2, child=None, visited=0)
-        st1, msgs, dec = step_return(st0, reply)
-        assert msgs == [SetChild(0)]
+        st1, sent, dec = step_return(st0, reply)
+        assert sent == set_child(0)
         assert dec == Move(2)
 
     def test_root_flips_to_acknowledge(self):
         st0 = walker(RETURN, entered=1)
         reply = SettledReply(parent=None, child=None, visited=0)
-        st1, msgs, dec = step_return(st0, reply)
-        assert msgs == [SetChild(1)]
+        st1, sent, dec = step_return(st0, reply)
+        assert sent == set_child(1)
         assert field(st1, "role") == ACKNOWLEDGE
         assert field(st1, "direction") == FORWARD
         assert field(st1, "entered") is None
@@ -273,81 +283,96 @@ class TestStepReturn:
         with pytest.raises(MissingReplyError):
             step_return(st0, None)
 
+    def test_missing_entry_port_is_fault(self):
+        st0 = walker(RETURN, entered=None)
+        with pytest.raises(MissingEnteredError):
+            step_return(st0, SettledReply(parent=0, child=None, visited=0))
+
 
 class TestStepAcknowledge:
     def test_fresh_root_no_repair(self):
         st0 = walker(ACKNOWLEDGE, entered=None)
         reply = SettledReply(parent=None, child=1, visited=0)
-        st1, msgs, dec = step_acknowledge(st0, reply, degree=2)
-        assert SetVisited() in msgs
-        assert Terminate() not in msgs
+        st1, sent, dec = step_acknowledge(st0, reply, degree=2)
+        assert sent == VISIT
         assert dec == Move(0)
 
     def test_fresh_root_repair_fires_on_child_zero(self):
         st0 = walker(ACKNOWLEDGE, entered=None)
         reply = SettledReply(parent=None, child=0, visited=0)
-        st1, msgs, dec = step_acknowledge(st0, reply, degree=2)
-        assert SetVisited() in msgs and Terminate() in msgs
+        st1, sent, dec = step_acknowledge(st0, reply, degree=2)
+        assert sent == VISIT_TERMINATE
         assert dec == Move(0)
 
     def test_fresh_node_child_match_terminates(self):
         # (entered + 1) mod degree equals the installed child port
         st0 = walker(ACKNOWLEDGE, entered=0)
         reply = SettledReply(parent=0, child=1, visited=0)
-        st1, msgs, dec = step_acknowledge(st0, reply, degree=3)
-        assert SetVisited() in msgs and Terminate() in msgs
+        st1, sent, dec = step_acknowledge(st0, reply, degree=3)
+        assert sent == VISIT_TERMINATE
         assert dec == Move(1)
 
     def test_fresh_degree_one_bounces_backward(self):
         st0 = walker(ACKNOWLEDGE, entered=0)
         reply = SettledReply(parent=0, child=None, visited=0)
-        st1, msgs, dec = step_acknowledge(st0, reply, degree=1)
-        assert Terminate() in msgs
+        st1, sent, dec = step_acknowledge(st0, reply, degree=1)
+        assert sent == VISIT_TERMINATE
         assert field(st1, "direction") == BACKWARD
         assert dec == Move(0)
 
     def test_revisit_forward_bounces(self):
         st0 = walker(ACKNOWLEDGE, FORWARD, entered=2)
         reply = SettledReply(parent=0, child=None, visited=1)
-        st1, msgs, dec = step_acknowledge(st0, reply, degree=3)
-        assert msgs == []
+        st1, sent, dec = step_acknowledge(st0, reply, degree=3)
+        assert sent == SILENCE
         assert field(st1, "direction") == BACKWARD
         assert dec == Move(2)
 
     def test_revisit_backward_parent_match_terminates(self):
         st0 = walker(ACKNOWLEDGE, BACKWARD, entered=1)
         reply = SettledReply(parent=2, child=None, visited=1)
-        st1, msgs, dec = step_acknowledge(st0, reply, degree=3)
-        assert Terminate() in msgs
+        st1, sent, dec = step_acknowledge(st0, reply, degree=3)
+        assert sent == TERMINATE
         assert dec == Move(2)
         assert field(st1, "direction") == BACKWARD
 
     def test_revisit_backward_child_match_goes_forward(self):
         st0 = walker(ACKNOWLEDGE, BACKWARD, entered=1)
         reply = SettledReply(parent=0, child=2, visited=1)
-        st1, msgs, dec = step_acknowledge(st0, reply, degree=3)
-        assert Terminate() in msgs
+        st1, sent, dec = step_acknowledge(st0, reply, degree=3)
+        assert sent == TERMINATE
         assert dec == Move(2)
         assert field(st1, "direction") == FORWARD
 
     def test_empty_forward_bounces(self):
         st0 = walker(ACKNOWLEDGE, FORWARD, entered=1)
-        st1, msgs, dec = step_acknowledge(st0, None, degree=3)
+        st1, sent, dec = step_acknowledge(st0, None, degree=3)
         assert field(st1, "direction") == BACKWARD
         assert dec == Move(1)
 
     def test_empty_backward_is_done(self):
         st0 = walker(ACKNOWLEDGE, BACKWARD, entered=2)
-        st1, msgs, dec = step_acknowledge(st0, None, degree=3)
+        st1, sent, dec = step_acknowledge(st0, None, degree=3)
         assert field(st1, "role") == DONE
         assert dec == Move(2)
+
+    def test_revisit_without_entry_port_is_fault(self):
+        st0 = walker(ACKNOWLEDGE, BACKWARD, entered=None)
+        reply = SettledReply(parent=0, child=1, visited=1)
+        with pytest.raises(MissingEnteredError):
+            step_acknowledge(st0, reply, degree=3)
+
+    def test_empty_node_without_entry_port_is_fault(self):
+        st0 = walker(ACKNOWLEDGE, BACKWARD, entered=None)
+        with pytest.raises(MissingEnteredError):
+            step_acknowledge(st0, None, degree=3)
 
 
 class TestStepDone:
     def test_terminates_silently(self):
         st0 = walker(DONE)
-        st1, msgs, dec = step_done(st0)
-        assert msgs == []
+        st1, sent, dec = step_done(st0)
+        assert sent == SILENCE
         assert isinstance(dec, TerminateSelf)
 
 
@@ -455,7 +480,7 @@ class TestStateWord:
 class TestPurity:
     def test_inputs_never_mutated(self):
         st0 = settled_state(parent=0)
-        inbox = inbox_of([(3, SetChild(1)), (3, SetVisited())]).view(2)
+        inbox = inbox_of([(3, set_child(1)), (3, VISIT)]).view(2)
         snapshot = st0
         step_settled(st0, inbox)
         step_settled(st0, inbox)
@@ -464,8 +489,8 @@ class TestPurity:
     def test_identical_inputs_identical_outputs(self):
         st0 = explorer(BACKWARD, entered=1)
         reply = SettledReply(parent=0, child=None, visited=0)
-        a = explore(st0, hear(reply), degree=3)
-        b = explore(st0, hear(reply), degree=3)
+        a = explore(st0, hear(replying(reply)), degree=3)
+        b = explore(st0, hear(replying(reply)), degree=3)
         assert a == b
 
 
@@ -483,110 +508,116 @@ def test_explore_moves_only_through_permitted_ports(entered, degree, parent, dir
         return
     st0 = explorer(direction, entered=entered)
     reply = SettledReply(parent=parent, child=None, visited=0)
-    _, _, dec = explore(st0, hear(reply), degree=degree)
+    _, _, dec = explore(st0, hear(replying(reply)), degree=degree)
     allowed = {entered, (entered + 1) % degree, 0}
     if parent is not None:
         allowed.add(parent)
     assert isinstance(dec, Move) and dec.port in allowed
 
 
-def reference_view(messages, receiver):
+# the presence bit of each lane, in lane order
+LANES_HEARD = (HEARD_ANY, HEARD_QUERY, HEARD_HEADS, HEARD_VISITED, HEARD_TERMINATE)
+
+
+def reference_view(posts, receiver):
     """The per-receiver scan a NodeInbox view must agree with: skip the
-    receiver's own broadcasts, set a presence bit per message type, keep
-    the only foreign reply and the last foreign child port."""
-    flags, reply, set_child = 0, None, None
-    for sender, msg in messages:
+    receiver's own broadcasts, add up every other broadcast's count lane
+    by lane and set the presence bit of each lane that is not 0, keep the
+    only foreign reply and the last foreign child port."""
+    counts = [0] * len(LANES_HEARD)
+    reply, child = None, None
+    for sender, (lanes, sent_reply, port) in posts:
         if sender == receiver:
             continue
-        flags |= HEARD_ANY
-        if isinstance(msg, Query):
-            flags |= HEARD_QUERY
-        elif isinstance(msg, SettledReply):
+        for lane in range(len(counts)):
+            counts[lane] += lanes >> LANE_BITS * lane & (1 << LANE_BITS) - 1
+        if sent_reply is not None:
             if reply is not None:
                 raise MultipleRepliesError("two settled replies at one node")
-            reply = msg
-        elif isinstance(msg, SetChild):
-            set_child = msg.port
-        elif isinstance(msg, SetVisited):
-            flags |= HEARD_VISITED
-        elif isinstance(msg, Terminate):
-            flags |= HEARD_TERMINATE
-        elif isinstance(msg, LeHeads):
-            flags |= HEARD_HEADS
-    return flags, reply, set_child
+            reply = sent_reply
+        if port is not None:
+            child = port
+    flags = sum(heard for heard, count in zip(LANES_HEARD, counts) if count)
+    return flags, reply, child
+
+
+def test_each_fixed_broadcast_is_heard_as_its_presence_bits():
+    assert one_sender_view(SILENCE) == SILENCE
+    assert one_sender_view(START) == (HEARD_ANY, None, None)
+    for sent, heard in ((QUERY, HEARD_QUERY), (HEADS, HEARD_HEADS), (VISIT, HEARD_VISITED),
+                        (TERMINATE, HEARD_TERMINATE),
+                        (VISIT_TERMINATE, HEARD_VISITED | HEARD_TERMINATE)):
+        assert one_sender_view(sent) == (HEARD_ANY | heard, None, None)
+
+
+def sending(fixed, reply, port):
+    """A broadcast of ``fixed``'s lanes plus ``reply`` and ``port``, each
+    of which counts once in the _ANY lane."""
+    return fixed[0] + ANY_LANE * ((reply is not None) + (port is not None)), reply, port
 
 
 PORTS = st.integers(min_value=0, max_value=3)
-MESSAGES = st.one_of(
-    st.just(Query()),
-    st.builds(SettledReply, parent=PORTS | st.none(), child=PORTS | st.none(),
-              visited=st.integers(min_value=0, max_value=1)),
-    st.builds(SetChild, port=PORTS),
-    st.just(SetVisited()),
-    st.just(Terminate()),
-    st.just(LeStart()),
-    st.just(LeHeads()),
-)
+REPLIES = st.builds(SettledReply, parent=PORTS | st.none(), child=PORTS | st.none(),
+                    visited=st.integers(min_value=0, max_value=1))
+FIXED = st.sampled_from([SILENCE, QUERY, START, HEADS, VISIT, TERMINATE, VISIT_TERMINATE])
+BROADCASTS = st.builds(sending, FIXED, st.none() | REPLIES, st.none() | PORTS)
 # senders 0..4 repeat often; receiver 5 never sends
-INBOXES = st.lists(st.tuples(st.integers(min_value=0, max_value=4), MESSAGES), max_size=12)
-TWO_REPLIES = [(1, SettledReply(0, None, 0)), (2, SettledReply(1, 2, 1)), (1, Query())]
-# what one robot broadcasts in a subround: at most two messages
-BATCHES = st.lists(MESSAGES, max_size=2)
+INBOXES = st.lists(st.tuples(st.integers(min_value=0, max_value=4), BROADCASTS), max_size=12)
+TWO_REPLIES = [(1, replying(SettledReply(0, None, 0))), (2, replying(SettledReply(1, 2, 1))),
+               (1, QUERY)]
 # a class of robots 100 on, the last of them CLASS_END - 1
 CLASS_END = 100 + LANE_MAX // 2 - 5
-# senders 0..4 with two messages each, and a class of LANE_MAX // 2 - 5 robots
+# senders 0..4 with two parts each, and a class of LANE_MAX // 2 - 5 robots
 # with two: LANE_MAX // 2 robots, the most a k may be, and LANE_MAX in _ANY
 FULL_LANE = dict(
-    messages=[(i, msg) for i in range(5) for msg in (Query(), LeHeads())],
-    members=range(100, CLASS_END), batch=[SetVisited(), Terminate()], at=10)
+    posts=[(i, sent) for i in range(5) for sent in (QUERY, HEADS)],
+    members=range(100, CLASS_END), sent=VISIT_TERMINATE, at=10)
 
 
-@given(messages=INBOXES, members=st.integers(min_value=1, max_value=4).map(
-    lambda g: range(100, 100 + g)), batch=BATCHES, at=st.integers(min_value=0, max_value=12))
-@example(messages=[], members=range(100, 101), batch=[], at=0)
+@given(posts=INBOXES, members=st.integers(min_value=1, max_value=4).map(
+    lambda g: range(100, 100 + g)), sent=BROADCASTS, at=st.integers(min_value=0, max_value=12))
+@example(posts=[], members=range(100, 101), sent=SILENCE, at=0)
 # receivers 1 and 2 hear one reply, others two
-@example(messages=TWO_REPLIES, members=range(100, 101), batch=[], at=0)
-@example(messages=[(3, SetChild(1)), (0, Query()), (3, SetChild(2)), (0, SetChild(0))],
-         members=range(100, 102), batch=[SetChild(3)], at=2)
+@example(posts=TWO_REPLIES, members=range(100, 101), sent=SILENCE, at=0)
+@example(posts=[(3, set_child(1)), (0, QUERY), (3, set_child(2)), (0, set_child(0))],
+         members=range(100, 102), sent=set_child(3), at=2)
 # two members that reply, posted one by one: each hears the other's reply,
 # everyone else two
-@example(messages=[(0, Query())], members=range(100, 102),
-         batch=[SettledReply(1, None, 0)], at=1)
-@example(messages=[(0, SettledReply(0, None, 0))], members=range(100, 101),
-         batch=[Query()], at=0)
+@example(posts=[(0, QUERY)], members=range(100, 102),
+         sent=replying(SettledReply(1, None, 0)), at=1)
+@example(posts=[(0, replying(SettledReply(0, None, 0)))], members=range(100, 101),
+         sent=QUERY, at=0)
 @example(**FULL_LANE)
 @example(**{**FULL_LANE, "members": range(100, CLASS_END - 1),
-            "batch": [SettledReply(0, 1, 1), Terminate()]})
+            "sent": sending(TERMINATE, SettledReply(0, 1, 1), None)})
 @settings(max_examples=400, deadline=None)
-def test_node_inbox_matches_per_receiver_scan(messages, members, batch, at):
-    """One digest per node serves every receiver exactly as a scan of the
-    whole list per receiver would, errors included, whether it is posted
-    to one message at a time or one sender's batch at a time as the
-    engine fills it; and each sender's batch alone is heard by any other
-    receiver as ``one_sender_view`` says.  A class post of ``batch`` by
-    each of ``members``, put after the first ``at`` messages, gives every
-    receiver, members included, the view that posting it member by
-    member does, up to the most a lane counts for k = LANE_MAX // 2; a
-    batch with a reply or child port is posted member by member, as the
-    engine posts it."""
-    own = weight(batch)
+def test_node_inbox_matches_per_receiver_scan(posts, members, sent, at):
+    """One digest per node serves every receiver exactly as a scan of
+    every broadcast per receiver would, errors included; and each
+    broadcast alone is heard by any other receiver as ``one_sender_view``
+    says.  A class post of ``sent`` by each of ``members``, put after the
+    first ``at`` broadcasts, gives every receiver, members included, the
+    view that posting it member by member does, up to the most a lane
+    counts for k = LANE_MAX // 2; a broadcast with a reply or child port
+    is posted member by member, as the engine posts it."""
+    # what the engine keys a class by: its lanes, if it sent no reply or port
+    own = sent[0] if sent[1] is None and sent[2] is None else None
     singles, classed = NodeInbox(), NodeInbox()
-    for sender, msg in messages[:at]:
-        singles.post(sender, (msg,))
-        classed.post(sender, (msg,))
+    for sender, other in posts[:at]:
+        singles.post(sender, other)
+        classed.post(sender, other)
     for sender in members:
-        singles.post(sender, batch)
+        singles.post(sender, sent)
         if own is None:
-            classed.post(sender, batch)
+            classed.post(sender, sent)
     if own is not None:
         classed.post_class(own, len(members))
-    for sender, msg in messages[at:]:
-        singles.post(sender, (msg,))
-        classed.post(sender, (msg,))
-    flat = [*messages[:at], *((sender, msg) for sender in members for msg in batch),
-            *messages[at:]]
+    for sender, other in posts[at:]:
+        singles.post(sender, other)
+        classed.post(sender, other)
+    flat = [*posts[:at], *((sender, sent) for sender in members), *posts[at:]]
     for receiver in (*range(6), members[0], members[-1]):
-        # a member of the class reads by its broadcast's weight
+        # a member of the class reads by the lanes it sent
         member_own = own if receiver in members else None
         try:
             want = reference_view(flat, receiver)
@@ -597,30 +628,10 @@ def test_node_inbox_matches_per_receiver_scan(messages, members, batch, at):
             continue
         assert singles.view(receiver) == want
         assert classed.view(receiver, member_own) == want
-    inbox = inbox_of(messages)
-    posted = NodeInbox()
-    for sender, batch in itertools.groupby(messages, key=lambda sent: sent[0]):
-        msgs = [msg for _, msg in batch]
-        posted.post(sender, msgs)
-        alone = NodeInbox()
-        alone.post(sender, msgs)
-        try:
-            want = alone.view(5)
-        except MultipleRepliesError:
-            with pytest.raises(MultipleRepliesError):
-                one_sender_view(msgs)
-        else:
-            assert one_sender_view(msgs) == want
-    for receiver in range(6):
-        try:
-            want = reference_view(messages, receiver)
-        except MultipleRepliesError:
-            for box in (inbox, inbox_of(messages), posted):
-                with pytest.raises(MultipleRepliesError):
-                    box.view(receiver)
-            continue
-        assert inbox.view(receiver) == want
-        assert posted.view(receiver) == want
+    for sender, other in [*posts, (100, sent)]:
+        want = reference_view([(sender, other)], 5)
+        assert inbox_of([(sender, other)]).view(5) == want
+        assert one_sender_view(other) == want
 
 
 def test_two_replies_raise_only_without_the_receiver():

@@ -1,9 +1,14 @@
 """Smoke tests for the scripts under ``scripts/``."""
 
 import importlib.util
+import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from dispersim import robot
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -28,3 +33,42 @@ def test_run_corpus_first_runs_are_clean(capsys):
         out, err = capsys.readouterr()
         assert "clean" not in out
         assert f"--runs must be at least 1, got {runs}" in err
+
+
+def _unreached(report: str, name: str) -> set[int]:
+    """The lines ``line_reach.py``'s ``report`` lists as never run in
+    ``dispersim/<name>``."""
+    for line in report.splitlines():
+        if line.startswith(f"dispersim/{name}: "):
+            _, _, spans = line.partition("never ran")
+            out: set[int] = set()
+            for span in filter(None, spans.lstrip(": ").split(", ")):
+                a, _, b = span.partition("-")
+                out.update(range(int(a), int(b or a) + 1))
+            return out
+    raise AssertionError(f"no line for {name} in {report!r}")
+
+
+def test_line_reach_lists_what_a_test_file_never_ran(tmp_path):
+    """On a test file that steps one done robot, ``line_reach.py`` counts
+    ``step_done`` as run and lists the entry-port guard of
+    ``step_return``, which nothing called, and every line of the CLI."""
+    test_file = tmp_path / "test_done.py"
+    test_file.write_text(
+        "from dispersim import robot\n\n\n"
+        "def test_done():\n"
+        "    assert robot.step_done(0)[2] is robot.TERMINATE_SELF\n")
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "line_reach.py"), str(test_file), "-q",
+         "-p", "no:cacheprovider"],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "1 passed" in done.stdout
+    unreached = _unreached(done.stdout, "robot.py")
+    lines, start = inspect.getsourcelines(robot.step_done)
+    assert not unreached & set(range(start, start + len(lines)))
+    lines, start = inspect.getsourcelines(robot.step_return)
+    guard = next(start + j for j, text in enumerate(lines) if "has no entry port" in text)
+    assert guard in unreached
+    cli = SCRIPTS.parent / "src" / "dispersim" / "cli.py"
+    assert _unreached(done.stdout, "cli.py") == _load("line_reach").executable_lines(cli)
