@@ -7,9 +7,10 @@ file of ``src/dispersim``, the executable lines that never ran.  The
 executable lines are those each function's code object lists in
 ``co_lines``; module and class bodies run whenever the module is
 imported, so they are left out.  It needs nothing beyond the standard
-library and pytest.  Tracing makes a run several times slower, so a
-test with a wall-clock gate may fail under it, and neither a subprocess
-nor a thread a test starts is traced.
+library and pytest.  Hypothesis draws from seed 0 unless the arguments
+name a seed.  Tracing makes a run several times slower, so a test with
+a wall-clock gate may fail under it, and neither a subprocess nor a
+thread a test starts is traced.
 
 Usage:
     python3 scripts/line_reach.py tests/test_robot.py
@@ -84,11 +85,21 @@ def _spans(lines: list[int]) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
 
 
+def seeded(argv: list[str]) -> list[str]:
+    """``argv`` with ``--hypothesis-seed=0`` added unless it names a seed,
+    so that two runs on the same ``src/`` draw the same examples and list
+    the same lines."""
+    if any(arg.startswith("--hypothesis-seed") for arg in argv):
+        return list(argv)
+    return [*argv, "--hypothesis-seed=0"]
+
+
 def main(argv=None) -> int:
     files = sorted(PACKAGE.glob("*.py"))
     collector = LineCollector(files)
     sys.path.insert(0, str(SRC))
-    code = pytest.main(list(sys.argv[1:] if argv is None else argv), plugins=[collector])
+    code = pytest.main(seeded(sys.argv[1:] if argv is None else argv),
+                       plugins=[collector])
     total = missed = 0
     for path in files:
         lines = executable_lines(path)

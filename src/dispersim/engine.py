@@ -61,18 +61,22 @@ into its role's accumulator.
 A FULL trace (format 4) has one record per round 1..``rounds``, in
 order, holding a row ``(id, node, word)`` for each robot whose stored
 word or node changed since its last row, and its events, each one
-``Event`` tuple from the engine to the checkers, written as a JSON array
-and never read as text.  A robot is gone from the round after its
-``terminate`` event, which is all a reader needs to drop it.  ``run``
-builds each record from the robots ``execute_round`` returns as stored
-(every actor, settlers included), so a round's trace costs what the
-round touched, not k.  Without a sink it keeps the records as
-``TraceDelta``s; with one it hands each record's line to the sink as the
-round ends and keeps none, so its memory does not grow with rounds.
-One renderer makes both the sink's lines and ``jsonl_lines``.
-``parse_trace`` reads the records back, rejecting a trace that lacks a
-round, and either keeps them or hands each to its own sink as it is
-read; ``replay`` rebuilds a round's full set of rows when one is wanted.
+``Event`` tuple from the engine to the checkers, never read as text.  A
+robot is gone from the round after its ``terminate`` event, which is
+all a reader needs to drop it.  ``run`` builds each record from the
+robots ``execute_round`` returns as stored (every actor, settlers
+included), so a round's trace costs what the round touched, not k.
+Without a sink it keeps the records as ``TraceDelta``s; with one it
+hands each record's line to the sink as the round ends and keeps none,
+so its memory does not grow with rounds.  One renderer makes both the
+sink's lines and ``jsonl_lines``; a record line is, byte for byte, the
+``json.dumps`` text of ``[rows, events]`` (the golden hashes pin it).
+``parse_trace`` reads a record line as written with one C scan; it takes
+any JSON whitespace or CRLF around a line through ``json.loads``, which
+also gives a malformed line the error it always had.  It rejects a
+trace that lacks a round, and either keeps the records or hands each to
+its own sink as it is read; ``replay`` rebuilds a round's full set of
+rows when one is wanted.
 A SUMMARY run keeps only the rounds with a stage marker, in memory, and
 writes no trace.
 Nothing here decodes a word: the header carries the field table
@@ -316,7 +320,12 @@ def _header_line(k: int, max_degree: int) -> str:
 
 
 def _record_line(rows: list[Row], events: list[Event]) -> str:
-    return json.dumps([rows, events]) + "\n"
+    # json.dumps([rows, events]) + "\n", each row of three ints rendered by %;
+    # most records are one row and no event
+    if len(rows) == 1 and not events:
+        return "[[[%d, %d, %d]], []]\n" % rows[0]
+    return "[[%s], %s]\n" % (", ".join(map("[%d, %d, %d]".__mod__, rows)),
+                             json.dumps(events) if events else "[]")
 
 
 def _summary_line(summary: RunSummary) -> str:
@@ -789,7 +798,8 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
         level = TraceLevel.SUMMARY
         write(_header_line(config.k, w.max_degree))
     # the robots whose row may differ from their last one: every robot
-    # before round 1, then those the round before stored
+    # before round 1, then those the round before stored, some more than
+    # once (sorted, a robot's second look finds the row its first wrote)
     touched = list(range(config.k))
     outcome = Outcome.MAX_ROUNDS_EXCEEDED
     fault: str | None = None
@@ -800,7 +810,7 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
         events: list[Event] = []
         if full:
             rows: list[Row] = []
-            for i in sorted(set(touched)):
+            for i in sorted(touched):
                 # a robot that died in the round before has no row from now on
                 if alive[i]:
                     word, node = states[i], positions[i]
@@ -823,7 +833,7 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
             if level is TraceLevel.SUMMARY:
                 deltas.append(TraceDelta(rnd, [], list(events)))
             break
-        if level is TraceLevel.SUMMARY:
+        if level is TraceLevel.SUMMARY and events:
             markers = [e for e in events if e[0] in _MARKERS]
             if markers:
                 deltas.append(TraceDelta(rnd, [], markers))
@@ -957,55 +967,66 @@ class _RecordReader:
         self.ended: dict[int, int] = {}
         self.round = 0
 
-    def record(self, obj: list) -> TraceDelta:
+    def record(self, obj: list, line_no: int, raw: bool = False) -> TraceDelta:
+        """The next record, read from line ``line_no``; ``raw`` leaves its
+        rows as read, for a sink to check."""
+        self.line_no = line_no
         if len(obj) != 2:
-            raise ValueError(f"a record is the array [rows, events], of 2 items, not {len(obj)}")
+            raise self._bad(f"a record is the array [rows, events], of 2 items, not {len(obj)}")
         rows, events = obj
         if type(rows) is not list or type(events) is not list:
-            raise TypeError(f"rows and events must be lists, not {type(rows).__name__} "
+            raise self._bad(f"rows and events must be lists, not {type(rows).__name__} "
                             f"and {type(events).__name__}")
         self.round += 1
-        if rows:
-            rows = self._rows(rows)
-        return TraceDelta(self.round, rows, [self._event(ev) for ev in events])
+        if rows and not raw:
+            rows = self.rows(rows)
+        return TraceDelta(self.round, rows, [self._event(ev) for ev in events] if events else [])
+
+    def _bad(self, message: str) -> TraceFormatError:
+        return TraceFormatError(f"line {self.line_no}: bad record: {message}")
 
     def _event(self, ev) -> Event:
         """One event, checked, as a tuple."""
         if not (type(ev) is list and ev and type(ev[0]) is str and _ARITY.get(ev[0]) == len(ev)):
-            raise ValueError(f"unknown event {json.dumps(ev)}")
+            raise self._bad(f"unknown event {json.dumps(ev)}")
         if any(type(x) is not int or x < 0 for x in ev[1:]):
-            raise ValueError(f"event {json.dumps(ev)}: its numbers must be integers >= 0")
+            raise self._bad(f"event {json.dumps(ev)}: its numbers must be integers >= 0")
         robot = ev[1]
         if robot >= self.k:
-            raise ValueError(f"event {json.dumps(ev)} names a robot outside 0..{self.k - 1}")
+            raise self._bad(f"event {json.dumps(ev)} names a robot outside 0..{self.k - 1}")
         if ev[0] == "terminate":
             self.ended.setdefault(robot, self.round)
         return tuple(ev)
 
-    def _rows(self, rows: list) -> list[Row]:
-        """One record's ``rows``, checked, as tuples."""
-        k, ended = self.k, self.ended
+    def rows(self, rows: list) -> list[Row]:
+        """The last record's ``rows``, checked, as tuples."""
+        k, ended, rnd = self.k, self.ended, self.round
         out: list[Row] = []
         last = -1
         for r in rows:
-            i, node, word = r
+            try:
+                i, node, word = r
+            except (TypeError, ValueError) as exc:
+                raise self._bad(str(exc)) from None
             if type(i) is not int or type(node) is not int or type(word) is not int:
-                raise TypeError(f"row id, node and word must be integers: {r!r}")
+                raise self._bad(f"row id, node and word must be integers: {r!r}")
             if not 0 <= i < k:
-                raise ValueError(f"row id {i} outside robots 0..{k - 1}")
+                raise self._bad(f"row id {i} outside robots 0..{k - 1}")
             if i <= last:
-                raise ValueError(f"row ids do not ascend at {i}")
+                raise self._bad(f"row ids do not ascend at {i}")
             if word < 0:
-                raise ValueError(f"row word {word} is negative")
-            if i in ended:
-                raise ValueError(f"row for robot {i}, which is gone since its terminate "
-                                 f"in round {ended[i]}")
+                raise self._bad(f"row word {word} is negative")
+            # a robot whose terminate is in this record has its last row here
+            if i in ended and ended[i] < rnd:
+                raise self._bad(f"row for robot {i}, which is gone since its terminate "
+                                f"in round {ended[i]}")
             out.append((i, node, word))
             last = i
         return out
 
 
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
+_scan = json.scanner.make_scanner(json.JSONDecoder())  # what json.loads runs: C code
 
 
 def parse_trace(source: str | Iterable[str] | Iterable[bytes], sink=None) -> ParsedTrace:
@@ -1020,7 +1041,9 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes], sink=None) -> Par
 
     With a ``sink``, such as a ``checkers.TraceDigest``, the records are
     handed out, not kept: ``sink.header(max_degree, fields)`` as the
-    header is read, ``sink.record(delta)`` as each record is, and
+    header is read, ``sink.record(delta, reader)`` as each record is, its
+    rows as read for the sink's loop over them to check (calling
+    ``reader.rows(delta.rows)`` where one fails, which names why), and
     ``sink.end(summary)`` once the whole trace has passed; the result
     then holds no deltas.  An error the sink raises passes through.
     """
@@ -1028,7 +1051,6 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes], sink=None) -> Par
     header: tuple[int, int, tuple[tuple[str, int], ...]] | None = None
     reader: _RecordReader | None = None
     deltas: list[TraceDelta] = []
-    keep = deltas.append if sink is None else sink.record
     summary: RunSummary | None = None
     offset = 0
     for line_no, line in enumerate(lines, start=1):
@@ -1037,15 +1059,22 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes], sink=None) -> Par
             at = offset + _NON_ASCII.search(text).start()
             raise TraceFormatError(f"line {line_no}: non-ASCII input at offset {at}")
         offset += len(line)
-        if not line.strip():
-            continue
+        # an ASCII line, decoded here (json.loads sniffs the encoding of bytes
+        # in Python); a record as written takes one scan, and any other line,
+        # or one the scan rejects, goes through json.loads, which says why
+        text = line.decode() if type(line) is bytes else line
         try:
-            # an ASCII line, decoded here: json.loads sniffs the encoding of
-            # bytes in Python, which costs more than the decode
-            obj = json.loads(line.decode() if type(line) is bytes else line)
-        # a JSONDecodeError, a number too long to read, or arrays nested too deep
-        except (ValueError, RecursionError) as exc:
-            raise TraceFormatError(f"line {line_no}: not JSON: {exc}") from None
+            obj, end = _scan(text, 0) if text[:1] == "[" else (None, 0)
+        except (StopIteration, ValueError, RecursionError):
+            obj = None
+        if obj is None or text[end:] not in ("", "\n"):
+            if not text.strip():
+                continue
+            try:
+                obj = json.loads(text)
+            # a JSONDecodeError, a number too long to read, or arrays nested too deep
+            except (ValueError, RecursionError) as exc:
+                raise TraceFormatError(f"line {line_no}: not JSON: {exc}") from None
         if header is None:
             header = _parse_header(obj, line_no)
             reader = _RecordReader(header[0])
@@ -1054,11 +1083,10 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes], sink=None) -> Par
         elif type(obj) is list:
             if summary is not None:
                 raise TraceFormatError(f"line {line_no}: record after summary")
-            try:
-                delta = reader.record(obj)
-            except (ValueError, TypeError) as exc:
-                raise TraceFormatError(f"line {line_no}: bad record: {exc}") from None
-            keep(delta)
+            if sink is None:
+                deltas.append(reader.record(obj, line_no))
+            else:
+                sink.record(reader.record(obj, line_no, raw=True), reader)
         elif type(obj) is not dict:
             raise TraceFormatError(f"line {line_no}: neither record nor summary")
         elif "format" in obj:

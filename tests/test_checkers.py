@@ -4,6 +4,7 @@ import ast
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -260,6 +261,95 @@ class TestNegativeControls:
         runs, summary = ran(g, 3)
         corruptions.drop_terminate(runs, 0)
         assert not check_termination(TraceDigest(written(runs, summary, g), g)).passed
+
+
+def ring6():
+    """``gen:ring:6``, k = 6, seed 5, the CLI tests' run, and its rounds:
+    robot 2 settles at the root in round 1, the rootpath's first node,
+    and has its child port set in round 11; robot 3 settles at node 5 in
+    round 2, and is marked visited and terminates in round 13 = t2 + 2;
+    robot 1 is the walker, which explores alone in round 6 (t1) and
+    returns from there."""
+    g = gen_ring(6)
+    runs, summary = ran(g, 6, seed=5)
+    assert (summary.t1, summary.t2, summary.v_r) == (6, 11, 0)
+    assert ("settle", 2, 0) in runs[0][1] and ("set_child", 2, 0) in runs[10][1]
+    assert ("settle", 3, 5) in runs[1][1]
+    assert runs[12][1] == [("set_visited", 3), ("terminate", 3)]
+    return g, runs, summary
+
+
+def findings(runs, summary, g) -> dict[str, list[str]]:
+    """The findings of every checker that rejects the edited rounds."""
+    return {name: v.findings for name, v in run_all(written(runs, summary, g), g).items()
+            if not v.passed}
+
+
+class TestFindingsOfEditedTraces:
+    """Findings that no good run and no corruption of tests/corruptions.py
+    reaches, each from one edit of the ring6 run."""
+
+    def test_a_rootpath_settler_without_a_child_port(self):
+        """No set_child for the root's settler: the rootpath names it, and
+        the exit check finds the child chain broken at the root, with no
+        child port known there."""
+        g, runs, summary = ring6()
+        runs[10][1].remove(("set_child", 2, 0))
+        got = findings(runs, summary, g)
+        assert got["rootpath"] == ["rootpath settler 2 at node 0 got no child port"]
+        assert got["exits"][:2] == ["child chain from the root breaks at node 0",
+                                    "node 0: no child port known"]
+
+    def test_a_node_whose_settle_is_gone(self):
+        """No settle, child port or visited mark for robot 2: the root has
+        no settler, which the rootpath names, and the mirror names it where
+        stage 1's group stands there in round 1."""
+        g, runs, summary = ring6()
+        for _, events in runs:
+            events[:] = [e for e in events
+                         if not (e[0] in ("settle", "set_child", "set_visited") and e[1] == 2)]
+        got = findings(runs, summary, g)
+        assert got["rootpath"] == ["rootpath node 0 has no settler"]
+        assert got["mirror"] == ["round 1: group at 0 which has no settler"]
+
+    def test_a_settler_the_replay_does_not_mark_visited(self):
+        g, runs, summary = ring6()
+        runs[12][1].remove(("set_visited", 3))
+        assert findings(runs, summary, g) == {
+            "mirror": ["round 13: node 5 not marked visited in the replay"]}
+
+    def test_a_settler_gone_before_the_replay_reaches_it(self):
+        g, runs, summary = ring6()
+        runs[12][1].remove(("terminate", 3))
+        runs[11][1].append(("terminate", 3))
+        assert findings(runs, summary, g) == {
+            "mirror": ["round 13: settler 3 already gone from 5"]}
+
+    def test_a_dispersed_summary_without_t1(self):
+        g, runs, summary = ring6()
+        got = findings(runs, replace(summary, t1=None), g)
+        assert got == {"stage1": ["t1 missing from summary"],
+                       "rootpath": ["t1/t2 missing from summary"],
+                       "mirror": ["t1/t2 missing from summary"],
+                       "exits": ["t1 missing from summary"],
+                       "termination": ["t1/t2 missing from summary"]}
+
+    def test_an_explorer_that_terminates_leaves_the_group(self):
+        """The lone explorer terminates in round 6, with no row or event
+        after it: from round 7 on the digest has no exploring group, read
+        line by line or from a parsed trace."""
+        g, runs, summary = ring6()
+        assert role(next(r for r in runs[5][0] if r[0] == 1)) == "explore"
+        runs[5][1].append(("terminate", 1))
+        for rows, events in runs[6:]:
+            rows[:] = [r for r in rows if r[0] != 1]
+            events[:] = [e for e in events if e[1] != 1]
+        text = v4_jsonl(runs, summary, g.max_degree())
+        streamed = TraceDigest(None, g)
+        parse_trace(text, sink=streamed)
+        for digest in (streamed, TraceDigest(parse_trace(text), g)):
+            assert digest.group[6] is not None
+            assert digest.group[7] is None and digest.raw_at(1, 7) is None
 
 
 def cut(res, last):

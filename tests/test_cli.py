@@ -469,6 +469,52 @@ class TestVerify:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    # a good trace's text with the shape of its lines changed, which
+    # HOSTILE_EDITS, writing each line with json.dumps, cannot express:
+    # JSON whitespace and CRLF around a line are read as before
+    KEPT_SHAPES = {
+        "space_before_each_record": lambda text: text.replace("\n[", "\n ["),
+        "spaces_after_each_record": lambda text: text.replace("]\n", "]  \n"),
+        "tab_after_each_record": lambda text: text.replace("]\n", "]\t\n"),
+        "crlf_throughout": lambda text: text.replace("\n", "\r\n"),
+        "blank_lines_between_records": lambda text: text.replace("]\n[", "]\n\n \n["),
+        "no_final_newline": lambda text: text[:-1],
+    }
+
+    @pytest.mark.parametrize("shape", sorted(KEPT_SHAPES))
+    def test_whitespace_around_a_line_is_read(self, capsys, good_trace, tmp_path, shape):
+        """Each shape passes every checker, as the trace written does."""
+        _, want, _ = run_cli(capsys, "verify", "--trace", str(good_trace), "--graph", "gen:ring:6")
+        text = good_trace.read_text()
+        edited = self.KEPT_SHAPES[shape](text)
+        assert edited != text
+        bad = tmp_path / "shaped.jsonl"
+        bad.write_bytes(edited.encode("ascii"))
+        assert run_cli(capsys, "verify", "--trace", str(bad), "--graph", "gen:ring:6") \
+            == (0, want, "")
+
+    # the trace's lines (0 the header, 1 round 1's record) reshaped so that
+    # line 3, round 2's record, is no JSON value alone
+    BROKEN_SHAPES = {
+        "record_split_in_two": lambda lines: lines[:2] + [lines[2][:9], lines[2][9:]] + lines[3:],
+        "two_records_on_one_line": lambda lines: lines[:2] + [lines[2] + " " + lines[3]]
+        + lines[4:],
+        "comma_after_a_record": lambda lines: lines[:2] + [lines[2] + ","] + lines[3:],
+    }
+
+    @pytest.mark.parametrize("shape", sorted(BROKEN_SHAPES))
+    def test_a_line_that_is_no_json_value_is_named(self, capsys, good_trace, tmp_path, shape):
+        """Exit 3, with json.loads's own error for the line, as before the
+        record reader scanned its lines."""
+        lines = self.BROKEN_SHAPES[shape](good_trace.read_text().splitlines())
+        bad = tmp_path / "broken.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            json.loads(lines[2] + "\n")
+        code, out, err = run_cli(capsys, "verify", "--trace", str(bad), "--graph", "gen:ring:6")
+        assert (code, out) == (3, "")
+        assert err == f"error: {bad}: line 3: not JSON: {exc.value}\n"
+
     # what a fuzzed edit may write into one field of one trace line
     FUZZ_VALUES = (None, True, False, -1, 0, 1, 2, 5, 6, 7, 19, 99, 2**70, 0.5, "", "x",
                    "7", "fwd", "explore", "settled", "settle", "terminate", ["settle", 1, 1],

@@ -5,6 +5,8 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dispersim.engine import (
     ConfigError,
@@ -28,6 +30,7 @@ from dispersim.graph import (
     gen_worstcase,
 )
 from dispersim import engine, robot
+from dispersim.checkers import TraceDigest
 from test_golden_traces import FAULT_RUNS, _graph
 from trace_ref import moved, role, rounds, v4_jsonl, view
 
@@ -256,6 +259,27 @@ class TestTraceWriting:
         assert all(r[0] != 2 for r in res.deltas[3].rows)
 
 
+# any int, a word past 64 bits among them
+_INTS = st.integers() | st.integers(2**64, 2**200)
+# an event of each name the engine writes, at its arity
+_EVENTS = st.one_of(*(st.tuples(st.just(name), *[_INTS] * (arity - 1))
+                      for name, arity in engine._ARITY.items()))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(_INTS, _INTS, _INTS)), events=st.lists(_EVENTS))
+def test_a_record_line_is_the_text_of_json_dumps(rows, events):
+    assert engine._record_line(rows, events) == json.dumps([rows, events]) + "\n"
+
+
+def test_the_scan_reads_each_corpus_line_as_json_loads_does():
+    """Each line of the 200 ``corpus:0`` traces, header and summary too:
+    one scan of it gives what json.loads gives, and ends at its newline."""
+    for i, _, _, k, root, g in corpus_instances():
+        for line in run(SimulationConfig(graph=g, k=k, root=root, seed=i)).jsonl_lines():
+            assert engine._scan(line, 0) == (json.loads(line), len(line) - 1)
+
+
 HEADER = {"format": 4, "k": 2, "max_degree": 2, "fields": [list(f) for f in robot.FIELDS]}
 # a settler that entered by port 1, and an explorer that entered by port 0
 SETTLED = [0, 0, robot.encode(role=robot.SETTLED, entered=1)]
@@ -341,7 +365,8 @@ class TestTraceParsing:
         with pytest.raises(TraceFormatError, match="line 3"):
             parse_trace(trace(edited))
 
-    @pytest.mark.parametrize("edit, message", [
+    # edits of _small_trace's line objects, and the error each gives
+    BAD_TRACES = [
         (lambda o: o.pop(0), "line 1: no format header; a v1 trace"),
         (lambda o: o.insert(2, o[0]), "line 3: second header"),
         (lambda o: o[0].update(format=1), "line 1: trace format 1;"),
@@ -401,11 +426,22 @@ class TestTraceParsing:
         (lambda o: o[2][1].append(["terminate", 1.0]), r'line 3: .* \["terminate", 1.0\]: its'),
         (lambda o: o[2][1].append(["terminate", -1]), r'line 3: .* \["terminate", -1\]: its'),
         (lambda o: o[2][1].append(["set_child", 0, False]), r"line 3: .* 0, false\]: its"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("edit, message", BAD_TRACES)
     def test_bad_header_or_delta_is_rejected(self, edit, message):
         assert parse_trace(_small_trace()).summary.k == 2
         with pytest.raises(TraceFormatError, match=message):
             parse_trace(_small_trace(edit))
+
+    @pytest.mark.parametrize("edit, message", BAD_TRACES)
+    def test_a_digest_fed_line_by_line_gives_the_same_error(self, edit, message):
+        """Fed to a digest, whose loop over each record's rows makes the
+        reader's row checks as well as its own, each trace gives the error
+        the reader gives alone."""
+        parse_trace(_small_trace(), sink=TraceDigest(None, gen_ring(3)))
+        with pytest.raises(TraceFormatError, match=message):
+            parse_trace(_small_trace(edit), sink=TraceDigest(None, gen_ring(3)))
 
     @pytest.mark.parametrize("field, value", [("t1", 0), ("t1", 8), ("t2", 1_000_000_000)])
     def test_summary_round_outside_the_run(self, field, value):

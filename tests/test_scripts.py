@@ -72,3 +72,17 @@ def test_line_reach_lists_what_a_test_file_never_ran(tmp_path):
     assert guard in unreached
     cli = SCRIPTS.parent / "src" / "dispersim" / "cli.py"
     assert _unreached(done.stdout, "cli.py") == _load("line_reach").executable_lines(cli)
+
+
+@pytest.mark.parametrize("argv, added", [
+    (["tests", "-q"], True),
+    ([], True),
+    (["tests", "--hypothesis-seed=5"], False),
+    (["--hypothesis-seed", "5", "tests"], False),
+])
+def test_line_reach_fixes_the_hypothesis_seed_once(argv, added):
+    """``line_reach.py`` seeds Hypothesis with 0 unless its arguments
+    already name a seed, and never passes a second seed."""
+    args = _load("line_reach").seeded(argv)
+    assert args == (argv + ["--hypothesis-seed=0"] if added else argv)
+    assert sum(arg.startswith("--hypothesis-seed") for arg in args) == 1
