@@ -111,8 +111,7 @@ def oracle_dfs(graph: PortLabeledGraph, root: int, k: int) -> OracleTrace:
         guard -= 1
         if guard < 0:
             raise RuntimeError("oracle walk failed to terminate")  # pragma: no cover
-        here = graph.ports[pos]
-        d = len(here)
+        d = graph.degree(pos)
         if backward:
             q = (entered + 1) % d
             backward_next = q == parent_ports[pos]
@@ -122,7 +121,7 @@ def oracle_dfs(graph: PortLabeledGraph, root: int, k: int) -> OracleTrace:
         else:
             q = entered
             backward_next = True
-        pos, entered = here[q]
+        pos, entered = graph.neighbor_via(pos, q)
         backward = backward_next
         walk.append(pos)
         fresh = pos not in visited
@@ -271,13 +270,11 @@ class TraceDigest:
         self.group = GroupCodes(max_degree)
         self._degree = [len(p) for p in self.graph.ports]
 
-    def record(self, d: TraceDelta, reader=None) -> None:
-        """Take the record of round ``d.round``, the round after the last; from
-        ``parse_trace``, with its rows unchecked, for this loop to check them."""
+    def record(self, d: TraceDelta) -> None:
+        """Take the record of round ``d.round``, the round after the last."""
         rnd, n, degree = d.round, self.graph.n, self._degree
         history, seen, bits = self.history, self._seen, self.group.bits
         explorer, count = self._explorer, self._count
-        k, ended = (reader.k, reader.ended) if reader else (1 << 63, {})
         if self._ended:
             for i in sorted(self._ended):
                 if (key := explorer.pop(i, -1)) >= 0:
@@ -289,17 +286,7 @@ class TraceDigest:
                 nodes.append(-1)
                 indices.append(-1)
             self._ended.clear()
-        last = -1
-        for r in d.rows:
-            # the reader's row checks; where one fails, its loop names why
-            try:
-                i, node, word = r
-            except (TypeError, ValueError):
-                reader.rows(d.rows)
-            if (type(i) is not int or type(node) is not int or type(word) is not int
-                    or not last < i < k or word < 0 or i in ended):
-                reader.rows(d.rows)
-            last = i
+        for i, node, word in d.rows:
             if not 0 <= node < n:
                 raise TraceFormatError(
                     f"round {rnd}: row of robot {i} at node {node} is outside "

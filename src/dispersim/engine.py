@@ -320,10 +320,7 @@ def _header_line(k: int, max_degree: int) -> str:
 
 
 def _record_line(rows: list[Row], events: list[Event]) -> str:
-    # json.dumps([rows, events]) + "\n", each row of three ints rendered by %;
-    # most records are one row and no event
-    if len(rows) == 1 and not events:
-        return "[[[%d, %d, %d]], []]\n" % rows[0]
+    # json.dumps([rows, events]) + "\n", each row of three ints rendered by %
     return "[[%s], %s]\n" % (", ".join(map("[%d, %d, %d]".__mod__, rows)),
                              json.dumps(events) if events else "[]")
 
@@ -798,8 +795,7 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
         level = TraceLevel.SUMMARY
         write(_header_line(config.k, w.max_degree))
     # the robots whose row may differ from their last one: every robot
-    # before round 1, then those the round before stored, some more than
-    # once (sorted, a robot's second look finds the row its first wrote)
+    # before round 1, then those the round before stored
     touched = list(range(config.k))
     outcome = Outcome.MAX_ROUNDS_EXCEEDED
     fault: str | None = None
@@ -810,7 +806,7 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
         events: list[Event] = []
         if full:
             rows: list[Row] = []
-            for i in sorted(touched):
+            for i in sorted(set(touched)):
                 # a robot that died in the round before has no row from now on
                 if alive[i]:
                     word, node = states[i], positions[i]
@@ -833,7 +829,7 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
             if level is TraceLevel.SUMMARY:
                 deltas.append(TraceDelta(rnd, [], list(events)))
             break
-        if level is TraceLevel.SUMMARY and events:
+        if level is TraceLevel.SUMMARY:
             markers = [e for e in events if e[0] in _MARKERS]
             if markers:
                 deltas.append(TraceDelta(rnd, [], markers))
@@ -967,59 +963,49 @@ class _RecordReader:
         self.ended: dict[int, int] = {}
         self.round = 0
 
-    def record(self, obj: list, line_no: int, raw: bool = False) -> TraceDelta:
-        """The next record, read from line ``line_no``; ``raw`` leaves its
-        rows as read, for a sink to check."""
-        self.line_no = line_no
+    def record(self, obj: list) -> TraceDelta:
         if len(obj) != 2:
-            raise self._bad(f"a record is the array [rows, events], of 2 items, not {len(obj)}")
+            raise ValueError(f"a record is the array [rows, events], of 2 items, not {len(obj)}")
         rows, events = obj
         if type(rows) is not list or type(events) is not list:
-            raise self._bad(f"rows and events must be lists, not {type(rows).__name__} "
+            raise TypeError(f"rows and events must be lists, not {type(rows).__name__} "
                             f"and {type(events).__name__}")
         self.round += 1
-        if rows and not raw:
-            rows = self.rows(rows)
-        return TraceDelta(self.round, rows, [self._event(ev) for ev in events] if events else [])
-
-    def _bad(self, message: str) -> TraceFormatError:
-        return TraceFormatError(f"line {self.line_no}: bad record: {message}")
+        if rows:
+            rows = self._rows(rows)
+        return TraceDelta(self.round, rows, [self._event(ev) for ev in events])
 
     def _event(self, ev) -> Event:
         """One event, checked, as a tuple."""
         if not (type(ev) is list and ev and type(ev[0]) is str and _ARITY.get(ev[0]) == len(ev)):
-            raise self._bad(f"unknown event {json.dumps(ev)}")
+            raise ValueError(f"unknown event {json.dumps(ev)}")
         if any(type(x) is not int or x < 0 for x in ev[1:]):
-            raise self._bad(f"event {json.dumps(ev)}: its numbers must be integers >= 0")
+            raise ValueError(f"event {json.dumps(ev)}: its numbers must be integers >= 0")
         robot = ev[1]
         if robot >= self.k:
-            raise self._bad(f"event {json.dumps(ev)} names a robot outside 0..{self.k - 1}")
+            raise ValueError(f"event {json.dumps(ev)} names a robot outside 0..{self.k - 1}")
         if ev[0] == "terminate":
             self.ended.setdefault(robot, self.round)
         return tuple(ev)
 
-    def rows(self, rows: list) -> list[Row]:
-        """The last record's ``rows``, checked, as tuples."""
-        k, ended, rnd = self.k, self.ended, self.round
+    def _rows(self, rows: list) -> list[Row]:
+        """One record's ``rows``, checked, as tuples."""
+        k, ended = self.k, self.ended
         out: list[Row] = []
         last = -1
         for r in rows:
-            try:
-                i, node, word = r
-            except (TypeError, ValueError) as exc:
-                raise self._bad(str(exc)) from None
+            i, node, word = r
             if type(i) is not int or type(node) is not int or type(word) is not int:
-                raise self._bad(f"row id, node and word must be integers: {r!r}")
+                raise TypeError(f"row id, node and word must be integers: {r!r}")
             if not 0 <= i < k:
-                raise self._bad(f"row id {i} outside robots 0..{k - 1}")
+                raise ValueError(f"row id {i} outside robots 0..{k - 1}")
             if i <= last:
-                raise self._bad(f"row ids do not ascend at {i}")
+                raise ValueError(f"row ids do not ascend at {i}")
             if word < 0:
-                raise self._bad(f"row word {word} is negative")
-            # a robot whose terminate is in this record has its last row here
-            if i in ended and ended[i] < rnd:
-                raise self._bad(f"row for robot {i}, which is gone since its terminate "
-                                f"in round {ended[i]}")
+                raise ValueError(f"row word {word} is negative")
+            if i in ended:
+                raise ValueError(f"row for robot {i}, which is gone since its terminate "
+                                 f"in round {ended[i]}")
             out.append((i, node, word))
             last = i
         return out
@@ -1041,9 +1027,7 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes], sink=None) -> Par
 
     With a ``sink``, such as a ``checkers.TraceDigest``, the records are
     handed out, not kept: ``sink.header(max_degree, fields)`` as the
-    header is read, ``sink.record(delta, reader)`` as each record is, its
-    rows as read for the sink's loop over them to check (calling
-    ``reader.rows(delta.rows)`` where one fails, which names why), and
+    header is read, ``sink.record(delta)`` as each record is, and
     ``sink.end(summary)`` once the whole trace has passed; the result
     then holds no deltas.  An error the sink raises passes through.
     """
@@ -1051,6 +1035,7 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes], sink=None) -> Par
     header: tuple[int, int, tuple[tuple[str, int], ...]] | None = None
     reader: _RecordReader | None = None
     deltas: list[TraceDelta] = []
+    keep = deltas.append if sink is None else sink.record
     summary: RunSummary | None = None
     offset = 0
     for line_no, line in enumerate(lines, start=1):
@@ -1083,10 +1068,11 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes], sink=None) -> Par
         elif type(obj) is list:
             if summary is not None:
                 raise TraceFormatError(f"line {line_no}: record after summary")
-            if sink is None:
-                deltas.append(reader.record(obj, line_no))
-            else:
-                sink.record(reader.record(obj, line_no, raw=True), reader)
+            try:
+                delta = reader.record(obj)
+            except (ValueError, TypeError) as exc:
+                raise TraceFormatError(f"line {line_no}: bad record: {exc}") from None
+            keep(delta)
         elif type(obj) is not dict:
             raise TraceFormatError(f"line {line_no}: neither record nor summary")
         elif "format" in obj:

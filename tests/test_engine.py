@@ -436,12 +436,23 @@ class TestTraceParsing:
 
     @pytest.mark.parametrize("edit, message", BAD_TRACES)
     def test_a_digest_fed_line_by_line_gives_the_same_error(self, edit, message):
-        """Fed to a digest, whose loop over each record's rows makes the
-        reader's row checks as well as its own, each trace gives the error
-        the reader gives alone."""
+        """Fed line by line to a digest, as ``verify`` feeds one, each trace
+        gives the error the reader gives alone: the reader checks a record
+        before the digest sees it."""
         parse_trace(_small_trace(), sink=TraceDigest(None, gen_ring(3)))
         with pytest.raises(TraceFormatError, match=message):
             parse_trace(_small_trace(edit), sink=TraceDigest(None, gen_ring(3)))
+
+    @pytest.mark.parametrize("row, message", [([5, 0, 0], "row id 5 outside robots 0..1"),
+                                              ([0, 0, -1], "row word -1 is negative")])
+    def test_a_record_with_two_faults_names_its_row_on_both_paths(self, row, message):
+        """A bad row and an unknown event in one record: read alone or fed to
+        a digest, the trace names the row, which the reader checks first."""
+        def edit(o):
+            o[1] = [[row], [["no_such_event", 0]]]
+        for sink in (None, TraceDigest(None, gen_ring(3))):
+            with pytest.raises(TraceFormatError, match=f"line 2: bad record: {message}$"):
+                parse_trace(_small_trace(edit), sink=sink)
 
     @pytest.mark.parametrize("field, value", [("t1", 0), ("t1", 8), ("t2", 1_000_000_000)])
     def test_summary_round_outside_the_run(self, field, value):
