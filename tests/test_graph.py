@@ -1,10 +1,12 @@
 """Port-labeled graph construction, generators, and serialization."""
 
+import hashlib
 import itertools
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from dispersim.graph import (
     SelfLoopError,
     SizeTooSmallError,
     build,
+    corpus_instances,
     gen_complete,
     gen_path,
     gen_random_connected,
@@ -33,6 +36,34 @@ from dispersim import graph
 from dispersim.graph import _PairsOutside
 
 TRIANGLE_EDGES = [(0, 0, 1, 1), (1, 0, 2, 0), (2, 1, 0, 1)]
+
+# one bad input per row, and the exact error class and message it gets
+BUILD_FAULTS = {
+    "node_out_of_range": (2, [(0, 0, 2, 0)], ValueError,
+                          "edge (0,0,2,0) references a node outside 0..1"),
+    "self_loop": (2, [(0, 0, 0, 1), (0, 2, 1, 0)], SelfLoopError, "self-loop at node 0"),
+    "parallel_reversed": (2, [(0, 0, 1, 0), (1, 1, 0, 1)], MultiEdgeError,
+                          "parallel edge between 0 and 1"),
+    "duplicate_port_at_u": (3, [(0, 0, 1, 0), (0, 0, 2, 0)], DuplicatePortError,
+                            "port 0 at node 0 used twice"),
+    "duplicate_port_at_v": (3, [(0, 0, 2, 0), (1, 0, 2, 0)], DuplicatePortError,
+                            "port 0 at node 2 used twice"),
+    "skipped_port": (3, [(0, 0, 1, 0), (0, 2, 2, 0)], PortGapError,
+                     "node 0 has ports [0, 2], expected 0..1"),
+    "port_at_degree": (2, [(0, 0, 1, 1)], PortGapError, "node 1 has ports [1], expected 0..0"),
+    "disconnected": (4, [(0, 0, 1, 0), (2, 0, 3, 0)], DisconnectedError,
+                     "only 2 of 4 nodes reachable from node 0"),
+    "no_nodes": (0, [], SizeTooSmallError, "need at least 1 node, got 0"),
+}
+
+
+def pinned_graphs():
+    """The graphs whose bytes are pinned: the 200 ``corpus:0`` graphs, the
+    worst-case family at the sizes the tests and benchmarks run, and one
+    path, ring and clique."""
+    yield from (g for *_, g in corpus_instances(0, 200))
+    yield from (gen_worstcase(k) for k in (7, 16, 64, 128, 256))
+    yield from (gen_path(9), gen_ring(9), gen_complete(9))
 
 
 class TestBuild:
@@ -77,6 +108,27 @@ class TestBuild:
             g.neighbor_via(0, 1)
         with pytest.raises(PortOutOfRangeError):
             g.neighbor_via(0, -1)
+
+    @pytest.mark.parametrize("n, edges, error, message", BUILD_FAULTS.values(),
+                             ids=BUILD_FAULTS)
+    def test_each_fault_has_its_class_and_message(self, n, edges, error, message):
+        with pytest.raises(ValueError) as exc:
+            build(n, edges)
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
+    def test_node_outside_the_graph_query(self):
+        with pytest.raises(PortOutOfRangeError, match=r"^node 2 not in graph of 2 nodes$"):
+            build(2, [(0, 0, 1, 0)]).neighbor_via(2, 0)
+
+    def test_a_huge_port_fails_without_allocating_by_it(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PortGapError, match=r"^node 1 has ports \[1000000000\], "):
+                build(2, [(0, 0, 1, 10**9)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestGenerators:
@@ -193,6 +245,18 @@ class TestRandomConnected:
 
 
 class TestSerialization:
+    def test_pinned_graphs_keep_their_bytes_and_involution(self):
+        """One sha256 over ``write_graph`` of every pinned graph, and every
+        port crossed twice comes back to where it started."""
+        digest = hashlib.sha256()
+        for g in pinned_graphs():
+            digest.update(write_graph(g).encode())
+            for v in range(g.n):
+                for p in range(g.degree(v)):
+                    assert g.neighbor_via(*g.neighbor_via(v, p)) == (v, p)
+        assert digest.hexdigest() == (
+            "a8e3ec170826324cbb6acb596f44898b2a559d211f6fe235ec2f8bf8e875bbb2")
+
     def test_write_path_two(self):
         assert write_graph(gen_path(2)) == "2 1\n0 0 1 0\n"
 
