@@ -130,7 +130,7 @@ def build(n: int, edges: list[Edge] | tuple[Edge, ...]) -> PortLabeledGraph:
     table: list[dict[Port, tuple[NodeId, Port]]] = [{} for _ in range(n)]
     for u, p_u, v, p_v in edges:
         if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{p_u},{v},{p_v}) references a node outside 0..{n - 1}")
+            raise PortOutOfRangeError(f"edge ({u},{p_u},{v},{p_v}) references a node outside 0..{n - 1}")
         if u == v:
             raise SelfLoopError(f"self-loop at node {u}")
         pair = (min(u, v), max(u, v))

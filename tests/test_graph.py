@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from dispersim.graph import (
     DisconnectedError,
+    GraphError,
     DuplicatePortError,
     GraphSyntaxError,
     InfeasibleEdgeCountError,
@@ -39,7 +40,7 @@ TRIANGLE_EDGES = [(0, 0, 1, 1), (1, 0, 2, 0), (2, 1, 0, 1)]
 
 # one bad input per row, and the exact error class and message it gets
 BUILD_FAULTS = {
-    "node_out_of_range": (2, [(0, 0, 2, 0)], ValueError,
+    "node_out_of_range": (2, [(0, 0, 2, 0)], PortOutOfRangeError,
                           "edge (0,0,2,0) references a node outside 0..1"),
     "self_loop": (2, [(0, 0, 0, 1), (0, 2, 1, 0)], SelfLoopError, "self-loop at node 0"),
     "parallel_reversed": (2, [(0, 0, 1, 0), (1, 1, 0, 1)], MultiEdgeError,
@@ -112,7 +113,7 @@ class TestBuild:
     @pytest.mark.parametrize("n, edges, error, message", BUILD_FAULTS.values(),
                              ids=BUILD_FAULTS)
     def test_each_fault_has_its_class_and_message(self, n, edges, error, message):
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(GraphError) as exc:
             build(n, edges)
         assert (type(exc.value), str(exc.value)) == (error, message)
 
