@@ -37,7 +37,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .engine import Event, Outcome, ParsedTrace, Row, RunSummary, TraceDelta, TraceFormatError
-from .graph import PortLabeledGraph
+from .graph import NEIGHBOR_SHIFT, PortLabeledGraph
 
 # what the codes of a word's role and direction fields stand for, in
 # format 4 (see the README)
@@ -515,8 +515,8 @@ def check_stage1(digest: TraceDigest) -> Verdict:
         stack = [min(occupied)]
         while stack:
             u = stack.pop()
-            for v, _ in graph.ports[u]:
-                if v in occupied and v not in seen:
+            for packed in graph.ports[u]:
+                if (v := packed >> NEIGHBOR_SHIFT) in occupied and v not in seen:
                     seen.add(v)
                     stack.append(v)
         if seen != occupied:

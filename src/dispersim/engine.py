@@ -93,7 +93,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import PortLabeledGraph
+from .graph import NEIGHBOR_SHIFT, PORT_MASK, PortLabeledGraph
 from .robot import (
     ACKNOWLEDGE,
     DONE,
@@ -398,7 +398,7 @@ class World:
 
         Appends an event for everything that happened during the
         round: settles, role changes, applied control messages, deaths.
-        Every word stored is checked against ``self.overflow`` and
+        Every word a step stores is checked against ``self.overflow`` and
         accumulated into ``self.used``.  Returns every robot whose word
         or node the round may have stored: each mover, then each settler
         that heard another robot and acted, possibly more than once.
@@ -703,11 +703,10 @@ class World:
         if not 0 <= dec.port < len(ports):
             raise _Fault(f"round {self.round}: robot {i} tried invalid port "
                          f"{dec.port} at node {node}")
-        self.positions[i], rport = ports[dec.port]
-        # rport is below the max degree, which fits a port field
-        word = self.states[i] & ~ENTERED_MASK | rport + 1 << ENTERED_SHIFT
-        if word & self.overflow:
-            raise self._too_wide(i, *overflowing_field(word, self.max_degree))
+        self.positions[i] = (packed := ports[dec.port]) >> NEIGHBOR_SHIFT
+        # no overflow check: the rest of the word was checked when stored,
+        # and the port back is below the max degree, which fits a port field
+        word = self.states[i] & ~ENTERED_MASK | (packed & PORT_MASK) + 1 << ENTERED_SHIFT
         self.used[word & ROLE_MASK] |= word
         self.states[i] = word
 

@@ -4,6 +4,8 @@ Every node numbers its incident edges with consecutive ports 0..degree-1.
 An edge carries an independent port number at each endpoint, so crossing
 via port p at u lands at some node v together with the port q that leads
 back.  Graphs are simple (no self-loops, no parallel edges) and connected.
+A node's ports are one ``array("q")``, 8 bytes a port, each packing the
+pair ``(neighbor, remote_port)`` that ``neighbor_via`` returns.
 
 Fixture generators produce canonical labelings so runs are reproducible;
 ``gen_random_connected`` derives everything from its seed.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 
@@ -20,6 +23,8 @@ NodeId = int
 Port = int
 
 Edge = tuple[NodeId, Port, NodeId, Port]
+NEIGHBOR_SHIFT = 32  # a packed port: neighbor << NEIGHBOR_SHIFT | remote_port
+PORT_MASK = (1 << NEIGHBOR_SHIFT) - 1
 
 
 class GraphError(ValueError):
@@ -69,14 +74,15 @@ class GraphSyntaxError(GraphError):
 class PortLabeledGraph:
     """Immutable adjacency-by-port table.
 
-    ``ports[v][p]`` is the pair ``(neighbor, remote_port)`` reached by
-    leaving v through port p.  Construct via :func:`build` or a generator;
-    the constructor trusts its input.
+    ``ports[v]`` is an ``array("q")`` whose entry p packs the neighbor
+    reached by leaving v through port p and the port that leads back, as
+    ``neighbor << NEIGHBOR_SHIFT | remote_port``.  Construct via
+    :func:`build` or a generator; the constructor trusts its input.
     """
 
     __slots__ = ("n", "ports")
 
-    def __init__(self, n: int, ports: tuple[tuple[tuple[NodeId, Port], ...], ...]):
+    def __init__(self, n: int, ports: tuple[array, ...]):
         self.n = n
         self.ports = ports
 
@@ -98,15 +104,16 @@ class PortLabeledGraph:
             raise PortOutOfRangeError(
                 f"port {p} at node {v} with degree {len(self.ports[v])}"
             )
-        return self.ports[v][p]
+        packed = self.ports[v][p]
+        return packed >> NEIGHBOR_SHIFT, packed & PORT_MASK
 
     def edges(self) -> list[Edge]:
         """Canonical edge list: (u, p_u, v, p_v) with u < v, sorted by (u, p_u)."""
         out = []
         for u in range(self.n):
-            for p_u, (v, p_v) in enumerate(self.ports[u]):
-                if u < v:
-                    out.append((u, p_u, v, p_v))
+            for p_u, packed in enumerate(self.ports[u]):
+                if u < (v := packed >> NEIGHBOR_SHIFT):
+                    out.append((u, p_u, v, packed & PORT_MASK))
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -126,46 +133,60 @@ def build(n: int, edges: list[Edge] | tuple[Edge, ...]) -> PortLabeledGraph:
     """
     if n < 1:
         raise SizeTooSmallError(f"need at least 1 node, got {n}")
-    seen_pairs: set[tuple[NodeId, NodeId]] = set()
-    table: list[dict[Port, tuple[NodeId, Port]]] = [{} for _ in range(n)]
+    degree = [0] * n
     for u, p_u, v, p_v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise PortOutOfRangeError(f"edge ({u},{p_u},{v},{p_v}) references a node outside 0..{n - 1}")
         if u == v:
             raise SelfLoopError(f"self-loop at node {u}")
-        pair = (min(u, v), max(u, v))
-        if pair in seen_pairs:
-            raise MultiEdgeError(f"parallel edge between {pair[0]} and {pair[1]}")
-        seen_pairs.add(pair)
-        if p_u in table[u]:
-            raise DuplicatePortError(f"port {p_u} at node {u} used twice")
-        if p_v in table[v]:
-            raise DuplicatePortError(f"port {p_v} at node {v} used twice")
-        table[u][p_u] = (v, p_v)
-        table[v][p_v] = (u, p_u)
-    for v, row in enumerate(table):
-        if set(row) != set(range(len(row))):
-            raise PortGapError(
-                f"node {v} has ports {sorted(row)}, expected 0..{len(row) - 1}"
-            )
-    ports = tuple(tuple(row[p] for p in range(len(row))) for row in table)
-    _check_connected(n, ports)
+        degree[u] += 1
+        degree[v] += 1
+    ports = tuple(array("q", [-1]) * d for d in degree)  # -1: an empty slot
+    gap = n  # the lowest node with a port outside its row
+    for u, p_u, v, p_v in edges:
+        row_u, row_v = ports[u], ports[v]
+        if 0 <= p_u < len(row_u):
+            if row_u[p_u] >= 0:
+                raise _reused(u, p_u, v, row_u[p_u])
+            row_u[p_u] = v << NEIGHBOR_SHIFT | p_v & PORT_MASK
+        else:
+            gap = min(gap, u)
+        if 0 <= p_v < len(row_v):
+            if row_v[p_v] >= 0:
+                raise _reused(v, p_v, u, row_v[p_v])
+            row_v[p_v] = u << NEIGHBOR_SHIFT | p_u & PORT_MASK
+        else:
+            gap = min(gap, v)
+    if gap < n:
+        got = sorted(p_u if x == gap else p_v for x, p_u, y, p_v in edges if gap in (x, y))
+        if twice := [p for p, q in zip(got, got[1:]) if p == q]:
+            raise DuplicatePortError(f"port {twice[0]} at node {gap} used twice")
+        raise PortGapError(f"node {gap} has ports {got}, expected 0..{len(got) - 1}")
+    _check_simple_and_connected(n, ports)
     return PortLabeledGraph(n, ports)
 
 
-def _check_connected(n: int, ports) -> None:
-    seen = [False] * n
-    seen[0] = True
+def _reused(u: NodeId, p: Port, v: NodeId, held: int) -> GraphError:
+    # an edge to v finds port p of u already held: by v again, or by another
+    if held >> NEIGHBOR_SHIFT == v:
+        return MultiEdgeError(f"parallel edge between {min(u, v)} and {max(u, v)}")
+    return DuplicatePortError(f"port {p} at node {u} used twice")
+
+
+def _check_simple_and_connected(n: int, ports) -> None:
+    """Walk the rows from node 0; a row that lists a node twice is a parallel edge."""
+    last = [-1] * n  # the node whose row last listed each node; -1 while unreached
+    last[0] = 0  # the start, which no row lists: no self-loops
     stack = [0]
-    count = 1
     while stack:
         u = stack.pop()
-        for v, _ in ports[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
+        for packed in ports[u]:
+            if (was := last[v := packed >> NEIGHBOR_SHIFT]) == u:
+                raise MultiEdgeError(f"parallel edge between {min(u, v)} and {max(u, v)}")
+            last[v] = u
+            if was < 0:
                 stack.append(v)
-    if count != n:
+    if (count := n - last.count(-1)) != n:
         raise DisconnectedError(f"only {count} of {n} nodes reachable from node 0")
 
 

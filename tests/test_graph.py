@@ -190,6 +190,28 @@ class TestGenerators:
         with pytest.raises(SizeTooSmallError):
             gen_worstcase(6)
 
+    def test_worstcase_256_builds_in_a_packed_table(self):
+        """Each port is one 8-byte entry, so building the 31,881-edge worst
+        case peaks at about its edge list plus the table, 3.1 MB; a tuple
+        per port, a dict per node and a set of pairs peaked at 12.9 MB."""
+        tracemalloc.start()
+        try:
+            assert gen_worstcase(256).num_edges == 31_881
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+
+    def test_the_corpus_graphs_hold_a_packed_table(self):
+        """The 200 ``corpus:0`` graphs hold 1.57 MB: a graph holds only
+        itself, its tuple of rows and each row's array, buffer included.
+        The same sum over a tuple per port read 8.2 MB.  Summed sizes are
+        as deterministic as tracemalloc, which takes seconds over the
+        generation."""
+        held = sum(sys.getsizeof(g) + sys.getsizeof(g.ports) + sum(map(sys.getsizeof, g.ports))
+                   for *_, g in corpus_instances(0, 200))
+        assert held < 2.5e6, held
+
 
 class TestRandomConnected:
     def test_tree_when_m_minimal(self):
