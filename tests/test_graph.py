@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from dispersim.graph import (
     DisconnectedError,
-    GraphError,
     DuplicatePortError,
+    GraphError,
     GraphSyntaxError,
     InfeasibleEdgeCountError,
     MultiEdgeError,
@@ -45,10 +45,14 @@ BUILD_FAULTS = {
     "self_loop": (2, [(0, 0, 0, 1), (0, 2, 1, 0)], SelfLoopError, "self-loop at node 0"),
     "parallel_reversed": (2, [(0, 0, 1, 0), (1, 1, 0, 1)], MultiEdgeError,
                           "parallel edge between 0 and 1"),
+    "repeated_edge": (2, [(0, 0, 1, 0), (0, 0, 1, 0)], MultiEdgeError,
+                      "parallel edge between 0 and 1"),
     "duplicate_port_at_u": (3, [(0, 0, 1, 0), (0, 0, 2, 0)], DuplicatePortError,
                             "port 0 at node 0 used twice"),
     "duplicate_port_at_v": (3, [(0, 0, 2, 0), (1, 0, 2, 0)], DuplicatePortError,
                             "port 0 at node 2 used twice"),
+    "duplicate_port_past_degree": (3, [(0, 2, 1, 0), (0, 2, 2, 0)], DuplicatePortError,
+                                   "port 2 at node 0 used twice"),
     "skipped_port": (3, [(0, 0, 1, 0), (0, 2, 2, 0)], PortGapError,
                      "node 0 has ports [0, 2], expected 0..1"),
     "port_at_degree": (2, [(0, 0, 1, 1)], PortGapError, "node 1 has ports [1], expected 0..0"),
