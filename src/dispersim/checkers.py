@@ -319,11 +319,12 @@ class TraceDigest:
             nodes.append(node)
             indices.append(index)
         self.group.codes.append(next(iter(count)) if len(count) == 1 else -1)
-        for ev in d.events:
-            dead = self._event(rnd, ev)
-            # a robot with a row in this round, which it is gone from next
-            if dead is not None and (past := history.get(dead)) and past[2][-1] >= 0:
-                self._ended.add(dead)
+        if d.events:
+            for ev in d.events:
+                dead = self._event(rnd, ev)
+                # a robot with a row in this round, which it is gone from next
+                if dead is not None and (past := history.get(dead)) and past[2][-1] >= 0:
+                    self._ended.add(dead)
 
     def _decode(self, word: int, rnd: int, i: int) -> tuple[int, int, int]:
         """Decode ``word``, first seen in robot ``i``'s row of round

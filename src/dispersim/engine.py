@@ -65,12 +65,14 @@ word or node changed since its last row, and its events, each one
 robot is gone from the round after its ``terminate`` event, which is
 all a reader needs to drop it.  ``run`` builds each record from the
 robots ``execute_round`` returns as stored (every actor, settlers
-included), so a round's trace costs what the round touched, not k.
+included, each once and ascending by id; a lone round's mover and, if it
+acted, its settler), so a round's trace costs what the round touched.
 Without a sink it keeps the records as ``TraceDelta``s; with one it
 hands each record's line to the sink as the round ends and keeps none,
 so its memory does not grow with rounds.  One renderer makes both the
 sink's lines and ``jsonl_lines``; a record line is, byte for byte, the
-``json.dumps`` text of ``[rows, events]`` (the golden hashes pin it).
+``json.dumps`` text of ``[rows, events]`` (the golden hashes pin it), a
+lone round's one row and no event rendered in one step.
 ``parse_trace`` reads a record line as written with one C scan; it takes
 any JSON whitespace or CRLF around a line through ``json.loads``, which
 also gives a malformed line the error it always had.  It rejects a
@@ -320,7 +322,10 @@ def _header_line(k: int, max_degree: int) -> str:
 
 
 def _record_line(rows: list[Row], events: list[Event]) -> str:
-    # json.dumps([rows, events]) + "\n", each row of three ints rendered by %
+    # json.dumps([rows, events]) + "\n", each row of three ints rendered by
+    # %; a lone round's record, one row and no event, by one %
+    if len(rows) == 1 and not events:
+        return "[[[%d, %d, %d]], []]\n" % rows[0]
     return "[[%s], %s]\n" % (", ".join(map("[%d, %d, %d]".__mod__, rows)),
                              json.dumps(events) if events else "[]")
 
@@ -400,8 +405,8 @@ class World:
         round: settles, role changes, applied control messages, deaths.
         Every word a step stores is checked against ``self.overflow`` and
         accumulated into ``self.used``.  Returns every robot whose word
-        or node the round may have stored: each mover, then each settler
-        that heard another robot and acted, possibly more than once.
+        or node the round may have stored, each once and ascending by id:
+        each mover and each settler that heard another robot and acted.
 
         A round with one live mover is a lone round, any other a group
         round; both step robots through the same helpers and differ only
@@ -536,8 +541,7 @@ class World:
                 self._kill(i, events)
         for i in sorted(settled_kill):
             self._kill(i, events)
-        movers += woken
-        return movers
+        return sorted({*movers, *woken})
 
     def _class_steps(self, classes: Iterable[tuple[int, int, int | None, list[int]]],
                      inboxes: dict[int, NodeInbox]) -> tuple[list[tuple], bool]:
@@ -590,57 +594,54 @@ class World:
         """A round of the one live mover ``i``.  Only it and its node's
         settler can hear anyone, each only the other, so a subround
         carries two broadcasts, the mover's and the settler's, and no
-        postbox: the same steps as a group round, in the same order."""
+        postbox: the same steps as a group round, in the same order.
+        Returns ``[i]``, or ``i`` and the settler in id order if it acted."""
         node = self.positions[i]
         word = self.states[i]
         undecided = word & ROLE_MASK != DONE
         if not undecided:
             _, _, dec = step_done(word)
-        # what the mover and its node's settler broadcast in the subround before
+        # the round cannot change the settler: only the mover could settle
+        # here, and with a settler here that faults
+        settler = self.node_settler.get(node)
+        # what the mover and the settler broadcast in the subround before
         sent: Broadcast = QUERY if undecided else SILENCE
         replied: Broadcast = SILENCE
-        woken: list[int] = []
-        doomed: int | None = None  # a settler that terminates at round end
+        # whether the settler hears the query, and so acts, and whether it terminates
+        woke, doomed = undecided and settler is not None, False
         subround = 1
         while sent[0] or replied[0] or undecided:
             subround += 1
             if subround > self.max_subrounds:
                 raise self._overrun()
             # the settler acts only when it hears another robot: the mover
-            settler = self.node_settler.get(node)
-            heard = SILENCE
-            if sent[0] and settler is not None and settler != i:
-                heard = one_sender_view(sent)
-            if not heard[0]:
-                settler = None
-            else:
-                woken.append(settler)
+            heard = one_sender_view(sent) if sent[0] and settler is not None else SILENCE
             acts = undecided and subround > 2
             heard_by_mover, sent, replied = replied, SILENCE, SILENCE
             # the two step in id order, as in a group round
-            if settler is not None and settler < i:
+            if heard[0] and settler < i:
                 replied, terminates = self._settler_step(settler, heard, events)
-                doomed = settler if terminates else doomed
-                settler = None
+                doomed |= terminates
             if acts:
-                word = self.states[i]
                 view = one_sender_view(heard_by_mover) if heard_by_mover[0] else SILENCE
                 coin = le_coin(word >> LE_SHIFT, self.rngs[i]) if draws_coin(word, view) else 0
                 word2, sent, dec, repair = self._step(node, word, view, coin)
                 self._commit(i, word, word2, dec, repair, events)
-                undecided = dec is NOT_DONE
-            if settler is not None:
+                word, undecided = word2, dec is NOT_DONE
+            if heard[0] and settler > i:
                 replied, terminates = self._settler_step(settler, heard, events)
-                doomed = settler if terminates else doomed
+                doomed |= terminates
         self.subrounds = subround
 
         if type(dec) is Move:
             self._move(i, dec)
         elif type(dec) is TerminateSelf:
             self._kill(i, events)
-        if doomed is not None:
-            self._kill(doomed, events)
-        return [i, *woken]
+        if doomed:
+            self._kill(settler, events)
+        if not woke:
+            return [i]
+        return [settler, i] if settler < i else [i, settler]
 
     def _settler_step(self, i: int, view: View,
                       events: list[Event]) -> tuple[Broadcast, bool]:
@@ -778,7 +779,10 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
     as it is complete (the header, each round's record as the round ends,
     then the summary), and the result keeps what a ``SUMMARY`` run keeps,
     its ``trace_level`` reading ``SUMMARY``.  Below ``FULL`` there is no
-    trace, and ``sink`` gets nothing.
+    trace, and ``sink`` gets nothing.  A record holds the changed rows of
+    the robots ``execute_round`` returned the round before; in a lone
+    round that is the mover and maybe its settler, so most records are one
+    row and no event.
     """
     config.validate()
     w = World(config)
@@ -805,7 +809,7 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
         events: list[Event] = []
         if full:
             rows: list[Row] = []
-            for i in sorted(set(touched)):
+            for i in touched:
                 # a robot that died in the round before has no row from now on
                 if alive[i]:
                     word, node = states[i], positions[i]
@@ -828,7 +832,7 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
             if level is TraceLevel.SUMMARY:
                 deltas.append(TraceDelta(rnd, [], list(events)))
             break
-        if level is TraceLevel.SUMMARY:
+        if level is TraceLevel.SUMMARY and events:
             markers = [e for e in events if e[0] in _MARKERS]
             if markers:
                 deltas.append(TraceDelta(rnd, [], markers))
@@ -969,10 +973,12 @@ class _RecordReader:
         if type(rows) is not list or type(events) is not list:
             raise TypeError(f"rows and events must be lists, not {type(rows).__name__} "
                             f"and {type(events).__name__}")
-        self.round += 1
+        self.round = rnd = self.round + 1
         if rows:
             rows = self._rows(rows)
-        return TraceDelta(self.round, rows, [self._event(ev) for ev in events])
+        if events:
+            events = [self._event(ev) for ev in events]
+        return TraceDelta(rnd, rows, events)
 
     def _event(self, ev) -> Event:
         """One event, checked, as a tuple."""

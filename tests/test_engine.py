@@ -5,7 +5,7 @@ import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dispersim.engine import (
@@ -268,6 +268,9 @@ _EVENTS = st.one_of(*(st.tuples(st.just(name), *[_INTS] * (arity - 1))
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(rows=st.lists(st.tuples(_INTS, _INTS, _INTS)), events=st.lists(_EVENTS))
+# a lone round's record, one row and no event, which has a form of its own
+@example(rows=[(3, -1, 5)], events=[])
+@example(rows=[(0, 7, 2**64 + 1)], events=[])
 def test_a_record_line_is_the_text_of_json_dumps(rows, events):
     assert engine._record_line(rows, events) == json.dumps([rows, events]) + "\n"
 
@@ -756,6 +759,189 @@ def test_lone_rounds_match_group_rounds(monkeypatch):
         assert ran(cfg) == outcome, name
     # the three election overruns, at both levels
     assert sum(fault is not None for *_, fault in want) == 6
+
+
+def test_a_round_returns_each_robot_it_touched_once_in_id_order(monkeypatch):
+    """``execute_round`` returns the robots whose word or node it may have
+    stored, each once, ascending by id, and the same list whether a round
+    is lone or forced through the group round.  A lone round's list is its
+    mover and, if it acted, the settler there, in either order."""
+    execute, lone = World.execute_round, World._lone_round
+    returned: list[list[int]] = []
+    shapes = set()
+
+    def recorded(self, events):
+        touched = execute(self, events)
+        returned.append(touched)
+        return touched
+
+    def lone_recorded(self, i, events):
+        touched = lone(self, i, events)
+        shapes.add(tuple(j == i for j in touched))
+        return touched
+
+    def returns(cfg):
+        returned.clear()
+        run(cfg)
+        return list(returned)
+
+    runs = list(_lone_and_group_runs())
+    monkeypatch.setattr(World, "execute_round", recorded)
+    monkeypatch.setattr(World, "_lone_round", lone_recorded)
+    want = [returns(cfg) for _, cfg in runs]
+    assert all(t == sorted(set(t)) for each in want for t in each)
+    # the mover alone, the settler after it, the settler before it
+    assert shapes == {(True,), (True, False), (False, True)}
+    monkeypatch.setattr(World, "_lone_round",
+                        lambda self, i, events: self._group_round(events))
+    for (name, cfg), touched in zip(runs, want):
+        assert returns(cfg) == touched, name
+
+
+# a returner's mark that it sent its child port and waits a subround: a
+# phase, which a returner never holds
+_LINGERING = 1 << robot.LE_SHIFT
+
+
+def _lingers(step, fired):
+    """``step_return`` that sends its child port on the reply, as the
+    protocol's does, but stays undecided for a subround, keeping the
+    reply's parent port in its child field; then, hearing nothing, it
+    takes the move or the role change that port gives.  So the returner
+    and the settler it sent the port to act in one subround, and where the
+    walk back ends at the root both write an event there."""
+    def patched(state, reply):
+        if not state & _LINGERING:
+            _, sent, _ = step(state, reply)
+            parent = 0 if reply.parent is None else reply.parent + 1
+            return state | _LINGERING | parent << robot.CHILD_SHIFT, sent, robot.NOT_DONE
+        fired.append(state)
+        parent = (state >> robot.CHILD_SHIFT & robot.SLOT) - 1
+        word, _, dec = step(state & ~(_LINGERING | robot.CHILD_MASK),
+                            robot.SettledReply(None if parent < 0 else parent, None, 0))
+        return word, robot.SILENCE, dec
+    return patched
+
+
+def _settles_loudly(step, fired):
+    """``step_explore`` under which an explorer alone at a fresh node
+    settles there as a leader does, instead of turning back, and every
+    explorer broadcasts a visited mark as it settles.  The last walker of
+    stage 1 then settles in a lone round and sends, and no robot may hear
+    it: none other is there, and a robot never hears itself."""
+    def patched(state, view, coin, degree):
+        word, sent, dec = step(state, view, coin, degree)
+        if word & robot.ROLE_MASK == robot.RETURN:
+            fired.append(state)
+            parent = (state & robot.ENTERED_MASK) >> robot.ENTERED_SHIFT << robot.PARENT_SHIFT
+            word = (state & ~(robot.ROLE_MASK | robot.LE_MASK | robot.PARENT_MASK)
+                    | robot.SETTLED | parent)
+        if word & robot.ROLE_MASK == robot.SETTLED:
+            return word, robot.VISIT, robot.STAY
+        return word, sent, dec
+    return patched
+
+
+@pytest.mark.parametrize("attr, mutant", [("step_return", _lingers),
+                                          ("step_explore", _settles_loudly)],
+                         ids=["lingers", "settles_loudly"])
+def test_lone_rounds_match_group_rounds_under_step_mutants(monkeypatch, attr, mutant):
+    """Two steps the protocol never takes, which a lone round must still
+    deliver as the group round does: a returner that stays undecided after
+    sending its child port, so that it and its settler act in one
+    subround, which they must take in id order; and a lone walker that
+    broadcasts as it settles mid-round, which it must not hear.  Each
+    fires in lone rounds, and forcing every lone round through the group
+    round keeps each run's deltas, summary, bits and fault."""
+    fired: list[int] = []
+    monkeypatch.setattr(engine, attr, mutant(getattr(engine, attr), fired))
+    lone, in_lone = World._lone_round, []
+
+    def counted(self, i, events):
+        before = len(fired)
+        touched = lone(self, i, events)
+        in_lone.append(len(fired) - before)
+        return touched
+
+    def ran(cfg):
+        res = run(cfg)
+        return res.deltas, res.summary, res.used_bits, res.summary.fault
+
+    # each run takes at most 660 rounds in the protocol; where every robot
+    # settles, the run idles until its budget
+    runs = [(f"corpus:{i}", SimulationConfig(graph=g, k=k, root=root, seed=i, max_rounds=700))
+            for i, _, _, k, root, g in corpus_instances(0, 40)]
+    runs += [(f"worstcase:{k}", SimulationConfig(graph=gen_worstcase(k), k=k, seed=k,
+                                                 max_rounds=700))
+             for k in (7, 16)]
+    monkeypatch.setattr(World, "_lone_round", counted)
+    want = [ran(cfg) for _, cfg in runs]
+    assert sum(in_lone) == len(fired) > 0
+    monkeypatch.setattr(World, "_lone_round",
+                        lambda self, i, events: self._group_round(events))
+    for (name, cfg), outcome in zip(runs, want):
+        assert ran(cfg) == outcome, name
+    if mutant is _lingers:
+        # where the walk back ends, the settler's set_child and the mover's
+        # to_acknowledge come in one subround, in both id orders
+        ends = {tuple(ev[0] for ev in d.events if ev[0] in ("set_child", "to_acknowledge"))
+                for deltas, *_ in want for d in deltas
+                if any(ev[0] == "to_acknowledge" for ev in d.events)}
+        assert ends == {("set_child", "to_acknowledge"), ("to_acknowledge", "set_child")}
+
+
+def _never_decides(step):
+    """``step_return`` that stays undecided and silent, whatever it hears."""
+    return lambda state, reply: (state, robot.SILENCE, robot.NOT_DONE)
+
+
+def _wide_settler(step):
+    """``step_settled`` whose word holds parent port 3, stored as 4: one
+    bit too wide at max degree 2."""
+    def patched(state, view):
+        word, sent, dec = step(state, view)
+        return word & ~robot.PARENT_MASK | 4 << robot.PARENT_SHIFT, sent, dec
+    return patched
+
+
+def _wide_child(step):
+    """``step_return`` that sends child port 2^16, which overflows its slot."""
+    def patched(state, reply):
+        word, _, dec = step(state, reply)
+        return word, (robot.ANY_LANE, None, 1 << 16), dec
+    return patched
+
+
+@pytest.mark.parametrize("attr, mutant, fault", [
+    ("step_return", _never_decides, "round 4 still open after 96 subrounds"),
+    ("step_settled", _wide_settler,
+     "round 4: robot 1 stored parent=3, which does not fit its 2-bit field at max degree 2"),
+    ("step_return", _wide_child,
+     "round 4: robot 1 stored child=65536, which does not fit its 2-bit field at max degree 2"),
+], ids=["overrun", "wide_settler_word", "wide_child_port"])
+def test_a_lone_round_fault_is_the_group_rounds(monkeypatch, attr, mutant, fault):
+    """Faults that only a wrong step brings about in a lone round: a
+    returner that never decides overruns the subround budget, and a
+    settler stores a word, or is sent a child port, too wide for its
+    field.  The group round, with every lone round forced through it,
+    ends each run with the same trace and the same fault."""
+    monkeypatch.setattr(engine, attr, mutant(getattr(engine, attr)))
+    lone, lone_rounds = World._lone_round, []
+
+    def counted(self, i, events):
+        lone_rounds.append(self.round)
+        return lone(self, i, events)
+
+    cfg = SimulationConfig(graph=gen_path(3), k=3, root=0, seed=3)
+    monkeypatch.setattr(World, "_lone_round", counted)
+    res = run(cfg)
+    assert res.summary.fault == fault
+    # rounds 1 and 2 are elections, 3 and 4 the lone walker's
+    assert lone_rounds == [3, 4]
+    monkeypatch.setattr(World, "_lone_round",
+                        lambda self, i, events: self._group_round(events))
+    group = run(cfg)
+    assert (group.deltas, group.summary) == (res.deltas, res.summary)
 
 
 def _subrounds_per_round(cfg: SimulationConfig) -> list[int]:
