@@ -780,9 +780,9 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
     then the summary), and the result keeps what a ``SUMMARY`` run keeps,
     its ``trace_level`` reading ``SUMMARY``.  Below ``FULL`` there is no
     trace, and ``sink`` gets nothing.  A record holds the changed rows of
-    the robots ``execute_round`` returned the round before; in a lone
-    round that is the mover and maybe its settler, so most records are one
-    row and no event.
+    the robots ``execute_round`` returned the round before; after a lone
+    round that is the mover and maybe its settler, so the record is often
+    one row and no event.
     """
     config.validate()
     w = World(config)
