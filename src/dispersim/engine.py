@@ -58,7 +58,7 @@ port), movement sets the entry port with one mask-and-or, and every
 stored word costs one AND against the run's overflow mask and one OR
 into its role's accumulator.
 
-A FULL trace (format 4) has one record per round 1..``rounds``, in
+A FULL trace (format 5) has one record per round 1..``rounds``, in
 order, holding a row ``(id, node, word)`` for each robot whose stored
 word or node changed since its last row, and its events, each one
 ``Event`` tuple from the engine to the checkers, never read as text.  A
@@ -71,14 +71,15 @@ Without a sink it keeps the records as ``TraceDelta``s; with one it
 hands each record's line to the sink as the round ends and keeps none,
 so its memory does not grow with rounds.  One renderer makes both the
 sink's lines and ``jsonl_lines``; a record line is, byte for byte, the
-``json.dumps`` text of ``[rows, events]`` (the golden hashes pin it), a
-lone round's one row and no event rendered in one step.
+``json.dumps`` text of ``[rows]``, or of ``[rows, events]`` if there are
+events, the robots that share a node and a word in one row ``[[id, ...],
+node, word]`` (the golden hashes pin it).
 ``parse_trace`` reads a record line as written with one C scan; it takes
 any JSON whitespace or CRLF around a line through ``json.loads``, which
 also gives a malformed line the error it always had.  It rejects a
-trace that lacks a round, and either keeps the records or hands each to
-its own sink as it is read; ``replay`` rebuilds a round's full set of
-rows when one is wanted.
+trace that lacks a round, hands on a row per robot, and keeps the records
+or hands each to its own sink as it is read; ``replay`` rebuilds a
+round's full set of rows when one is wanted.
 A SUMMARY run keeps only the rounds with a stage marker, in memory, and
 writes no trace.
 Nothing here decodes a word: the header carries the field table
@@ -160,7 +161,7 @@ class TraceFormatError(ValueError):
 
 
 # the version in the header line of every trace this module writes and reads
-TRACE_FORMAT = 4
+TRACE_FORMAT = 5
 
 
 class _Fault(Exception):
@@ -232,7 +233,7 @@ class TraceRecord:
 
 @dataclass(slots=True)
 class TraceDelta:
-    """One record line of a format-4 trace, ``[rows, events]``, and its
+    """One record line of a format-5 trace, a row per robot, and its
     round, its place among the records (the README has the format)."""
 
     round: int
@@ -322,12 +323,17 @@ def _header_line(k: int, max_degree: int) -> str:
 
 
 def _record_line(rows: list[Row], events: list[Event]) -> str:
-    # json.dumps([rows, events]) + "\n", each row of three ints rendered by
-    # %; a lone round's record, one row and no event, by one %
+    # json.dumps([rows]) + "\n", or of [rows, events] when there are events,
+    # the rows, ascending by id, grouped by (node, word) in order of their
+    # lowest id; a lone round's record, one row and no event, by one %
     if len(rows) == 1 and not events:
-        return "[[[%d, %d, %d]], []]\n" % rows[0]
-    return "[[%s], %s]\n" % (", ".join(map("[%d, %d, %d]".__mod__, rows)),
-                             json.dumps(events) if events else "[]")
+        return "[[[%d, %d, %d]]]\n" % rows[0]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, node, word in rows:
+        groups.setdefault((node, word), []).append(i)
+    text = ", ".join(["[%s, %d, %d]" % (ids[0] if len(ids) == 1 else ids, *key)
+                      for key, ids in groups.items()])
+    return "[[%s], %s]\n" % (text, json.dumps(events)) if events else "[[%s]]\n" % text
 
 
 def _summary_line(summary: RunSummary) -> str:
@@ -836,12 +842,15 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
             markers = [e for e in events if e[0] in _MARKERS]
             if markers:
                 deltas.append(TraceDelta(rnd, [], markers))
-        if not w.live and not w.node_settler:
-            if len(set(w.positions)) != config.k:
-                outcome = Outcome.FAULT
+        if not w.live:
+            # no robot can broadcast again, and a settler acts only when it
+            # hears another: nothing can change from here on
+            if w.node_settler:
+                fault = (f"round {rnd}: no robot moves, and settled robots "
+                         f"{sorted(w.node_settler.values())} are left to hear none")
+            elif len(set(w.positions)) != config.k:
                 fault = f"round {rnd}: all robots terminated but final nodes are not distinct"
-            else:
-                outcome = Outcome.DISPERSED_ALL_TERMINATED
+            outcome = Outcome.FAULT if fault else Outcome.DISPERSED_ALL_TERMINATED
             break
 
     rounds = w.round
@@ -923,7 +932,7 @@ _MAX_FIELDS, _MAX_WIDTH = 64, 64
 
 def _parse_header(obj: dict, line_no: int) -> tuple[int, int, tuple[tuple[str, int], ...]]:
     """The k, max degree and field table of the header line ``{"format":
-    4, "k": k, "max_degree": Δ, "fields": [[name, width], ...]}``."""
+    5, "k": k, "max_degree": Δ, "fields": [[name, width], ...]}``."""
     if type(obj) is not dict or "format" not in obj:
         raise TraceFormatError(
             f"line {line_no}: no format header; a v1 trace has none, and only "
@@ -967,9 +976,10 @@ class _RecordReader:
         self.round = 0
 
     def record(self, obj: list) -> TraceDelta:
-        if len(obj) != 2:
-            raise ValueError(f"a record is the array [rows, events], of 2 items, not {len(obj)}")
-        rows, events = obj
+        if not 0 < len(obj) < 3:
+            raise ValueError(f"a record is the array [rows] or [rows, events], of 1 or 2 "
+                             f"items, not {len(obj)}")
+        rows, events = obj if len(obj) == 2 else (obj[0], [])
         if type(rows) is not list or type(events) is not list:
             raise TypeError(f"rows and events must be lists, not {type(rows).__name__} "
                             f"and {type(events).__name__}")
@@ -994,25 +1004,44 @@ class _RecordReader:
         return tuple(ev)
 
     def _rows(self, rows: list) -> list[Row]:
-        """One record's ``rows``, checked, as tuples."""
+        """One record's ``rows``, checked, as one ``(id, node, word)`` tuple
+        per robot, ascending by id."""
         k, ended = self.k, self.ended
         out: list[Row] = []
-        last = -1
+        # the lowest id of the row before, and whether a row named a group
+        last, grouped = -1, False
         for r in rows:
             i, node, word = r
-            if type(i) is not int or type(node) is not int or type(word) is not int:
+            if type(node) is not int or type(word) is not int:
                 raise TypeError(f"row id, node and word must be integers: {r!r}")
-            if not 0 <= i < k:
-                raise ValueError(f"row id {i} outside robots 0..{k - 1}")
-            if i <= last:
-                raise ValueError(f"row ids do not ascend at {i}")
             if word < 0:
                 raise ValueError(f"row word {word} is negative")
-            if i in ended:
-                raise ValueError(f"row for robot {i}, which is gone since its terminate "
-                                 f"in round {ended[i]}")
-            out.append((i, node, word))
-            last = i
+            # a good lone id passes one test; a group's ids one per fault
+            if type(i) is int and last < i < k and i not in ended:
+                out.append((i, node, word))
+                last = i
+                continue
+            if type(i) is list and len(i) < 2:
+                raise ValueError(f"a row's id list holds at least 2 ids, not {i!r}")
+            ids, prev = i if type(i) is list else (i,), last
+            for j in ids:
+                if type(j) is not int:
+                    raise TypeError(f"row id, node and word must be integers: {r!r}")
+                if not 0 <= j < k:
+                    raise ValueError(f"row id {j} outside robots 0..{k - 1}")
+                if j <= prev:
+                    raise ValueError(f"row ids do not ascend at {j}")
+                if j in ended:
+                    raise ValueError(f"row for robot {j}, which is gone since its terminate "
+                                     f"in round {ended[j]}")
+                out.append((j, node, word))
+                prev = j
+            last, grouped = ids[0], True
+        if grouped:
+            out.sort()
+            for a, b in zip(out, out[1:]):
+                if a[0] == b[0]:
+                    raise ValueError(f"robot {a[0]} is named in two rows")
         return out
 
 
@@ -1024,9 +1053,9 @@ def parse_trace(source: str | Iterable[str] | Iterable[bytes], sink=None) -> Par
     """Read a trace, line by line, from a string or an open file.
 
     The header comes first, then one record per round 1..``rounds``, in
-    order, each the array ``[rows, events]``, then the summary.  Each
-    record comes back as the ``TraceDelta`` it was written from
-    (``replay`` gives each round's rows).  A line holding a non-ASCII
+    order, each the array ``[rows]`` or ``[rows, events]``, then the
+    summary.  Each record comes back as the ``TraceDelta`` it was written
+    from (``replay`` gives each round's rows).  A line holding a non-ASCII
     byte (or character) is rejected before it is decoded, so pass a file
     opened in binary mode to have every byte checked.
 

@@ -272,19 +272,19 @@ def gen_random_connected(n: int, m: int, seed: int) -> PortLabeledGraph:
         pairs.add((u, v))
     pairs.update(rng.sample(_PairsOutside(n, pairs), m - len(pairs)))
 
-    incident: list[list[tuple[NodeId, NodeId]]] = [[] for _ in range(n)]
-    for u, v in sorted(pairs):
-        incident[u].append((u, v))
-        incident[v].append((u, v))
-    port_of: dict[tuple[NodeId, NodeId, NodeId], Port] = {}
-    for v in range(n):
-        rng.shuffle(incident[v])
-        for p, e in enumerate(incident[v]):
-            port_of[(e[0], e[1], v)] = p
-    edges = [
-        (u, port_of[(u, v, u)], v, port_of[(u, v, v)]) for u, v in sorted(pairs)
-    ]
-    return build(n, edges)
+    # edge e's two ends are 2e at its lower node and 2e + 1 at its upper;
+    # an end's port is its place in its node's shuffled list of ends
+    edges = sorted(pairs)
+    ends: list[list[int]] = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        ends[u].append(2 * e)
+        ends[v].append(2 * e + 1)
+    port = [0] * (2 * len(edges))
+    for at in ends:
+        rng.shuffle(at)
+        for p, end in enumerate(at):
+            port[end] = p
+    return build(n, [(u, port[2 * e], v, port[2 * e + 1]) for e, (u, v) in enumerate(edges)])
 
 
 class _PairsOutside(Sequence):

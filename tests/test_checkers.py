@@ -42,7 +42,7 @@ from dispersim.graph import (
     gen_ring,
     gen_worstcase,
 )
-from trace_ref import moved, role, rounds, v4_jsonl, view, with_fields
+from trace_ref import moved, role, rounds, v5_jsonl, view, with_fields
 
 
 def ran(graph, k, root=0, seed=17):
@@ -53,7 +53,7 @@ def ran(graph, k, root=0, seed=17):
 
 def written(runs, summary, graph):
     """Edited rounds and their summary, written and parsed back."""
-    return parse_trace(v4_jsonl(runs, summary, graph.max_degree()))
+    return parse_trace(v5_jsonl(runs, summary, graph.max_degree()))
 
 
 def traced(graph, k, root=0, seed=17):
@@ -188,7 +188,7 @@ class TestNegativeControls:
         allows: an 8-bit hop counter on top of the engine's fields."""
         g = gen_path(4)
         runs, summary = ran(g, 3)
-        lines = v4_jsonl(runs, summary, g.max_degree()).splitlines()
+        lines = v5_jsonl(runs, summary, g.max_degree()).splitlines()
         header = json.loads(lines[0])
         header["fields"].append(["hops", 8])
         trace = parse_trace("\n".join([json.dumps(header), *lines[1:]]) + "\n")
@@ -312,6 +312,17 @@ class TestFindingsOfEditedTraces:
         assert got["rootpath"] == ["rootpath node 0 has no settler"]
         assert got["mirror"] == ["round 1: group at 0 which has no settler"]
 
+    def test_an_explorer_off_its_group(self):
+        """Robot 0 a node off the exploring group in round 3: stage 1, the
+        mirror and the exit check each find no co-located group there."""
+        g, runs, summary = ring6()
+        rows = runs[2][0]
+        assert [r[1] for r in rows if role(r) == "explore"] == [4, 4, 4, 4]
+        rows[0] = moved(rows[0], 3)
+        got = findings(runs, summary, g)
+        assert got["stage1"][0] == "round 3: exploring group missing or not co-located"
+        assert got["mirror"] == got["exits"] == ["round 3: exploring group missing or split"]
+
     def test_a_settler_the_replay_does_not_mark_visited(self):
         g, runs, summary = ring6()
         runs[12][1].remove(("set_visited", 3))
@@ -344,7 +355,7 @@ class TestFindingsOfEditedTraces:
         for rows, events in runs[6:]:
             rows[:] = [r for r in rows if r[0] != 1]
             events[:] = [e for e in events if e[1] != 1]
-        text = v4_jsonl(runs, summary, g.max_degree())
+        text = v5_jsonl(runs, summary, g.max_degree())
         streamed = TraceDigest(None, g)
         parse_trace(text, sink=streamed)
         for digest in (streamed, TraceDigest(parse_trace(text), g)):

@@ -14,8 +14,8 @@ from dispersim.checkers import TraceDigest
 from dispersim.cli import main
 from dispersim.engine import SimulationConfig, parse_trace, replay, run
 from dispersim.graph import gen_complete
-from test_engine import HEADER, SETTLED, wide_parent
-from trace_ref import role, rounds, v4_jsonl, with_fields
+from test_engine import HEADER, SETTLED, _settles_loudly, wide_parent
+from trace_ref import role, rounds, v5_jsonl, with_fields
 
 
 RAW = "raw:"
@@ -82,7 +82,7 @@ class TestRun:
         assert summary["rounds"] == summary["t2"] + summary["t1"] + 2
         lines = trace_file.read_text().strip().splitlines()
         assert len(lines) == summary["rounds"] + 2
-        assert json.loads(lines[0]) == {"format": 4, "k": 2, "max_degree": 1,
+        assert json.loads(lines[0]) == {"format": 5, "k": 2, "max_degree": 1,
                                         "fields": [list(f) for f in robot.FIELDS]}
         assert json.loads(lines[-1]) == summary
 
@@ -129,6 +129,19 @@ class TestRun:
         assert code == 2
         assert json.loads(out)["outcome"] == "fault"
         assert "round 1: robot 2 stored parent=3" in err
+
+    def test_a_world_that_cannot_change_is_exit_two(self, capsys, monkeypatch):
+        """Under a step mutant that settles the last explorer, no robot moves
+        and a settler acts only when it hears another: the run ends in that
+        round as a fault naming the settlers left, not at its budget."""
+        monkeypatch.setattr(engine, "step_explore",
+                            _settles_loudly(engine.step_explore, []))
+        code, out, err = run_cli(capsys, "run", "--graph", "gen:ring:6", "--k", "6",
+                                 "--seed", "5")
+        summary = json.loads(out)
+        assert (code, summary["outcome"]) == (2, "fault")
+        assert err == (f"simulation ended with fault: round {summary['rounds']}: no robot "
+                       f"moves, and settled robots [0, 1, 2, 3, 4, 5] are left to hear none\n")
 
     def test_graph_from_file(self, capsys, tmp_path):
         graph_file = tmp_path / "g.graph"
@@ -195,7 +208,7 @@ class TestRun:
         assert (code, out) == (4, "")
         assert err == "internal error: RuntimeError('boom')\n"
         lines = trace_file.read_text().splitlines()
-        assert json.loads(lines[0])["format"] == 4 and len(lines) > 2
+        assert json.loads(lines[0])["format"] == 5 and len(lines) > 2
         assert all(type(json.loads(line)) is list for line in lines[1:])
         code, out, err = run_cli(capsys, "verify", "--trace", str(trace_file),
                                  "--graph", "gen:ring:6")
@@ -414,14 +427,23 @@ class TestVerify:
         "row_role_unknown": (4, {"role": 7}),
         "row_for_gone_robot": (15, {}),
         "record_an_object": (4, lambda o: ({"rows": o[0], "events": o[1]},)),
-        "record_of_one_item": (4, lambda o: o.pop()),
+        "record_of_no_items": (4, lambda o: o.clear()),
         "record_of_three_items": (4, lambda o: o.append([])),
+        # format 5's groups; line 4's rows are [[[0, 1, 4], 3, w], [5, 4, w']]
+        # and robot 2 terminates in round 13
+        "group_names_a_robot_twice": (4, lambda o: o[0][1].__setitem__(0, [4, 5])),
+        "group_ids_not_ascending": (4, lambda o: o[0][0][0].reverse()),
+        "group_of_one_id": (4, lambda o: o[0][0].__setitem__(0, [0])),
+        "group_empty": (4, lambda o: o[0][0].__setitem__(0, [])),
+        "group_id_string": (4, lambda o: o[0][0][0].__setitem__(1, "1")),
+        "group_names_a_gone_robot": (15, lambda o: o[0][0].__setitem__(0, [1, 2])),
         "record_nested_too_deep": (4, lambda o: o[1].append(RAW + "[" * 10**5 + "]" * 10**5)),
         "header_missing": (0, lambda o: o.pop("format")),
-        "header_twice": (1, lambda o: ({"format": 4, "k": 6},)),
+        "header_twice": (1, lambda o: ({"format": 5, "k": 6},)),
         "header_format_1": (0, lambda o: o.update(format=1)),
         "header_format_3": (0, lambda o: o.update(format=3)),
-        "header_format_float": (0, lambda o: o.update(format=4.0)),
+        "header_format_4": (0, lambda o: o.update(format=4)),
+        "header_format_float": (0, lambda o: o.update(format=5.0)),
         "header_format_bool": (0, lambda o: o.update(format=True)),
         "header_k_zero": (0, lambda o: o.update(k=0)),
         "header_k_string": (0, lambda o: o.update(k="6")),
@@ -431,7 +453,7 @@ class TestVerify:
         "header_field_width_huge": (0, lambda o: o["fields"].append(["hops", 10**9])),
         # a record's round is its place among the records
         "round_repeated": (5, lambda o: (o, o)),
-        "round_after_the_last": (-2, lambda o: (o, [[], []])),
+        "round_after_the_last": (-2, lambda o: (o, [[]])),
         "round_dropped": (5, lambda o: ()),
         "round_dropped_last": (-2, lambda o: ()),
     }
@@ -454,8 +476,9 @@ class TestVerify:
                     row[("id", "node", "word").index(key)] = value
                 else:
                     row = list(with_fields(row, **{key: value}))
-            ids = [r[0] for r in obj[0]]
-            assert 3 not in ids
+            # each row's lowest id, in the order the rows come in
+            ids = [r[0] if type(r[0]) is int else r[0][0] for r in obj[0]]
+            assert all(3 not in ([r[0]] if type(r[0]) is int else r[0]) for r in obj[0])
             obj[0].insert(sum(i < 3 for i in ids), row)
         elif isinstance(replaced := change(obj), tuple):
             objs = replaced
@@ -582,7 +605,7 @@ class TestVerify:
         explorers = [j for j, row in enumerate(rows) if role(row) == "explore"]
         for j in explorers:
             rows[j] = with_fields(rows[j], entered=port)
-        text = v4_jsonl(runs, summary, g.max_degree())
+        text = v5_jsonl(runs, summary, g.max_degree())
         bad = tmp_path / "port.jsonl"
         bad.write_text(text)
         code, _, err = run_cli(capsys, "verify", "--trace", str(bad), "--graph", "gen:complete:5")
@@ -644,7 +667,7 @@ class TestVerify:
         v3.write_text("".join(json.dumps(line) + "\n" for line in lines))
         code, _, err = run_cli(capsys, "verify", "--trace", str(v3), "--graph", "gen:ring:6")
         assert code == 3
-        assert err == f"error: {v3}: line 1: trace format 3; only format 4 is read\n"
+        assert err == f"error: {v3}: line 1: trace format 3; only format 5 is read\n"
 
     def test_non_ascii_trace_file(self, capsys, good_trace, tmp_path):
         data = good_trace.read_bytes()

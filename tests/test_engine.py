@@ -32,7 +32,7 @@ from dispersim.graph import (
 from dispersim import engine, robot
 from dispersim.checkers import TraceDigest
 from test_golden_traces import FAULT_RUNS, _graph
-from trace_ref import moved, role, rounds, v4_jsonl, view
+from trace_ref import grouped, moved, record, role, rounds, v5_jsonl, view
 
 
 def test_two_path_replay():
@@ -212,7 +212,7 @@ class TestTraceWriting:
             assert all(e[0] in engine._MARKERS for d in res.deltas for e in d.events)
             return
         runs = rounds(res.deltas)
-        assert text == v4_jsonl(runs, res.summary, res.max_degree)
+        assert text == v5_jsonl(runs, res.summary, res.max_degree)
         assert parse_trace(text).deltas == res.deltas
         # rows shared between rounds, and one of them replaced in a
         # single round the way tests/corruptions.py corrupts traces
@@ -225,7 +225,7 @@ class TestTraceWriting:
         runs[0][1].append(("to_done", 0))
         runs.append(([], []))
         summary = replace(res.summary, rounds=res.summary.rounds + 1)
-        edited = parse_trace(v4_jsonl(runs, summary, res.max_degree))
+        edited = parse_trace(v5_jsonl(runs, summary, res.max_degree))
         assert rounds(edited.deltas) == runs
         # the rounds are copies: editing them leaves the run's trace alone
         assert res.to_jsonl() == text
@@ -234,17 +234,18 @@ class TestTraceWriting:
         g = gen_worstcase(16)
         res = run(SimulationConfig(graph=g, k=16, root=0, seed=2))
         lines = [json.loads(line) for line in res.to_jsonl().splitlines()]
-        assert lines[0] == {"format": 4, "k": 16, "max_degree": g.max_degree(),
+        assert lines[0] == {"format": 5, "k": 16, "max_degree": g.max_degree(),
                             "fields": [list(f) for f in robot.FIELDS]}
         assert len(lines) == res.summary.rounds + 2
         runs = rounds(res.deltas)
-        assert lines[1][0] == [list(r) for r in runs[0][0]]
-        assert all(len(row) == 3 for rows, _ in lines[1:-1] for row in rows)
-        written = sum(len(rows) for rows, _ in lines[1:-1])
+        # all 16 robots start at node 0 with one word: one row
+        assert lines[1][0] == grouped(runs[0][0]) == [[list(range(16)), 0, robot.INITIAL_STATE]]
+        assert all(len(row) == 3 for rows, *_ in lines[1:-1] for row in rows)
+        written = sum(len(d.rows) for d in res.deltas)
         # every robot but the last drops out; the last terminates in the
         # final round, whose record still holds its row
-        ended = [rnd for rnd, (_, events) in enumerate(lines[1:-1], start=1)
-                 for e in events if e[0] == "terminate"]
+        ended = [rnd for rnd, (_, *events) in enumerate(lines[1:-1], start=1)
+                 for e in (events[0] if events else []) if e[0] == "terminate"]
         assert len(ended) == 16 and sum(r < res.summary.rounds for r in ended) == 15
         assert written * 10 < sum(len(rows) for rows, _ in runs)
 
@@ -266,13 +267,26 @@ _EVENTS = st.one_of(*(st.tuples(st.just(name), *[_INTS] * (arity - 1))
                       for name, arity in engine._ARITY.items()))
 
 
+# a record's rows: ascending ids, each with a node and a word drawn from
+# a few, so that rows share them
+_ROWS = st.lists(st.tuples(st.sampled_from([-1, 0, 7, 2**64]),
+                           st.sampled_from([0, 5, 2**64 + 1])), max_size=12).flatmap(
+    lambda cells: st.lists(_INTS, min_size=len(cells), max_size=len(cells), unique=True).map(
+        lambda ids: [(i, *cell) for i, cell in zip(sorted(ids), cells)]))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(rows=st.lists(st.tuples(_INTS, _INTS, _INTS)), events=st.lists(_EVENTS))
+@given(rows=_ROWS, events=st.lists(_EVENTS))
 # a lone round's record, one row and no event, which has a form of its own
 @example(rows=[(3, -1, 5)], events=[])
 @example(rows=[(0, 7, 2**64 + 1)], events=[])
+# groups of two and three, interleaved, and a lone row between them
+@example(rows=[(0, 7, 5), (1, 3, 5), (2, 7, 5), (4, 3, 5), (6, 9, 9), (8, 7, 5)], events=[])
 def test_a_record_line_is_the_text_of_json_dumps(rows, events):
-    assert engine._record_line(rows, events) == json.dumps([rows, events]) + "\n"
+    """``_record_line`` writes ``json.dumps`` of the plain writer's record:
+    the rows grouped by node and word, and no events array when there is
+    no event."""
+    assert engine._record_line(rows, events) == json.dumps(record(rows, events)) + "\n"
 
 
 def test_the_scan_reads_each_corpus_line_as_json_loads_does():
@@ -283,7 +297,7 @@ def test_the_scan_reads_each_corpus_line_as_json_loads_does():
             assert engine._scan(line, 0) == (json.loads(line), len(line) - 1)
 
 
-HEADER = {"format": 4, "k": 2, "max_degree": 2, "fields": [list(f) for f in robot.FIELDS]}
+HEADER = {"format": 5, "k": 2, "max_degree": 2, "fields": [list(f) for f in robot.FIELDS]}
 # a settler that entered by port 1, and an explorer that entered by port 0
 SETTLED = [0, 0, robot.encode(role=robot.SETTLED, entered=1)]
 EXPLORER = [1, 1, robot.encode(role=robot.EXPLORE, entered=0)]
@@ -298,9 +312,9 @@ def _small_trace(edit=None) -> str:
     from round 3 on; ``edit(objs)`` may change the line objects first."""
     objs = [
         HEADER,
-        [[SETTLED, EXPLORER], []],
+        [[SETTLED, EXPLORER]],
         [[[1, 2, EXPLORER[2]]], [["terminate", 1]]],
-        [[], []],
+        [[]],
         {"outcome": "max_rounds", "t1": None, "t2": None, "rounds": 3, "vR": 0, "vL": None,
          "repair_fired": False, "k": 2, "positions": {"0": 0, "1": 2}},
     ]
@@ -329,6 +343,18 @@ class TestTraceParsing:
                      for d, rows in replay(parsed.deltas)]
         assert snapshots == [(1, [(0, 0), (1, 1)]), (2, [(0, 0), (1, 2)]), (3, [(0, 0)])]
         assert all(rows[0] is settled for _, rows in replay(parsed.deltas))
+
+    def test_groups_are_read_as_one_row_per_robot(self):
+        """A row that names several robots gives each its own row, and the
+        rows of a record come back ascending by id where groups interleave;
+        ``[rows, []]`` is read as ``[rows]``."""
+        summary = {"outcome": "max_rounds", "t1": None, "t2": None, "rounds": 2, "vR": 0,
+                   "vL": None, "repair_fired": False, "k": 4, "positions": {}}
+        first, second = parse_trace(_lines({**HEADER, "k": 4},
+                                           [[[[0, 2, 3], 0, 5], [1, 1, 5]]],
+                                           [[[[1, 3], 2, 7]], []], summary)).deltas
+        assert first.rows == [(0, 0, 5), (1, 1, 5), (2, 0, 5), (3, 0, 5)]
+        assert (second.rows, second.events) == ([(1, 2, 7), (3, 2, 7)], [])
 
     def test_reads_an_open_file_line_by_line(self):
         res = run(SimulationConfig(graph=gen_ring(5), k=3, root=1, seed=9))
@@ -359,7 +385,7 @@ class TestTraceParsing:
                    "vL": None, "repair_fired": False, "k": 1, "positions": {"0": 0}}
 
         def trace(second: list) -> str:
-            return _lines({**HEADER, "k": 1}, [[row], []], [[second], []], summary)
+            return _lines({**HEADER, "k": 1}, [[row]], [[second]], summary)
 
         first, second = parse_trace(trace(list(row))).deltas
         assert second.rows[0] == first.rows[0] == (0, 1, 1)
@@ -392,14 +418,14 @@ class TestTraceParsing:
         (lambda o: o[2][0][0].pop(), "line 3: bad record: not enough values"),
         (lambda o: o[2][0][0].append(0), "line 3: bad record: too many values"),
         (lambda o: o[1].__setitem__(0, [EXPLORER, SETTLED]), "line 2: .* row ids do not ascend"),
-        (lambda o: o[1][1].append(["terminate", 1]), "line 3: .* row for robot 1, which is gone"),
+        (lambda o: o[1].append([["terminate", 1]]), "line 3: .* row for robot 1, which is gone"),
         (lambda o: o[3][0].append([1, 2, 0]),
          "line 4: .* row for robot 1, which is gone since its terminate in round 2"),
         (lambda o: o.insert(3, o[3]), "last record is of round 4, the summary's last round 3"),
-        (lambda o: o[1].append([]),
-         r"line 2: bad record: a record is the array \[rows, events\], of 2 items, not 3"),
-        (lambda o: o[1].clear(),
-         r"line 2: bad record: a record is the array \[rows, events\], of 2 items, not 0"),
+        (lambda o: o[1].extend([[], []]),
+         r"line 2: bad record: a record is the array \[rows\] or \[rows, events\], of 1 or 2 "
+         r"items, not 3"),
+        (lambda o: o[1].clear(), r"line 2: bad record: .* of 1 or 2 items, not 0"),
         (lambda o: o.__setitem__(1, 5), "line 2: neither record nor summary"),
         (lambda o: o.pop(2), "last record is of round 2, the summary's last round 3"),
         (lambda o: o.pop(3), "last record is of round 2, the summary's last round 3"),
@@ -410,10 +436,8 @@ class TestTraceParsing:
         (lambda o: o[2][1].append(["settle", 1, 2, 2]), "line 3: bad record: unknown event"),
         (lambda o: o[2][1].append(["terminate", 1, 2]), "line 3: bad record: unknown event"),
         (lambda o: o[2][1].append(5), "line 3: bad record: unknown event 5"),
-        (lambda o: o[1].pop(0),
-         r"line 2: bad record: a record is the array \[rows, events\], of 2 items, not 1"),
         (lambda o: o[1].__setitem__(0, 5), "line 2: bad record: rows and events must be lists"),
-        (lambda o: o[1].__setitem__(1, {}), "line 2: bad record: rows and events must be lists"),
+        (lambda o: o[1].append({}), "line 2: bad record: rows and events must be lists"),
         (lambda o: o[1].__setitem__(0, [5]), "line 2: bad record: cannot unpack non-iterable int"),
         (lambda o: o[1].__setitem__(0, [{"id": 0, "node": 0, "word": 0}]),
          "line 2: bad record: row id, node and word must be integers"),
@@ -421,7 +445,8 @@ class TestTraceParsing:
         (lambda o: o[2][1].append(["settle", 1, True]),
          r'line 3: bad record: event \["settle", 1, true\]: its numbers must be integers >= 0'),
         (lambda o: o[0].update(format=3), "line 1: trace format 3;"),
-        (lambda o: o[0].update(format=4.0), "line 1: trace format 4.0;"),
+        (lambda o: o[0].update(format=4), "line 1: trace format 4; only format 5 is read"),
+        (lambda o: o[0].update(format=5.0), "line 1: trace format 5.0;"),
         (lambda o: o[0].update(format=True), "line 1: trace format True;"),
         (lambda o: o[2][1].append(["teleport", 1]), r'line 3: .* unknown event \["teleport", 1\]'),
         (lambda o: o[2][1].append(["settle", 1]), r'line 3: .* unknown event \["settle", 1\]'),
@@ -429,6 +454,21 @@ class TestTraceParsing:
         (lambda o: o[2][1].append(["terminate", 1.0]), r'line 3: .* \["terminate", 1.0\]: its'),
         (lambda o: o[2][1].append(["terminate", -1]), r'line 3: .* \["terminate", -1\]: its'),
         (lambda o: o[2][1].append(["set_child", 0, False]), r"line 3: .* 0, false\]: its"),
+        # format 5's groups: the rows of robots that share a node and a word
+        (lambda o: o[1].__setitem__(0, [[[0, 1], 0, 5], [1, 1, 5]]),
+         "line 2: bad record: robot 1 is named in two rows"),
+        (lambda o: o[1].__setitem__(0, [[[1, 0], 0, 5]]), "line 2: .* row ids do not ascend at 0"),
+        (lambda o: o[1].__setitem__(0, [[[1, 1], 0, 5]]), "line 2: .* row ids do not ascend at 1"),
+        (lambda o: o[1].__setitem__(0, [[[0], 0, 5], [1, 1, 5]]),
+         r"line 2: bad record: a row's id list holds at least 2 ids, not \[0\]"),
+        (lambda o: o[1].__setitem__(0, [[[], 0, 5]]), r"line 2: .* at least 2 ids, not \[\]"),
+        (lambda o: o[1].__setitem__(0, [[[0, "1"], 0, 5]]),
+         "line 2: bad record: row id, node and word must be integers"),
+        (lambda o: o[1].__setitem__(0, [[[0, True], 0, 5]]),
+         "line 2: bad record: row id, node and word must be integers"),
+        (lambda o: o[1].__setitem__(0, [[[0, 2], 0, 5]]), "line 2: .* row id 2 outside robots"),
+        (lambda o: o[3].__setitem__(0, [[[0, 1], 0, 5]]),
+         "line 4: .* row for robot 1, which is gone since its terminate in round 2"),
     ]
 
     @pytest.mark.parametrize("edit, message", BAD_TRACES)
@@ -482,7 +522,7 @@ class TestTraceParsing:
         res = run(SimulationConfig(graph=gen_path(2), k=1, seed=0))
         text = res.to_jsonl()
         with pytest.raises(TraceFormatError, match="record after summary"):
-            parse_trace(text + '[[], []]\n')
+            parse_trace(text + '[[]]\n')
 
     def test_not_json(self):
         with pytest.raises(TraceFormatError):
@@ -867,12 +907,11 @@ def test_lone_rounds_match_group_rounds_under_step_mutants(monkeypatch, attr, mu
         res = run(cfg)
         return res.deltas, res.summary, res.used_bits, res.summary.fault
 
-    # each run takes at most 660 rounds in the protocol; where every robot
-    # settles, the run idles until its budget
-    runs = [(f"corpus:{i}", SimulationConfig(graph=g, k=k, root=root, seed=i, max_rounds=700))
+    # where every robot settles, no robot moves and none can hear another:
+    # the run ends there as a fault, on its default budget
+    runs = [(f"corpus:{i}", SimulationConfig(graph=g, k=k, root=root, seed=i))
             for i, _, _, k, root, g in corpus_instances(0, 40)]
-    runs += [(f"worstcase:{k}", SimulationConfig(graph=gen_worstcase(k), k=k, seed=k,
-                                                 max_rounds=700))
+    runs += [(f"worstcase:{k}", SimulationConfig(graph=gen_worstcase(k), k=k, seed=k))
              for k in (7, 16)]
     monkeypatch.setattr(World, "_lone_round", counted)
     want = [ran(cfg) for _, cfg in runs]
@@ -881,6 +920,9 @@ def test_lone_rounds_match_group_rounds_under_step_mutants(monkeypatch, attr, mu
                         lambda self, i, events: self._group_round(events))
     for (name, cfg), outcome in zip(runs, want):
         assert ran(cfg) == outcome, name
+    if mutant is _settles_loudly:
+        assert {summary.outcome for _, summary, *_ in want} == {Outcome.FAULT,
+                                                                Outcome.DISPERSED_ALL_TERMINATED}
     if mutant is _lingers:
         # where the walk back ends, the settler's set_child and the mover's
         # to_acknowledge come in one subround, in both id orders

@@ -259,6 +259,15 @@ class TestRandomConnected:
             assert (random.Random(seed).sample(pairs, count)
                     == random.Random(seed).sample(listed, count))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_same_graphs_as_numbering_ports_by_a_dict(self, n):
+        """The generator numbers each end of an edge by its index and reads
+        its port from its place in its node's shuffled ends; the graphs are
+        those of the earlier generator, which kept a dict keyed by (u, v,
+        node), for every m from a tree to the complete graph, seeds 0-4."""
+        for m, seed in itertools.product(range(n - 1, n * (n - 1) // 2 + 1), range(5)):
+            assert gen_random_connected(n, m, seed) == _random_connected_by_dict(n, m, seed)
+
     def test_a_sparse_graph_takes_memory_by_its_edges(self):
         """A 20,000-node tree: listing every pair it lacks would take GBs."""
         src = os.path.dirname(os.path.dirname(graph.__file__))
@@ -269,6 +278,30 @@ class TestRandomConnected:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, timeout=120).stdout
         assert int(out) < 100 * 1024  # KiB
+
+
+def _random_connected_by_dict(n: int, m: int, seed: int):
+    """``gen_random_connected`` as it was, its ports numbered through a dict
+    keyed by (u, v, node) over lists of pairs: the same draws in the same
+    order."""
+    rng = random.Random(f"rconn:{n}:{m}:{seed}")
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = set()
+    for i in range(1, n):
+        j = order[rng.randrange(i)]
+        pairs.add((min(order[i], j), max(order[i], j)))
+    pairs.update(rng.sample(_PairsOutside(n, pairs), m - len(pairs)))
+    incident = [[] for _ in range(n)]
+    for u, v in sorted(pairs):
+        incident[u].append((u, v))
+        incident[v].append((u, v))
+    port_of = {}
+    for v in range(n):
+        rng.shuffle(incident[v])
+        for p, e in enumerate(incident[v]):
+            port_of[(e[0], e[1], v)] = p
+    return build(n, [(u, port_of[(u, v, u)], v, port_of[(u, v, v)]) for u, v in sorted(pairs)])
 
 
 class TestSerialization:

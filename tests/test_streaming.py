@@ -18,7 +18,7 @@ from dispersim.checkers import TraceDigest, check_exit_counts, run_all
 from dispersim.engine import Outcome, SimulationConfig, TraceLevel, parse_trace, run
 from dispersim.graph import corpus_instances, gen_worstcase, write_graph
 from test_golden_traces import FAULT_RUNS, _graph
-from trace_ref import rounds, v4_jsonl
+from trace_ref import rounds, v5_jsonl
 
 # (graph spec without its "gen:", k, root, coin seed, budget override):
 # corpus:0 runs 0-19, worst case k = 7, 16 and 32, and the forced faults
@@ -86,7 +86,7 @@ def test_streamed_verify_matches_run_all(capsys, tmp_path, spec, k, root, seed, 
 @pytest.mark.parametrize("build", corruptions.BUILDERS, ids=lambda b: b.__name__)
 def test_streamed_verify_matches_run_all_on_corruptions(capsys, tmp_path, build):
     name, trace, graph = build()
-    text = v4_jsonl(rounds(trace.deltas), trace.summary, trace.max_degree)
+    text = v5_jsonl(rounds(trace.deltas), trace.summary, trace.max_degree)
     assert not verified(capsys, tmp_path, text, graph)[name][0]
 
 
