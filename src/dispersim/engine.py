@@ -323,16 +323,18 @@ def _header_line(k: int, max_degree: int) -> str:
 
 
 def _record_line(rows: list[Row], events: list[Event]) -> str:
-    # json.dumps([rows]) + "\n", or of [rows, events] when there are events,
-    # the rows, ascending by id, grouped by (node, word) in order of their
-    # lowest id; a lone round's record, one row and no event, by one %
-    if len(rows) == 1 and not events:
-        return "[[[%d, %d, %d]]]\n" % rows[0]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, node, word in rows:
-        groups.setdefault((node, word), []).append(i)
-    text = ", ".join(["[%s, %d, %d]" % (ids[0] if len(ids) == 1 else ids, *key)
-                      for key, ids in groups.items()])
+    # json.dumps([rows]) + "\n", or of [rows, events] if there are events:
+    # the rows, ascending by id, grouped by (node, word) in order of lowest id
+    if len(rows) == 1:
+        if not events:
+            return "[[[%d, %d, %d]]]\n" % rows[0]
+        text = "[%d, %d, %d]" % rows[0]
+    else:
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, node, word in rows:
+            groups.setdefault((node, word), []).append(i)
+        text = ", ".join(["[%s, %d, %d]" % (ids[0] if len(ids) == 1 else ids, node, word)
+                          for (node, word), ids in groups.items()])
     return "[[%s], %s]\n" % (text, json.dumps(events)) if events else "[[%s]]\n" % text
 
 
@@ -1004,8 +1006,7 @@ class _RecordReader:
         return tuple(ev)
 
     def _rows(self, rows: list) -> list[Row]:
-        """One record's ``rows``, checked, as one ``(id, node, word)`` tuple
-        per robot, ascending by id."""
+        """One record's ``rows``, checked, as an ``(id, node, word)`` per robot by id."""
         k, ended = self.k, self.ended
         out: list[Row] = []
         # the lowest id of the row before, and whether a row named a group
