@@ -978,35 +978,20 @@ class _RecordReader:
         self.round = 0
 
     def record(self, obj: list) -> TraceDelta:
-        if not 0 < len(obj) < 3:
+        """One record, checked: its rows as an ``(id, node, word)`` per robot,
+        ascending by id, and its events as tuples."""
+        n = len(obj)
+        if n == 2:
+            rows, events = obj
+        elif n == 1:
+            rows, events = obj[0], []
+        else:
             raise ValueError(f"a record is the array [rows] or [rows, events], of 1 or 2 "
-                             f"items, not {len(obj)}")
-        rows, events = obj if len(obj) == 2 else (obj[0], [])
+                             f"items, not {n}")
         if type(rows) is not list or type(events) is not list:
             raise TypeError(f"rows and events must be lists, not {type(rows).__name__} "
                             f"and {type(events).__name__}")
         self.round = rnd = self.round + 1
-        if rows:
-            rows = self._rows(rows)
-        if events:
-            events = [self._event(ev) for ev in events]
-        return TraceDelta(rnd, rows, events)
-
-    def _event(self, ev) -> Event:
-        """One event, checked, as a tuple."""
-        if not (type(ev) is list and ev and type(ev[0]) is str and _ARITY.get(ev[0]) == len(ev)):
-            raise ValueError(f"unknown event {json.dumps(ev)}")
-        if any(type(x) is not int or x < 0 for x in ev[1:]):
-            raise ValueError(f"event {json.dumps(ev)}: its numbers must be integers >= 0")
-        robot = ev[1]
-        if robot >= self.k:
-            raise ValueError(f"event {json.dumps(ev)} names a robot outside 0..{self.k - 1}")
-        if ev[0] == "terminate":
-            self.ended.setdefault(robot, self.round)
-        return tuple(ev)
-
-    def _rows(self, rows: list) -> list[Row]:
-        """One record's ``rows``, checked, as an ``(id, node, word)`` per robot by id."""
         k, ended = self.k, self.ended
         out: list[Row] = []
         # the lowest id of the row before, and whether a row named a group
@@ -1043,7 +1028,22 @@ class _RecordReader:
             for a, b in zip(out, out[1:]):
                 if a[0] == b[0]:
                     raise ValueError(f"robot {a[0]} is named in two rows")
-        return out
+        if events:
+            events = [self._event(ev) for ev in events]
+        return TraceDelta(rnd, out, events)
+
+    def _event(self, ev) -> Event:
+        """One event, checked, as a tuple."""
+        if not (type(ev) is list and ev and type(ev[0]) is str and _ARITY.get(ev[0]) == len(ev)):
+            raise ValueError(f"unknown event {json.dumps(ev)}")
+        if any(type(x) is not int or x < 0 for x in ev[1:]):
+            raise ValueError(f"event {json.dumps(ev)}: its numbers must be integers >= 0")
+        robot = ev[1]
+        if robot >= self.k:
+            raise ValueError(f"event {json.dumps(ev)} names a robot outside 0..{self.k - 1}")
+        if ev[0] == "terminate":
+            self.ended.setdefault(robot, self.round)
+        return tuple(ev)
 
 
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
