@@ -42,9 +42,14 @@ robots that do not act alike.
 Most rounds have one live mover: the group walk shrinks to one explorer,
 and stages 2 and 3 are one walker.  In such a lone round only the mover
 and its node's settler can hear anyone, each only the other, so a
-subround carries just their two latest broadcasts, each heard through
-``one_sender_view``, and builds no postbox; both round kinds step
-robots, store words and move them through the same ``World`` helpers.
+subround carries just their two latest broadcasts, each heard as
+``one_sender_view`` gives it, and builds no postbox.  It costs little
+more than its step calls: it computes both views, the settler's reply
+to the query, the mover's step by its role, the store of a word that
+changes no role and fires no repair, and a move through a port of its
+node in place.  Any step that writes an event, and every fault a round
+raises, goes through the ``World`` helpers the group round uses, so each
+event and each fault's text is made in one place.
 The group round is the reference: the tests force every lone round
 through it, and run it with every class cut to one robot, comparing the
 traces byte for byte.  Each round kind leaves the number of subrounds
@@ -117,12 +122,15 @@ from .robot import (
     SETTLED,
     SILENCE,
     VISITED_BIT,
+    _HIGH,
+    _LOW,
     Broadcast,
     Decision,
     LE_SHIFT,
     Move,
     NodeInbox,
     ProtocolViolation,
+    SettledReply,
     TerminateSelf,
     View,
     draws_coin,
@@ -176,6 +184,8 @@ _ARITY = {"settle": 3, "set_child": 3, "to_return": 2, "to_acknowledge": 2, "to_
           "terminate": 2, "repair_terminate": 2, "set_visited": 2}
 # the events that mark stage boundaries, kept in memory at SUMMARY trace level
 _MARKERS = frozenset(_ARITY) - {"set_child", "set_visited"}
+# what a settler hears in a lone round's subround 2: the mover's query
+_HEARS_QUERY = one_sender_view(QUERY)
 
 
 @dataclass
@@ -417,8 +427,8 @@ class World:
         each mover and each settler that heard another robot and acted.
 
         A round with one live mover is a lone round, any other a group
-        round; both step robots through the same helpers and differ only
-        in how they deliver what was broadcast.
+        round; both call the same step functions and write every event
+        and fault through the same helpers.
         """
         live = self.live
         if len(live) == 1:
@@ -603,38 +613,65 @@ class World:
         settler can hear anyone, each only the other, so a subround
         carries two broadcasts, the mover's and the settler's, and no
         postbox: the same steps as a group round, in the same order.
-        Returns ``[i]``, or ``i`` and the settler in id order if it acted."""
+        Returns ``[i]``, or ``i`` and the settler in id order if it acted.
+        Its common path is inline (see the module's cost model)."""
+        states, used, overflow = self.states, self.used, self.overflow
         node = self.positions[i]
-        word = self.states[i]
-        undecided = word & ROLE_MASK != DONE
-        if not undecided:
-            _, _, dec = step_done(word)
+        ports = self.graph.ports[node]
+        word = states[i]
         # the round cannot change the settler: only the mover could settle
         # here, and with a settler here that faults
         settler = self.node_settler.get(node)
         # what the mover and the settler broadcast in the subround before
-        sent: Broadcast = QUERY if undecided else SILENCE
+        sent: Broadcast = SILENCE
         replied: Broadcast = SILENCE
-        # whether the settler hears the query, and so acts, and whether it terminates
-        woke, doomed = undecided and settler is not None, False
-        subround = 1
+        doomed = False
+        if word & ROLE_MASK == DONE:
+            _, _, dec = step_done(word)
+            undecided = woke = False
+            subround = 1
+        else:
+            # subround 2 (within every budget, which is at least 4): the
+            # settler hears the query, which writes no event, and replies
+            undecided, woke = True, settler is not None
+            if woke:
+                st, replied, st_dec = step_settled(states[settler], _HEARS_QUERY)
+                if st & overflow:
+                    raise self._too_wide(settler, *overflowing_field(st, self.max_degree))
+                used[st & ROLE_MASK] |= st
+                states[settler] = st
+                doomed = type(st_dec) is TerminateSelf
+            subround = 2
         while sent[0] or replied[0] or undecided:
             subround += 1
             if subround > self.max_subrounds:
                 raise self._overrun()
-            # the settler acts only when it hears another robot: the mover
-            heard = one_sender_view(sent) if sent[0] and settler is not None else SILENCE
-            acts = undecided and subround > 2
-            heard_by_mover, sent, replied = replied, SILENCE, SILENCE
+            # the settler acts only when it hears another robot: the mover;
+            # each hears the other's broadcast as one_sender_view gives it
+            heard = ((sent[0] + _LOW & _HIGH, sent[1], sent[2])
+                     if sent[0] and settler is not None else SILENCE)
+            view = (replied[0] + _LOW & _HIGH, replied[1], replied[2]) if replied[0] else SILENCE
+            sent, replied = SILENCE, SILENCE
             # the two step in id order, as in a group round
             if heard[0] and settler < i:
                 replied, terminates = self._settler_step(settler, heard, events)
                 doomed |= terminates
-            if acts:
-                view = one_sender_view(heard_by_mover) if heard_by_mover[0] else SILENCE
-                coin = le_coin(word >> LE_SHIFT, self.rngs[i]) if draws_coin(word, view) else 0
-                word2, sent, dec, repair = self._step(node, word, view, coin)
-                self._commit(i, word, word2, dec, repair, events)
+            if undecided:
+                role, repair = word & ROLE_MASK, False
+                if role == EXPLORE:
+                    coin = le_coin(word >> LE_SHIFT, self.rngs[i]) if draws_coin(word, view) else 0
+                    word2, sent, dec = step_explore(word, view, coin, len(ports))
+                elif role == RETURN:
+                    word2, sent, dec = step_return(word, view[1])
+                else:
+                    word2, sent, dec = step_acknowledge(word, view[1], len(ports))
+                    repair = _repairs(word, view[1], sent)
+                if (repair or word2 & overflow
+                        or dec is not NOT_DONE and (word ^ word2) & ROLE_MASK):
+                    self._commit(i, word, word2, dec, repair, events)
+                else:
+                    used[word2 & ROLE_MASK] |= word2
+                    states[i] = word2
                 word, undecided = word2, dec is NOT_DONE
             if heard[0] and settler > i:
                 replied, terminates = self._settler_step(settler, heard, events)
@@ -642,7 +679,13 @@ class World:
         self.subrounds = subround
 
         if type(dec) is Move:
-            self._move(i, dec)
+            if 0 <= dec.port < len(ports):
+                self.positions[i] = (packed := ports[dec.port]) >> NEIGHBOR_SHIFT
+                word = word & ~ENTERED_MASK | (packed & PORT_MASK) + 1 << ENTERED_SHIFT
+                used[word & ROLE_MASK] |= word
+                states[i] = word
+            else:
+                self._move(i, dec)
         elif type(dec) is TerminateSelf:
             self._kill(i, events)
         if doomed:
@@ -686,10 +729,7 @@ class World:
             word2, sent, dec = step_return(word, reply)
             return word2, sent, dec, False
         word2, sent, dec = step_acknowledge(word, reply, len(self.graph.ports[node]))
-        # the root settler would never be revisited: the repair path
-        repair = (not word & ENTERED_MASK and reply is not None and reply.child == 0
-                  and bool(one_sender_view(sent)[0] & HEARD_TERMINATE))
-        return word2, sent, dec, repair
+        return word2, sent, dec, _repairs(word, reply, sent)
 
     def _commit(self, i: int, word: int, word2: int, dec: Decision, repair: bool,
                 events: list[Event]) -> None:
@@ -752,6 +792,14 @@ class World:
             del self.node_settler[node]
 
 
+def _repairs(word: int, reply: SettledReply | None, sent: Broadcast) -> bool:
+    """Whether an acknowledger holding ``word`` that heard ``reply`` and
+    sent ``sent`` fires the repair: the root settler would never be
+    revisited."""
+    return (not word & ENTERED_MASK and reply is not None and reply.child == 0
+            and bool(one_sender_view(sent)[0] & HEARD_TERMINATE))
+
+
 def _class_key(i: int, node: int, word: int, tag: int | None) -> tuple:
     """The class of mover ``i`` at ``node`` with ``word`` and ``tag``: in
     a subround, the lanes of what it broadcast in the one before, or
@@ -811,6 +859,8 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
     outcome = Outcome.MAX_ROUNDS_EXCEEDED
     fault: str | None = None
     max_rounds = config.resolved_max_rounds()
+    markers_only = level is TraceLevel.SUMMARY
+    execute_round = w.execute_round
 
     for rnd in range(1, max_rounds + 1):
         w.round = rnd
@@ -828,7 +878,7 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
             if write is None:
                 deltas.append(TraceDelta(rnd, rows, events))
         try:
-            touched = w.execute_round(events)
+            touched = execute_round(events)
         except (_Fault, ProtocolViolation) as exc:
             outcome = Outcome.FAULT
             # a _Fault names its round; a step's ProtocolViolation does not
@@ -837,10 +887,10 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
         if write is not None:
             write(_record_line(rows, events))
         if fault is not None:
-            if level is TraceLevel.SUMMARY:
+            if markers_only:
                 deltas.append(TraceDelta(rnd, [], list(events)))
             break
-        if level is TraceLevel.SUMMARY and events:
+        if markers_only and events:
             markers = [e for e in events if e[0] in _MARKERS]
             if markers:
                 deltas.append(TraceDelta(rnd, [], markers))

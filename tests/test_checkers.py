@@ -323,6 +323,22 @@ class TestFindingsOfEditedTraces:
         assert got["stage1"][0] == "round 3: exploring group missing or not co-located"
         assert got["mirror"] == got["exits"] == ["round 3: exploring group missing or split"]
 
+    def test_a_group_that_moved_without_an_entry_port(self):
+        """The exploring group's entry port cleared in round 4, which it
+        entered node 3 by: the exit check names the hop, and so finds node
+        4's child port never exited; stage 1 misses the tree edge and the
+        mirror the entry port the walker replays."""
+        g, runs, summary = ring6()
+        rows = runs[3][0]
+        assert [r[1] for r in rows if role(r) == "explore"] == [3, 3, 3]
+        rows[:] = [with_fields(r, entered=None) if role(r) == "explore" else r for r in rows]
+        assert findings(runs, summary, g) == {
+            "stage1": ["tree edges [[0, 5], [1, 2], [2, 3], [4, 5]] differ from oracle "
+                       "[[0, 5], [1, 2], [2, 3], [3, 4], [4, 5]]"],
+            "mirror": ["round 4 vs 15: group (3,fwd,None) != walker (3,fwd,1)"],
+            "exits": ["round 4: group moved without an entry port",
+                      "node 4: child port 0 exited 0 times (rounds []), expected once"]}
+
     def test_a_settler_the_replay_does_not_mark_visited(self):
         g, runs, summary = ring6()
         runs[12][1].remove(("set_visited", 3))

@@ -14,7 +14,7 @@ from dispersim.checkers import TraceDigest
 from dispersim.cli import main
 from dispersim.engine import SimulationConfig, parse_trace, replay, run
 from dispersim.graph import gen_complete
-from test_engine import HEADER, SETTLED, _settles_loudly, wide_parent
+from test_engine import HEADER, SETTLED, _settles_loudly, _terminates_at_once, wide_parent
 from trace_ref import role, rounds, v5_jsonl, with_fields
 
 
@@ -142,6 +142,17 @@ class TestRun:
         assert (code, summary["outcome"]) == (2, "fault")
         assert err == (f"simulation ended with fault: round {summary['rounds']}: no robot "
                        f"moves, and settled robots [0, 1, 2, 3, 4, 5] are left to hear none\n")
+
+    def test_robots_that_end_on_one_node_are_exit_two(self, capsys, monkeypatch):
+        """Under a step mutant that terminates every explorer where it
+        starts, every robot is gone after round 1, all at the root: the run
+        ends there as a fault, not as a dispersion."""
+        monkeypatch.setattr(engine, "step_explore", _terminates_at_once(engine.step_explore))
+        code, out, err = run_cli(capsys, "run", "--graph", "gen:path:3", "--k", "3",
+                                 "--seed", "3")
+        assert (code, json.loads(out)["outcome"]) == (2, "fault")
+        assert err == ("simulation ended with fault: round 1: all robots terminated but "
+                       "final nodes are not distinct\n")
 
     def test_graph_from_file(self, capsys, tmp_path):
         graph_file = tmp_path / "g.graph"

@@ -2,6 +2,7 @@
 
 import io
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -152,6 +153,25 @@ class TestTraceLevels:
         assert [d.round for d in res.deltas] == list(
             range(1, res.summary.rounds + 1)
         )
+
+    def test_records_give_each_rounds_rows_and_event_text(self):
+        """``records``, which perfbench counts rows and elections through:
+        at FULL every round's full set of rows and its events as text; at
+        SUMMARY the marker rounds, with no rows."""
+        cfg = SimulationConfig(graph=gen_path(3), k=3, root=0, seed=3)
+        full = run(cfg)
+        recs = full.records
+        assert [r.round for r in recs] == list(range(1, 11))
+        assert [rec.robots for rec in recs] == [rows for rows, _ in rounds(full.deltas)]
+        assert [rec.events for rec in recs[:6]] == [
+            ["settle:2@0"], ["settle:1@1"], ["to_return:0"], ["set_child:1=1"],
+            ["to_acknowledge:0", "set_child:2=0"],
+            ["repair_terminate:2", "set_visited:2", "terminate:2"]]
+        assert [rec.events for rec in recs[9:]] == [["terminate:0"]]
+        marked = run(replace(cfg, trace_level=TraceLevel.SUMMARY)).records
+        assert all(rec.robots == [] for rec in marked)
+        assert ([e for rec in marked for e in rec.events if e.startswith("settle:")]
+                == ["settle:2@0", "settle:1@1"])
 
 
 class TestConfigValidation:
@@ -980,6 +1000,139 @@ def test_a_lone_round_fault_is_the_group_rounds(monkeypatch, attr, mutant, fault
     assert res.summary.fault == fault
     # rounds 1 and 2 are elections, 3 and 4 the lone walker's
     assert lone_rounds == [3, 4]
+    monkeypatch.setattr(World, "_lone_round",
+                        lambda self, i, events: self._group_round(events))
+    group = run(cfg)
+    assert (group.deltas, group.summary) == (res.deltas, res.summary)
+
+
+def test_lone_rounds_reach_both_paths_of_each_inlined_branch(monkeypatch):
+    """A lone round takes its common path inline and hands the rest to the
+    helpers the group round uses.  Wrappers that only count show that the
+    runs of ``test_lone_rounds_match_group_rounds`` take both paths of each
+    such branch: the settler steps on a message (through
+    ``_settler_step``) before the mover and after it, by id; it hears the
+    query inline, and a child port or a visited mark through the helper; a
+    mover's step that changes its role, or fires the repair, is stored
+    through ``_commit``, any other inline; and the mover moves or
+    terminates."""
+    counts: Counter[str] = Counter()
+    # the mover of the lone round under way, and the settler in
+    # ``_settler_step``, if any
+    movers: list[int] = []
+    in_helper: list[int] = []
+    lone, settler_step, commit = World._lone_round, World._settler_step, World._commit
+    settled = engine.step_settled
+
+    def lone_counted(self, i, events):
+        node = self.positions[i]
+        movers.append(i)
+        try:
+            touched = lone(self, i, events)
+        finally:
+            movers.pop()
+        counts["moves"] += self.positions[i] != node
+        counts["terminates"] += not self.alive[i]
+        return touched
+
+    def settler_counted(self, i, view, events):
+        if movers:
+            counts["settler before mover" if i < movers[-1] else "settler after mover"] += 1
+            counts["child port, helper"] += view[2] is not None
+            counts["visited, helper"] += bool(view[0] & robot.HEARD_VISITED)
+        in_helper.append(i)
+        try:
+            return settler_step(self, i, view, events)
+        finally:
+            in_helper.pop()
+
+    def settled_counted(state, view):
+        if movers and not in_helper:
+            counts["query, inline" if view[0] & robot.HEARD_QUERY else "other, inline"] += 1
+        return settled(state, view)
+
+    def commit_counted(self, i, word, word2, dec, repair, events):
+        if movers:
+            counts["mover stores, helper"] += 1
+            counts["role change, helper"] += bool((word ^ word2) & robot.ROLE_MASK)
+            counts["repair, helper"] += repair
+        return commit(self, i, word, word2, dec, repair, events)
+
+    def mover_counted(step):
+        def counted(*args):
+            counts["mover steps"] += bool(movers)
+            return step(*args)
+        return counted
+
+    monkeypatch.setattr(World, "_lone_round", lone_counted)
+    monkeypatch.setattr(World, "_settler_step", settler_counted)
+    monkeypatch.setattr(World, "_commit", commit_counted)
+    monkeypatch.setattr(engine, "step_settled", settled_counted)
+    for name in ("step_explore", "step_return", "step_acknowledge"):
+        monkeypatch.setattr(engine, name, mover_counted(getattr(engine, name)))
+    for _, cfg in _lone_and_group_runs():
+        run(cfg)
+    for path in ("settler before mover", "settler after mover", "query, inline",
+                 "child port, helper", "visited, helper", "role change, helper",
+                 "repair, helper", "moves", "terminates"):
+        assert counts[path] > 0, path
+    assert counts["mover steps"] > counts["mover stores, helper"]
+    # a settler steps inline on the query alone
+    assert counts["other, inline"] == 0
+
+
+def _terminates_at_once(step):
+    """``step_explore`` under which every explorer terminates on its first
+    step, where it starts."""
+    return lambda state, view, coin, degree: (state, robot.SILENCE, robot.TERMINATE_SELF)
+
+
+def _terminates_for_good(step):
+    """``step_explore`` under which an explorer terminates where it would
+    settle or turn back: no robot settles, and the walk goes on over the
+    nodes where robots died."""
+    def patched(state, view, coin, degree):
+        word, sent, dec = step(state, view, coin, degree)
+        if dec is not robot.NOT_DONE and (word ^ state) & robot.ROLE_MASK:
+            return state & ~robot.LE_MASK, robot.SILENCE, robot.TERMINATE_SELF
+        return word, sent, dec
+    return patched
+
+
+def _invalid_port(step):
+    """``step_return`` that moves through port 9, which no node of a path has."""
+    def patched(state, reply):
+        word, sent, dec = step(state, reply)
+        return word, sent, robot.Move(9) if type(dec) is robot.Move else dec
+    return patched
+
+
+@pytest.mark.parametrize("attr, mutant, cfg, fault, lone_end", [
+    ("step_explore", _terminates_at_once, SimulationConfig(graph=gen_path(3), k=3, seed=3),
+     "round 1: all robots terminated but final nodes are not distinct", False),
+    ("step_explore", _terminates_for_good, SimulationConfig(graph=gen_worstcase(7), k=7, seed=7),
+     "round 7: all robots terminated but final nodes are not distinct", True),
+    ("step_return", _invalid_port, SimulationConfig(graph=gen_path(3), k=3, seed=3),
+     "round 4: robot 0 tried invalid port 9 at node 1", True),
+], ids=["terminates_at_once", "terminates_for_good", "invalid_port"])
+def test_a_run_ends_where_the_group_round_ends_it(monkeypatch, attr, mutant, cfg, fault,
+                                                   lone_end):
+    """Faults that end a run in its last round: every robot terminated at
+    nodes that are not distinct, in round 1's group round or in a lone
+    round of the walk, and a lone walker's move through a port its node
+    lacks.  The group round, with every lone round forced through it,
+    ends each run with the same trace and the same fault."""
+    monkeypatch.setattr(engine, attr, mutant(getattr(engine, attr)))
+    lone, lone_rounds = World._lone_round, []
+
+    def counted(self, i, events):
+        lone_rounds.append(self.round)
+        return lone(self, i, events)
+
+    monkeypatch.setattr(World, "_lone_round", counted)
+    res = run(cfg)
+    assert res.summary.fault == fault
+    assert (lone_rounds[-1:] == [res.summary.rounds]) is lone_end
     monkeypatch.setattr(World, "_lone_round",
                         lambda self, i, events: self._group_round(events))
     group = run(cfg)

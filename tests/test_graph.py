@@ -140,6 +140,16 @@ class TestGenerators:
     def test_path_two_matches_build(self):
         assert gen_path(2) == build(2, [(0, 0, 1, 0)])
 
+    def test_a_graph_equals_only_a_graph(self):
+        """Comparing with another type is left to the other side, so a
+        graph equals no tuple of its fields, and ``!=`` holds."""
+        g = gen_path(2)
+        assert g.__eq__((g.n, g.ports)) is NotImplemented
+        assert g != (g.n, g.ports) and g != "gen:path:2"
+
+    def test_repr_names_the_size(self):
+        assert repr(gen_complete(4)) == "PortLabeledGraph(n=4, m=6)"
+
     def test_path_canonical_ports(self):
         g = gen_path(4)
         # interior: port 0 toward i-1, port 1 toward i+1
@@ -172,6 +182,10 @@ class TestGenerators:
     def test_path_too_small(self):
         with pytest.raises(SizeTooSmallError):
             gen_path(1)
+
+    def test_complete_too_small(self):
+        with pytest.raises(SizeTooSmallError, match="complete graph needs n >= 2, got 1"):
+            gen_complete(1)
 
     def test_worstcase_shape(self):
         g = gen_worstcase(7)
@@ -225,6 +239,10 @@ class TestRandomConnected:
     def test_complete_when_m_maximal(self):
         g = gen_random_connected(5, 10, seed=3)
         assert all(g.degree(v) == 4 for v in range(5))
+
+    def test_no_nodes(self):
+        with pytest.raises(SizeTooSmallError, match="need at least 1 node, got 0"):
+            gen_random_connected(0, 0, seed=0)
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleEdgeCountError):
