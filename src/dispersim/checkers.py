@@ -40,7 +40,7 @@ from .engine import Event, Outcome, ParsedTrace, Row, RunSummary, TraceDelta, Tr
 from .graph import NEIGHBOR_SHIFT, PortLabeledGraph
 
 # what the codes of a word's role and direction fields stand for, in
-# format 5 (see the README)
+# format 6 (see the README)
 ROLE_NAMES = ("explore", "settled", "return", "acknowledge", "done")
 DIR_NAMES = ("fwd", "bwd")
 # the fields that hold a port + 1, 0 meaning none

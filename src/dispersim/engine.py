@@ -63,7 +63,7 @@ port), movement sets the entry port with one mask-and-or, and every
 stored word costs one AND against the run's overflow mask and one OR
 into its role's accumulator.
 
-A FULL trace (format 5) has one record per round 1..``rounds``, in
+A FULL trace (format 6) has one record per round 1..``rounds``, in
 order, holding a row ``(id, node, word)`` for each robot whose stored
 word or node changed since its last row, and its events, each one
 ``Event`` tuple from the engine to the checkers, never read as text.  A
@@ -74,11 +74,21 @@ included, each once and ascending by id; a lone round's mover and, if it
 acted, its settler), so a round's trace costs what the round touched.
 Without a sink it keeps the records as ``TraceDelta``s; with one it
 hands each record's line to the sink as the round ends and keeps none,
-so its memory does not grow with rounds.  One renderer makes both the
-sink's lines and ``jsonl_lines``; a record line is, byte for byte, the
-``json.dumps`` text of ``[rows]``, or of ``[rows, events]`` if there are
-events, the robots that share a node and a word in one row ``[[id, ...],
-node, word]`` (the golden hashes pin it).
+so its memory does not grow with rounds.  One renderer, ``_record_line``,
+makes both the sink's lines and ``jsonl_lines``; a record line is, byte
+for byte, the ``json.dumps`` text of ``[rows]``, or of ``[rows, events]``
+if there are events, the robots that share a node and a word in one row
+``[[id, ...], node, word]`` (the golden hashes pin it), written with
+``%``, not ``json.dumps``.  A record with no event whose one row names
+the robots of the first row of the record before is ``[node, word]``:
+the renderer carries those robots from record to record, and the reader
+gives such a record the same rows back.  Most worst-case rounds are one
+robot moving alone, so against format 5 this takes worst case k = 64 at
+seed 0 (perfbench ``fulltrace``) from 283,154 to 183,621 B (0.648x),
+the 200 ``corpus`` runs from 1,157,173 to 1,030,355 B (0.890x) and
+worst case k = 256 at seed 256 from 5,703,968 to 3,424,655 B (0.600x).
+A format-5 trace is rejected with ``line 1: trace format 5; only format
+6 is read``; no older format has a reader.
 ``parse_trace`` reads a record line as written with one C scan; it takes
 any JSON whitespace or CRLF around a line through ``json.loads``, which
 also gives a malformed line the error it always had.  It rejects a
@@ -169,7 +179,7 @@ class TraceFormatError(ValueError):
 
 
 # the version in the header line of every trace this module writes and reads
-TRACE_FORMAT = 5
+TRACE_FORMAT = 6
 
 
 class _Fault(Exception):
@@ -184,6 +194,9 @@ _ARITY = {"settle": 3, "set_child": 3, "to_return": 2, "to_acknowledge": 2, "to_
           "terminate": 2, "repair_terminate": 2, "set_visited": 2}
 # the events that mark stage boundaries, kept in memory at SUMMARY trace level
 _MARKERS = frozenset(_ARITY) - {"set_child", "set_visited"}
+# an event's text in a record line, by its number of items: json.dumps's
+# text of it, the engine's event names holding nothing JSON escapes
+_EVENT_TEXT = {2: '["%s", %d]', 3: '["%s", %d, %d]'}
 # what a settler hears in a lone round's subround 2: the mover's query
 _HEARS_QUERY = one_sender_view(QUERY)
 
@@ -243,7 +256,7 @@ class TraceRecord:
 
 @dataclass(slots=True)
 class TraceDelta:
-    """One record line of a format-5 trace, a row per robot, and its
+    """One record line of a format-6 trace, a row per robot, and its
     round, its place among the records (the README has the format)."""
 
     round: int
@@ -315,8 +328,10 @@ class SimulationResult:
         if self.trace_level is not TraceLevel.FULL:
             return
         yield _header_line(self.summary.k, self.max_degree)
+        first = None
         for d in self.deltas:
-            yield _record_line(d.rows, d.events)
+            line, first = _record_line(d.rows, d.events, first)
+            yield line
         yield _summary_line(self.summary)
 
     def to_jsonl(self) -> str:
@@ -332,20 +347,38 @@ def _header_line(k: int, max_degree: int) -> str:
                        "fields": FIELDS}) + "\n"
 
 
-def _record_line(rows: list[Row], events: list[Event]) -> str:
-    # json.dumps([rows]) + "\n", or of [rows, events] if there are events:
-    # the rows, ascending by id, grouped by (node, word) in order of lowest id
+def _record_line(rows: list[Row], events: list[Event],
+                 first: int | list[int] | None) -> tuple[str, int | list[int] | None]:
+    """A round's record line and the robots its first row names (an id,
+    a list of ids, or None with no row), given ``first``, those of the
+    record before.  A record with no event whose rows all share one node
+    and word, naming the robots ``first`` names, is ``[node, word]``;
+    any other is json.dumps([rows]) + "\n", or of [rows, events] if there
+    are events: the rows, ascending by id, grouped by (node, word) in
+    order of lowest id."""
     if len(rows) == 1:
+        i, node, word = rows[0]
         if not events:
-            return "[[[%d, %d, %d]]]\n" % rows[0]
+            if i == first:
+                return "[%d, %d]\n" % (node, word), i
+            return "[[[%d, %d, %d]]]\n" % rows[0], i
         text = "[%d, %d, %d]" % rows[0]
-    else:
+        head = i
+    elif rows:
         groups: dict[tuple[int, int], list[int]] = {}
         for i, node, word in rows:
             groups.setdefault((node, word), []).append(i)
+        (node, word), ids = next(iter(groups.items()))
+        head = ids[0] if len(ids) == 1 else ids
+        if len(groups) == 1 and not events and head == first:
+            return "[%d, %d]\n" % (node, word), head
         text = ", ".join(["[%s, %d, %d]" % (ids[0] if len(ids) == 1 else ids, node, word)
                           for (node, word), ids in groups.items()])
-    return "[[%s], %s]\n" % (text, json.dumps(events)) if events else "[[%s]]\n" % text
+    else:
+        text, head = "", None
+    if not events:
+        return "[[%s]]\n" % text, head
+    return "[[%s], [%s]]\n" % (text, ", ".join([_EVENT_TEXT[len(e)] % e for e in events])), head
 
 
 def _summary_line(summary: RunSummary) -> str:
@@ -856,6 +889,9 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
     # the robots whose row may differ from their last one: every robot
     # before round 1, then those the round before stored
     touched = list(range(config.k))
+    # the robots of the first row of the record before, which a record
+    # that repeats them does not write again
+    first: int | list[int] | None = None
     outcome = Outcome.MAX_ROUNDS_EXCEEDED
     fault: str | None = None
     max_rounds = config.resolved_max_rounds()
@@ -885,7 +921,8 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
             fault = str(exc) if isinstance(exc, _Fault) else f"round {rnd}: {exc}"
         # the round's record is complete once its events are
         if write is not None:
-            write(_record_line(rows, events))
+            line, first = _record_line(rows, events, first)
+            write(line)
         if fault is not None:
             if markers_only:
                 deltas.append(TraceDelta(rnd, [], list(events)))
@@ -984,7 +1021,7 @@ _MAX_FIELDS, _MAX_WIDTH = 64, 64
 
 def _parse_header(obj: dict, line_no: int) -> tuple[int, int, tuple[tuple[str, int], ...]]:
     """The k, max degree and field table of the header line ``{"format":
-    5, "k": k, "max_degree": Δ, "fields": [[name, width], ...]}``."""
+    6, "k": k, "max_degree": Δ, "fields": [[name, width], ...]}``."""
     if type(obj) is not dict or "format" not in obj:
         raise TraceFormatError(
             f"line {line_no}: no format header; a v1 trace has none, and only "
@@ -1026,6 +1063,9 @@ class _RecordReader:
         # k, which the input gives
         self.ended: dict[int, int] = {}
         self.round = 0
+        # the ids the first row of the record before names, ascending; None
+        # before round 1 and after a record with no row
+        self.first: tuple[int, ...] | None = None
 
     def record(self, obj: list) -> TraceDelta:
         """One record, checked: its rows as an ``(id, node, word)`` per robot,
@@ -1033,11 +1073,14 @@ class _RecordReader:
         n = len(obj)
         if n == 2:
             rows, events = obj
+            if type(rows) is not list:
+                self.round += 1
+                return TraceDelta(self.round, self._repeat(rows, events), [])
         elif n == 1:
             rows, events = obj[0], []
         else:
-            raise ValueError(f"a record is the array [rows] or [rows, events], of 1 or 2 "
-                             f"items, not {n}")
+            raise ValueError(f"a record is the array [rows], [rows, events] or [node, word], "
+                             f"of 1 or 2 items, not {n}")
         if type(rows) is not list or type(events) is not list:
             raise TypeError(f"rows and events must be lists, not {type(rows).__name__} "
                             f"and {type(events).__name__}")
@@ -1068,8 +1111,7 @@ class _RecordReader:
                 if j <= prev:
                     raise ValueError(f"row ids do not ascend at {j}")
                 if j in ended:
-                    raise ValueError(f"row for robot {j}, which is gone since its terminate "
-                                     f"in round {ended[j]}")
+                    raise self._gone(j)
                 out.append((j, node, word))
                 prev = j
             last, grouped = ids[0], True
@@ -1078,9 +1120,37 @@ class _RecordReader:
             for a, b in zip(out, out[1:]):
                 if a[0] == b[0]:
                     raise ValueError(f"robot {a[0]} is named in two rows")
+        # the first row names the lowest ids, which every later row's exceed
+        if rows:
+            head = rows[0][0]
+            self.first = (head,) if type(head) is int else tuple(head)
+        else:
+            self.first = None
         if events:
             events = [self._event(ev) for ev in events]
         return TraceDelta(rnd, out, events)
+
+    def _repeat(self, node, word) -> list[Row]:
+        """The rows of a ``[node, word]`` record, checked: one per robot the
+        first row of the record before names, none of them gone since."""
+        if type(node) is not int or type(word) is not int:
+            raise TypeError(f"a [node, word] record holds two integers, not "
+                            f"{type(node).__name__} and {type(word).__name__}")
+        if word < 0:
+            raise ValueError(f"row word {word} is negative")
+        first = self.first
+        if first is None:
+            before = "round 1 has none" if self.round == 1 else "the record before has no row"
+            raise ValueError(f"a [node, word] record repeats the robots of the record "
+                             f"before's first row, and {before}")
+        for i in first:
+            if i in self.ended:
+                raise self._gone(i)
+        return [(i, node, word) for i in first]
+
+    def _gone(self, i: int) -> ValueError:
+        return ValueError(f"row for robot {i}, which is gone since its terminate in round "
+                          f"{self.ended[i]}")
 
     def _event(self, ev) -> Event:
         """One event, checked, as a tuple."""

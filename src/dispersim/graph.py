@@ -80,21 +80,20 @@ class PortLabeledGraph:
     :func:`build` or a generator; the constructor trusts its input.
     """
 
-    __slots__ = ("n", "ports")
+    __slots__ = ("n", "ports", "num_edges", "_max_degree")
 
     def __init__(self, n: int, ports: tuple[array, ...]):
         self.n = n
         self.ports = ports
+        # counted once: the table never changes, and a run reads both often
+        self.num_edges = sum(map(len, ports)) // 2
+        self._max_degree = max(map(len, ports), default=0)
 
     def degree(self, v: NodeId) -> int:
         return len(self.ports[v])
 
     def max_degree(self) -> int:
-        return max((len(t) for t in self.ports), default=0)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(t) for t in self.ports) // 2
+        return self._max_degree
 
     def neighbor_via(self, v: NodeId, p: Port) -> tuple[NodeId, Port]:
         """Cross the edge at port p of v; returns (neighbor, port back to v)."""

@@ -4,14 +4,14 @@ Each builder regenerates a clean passing run, breaks exactly the
 property its target checker verifies in the run's rounds (each round's
 full set of ``(id, node, word)`` rows and its event tuples, from
 ``trace_ref.rounds``) or its summary, and then writes the edited rounds
-(``trace_ref.v5_jsonl``) and parses them back, as ``verify`` would read
+(``trace_ref.v6_jsonl``) and parses them back, as ``verify`` would read
 them.  Builders return (checker_name, corrupted_trace, graph) tuples so
 the acceptance gate can assert the named checker rejects its corruption.
 """
 
 from dispersim.engine import ParsedTrace, RunSummary, SimulationConfig, parse_trace, run
 from dispersim.graph import PortLabeledGraph, gen_path, gen_ring
-from trace_ref import moved, role, rounds, v5_jsonl
+from trace_ref import moved, role, rounds, v6_jsonl
 
 Corruption = tuple[str, ParsedTrace, PortLabeledGraph]
 
@@ -24,7 +24,7 @@ def _run(graph, k, root=0, seed=29) -> tuple[list, RunSummary]:
 
 
 def _written(runs: list, summary: RunSummary, graph: PortLabeledGraph) -> ParsedTrace:
-    return parse_trace(v5_jsonl(runs, summary, graph.max_degree()))
+    return parse_trace(v6_jsonl(runs, summary, graph.max_degree()))
 
 
 def settles(runs) -> dict[int, tuple[int, int]]:

@@ -42,7 +42,7 @@ from dispersim.graph import (
     gen_ring,
     gen_worstcase,
 )
-from trace_ref import moved, role, rounds, v5_jsonl, view, with_fields
+from trace_ref import moved, role, rounds, v6_jsonl, view, with_fields
 
 
 def ran(graph, k, root=0, seed=17):
@@ -53,7 +53,7 @@ def ran(graph, k, root=0, seed=17):
 
 def written(runs, summary, graph):
     """Edited rounds and their summary, written and parsed back."""
-    return parse_trace(v5_jsonl(runs, summary, graph.max_degree()))
+    return parse_trace(v6_jsonl(runs, summary, graph.max_degree()))
 
 
 def traced(graph, k, root=0, seed=17):
@@ -188,7 +188,7 @@ class TestNegativeControls:
         allows: an 8-bit hop counter on top of the engine's fields."""
         g = gen_path(4)
         runs, summary = ran(g, 3)
-        lines = v5_jsonl(runs, summary, g.max_degree()).splitlines()
+        lines = v6_jsonl(runs, summary, g.max_degree()).splitlines()
         header = json.loads(lines[0])
         header["fields"].append(["hops", 8])
         trace = parse_trace("\n".join([json.dumps(header), *lines[1:]]) + "\n")
@@ -371,7 +371,7 @@ class TestFindingsOfEditedTraces:
         for rows, events in runs[6:]:
             rows[:] = [r for r in rows if r[0] != 1]
             events[:] = [e for e in events if e[1] != 1]
-        text = v5_jsonl(runs, summary, g.max_degree())
+        text = v6_jsonl(runs, summary, g.max_degree())
         streamed = TraceDigest(None, g)
         parse_trace(text, sink=streamed)
         for digest in (streamed, TraceDigest(parse_trace(text), g)):

@@ -15,7 +15,7 @@ from dispersim.cli import main
 from dispersim.engine import SimulationConfig, parse_trace, replay, run
 from dispersim.graph import gen_complete
 from test_engine import HEADER, SETTLED, _settles_loudly, _terminates_at_once, wide_parent
-from trace_ref import role, rounds, v5_jsonl, with_fields
+from trace_ref import role, rounds, v6_jsonl, with_fields
 
 
 RAW = "raw:"
@@ -82,7 +82,7 @@ class TestRun:
         assert summary["rounds"] == summary["t2"] + summary["t1"] + 2
         lines = trace_file.read_text().strip().splitlines()
         assert len(lines) == summary["rounds"] + 2
-        assert json.loads(lines[0]) == {"format": 5, "k": 2, "max_degree": 1,
+        assert json.loads(lines[0]) == {"format": 6, "k": 2, "max_degree": 1,
                                         "fields": [list(f) for f in robot.FIELDS]}
         assert json.loads(lines[-1]) == summary
 
@@ -219,7 +219,7 @@ class TestRun:
         assert (code, out) == (4, "")
         assert err == "internal error: RuntimeError('boom')\n"
         lines = trace_file.read_text().splitlines()
-        assert json.loads(lines[0])["format"] == 5 and len(lines) > 2
+        assert json.loads(lines[0])["format"] == 6 and len(lines) > 2
         assert all(type(json.loads(line)) is list for line in lines[1:])
         code, out, err = run_cli(capsys, "verify", "--trace", str(trace_file),
                                  "--graph", "gen:ring:6")
@@ -449,12 +449,27 @@ class TestVerify:
         "group_id_string": (4, lambda o: o[0][0][0].__setitem__(1, "1")),
         "group_names_a_gone_robot": (15, lambda o: o[0][0].__setitem__(0, [1, 2])),
         "record_nested_too_deep": (4, lambda o: o[1].append(RAW + "[" * 10**5 + "]" * 10**5)),
+        # format 6's [node, word]: line 17 is [1, 1027], robot 1 alone again
+        # after round 16, whose first and only row is robot 1's
+        "node_word_as_round_1": (1, lambda o: ([0, 0],)),
+        "node_word_after_no_row": (16, lambda o: o[0].clear()),
+        "node_word_after_its_robot_terminated": (16, lambda o: o[1].append(["terminate", 1])),
+        "node_word_of_one_int": (17, lambda o: o.pop()),
+        "node_word_of_three_ints": (17, lambda o: o.append(0)),
+        "node_word_node_bool": (17, lambda o: o.__setitem__(0, True)),
+        "node_word_node_string": (17, lambda o: o.__setitem__(0, "1")),
+        "node_word_word_float": (17, lambda o: o.__setitem__(1, 1027.0)),
+        "node_word_node_negative": (17, lambda o: o.__setitem__(0, -1)),
+        "node_word_node_off_graph": (17, lambda o: o.__setitem__(0, 99)),
+        "node_word_word_negative": (17, lambda o: o.__setitem__(1, -1)),
+        "node_word_word_bool": (17, lambda o: o.__setitem__(1, False)),
         "header_missing": (0, lambda o: o.pop("format")),
-        "header_twice": (1, lambda o: ({"format": 5, "k": 6},)),
+        "header_twice": (1, lambda o: ({"format": 6, "k": 6},)),
         "header_format_1": (0, lambda o: o.update(format=1)),
         "header_format_3": (0, lambda o: o.update(format=3)),
         "header_format_4": (0, lambda o: o.update(format=4)),
-        "header_format_float": (0, lambda o: o.update(format=5.0)),
+        "header_format_5": (0, lambda o: o.update(format=5)),
+        "header_format_float": (0, lambda o: o.update(format=6.0)),
         "header_format_bool": (0, lambda o: o.update(format=True)),
         "header_k_zero": (0, lambda o: o.update(k=0)),
         "header_k_string": (0, lambda o: o.update(k="6")),
@@ -475,6 +490,7 @@ class TestVerify:
         graph or the run lacks, exits 3 with one stderr line that names the
         file, never 0, 1 (checker rejected), 4 (crash) or a traceback."""
         lines = good_trace.read_text().strip().splitlines()
+        assert [type(x) for x in json.loads(lines[17])] == [int, int]
         line, change = self.HOSTILE_EDITS[edit]
         obj = json.loads(lines[line])
         objs = (obj,)
@@ -555,14 +571,17 @@ class TestVerify:
                    ["set_child", 2, 1], ["set_visited", 1], ["terminate", 0], ["to_done", 1],
                    [], [0], [6], [[], []], {}, {"0": 0})
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_fuzzed_trace_never_crashes(self, capsys, good_trace, tmp_path, data):
         """One field of one line set to a value from a fixed pool: ``verify``
-        accepts, rejects or exits 3 naming the file; it never crashes."""
+        accepts, rejects or exits 3 naming the file; it never crashes.
+        About half the draws edit a record written ``[node, word]``."""
         lines = good_trace.read_text().strip().splitlines()
-        line = data.draw(st.integers(0, len(lines) - 1), label="line")
+        short = [n for n, text in enumerate(lines) if re.fullmatch(r"\[\d+, \d+\]", text)]
+        assert short
+        line = data.draw(st.integers(0, len(lines) - 1) | st.sampled_from(short), label="line")
         obj = json.loads(lines[line])
         slots = []  # every (container, key) whose value an edit can replace
 
@@ -616,7 +635,7 @@ class TestVerify:
         explorers = [j for j, row in enumerate(rows) if role(row) == "explore"]
         for j in explorers:
             rows[j] = with_fields(rows[j], entered=port)
-        text = v5_jsonl(runs, summary, g.max_degree())
+        text = v6_jsonl(runs, summary, g.max_degree())
         bad = tmp_path / "port.jsonl"
         bad.write_text(text)
         code, _, err = run_cli(capsys, "verify", "--trace", str(bad), "--graph", "gen:complete:5")
@@ -678,7 +697,7 @@ class TestVerify:
         v3.write_text("".join(json.dumps(line) + "\n" for line in lines))
         code, _, err = run_cli(capsys, "verify", "--trace", str(v3), "--graph", "gen:ring:6")
         assert code == 3
-        assert err == f"error: {v3}: line 1: trace format 3; only format 5 is read\n"
+        assert err == f"error: {v3}: line 1: trace format 3; only format 6 is read\n"
 
     def test_non_ascii_trace_file(self, capsys, good_trace, tmp_path):
         data = good_trace.read_bytes()

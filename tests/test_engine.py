@@ -33,7 +33,7 @@ from dispersim.graph import (
 from dispersim import engine, robot
 from dispersim.checkers import TraceDigest
 from test_golden_traces import FAULT_RUNS, _graph
-from trace_ref import grouped, moved, record, role, rounds, v5_jsonl, view
+from trace_ref import grouped, head, moved, record, role, rounds, v6_jsonl, view
 
 
 def test_two_path_replay():
@@ -232,7 +232,7 @@ class TestTraceWriting:
             assert all(e[0] in engine._MARKERS for d in res.deltas for e in d.events)
             return
         runs = rounds(res.deltas)
-        assert text == v5_jsonl(runs, res.summary, res.max_degree)
+        assert text == v6_jsonl(runs, res.summary, res.max_degree)
         assert parse_trace(text).deltas == res.deltas
         # rows shared between rounds, and one of them replaced in a
         # single round the way tests/corruptions.py corrupts traces
@@ -245,7 +245,7 @@ class TestTraceWriting:
         runs[0][1].append(("to_done", 0))
         runs.append(([], []))
         summary = replace(res.summary, rounds=res.summary.rounds + 1)
-        edited = parse_trace(v5_jsonl(runs, summary, res.max_degree))
+        edited = parse_trace(v6_jsonl(runs, summary, res.max_degree))
         assert rounds(edited.deltas) == runs
         # the rounds are copies: editing them leaves the run's trace alone
         assert res.to_jsonl() == text
@@ -254,18 +254,25 @@ class TestTraceWriting:
         g = gen_worstcase(16)
         res = run(SimulationConfig(graph=g, k=16, root=0, seed=2))
         lines = [json.loads(line) for line in res.to_jsonl().splitlines()]
-        assert lines[0] == {"format": 5, "k": 16, "max_degree": g.max_degree(),
+        assert lines[0] == {"format": 6, "k": 16, "max_degree": g.max_degree(),
                             "fields": [list(f) for f in robot.FIELDS]}
         assert len(lines) == res.summary.rounds + 2
         runs = rounds(res.deltas)
         # all 16 robots start at node 0 with one word: one row
         assert lines[1][0] == grouped(runs[0][0]) == [[list(range(16)), 0, robot.INITIAL_STATE]]
-        assert all(len(row) == 3 for rows, *_ in lines[1:-1] for row in rows)
+        # a record is [rows], [rows, events] or, most often, [node, word]
+        records = lines[1:-1]
+        short = [rec for rec in records if type(rec[0]) is int]
+        assert all(len(rec) == 2 and type(rec[1]) is int for rec in short)
+        assert len(short) * 2 > len(records)
+        rows_events = [rec for rec in records if type(rec[0]) is list]
+        assert len(short) + len(rows_events) == len(records)
+        assert all(len(row) == 3 for rows, *_ in rows_events for row in rows)
         written = sum(len(d.rows) for d in res.deltas)
         # every robot but the last drops out; the last terminates in the
         # final round, whose record still holds its row
-        ended = [rnd for rnd, (_, *events) in enumerate(lines[1:-1], start=1)
-                 for e in (events[0] if events else []) if e[0] == "terminate"]
+        ended = [rnd for rnd, rec in enumerate(records, start=1) if type(rec[0]) is list
+                 for e in (rec[1] if len(rec) == 2 else []) if e[0] == "terminate"]
         assert len(ended) == 16 and sum(r < res.summary.rounds for r in ended) == 15
         assert written * 10 < sum(len(rows) for rows, _ in runs)
 
@@ -295,18 +302,36 @@ _ROWS = st.lists(st.tuples(st.sampled_from([-1, 0, 7, 2**64]),
         lambda ids: [(i, *cell) for i, cell in zip(sorted(ids), cells)]))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(rows=_ROWS, events=st.lists(_EVENTS))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=_ROWS, events=st.lists(_EVENTS),
+       first=st.none() | _INTS | st.lists(_INTS, min_size=2, max_size=3), repeat=st.booleans())
 # a lone round's record, one row and no event, which has a form of its own
-@example(rows=[(3, -1, 5)], events=[])
-@example(rows=[(0, 7, 2**64 + 1)], events=[])
+@example(rows=[(3, -1, 5)], events=[], first=None, repeat=False)
+@example(rows=[(0, 7, 2**64 + 1)], events=[], first=1, repeat=False)
+# ... and repeats the robot of the record before: [node, word]
+@example(rows=[(3, -1, 5)], events=[], first=None, repeat=True)
+@example(rows=[(3, -1, 5)], events=[("terminate", 3)], first=None, repeat=True)
+@example(rows=[(3, -1, 5)], events=[], first=[3, 4], repeat=False)
+# one group: [node, word] only after a first row of the same robots
+@example(rows=[(0, 7, 5), (2, 7, 5)], events=[], first=None, repeat=True)
+@example(rows=[(0, 7, 5), (2, 7, 5)], events=[], first=[0, 2, 4], repeat=False)
+@example(rows=[(0, 7, 5), (2, 7, 5)], events=[], first=0, repeat=False)
+@example(rows=[(0, 7, 5), (2, 8, 5)], events=[], first=0, repeat=False)
+@example(rows=[], events=[], first=None, repeat=True)
 # groups of two and three, interleaved, and a lone row between them
-@example(rows=[(0, 7, 5), (1, 3, 5), (2, 7, 5), (4, 3, 5), (6, 9, 9), (8, 7, 5)], events=[])
-def test_a_record_line_is_the_text_of_json_dumps(rows, events):
-    """``_record_line`` writes ``json.dumps`` of the plain writer's record:
-    the rows grouped by node and word, and no events array when there is
-    no event."""
-    assert engine._record_line(rows, events) == json.dumps(record(rows, events)) + "\n"
+@example(rows=[(0, 7, 5), (1, 3, 5), (2, 7, 5), (4, 3, 5), (6, 9, 9), (8, 7, 5)], events=[],
+         first=[0, 2, 8], repeat=False)
+def test_a_record_line_is_the_text_of_json_dumps(rows, events, first, repeat):
+    """``_record_line`` writes ``json.dumps`` of the plain writer's record
+    after a record whose first row named ``first`` (or, with ``repeat``,
+    the robots of this one's first row): the rows grouped by node and
+    word, no events array when there is no event, and ``[node, word]``
+    for a record of one row and no event that names those robots again.
+    It also gives the robots its own first row names."""
+    if repeat:
+        first = head(rows)
+    assert engine._record_line(rows, events, first) == (
+        json.dumps(record(rows, events, first)) + "\n", head(rows))
 
 
 def test_the_scan_reads_each_corpus_line_as_json_loads_does():
@@ -317,7 +342,7 @@ def test_the_scan_reads_each_corpus_line_as_json_loads_does():
             assert engine._scan(line, 0) == (json.loads(line), len(line) - 1)
 
 
-HEADER = {"format": 5, "k": 2, "max_degree": 2, "fields": [list(f) for f in robot.FIELDS]}
+HEADER = {"format": 6, "k": 2, "max_degree": 2, "fields": [list(f) for f in robot.FIELDS]}
 # a settler that entered by port 1, and an explorer that entered by port 0
 SETTLED = [0, 0, robot.encode(role=robot.SETTLED, entered=1)]
 EXPLORER = [1, 1, robot.encode(role=robot.EXPLORE, entered=0)]
@@ -375,6 +400,25 @@ class TestTraceParsing:
                                            [[[[1, 3], 2, 7]], []], summary)).deltas
         assert first.rows == [(0, 0, 5), (1, 1, 5), (2, 0, 5), (3, 0, 5)]
         assert (second.rows, second.events) == ([(1, 2, 7), (3, 2, 7)], [])
+
+    def test_a_node_word_record_repeats_the_robots_of_the_first_row_before(self):
+        """``[node, word]`` gives each robot that the first row of the record
+        before names a row at that node and word, also where that record
+        was ``[node, word]`` itself; the plain writer writes the same text
+        back."""
+        summary = {"outcome": "max_rounds", "t1": None, "t2": None, "rounds": 5, "vR": 0,
+                   "vL": None, "repair_fired": False, "k": 4, "positions": {}, "fault": None}
+        text = _lines({**HEADER, "k": 4}, [[[[0, 2, 3], 0, 5], [1, 1, 5]]], [4, 6], [7, 8],
+                      [[[1, 2, 7], [3, 2, 8]], [["set_visited", 1]]], [3, 9], summary)
+        parsed = parse_trace(text)
+        assert [(d.round, d.rows, d.events) for d in parsed.deltas] == [
+            (1, [(0, 0, 5), (1, 1, 5), (2, 0, 5), (3, 0, 5)], []),
+            (2, [(0, 4, 6), (2, 4, 6), (3, 4, 6)], []),
+            (3, [(0, 7, 8), (2, 7, 8), (3, 7, 8)], []),
+            (4, [(1, 2, 7), (3, 2, 8)], [("set_visited", 1)]),
+            (5, [(1, 3, 9)], []),
+        ]
+        assert v6_jsonl(rounds(parsed.deltas), parsed.summary, 2) == text
 
     def test_reads_an_open_file_line_by_line(self):
         res = run(SimulationConfig(graph=gen_ring(5), k=3, root=1, seed=9))
@@ -443,8 +487,8 @@ class TestTraceParsing:
          "line 4: .* row for robot 1, which is gone since its terminate in round 2"),
         (lambda o: o.insert(3, o[3]), "last record is of round 4, the summary's last round 3"),
         (lambda o: o[1].extend([[], []]),
-         r"line 2: bad record: a record is the array \[rows\] or \[rows, events\], of 1 or 2 "
-         r"items, not 3"),
+         r"line 2: bad record: a record is the array \[rows\], \[rows, events\] or \[node, "
+         r"word\], of 1 or 2 items, not 3"),
         (lambda o: o[1].clear(), r"line 2: bad record: .* of 1 or 2 items, not 0"),
         (lambda o: o.__setitem__(1, 5), "line 2: neither record nor summary"),
         (lambda o: o.pop(2), "last record is of round 2, the summary's last round 3"),
@@ -465,8 +509,9 @@ class TestTraceParsing:
         (lambda o: o[2][1].append(["settle", 1, True]),
          r'line 3: bad record: event \["settle", 1, true\]: its numbers must be integers >= 0'),
         (lambda o: o[0].update(format=3), "line 1: trace format 3;"),
-        (lambda o: o[0].update(format=4), "line 1: trace format 4; only format 5 is read"),
-        (lambda o: o[0].update(format=5.0), "line 1: trace format 5.0;"),
+        (lambda o: o[0].update(format=4), "line 1: trace format 4; only format 6 is read"),
+        (lambda o: o[0].update(format=5), "line 1: trace format 5; only format 6 is read"),
+        (lambda o: o[0].update(format=6.0), "line 1: trace format 6.0;"),
         (lambda o: o[0].update(format=True), "line 1: trace format True;"),
         (lambda o: o[2][1].append(["teleport", 1]), r'line 3: .* unknown event \["teleport", 1\]'),
         (lambda o: o[2][1].append(["settle", 1]), r'line 3: .* unknown event \["settle", 1\]'),
@@ -489,6 +534,23 @@ class TestTraceParsing:
         (lambda o: o[1].__setitem__(0, [[[0, 2], 0, 5]]), "line 2: .* row id 2 outside robots"),
         (lambda o: o[3].__setitem__(0, [[[0, 1], 0, 5]]),
          "line 4: .* row for robot 1, which is gone since its terminate in round 2"),
+        # format 6's [node, word]: the robots of the record before's first row
+        (lambda o: o.__setitem__(1, [0, 5]),
+         r"line 2: bad record: a \[node, word\] record repeats the robots of the record "
+         r"before's first row, and round 1 has none"),
+        (lambda o: (o.insert(4, [0, 5]), o[-1].update(rounds=4)),
+         r"line 5: bad record: a \[node, word\] .* and the record before has no row"),
+        (lambda o: o.__setitem__(3, [2, 5]),
+         "line 4: bad record: row for robot 1, which is gone since its terminate in round 2"),
+        (lambda o: o.__setitem__(3, [2]),
+         "line 4: bad record: rows and events must be lists, not int and list"),
+        (lambda o: o.__setitem__(3, [2, 5, 0]), "line 4: bad record: .* of 1 or 2 items, not 3"),
+        (lambda o: o.__setitem__(3, [True, 5]),
+         r"line 4: bad record: a \[node, word\] record holds two integers, not bool and int"),
+        (lambda o: o.__setitem__(3, [2, "5"]), "line 4: .* two integers, not int and str"),
+        (lambda o: o.__setitem__(3, [2.0, 5]), "line 4: .* two integers, not float and int"),
+        (lambda o: o.__setitem__(3, [None, 5]), "line 4: .* two integers, not NoneType and int"),
+        (lambda o: o.__setitem__(3, [2, -1]), "line 4: bad record: row word -1 is negative"),
     ]
 
     @pytest.mark.parametrize("edit, message", BAD_TRACES)

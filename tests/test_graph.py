@@ -147,6 +147,20 @@ class TestGenerators:
         assert g.__eq__((g.n, g.ports)) is NotImplemented
         assert g != (g.n, g.ports) and g != "gen:path:2"
 
+    @pytest.mark.parametrize("make", [
+        lambda: gen_path(9), lambda: gen_ring(9), lambda: gen_complete(9),
+        lambda: gen_worstcase(16), lambda: gen_random_connected(30, 60, seed=3),
+        lambda: build(1, []), lambda: parse_graph("3 2\n0 0 1 0\n1 1 2 0\n"),
+        lambda: parse_graph(write_graph(gen_worstcase(7))),
+    ], ids=["path", "ring", "complete", "worstcase", "random", "one_node", "parsed",
+            "parsed_worstcase"])
+    def test_max_degree_and_edge_count_are_those_of_the_ports(self, make):
+        """Both are counted once, when the graph is made; they agree with
+        a fresh count over its ports."""
+        g = make()
+        assert g.max_degree() == max((g.degree(v) for v in range(g.n)), default=0)
+        assert g.num_edges == len(g.edges()) == sum(map(len, g.ports)) // 2
+
     def test_repr_names_the_size(self):
         assert repr(gen_complete(4)) == "PortLabeledGraph(n=4, m=6)"
 

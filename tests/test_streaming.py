@@ -6,6 +6,7 @@ Neither side may change what the library writes or concludes, and
 neither may hold a delta per round.
 """
 
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
@@ -17,8 +18,8 @@ from dispersim import cli
 from dispersim.checkers import TraceDigest, check_exit_counts, run_all
 from dispersim.engine import Outcome, SimulationConfig, TraceLevel, parse_trace, run
 from dispersim.graph import corpus_instances, gen_worstcase, write_graph
-from test_golden_traces import FAULT_RUNS, _graph
-from trace_ref import rounds, v5_jsonl
+from test_golden_traces import CORPUS_V6_SHA, FAULT_RUNS, WORSTCASE_SHA, _graph, _sha
+from trace_ref import rounds, v6_jsonl
 
 # (graph spec without its "gen:", k, root, coin seed, budget override):
 # corpus:0 runs 0-19, worst case k = 7, 16 and 32, and the forced faults
@@ -86,7 +87,7 @@ def test_streamed_verify_matches_run_all(capsys, tmp_path, spec, k, root, seed, 
 @pytest.mark.parametrize("build", corruptions.BUILDERS, ids=lambda b: b.__name__)
 def test_streamed_verify_matches_run_all_on_corruptions(capsys, tmp_path, build):
     name, trace, graph = build()
-    text = v5_jsonl(rounds(trace.deltas), trace.summary, trace.max_degree)
+    text = v6_jsonl(rounds(trace.deltas), trace.summary, trace.max_degree)
     assert not verified(capsys, tmp_path, text, graph)[name][0]
 
 
@@ -102,6 +103,26 @@ def test_a_sink_takes_every_line_and_the_result_keeps_the_markers():
     assert streamed.deltas == summary.deltas
     assert sum(ev[0] == "settle" for d in streamed.deltas for ev in d.events) == 15
     assert list(streamed.jsonl_lines()) == []
+
+
+def test_every_golden_run_streams_its_pinned_text():
+    """The sink of ``run`` carries the robots of the record before from
+    record to record as ``jsonl_lines`` does: streamed, the 200
+    ``corpus:0`` runs, the worst cases and the forced faults give the
+    format hashes that ``to_jsonl`` gives in the golden tests."""
+    corpus = hashlib.sha256()
+    for i, _, _, k, root, g in corpus_instances():
+        run(SimulationConfig(graph=g, k=k, root=root, seed=i),
+            sink=lambda line: corpus.update(line.encode("ascii")))
+    assert corpus.hexdigest() == CORPUS_V6_SHA
+    for k, (_, want) in WORSTCASE_SHA.items():
+        lines: list[str] = []
+        run(SimulationConfig(graph=gen_worstcase(k), k=k, seed=k), sink=lines.append)
+        assert _sha("".join(lines)) == want
+    for spec, k, seed, budget, *_, want in FAULT_RUNS:
+        lines = []
+        run(_config(spec, k, 0, seed, budget), sink=lines.append)
+        assert _sha("".join(lines)) == want
 
 
 def test_a_sink_gets_nothing_below_full():

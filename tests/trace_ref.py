@@ -3,8 +3,8 @@ writer against them, pin runs by them, and edit traces through them.
 
 ``rounds`` gives each round of a run as its full set of ``(id, node,
 word)`` rows, ascending by id, and its events, rebuilt from the deltas
-through ``replay``; ``v5_jsonl`` writes such rounds the plain way, in
-format 5, and is the one writer of a trace a test has edited.
+through ``replay``; ``v6_jsonl`` writes such rounds the plain way, in
+format 6, and is the one writer of a trace a test has edited.
 ``semantic_update`` feeds a hash the same rounds and the summary, in no
 trace format, so its value survives any change of format that keeps the
 runs the same.
@@ -59,7 +59,7 @@ def semantic_update(h, run) -> None:
 
 
 def grouped(rows) -> list:
-    """``rows`` as format 5 writes them: one row per (node, word), in order
+    """``rows`` as formats 5 and 6 write them: one row per (node, word), in order
     of its lowest id, ``[id, node, word]`` for one robot and ``[[id, id,
     ...], node, word]``, the ids ascending, for two or more."""
     groups = {}
@@ -69,24 +69,38 @@ def grouped(rows) -> list:
             for (node, word), ids in sorted(groups.items(), key=lambda group: group[1][0])]
 
 
-def record(rows, events) -> list:
+def head(rows):
+    """The robots the first of ``rows``, grouped, names: an id, a list of
+    two or more ids, or None when there is no row."""
+    rows = grouped(rows)
+    return rows[0][0] if rows else None
+
+
+def record(rows, events, first=None) -> list:
     """The record of ``rows``, the changed rows of a round, and its
-    ``events`` in format 5: ``[rows]``, or ``[rows, events]`` when there are
-    events, the rows grouped."""
-    return [grouped(rows), events] if events else [grouped(rows)]
+    ``events`` in format 6, after a record whose first row named ``first``
+    (see ``head``): ``[node, word]`` when there is no event and the rows,
+    grouped, are one row naming the robots ``first`` names; otherwise
+    ``[rows]``, or ``[rows, events]`` when there are events, the rows
+    grouped."""
+    rows = grouped(rows)
+    if not events and len(rows) == 1 and rows[0][0] == first:
+        return rows[0][1:]
+    return [rows, events] if events else [rows]
 
 
-def v5_jsonl(runs, summary, max_degree: int) -> str:
-    """Format 5 of ``runs`` (each round's ``(rows, events)``, as
+def v6_jsonl(runs, summary, max_degree: int) -> str:
+    """Format 6 of ``runs`` (each round's ``(rows, events)``, as
     ``rounds`` gives them), ``summary`` (a ``RunSummary``) and the graph's
     ``max_degree``, written by ``json.dumps``: the header, then per round
     the ``record`` of every row that differs from the row with the same id
     in the round before and of its events, then the summary."""
-    lines = [json.dumps({"format": 5, "k": summary.k, "max_degree": max_degree,
+    lines = [json.dumps({"format": 6, "k": summary.k, "max_degree": max_degree,
                          "fields": [list(f) for f in FIELDS]})]
-    before = {}
+    before, first = {}, None
     for rows, events in runs:
-        lines.append(json.dumps(record([r for r in rows if before.get(r[0]) != r], events)))
-        before = {r[0]: r for r in rows}
+        changed = [r for r in rows if before.get(r[0]) != r]
+        lines.append(json.dumps(record(changed, events, first)))
+        before, first = {r[0]: r for r in rows}, head(changed)
     lines.append(json.dumps(summary.to_dict()))
     return "\n".join(lines) + "\n"
