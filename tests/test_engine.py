@@ -511,6 +511,7 @@ class TestTraceParsing:
         (lambda o: o[0].update(format=3), "line 1: trace format 3;"),
         (lambda o: o[0].update(format=4), "line 1: trace format 4; only format 6 is read"),
         (lambda o: o[0].update(format=5), "line 1: trace format 5; only format 6 is read"),
+        (lambda o: o[0].update(format=5.0), "line 1: trace format 5.0;"),
         (lambda o: o[0].update(format=6.0), "line 1: trace format 6.0;"),
         (lambda o: o[0].update(format=True), "line 1: trace format True;"),
         (lambda o: o[2][1].append(["teleport", 1]), r'line 3: .* unknown event \["teleport", 1\]'),
