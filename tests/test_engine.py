@@ -263,11 +263,8 @@ class TestTraceWriting:
         # a record is [rows], [rows, events] or, most often, [node, word]
         records = lines[1:-1]
         short = [rec for rec in records if type(rec[0]) is int]
-        assert all(len(rec) == 2 and type(rec[1]) is int for rec in short)
-        assert len(short) * 2 > len(records)
-        rows_events = [rec for rec in records if type(rec[0]) is list]
-        assert len(short) + len(rows_events) == len(records)
-        assert all(len(row) == 3 for rows, *_ in rows_events for row in rows)
+        assert len(short) * 2 > len(records) and all(type(word) is int for _, word in short)
+        assert all(len(row) == 3 for rec in records if type(rec[0]) is list for row in rec[0])
         written = sum(len(d.rows) for d in res.deltas)
         # every robot but the last drops out; the last terminates in the
         # final round, whose record still holds its row

@@ -76,7 +76,7 @@ def head(rows):
     return rows[0][0] if rows else None
 
 
-def record(rows, events, first=None) -> list:
+def record(rows, events, first) -> list:
     """The record of ``rows``, the changed rows of a round, and its
     ``events`` in format 6, after a record whose first row named ``first``
     (see ``head``): ``[node, word]`` when there is no event and the rows,
