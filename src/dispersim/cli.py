@@ -33,7 +33,6 @@ from .graph import (
     gen_ring,
     gen_worstcase,
     parse_graph,
-    worstcase_seeds,
     write_graph,
 )
 
@@ -164,46 +163,24 @@ def cmd_bench(args) -> int:
         raise _UsageError(f"--k-list must be comma-separated integers, got {args.k_list!r}") from None
     if not k_list:
         raise _UsageError("--k-list is empty")
-    if any(k < 7 for k in k_list):
-        raise _UsageError(f"worst-case family needs k >= 7, got {min(k_list)}")
-    if args.trials < 1:
-        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
+    # the coins only pick each election's winner, so one run per k gives
+    # the round count every seed gives
     rows = []
     for k in k_list:
-        graph = gen_worstcase(k)
-        rounds: list[int] = []
-        for trial, trial_seed in enumerate(worstcase_seeds(k, args.trials, args.seed)):
-            config = SimulationConfig(
-                graph=graph, k=k, root=0, seed=trial_seed, trace_level=TraceLevel.NONE
-            )
-            result = run(config)
-            if result.summary.outcome is not Outcome.DISPERSED_ALL_TERMINATED:
-                print(
-                    f"bench run k={k} trial={trial} ended with "
-                    f"{result.summary.outcome.value}: {result.summary.fault}",
-                    file=sys.stderr,
-                )
-                return EXIT_SIM_FAILED
-            rounds.append(result.summary.rounds)
-        rows.append(
-            {
-                "k": k,
-                "trials": args.trials,
-                "mean_rounds": sum(rounds) / len(rounds),
-                "min_rounds": min(rounds),
-                "max_rounds": max(rounds),
-            }
+        config = SimulationConfig(
+            graph=gen_worstcase(k), k=k, root=0, seed=args.seed, trace_level=TraceLevel.NONE
         )
-    ratios = []
-    for a, b in zip(rows, rows[1:]):
-        ratios.append(
-            {
-                "k": a["k"],
-                "next_k": b["k"],
-                "ratio": b["mean_rounds"] / a["mean_rounds"],
-            }
-        )
-    _emit({"family": args.family, "rows": rows, "ratios": ratios})
+        summary = run(config).summary
+        if summary.outcome is not Outcome.DISPERSED_ALL_TERMINATED:
+            print(f"bench run k={k} ended with {summary.outcome.value}: {summary.fault}",
+                  file=sys.stderr)
+            return EXIT_SIM_FAILED
+        rows.append({"k": k, "rounds": summary.rounds})
+    ratios = [
+        {"k": a["k"], "next_k": b["k"], "ratio": b["rounds"] / a["rounds"]}
+        for a, b in zip(rows, rows[1:])
+    ]
+    _emit({"rows": rows, "ratios": ratios})
     return EXIT_OK
 
 
@@ -247,10 +224,8 @@ def _build_parser() -> _Parser:
 
     p_bench = sub.add_parser(
         "bench", help="report round counts and growth ratios on the adversarial family")
-    p_bench.add_argument("--family", default="worstcase", choices=["worstcase"])
     p_bench.add_argument("--k-list", required=True, help="comma-separated robot counts")
-    p_bench.add_argument("--trials", type=int, default=10)
-    p_bench.add_argument("--seed", type=int, required=True)
+    p_bench.add_argument("--seed", type=int, required=True, help="coin seed of every run")
     p_bench.set_defaults(func=cmd_bench)
 
     p_gen = sub.add_parser("gen", help="write a fixture graph file")

@@ -8,10 +8,11 @@ settlers.  Elections belong to the explorer: one that finds no settled
 robot runs its node's leader election inside ``step_explore``, one
 subround per call, and stays undecided until it resolves, which extends
 the round by coin-flip subrounds; the engine knows no election phase
-or outcome, and draws a robot's coin (``le_coin``) only where
-``draws_coin`` says its step reads one.  Messages broadcast in subround
-i are readable only in subround i+1, and all movement is applied at
-once when the round ends, so co-moving robots stay identical.
+or outcome, and draws a robot's coin, one bit of its own generator,
+only where ``draws_coin`` says its step reads one.  Messages broadcast
+in subround i are readable only in subround i+1, and all movement is
+applied at once when the round ends, so co-moving robots stay
+identical.
 
 Subrounds are globally synchronous; robots whose round decision is
 already latched stay silent while another node's election continues.
@@ -136,7 +137,6 @@ from .robot import (
     _LOW,
     Broadcast,
     Decision,
-    LE_SHIFT,
     Move,
     NodeInbox,
     ProtocolViolation,
@@ -145,7 +145,6 @@ from .robot import (
     View,
     draws_coin,
     field_widths,
-    le_coin,
     one_sender_view,
     overflow_mask,
     overflowing_field,
@@ -618,10 +617,9 @@ class World:
                 in_bulk = False
                 continue
             if draws_coin(word, view):
-                le = word >> LE_SHIFT
                 split: tuple[list[int], list[int]] = ([], [])
                 for i in members:
-                    split[le_coin(le, rngs[i])].append(i)
+                    split[rngs[i].getrandbits(1)].append(i)
                 parts = enumerate(split)
             else:
                 parts = ((0, members),)
@@ -692,7 +690,7 @@ class World:
             if undecided:
                 role, repair = word & ROLE_MASK, False
                 if role == EXPLORE:
-                    coin = le_coin(word >> LE_SHIFT, self.rngs[i]) if draws_coin(word, view) else 0
+                    coin = self.rngs[i].getrandbits(1) if draws_coin(word, view) else 0
                     word2, sent, dec = step_explore(word, view, coin, len(ports))
                 elif role == RETURN:
                     word2, sent, dec = step_return(word, view[1])

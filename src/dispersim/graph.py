@@ -340,17 +340,6 @@ def corpus_instances(
         yield i, n, m, k, root, gen_random_connected(n, m, seed=i)
 
 
-def worstcase_seeds(k: int, trials: int, seed: int = 0) -> range:
-    """The coin seeds of ``trials`` runs of ``gen_worstcase(k)`` in the
-    worst-case sweep ``seed``, one per trial.
-
-    Rounds on that family do not depend on the coins, so any seed gives
-    the same counts; one recipe keeps the sweeps that report them alike.
-    """
-    base = seed * 1_000_003 + k * 1_009
-    return range(base, base + trials)
-
-
 def parse_graph(text: str) -> PortLabeledGraph:
     """Read the "n m" header plus m edge lines "u p_u v p_v"."""
     lines = text.splitlines()

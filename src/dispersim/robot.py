@@ -22,8 +22,8 @@ shared constants (``QUERY``, ``START``, ``HEADS``, ``VISIT``,
 ``TERMINATE``, ``VISIT_TERMINATE``, and ``SILENCE`` for sending
 nothing).  The engine owns scheduling, delivery, movement and the coins.
 Randomness enters only through the coin rule: a step reads a coin
-exactly when :func:`draws_coin` says so, and :func:`le_coin` draws it
-from the robot's own generator, so no step holds a generator.  An
+exactly when :func:`draws_coin` says so, and the engine draws it as one
+bit of the robot's own generator, so no step holds a generator.  An
 explorer runs its node's leader election itself, one subround per call
 of :func:`step_explore`.
 
@@ -307,20 +307,13 @@ def one_sender_view(sent: Broadcast) -> View:
 # --- leader election ----------------------------------------------------
 
 
-def le_coin(le: int, rng) -> int:
-    """The coin rule: one bit from the robot's own generator in exactly
-    SENT_START and FLIPPING, none otherwise.  It alone fixes how far each
-    robot's stream advances, and so every later coin and trace byte."""
-    phase = le & LE_PHASE
-    if phase == SENT_START or phase == FLIPPING:
-        return rng.getrandbits(1)
-    return 0
-
-
 def draws_coin(word: int, view: View) -> bool:
-    """Whether a step of ``word`` on ``view`` reads a coin, which
-    ``le_coin`` then draws: an explorer that heard no reply, in phase
-    SENT_START or FLIPPING.  Every other step ignores its coin."""
+    """The coin rule: whether a step of ``word`` on ``view`` reads a coin,
+    which holds for an explorer that heard no reply, in phase SENT_START
+    or FLIPPING.  Every other step ignores its coin.  The engine draws
+    the coin as one bit of the robot's own generator, so this rule alone
+    fixes how far each stream advances, and so every later coin and
+    trace byte."""
     if word & ROLE_MASK != EXPLORE or view[1] is not None:
         return False
     phase = word >> LE_SHIFT & LE_PHASE
@@ -393,7 +386,7 @@ def step_explore(
 ) -> tuple[int, Broadcast, Decision]:
     """Exploring walk step: bounce off occupied nodes, advance on backtracks,
     otherwise run one subround of the local election on ``coin``, the bit
-    ``le_coin`` drew when ``draws_coin`` holds: ``NOT_DONE`` while it is
+    the engine drew when ``draws_coin`` holds: ``NOT_DONE`` while it is
     open, then the leader settles, a robot alone turns back and a
     follower moves on."""
     flags, reply, _ = view

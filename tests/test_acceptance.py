@@ -6,17 +6,21 @@ which gate failed.  The 200-run random corpus is built once and shared
 by criteria 1 through 5.
 """
 
+import io
+import json
 import math
 import time
+from contextlib import redirect_stdout
 from dataclasses import dataclass, field
 
 import pytest
 
 import corruptions
 import le_exhaustive
+from dispersim import cli
 from dispersim.checkers import run_all, oracle_dfs
-from dispersim.engine import Outcome, SimulationConfig, TraceLevel, parse_trace, replay, run
-from dispersim.graph import corpus_instances, gen_path, gen_worstcase, worstcase_seeds
+from dispersim.engine import Outcome, SimulationConfig, parse_trace, replay, run
+from dispersim.graph import corpus_instances, gen_path
 from trace_ref import view
 from dispersim.robot import FIELDS, PORT_FIELDS, port_bits
 from test_leader_election import engine_election
@@ -201,18 +205,13 @@ def test_criterion_05_memory_bound(corpus):
 
 def test_criterion_06_quadratic_worst_case():
     t0 = time.monotonic()
-    means = {}
-    for k in (16, 32, 64, 128):
-        g = gen_worstcase(k)
-        rounds = []
-        for seed in worstcase_seeds(k, 10):
-            res = run(SimulationConfig(graph=g, k=k, seed=seed, trace_level=TraceLevel.NONE))
-            assert res.summary.outcome is Outcome.DISPERSED_ALL_TERMINATED
-            rounds.append(res.summary.rounds)
-        means[k] = sum(rounds) / len(rounds)
+    # captured here, so that the criterion's line stays visible under -s
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["bench", "--k-list", "16,32,64,128", "--seed", "0"]) == 0
+    ratios = {r["next_k"]: r["ratio"] for r in json.loads(out.getvalue())["ratios"]}
     elapsed = time.monotonic() - t0
-    r64 = means[64] / means[32]
-    r128 = means[128] / means[64]
+    r64, r128 = ratios[64], ratios[128]
     ok = 3.4 <= r64 <= 4.6 and 3.4 <= r128 <= 4.6 and elapsed < 60.0
     report(
         6,

@@ -287,7 +287,7 @@ def findings(runs, summary, g) -> dict[str, list[str]]:
 
 class TestFindingsOfEditedTraces:
     """Findings that no good run and no corruption of tests/corruptions.py
-    reaches, each from one edit of the ring6 run."""
+    reaches, each from one edit of a good run, the ring6 one unless named."""
 
     def test_a_rootpath_settler_without_a_child_port(self):
         """No set_child for the root's settler: the rootpath names it, and
@@ -351,6 +351,27 @@ class TestFindingsOfEditedTraces:
         runs[11][1].append(("terminate", 3))
         assert findings(runs, summary, g) == {
             "mirror": ["round 13: settler 3 already gone from 5"]}
+
+    def test_a_dispersed_summary_without_a_robots_position(self):
+        """Robot 4's final node dropped from the summary: the dispersion
+        check counts the positions, and the termination check finds node
+        3 missing from the final nodes."""
+        g, runs, summary = ring6()
+        assert summary.positions[4] == 3
+        positions = {i: v for i, v in summary.positions.items() if i != 4}
+        assert findings(runs, replace(summary, positions=positions), g) == {
+            "dispersion": ["summary lists 5 positions for k=6"],
+            "termination": ["final nodes [0, 1, 2, 4, 5] != oracle nodes [0, 1, 2, 3, 4, 5]"]}
+
+    def test_a_lone_robot_that_finishes_a_round_late(self):
+        """``gen:path:2``, k = 1, with an empty round 2 after the robot
+        terminated in round 1: only the termination check rejects it."""
+        g = gen_path(2)
+        runs, summary = ran(g, 1)
+        assert summary.rounds == 1 and runs[0][1] == [("terminate", 0)]
+        runs.append(([], []))
+        assert findings(runs, replace(summary, rounds=2), g) == {
+            "termination": ["k=1 should finish in round 1, took 2"]}
 
     def test_a_dispersed_summary_without_t1(self):
         g, runs, summary = ring6()

@@ -2,8 +2,10 @@
 
 import json
 import re
+import shlex
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -728,49 +730,60 @@ class TestVerify:
 class TestBench:
     def test_two_sizes(self, capsys):
         code, out, _ = run_cli(
-            capsys, "bench", "--k-list", "7,14", "--trials", "2", "--seed", "3"
+            capsys, "bench", "--k-list", "7,14", "--seed", "3"
         )
         assert code == 0
         report = json.loads(out)
+        assert list(report) == ["rows", "ratios"]
+        assert [list(row) for row in report["rows"]] == [["k", "rounds"]] * 2
         assert [row["k"] for row in report["rows"]] == [7, 14]
         assert len(report["ratios"]) == 1
         assert report["ratios"][0]["ratio"] > 1
 
     def test_below_family_minimum(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "bench", "--k-list", "4", "--trials", "1", "--seed", "3"
-        )
-        assert code == 3
-
-    @pytest.mark.parametrize("trials", ["0", "-1"])
-    def test_no_trials(self, capsys, trials):
         code, out, err = run_cli(
-            capsys, "bench", "--k-list", "7", "--trials", trials, "--seed", "3"
+            capsys, "bench", "--k-list", "4", "--seed", "3"
         )
         assert (code, out) == (3, "")
-        assert err == f"error: --trials must be at least 1, got {trials}\n"
+        assert err == "error: worst-case family needs k >= 7, got 4\n"
 
     def test_bad_list(self, capsys):
         code, _, _ = run_cli(
-            capsys, "bench", "--k-list", "7,abc", "--trials", "1", "--seed", "3"
+            capsys, "bench", "--k-list", "7,abc", "--seed", "3"
         )
         assert code == 3
 
     @pytest.mark.parametrize("k_list", ["", " , "])
     def test_empty_list(self, capsys, k_list):
         code, out, err = run_cli(
-            capsys, "bench", "--k-list", k_list, "--trials", "1", "--seed", "3"
+            capsys, "bench", "--k-list", k_list, "--seed", "3"
         )
         assert (code, out) == (3, "")
         assert err == "error: --k-list is empty\n"
 
-    def test_a_trial_that_does_not_disperse_is_exit_two(self, capsys, monkeypatch):
+    def test_a_run_that_does_not_disperse_is_exit_two(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run", lambda config: run(replace(config, max_rounds=2)))
         code, out, err = run_cli(
-            capsys, "bench", "--k-list", "7,8", "--trials", "2", "--seed", "3"
+            capsys, "bench", "--k-list", "7,8", "--seed", "3"
         )
         assert (code, out) == (2, "")
-        assert err == "bench run k=7 trial=0 ended with max_rounds: None\n"
+        assert err == "bench run k=7 ended with max_rounds: None\n"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_COMMANDS = [line.strip() for line in README.read_text(encoding="utf-8").splitlines()
+                   if line.startswith("    dispersim ")]
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_a_readme_example_parses(line):
+    """Each indented ``dispersim ...`` line of the README names a
+    subcommand and flags the parser takes; nothing is run."""
+    cli._build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_the_readme_shows_every_subcommand():
+    assert {line.split()[1] for line in README_COMMANDS} == {"run", "verify", "bench", "gen"}
 
 
 class TestUsage:

@@ -32,7 +32,6 @@ from dispersim.robot import (
     SILENCE,
     START,
     InvalidPhaseError,
-    le_coin,
     le_subround,
 )
 
@@ -95,36 +94,6 @@ class TestSubround:
         for resolved in RESOLVED:
             with pytest.raises(InvalidPhaseError):
                 le_subround(resolved, QUIET, 0)
-
-
-class _CountingRng:
-    def __init__(self):
-        self.draws = 0
-
-    def getrandbits(self, n):
-        self.draws += 1
-        return 1
-
-
-PHASE_IDS = {
-    IDLE: "LePhase.IDLE",
-    SENT_START: "LePhase.SENT_START",
-    FLIPPING: "LePhase.FLIPPING",
-    LEADER: "LePhase.RESOLVED_LEADER",
-    FOLLOWER: "LePhase.RESOLVED_FOLLOWER",
-    ALONE: "LePhase.RESOLVED_ALONE",
-}
-
-
-@pytest.mark.parametrize("current", list(PHASE_IDS), ids=PHASE_IDS.get)
-def test_coin_drawn_exactly_in_flipping_phases(current):
-    """The coin rule: one draw from the robot's own stream in SENT_START
-    and FLIPPING, none in any other phase."""
-    rng = _CountingRng()
-    coin = le_coin(current, rng)
-    flips = current in (SENT_START, FLIPPING)
-    assert rng.draws == int(flips)
-    assert coin == int(flips)
 
 
 class TestTwoRobotTree:
