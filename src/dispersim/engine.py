@@ -50,13 +50,16 @@ to the query, the mover's step by its role, the store of a word that
 changes no role and fires no repair, and a move through a port of its
 node in place.  Any step that writes an event, and every fault a round
 raises, goes through the ``World`` helpers the group round uses, so each
-event and each fault's text is made in one place.
+event and each fault's text is made in one place.  A lone round with no
+event settles and kills no one, so below ``FULL`` one call runs the
+mover's quiet rounds back to back, to its next event or the round
+budget; at ``FULL``, whose records are written as rounds end, one round.
 The group round is the reference: the tests force every lone round
 through it, and run it with every class cut to one robot, comparing the
 traces byte for byte.  Each round kind leaves the number of subrounds
-it took in ``World.subrounds``; nothing here reads it, only the tests
-do, to measure the engine's own elections (a round's subrounds less the
-query and the reply) and to check it against the subround budget.
+its last round took in ``World.subrounds``; nothing here reads it, only
+the tests do, to measure the engine's own elections (a round's subrounds
+less the query and the reply) and to check it against the subround budget.
 
 A robot's state is one int word (see ``robot.FIELDS``), so a transition
 builds no object: a step returns a new word (and a shared ``Move`` per
@@ -70,7 +73,7 @@ word or node changed since its last row, and its events, each one
 ``Event`` tuple from the engine to the checkers, never read as text.  A
 robot is gone from the round after its ``terminate`` event, which is
 all a reader needs to drop it.  ``run`` builds each record from the
-robots ``execute_round`` returns as stored (every actor, settlers
+robots the round before returns as stored (every actor, settlers
 included, each once and ascending by id; a lone round's mover and, if it
 acted, its settler), so a round's trace costs what the round touched.
 Without a sink it keeps the records as ``TraceDelta``s; with one it
@@ -411,7 +414,7 @@ def replay(deltas: Iterable[TraceDelta]) -> Iterator[tuple[TraceDelta, dict[int,
 class World:
     """Mutable per-run state: positions, state words, liveness, rngs."""
 
-    # the subrounds the last completed round took; only tests read it
+    # the subrounds the last round run took; only tests read it
     subrounds: int
 
     def __init__(self, config: SimulationConfig):
@@ -449,7 +452,7 @@ class World:
     # -- round machinery --------------------------------------------------
 
     def execute_round(self, events: list[Event]) -> list[int]:
-        """Run one full round; mutates positions/states/liveness in place.
+        """Run round ``self.round``; mutates positions/states/liveness in place.
 
         Appends an event for everything that happened during the
         round: settles, role changes, applied control messages, deaths.
@@ -460,11 +463,11 @@ class World:
 
         A round with one live mover is a lone round, any other a group
         round; both call the same step functions and write every event
-        and fault through the same helpers.
+        and fault through the same helpers; here, one round a call.
         """
         live = self.live
         if len(live) == 1:
-            return self._lone_round(live[0], events)
+            return self._lone_rounds(live[0], events, self.round)
         return self._group_round(events)
 
     def _group_round(self, events: list[Event]) -> list[int]:
@@ -639,88 +642,97 @@ class World:
                 steps.append((node, word, part, (word2, sent, dec, repair, own2)))
         return steps, in_bulk
 
-    def _lone_round(self, i: int, events: list[Event]) -> list[int]:
-        """A round of the one live mover ``i``.  Only it and its node's
-        settler can hear anyone, each only the other, so a subround
-        carries two broadcasts, the mover's and the settler's, and no
-        postbox: the same steps as a group round, in the same order.
-        Returns ``[i]``, or ``i`` and the settler in id order if it acted.
+    def _lone_rounds(self, i: int, events: list[Event], end: int) -> list[int]:
+        """Rounds ``self.round``.. of the one live mover ``i``, up to the
+        first that writes an event or round ``end``; a round with no event
+        leaves ``i`` the one live mover.  Only it and its node's settler
+        can hear anyone, each only the other, so a subround carries two
+        broadcasts, the mover's and the settler's, and no postbox: the
+        same steps as a group round, in the same order.  Returns the last
+        round's ``[i]``, or ``i`` and the settler in id order if it acted.
         Its common path is inline (see the module's cost model)."""
         states, used, overflow = self.states, self.used, self.overflow
-        node = self.positions[i]
-        ports = self.graph.ports[node]
-        word = states[i]
-        # the round cannot change the settler: only the mover could settle
-        # here, and with a settler here that faults
-        settler = self.node_settler.get(node)
-        # what the mover and the settler broadcast in the subround before
-        sent: Broadcast = SILENCE
-        replied: Broadcast = SILENCE
-        doomed = False
-        if word & ROLE_MASK == DONE:
-            _, _, dec = step_done(word)
-            undecided = woke = False
-            subround = 1
-        else:
-            # subround 2 (within every budget, which is at least 4): the
-            # settler hears the query, which writes no event, and replies
-            undecided, woke = True, settler is not None
-            if woke:
-                st, replied, st_dec = step_settled(states[settler], _HEARS_QUERY)
-                if st & overflow:
-                    raise self._too_wide(settler, *overflowing_field(st, self.max_degree))
-                used[st & ROLE_MASK] |= st
-                states[settler] = st
-                doomed = type(st_dec) is TerminateSelf
-            subround = 2
-        while sent[0] or replied[0] or undecided:
-            subround += 1
-            if subround > self.max_subrounds:
-                raise self._overrun()
-            # the settler acts only when it hears another robot: the mover;
-            # each hears the other's broadcast as one_sender_view gives it
-            heard = ((sent[0] + _LOW & _HIGH, sent[1], sent[2])
-                     if sent[0] and settler is not None else SILENCE)
-            view = (replied[0] + _LOW & _HIGH, replied[1], replied[2]) if replied[0] else SILENCE
-            sent, replied = SILENCE, SILENCE
-            # the two step in id order, as in a group round
-            if heard[0] and settler < i:
-                replied, terminates = self._settler_step(settler, heard, events)
-                doomed |= terminates
-            if undecided:
-                role, repair = word & ROLE_MASK, False
-                if role == EXPLORE:
-                    coin = self.rngs[i].getrandbits(1) if draws_coin(word, view) else 0
-                    word2, sent, dec = step_explore(word, view, coin, len(ports))
-                elif role == RETURN:
-                    word2, sent, dec = step_return(word, view[1])
-                else:
-                    word2, sent, dec = step_acknowledge(word, view[1], len(ports))
-                    repair = _repairs(word, view[1], sent)
-                if (repair or word2 & overflow
-                        or dec is not NOT_DONE and (word ^ word2) & ROLE_MASK):
-                    self._commit(i, word, word2, dec, repair, events)
-                else:
-                    used[word2 & ROLE_MASK] |= word2
-                    states[i] = word2
-                word, undecided = word2, dec is NOT_DONE
-            if heard[0] and settler > i:
-                replied, terminates = self._settler_step(settler, heard, events)
-                doomed |= terminates
-        self.subrounds = subround
-
-        if type(dec) is Move:
-            if 0 <= dec.port < len(ports):
-                self.positions[i] = (packed := ports[dec.port]) >> NEIGHBOR_SHIFT
-                word = word & ~ENTERED_MASK | (packed & PORT_MASK) + 1 << ENTERED_SHIFT
-                used[word & ROLE_MASK] |= word
-                states[i] = word
+        positions, node_ports, node_settler = self.positions, self.graph.ports, self.node_settler
+        rng, max_subrounds = self.rngs[i], self.max_subrounds
+        while True:
+            node = positions[i]
+            ports = node_ports[node]
+            word = states[i]
+            # the round cannot change the settler: only the mover could
+            # settle here, and with a settler here that faults
+            settler = node_settler.get(node)
+            # what the mover and the settler broadcast in the subround before
+            sent: Broadcast = SILENCE
+            replied: Broadcast = SILENCE
+            doomed = False
+            if word & ROLE_MASK == DONE:
+                _, _, dec = step_done(word)
+                undecided = woke = False
+                subround = 1
             else:
-                self._move(i, dec)
-        elif type(dec) is TerminateSelf:
-            self._kill(i, events)
-        if doomed:
-            self._kill(settler, events)
+                # subround 2 (within every budget, which is at least 4): the
+                # settler hears the query, which writes no event, and replies
+                undecided, woke = True, settler is not None
+                if woke:
+                    st, replied, st_dec = step_settled(states[settler], _HEARS_QUERY)
+                    if st & overflow:
+                        raise self._too_wide(settler, *overflowing_field(st, self.max_degree))
+                    used[st & ROLE_MASK] |= st
+                    states[settler] = st
+                    doomed = type(st_dec) is TerminateSelf
+                subround = 2
+            while sent[0] or replied[0] or undecided:
+                subround += 1
+                if subround > max_subrounds:
+                    raise self._overrun()
+                # the settler acts only when it hears another robot: the
+                # mover; each hears the other's broadcast as one_sender_view
+                # gives it
+                heard = ((sent[0] + _LOW & _HIGH, sent[1], sent[2])
+                         if sent[0] and settler is not None else SILENCE)
+                view = ((replied[0] + _LOW & _HIGH, replied[1], replied[2])
+                        if replied[0] else SILENCE)
+                sent, replied = SILENCE, SILENCE
+                # the two step in id order, as in a group round
+                if heard[0] and settler < i:
+                    replied, terminates = self._settler_step(settler, heard, events)
+                    doomed |= terminates
+                if undecided:
+                    role, repair = word & ROLE_MASK, False
+                    if role == EXPLORE:
+                        coin = rng.getrandbits(1) if draws_coin(word, view) else 0
+                        word2, sent, dec = step_explore(word, view, coin, len(ports))
+                    elif role == RETURN:
+                        word2, sent, dec = step_return(word, view[1])
+                    else:
+                        word2, sent, dec = step_acknowledge(word, view[1], len(ports))
+                        repair = _repairs(word, view[1], sent)
+                    if (repair or word2 & overflow
+                            or dec is not NOT_DONE and (word ^ word2) & ROLE_MASK):
+                        self._commit(i, word, word2, dec, repair, events)
+                    else:
+                        used[word2 & ROLE_MASK] |= word2
+                        states[i] = word2
+                    word, undecided = word2, dec is NOT_DONE
+                if heard[0] and settler > i:
+                    replied, terminates = self._settler_step(settler, heard, events)
+                    doomed |= terminates
+            if type(dec) is Move:
+                if 0 <= dec.port < len(ports):
+                    positions[i] = (packed := ports[dec.port]) >> NEIGHBOR_SHIFT
+                    word = word & ~ENTERED_MASK | (packed & PORT_MASK) + 1 << ENTERED_SHIFT
+                    used[word & ROLE_MASK] |= word
+                    states[i] = word
+                else:
+                    self._move(i, dec)
+            elif type(dec) is TerminateSelf:
+                self._kill(i, events)
+            if doomed:
+                self._kill(settler, events)
+            if self.round == end or events:
+                break
+            self.round += 1
+        self.subrounds = subround
         if not woke:
             return [i]
         return [settler, i] if settler < i else [i, settler]
@@ -867,9 +879,10 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
     then the summary), and the result keeps what a ``SUMMARY`` run keeps,
     its ``trace_level`` reading ``SUMMARY``.  Below ``FULL`` there is no
     trace, and ``sink`` gets nothing.  A record holds the changed rows of
-    the robots ``execute_round`` returned the round before; after a lone
-    round that is the mover and maybe its settler, so the record is often
-    one row and no event.
+    the robots the round before returned as touched; after a lone round
+    that is the mover and maybe its settler, so the record is often one
+    row and no event.  Below ``FULL`` a lone mover's quiet rounds, which
+    leave nothing to keep, run back to back in one call.
     """
     config.validate()
     w = World(config)
@@ -894,10 +907,11 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
     fault: str | None = None
     max_rounds = config.resolved_max_rounds()
     markers_only = level is TraceLevel.SUMMARY
-    execute_round = w.execute_round
+    live, lone_rounds, group_round = w.live, w._lone_rounds, w._group_round
 
-    for rnd in range(1, max_rounds + 1):
-        w.round = rnd
+    rnd = 0
+    while rnd < max_rounds:
+        rnd = w.round = rnd + 1
         events: list[Event] = []
         if full:
             rows: list[Row] = []
@@ -912,11 +926,17 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
             if write is None:
                 deltas.append(TraceDelta(rnd, rows, events))
         try:
-            touched = execute_round(events)
+            # a FULL record is written as its round ends, so there a lone
+            # call runs one round
+            if len(live) == 1:
+                touched = lone_rounds(live[0], events, rnd if full else max_rounds)
+            else:
+                touched = group_round(events)
         except (_Fault, ProtocolViolation) as exc:
             outcome = Outcome.FAULT
             # a _Fault names its round; a step's ProtocolViolation does not
-            fault = str(exc) if isinstance(exc, _Fault) else f"round {rnd}: {exc}"
+            fault = str(exc) if isinstance(exc, _Fault) else f"round {w.round}: {exc}"
+        rnd = w.round  # a lone call may have run on
         # the round's record is complete once its events are
         if write is not None:
             line, first = _record_line(rows, events, first)
@@ -929,7 +949,7 @@ def run(config: SimulationConfig, sink: Callable[[str], object] | None = None
             markers = [e for e in events if e[0] in _MARKERS]
             if markers:
                 deltas.append(TraceDelta(rnd, [], markers))
-        if not w.live:
+        if not live:
             # no robot can broadcast again, and a settler acts only when it
             # hears another: nothing can change from here on
             if w.node_settler:

@@ -843,60 +843,80 @@ def test_a_settler_on_silence_keeps_its_word():
 
 
 def _lone_and_group_runs():
-    yield from ((f"corpus:{i}", SimulationConfig(graph=g, k=k, root=root, seed=i))
-                for i, _, _, k, root, g in corpus_instances(0, 50))
-    yield from ((f"worstcase:{k}", SimulationConfig(graph=gen_worstcase(k), k=k, seed=k))
-                for k in (7, 16, 32, 64))
+    """The corpus and worst-case runs at FULL, where a lone call runs one
+    round, and at NONE, where it runs a mover's quiet rounds back to back;
+    and the fault runs at every level."""
+    for level in (TraceLevel.FULL, TraceLevel.NONE):
+        yield from ((f"corpus:{i}/{level.value}",
+                     SimulationConfig(graph=g, k=k, root=root, seed=i, trace_level=level))
+                    for i, _, _, k, root, g in corpus_instances(0, 50))
+        yield from ((f"worstcase:{k}/{level.value}",
+                     SimulationConfig(graph=gen_worstcase(k), k=k, seed=k, trace_level=level))
+                    for k in (7, 16, 32, 64))
     for spec, k, seed, budget, *_ in FAULT_RUNS:
-        for level in (TraceLevel.FULL, TraceLevel.SUMMARY):
+        for level in TraceLevel:
             yield (f"{spec}/{seed}/{level.value}",
                    SimulationConfig(graph=_graph(spec), k=k, seed=seed, trace_level=level,
                                     **budget))
 
 
+def _group_rounds(self, i, events, end):
+    """``World._lone_rounds`` forced through the group round: one round a
+    call, whatever ``end``."""
+    return self._group_round(events)
+
+
 def test_lone_rounds_match_group_rounds(monkeypatch):
     """A lone round is a second delivery path for the one-mover case: with
-    every round forced through the group round, each run keeps the same
-    deltas and summary, uses the same bits and ends in the same fault."""
-    lone = World._lone_round
+    every lone call forced through the group round, one round a call,
+    each run keeps the same deltas and summary, uses the same bits and
+    ends in the same fault, also where a call runs many quiet rounds."""
+    lone = World._lone_rounds
+    # the rounds each lone call ran
     calls = []
 
-    def counted(self, i, events):
-        calls.append(i)
-        return lone(self, i, events)
+    def counted(self, i, events, end):
+        start = self.round
+        try:
+            return lone(self, i, events, end)
+        finally:
+            calls.append(self.round - start + 1)
 
     def ran(cfg):
         res = run(cfg)
         return res.deltas, res.summary, res.used_bits, res.summary.fault
 
     runs = list(_lone_and_group_runs())
-    monkeypatch.setattr(World, "_lone_round", counted)
+    monkeypatch.setattr(World, "_lone_rounds", counted)
     want = [ran(cfg) for _, cfg in runs]
-    assert len(calls) > 10_000  # mostly the worst case's stages 2 and 3
-    monkeypatch.setattr(World, "_lone_round",
-                        lambda self, i, events: self._group_round(events))
+    assert sum(calls) > 20_000  # mostly the worst case's stages 2 and 3
+    assert max(calls) > 1_000
+    monkeypatch.setattr(World, "_lone_rounds", _group_rounds)
     for (name, cfg), outcome in zip(runs, want):
         assert ran(cfg) == outcome, name
-    # the three election overruns, at both levels
-    assert sum(fault is not None for *_, fault in want) == 6
+    # the three election overruns, at each level
+    assert sum(fault is not None for *_, fault in want) == 9
 
 
 def test_a_round_returns_each_robot_it_touched_once_in_id_order(monkeypatch):
-    """``execute_round`` returns the robots whose word or node it may have
-    stored, each once, ascending by id, and the same list whether a round
-    is lone or forced through the group round.  A lone round's list is its
-    mover and, if it acted, the settler there, in either order."""
-    execute, lone = World.execute_round, World._lone_round
+    """A round returns the robots whose word or node it may have stored,
+    each once, ascending by id, and the same list whether a round is lone
+    or forced through the group round.  A lone round's list is its mover
+    and, if it acted, the settler there, in either order.  The runs are
+    those at FULL, where a lone call runs one round and so returns every
+    round's list."""
+    group, lone = World._group_round, World._lone_rounds
     returned: list[list[int]] = []
     shapes = set()
 
     def recorded(self, events):
-        touched = execute(self, events)
+        touched = group(self, events)
         returned.append(touched)
         return touched
 
-    def lone_recorded(self, i, events):
-        touched = lone(self, i, events)
+    def lone_recorded(self, i, events, end):
+        touched = lone(self, i, events, end)
+        returned.append(touched)
         shapes.add(tuple(j == i for j in touched))
         return touched
 
@@ -905,15 +925,15 @@ def test_a_round_returns_each_robot_it_touched_once_in_id_order(monkeypatch):
         run(cfg)
         return list(returned)
 
-    runs = list(_lone_and_group_runs())
-    monkeypatch.setattr(World, "execute_round", recorded)
-    monkeypatch.setattr(World, "_lone_round", lone_recorded)
+    runs = [(name, cfg) for name, cfg in _lone_and_group_runs()
+            if cfg.trace_level is TraceLevel.FULL]
+    monkeypatch.setattr(World, "_group_round", recorded)
+    monkeypatch.setattr(World, "_lone_rounds", lone_recorded)
     want = [returns(cfg) for _, cfg in runs]
     assert all(t == sorted(set(t)) for each in want for t in each)
     # the mover alone, the settler after it, the settler before it
     assert shapes == {(True,), (True, False), (False, True)}
-    monkeypatch.setattr(World, "_lone_round",
-                        lambda self, i, events: self._group_round(events))
+    monkeypatch.setattr(World, "_lone_rounds", _group_rounds)
     for (name, cfg), touched in zip(runs, want):
         assert returns(cfg) == touched, name
 
@@ -975,11 +995,11 @@ def test_lone_rounds_match_group_rounds_under_step_mutants(monkeypatch, attr, mu
     round keeps each run's deltas, summary, bits and fault."""
     fired: list[int] = []
     monkeypatch.setattr(engine, attr, mutant(getattr(engine, attr), fired))
-    lone, in_lone = World._lone_round, []
+    lone, in_lone = World._lone_rounds, []
 
-    def counted(self, i, events):
+    def counted(self, i, events, end):
         before = len(fired)
-        touched = lone(self, i, events)
+        touched = lone(self, i, events, end)
         in_lone.append(len(fired) - before)
         return touched
 
@@ -993,11 +1013,10 @@ def test_lone_rounds_match_group_rounds_under_step_mutants(monkeypatch, attr, mu
             for i, _, _, k, root, g in corpus_instances(0, 40)]
     runs += [(f"worstcase:{k}", SimulationConfig(graph=gen_worstcase(k), k=k, seed=k))
              for k in (7, 16)]
-    monkeypatch.setattr(World, "_lone_round", counted)
+    monkeypatch.setattr(World, "_lone_rounds", counted)
     want = [ran(cfg) for _, cfg in runs]
     assert sum(in_lone) == len(fired) > 0
-    monkeypatch.setattr(World, "_lone_round",
-                        lambda self, i, events: self._group_round(events))
+    monkeypatch.setattr(World, "_lone_rounds", _group_rounds)
     for (name, cfg), outcome in zip(runs, want):
         assert ran(cfg) == outcome, name
     if mutant is _settles_loudly:
@@ -1041,27 +1060,32 @@ def _wide_child(step):
     ("step_return", _wide_child,
      "round 4: robot 1 stored child=65536, which does not fit its 2-bit field at max degree 2"),
 ], ids=["overrun", "wide_settler_word", "wide_child_port"])
-def test_a_lone_round_fault_is_the_group_rounds(monkeypatch, attr, mutant, fault):
+@pytest.mark.parametrize("level", list(TraceLevel), ids=lambda level: level.value)
+def test_a_lone_round_fault_is_the_group_rounds(monkeypatch, attr, mutant, fault, level):
     """Faults that only a wrong step brings about in a lone round: a
     returner that never decides overruns the subround budget, and a
     settler stores a word, or is sent a child port, too wide for its
     field.  The group round, with every lone round forced through it,
-    ends each run with the same trace and the same fault."""
+    ends each run with the same trace and the same fault, at each level,
+    and so does a lone call that runs quiet rounds before the fault."""
     monkeypatch.setattr(engine, attr, mutant(getattr(engine, attr)))
-    lone, lone_rounds = World._lone_round, []
+    lone, lone_rounds = World._lone_rounds, []
 
-    def counted(self, i, events):
-        lone_rounds.append(self.round)
-        return lone(self, i, events)
+    def counted(self, i, events, end):
+        start = self.round
+        try:
+            return lone(self, i, events, end)
+        finally:
+            lone_rounds.extend(range(start, self.round + 1))
 
-    cfg = SimulationConfig(graph=gen_path(3), k=3, root=0, seed=3)
-    monkeypatch.setattr(World, "_lone_round", counted)
+    cfg = SimulationConfig(graph=gen_path(3), k=3, root=0, seed=3, trace_level=level)
+    monkeypatch.setattr(World, "_lone_rounds", counted)
     res = run(cfg)
     assert res.summary.fault == fault
+    assert res.summary.rounds == 4
     # rounds 1 and 2 are elections, 3 and 4 the lone walker's
     assert lone_rounds == [3, 4]
-    monkeypatch.setattr(World, "_lone_round",
-                        lambda self, i, events: self._group_round(events))
+    monkeypatch.setattr(World, "_lone_rounds", _group_rounds)
     group = run(cfg)
     assert (group.deltas, group.summary) == (res.deltas, res.summary)
 
@@ -1075,24 +1099,31 @@ def test_lone_rounds_reach_both_paths_of_each_inlined_branch(monkeypatch):
     query inline, and a child port or a visited mark through the helper; a
     mover's step that changes its role, or fires the repair, is stored
     through ``_commit``, any other inline; and the mover moves or
-    terminates."""
+    terminates.  A lone call below FULL, where ``end`` is the run's
+    budget, runs more than one round and stops after a round that writes
+    an event or, where a fault run runs out of rounds mid-walk, at
+    ``end``."""
     counts: Counter[str] = Counter()
     # the mover of the lone round under way, and the settler in
     # ``_settler_step``, if any
     movers: list[int] = []
     in_helper: list[int] = []
-    lone, settler_step, commit = World._lone_round, World._settler_step, World._commit
+    lone, settler_step, commit = World._lone_rounds, World._settler_step, World._commit
     settled = engine.step_settled
 
-    def lone_counted(self, i, events):
-        node = self.positions[i]
+    def lone_counted(self, i, events, end):
+        node, start = self.positions[i], self.round
         movers.append(i)
         try:
-            touched = lone(self, i, events)
+            touched = lone(self, i, events, end)
         finally:
             movers.pop()
         counts["moves"] += self.positions[i] != node
         counts["terminates"] += not self.alive[i]
+        counts["call ran more than one round"] += self.round > start
+        if end > start:
+            counts["call stopped after an event round"] += bool(events)
+            counts["call stopped at end"] += not events and self.round == end
         return touched
 
     def settler_counted(self, i, view, events):
@@ -1124,7 +1155,7 @@ def test_lone_rounds_reach_both_paths_of_each_inlined_branch(monkeypatch):
             return step(*args)
         return counted
 
-    monkeypatch.setattr(World, "_lone_round", lone_counted)
+    monkeypatch.setattr(World, "_lone_rounds", lone_counted)
     monkeypatch.setattr(World, "_settler_step", settler_counted)
     monkeypatch.setattr(World, "_commit", commit_counted)
     monkeypatch.setattr(engine, "step_settled", settled_counted)
@@ -1134,7 +1165,8 @@ def test_lone_rounds_reach_both_paths_of_each_inlined_branch(monkeypatch):
         run(cfg)
     for path in ("settler before mover", "settler after mover", "query, inline",
                  "child port, helper", "visited, helper", "role change, helper",
-                 "repair, helper", "moves", "terminates"):
+                 "repair, helper", "moves", "terminates", "call ran more than one round",
+                 "call stopped after an event round", "call stopped at end"):
         assert counts[path] > 0, path
     assert counts["mover steps"] > counts["mover stores, helper"]
     # a settler steps inline on the query alone
@@ -1167,36 +1199,90 @@ def _invalid_port(step):
     return patched
 
 
-@pytest.mark.parametrize("attr, mutant, cfg, fault, lone_end", [
+def _strays_at_the_end(step):
+    """``step_acknowledge`` that, where the walk ends and the walker turns
+    done, moves through port 9, which no node of the worst case k = 7 has,
+    not back through its entry port."""
+    def patched(state, reply, degree):
+        word, sent, dec = step(state, reply, degree)
+        return word, sent, robot.Move(9) if word & robot.ROLE_MASK == robot.DONE else dec
+    return patched
+
+
+@pytest.mark.parametrize("attr, mutant, cfg, fault, lone_from", [
     ("step_explore", _terminates_at_once, SimulationConfig(graph=gen_path(3), k=3, seed=3),
-     "round 1: all robots terminated but final nodes are not distinct", False),
+     "round 1: all robots terminated but final nodes are not distinct", None),
     ("step_explore", _terminates_for_good, SimulationConfig(graph=gen_worstcase(7), k=7, seed=7),
-     "round 7: all robots terminated but final nodes are not distinct", True),
+     "round 7: all robots terminated but final nodes are not distinct", 7),
     ("step_return", _invalid_port, SimulationConfig(graph=gen_path(3), k=3, seed=3),
-     "round 4: robot 0 tried invalid port 9 at node 1", True),
-], ids=["terminates_at_once", "terminates_for_good", "invalid_port"])
+     "round 4: robot 0 tried invalid port 9 at node 1", 4),
+    ("step_acknowledge", _strays_at_the_end,
+     SimulationConfig(graph=gen_worstcase(7), k=7, seed=7),
+     "round 49: robot 5 tried invalid port 9 at node 1", 48),
+], ids=["terminates_at_once", "terminates_for_good", "invalid_port", "strays_at_the_end"])
+@pytest.mark.parametrize("level", list(TraceLevel), ids=lambda level: level.value)
 def test_a_run_ends_where_the_group_round_ends_it(monkeypatch, attr, mutant, cfg, fault,
-                                                   lone_end):
+                                                   lone_from, level):
     """Faults that end a run in its last round: every robot terminated at
     nodes that are not distinct, in round 1's group round or in a lone
     round of the walk, and a lone walker's move through a port its node
-    lacks.  The group round, with every lone round forced through it,
-    ends each run with the same trace and the same fault."""
+    lacks, the last after a quiet round that a lone call below FULL runs
+    in the same call.  The group round, with every lone round forced
+    through it, ends each run with the same trace and the same fault, at
+    each level."""
     monkeypatch.setattr(engine, attr, mutant(getattr(engine, attr)))
-    lone, lone_rounds = World._lone_round, []
+    lone, spans = World._lone_rounds, []
 
-    def counted(self, i, events):
-        lone_rounds.append(self.round)
-        return lone(self, i, events)
+    def counted(self, i, events, end):
+        start = self.round
+        try:
+            return lone(self, i, events, end)
+        finally:
+            spans.append((start, self.round))
 
-    monkeypatch.setattr(World, "_lone_round", counted)
+    cfg = replace(cfg, trace_level=level)
+    monkeypatch.setattr(World, "_lone_rounds", counted)
     res = run(cfg)
+    rounds = res.summary.rounds
     assert res.summary.fault == fault
-    assert (lone_rounds[-1:] == [res.summary.rounds]) is lone_end
-    monkeypatch.setattr(World, "_lone_round",
-                        lambda self, i, events: self._group_round(events))
+    assert fault.startswith(f"round {rounds}: ")
+    # the lone call the run ended in, if any: at FULL one round, below it
+    # from round lone_from on
+    ended = [] if lone_from is None else [
+        (rounds if level is TraceLevel.FULL else lone_from, rounds)]
+    assert [span for span in spans if span[1] == rounds] == ended
+    monkeypatch.setattr(World, "_lone_rounds", _group_rounds)
     group = run(cfg)
     assert (group.deltas, group.summary) == (res.deltas, res.summary)
+
+
+def test_a_walk_cut_by_the_round_budget_ends_as_at_full(monkeypatch):
+    """A lone call below FULL runs up to the run's round budget: worst
+    case k = 16 at seed 16, cut at every fifth budget of 1..590 and at
+    t1, t2 and the rounds either side of each, ends each NONE run with the
+    summary and the bits of its FULL run, which runs one round a call.
+    Some of those budgets cut a call after quiet rounds."""
+    cfg = SimulationConfig(graph=gen_worstcase(16), k=16, seed=16)
+    whole = run(cfg).summary
+    assert whole.rounds == 590
+    budgets = {*range(1, 591, 5), 589, 590}
+    for t in (whole.t1, whole.t2):
+        budgets |= {t - 1, t, t + 1}
+    lone, cut = World._lone_rounds, []
+
+    def counted(self, i, events, end):
+        start = self.round
+        touched = lone(self, i, events, end)
+        cut.append(start < self.round == end)
+        return touched
+
+    monkeypatch.setattr(World, "_lone_rounds", counted)
+    for budget in sorted(budgets):
+        full = run(replace(cfg, max_rounds=budget))
+        none = run(replace(cfg, max_rounds=budget, trace_level=TraceLevel.NONE))
+        assert (none.summary, none.used_bits) == (full.summary, full.used_bits), budget
+        assert none.summary.rounds == budget
+    assert any(cut)
 
 
 def _subrounds_per_round(cfg: SimulationConfig) -> list[int]:
@@ -1230,8 +1316,7 @@ def test_subrounds_count_what_the_budget_counts(monkeypatch):
             first = per_round.index(m) + 1
             fault = run(replace(fits, max_subrounds_per_round=m - 1)).summary.fault
             assert fault == f"round {first} still open after {m - 1} subrounds", name
-    monkeypatch.setattr(World, "_lone_round",
-                        lambda self, i, events: self._group_round(events))
+    monkeypatch.setattr(World, "_lone_rounds", _group_rounds)
     for (name, cfg), per_round in zip(runs, counts):
         assert _subrounds_per_round(cfg) == per_round, name
 
@@ -1337,8 +1422,8 @@ def test_classes_match_single_robot_steps(monkeypatch):
         return outcomes
 
     want = all_runs()
-    # the overruns: 6 of _lone_and_group_runs, 71 of the 80 budget runs
-    assert sum(fault is not None for *_, fault in want[:len(runs)]) == 6 + 71
+    # the overruns: 9 of _lone_and_group_runs, 71 of the 80 budget runs
+    assert sum(fault is not None for *_, fault in want[:len(runs)]) == 9 + 71
     # each fault mutant faults, on each of its runs
     faults = {name: fault for (name, *_), (*_, fault) in zip(mutants, want[len(runs):])}
     assert sum(len(cfgs) for *_, cfgs in faulting) == 11
