@@ -21,6 +21,7 @@ from .engine import (
     SimulationConfig,
     TraceFormatError,
     TraceLevel,
+    check_lanes,
     parse_trace,
     run,
 )
@@ -163,6 +164,9 @@ def cmd_bench(args) -> int:
         raise _UsageError(f"--k-list must be comma-separated integers, got {args.k_list!r}") from None
     if not k_list:
         raise _UsageError("--k-list is empty")
+    # before any graph is built: the worst case for k holds a (k-3)-clique
+    for k in k_list:
+        check_lanes(k)
     # the coins only pick each election's winner, so one run per k gives
     # the round count every seed gives
     rows = []

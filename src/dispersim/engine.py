@@ -86,11 +86,7 @@ if there are events, the robots that share a node and a word in one row
 ``%``, not ``json.dumps``.  A record with no event whose one row names
 the robots of the first row of the record before is ``[node, word]``:
 the renderer carries those robots from record to record, and the reader
-gives such a record the same rows back.  Most worst-case rounds are one
-robot moving alone, so against format 5 this takes worst case k = 64 at
-seed 0 (perfbench ``fulltrace``) from 283,154 to 183,621 B (0.648x),
-the 200 ``corpus`` runs from 1,157,173 to 1,030,355 B (0.890x) and
-worst case k = 256 at seed 256 from 5,703,968 to 3,424,655 B (0.600x).
+gives such a record the same rows back.
 A format-5 trace is rejected with ``line 1: trace format 5; only format
 6 is read``; no older format has a reader.
 ``parse_trace`` reads a record line as written with one C scan; it takes
@@ -203,6 +199,12 @@ _EVENT_TEXT = {2: '["%s", %d]', 3: '["%s", %d, %d]'}
 _HEARS_QUERY = one_sender_view(QUERY)
 
 
+def check_lanes(k: int) -> None:
+    """Reject ``k`` robots if an inbox lane cannot count their messages."""
+    if 2 * k > LANE_MAX:
+        raise ConfigError(f"k={k}: an inbox lane counts up to 2k messages and holds {LANE_MAX}")
+
+
 @dataclass
 class SimulationConfig:
     graph: PortLabeledGraph
@@ -233,10 +235,7 @@ class SimulationConfig:
             raise ConfigError("max_rounds must be at least 1")
         if self.resolved_max_subrounds() < 4:
             raise ConfigError("max_subrounds_per_round must be at least 4")
-        if 2 * self.k > LANE_MAX:
-            raise ConfigError(
-                f"k={self.k}: an inbox lane counts up to 2k messages and holds {LANE_MAX}"
-            )
+        check_lanes(self.k)
         delta = self.graph.max_degree()
         if port_bits(delta) + 1 > PORT_SLOT:
             raise ConfigError(
@@ -451,28 +450,9 @@ class World:
 
     # -- round machinery --------------------------------------------------
 
-    def execute_round(self, events: list[Event]) -> list[int]:
-        """Run round ``self.round``; mutates positions/states/liveness in place.
-
-        Appends an event for everything that happened during the
-        round: settles, role changes, applied control messages, deaths.
-        Every word a step stores is checked against ``self.overflow`` and
-        accumulated into ``self.used``.  Returns every robot whose word
-        or node the round may have stored, each once and ascending by id:
-        each mover and each settler that heard another robot and acted.
-
-        A round with one live mover is a lone round, any other a group
-        round; both call the same step functions and write every event
-        and fault through the same helpers; here, one round a call.
-        """
-        live = self.live
-        if len(live) == 1:
-            return self._lone_rounds(live[0], events, self.round)
-        return self._group_round(events)
-
     def _group_round(self, events: list[Event]) -> list[int]:
-        """A round of any number of movers, each node's broadcasts tallied
-        in a ``NodeInbox`` per subround, stepped class by class.
+        """Round ``self.round`` of any number of movers, each node's
+        broadcasts tallied in a ``NodeInbox`` per subround, stepped class by class.
 
         A class is the undecided movers at one node with one word that
         sent the same lanes last subround (see ``_class_key``): they hear the
@@ -600,15 +580,15 @@ class World:
                      inboxes: dict[int, NodeInbox]) -> tuple[list[tuple], bool]:
         """Step each class (node, word, own, members) on what it heard in
         ``inboxes``, storing nothing: a ``(node, word, members, result)``
-        per step, ``result`` being ``_step``'s (word, broadcast, decision,
-        repair) and the lanes the class sent, None when its broadcast
-        carries a reply or a child port, or the ``ProtocolViolation``
-        the view or the step raised.  A class whose step draws a coin
-        takes a step per coin its members drew.  Also returns whether
-        every result may be committed class by class: none faults,
-        overflows, changes a role, fires the repair, or broadcasts a
-        reply or a child port."""
-        rngs, overflow = self.rngs, self.overflow
+        per step, ``result`` being the step's (word, broadcast, decision),
+        by its role, whether it fires the repair, and the lanes the class
+        sent, None when its broadcast carries a reply or a child port; or
+        the ``ProtocolViolation`` the view or the step raised.  A class
+        whose step draws a coin takes a step per coin its members drew.
+        Also returns whether every result may be committed class by class:
+        none faults, overflows, changes a role, fires the repair, or
+        broadcasts a reply or a child port."""
+        rngs, overflow, node_ports = self.rngs, self.overflow, self.graph.ports
         steps: list[tuple] = []
         in_bulk = True
         for node, word, own, members in classes:
@@ -626,11 +606,19 @@ class World:
                 parts = enumerate(split)
             else:
                 parts = ((0, members),)
+            role = word & ROLE_MASK
             for coin, part in parts:
                 if not part:
                     continue
+                repair = False
                 try:
-                    word2, sent, dec, repair = self._step(node, word, view, coin)
+                    if role == EXPLORE:
+                        word2, sent, dec = step_explore(word, view, coin, len(node_ports[node]))
+                    elif role == RETURN:
+                        word2, sent, dec = step_return(word, view[1])
+                    else:
+                        word2, sent, dec = step_acknowledge(word, view[1], len(node_ports[node]))
+                        repair = _repairs(word, view[1], sent)
                 except ProtocolViolation as exc:
                     steps.append((node, word, part, exc))
                     in_bulk = False
@@ -756,23 +744,6 @@ class World:
         self.used[st2 & ROLE_MASK] |= st2
         self.states[i] = st2
         return sent, type(dec) is TerminateSelf
-
-    def _step(self, node: int, word: int, view: View,
-              coin: int) -> tuple[int, Broadcast, Decision, bool]:
-        """The step, by its role, of a mover at ``node`` holding ``word``
-        on what it heard and its coin, storing nothing: its new word,
-        broadcast and decision (``NOT_DONE`` while its election is open),
-        and whether it fires the repair."""
-        role = word & ROLE_MASK
-        reply = view[1]
-        if role == EXPLORE:
-            word2, sent, dec = step_explore(word, view, coin, len(self.graph.ports[node]))
-            return word2, sent, dec, False
-        if role == RETURN:
-            word2, sent, dec = step_return(word, reply)
-            return word2, sent, dec, False
-        word2, sent, dec = step_acknowledge(word, reply, len(self.graph.ports[node]))
-        return word2, sent, dec, _repairs(word, reply, sent)
 
     def _commit(self, i: int, word: int, word2: int, dec: Decision, repair: bool,
                 events: list[Event]) -> None:

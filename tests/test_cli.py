@@ -747,6 +747,21 @@ class TestBench:
         assert (code, out) == (3, "")
         assert err == "error: worst-case family needs k >= 7, got 4\n"
 
+    def test_a_k_too_many_for_a_lane_builds_no_graph(self, capsys, monkeypatch):
+        """k = 16,385 is one robot more than an inbox lane can count; the
+        bench says so, as ``SimulationConfig.validate`` does, before it
+        builds any graph (this one would be a clique of 16,382 nodes)."""
+        def unbuilt(k):
+            raise AssertionError(f"gen_worstcase({k}) called")
+
+        monkeypatch.setattr(cli, "gen_worstcase", unbuilt)
+        assert robot.LANE_MAX // 2 == 16_384
+        engine.check_lanes(16_384)
+        code, out, err = run_cli(capsys, "bench", "--k-list", "16,16385", "--seed", "3")
+        assert (code, out) == (3, "")
+        assert err == (f"error: k=16385: an inbox lane counts up to 2k messages and holds "
+                       f"{robot.LANE_MAX}\n")
+
     def test_bad_list(self, capsys):
         code, _, _ = run_cli(
             capsys, "bench", "--k-list", "7,abc", "--seed", "3"

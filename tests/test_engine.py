@@ -16,7 +16,6 @@ from dispersim.engine import (
     TraceFormatError,
     TraceLevel,
     World,
-    _Fault,
     parse_trace,
     replay,
     run,
@@ -620,6 +619,32 @@ def test_default_budgets_scale_with_input():
     assert small.resolved_max_subrounds() <= big.resolved_max_subrounds()
 
 
+def watch_rounds(monkeypatch, before=lambda w: None, after=lambda w, events: None):
+    """Has ``run`` call ``before(world)`` as each round starts and
+    ``after(world, events)`` as it ends, also when it raises, by wrapping
+    ``World._group_round`` and ``World._lone_rounds``: for runs at FULL,
+    where a lone call runs one round."""
+    group, lone = World._group_round, World._lone_rounds
+
+    def group_watched(self, events):
+        before(self)
+        try:
+            return group(self, events)
+        finally:
+            after(self, events)
+
+    def lone_watched(self, i, events, end):
+        assert end == self.round, "a lone call below FULL runs many rounds"
+        before(self)
+        try:
+            return lone(self, i, events, end)
+        finally:
+            after(self, events)
+
+    monkeypatch.setattr(World, "_group_round", group_watched)
+    monkeypatch.setattr(World, "_lone_rounds", lone_watched)
+
+
 def _movers_by_scan(w: World) -> list[int]:
     return [i for i in range(len(w.states))
             if w.alive[i] and w.states[i] & robot.ROLE_MASK != robot.SETTLED]
@@ -631,26 +656,27 @@ def _movers_by_scan(w: World) -> list[int]:
     # overruns an election in round 3
     + [(gen_random_connected(20, 40, seed=2), 6, 0, 4, 5)],
 )
-def test_live_movers_match_a_full_scan_every_round(graph, k, root, seed, subrounds):
+def test_live_movers_match_a_full_scan_every_round(monkeypatch, graph, k, root, seed,
+                                                   subrounds):
     """The world's incremental mover list is exactly the robots that are
-    alive and unsettled, after every round, also when a round faults."""
+    alive and unsettled, as every round starts and ends, also when a round
+    faults."""
     cfg = SimulationConfig(graph=graph, k=k, root=root, seed=seed,
                            max_subrounds_per_round=subrounds)
-    w = World(cfg)
-    assert w.live == list(range(k))
-    for rnd in range(1, cfg.resolved_max_rounds() + 1):
-        w.round = rnd
-        try:
-            w.execute_round([])
-        except _Fault:
-            assert subrounds is not None
-            assert w.live == _movers_by_scan(w)
-            return
+    ended = []
+
+    def scanned(w):
         assert w.live == _movers_by_scan(w)
-        if not any(w.alive):
-            assert subrounds is None
-            return
-    pytest.fail("run neither dispersed nor faulted")
+
+    def scanned_at_end(w, events):
+        scanned(w)
+        ended.append(w.round)
+
+    watch_rounds(monkeypatch, scanned, scanned_at_end)
+    res = run(cfg)
+    assert ended == list(range(1, res.summary.rounds + 1))
+    assert res.summary.outcome is (Outcome.DISPERSED_ALL_TERMINATED if subrounds is None
+                                   else Outcome.FAULT)
 
 
 def wide_parent(step, stored=1 << 2):
@@ -751,20 +777,13 @@ def test_a_protocol_violation_names_its_round(monkeypatch):
     assert res.summary.fault == "round 4: return-role robot found no settled robot"
 
 
-def _rows_by_scan(cfg: SimulationConfig, rounds: int) -> list[list[engine.Row]]:
-    """Each round's rows, built by stepping a ``World`` by hand and
-    scanning every alive robot at the start of the round."""
-    w = World(cfg)
-    scanned = []
-    for rnd in range(1, rounds + 1):
-        w.round = rnd
-        scanned.append([(i, w.positions[i], w.states[i]) for i in range(cfg.k) if w.alive[i]])
-        try:
-            w.execute_round([])
-        except _Fault:
-            assert cfg.max_subrounds_per_round is not None
-            break
-    return scanned
+def _rows_and_scan(monkeypatch, cfg: SimulationConfig) -> tuple[list, list]:
+    """Each round's rows of a run, replayed from its deltas, and those a
+    scan of every alive robot gives as the round starts."""
+    scanned: list[list[engine.Row]] = []
+    watch_rounds(monkeypatch, lambda w: scanned.append(
+        [(i, w.positions[i], w.states[i]) for i in range(cfg.k) if w.alive[i]]))
+    return [rows for rows, _ in rounds(run(cfg).deltas)], scanned
 
 
 @pytest.mark.parametrize(
@@ -774,14 +793,15 @@ def _rows_by_scan(cfg: SimulationConfig, rounds: int) -> list[list[engine.Row]]:
        # overruns its first election
        (gen_path(2), 2, 0, 0, 4)],
 )
-def test_patched_rows_match_a_full_scan_every_round(graph, k, root, seed, subrounds):
+def test_patched_rows_match_a_full_scan_every_round(monkeypatch, graph, k, root, seed,
+                                                    subrounds):
     """``run`` records each round's changed rows and its terminate events;
     replayed, they are the rows a scan of every alive robot gives at the
     start of the round."""
     cfg = SimulationConfig(graph=graph, k=k, root=root, seed=seed,
                            max_subrounds_per_round=subrounds)
-    rows = [rows for rows, _ in rounds(run(cfg).deltas)]
-    assert rows == _rows_by_scan(cfg, len(rows))
+    rows, scanned = _rows_and_scan(monkeypatch, cfg)
+    assert rows == scanned
     if subrounds is None:
         # rounds after a death, with robots left, drop rows and patch others
         assert any(0 < len(b) < len(a) for a, b in zip(rows, rows[1:]))
@@ -797,9 +817,8 @@ def test_a_settler_row_follows_every_stored_word(monkeypatch):
         return word | robot.DIR_BIT, sent, dec
 
     monkeypatch.setattr(engine, "step_settled", turned)
-    cfg = SimulationConfig(graph=gen_path(3), k=3, root=0, seed=3)
-    rows = [rows for rows, _ in rounds(run(cfg).deltas)]
-    assert rows == _rows_by_scan(cfg, len(rows))
+    rows, scanned = _rows_and_scan(monkeypatch, SimulationConfig(graph=gen_path(3), k=3, seed=3))
+    assert rows == scanned
     # robot 1 settles at node 1 in round 2 and first acts in round 4, when
     # the walk comes back; no robot dies before round 6
     assert [view(r)[2:4] for each in rows[:5] for r in each if r[0] == 1] == [
@@ -985,23 +1004,30 @@ def _settles_loudly(step, fired):
 @pytest.mark.parametrize("attr, mutant", [("step_return", _lingers),
                                           ("step_explore", _settles_loudly)],
                          ids=["lingers", "settles_loudly"])
-def test_lone_rounds_match_group_rounds_under_step_mutants(monkeypatch, attr, mutant):
+@pytest.mark.parametrize("level", [TraceLevel.FULL, TraceLevel.NONE],
+                         ids=lambda level: level.value)
+def test_lone_rounds_match_group_rounds_under_step_mutants(monkeypatch, attr, mutant, level):
     """Two steps the protocol never takes, which a lone round must still
     deliver as the group round does: a returner that stays undecided after
     sending its child port, so that it and its settler act in one
     subround, which they must take in id order; and a lone walker that
     broadcasts as it settles mid-round, which it must not hear.  Each
     fires in lone rounds, and forcing every lone round through the group
-    round keeps each run's deltas, summary, bits and fault."""
+    round keeps each run's deltas, summary, bits and fault.  At NONE the
+    loud settle also fires in calls that ran quiet rounds before it; the
+    walk back writes a set_child every round, so a lone call that the
+    lingering returner fires in runs one round at every level."""
     fired: list[int] = []
     monkeypatch.setattr(engine, attr, mutant(getattr(engine, attr), fired))
+    # per lone call, the rounds it ran and the times the mutant fired in it
     lone, in_lone = World._lone_rounds, []
 
     def counted(self, i, events, end):
-        before = len(fired)
-        touched = lone(self, i, events, end)
-        in_lone.append(len(fired) - before)
-        return touched
+        before, start = len(fired), self.round
+        try:
+            return lone(self, i, events, end)
+        finally:
+            in_lone.append((self.round - start + 1, len(fired) - before))
 
     def ran(cfg):
         res = run(cfg)
@@ -1009,20 +1035,23 @@ def test_lone_rounds_match_group_rounds_under_step_mutants(monkeypatch, attr, mu
 
     # where every robot settles, no robot moves and none can hear another:
     # the run ends there as a fault, on its default budget
-    runs = [(f"corpus:{i}", SimulationConfig(graph=g, k=k, root=root, seed=i))
+    runs = [(f"corpus:{i}", SimulationConfig(graph=g, k=k, root=root, seed=i, trace_level=level))
             for i, _, _, k, root, g in corpus_instances(0, 40)]
-    runs += [(f"worstcase:{k}", SimulationConfig(graph=gen_worstcase(k), k=k, seed=k))
+    runs += [(f"worstcase:{k}", SimulationConfig(graph=gen_worstcase(k), k=k, seed=k,
+                                                 trace_level=level))
              for k in (7, 16)]
     monkeypatch.setattr(World, "_lone_rounds", counted)
     want = [ran(cfg) for _, cfg in runs]
-    assert sum(in_lone) == len(fired) > 0
+    assert sum(n for _, n in in_lone) == len(fired) > 0
+    assert any(n and rounds_run > 1 for rounds_run, n in in_lone) == (
+        level is TraceLevel.NONE and mutant is _settles_loudly)
     monkeypatch.setattr(World, "_lone_rounds", _group_rounds)
     for (name, cfg), outcome in zip(runs, want):
         assert ran(cfg) == outcome, name
     if mutant is _settles_loudly:
         assert {summary.outcome for _, summary, *_ in want} == {Outcome.FAULT,
                                                                 Outcome.DISPERSED_ALL_TERMINATED}
-    if mutant is _lingers:
+    if mutant is _lingers and level is TraceLevel.FULL:
         # where the walk back ends, the settler's set_child and the mover's
         # to_acknowledge come in one subround, in both id orders
         ends = {tuple(ev[0] for ev in d.events if ev[0] in ("set_child", "to_acknowledge"))
@@ -1285,16 +1314,16 @@ def test_a_walk_cut_by_the_round_budget_ends_as_at_full(monkeypatch):
     assert any(cut)
 
 
-def _subrounds_per_round(cfg: SimulationConfig) -> list[int]:
-    """Drive ``World`` round by round, as ``run`` does, to the end of a
-    run that disperses; the subrounds each round took."""
-    w = World(cfg)
-    counts = []
-    while w.live or w.node_settler:
-        assert w.round < cfg.resolved_max_rounds()
-        w.round += 1
-        w.execute_round([])
-        counts.append(w.subrounds)
+def _subrounds_per_round(monkeypatch, cfg: SimulationConfig, forced: bool = False) -> list[int]:
+    """The subrounds each round took of a run at FULL that disperses, read
+    as the round ends; ``forced``, with every lone round forced through
+    the group round."""
+    counts: list[int] = []
+    with monkeypatch.context() as patch:
+        watch_rounds(patch, after=lambda w, events: counts.append(w.subrounds))
+        if forced:
+            patch.setattr(World, "_lone_rounds", _group_rounds)
+        assert run(cfg).summary.outcome is Outcome.DISPERSED_ALL_TERMINATED
     return counts
 
 
@@ -1307,7 +1336,7 @@ def test_subrounds_count_what_the_budget_counts(monkeypatch):
             for i, _, _, k, root, g in corpus_instances(0, 20)]
     runs += [(f"worstcase:{k}", SimulationConfig(graph=gen_worstcase(k), k=k, seed=k))
              for k in (7, 16)]
-    counts = [_subrounds_per_round(cfg) for _, cfg in runs]
+    counts = [_subrounds_per_round(monkeypatch, cfg) for _, cfg in runs]
     for (name, cfg), per_round in zip(runs, counts):
         m = max(per_round)
         fits = replace(cfg, max_subrounds_per_round=m, trace_level=TraceLevel.NONE)
@@ -1316,9 +1345,8 @@ def test_subrounds_count_what_the_budget_counts(monkeypatch):
             first = per_round.index(m) + 1
             fault = run(replace(fits, max_subrounds_per_round=m - 1)).summary.fault
             assert fault == f"round {first} still open after {m - 1} subrounds", name
-    monkeypatch.setattr(World, "_lone_rounds", _group_rounds)
     for (name, cfg), per_round in zip(runs, counts):
-        assert _subrounds_per_round(cfg) == per_round, name
+        assert _subrounds_per_round(monkeypatch, cfg, forced=True) == per_round, name
 
 
 # the worst-case runs the fault mutants and the class mutants run on

@@ -17,7 +17,7 @@ from collections import Counter, defaultdict
 import pytest
 
 from dispersim import robot
-from dispersim.engine import SimulationConfig, World
+from dispersim.engine import Outcome, SimulationConfig, World, run
 from dispersim.graph import corpus_instances, gen_path
 from dispersim.robot import (
     ALONE,
@@ -34,6 +34,7 @@ from dispersim.robot import (
     InvalidPhaseError,
     le_subround,
 )
+from test_engine import watch_rounds
 
 # what le_subround reads of a view: its presence bits
 QUIET = 0
@@ -128,14 +129,15 @@ _path = functools.cache(gen_path)
 
 def engine_election(k: int, seed: int) -> tuple[list[int], int]:
     """One election among ``k`` co-located robots, as the engine runs it:
-    round 1 of ``k`` robots on a path, coins seeded by ``seed``.  Returns
+    round 1 of ``k`` robots on a path, coins seeded by ``seed``, through
+    the group round, the reference a lone round is checked against.  Returns
     the robots that settled and the election's subrounds: the round's
     less subrounds 1 and 2, the query and the reply before any explorer
     steps.  A lone robot settles nowhere, alone in 2."""
     w = World(SimulationConfig(graph=_path(max(k, 2)), k=k, seed=seed))
     events: list[tuple] = []
     w.round = 1
-    w.execute_round(events)
+    w._group_round(events)
     settled = [e[1] for e in events if e[0] == "settle"]
     return settled, w.subrounds - 2
 
@@ -157,24 +159,27 @@ class TestLocalElection:
             assert total / trials <= 4 + 4 * math.log2(k)
 
 
-def test_corpus_elections_meet_the_bound():
+def test_corpus_elections_meet_the_bound(monkeypatch):
     """The elections inside real runs: on every ``corpus:0`` run, a round
     with a ``settle`` event holds an election among the g live movers at
     the settling node when it starts.  For each g with at least 20 such
     elections, their mean subrounds stay within 4 + 4 log2 g."""
     by_size: dict[int, list[int]] = defaultdict(list)
+    movers: Counter[int] = Counter()
+
+    def started(w):
+        movers.clear()
+        movers.update(w.positions[j] for j in w.live)
+
+    def ended(w, events):
+        for e in events:
+            if e[0] == "settle":
+                by_size[movers[e[2]]].append(w.subrounds - 2)
+
+    watch_rounds(monkeypatch, started, ended)
     for i, _, _, k, root, g in corpus_instances(0, 200):
-        cfg = SimulationConfig(graph=g, k=k, root=root, seed=i)
-        w = World(cfg)
-        while w.live or w.node_settler:
-            assert w.round < cfg.resolved_max_rounds()
-            w.round += 1
-            movers = Counter(w.positions[j] for j in w.live)
-            events: list[tuple] = []
-            w.execute_round(events)
-            for e in events:
-                if e[0] == "settle":
-                    by_size[movers[e[2]]].append(w.subrounds - 2)
+        res = run(SimulationConfig(graph=g, k=k, root=root, seed=i))
+        assert res.summary.outcome is Outcome.DISPERSED_ALL_TERMINATED
     checked = {g: subrounds for g, subrounds in by_size.items() if len(subrounds) >= 20}
     assert sum(map(len, by_size.values())) > 3000 and 2 in checked
     for g, subrounds in checked.items():
