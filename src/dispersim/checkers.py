@@ -230,7 +230,6 @@ class TraceDigest:
         self.child_ports: dict[int, int] = {}
         self.child_rounds: defaultdict[int, list[int]] = defaultdict(list)
         self.first: defaultdict[str, dict[int, int]] = defaultdict(dict)
-        self.visited: set[tuple[int, int]] = set()
         self.words: dict[int, tuple[tuple[str, str, int | None], tuple[int, int]]] = {}
         # the distinct words in the order first seen, and per word its
         # (walk, entered, index): its group code's low part, (entered + 1)
@@ -400,9 +399,7 @@ class TraceDigest:
             self.child_rounds[robot].append(rnd)
         else:
             self.first[name].setdefault(robot, rnd)
-            if name == "set_visited":
-                self.visited.add((rnd, robot))
-            elif name == "terminate":
+            if name == "terminate":
                 return robot
         return None
 
@@ -650,12 +647,16 @@ def check_mirror(digest: TraceDigest) -> Verdict:
             )
             break
         rid = settler_at.get(node)
+        marked = visited_round.get(rid)
         if i in settle_rounds:
             counts["I1"] += 1
-            if (t2 + i, rid) not in digest.visited:
+            if marked is None:
                 findings.append(
                     f"round {t2 + i}: node {node} not marked visited in the replay"
                 )
+            elif marked != t2 + i:
+                findings.append(f"round {t2 + i}: settler {rid} at node {node} was first "
+                                f"marked visited in round {marked}")
             elif (settler := digest.raw_at(rid, t2 + i)) is None or settler[1] != node:
                 findings.append(f"round {t2 + i}: settler {rid} already gone from {node}")
         else:
@@ -663,13 +664,9 @@ def check_mirror(digest: TraceDigest) -> Verdict:
             counts[cls] += 1
             if rid is None:
                 findings.append(f"round {i}: group at {node} which has no settler")
-            else:
-                marked = visited_round.get(rid)
-                if marked is None or not t2 < marked < t2 + i:
-                    findings.append(
-                        f"round {t2 + i}: node {node} should already be marked visited "
-                        f"(marked at {marked})"
-                    )
+            elif marked is None or not t2 < marked < t2 + i:
+                findings.append(f"round {t2 + i}: node {node} should already be marked "
+                                f"visited (marked at {marked})")
         if findings:
             break
     info = [f"classes: I1 x{counts['I1']}, I2 x{counts['I2']}, I3 x{counts['I3']}"]

@@ -103,6 +103,8 @@ def _emit(obj: dict) -> None:
 
 
 def cmd_run(args) -> int:
+    # before the graph is built, as bench does: gen:worstcase:K holds a (K-3)-clique
+    check_lanes(args.k)
     graph = _load_graph(args.graph)
     config = SimulationConfig(
         graph=graph,

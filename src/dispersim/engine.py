@@ -62,10 +62,12 @@ the tests do, to measure the engine's own elections (a round's subrounds
 less the query and the reply) and to check it against the subround budget.
 
 A robot's state is one int word (see ``robot.FIELDS``), so a transition
-builds no object: a step returns a new word (and a shared ``Move`` per
-port), movement sets the entry port with one mask-and-or, and every
-stored word costs one AND against the run's overflow mask and one OR
-into its role's accumulator.
+builds no object: a step returns a new word and its decision, the port
+it moves through or one of ``STAY``, ``TERMINATE_SELF`` and
+``NOT_DONE``; a settler's reply is its word's parent, child and visited
+bits (``robot.REPLY_FIELDS``); movement sets the entry port with one
+mask-and-or, and every stored word costs one AND against the run's
+overflow mask and one OR into its role's accumulator.
 
 A FULL trace (format 6) has one record per round 1..``rounds``, in
 order, holding a row ``(id, node, word)`` for each robot whose stored
@@ -114,6 +116,7 @@ from enum import Enum
 from .graph import NEIGHBOR_SHIFT, PORT_MASK, PortLabeledGraph
 from .robot import (
     ACKNOWLEDGE,
+    CHILD_SHIFT,
     DONE,
     ENTERED_MASK,
     ENTERED_SHIFT,
@@ -131,16 +134,15 @@ from .robot import (
     ROLES,
     SETTLED,
     SILENCE,
+    SLOT,
+    TERMINATE_SELF,
     VISITED_BIT,
     _HIGH,
     _LOW,
     Broadcast,
     Decision,
-    Move,
     NodeInbox,
     ProtocolViolation,
-    SettledReply,
-    TerminateSelf,
     View,
     draws_coin,
     field_widths,
@@ -467,7 +469,7 @@ class World:
         positions, states = self.positions, self.states
         node_settler, used = self.node_settler, self.used
         movers = list(self.live)
-        decisions: dict[int, Decision] = {}
+        decisions: dict[int, int | Decision] = {}
         settled_kill: set[int] = set()
         # per node, what was broadcast there this subround, tallied as it
         # is sent; it is read in the next subround
@@ -561,8 +563,8 @@ class World:
         moved: dict[tuple, tuple[int, int]] = {}
         for i in movers:
             dec = decisions[i]
-            if type(dec) is Move:
-                key = _class_key(i, positions[i], states[i], dec.port)
+            if type(dec) is int:
+                key = _class_key(i, positions[i], states[i], dec)
                 to = moved.get(key)
                 if to is None:
                     self._move(i, dec)
@@ -570,7 +572,7 @@ class World:
                 else:
                     positions[i], states[i] = to
         for i in movers:
-            if type(decisions[i]) is TerminateSelf:
+            if decisions[i] is TERMINATE_SELF:
                 self._kill(i, events)
         for i in sorted(settled_kill):
             self._kill(i, events)
@@ -667,7 +669,7 @@ class World:
                         raise self._too_wide(settler, *overflowing_field(st, self.max_degree))
                     used[st & ROLE_MASK] |= st
                     states[settler] = st
-                    doomed = type(st_dec) is TerminateSelf
+                    doomed = st_dec is TERMINATE_SELF
                 subround = 2
             while sent[0] or replied[0] or undecided:
                 subround += 1
@@ -705,15 +707,15 @@ class World:
                 if heard[0] and settler > i:
                     replied, terminates = self._settler_step(settler, heard, events)
                     doomed |= terminates
-            if type(dec) is Move:
-                if 0 <= dec.port < len(ports):
-                    positions[i] = (packed := ports[dec.port]) >> NEIGHBOR_SHIFT
+            if type(dec) is int:
+                if 0 <= dec < len(ports):
+                    positions[i] = (packed := ports[dec]) >> NEIGHBOR_SHIFT
                     word = word & ~ENTERED_MASK | (packed & PORT_MASK) + 1 << ENTERED_SHIFT
                     used[word & ROLE_MASK] |= word
                     states[i] = word
                 else:
                     self._move(i, dec)
-            elif type(dec) is TerminateSelf:
+            elif dec is TERMINATE_SELF:
                 self._kill(i, events)
             if doomed:
                 self._kill(settler, events)
@@ -743,9 +745,9 @@ class World:
             raise self._too_wide(i, *overflowing_field(st2, self.max_degree))
         self.used[st2 & ROLE_MASK] |= st2
         self.states[i] = st2
-        return sent, type(dec) is TerminateSelf
+        return sent, dec is TERMINATE_SELF
 
-    def _commit(self, i: int, word: int, word2: int, dec: Decision, repair: bool,
+    def _commit(self, i: int, word: int, word2: int, dec: int | Decision, repair: bool,
                 events: list[Event]) -> None:
         """Store mover ``i``'s step from ``word`` to ``word2``: its repair
         event, the overflow check, the bits it uses and its role change."""
@@ -759,14 +761,14 @@ class World:
             self._change_role(i, word2 & ROLE_MASK, events)
         self.states[i] = word2
 
-    def _move(self, i: int, dec: Move) -> None:
-        """Move robot ``i`` through ``dec``'s port and store its entry port."""
+    def _move(self, i: int, port: int) -> None:
+        """Move robot ``i`` through ``port`` and store its entry port."""
         node = self.positions[i]
         ports = self.graph.ports[node]
-        if not 0 <= dec.port < len(ports):
+        if not 0 <= port < len(ports):
             raise _Fault(f"round {self.round}: robot {i} tried invalid port "
-                         f"{dec.port} at node {node}")
-        self.positions[i] = (packed := ports[dec.port]) >> NEIGHBOR_SHIFT
+                         f"{port} at node {node}")
+        self.positions[i] = (packed := ports[port]) >> NEIGHBOR_SHIFT
         # no overflow check: the rest of the word was checked when stored,
         # and the port back is below the max degree, which fits a port field
         word = self.states[i] & ~ENTERED_MASK | (packed & PORT_MASK) + 1 << ENTERED_SHIFT
@@ -806,11 +808,12 @@ class World:
             del self.node_settler[node]
 
 
-def _repairs(word: int, reply: SettledReply | None, sent: Broadcast) -> bool:
+def _repairs(word: int, reply: int | None, sent: Broadcast) -> bool:
     """Whether an acknowledger holding ``word`` that heard ``reply`` and
-    sent ``sent`` fires the repair: the root settler would never be
-    revisited."""
-    return (not word & ENTERED_MASK and reply is not None and reply.child == 0
+    sent ``sent`` fires the repair: the root settler, its child port 0,
+    would never be revisited."""
+    return (not word & ENTERED_MASK and reply is not None
+            and reply >> CHILD_SHIFT & SLOT == 1
             and bool(one_sender_view(sent)[0] & HEARD_TERMINATE))
 
 

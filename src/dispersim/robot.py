@@ -36,8 +36,7 @@ view by the lanes they sent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, lru_cache
+from enum import Enum
 
 # --- state word ---------------------------------------------------------
 
@@ -116,11 +115,6 @@ def field_widths(word: int) -> dict[str, int]:
             for name, width in FIELDS}
 
 
-def _port(word: int, shift: int) -> int | None:
-    raw = word >> shift & SLOT
-    return raw - 1 if raw else None
-
-
 class ProtocolViolation(Exception):
     """A step was fed inputs the protocol can never produce."""
 
@@ -141,67 +135,44 @@ class MultipleRepliesError(ProtocolViolation):
     pass
 
 
-# --- messages -----------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class SettledReply:
-    parent: int | None
-    child: int | None
-    visited: int
-
-
 # --- decisions ----------------------------------------------------------
 
-
-@dataclass(frozen=True, slots=True)
-class Stay:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Move:
-    port: int
+# A step's decision is the port it moves through, an int, or one of
+# these; every int is a move, so a bad port faults as one.
+class Decision(Enum):
+    STAY = "stay"
+    TERMINATE_SELF = "terminate_self"
+    NOT_DONE = "not_done"  # more subrounds before the round's decision is fixed
 
 
-@dataclass(frozen=True, slots=True)
-class TerminateSelf:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class NotDone:
-    """More subrounds needed before this robot's round decision is fixed."""
-
-
-Decision = Stay | Move | TerminateSelf | NotDone
-
-STAY = Stay()
-TERMINATE_SELF = TerminateSelf()
-NOT_DONE = NotDone()
-# one Move per port, shared by every step that takes it
-move = cache(Move)
+STAY, TERMINATE_SELF, NOT_DONE = Decision
 
 
 # --- inbox --------------------------------------------------------------
+
+# A settler's reply to a query is what it stores: its word's parent,
+# child and visited fields, the ports held as port + 1, 0 meaning none.
+# A root settler with no child yet replies 0, so a reply is tested
+# against None, never for its truth.
+REPLY_FIELDS = PARENT_MASK | CHILD_MASK | VISITED_BIT
 
 # A robot's view of one subround is (flags, reply, set_child): the
 # presence bits of the message types it heard (the HEARD_* bits below),
 # the one settled reply it heard and the last child port, or None; it is
 # SILENCE when it heard no other robot.  That is all a robot keeps of a
 # subround: a few bits, one reply and one port.
-View = tuple[int, SettledReply | None, int | None]
+View = tuple[int, int | None, int | None]
 
 # What a robot sends in one subround has the same shape: a Broadcast is
-# (lanes, reply, port), its count in each lane of a NodeInbox, the settled
-# reply it carries and the child port it carries, or None.  A lane is
+# (lanes, reply, port), its count in each lane of a NodeInbox, the
+# settler's reply and the child port it carries, or None.  A lane is
 # LANE_BITS bits of one int: every part of a broadcast counts in the _ANY
 # lane, and a query, heads, a visited mark and a terminate also in their
 # own.  A robot sends once per subround, at most two parts (an
 # acknowledging walker's VISIT_TERMINATE), so a lane counts at most 2k; a
 # lane's presence test is exact up to LANE_MAX, and
 # SimulationConfig.validate rejects a k above LANE_MAX // 2.
-Broadcast = tuple[int, SettledReply | None, int | None]
+Broadcast = tuple[int, int | None, int | None]
 _ANY, _QUERY, _HEADS, _SET_VISITED, _TERMINATE = range(5)
 LANE_BITS = 16
 LANE_MAX = 1 << LANE_BITS - 1
@@ -245,7 +216,7 @@ class NodeInbox:
     def __init__(self):
         self.totals = 0
         self.own: dict[int, int] = {}
-        self.replies: list[tuple[int, SettledReply]] | None = None
+        self.replies: list[tuple[int, int]] | None = None
         self.set_children: list[tuple[int, int]] | None = None
 
     def post(self, sender: int, sent: Broadcast) -> None:
@@ -283,7 +254,7 @@ class NodeInbox:
         replies, set_children = self.replies, self.set_children
         if replies is None and set_children is None:
             return flags, None, None
-        reply: SettledReply | None = None
+        reply: int | None = None
         for sender, msg in replies or ():
             if sender != receiver:
                 if reply is not None:
@@ -356,50 +327,40 @@ def le_subround(le: int, flags: int, coin: int) -> tuple[int, Broadcast]:
 # --- role steps ---------------------------------------------------------
 
 
-_REPLY_FIELDS = PARENT_MASK | CHILD_MASK | VISITED_BIT
-
-
-@lru_cache(maxsize=4096)
-def _reply(word: int) -> SettledReply:
-    """The reply of a settler whose word holds ``word``; cached, so a
-    settler that answers again reuses the object."""
-    return SettledReply(_port(word, PARENT_SHIFT), _port(word, CHILD_SHIFT),
-                        word >> VISITED_SHIFT & 1)
-
-
 def step_settled(
     state: int, view: View
-) -> tuple[int, Broadcast, Decision]:
-    """Settled robots answer queries and apply control messages; never move."""
+) -> tuple[int, Broadcast, int | Decision]:
+    """Settled robots answer a query with their ``REPLY_FIELDS`` and apply
+    control messages; they never move, deciding ``STAY`` or
+    ``TERMINATE_SELF``."""
     flags, _, set_child = view
-    sent = (ANY_LANE, _reply(state & _REPLY_FIELDS), None) if flags & HEARD_QUERY else SILENCE
+    sent = (ANY_LANE, state & REPLY_FIELDS, None) if flags & HEARD_QUERY else SILENCE
     if set_child is not None:
         state = state & ~CHILD_MASK | set_child + 1 << CHILD_SHIFT
     if flags & HEARD_VISITED:
         state |= VISITED_BIT
-    decision: Decision = TERMINATE_SELF if flags & HEARD_TERMINATE else STAY
-    return state, sent, decision
+    return state, sent, TERMINATE_SELF if flags & HEARD_TERMINATE else STAY
 
 
 def step_explore(
     state: int, view: View, coin: int, degree: int
-) -> tuple[int, Broadcast, Decision]:
+) -> tuple[int, Broadcast, int | Decision]:
     """Exploring walk step: bounce off occupied nodes, advance on backtracks,
     otherwise run one subround of the local election on ``coin``, the bit
     the engine drew when ``draws_coin`` holds: ``NOT_DONE`` while it is
-    open, then the leader settles, a robot alone turns back and a
-    follower moves on."""
+    open, then the leader settles (``STAY``), a robot alone turns back
+    and a follower moves on, each move being the port it takes."""
     flags, reply, _ = view
     entered = (state >> ENTERED_SHIFT & SLOT) - 1  # -1: none
     if reply is not None:
         if entered < 0:
             raise MissingEnteredError("explorer received a reply before its first move")
         if not state & DIR_BIT:
-            return state | DIR_BIT, SILENCE, move(entered)
+            return state | DIR_BIT, SILENCE, entered
         q = (entered + 1) % degree
-        if q == reply.parent:
-            return state, SILENCE, move(q)
-        return state & ~DIR_BIT, SILENCE, move(q)
+        if q == (reply >> PARENT_SHIFT & SLOT) - 1:
+            return state, SILENCE, q
+        return state & ~DIR_BIT, SILENCE, q
     le, sent = le_subround(state >> LE_SHIFT & 15, flags, coin)
     phase = le & LE_PHASE
     if phase == LEADER:
@@ -410,37 +371,42 @@ def step_explore(
         if entered < 0:
             # solitary robot at its start node: nothing left to do
             return state, SILENCE, TERMINATE_SELF
-        return state & ~(ROLE_MASK | LE_MASK) | RETURN, SILENCE, move(entered)
+        return state & ~(ROLE_MASK | LE_MASK) | RETURN, SILENCE, entered
     if phase == FOLLOWER:
         state &= ~LE_MASK
         if entered < 0:
-            return state, SILENCE, move(0)
+            return state, SILENCE, 0
         q = (entered + 1) % degree
         if q == entered:
-            return state | DIR_BIT, SILENCE, move(q)
-        return state, SILENCE, move(q)
+            return state | DIR_BIT, SILENCE, q
+        return state, SILENCE, q
     return state & ~LE_MASK | le << LE_SHIFT, sent, NOT_DONE
 
 
 def step_return(
-    state: int, reply: SettledReply | None
-) -> tuple[int, Broadcast, Decision]:
-    """Walk back along parent ports, installing the child pointer at each hop."""
+    state: int, reply: int | None
+) -> tuple[int, Broadcast, int | Decision]:
+    """Walk back along parent ports, installing the child pointer at each
+    hop: move through ``reply``'s parent port, or, at the root, which has
+    none, stay and turn acknowledger."""
     if reply is None:
         raise MissingReplyError("return-role robot found no settled robot")
     entered = state >> ENTERED_SHIFT & SLOT
     if not entered:
         raise MissingEnteredError("return-role robot has no entry port")
     sent = (ANY_LANE, None, entered - 1)
-    if reply.parent is not None:
-        return state, sent, move(reply.parent)
+    parent = reply >> PARENT_SHIFT & SLOT
+    if parent:
+        return state, sent, parent - 1
     return state & ~(ROLE_MASK | DIR_BIT | ENTERED_MASK) | ACKNOWLEDGE, sent, STAY
 
 
 def step_acknowledge(
-    state: int, reply: SettledReply | None, degree: int
-) -> tuple[int, Broadcast, Decision]:
-    """Replay of the exploring walk that marks nodes and fires terminations.
+    state: int, reply: int | None, degree: int
+) -> tuple[int, Broadcast, int | Decision]:
+    """Replay of the exploring walk that marks nodes and fires terminations,
+    reading the parent, child and visited fields of each settler's
+    ``reply``; every decision is the port it moves through.
 
     A settler is told to terminate exactly when the walker leaves its node
     for the last time: leaving a leaf, leaving via the port that equals the
@@ -450,33 +416,34 @@ def step_acknowledge(
     """
     entered = (state >> ENTERED_SHIFT & SLOT) - 1  # -1: none
     if reply is not None:
-        if reply.visited == 0:
+        child = (reply >> CHILD_SHIFT & SLOT) - 1  # -1: none
+        if not reply & VISITED_BIT:
             if entered < 0:
-                return state, VISIT_TERMINATE if reply.child == 0 else VISIT, move(0)
+                return state, VISIT_TERMINATE if child == 0 else VISIT, 0
             q = (entered + 1) % degree
             if q == entered:
-                return state | DIR_BIT, VISIT_TERMINATE, move(q)
-            return state, VISIT_TERMINATE if q == reply.child else VISIT, move(q)
+                return state | DIR_BIT, VISIT_TERMINATE, q
+            return state, VISIT_TERMINATE if q == child else VISIT, q
         if entered < 0:
             raise MissingEnteredError("acknowledge revisit without an entry port")
         if not state & DIR_BIT:
-            return state | DIR_BIT, SILENCE, move(entered)
+            return state | DIR_BIT, SILENCE, entered
         q = (entered + 1) % degree
-        if q == reply.parent:
-            return state, TERMINATE, move(q)
-        if q == reply.child:
-            return state & ~DIR_BIT, TERMINATE, move(q)
-        return state & ~DIR_BIT, SILENCE, move(q)
+        if q == (reply >> PARENT_SHIFT & SLOT) - 1:
+            return state, TERMINATE, q
+        if q == child:
+            return state & ~DIR_BIT, TERMINATE, q
+        return state & ~DIR_BIT, SILENCE, q
     # empty node: either the walk's final target or a node whose settler
     # already terminated; bounce forward arrivals, finish backward ones
     if entered < 0:
         raise MissingEnteredError("acknowledge at an empty node without an entry port")
     if not state & DIR_BIT:
-        return state | DIR_BIT, SILENCE, move(entered)
-    return state & ~ROLE_MASK | DONE, SILENCE, move(entered)
+        return state | DIR_BIT, SILENCE, entered
+    return state & ~ROLE_MASK | DONE, SILENCE, entered
 
 
-def step_done(state: int) -> tuple[int, Broadcast, Decision]:
+def step_done(state: int) -> tuple[int, Broadcast, int | Decision]:
     return state, SILENCE, TERMINATE_SELF
 
 

@@ -345,6 +345,19 @@ class TestFindingsOfEditedTraces:
         assert findings(runs, summary, g) == {
             "mirror": ["round 13: node 5 not marked visited in the replay"]}
 
+    def test_a_settler_marked_visited_before_the_replay(self):
+        """``corpus:0`` run 0 (t1 = 14, t2 = 23): settler 4 settles in
+        round 13, so the replay marks it in round 36; a mark in round 15,
+        in stage 2, is one the replay never sends, and only the mirror,
+        reading each settler's first mark, names it."""
+        i, _, _, k, root, g = next(corpus_instances(0, 1))
+        runs, summary = ran(g, k, root=root, seed=i)
+        assert (summary.t1, summary.t2) == (14, 23)
+        assert ("settle", 4, 0) in runs[12][1] and ("set_visited", 4) in runs[35][1]
+        runs[14][1].append(("set_visited", 4))
+        assert findings(runs, summary, g) == {
+            "mirror": ["round 36: settler 4 at node 0 was first marked visited in round 15"]}
+
     def test_a_settler_gone_before_the_replay_reaches_it(self):
         g, runs, summary = ring6()
         runs[12][1].remove(("terminate", 3))

@@ -661,7 +661,7 @@ class TestVerify:
 
         def counting(state, view, coin, degree):
             word, msgs, dec = step(state, view, coin, degree)
-            if type(dec) is robot.Move and word & robot.ROLE_MASK == robot.EXPLORE:
+            if type(dec) is int and word & robot.ROLE_MASK == robot.EXPLORE:
                 word += 1 << robot.PARENT_SHIFT
             return word, msgs, dec
 
@@ -761,6 +761,22 @@ class TestBench:
         assert (code, out) == (3, "")
         assert err == (f"error: k=16385: an inbox lane counts up to 2k messages and holds "
                        f"{robot.LANE_MAX}\n")
+
+    def test_a_run_of_a_k_too_many_for_a_lane_builds_no_graph(self, capsys, monkeypatch,
+                                                              tmp_path):
+        """``run`` checks k against the lane rule before it loads its
+        graph too, and so writes no trace file."""
+        def unbuilt(k):
+            raise AssertionError(f"gen_worstcase({k}) called")
+
+        monkeypatch.setattr(cli, "gen_worstcase", unbuilt)
+        trace = tmp_path / "t.jsonl"
+        code, out, err = run_cli(capsys, "run", "--graph", "gen:worstcase:16385", "--k", "16385",
+                                 "--seed", "0", "--trace", str(trace))
+        assert (code, out) == (3, "")
+        assert err == (f"error: k=16385: an inbox lane counts up to 2k messages and holds "
+                       f"{robot.LANE_MAX}\n")
+        assert not trace.exists()
 
     def test_bad_list(self, capsys):
         code, _, _ = run_cli(

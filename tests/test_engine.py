@@ -752,12 +752,14 @@ def _after_first_move(step, change):
     return patched
 
 
-def test_an_invalid_port_fault_names_its_round(monkeypatch):
+@pytest.mark.parametrize("port", [9, -1])
+def test_an_invalid_port_fault_names_its_round(monkeypatch, port):
+    """A move is any int, so a negative one faults as a port, not a stay."""
     monkeypatch.setattr(engine, "step_explore", _after_first_move(
-        engine.step_explore, lambda word, sent, dec: (word, sent, robot.Move(9))))
+        engine.step_explore, lambda word, sent, dec: (word, sent, port)))
     res = run(SimulationConfig(graph=gen_path(3), k=3, root=0, seed=3))
     assert res.summary.outcome is Outcome.FAULT
-    assert res.summary.fault == "round 2: robot 0 tried invalid port 9 at node 1"
+    assert res.summary.fault == f"round 2: robot 0 tried invalid port {port} at node 1"
 
 
 def test_a_second_settler_fault_names_its_round(monkeypatch):
@@ -972,12 +974,13 @@ def _lingers(step, fired):
     def patched(state, reply):
         if not state & _LINGERING:
             _, sent, _ = step(state, reply)
-            parent = 0 if reply.parent is None else reply.parent + 1
+            parent = reply >> robot.PARENT_SHIFT & robot.SLOT
             return state | _LINGERING | parent << robot.CHILD_SHIFT, sent, robot.NOT_DONE
         fired.append(state)
         parent = (state >> robot.CHILD_SHIFT & robot.SLOT) - 1
         word, _, dec = step(state & ~(_LINGERING | robot.CHILD_MASK),
-                            robot.SettledReply(None if parent < 0 else parent, None, 0))
+                            robot.encode(parent=None if parent < 0 else parent, child=None,
+                                         visited=0))
         return word, robot.SILENCE, dec
     return patched
 
@@ -1220,12 +1223,15 @@ def _terminates_for_good(step):
     return patched
 
 
-def _invalid_port(step):
-    """``step_return`` that moves through port 9, which no node of a path has."""
-    def patched(state, reply):
-        word, sent, dec = step(state, reply)
-        return word, sent, robot.Move(9) if type(dec) is robot.Move else dec
-    return patched
+def _invalid_port(port):
+    """A mutant of ``step_return`` that moves through ``port``, which no
+    node of a path has."""
+    def mutant(step):
+        def patched(state, reply):
+            word, sent, dec = step(state, reply)
+            return word, sent, port if type(dec) is int else dec
+        return patched
+    return mutant
 
 
 def _strays_at_the_end(step):
@@ -1234,7 +1240,7 @@ def _strays_at_the_end(step):
     not back through its entry port."""
     def patched(state, reply, degree):
         word, sent, dec = step(state, reply, degree)
-        return word, sent, robot.Move(9) if word & robot.ROLE_MASK == robot.DONE else dec
+        return word, sent, 9 if word & robot.ROLE_MASK == robot.DONE else dec
     return patched
 
 
@@ -1243,12 +1249,15 @@ def _strays_at_the_end(step):
      "round 1: all robots terminated but final nodes are not distinct", None),
     ("step_explore", _terminates_for_good, SimulationConfig(graph=gen_worstcase(7), k=7, seed=7),
      "round 7: all robots terminated but final nodes are not distinct", 7),
-    ("step_return", _invalid_port, SimulationConfig(graph=gen_path(3), k=3, seed=3),
+    ("step_return", _invalid_port(9), SimulationConfig(graph=gen_path(3), k=3, seed=3),
      "round 4: robot 0 tried invalid port 9 at node 1", 4),
+    ("step_return", _invalid_port(-1), SimulationConfig(graph=gen_path(3), k=3, seed=3),
+     "round 4: robot 0 tried invalid port -1 at node 1", 4),
     ("step_acknowledge", _strays_at_the_end,
      SimulationConfig(graph=gen_worstcase(7), k=7, seed=7),
      "round 49: robot 5 tried invalid port 9 at node 1", 48),
-], ids=["terminates_at_once", "terminates_for_good", "invalid_port", "strays_at_the_end"])
+], ids=["terminates_at_once", "terminates_for_good", "invalid_port", "negative_port",
+        "strays_at_the_end"])
 @pytest.mark.parametrize("level", list(TraceLevel), ids=lambda level: level.value)
 def test_a_run_ends_where_the_group_round_ends_it(monkeypatch, attr, mutant, cfg, fault,
                                                    lone_from, level):
@@ -1374,13 +1383,14 @@ def _fault_mutants():
     def replies_with_start(state, view, coin, degree):
         word, sent, dec = explore(state, view, coin, degree)
         if sent == robot.START:
-            sent = (sent[0] + robot.ANY_LANE, robot.SettledReply(None, None, 0), None)
+            sent = (sent[0] + robot.ANY_LANE, robot.encode(parent=None, child=None, visited=0),
+                    None)
         return word, sent, dec
 
     # max degree 13: L + 1 = 5 bits, so 32 is one bit too wide
     yield "wide_parent", "step_explore", wide_parent(explore, 1 << 5), WORST_MUTANT_RUNS
     yield "invalid_port", "step_explore", _after_first_move(
-        explore, lambda word, sent, dec: (word, sent, robot.Move(9))), WORST_MUTANT_RUNS
+        explore, lambda word, sent, dec: (word, sent, 9)), WORST_MUTANT_RUNS
     yield "second_settler", "step_explore", _after_first_move(explore, settle), WORST_MUTANT_RUNS
     yield "no_reply", "step_return", lambda state, reply: ret(state, None), WORST_MUTANT_RUNS
     yield "raises_in_election", "step_explore", raises_in_election, WORST_MUTANT_RUNS
@@ -1408,7 +1418,7 @@ def _keeps_coin(step):
     different words."""
     def patched(state, view, coin, degree):
         word, sent, dec = step(state, view, coin, degree)
-        if type(dec) is robot.Move:
+        if type(dec) is int:
             word |= coin << robot.VISITED_SHIFT
         return word, sent, dec
     return patched

@@ -42,14 +42,12 @@ from dispersim.robot import (
     VISIT_TERMINATE,
     MissingEnteredError,
     MissingReplyError,
-    Move,
     MultipleRepliesError,
     NOT_DONE,
+    STAY,
+    TERMINATE_SELF,
     NodeInbox,
     ProtocolViolation,
-    SettledReply,
-    Stay,
-    TerminateSelf,
     decode,
     draws_coin,
     encode,
@@ -121,8 +119,8 @@ class TestStepSettled:
         st0 = settled_state(parent=0)
         inbox = hear(QUERY)
         st1, sent, dec = step_settled(st0, inbox)
-        assert sent == replying(SettledReply(parent=0, child=None, visited=0))
-        assert isinstance(dec, Stay)
+        assert sent == replying(encode(parent=0, child=None, visited=0))
+        assert dec is STAY
         assert st1 == st0
 
     def test_set_child(self):
@@ -130,7 +128,7 @@ class TestStepSettled:
         inbox = hear(set_child(2))
         st1, sent, dec = step_settled(st0, inbox)
         assert field(st1, "child") == 2
-        assert sent == SILENCE and isinstance(dec, Stay)
+        assert sent == SILENCE and dec is STAY
 
     def test_set_visited(self):
         st0 = settled_state(parent=1)
@@ -142,36 +140,36 @@ class TestStepSettled:
         st0 = settled_state(parent=1)
         inbox = hear(TERMINATE)
         _, _, dec = step_settled(st0, inbox)
-        assert isinstance(dec, TerminateSelf)
+        assert dec is TERMINATE_SELF
 
     def test_never_moves(self):
         st0 = settled_state(parent=0, child=1, visited=1)
         for sent in [QUERY, set_child(0), VISIT, TERMINATE]:
             _, _, dec = step_settled(st0, hear(sent))
-            assert not isinstance(dec, Move)
+            assert type(dec) is not int
 
 
 class TestStepExplore:
     def test_forward_reply_bounces(self):
         st0 = explorer(FORWARD, entered=1)
-        reply = SettledReply(parent=0, child=None, visited=0)
+        reply = encode(parent=0, child=None, visited=0)
         st1, sent, dec = explore(st0, hear(replying(reply)), degree=3)
         assert field(st1, "direction") == BACKWARD
-        assert dec == Move(1)
+        assert dec == 1
         assert sent == SILENCE
 
     def test_backward_reply_continues_backward_on_parent(self):
         st0 = explorer(BACKWARD, entered=1)
-        reply = SettledReply(parent=2, child=None, visited=0)
+        reply = encode(parent=2, child=None, visited=0)
         st1, _, dec = explore(st0, hear(replying(reply)), degree=3)
-        assert dec == Move(2)
+        assert dec == 2
         assert field(st1, "direction") == BACKWARD
 
     def test_backward_reply_advances_forward_otherwise(self):
         st0 = explorer(BACKWARD, entered=1)
-        reply = SettledReply(parent=0, child=None, visited=0)
+        reply = encode(parent=0, child=None, visited=0)
         st1, _, dec = explore(st0, hear(replying(reply)), degree=3)
-        assert dec == Move(2)
+        assert dec == 2
         assert field(st1, "direction") == FORWARD
 
     def test_fresh_node_opens_election(self):
@@ -197,34 +195,34 @@ class TestStepExplore:
         assert field(st1, "role") == SETTLED
         assert field(st1, "parent") == 2
         assert field(st1, "phase") == IDLE and field(st1, "flip") == 0
-        assert isinstance(dec, Stay)
+        assert dec is STAY
 
     def test_alone_turns_back(self):
         st0 = explorer(entered=2, le=STARTED)
         st1, _, dec = explore(st0, SILENCE, degree=3)
         assert field(st1, "role") == RETURN
-        assert dec == Move(2)
+        assert dec == 2
 
     def test_alone_at_start_terminates(self):
         st0 = explorer(entered=None, le=STARTED)
         st1, _, dec = explore(st0, SILENCE, degree=2)
-        assert isinstance(dec, TerminateSelf)
+        assert dec is TERMINATE_SELF
 
     def test_follower_from_start_moves_port_zero(self):
         st0 = explorer(entered=None, le=TAILS)
         st1, _, dec = explore(st0, hear(HEADS), degree=2)
-        assert dec == Move(0)
+        assert dec == 0
         assert field(st1, "direction") == FORWARD
 
     def test_follower_degree_one_goes_backward(self):
         st0 = explorer(entered=0, le=TAILS)
         st1, _, dec = explore(st0, hear(HEADS), degree=1)
-        assert dec == Move(0)
+        assert dec == 0
         assert field(st1, "direction") == BACKWARD
 
     def test_reply_without_entered_is_fault(self):
         st0 = explorer(FORWARD, entered=None)
-        reply = SettledReply(parent=0, child=None, visited=0)
+        reply = encode(parent=0, child=None, visited=0)
         with pytest.raises(MissingEnteredError):
             explore(st0, hear(replying(reply)), degree=2)
 
@@ -242,8 +240,9 @@ def test_a_step_reads_its_coin_exactly_when_draws_coin_holds():
             return type(exc)
 
     views = [SILENCE, hear(START), hear(HEADS), hear(QUERY),
-             hear(replying(SettledReply(0, None, 0))),
-             inbox_of([(9, replying(SettledReply(None, 1, 1))), (8, HEADS)]).view(1)]
+             hear(replying(encode(parent=0, child=None, visited=0))),
+             inbox_of([(9, replying(encode(parent=None, child=1, visited=1))),
+                       (8, HEADS)]).view(1)]
     words = [encode(role=role, direction=d, phase=phase, flip=flip, entered=e)
              for role in range(5) for d in (0, 1) for phase in range(8) for flip in (0, 1)
              for e in (None, 0, 2)]
@@ -263,20 +262,20 @@ def test_a_step_reads_its_coin_exactly_when_draws_coin_holds():
 class TestStepReturn:
     def test_installs_child_and_climbs(self):
         st0 = walker(RETURN, entered=0)
-        reply = SettledReply(parent=2, child=None, visited=0)
+        reply = encode(parent=2, child=None, visited=0)
         st1, sent, dec = step_return(st0, reply)
         assert sent == set_child(0)
-        assert dec == Move(2)
+        assert dec == 2
 
     def test_root_flips_to_acknowledge(self):
         st0 = walker(RETURN, entered=1)
-        reply = SettledReply(parent=None, child=None, visited=0)
+        reply = encode(parent=None, child=None, visited=0)
         st1, sent, dec = step_return(st0, reply)
         assert sent == set_child(1)
         assert field(st1, "role") == ACKNOWLEDGE
         assert field(st1, "direction") == FORWARD
         assert field(st1, "entered") is None
-        assert isinstance(dec, Stay)
+        assert dec is STAY
 
     def test_missing_reply_is_fault(self):
         st0 = walker(RETURN, entered=0)
@@ -286,79 +285,79 @@ class TestStepReturn:
     def test_missing_entry_port_is_fault(self):
         st0 = walker(RETURN, entered=None)
         with pytest.raises(MissingEnteredError):
-            step_return(st0, SettledReply(parent=0, child=None, visited=0))
+            step_return(st0, encode(parent=0, child=None, visited=0))
 
 
 class TestStepAcknowledge:
     def test_fresh_root_no_repair(self):
         st0 = walker(ACKNOWLEDGE, entered=None)
-        reply = SettledReply(parent=None, child=1, visited=0)
+        reply = encode(parent=None, child=1, visited=0)
         st1, sent, dec = step_acknowledge(st0, reply, degree=2)
         assert sent == VISIT
-        assert dec == Move(0)
+        assert dec == 0
 
     def test_fresh_root_repair_fires_on_child_zero(self):
         st0 = walker(ACKNOWLEDGE, entered=None)
-        reply = SettledReply(parent=None, child=0, visited=0)
+        reply = encode(parent=None, child=0, visited=0)
         st1, sent, dec = step_acknowledge(st0, reply, degree=2)
         assert sent == VISIT_TERMINATE
-        assert dec == Move(0)
+        assert dec == 0
 
     def test_fresh_node_child_match_terminates(self):
         # (entered + 1) mod degree equals the installed child port
         st0 = walker(ACKNOWLEDGE, entered=0)
-        reply = SettledReply(parent=0, child=1, visited=0)
+        reply = encode(parent=0, child=1, visited=0)
         st1, sent, dec = step_acknowledge(st0, reply, degree=3)
         assert sent == VISIT_TERMINATE
-        assert dec == Move(1)
+        assert dec == 1
 
     def test_fresh_degree_one_bounces_backward(self):
         st0 = walker(ACKNOWLEDGE, entered=0)
-        reply = SettledReply(parent=0, child=None, visited=0)
+        reply = encode(parent=0, child=None, visited=0)
         st1, sent, dec = step_acknowledge(st0, reply, degree=1)
         assert sent == VISIT_TERMINATE
         assert field(st1, "direction") == BACKWARD
-        assert dec == Move(0)
+        assert dec == 0
 
     def test_revisit_forward_bounces(self):
         st0 = walker(ACKNOWLEDGE, FORWARD, entered=2)
-        reply = SettledReply(parent=0, child=None, visited=1)
+        reply = encode(parent=0, child=None, visited=1)
         st1, sent, dec = step_acknowledge(st0, reply, degree=3)
         assert sent == SILENCE
         assert field(st1, "direction") == BACKWARD
-        assert dec == Move(2)
+        assert dec == 2
 
     def test_revisit_backward_parent_match_terminates(self):
         st0 = walker(ACKNOWLEDGE, BACKWARD, entered=1)
-        reply = SettledReply(parent=2, child=None, visited=1)
+        reply = encode(parent=2, child=None, visited=1)
         st1, sent, dec = step_acknowledge(st0, reply, degree=3)
         assert sent == TERMINATE
-        assert dec == Move(2)
+        assert dec == 2
         assert field(st1, "direction") == BACKWARD
 
     def test_revisit_backward_child_match_goes_forward(self):
         st0 = walker(ACKNOWLEDGE, BACKWARD, entered=1)
-        reply = SettledReply(parent=0, child=2, visited=1)
+        reply = encode(parent=0, child=2, visited=1)
         st1, sent, dec = step_acknowledge(st0, reply, degree=3)
         assert sent == TERMINATE
-        assert dec == Move(2)
+        assert dec == 2
         assert field(st1, "direction") == FORWARD
 
     def test_empty_forward_bounces(self):
         st0 = walker(ACKNOWLEDGE, FORWARD, entered=1)
         st1, sent, dec = step_acknowledge(st0, None, degree=3)
         assert field(st1, "direction") == BACKWARD
-        assert dec == Move(1)
+        assert dec == 1
 
     def test_empty_backward_is_done(self):
         st0 = walker(ACKNOWLEDGE, BACKWARD, entered=2)
         st1, sent, dec = step_acknowledge(st0, None, degree=3)
         assert field(st1, "role") == DONE
-        assert dec == Move(2)
+        assert dec == 2
 
     def test_revisit_without_entry_port_is_fault(self):
         st0 = walker(ACKNOWLEDGE, BACKWARD, entered=None)
-        reply = SettledReply(parent=0, child=1, visited=1)
+        reply = encode(parent=0, child=1, visited=1)
         with pytest.raises(MissingEnteredError):
             step_acknowledge(st0, reply, degree=3)
 
@@ -373,7 +372,7 @@ class TestStepDone:
         st0 = walker(DONE)
         st1, sent, dec = step_done(st0)
         assert sent == SILENCE
-        assert isinstance(dec, TerminateSelf)
+        assert dec is TERMINATE_SELF
 
 
 def memory_footprint_bits(max_degree):
@@ -488,7 +487,7 @@ class TestPurity:
 
     def test_identical_inputs_identical_outputs(self):
         st0 = explorer(BACKWARD, entered=1)
-        reply = SettledReply(parent=0, child=None, visited=0)
+        reply = encode(parent=0, child=None, visited=0)
         a = explore(st0, hear(replying(reply)), degree=3)
         b = explore(st0, hear(replying(reply)), degree=3)
         assert a == b
@@ -507,12 +506,12 @@ def test_explore_moves_only_through_permitted_ports(entered, degree, parent, dir
     if entered >= degree or (parent is not None and parent >= degree):
         return
     st0 = explorer(direction, entered=entered)
-    reply = SettledReply(parent=parent, child=None, visited=0)
+    reply = encode(parent=parent, child=None, visited=0)
     _, _, dec = explore(st0, hear(replying(reply)), degree=degree)
     allowed = {entered, (entered + 1) % degree, 0}
     if parent is not None:
         allowed.add(parent)
-    assert isinstance(dec, Move) and dec.port in allowed
+    assert type(dec) is int and dec in allowed
 
 
 # the presence bit of each lane, in lane order
@@ -557,14 +556,14 @@ def sending(fixed, reply, port):
 
 
 PORTS = st.integers(min_value=0, max_value=3)
-REPLIES = st.builds(SettledReply, parent=PORTS | st.none(), child=PORTS | st.none(),
+REPLIES = st.builds(encode, parent=PORTS | st.none(), child=PORTS | st.none(),
                     visited=st.integers(min_value=0, max_value=1))
 FIXED = st.sampled_from([SILENCE, QUERY, START, HEADS, VISIT, TERMINATE, VISIT_TERMINATE])
 BROADCASTS = st.builds(sending, FIXED, st.none() | REPLIES, st.none() | PORTS)
 # senders 0..4 repeat often; receiver 5 never sends
 INBOXES = st.lists(st.tuples(st.integers(min_value=0, max_value=4), BROADCASTS), max_size=12)
-TWO_REPLIES = [(1, replying(SettledReply(0, None, 0))), (2, replying(SettledReply(1, 2, 1))),
-               (1, QUERY)]
+TWO_REPLIES = [(1, replying(encode(parent=0, child=None, visited=0))),
+               (2, replying(encode(parent=1, child=2, visited=1))), (1, QUERY)]
 # a class of robots 100 on, the last of them CLASS_END - 1
 CLASS_END = 100 + LANE_MAX // 2 - 5
 # senders 0..4 with two parts each, and a class of LANE_MAX // 2 - 5 robots
@@ -584,12 +583,12 @@ FULL_LANE = dict(
 # two members that reply, posted one by one: each hears the other's reply,
 # everyone else two
 @example(posts=[(0, QUERY)], members=range(100, 102),
-         sent=replying(SettledReply(1, None, 0)), at=1)
-@example(posts=[(0, replying(SettledReply(0, None, 0)))], members=range(100, 101),
+         sent=replying(encode(parent=1, child=None, visited=0)), at=1)
+@example(posts=[(0, replying(encode(parent=0, child=None, visited=0)))], members=range(100, 101),
          sent=QUERY, at=0)
 @example(**FULL_LANE)
 @example(**{**FULL_LANE, "members": range(100, CLASS_END - 1),
-            "sent": sending(TERMINATE, SettledReply(0, 1, 1), None)})
+            "sent": sending(TERMINATE, encode(parent=0, child=1, visited=1), None)})
 @settings(max_examples=400, deadline=None)
 def test_node_inbox_matches_per_receiver_scan(posts, members, sent, at):
     """One digest per node serves every receiver exactly as a scan of
@@ -636,35 +635,11 @@ def test_node_inbox_matches_per_receiver_scan(posts, members, sent, at):
 
 def test_two_replies_raise_only_without_the_receiver():
     inbox = inbox_of(TWO_REPLIES)
-    assert inbox.view(1)[1] == SettledReply(1, 2, 1)
-    assert inbox.view(2)[1] == SettledReply(0, None, 0)
+    assert inbox.view(1)[1] == encode(parent=1, child=2, visited=1)
+    assert inbox.view(2)[1] == encode(parent=0, child=None, visited=0)
     for receiver in (0, 3):
         with pytest.raises(MultipleRepliesError):
             inbox.view(receiver)
-
-
-def test_no_view_hashes_a_reply(monkeypatch):
-    """Cost guard, in counts: a view holds a settler's reply as it was
-    sent, and a settler's reply is cached by its word, an int, so nothing
-    hashes a reply object: a whole worst-case run calls
-    ``SettledReply.__hash__`` zero times."""
-    from dispersim.engine import Outcome, SimulationConfig, TraceLevel, run
-    from dispersim.graph import gen_worstcase
-
-    calls = []
-    hash_reply = SettledReply.__hash__
-
-    def counted(reply):
-        calls.append(reply)
-        return hash_reply(reply)
-
-    monkeypatch.setattr(SettledReply, "__hash__", counted)
-    assert hash(SettledReply(0, None, 0)) == hash_reply(SettledReply(0, None, 0))
-    calls.clear()
-    res = run(SimulationConfig(graph=gen_worstcase(16), k=16, seed=2,
-                               trace_level=TraceLevel.NONE))
-    assert res.summary.outcome is Outcome.DISPERSED_ALL_TERMINATED
-    assert calls == []
 
 
 def test_a_lone_mover_fills_no_postbox(monkeypatch):
